@@ -22,6 +22,7 @@ from .encoded import (
     EncodedState,
     apply_block_permutation,
     index_to_label,
+    indices_to_labels,
     label_to_index,
     overlap_probability,
     uniform_initial_state,
@@ -71,7 +72,6 @@ from .qubitref import (
     block_xy_mixer_gates,
     count_two_qubit_gates,
     fidelity,
-    format_gates,
     multi_block_prepare,
     one_hot_block_prepare,
     project_to_encoded,

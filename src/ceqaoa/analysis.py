@@ -193,66 +193,6 @@ def block_design_moments(
     )
 
 
-def global_design_moments(
-    diag: CostDiagonal, pulse_layers: int, trials: int, seed: int = 0, target: int = 0
-) -> MomentReport:
-    """Qualitative moment probe for layered random circuits on the full encoded space.
-
-    Each layer applies an independent random pair rotation and site phase on
-    every block, then the instance's diagonal energy at a random angle (the
-    cross-block entangler).  Reported against the Haar targets at dimension
-    D; no tolerance is attached, because no depth constants are.
-    """
-    layout = diag.layout
-    n, m, dim = layout.n, layout.m, layout.D
-    if trials < 1 or pulse_layers < 0:
-        raise ValueError("need trials >= 1 and pulse_layers >= 0")
-    if not 0 <= target < dim:
-        raise ValueError(f"target {target} outside [0, {dim})")
-    rng = np.random.default_rng(seed)
-    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
-    states = np.full((trials, dim), 1.0 / math.sqrt(dim), dtype=np.complex128)
-
-    def pulse_block(b: int) -> None:
-        pre, post = n**b, n ** (m - 1 - b)
-        arr = states.reshape(trials, pre, n, post)
-        edge = pairs[rng.integers(0, len(pairs), trials)]
-        sel_i = np.broadcast_to(edge[:, 0, None, None, None], (trials, pre, 1, post))
-        sel_j = np.broadcast_to(edge[:, 1, None, None, None], (trials, pre, 1, post))
-        theta = rng.uniform(0.0, 2.0 * math.pi, trials)[:, None, None, None]
-        c = np.cos(theta)
-        s = -1j * np.sin(theta)
-        vi = np.take_along_axis(arr, sel_i, axis=2)
-        vj = np.take_along_axis(arr, sel_j, axis=2)
-        np.put_along_axis(arr, sel_i, c * vi + s * vj, axis=2)
-        np.put_along_axis(arr, sel_j, s * vi + c * vj, axis=2)
-        sel_k = np.broadcast_to(
-            rng.integers(0, n, trials)[:, None, None, None], (trials, pre, 1, post)
-        )
-        phi = rng.uniform(0.0, 2.0 * math.pi, trials)[:, None, None, None]
-        vk = np.take_along_axis(arr, sel_k, axis=2)
-        np.put_along_axis(arr, sel_k, np.exp(-1j * phi) * vk, axis=2)
-
-    for _ in range(pulse_layers):
-        for b in range(m):
-            pulse_block(b)
-        gammas = rng.uniform(0.0, 2.0 * math.pi, trials)
-        states *= np.exp(-1j * gammas[:, None] * diag.total[None, :])
-
-    x = np.abs(states[:, target]) ** 2
-    x2 = x**2
-    if trials > 1:
-        se = (
-            float(x.std(ddof=1) / math.sqrt(trials)),
-            float(x2.std(ddof=1) / math.sqrt(trials)),
-        )
-    else:
-        se = (math.inf, math.inf)
-    return MomentReport(
-        float(x.mean()), float(x2.mean()), 1.0 / dim, 2.0 / (dim * (dim + 1)), trials, se
-    )
-
-
 def lie_algebra_dimension(n: int, diagonal, tol: float = 1e-8) -> int:
     """Real dimension of the Lie closure of the pair-hop and diagonal generators.
 

@@ -15,8 +15,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import classical_baselines
-from .encoded import DimensionCapError
+from .encoded import DimensionCapError, indices_to_labels
 from .hamiltonian import (
     anchor,
     brute_force_optimum,
@@ -46,6 +48,7 @@ EXIT_NO_FEASIBLE = 2
 EXIT_DIM_CAP = 3
 
 SCHEMA_VERSION = 1
+HISTOGRAM_CHUNK = 1 << 16  # rows formatted at a time, so memory stays bounded for any D
 
 
 def parse_grid_spec(spec: str, n_cities: int):
@@ -77,18 +80,16 @@ def parse_grid_spec(spec: str, n_cities: int):
     raise ValueError(f"unrecognized grid spec {spec!r}")
 
 
-def write_text_atomic(path: Path, text: str) -> None:
+def write_text_atomic(path: Path, text) -> None:
+    """Write a string, or an iterable of string chunks, through a .tmp file and a rename."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
 def write_json_atomic(path: Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _label_str(label) -> str:
-    return "-".join(str(j) for j in label)
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -129,20 +130,14 @@ def cmd_solve(args) -> int:
     norm = MixerNormalization(args.norm)
     lam = args.penalty_weight if args.penalty_weight is not None else default_penalty_weight(inst)
 
-    hist_rows: list[tuple[int, float, float, float, int]] = []
+    hist_lines = ["grid_index,gamma,beta,cost,count\n"]
 
     def point_hook(stat, shotset, diag) -> None:
-        cost_counts: dict[float, int] = {}
-        for label, cnt in shotset.counts.items():
-            flat = 0
-            for j in label:
-                flat = flat * diag.layout.n + j
-            if diag.penalty[flat] != 0.0:
-                continue
-            cost = float(diag.objective[flat])
-            cost_counts[cost] = cost_counts.get(cost, 0) + cnt
-        for cost in sorted(cost_counts):
-            hist_rows.append((stat.grid_index, stat.gamma, stat.beta, cost, cost_counts[cost]))
+        feasible = diag.penalty[shotset.flats] == 0.0
+        costs, which = np.unique(diag.objective[shotset.flats[feasible]], return_inverse=True)
+        totals = np.bincount(which, weights=shotset.counts[feasible])
+        for cost, count in zip(costs.tolist(), totals.astype(np.int64).tolist()):
+            hist_lines.append(f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n")
 
     t0 = time.perf_counter()
     if isinstance(grid_or_pairs, AngleGrid):
@@ -204,10 +199,7 @@ def cmd_solve(args) -> int:
     write_json_atomic(out, payload)
 
     hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
-    lines = ["grid_index,gamma,beta,cost,count"]
-    for row in hist_rows:
-        lines.append(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]}")
-    write_text_atomic(hist_path, "\n".join(lines) + "\n")
+    write_text_atomic(hist_path, hist_lines)
 
     if result.best_label is None:
         print(f"no feasible sample in {shots} shots x {len(result.per_grid_stats)} grid points")
@@ -227,44 +219,49 @@ def cmd_histogram(args) -> int:
     except ValueError:
         print(f"bad --angles value {args.angles!r} (want gamma,beta)", file=sys.stderr)
         return EXIT_USAGE
+    shots = args.shots if args.shots is not None else 10 * inst.n_cities**3
+    if shots < 0:
+        print(f"--shots must be >= 0, got {shots}", file=sys.stderr)
+        return EXIT_USAGE
     norm = MixerNormalization(args.norm)
     diag = build_cost_diagonal(enc, args.penalty_weight)
     state = run_circuit(diag, LayerSchedule.constant(gamma, beta, args.depth), norm)
     probs = state.probabilities()
 
-    shots = args.shots if args.shots is not None else 10 * inst.n_cities**3
-    counts = [0] * enc.layout.D
+    layout = enc.layout
+    counts = np.zeros(layout.D, dtype=np.int64)
     if shots > 0:
-        for label, cnt in sample_shots(state, shots, args.seed, (gamma, beta)).counts.items():
-            flat = 0
-            for j in label:
-                flat = flat * enc.layout.n + j
-            counts[flat] = cnt
+        sampled = sample_shots(state, shots, args.seed, (gamma, beta))
+        counts[sampled.flats] = sampled.counts
+    is_optimal = np.zeros(layout.D, dtype=np.int8)
+    if layout.m <= 10:
+        is_optimal[brute_force_optimum(enc).optimal_flats] = 1
+    # most sampled first; the stable sort keeps equal counts in flat order
+    order = np.argsort(-counts, kind="stable")
+    city_of_symbol = np.asarray(enc.city_of_symbol)
+    start = enc.start_city
 
-    optimal_flats = set()
-    if enc.layout.m <= 10:
-        oracle = brute_force_optimum(enc)
-        for lab in oracle.optimal_labels:
-            flat = 0
-            for j in lab:
-                flat = flat * enc.layout.n + j
-            optimal_flats.add(flat)
+    def chunks():
+        yield f"# uniform_probability,{1.0 / layout.D!r}\n"
+        yield "label,city_sequence,count,exact_probability,is_optimal\n"
+        for lo in range(0, layout.D, HISTOGRAM_CHUNK):
+            flats = order[lo : lo + HISTOGRAM_CHUNK]
+            labels = indices_to_labels(layout, flats)
+            rows = zip(
+                labels.tolist(),
+                city_of_symbol[labels].tolist(),
+                counts[flats].tolist(),
+                probs[flats].tolist(),
+                is_optimal[flats].tolist(),
+            )
+            yield "".join(
+                f"{'-'.join(map(str, lab))},{start}-{'-'.join(map(str, cities))}-{start},"
+                f"{cnt},{p!r},{opt}\n"
+                for lab, cities, cnt, p, opt in rows
+            )
 
-    labels = enc.layout.all_labels()
-    order = sorted(range(enc.layout.D), key=lambda f: (-counts[f], f))
-    lines = [
-        f"# uniform_probability,{1.0 / enc.layout.D!r}",
-        "label,city_sequence,count,exact_probability,is_optimal",
-    ]
-    for f in order:
-        label = tuple(int(v) for v in labels[f])
-        cities = tour_cities(enc, label)
-        lines.append(
-            f"{_label_str(label)},{_label_str(cities)},{counts[f]},"
-            f"{float(probs[f])!r},{int(f in optimal_flats)}"
-        )
-    write_text_atomic(Path(args.out), "\n".join(lines) + "\n")
-    print(f"wrote {enc.layout.D} rows to {args.out}")
+    write_text_atomic(Path(args.out), chunks())
+    print(f"wrote {layout.D} rows to {args.out}")
     return EXIT_OK
 
 

@@ -27,7 +27,16 @@ class DimensionCapError(ValueError):
 def max_dimension() -> int:
     """Amplitude cap for encoded states; CEQAOA_MAX_DIM overrides the default."""
     raw = os.environ.get("CEQAOA_MAX_DIM", "")
-    return int(raw) if raw else DEFAULT_MAX_DIM
+    if not raw:
+        return DEFAULT_MAX_DIM
+    msg = f"CEQAOA_MAX_DIM must be a positive integer, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(msg) from None
+    if cap < 1:
+        raise ValueError(msg)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -69,14 +78,6 @@ class BlockLayout:
         idx = np.arange(self.D, dtype=np.int64)
         return ((idx // self.n ** (self.m - 1 - b)) % self.n).astype(dtype)
 
-    def all_labels(self) -> np.ndarray:
-        """(D, m) array whose row i equals index_to_label(self, i)."""
-        dtype = np.int8 if self.n < 128 else np.int32
-        out = np.empty((self.D, self.m), dtype=dtype)
-        for b in range(self.m):
-            out[:, b] = self.symbol_column(b, dtype=dtype)
-        return out
-
 
 def label_to_index(layout: BlockLayout, label) -> int:
     """Flat index of a label; block 0 is the most significant digit."""
@@ -96,6 +97,12 @@ def index_to_label(layout: BlockLayout, index: int) -> Label:
     for b in range(layout.m - 1, -1, -1):
         index, symbols[b] = divmod(index, layout.n)
     return tuple(symbols)
+
+
+def indices_to_labels(layout: BlockLayout, flats) -> np.ndarray:
+    """(k, m) int64 array whose row i equals index_to_label(layout, flats[i])."""
+    radix = layout.n ** np.arange(layout.m - 1, -1, -1, dtype=np.int64)
+    return np.asarray(flats, dtype=np.int64)[:, None] // radix % layout.n
 
 
 @dataclass(frozen=True, eq=False)

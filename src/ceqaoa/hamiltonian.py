@@ -174,12 +174,15 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     return CostDiagonal(layout, objective, penalty, lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BruteForceResult:
+    """Every optimal tour, as labels and as the ascending int64 array of their flat indices."""
+
     best_label: Label
     best_cost: float
     degeneracy: int
     optimal_labels: tuple[Label, ...]
+    optimal_flats: np.ndarray
 
 
 def _tie_threshold(best: float) -> float:
@@ -225,4 +228,4 @@ def brute_force_optimum(enc: AnchoredTsp, chunk_size: int = 200_000) -> BruteFor
     sel = costs <= best + _tie_threshold(best)
     flats = np.sort(flats[sel])
     labels = tuple(index_to_label(enc.layout, int(f)) for f in flats)
-    return BruteForceResult(labels[0], best, len(labels), labels)
+    return BruteForceResult(labels[0], best, len(labels), labels, flats)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoded import BlockLayout, EncodedState, Label, index_to_label, label_to_index
+from .encoded import BlockLayout, EncodedState, Label, index_to_label
 from .hamiltonian import (
     AnchoredTsp,
     BruteForceResult,
@@ -81,23 +81,38 @@ def derive_seed(master_seed: int, grid_index: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ShotSet:
-    """Measured samples at one angle pair: label -> count, summing to total_shots."""
+    """Measured samples at one angle pair.
+
+    flats holds the distinct sampled flat indices in strictly ascending
+    order and counts how often each was drawn; both are int64 arrays of
+    equal length, and the counts sum to total_shots.
+    """
 
     layout: BlockLayout
-    counts: dict[Label, int]
+    flats: np.ndarray
+    counts: np.ndarray
     total_shots: int
     angles: tuple[float, float] | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        flats = np.asarray(self.flats, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "counts", counts)
         if self.total_shots < 1:
             raise ValueError(f"total_shots must be >= 1, got {self.total_shots}")
-        total = 0
-        for label, cnt in self.counts.items():
-            self.layout.validate_label(label)
-            if cnt < 0:
-                raise ValueError(f"negative count for label {label}")
-            total += cnt
+        if flats.ndim != 1 or flats.shape != counts.shape:
+            raise ValueError(
+                f"flats {flats.shape} and counts {counts.shape} must be 1-D of equal length"
+            )
+        if np.any(np.diff(flats) <= 0):
+            raise ValueError("flats must be strictly ascending")
+        if flats.size and not (flats[0] >= 0 and flats[-1] < self.layout.D):
+            raise ValueError(f"flat index outside [0, {self.layout.D})")
+        if np.any(counts < 0):
+            raise ValueError("negative count")
+        total = int(counts.sum())
         if total != self.total_shots:
             raise ValueError(f"counts sum to {total}, expected {self.total_shots}")
 
@@ -113,10 +128,9 @@ def sample_shots(
         raise ValueError(f"total_shots must be >= 1, got {total_shots}")
     rng = np.random.default_rng(seed)
     p = state.probabilities()
-    flats = rng.choice(state.layout.D, size=total_shots, p=p / p.sum())
-    uniq, cnts = np.unique(flats, return_counts=True)
-    counts = {index_to_label(state.layout, int(f)): int(c) for f, c in zip(uniq, cnts)}
-    return ShotSet(state.layout, counts, total_shots, angles, int(seed))
+    draws = rng.choice(state.layout.D, size=total_shots, p=p / p.sum())
+    flats, counts = np.unique(draws, return_counts=True)
+    return ShotSet(state.layout, flats, counts, total_shots, angles, int(seed))
 
 
 def required_shots(p_min: float, delta: float) -> int:
@@ -145,20 +159,18 @@ def score_shots(enc: AnchoredTsp, shots: ShotSet, diag: CostDiagonal | None = No
         diag = build_cost_diagonal(enc)
     if shots.layout != enc.layout or diag.layout != enc.layout:
         raise ValueError("shot set, diagonal, and instance layouts must agree")
-    best: tuple[float, int] | None = None
-    feasible = 0
-    for label, cnt in shots.counts.items():
-        flat = label_to_index(shots.layout, label)
-        if diag.penalty[flat] != 0.0:
-            continue
-        feasible += cnt
-        key = (float(diag.objective[flat]), flat)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    feasible = diag.penalty[shots.flats] == 0.0
+    flats = shots.flats[feasible]
+    if flats.size == 0:
         return ScoredShots(None, None, None, 0)
-    cost, flat = best
-    return ScoredShots(index_to_label(shots.layout, flat), cost, flat, feasible)
+    # flats ascend, so the first minimum is the lowest flat index among ties
+    flat = int(flats[np.argmin(diag.objective[flats])])
+    return ScoredShots(
+        index_to_label(shots.layout, flat),
+        float(diag.objective[flat]),
+        flat,
+        int(shots.counts[feasible].sum()),
+    )
 
 
 @dataclass(frozen=True)
@@ -257,7 +269,7 @@ def phqc_solve(
         if enc.layout.m <= 10:
             oracle = brute_force_optimum(enc)
             win_state = run_circuit(diag, plan[win_idx][3], norm)
-            p_opt = _optimal_mass(win_state, enc, oracle)
+            p_opt = _optimal_mass(win_state, oracle)
             degen = oracle.degeneracy
     return PhqcResult(
         best_label,
@@ -273,10 +285,8 @@ def phqc_solve(
     )
 
 
-def _optimal_mass(state: EncodedState, enc: AnchoredTsp, oracle: BruteForceResult) -> float:
-    p = state.probabilities()
-    flats = [label_to_index(enc.layout, lab) for lab in oracle.optimal_labels]
-    return float(p[flats].sum())
+def _optimal_mass(state: EncodedState, oracle: BruteForceResult) -> float:
+    return float(state.probabilities()[oracle.optimal_flats].sum())
 
 
 def exact_success_probability(
@@ -297,4 +307,4 @@ def exact_success_probability(
     if oracle is None:
         oracle = brute_force_optimum(enc)
     state = run_circuit(diag, schedule, norm)
-    return _optimal_mass(state, enc, oracle), oracle.degeneracy
+    return _optimal_mass(state, oracle), oracle.degeneracy

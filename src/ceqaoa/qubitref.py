@@ -197,22 +197,15 @@ def multi_block_prepare(n: int, m: int, variant: str = "xyrot") -> list[GateOp]:
     return ops
 
 
-def block_xy_mixer_gates(
-    n: int, m: int, beta: float, full_pair_range: bool = True
-) -> list[GateOp]:
-    """One sweep of RXX(2 beta), RYY(2 beta) over the in-block qubit pairs.
-
-    full_pair_range=False stops the sweep at j < n-1, leaving the last site
-    of each block uncoupled (a truncated variant kept for comparison runs).
-    """
+def block_xy_mixer_gates(n: int, m: int, beta: float) -> list[GateOp]:
+    """One sweep of RXX(2 beta), RYY(2 beta) over the in-block qubit pairs."""
     q = n * m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the {MAX_QUBITS}-qubit budget")
-    stop = n if full_pair_range else n - 1
     ops: list[GateOp] = []
     for b in range(m):
         for i in range(n):
-            for j in range(i + 1, stop):
+            for j in range(i + 1, n):
                 ops.append(GateOp("RXX", (b * n + i, b * n + j), 2.0 * beta))
                 ops.append(GateOp("RYY", (b * n + i, b * n + j), 2.0 * beta))
     return ops
@@ -246,14 +239,3 @@ def project_to_encoded(
     if mass <= 0.0:
         return None, 1.0
     return EncodedState(layout, sub / math.sqrt(mass)), leaked
-
-
-def format_gates(ops) -> str:
-    """Plain-text dump, one gate per line: KIND q1 [q2] [angle]."""
-    lines = []
-    for op in ops:
-        parts = [op.kind, *map(str, op.qubits)]
-        if op.angle is not None:
-            parts.append(repr(op.angle))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

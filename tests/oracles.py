@@ -57,6 +57,26 @@ def kron_mixer(n, m, angle):
     return out
 
 
+def scalar_score(penalty, objective, flat_counts):
+    """The checker as a plain loop over (flat, count) pairs in any order.
+
+    Returns (best cost, best flat, feasible shots); ties on cost go to the
+    lowest flat index, and (None, None, 0) means no feasible sample.
+    """
+    best = None
+    feasible = 0
+    for flat, cnt in flat_counts:
+        if penalty[flat] != 0.0:
+            continue
+        feasible += cnt
+        key = (float(objective[flat]), flat)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None, None, 0
+    return best[0], best[1], feasible
+
+
 def random_symmetric_instance(n_cities, seed, lo=1.0, hi=10.0):
     rng = np.random.default_rng(seed)
     m = rng.uniform(lo, hi, (n_cities, n_cities))

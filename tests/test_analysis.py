@@ -9,7 +9,6 @@ from ceqaoa.analysis import (
     classical_baselines,
     entangler_schmidt_rank,
     find_good_permutation,
-    global_design_moments,
     heavy_output_report,
     lie_algebra_dimension,
     random_block_permutation_array,
@@ -183,19 +182,6 @@ class TestDesignMoments:
             block_design_moments(3, -1, 1)
         with pytest.raises(ValueError):
             block_design_moments(3, 1, 0)
-
-    def test_global_moments_qualitative(self):
-        # full-space probe at D = 9: deep layering should sit far closer to
-        # the Haar second moment than the un-pulsed product ensemble does
-        lay = BlockLayout(3, 2)
-        diag = random_diagonal(lay, 42)
-        shallow = global_design_moments(diag, 0, 5000, seed=9)
-        deep = global_design_moments(diag, 60, 5000, seed=9)
-        assert shallow.haar_second == pytest.approx(2 / 90)
-        err_shallow = abs(shallow.second_moment - shallow.haar_second)
-        err_deep = abs(deep.second_moment - deep.haar_second)
-        assert err_deep < 0.2 * err_shallow
-        assert abs(deep.mean_overlap - deep.haar_mean) < 0.1 * deep.haar_mean
 
 
 class TestLieDimension:

@@ -103,10 +103,14 @@ class TestSolve:
         assert code == 2
         assert read_json(out)["best_tour"] is None
 
-    def test_dimension_cap_exit_code(self, instance_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("CEQAOA_MAX_DIM", "10")
-        code = main(["solve", str(instance_file), "--out", str(tmp_path / "x.json")])
-        assert code == 3
+    @pytest.mark.parametrize(
+        "cap,code", [("10", 3), ("abc", 1), ("0", 1), ("-5", 1)], ids=["10", "abc", "0", "-5"]
+    )
+    def test_dimension_cap_exit_code(self, instance_file, tmp_path, monkeypatch, capsys, cap, code):
+        monkeypatch.setenv("CEQAOA_MAX_DIM", cap)
+        assert main(["solve", str(instance_file), "--out", str(tmp_path / "x.json")]) == code
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "CEQAOA_MAX_DIM" in err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
@@ -148,6 +152,13 @@ class TestHistogram:
         )
         rows = out.read_text().strip().splitlines()[2:]
         assert all(int(r.split(",")[2]) == 0 for r in rows)
+
+    def test_negative_shots_rejected(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "hist.csv"
+        argv = ["histogram", str(instance_file), "--angles", "0,0", "--shots", "-3"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == "--shots must be >= 0, got -3"
+        assert not out.exists()
 
     def test_bad_angles(self, instance_file, tmp_path):
         assert main(["histogram", str(instance_file), "--angles", "zero", "--out", str(tmp_path / "h.csv")]) == 1

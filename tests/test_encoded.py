@@ -8,6 +8,7 @@ from ceqaoa.encoded import (
     EncodedState,
     apply_block_permutation,
     index_to_label,
+    indices_to_labels,
     label_to_index,
     overlap_probability,
     uniform_initial_state,
@@ -67,9 +68,12 @@ class TestLabelIndexing:
 
     def test_symbol_columns_match_labels(self):
         lay = BlockLayout(4, 3)
-        labels = lay.all_labels()
-        for idx in range(0, lay.D, 7):
-            assert tuple(int(v) for v in labels[idx]) == index_to_label(lay, idx)
+        flats = np.arange(0, lay.D, 7)
+        labels = indices_to_labels(lay, flats)
+        for b in range(lay.m):
+            assert np.array_equal(lay.symbol_column(b)[flats], labels[:, b])
+        for idx, row in zip(flats, labels):
+            assert tuple(int(v) for v in row) == index_to_label(lay, idx)
 
 
 class TestEncodedState:

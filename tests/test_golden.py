@@ -1,9 +1,9 @@
 """Byte-for-byte pins of the CLI outputs for fixed seeds.
 
-The files under tests/golden/ were written by the CLI before the shot path
-moved to flat indices; any refactor must reproduce them exactly.  The result
-JSON is compared with its `metadata` field (wall time, timestamp) removed and
-re-serialized the way the CLI writes it.
+Any refactor must reproduce the files under tests/golden/ exactly; a change
+that means to alter an output replaces them on purpose and says so.  The
+result JSON is compared with its `metadata` field (wall time, timestamp)
+removed and re-serialized the way the CLI writes it.
 """
 
 import json

@@ -59,17 +59,19 @@ class TestGrids:
 class TestSampling:
     def test_basis_state_all_shots_equal(self):
         lay = BlockLayout(3, 2)
+        flat = label_to_index(lay, (2, 0))
         amps = np.zeros(lay.D, dtype=complex)
-        amps[label_to_index(lay, (2, 0))] = 1.0
+        amps[flat] = 1.0
         shots = sample_shots(EncodedState(lay, amps), 50, seed=1)
-        assert shots.counts == {(2, 0): 50}
+        assert shots.flats.tolist() == [flat]
+        assert shots.counts.tolist() == [50]
 
     def test_uniform_counts_within_five_sigma(self):
         lay = BlockLayout(3, 3)
         shots = sample_shots(uniform_initial_state(lay), 27000, seed=2)
         sigma = math.sqrt(27000 * (1 / 27) * (26 / 27))
-        assert sum(shots.counts.values()) == 27000
-        for cnt in shots.counts.values():
+        assert shots.counts.sum() == 27000
+        for cnt in shots.counts:
             assert abs(cnt - 1000) <= 5 * sigma
 
     def test_same_seed_identical(self):
@@ -77,14 +79,31 @@ class TestSampling:
         state = uniform_initial_state(lay)
         a = sample_shots(state, 500, seed=7)
         b = sample_shots(state, 500, seed=7)
-        assert a.counts == b.counts
+        assert np.array_equal(a.flats, b.flats)
+        assert np.array_equal(a.counts, b.counts)
 
     def test_shotset_validation(self):
         lay = BlockLayout(2, 2)
+        flat = label_to_index(lay, (0, 1))
         with pytest.raises(ValueError):
-            ShotSet(lay, {(0, 0): 2}, 3)
+            ShotSet(lay, [flat], [2], 3)  # counts do not sum to total_shots
         with pytest.raises(ValueError):
-            ShotSet(lay, {(0, 5): 3}, 3)
+            ShotSet(lay, [0, flat], [4, -1], 3)  # negative count
+        with pytest.raises(ValueError):
+            ShotSet(lay, [flat], [3, 0], 3)  # unequal lengths
+        with pytest.raises(ValueError):
+            ShotSet(lay, [], [], 0)
+
+    @pytest.mark.parametrize(
+        "flats",
+        [[2, 1], [1, 1], [4], [-1], [[1]]],
+        ids=["unsorted", "duplicate", "at_D", "negative", "two_dim"],
+    )
+    def test_shotset_rejects_bad_flats(self, flats):
+        lay = BlockLayout(2, 2)
+        counts = np.ones(np.shape(flats), dtype=np.int64)
+        with pytest.raises(ValueError):
+            ShotSet(lay, flats, counts, int(counts.sum()))
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
@@ -105,29 +124,33 @@ class TestRequiredShots:
             required_shots(0.5, 1.0)
 
 
+def shot_set(layout, label_counts):
+    """ShotSet from {label: count}, with flats from label_to_index."""
+    flats, counts = zip(*sorted((label_to_index(layout, lab), c) for lab, c in label_counts.items()))
+    return ShotSet(layout, flats, counts, sum(counts))
+
+
 class TestScoring:
     def test_injected_optimum_is_found(self):
         enc = example_4()
         optimum = brute_force_optimum(enc).best_label
-        shots = ShotSet(
-            enc.layout,
-            {(0, 0, 0): 80, (0, 1, 2): 19, optimum: 1},  # optimum appears once
-            100,
-        )
+        # the optimum appears once
+        shots = shot_set(enc.layout, {(0, 0, 0): 80, (0, 1, 2): 19, optimum: 1})
         scored = score_shots(enc, shots)
         assert scored.best_label == optimum
+        assert scored.best_flat == label_to_index(enc.layout, optimum)
         assert scored.best_cost == 80.0
         assert scored.feasible_shots == 20
 
     def test_tie_breaks_to_lowest_flat_index(self):
         enc = example_4()
         # (0, 2, 1) and (1, 2, 0) are the two degenerate optima
-        shots = ShotSet(enc.layout, {(1, 2, 0): 5, (0, 2, 1): 5}, 10)
+        shots = shot_set(enc.layout, {(1, 2, 0): 5, (0, 2, 1): 5})
         assert score_shots(enc, shots).best_label == (0, 2, 1)
 
     def test_no_feasible_samples(self):
         enc = example_4()
-        shots = ShotSet(enc.layout, {(0, 0, 0): 3, (1, 1, 2): 2}, 5)
+        shots = shot_set(enc.layout, {(0, 0, 0): 3, (1, 1, 2): 2})
         scored = score_shots(enc, shots)
         assert scored.best_label is None and scored.best_cost is None
         assert scored.feasible_shots == 0

@@ -11,7 +11,6 @@ from ceqaoa.qubitref import (
     count_two_qubit_gates,
     encoded_basis_indices,
     fidelity,
-    format_gates,
     gate_matrix,
     multi_block_prepare,
     one_hot_block_prepare,
@@ -137,12 +136,6 @@ class TestMixerGates:
         _, leaked = project_to_encoded(state, lay)
         assert leaked < 1e-10
 
-    def test_pair_range_flag(self):
-        full = block_xy_mixer_gates(3, 1, 0.5)
-        trunc = block_xy_mixer_gates(3, 1, 0.5, full_pair_range=False)
-        assert len(full) == 6  # three pairs, RXX + RYY each
-        assert len(trunc) == 2  # only the (0, 1) pair
-
     def test_trotter_convergence_to_encoded_mixer(self):
         # one gate sweep at angle beta approximates the encoded generator at
         # angle 2*beta (the two-local identity carries a factor 2)
@@ -181,13 +174,3 @@ class TestProjection:
         uniform = uniform_initial_state(BlockLayout(4, 2))
         assert leaked < 1e-12
         assert np.max(np.abs(enc.amplitudes - uniform.amplitudes)) < 1e-10
-
-
-class TestDump:
-    def test_format_round_trip_fields(self):
-        ops = one_hot_block_prepare(3)
-        text = format_gates(ops)
-        lines = text.strip().splitlines()
-        assert lines[0] == "X 0"
-        assert lines[1].startswith("XYROT 0 1 ")
-        assert len(lines) == len(ops)
