@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classical_baselines
-from .encoded import DimensionCapError, indices_to_labels
+from .encoded import BlockLayout, DimensionCapError, indices_to_labels
 from .hamiltonian import (
     anchor,
     brute_force_optimum,
@@ -211,6 +211,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _half_label_strings(n: int, k: int, city_of_symbol) -> tuple[list[str], list[str]]:
+    """'-'-joined symbols and cities of every k-symbol label, in flat order (k >= 1)."""
+    labels = indices_to_labels(BlockLayout(n, k), np.arange(n**k))
+    cities = np.asarray(city_of_symbol)[labels]
+    return (
+        ["-".join(map(str, row)) for row in labels.tolist()],
+        ["-".join(map(str, row)) for row in cities.tolist()],
+    )
+
+
 def cmd_histogram(args) -> int:
     inst, enc = _load_anchored(args)
     try:
@@ -238,26 +248,30 @@ def cmd_histogram(args) -> int:
         is_optimal[brute_force_optimum(enc).optimal_flats] = 1
     # most sampled first; the stable sort keeps equal counts in flat order
     order = np.argsort(-counts, kind="stable")
-    city_of_symbol = np.asarray(enc.city_of_symbol)
-    start = enc.start_city
+    # A flat index splits into a high half of m // 2 symbols and a low half
+    # of the rest; each row joins precomputed '-'-joined strings of the two.
+    n, m, start = layout.n, layout.m, enc.start_city
+    low_digits = m - m // 2
+    hi_syms, hi_cities = _half_label_strings(n, m // 2, enc.city_of_symbol)
+    lo_syms, lo_cities = _half_label_strings(n, low_digits, enc.city_of_symbol)
 
     def chunks():
         yield f"# uniform_probability,{1.0 / layout.D!r}\n"
         yield "label,city_sequence,count,exact_probability,is_optimal\n"
         for lo in range(0, layout.D, HISTOGRAM_CHUNK):
             flats = order[lo : lo + HISTOGRAM_CHUNK]
-            labels = indices_to_labels(layout, flats)
+            high, low = np.divmod(flats, n**low_digits)
             rows = zip(
-                labels.tolist(),
-                city_of_symbol[labels].tolist(),
+                high.tolist(),
+                low.tolist(),
                 counts[flats].tolist(),
                 probs[flats].tolist(),
                 is_optimal[flats].tolist(),
             )
             yield "".join(
-                f"{'-'.join(map(str, lab))},{start}-{'-'.join(map(str, cities))}-{start},"
+                f"{hi_syms[h]}-{lo_syms[w]},{start}-{hi_cities[h]}-{lo_cities[w]}-{start},"
                 f"{cnt},{p!r},{opt}\n"
-                for lab, cities, cnt, p, opt in rows
+                for h, w, cnt, p, opt in rows
             )
 
     write_text_atomic(Path(args.out), chunks())

@@ -29,7 +29,6 @@ class TspInstance:
     name: str
     n_cities: int
     distances: np.ndarray
-    known_optimum: float | None = None
 
     def __post_init__(self) -> None:
         dist = np.asarray(self.distances, dtype=np.float64)
@@ -119,6 +118,7 @@ class CostDiagonal:
     penalty: np.ndarray
     penalty_weight: float
     total: np.ndarray = field(init=False, repr=False)
+    _last_phase: tuple[str, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         obj = np.asarray(self.objective, dtype=np.float64)
@@ -135,6 +135,24 @@ class CostDiagonal:
 
     def feasible_mask(self) -> np.ndarray:
         return self.penalty == 0.0
+
+    def phase(self, gamma: float) -> np.ndarray:
+        """Read-only vector exp(-i gamma total); the vector of the last gamma is kept.
+
+        Grids iterate gamma-major, so consecutive points reuse one
+        exponential.  The key is the exact float (its hex form keeps 0.0 and
+        -0.0 apart).  The old vector is dropped before the new one is
+        computed and the exponential overwrites its own argument, so one
+        D-vector is held and built at a time.
+        """
+        key = float(gamma).hex()
+        if self._last_phase is None or self._last_phase[0] != key:
+            object.__setattr__(self, "_last_phase", None)
+            vec = -1j * float(gamma) * self.total
+            np.exp(vec, out=vec)
+            vec.flags.writeable = False
+            object.__setattr__(self, "_last_phase", (key, vec))
+        return self._last_phase[1]
 
 
 def default_penalty_weight(instance: TspInstance) -> float:

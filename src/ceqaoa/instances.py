@@ -1,8 +1,7 @@
 """Instance file ingestion: JSON matrices and a TSPLIB subset.
 
 Supported formats:
-  * JSON: {"name": str, "n": int, "matrix": [[...], ...]} with an optional
-    "known_optimum" number.
+  * JSON: {"name": str, "n": int, "matrix": [[...], ...]}.
   * TSPLIB: EDGE_WEIGHT_TYPE EXPLICIT with EDGE_WEIGHT_FORMAT FULL_MATRIX,
     or EUC_2D with a NODE_COORD_SECTION.  EUC_2D distances follow the
     nearest-integer convention floor(d + 0.5) unless rounding is disabled.
@@ -40,12 +39,12 @@ def parse_instance(path, euclidean_rounding: bool = True) -> TspInstance:
     return _parse_tsplib(path, euclidean_rounding)
 
 
-def _as_instance(path, name: str, matrix, known_optimum, line: int | None = None) -> TspInstance:
+def _as_instance(path, name: str, matrix, line: int | None = None) -> TspInstance:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InstanceParseError(f"matrix is not square (shape {arr.shape})", path, line)
     try:
-        return TspInstance(name, arr.shape[0], arr, known_optimum)
+        return TspInstance(name, arr.shape[0], arr)
     except ValueError as exc:
         raise InstanceParseError(str(exc), path, line) from exc
 
@@ -63,10 +62,7 @@ def _parse_json(path: Path) -> TspInstance:
         raise InstanceParseError('missing "matrix" key', path) from None
     name = str(data.get("name", path.stem))
     n = data.get("n")
-    known = data.get("known_optimum")
-    if known is not None:
-        known = float(known)
-    inst = _as_instance(path, name, matrix, known)
+    inst = _as_instance(path, name, matrix)
     if n is not None and int(n) != inst.n_cities:
         raise InstanceParseError(f'"n" is {n} but the matrix has {inst.n_cities} rows', path)
     return inst
@@ -114,7 +110,6 @@ def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
         raise InstanceParseError(f"unrecognized line: {line!r}", path, lineno)
 
     name = headers.get("NAME", path.stem)
-    known = None
     try:
         dimension = int(headers["DIMENSION"])
     except KeyError:
@@ -136,7 +131,7 @@ def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
                 section_line,
             )
         matrix = np.asarray(weights, dtype=np.float64).reshape(dimension, dimension)
-        return _as_instance(path, name, matrix, known, section_line)
+        return _as_instance(path, name, matrix, section_line)
     if weight_type == "EUC_2D":
         if len(coords) != dimension:
             raise InstanceParseError(
@@ -149,7 +144,7 @@ def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
         matrix = np.sqrt((diff**2).sum(axis=2))
         if euclidean_rounding:
             matrix = np.floor(matrix + 0.5)
-        return _as_instance(path, name, matrix, known, section_line)
+        return _as_instance(path, name, matrix, section_line)
     raise InstanceParseError(
         f"unsupported EDGE_WEIGHT_TYPE {weight_type!r} (need EXPLICIT or EUC_2D)", path
     )

@@ -64,12 +64,19 @@ class LayerSchedule:
 
 
 def apply_phase(state: EncodedState, gamma: float, diag: CostDiagonal) -> EncodedState:
-    """Diagonal layer: amplitude[x] *= exp(-i gamma E(x)); probabilities unchanged."""
+    """Diagonal layer: amplitude[x] *= exp(-i gamma E(x)); probabilities unchanged.
+
+    Updates the amplitudes in place and consumes the input state: the
+    returned state shares its buffer.
+    """
     if diag.layout != state.layout:
         raise ValueError("cost diagonal layout does not match the state layout")
-    return EncodedState(
-        state.layout, state.amplitudes * np.exp(-1j * float(gamma) * diag.total)
-    )
+    amps = state.amplitudes
+    # Complex multiplies are not bitwise commutative here.  Phase first is the
+    # order the former out-of-place amps * exp(...) took once numpy elided
+    # its temporary, which it does for states of 16384 amplitudes or more.
+    np.multiply(diag.phase(gamma), amps, out=amps)
+    return EncodedState(state.layout, amps)
 
 
 def _crossing_phases(n: int, beta: float, norm: MixerNormalization) -> tuple[complex, complex]:
@@ -93,13 +100,21 @@ def apply_mixer(
     """Apply the block mixer on every block axis via the rank-1 update.
 
     Per axis: psi <- b * psi + (a - b) * mean_over_axis(psi), which equals
-    multiplying that axis by the closed-form block matrix.
+    multiplying that axis by the closed-form block matrix.  Updates the
+    amplitudes in place and consumes the input state: the returned state
+    shares its buffer.
     """
     layout = state.layout
     a, b = _crossing_phases(layout.n, beta, norm)
     arr = state.tensor()
     for axis in range(layout.m):
-        arr = b * arr + (a - b) * arr.mean(axis=axis, keepdims=True)
+        # Bitwise the former b * arr + (a - b) * mean: b stays the first
+        # operand (arr *= b rounds differently), and the mean keeps its
+        # out-of-place scaling (in place, a one-element mean at m == 1
+        # rounds differently).
+        mean = (a - b) * arr.mean(axis=axis, keepdims=True)
+        np.multiply(b, arr, out=arr)
+        arr += mean
     return EncodedState(layout, arr.reshape(-1))
 
 
@@ -108,7 +123,11 @@ def run_circuit(
     schedule: LayerSchedule,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
 ) -> EncodedState:
-    """Alternate phase then mixer per layer, starting from the uniform state."""
+    """Alternate phase then mixer per layer, starting from the uniform state.
+
+    The circuit owns its buffer (a fresh uniform state), so the in-place
+    layers touch no caller's amplitudes.
+    """
     state = uniform_initial_state(diag.layout)
     for gamma, beta in schedule.pairs:
         state = apply_phase(state, gamma, diag)

@@ -240,11 +240,15 @@ def phqc_solve(
         if not plan:
             raise ValueError("empty schedule list")
 
+    oracle = brute_force_optimum(enc) if enc.layout.m <= 10 else None
     stats: list[GridPointStat] = []
+    opt_mass: list[float] = []  # exact probability of the optima, per point
     best: tuple[float, int, int] | None = None  # (cost, flat, grid index)
     feasible_total = 0
     for idx, g, b, sched in plan:
         state = run_circuit(diag, sched, norm)
+        if oracle is not None:
+            opt_mass.append(_optimal_mass(state, oracle))
         shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), (g, b))
         scored = score_shots(enc, shots, diag)
         stat = GridPointStat(
@@ -266,10 +270,8 @@ def phqc_solve(
         best_label = index_to_label(enc.layout, flat)
         best_cost = cost
         best_angles = (stats[win_idx].gamma, stats[win_idx].beta)
-        if enc.layout.m <= 10:
-            oracle = brute_force_optimum(enc)
-            win_state = run_circuit(diag, plan[win_idx][3], norm)
-            p_opt = _optimal_mass(win_state, oracle)
+        if oracle is not None:
+            p_opt = opt_mass[win_idx]
             degen = oracle.degeneracy
     return PhqcResult(
         best_label,
@@ -286,7 +288,8 @@ def phqc_solve(
 
 
 def _optimal_mass(state: EncodedState, oracle: BruteForceResult) -> float:
-    return float(state.probabilities()[oracle.optimal_flats].sum())
+    # O(degeneracy): square only the optimal amplitudes, not the whole state
+    return float((np.abs(state.amplitudes[oracle.optimal_flats]) ** 2).sum())
 
 
 def exact_success_probability(

@@ -5,6 +5,8 @@ exponentials, explicit Kronecker products) so they share no code path
 with the implementations under test.
 """
 
+import math
+
 import numpy as np
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,6 +57,28 @@ def kron_mixer(n, m, angle):
     for _ in range(m - 1):
         out = np.kron(out, u)
     return out
+
+
+def reference_circuit(diag, schedule, norm):
+    """Amplitudes after the circuit, built out of place, one layer expression at a time.
+
+    Keeps the expressions the in-place kernels replaced, in the same operand
+    order, so the kernels must match it bit for bit.  Complex multiplies are
+    not bitwise commutative, so the phase product names its order: phase
+    first, as numpy's temporary elision evaluated the former
+    amps * exp(...) for states of 16384 amplitudes or more.
+    """
+    n, m, dim = diag.layout.n, diag.layout.m, diag.layout.D
+    amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    for gamma, beta in schedule.pairs:
+        amps = np.exp(-1j * float(gamma) * diag.total) * amps
+        bp = float(beta) * norm.scale(n)
+        a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
+        arr = amps.reshape((n,) * m)
+        for axis in range(m):
+            arr = b * arr + (a - b) * arr.mean(axis=axis, keepdims=True)
+        amps = arr.reshape(-1)
+    return amps
 
 
 def scalar_score(penalty, objective, flat_counts):

@@ -24,14 +24,6 @@ class TestJson:
         assert inst.n_cities == 4
         assert np.array_equal(inst.distances, np.asarray(MATRIX_4, float))
 
-    def test_known_optimum(self, tmp_path):
-        path = write(
-            tmp_path,
-            "ex4.json",
-            json.dumps({"matrix": MATRIX_4, "known_optimum": 80}),
-        )
-        assert parse_instance(path).known_optimum == 80.0
-
     def test_negative_entry(self, tmp_path):
         bad = [row[:] for row in MATRIX_4]
         bad[1][2] = -1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ceqaoa.phqc as phqc
 from ceqaoa.encoded import BlockLayout, EncodedState, label_to_index, uniform_initial_state
 from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal, tour_cost
 from ceqaoa.layers import LayerSchedule
@@ -208,6 +209,22 @@ class TestSolve:
         assert derive_seed(1, 2) == derive_seed(1, 2)
         assert derive_seed(1, 2) != derive_seed(1, 3)
         assert derive_seed(2, 2) != derive_seed(1, 2)
+
+    def test_one_circuit_per_grid_point(self, monkeypatch):
+        calls = []
+        original = phqc.run_circuit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(phqc, "run_circuit", counting)
+        enc = example_4()
+        grid = square_grid(3)
+        res = phqc_solve(enc, grid=grid, shots_per_point=200, master_seed=4)
+        assert len(calls) == grid.size
+        sched = LayerSchedule.constant(*res.best_angles)
+        assert res.p_opt_exact == exact_success_probability(enc, sched)[0]
 
     @pytest.mark.parametrize("n_cities", [4, 5])
     def test_oracle_equivalence_small(self, n_cities):

@@ -1,4 +1,5 @@
-"""Property tests for the flat-index shot path against scalar references."""
+"""Property tests against scalar and out-of-place references: the flat-index
+shot path and the in-place circuit kernels."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,9 +7,10 @@ from hypothesis import strategies as st
 
 from ceqaoa.encoded import BlockLayout, index_to_label, indices_to_labels
 from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor
+from ceqaoa.layers import LayerSchedule, MixerNormalization, run_circuit
 from ceqaoa.phqc import ShotSet, score_shots
 
-from oracles import scalar_score
+from oracles import reference_circuit, scalar_score
 
 MAX_D = 50_000
 
@@ -57,3 +59,36 @@ def test_score_shots_matches_scalar_loop(case):
         assert scored.best_label is None
     else:
         assert scored.best_label == index_to_label(enc.layout, flat)
+
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+@st.composite
+def circuit_cases(draw):
+    """A random diagonal on a small layout and two schedules over two gammas.
+
+    Gamma sequences such as (g1, g2, g1), run back to back on one diagonal,
+    hit, miss and replace its cached phase vector.  Layouts reach past 16384
+    amplitudes, the size from which numpy elides temporaries.
+    """
+    layout = draw(layouts())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objective = rng.integers(0, 50, layout.D).astype(float)
+    penalty = rng.choice([0.0, 0.0, 7.0, 21.0], layout.D)
+    diag = CostDiagonal(layout, objective, penalty, 7.0)
+    gammas = (draw(angles), draw(angles))
+    schedules = []
+    for _ in range(2):
+        picks = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+        schedules.append(LayerSchedule(tuple((gammas[i], draw(angles)) for i in picks)))
+    return diag, schedules, draw(st.sampled_from(list(MixerNormalization)))
+
+
+@settings(deadline=None)
+@given(case=circuit_cases())
+def test_run_circuit_matches_out_of_place_reference_bitwise(case):
+    diag, schedules, norm = case
+    for sched in schedules:
+        expected = reference_circuit(diag, sched, norm)
+        assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
