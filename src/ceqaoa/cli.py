@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -193,7 +194,13 @@ def cmd_solve(args) -> int:
             }
             for s in result.per_grid_stats
         ],
-        "metadata": {"wall_time_s": wall, "created_unix": time.time()},
+        "metadata": {
+            "wall_time_s": wall,
+            "created_unix": time.time(),
+            "timings": result.timings,
+            # ru_maxrss is in kB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        },
     }
     out = Path(args.out)
     write_json_atomic(out, payload)

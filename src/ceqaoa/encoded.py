@@ -105,6 +105,19 @@ def indices_to_labels(layout: BlockLayout, flats) -> np.ndarray:
     return np.asarray(flats, dtype=np.int64)[:, None] // radix % layout.n
 
 
+def check_norm(amps: np.ndarray) -> None:
+    """Raise ValueError unless the squared norm of amps is 1 within NORM_TOL.
+
+    NaN and inf fail the check.  The sum of squares runs through einsum on
+    the real view: numpy's own single-threaded loop, where a BLAS dot would
+    start a thread pool for one reduction.
+    """
+    v = np.ascontiguousarray(amps).view(np.float64)
+    norm_sq = float(np.einsum("i,i->", v, v))
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        raise ValueError(f"squared norm {norm_sq!r} deviates from 1 by more than {NORM_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class EncodedState:
     """Complex amplitudes over the D basis labels of a layout.
@@ -124,11 +137,7 @@ class EncodedState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.layout.D},)"
             )
-        norm_sq = float(np.real(np.vdot(amps, amps)))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"squared norm {norm_sq!r} deviates from 1 by more than {NORM_TOL}"
-            )
+        check_norm(amps)
 
     def tensor(self) -> np.ndarray:
         """Amplitudes viewed as an m-way tensor with one axis per block."""

@@ -110,14 +110,14 @@ class CostDiagonal:
 
     penalty[x] is zero exactly when x is feasible; the objective extends the
     cyclic tour formula to infeasible labels as well, because the phase
-    layer acts on the whole encoded space.
+    layer acts on the whole encoded space.  Only the two D-vectors are held;
+    the total energy objective + penalty is formed when a phase needs it.
     """
 
     layout: BlockLayout
     objective: np.ndarray
     penalty: np.ndarray
     penalty_weight: float
-    total: np.ndarray = field(init=False, repr=False)
     _last_phase: tuple[str, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -131,24 +131,23 @@ class CostDiagonal:
             raise ValueError("penalty energies must be non-negative")
         if not self.penalty_weight > 0:
             raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
-        object.__setattr__(self, "total", obj + pen)
 
     def feasible_mask(self) -> np.ndarray:
         return self.penalty == 0.0
 
     def phase(self, gamma: float) -> np.ndarray:
-        """Read-only vector exp(-i gamma total); the vector of the last gamma is kept.
+        """Read-only vector exp(-i gamma (objective + penalty)); the last gamma's is kept.
 
         Grids iterate gamma-major, so consecutive points reuse one
         exponential.  The key is the exact float (its hex form keeps 0.0 and
         -0.0 apart).  The old vector is dropped before the new one is
         computed and the exponential overwrites its own argument, so one
-        D-vector is held and built at a time.
+        complex D-vector is held and built at a time.
         """
         key = float(gamma).hex()
         if self._last_phase is None or self._last_phase[0] != key:
             object.__setattr__(self, "_last_phase", None)
-            vec = -1j * float(gamma) * self.total
+            vec = (-1j * float(gamma)) * (self.objective + self.penalty)
             np.exp(vec, out=vec)
             vec.flags.writeable = False
             object.__setattr__(self, "_last_phase", (key, vec))
@@ -163,33 +162,40 @@ def default_penalty_weight(instance: TspInstance) -> float:
 def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -> CostDiagonal:
     """Evaluate the cyclic objective and the symbol-multiplicity penalty on all labels.
 
+    The objective is built over label prefixes: the costs of every k-block
+    prefix, reshaped so its last symbol is an axis, broadcast-add the n x n
+    step matrix to give every (k+1)-block prefix; the return edge is added
+    last.  Each label's cost is thus summed left to right, in _cycle_cost's
+    order, so scalar and vectorized costs agree bitwise.
+
     The penalty at a label with symbol counts (c_0, ..., c_{n-1}) is
     weight * sum_a (c_a - 1)**2, computed through the pair-collision identity
-    sum_a (c_a - 1)**2 = n - m + 2 * #{block pairs with equal symbols}.
+    sum_a (c_a - 1)**2 = n - m + 2 * #{block pairs with equal symbols}; the
+    collision count is an (n,)*m tensor that gains an identity matrix
+    broadcast over the two axes of each block pair.
     """
     lam = default_penalty_weight(enc.instance) if penalty_weight is None else float(penalty_weight)
     if lam <= 0:
         raise ValueError(f"penalty weight must be positive, got {lam}")
-    layout = enc.layout
+    n, m = enc.layout.n, enc.layout.m
     C = enc.instance.distances
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
-    sym_dtype = np.int8 if layout.n < 128 else np.int32
-    sym = [layout.symbol_column(b, dtype=sym_dtype) for b in range(layout.m)]
+    step = C[np.ix_(cities, cities)]
 
-    prev = cities[sym[0]]
-    objective = C[enc.start_city, prev]
-    for b in range(1, layout.m):
-        cur = cities[sym[b]]
-        objective = objective + C[prev, cur]
-        prev = cur
-    objective = objective + C[prev, enc.start_city]
+    objective = C[enc.start_city, cities]
+    for _ in range(m - 1):
+        objective = (objective.reshape(-1, n, 1) + step).reshape(-1)
+    objective.reshape(-1, n)[...] += C[cities, enc.start_city]
 
-    collisions = np.zeros(layout.D, dtype=np.int16)
-    for i in range(layout.m):
-        for j in range(i + 1, layout.m):
-            collisions += sym[i] == sym[j]
-    penalty = lam * (layout.n - layout.m + 2 * collisions).astype(np.float64)
-    return CostDiagonal(layout, objective, penalty, lam)
+    collisions = np.zeros((n,) * m, dtype=np.int16)
+    eye = np.eye(n, dtype=np.int16)
+    for i in range(m):
+        for j in range(i + 1, m):
+            shape = [1] * m
+            shape[i] = shape[j] = n
+            collisions += eye.reshape(shape)
+    penalty = lam * (n - m + 2 * collisions.reshape(-1)).astype(np.float64)
+    return CostDiagonal(enc.layout, objective, penalty, lam)
 
 
 @dataclass(frozen=True, eq=False)

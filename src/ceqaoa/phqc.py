@@ -9,6 +9,7 @@ consults frequency.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -123,12 +124,22 @@ def sample_shots(
     seed: int,
     angles: tuple[float, float] | None = None,
 ) -> ShotSet:
-    """Draw total_shots independent samples from the exact probability vector."""
+    """Draw total_shots independent samples from the exact probability vector.
+
+    Inverse-CDF sampling in one float buffer: the steps, the rounding and
+    the uniform stream are those of rng.choice(D, size, p=p / p.sum()), so
+    the draws are the same, without choice's normalised copy, cumulative
+    copy and argument checks (the state's norm gate already rules out
+    non-finite amplitudes).
+    """
     if total_shots < 1:
         raise ValueError(f"total_shots must be >= 1, got {total_shots}")
     rng = np.random.default_rng(seed)
-    p = state.probabilities()
-    draws = rng.choice(state.layout.D, size=total_shots, p=p / p.sum())
+    cdf = state.probabilities()
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(rng.random(total_shots), side="right")
     flats, counts = np.unique(draws, return_counts=True)
     return ShotSet(state.layout, flats, counts, total_shots, angles, int(seed))
 
@@ -190,6 +201,8 @@ class PhqcResult:
     sit in per_grid_stats).  p_opt_exact is the simulator-exact probability
     mass on all degenerate optima at the winning angles; it is None when no
     feasible sample appeared or the brute-force oracle is out of range.
+    timings holds the wall seconds of the solve's stages: diagonal_s (cost
+    diagonal), oracle_s (brute-force optimum) and sweep_s (every grid point).
     """
 
     best_label: Label | None
@@ -202,6 +215,7 @@ class PhqcResult:
     shots_per_point: int
     depth: int
     master_seed: int
+    timings: dict[str, float]
 
 
 PointHook = Callable[[GridPointStat, ShotSet, CostDiagonal], None]
@@ -229,8 +243,6 @@ def phqc_solve(
         shots_per_point = 10 * enc.instance.n_cities**3
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
-    diag = build_cost_diagonal(enc, penalty_weight)
-
     if schedules is None:
         if grid is None:
             grid = default_grid(enc.instance.n_cities)
@@ -240,7 +252,11 @@ def phqc_solve(
         if not plan:
             raise ValueError("empty schedule list")
 
+    t_start = time.perf_counter()
+    diag = build_cost_diagonal(enc, penalty_weight)
+    t_diag = time.perf_counter()
     oracle = brute_force_optimum(enc) if enc.layout.m <= 10 else None
+    t_oracle = time.perf_counter()
     stats: list[GridPointStat] = []
     opt_mass: list[float] = []  # exact probability of the optima, per point
     best: tuple[float, int, int] | None = None  # (cost, flat, grid index)
@@ -263,6 +279,7 @@ def phqc_solve(
             if best is None or key < best:
                 best = key
 
+    t_sweep = time.perf_counter()
     feasible_fraction = feasible_total / (shots_per_point * len(plan))
     best_label = best_cost = best_angles = p_opt = degen = None
     if best is not None:
@@ -284,6 +301,11 @@ def phqc_solve(
         shots_per_point,
         depth if schedules is None else max(s.depth for s in schedules),
         master_seed,
+        {
+            "diagonal_s": t_diag - t_start,
+            "oracle_s": t_oracle - t_diag,
+            "sweep_s": t_sweep - t_oracle,
+        },
     )
 
 

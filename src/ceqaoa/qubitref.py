@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoded import BlockLayout, EncodedState
+from .encoded import BlockLayout, EncodedState, check_norm
 
 MAX_QUBITS = 20
-NORM_TOL = 1e-10
 
 _GATE_ARITY = {"X": 1, "PHASE": 1, "CX": 2, "CRY": 2, "RXX": 2, "RYY": 2, "XYROT": 2}
 _NEEDS_ANGLE = {"PHASE", "CRY", "RXX", "RYY", "XYROT"}
@@ -108,9 +107,7 @@ class QubitState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (1 << self.q,):
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({1 << self.q},)")
-        norm_sq = float(np.real(np.vdot(amps, amps)))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"squared norm {norm_sq!r} deviates from 1 beyond {NORM_TOL}")
+        check_norm(amps)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

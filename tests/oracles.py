@@ -71,7 +71,7 @@ def reference_circuit(diag, schedule, norm):
     n, m, dim = diag.layout.n, diag.layout.m, diag.layout.D
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     for gamma, beta in schedule.pairs:
-        amps = np.exp(-1j * float(gamma) * diag.total) * amps
+        amps = np.exp(-1j * float(gamma) * (diag.objective + diag.penalty)) * amps
         bp = float(beta) * norm.scale(n)
         a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
         arr = amps.reshape((n,) * m)
@@ -79,6 +79,41 @@ def reference_circuit(diag, schedule, norm):
             arr = b * arr + (a - b) * arr.mean(axis=axis, keepdims=True)
         amps = arr.reshape(-1)
     return amps
+
+
+def reference_cost_diagonal(enc, penalty_weight):
+    """(objective, penalty) over all labels from length-D symbol columns.
+
+    Gathers each block's cities for every flat index and sums the tour left
+    to right (start edge, inner edges, return edge); the penalty counts
+    equal-symbol block pairs by comparing the columns pairwise.
+    """
+    layout = enc.layout
+    C = enc.instance.distances
+    cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
+    sym = [layout.symbol_column(b, dtype=np.int8) for b in range(layout.m)]
+
+    prev = cities[sym[0]]
+    objective = C[enc.start_city, prev]
+    for b in range(1, layout.m):
+        cur = cities[sym[b]]
+        objective = objective + C[prev, cur]
+        prev = cur
+    objective = objective + C[prev, enc.start_city]
+
+    collisions = np.zeros(layout.D, dtype=np.int16)
+    for i in range(layout.m):
+        for j in range(i + 1, layout.m):
+            collisions += sym[i] == sym[j]
+    penalty = penalty_weight * (layout.n - layout.m + 2 * collisions).astype(np.float64)
+    return objective, penalty
+
+
+def reference_sample(probs, total_shots, seed):
+    """(flats, counts) of total_shots draws by Generator.choice on the normalised vector."""
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(len(probs), size=total_shots, p=probs / probs.sum())
+    return np.unique(draws, return_counts=True)
 
 
 def scalar_score(penalty, objective, flat_counts):

@@ -62,6 +62,11 @@ class TestSolve:
         cost = sum(m[a, b] for a, b in zip(tour[:-1], tour[1:]))
         assert cost == payload["best_cost"]
         assert len(payload["grid_table"]) == 25
+        meta = payload["metadata"]
+        assert sorted(meta["timings"]) == ["diagonal_s", "oracle_s", "sweep_s"]
+        assert all(t >= 0.0 for t in meta["timings"].values())
+        assert sum(meta["timings"].values()) <= meta["wall_time_s"]
+        assert meta["peak_rss_mb"] > 0.0
         csv_path = out.with_suffix(".costs.csv")
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "grid_index,gamma,beta,cost,count"

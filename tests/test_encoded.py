@@ -97,6 +97,18 @@ class TestEncodedState:
         with pytest.raises(ValueError):
             EncodedState(lay, np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_rejected(self, bad):
+        lay = BlockLayout(2, 1)
+        with pytest.raises(ValueError):
+            EncodedState(lay, np.array([bad, bad]))
+        with pytest.raises(ValueError):
+            EncodedState(lay, np.array([1.0, complex(0.0, bad)]))
+
+    def test_strided_amplitudes_checked(self):
+        amps = np.array([1.0, 5.0, 0.0, 5.0])
+        EncodedState(BlockLayout(2, 1), amps[::2])
+
     def test_norm_tolerance_is_tight(self):
         lay = BlockLayout(2, 1)
         EncodedState(lay, np.array([1.0 + 4e-11, 0.0]))  # within 1e-10 on the square

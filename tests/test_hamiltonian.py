@@ -166,7 +166,8 @@ class TestCostDiagonal:
         enc = example_4()
         diag = build_cost_diagonal(enc)
         feas = diag.feasible_mask()
-        assert diag.total[~feas].min() > diag.objective[feas].max()
+        total = diag.objective + diag.penalty
+        assert total[~feas].min() > diag.objective[feas].max()
 
 
 class TestBruteForce:

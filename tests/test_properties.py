@@ -1,16 +1,22 @@
 """Property tests against scalar and out-of-place references: the flat-index
-shot path and the in-place circuit kernels."""
+shot path, the in-place circuit kernels, the prefix-built cost diagonal and
+the one-buffer shot sampler."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceqaoa.encoded import BlockLayout, index_to_label, indices_to_labels
-from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor
+from ceqaoa.encoded import BlockLayout, EncodedState, index_to_label, indices_to_labels
+from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import LayerSchedule, MixerNormalization, run_circuit
-from ceqaoa.phqc import ShotSet, score_shots
+from ceqaoa.phqc import ShotSet, sample_shots, score_shots
 
-from oracles import reference_circuit, scalar_score
+from oracles import (
+    reference_circuit,
+    reference_cost_diagonal,
+    reference_sample,
+    scalar_score,
+)
 
 MAX_D = 50_000
 
@@ -92,3 +98,63 @@ def test_run_circuit_matches_out_of_place_reference_bitwise(case):
     for sched in schedules:
         expected = reference_circuit(diag, sched, norm)
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """An anchored instance (integer or not, symmetric or not) and a penalty weight.
+
+    Non-integer distances make float addition order visible: a label summed
+    in another order than start edge, inner edges, return edge differs in
+    the last bits.
+    """
+    n_cities = draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dist = rng.uniform(0.0, draw(st.sampled_from([1.0, 100.0, 1e6])), (n_cities, n_cities))
+    if draw(st.booleans()):
+        dist = (dist + dist.T) / 2.0
+    if draw(st.booleans()):
+        dist = np.rint(dist)
+    np.fill_diagonal(dist, 0.0)
+    enc = anchor(TspInstance("d", n_cities, dist), draw(st.integers(0, n_cities - 1)))
+    weight = draw(st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False))
+    return enc, weight
+
+
+@settings(deadline=None)
+@given(case=diagonal_cases())
+def test_cost_diagonal_matches_symbol_column_reference(case):
+    enc, weight = case
+    diag = build_cost_diagonal(enc, weight)
+    objective, penalty = reference_cost_diagonal(enc, weight)
+    assert np.array_equal(diag.objective, objective)
+    assert np.array_equal(diag.penalty, penalty)
+
+
+@st.composite
+def sampling_cases(draw):
+    """A normalised state (random, with exact zeros, or a basis state), shots and a seed."""
+    layout = draw(layouts())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "zeros", "basis"]))
+    if kind == "basis":
+        amps = np.zeros(layout.D, dtype=np.complex128)
+        amps[draw(st.integers(0, layout.D - 1))] = 1.0
+    else:
+        amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
+        if kind == "zeros":
+            amps[rng.random(layout.D) < draw(st.sampled_from([0.5, 0.99]))] = 0.0
+            amps[rng.integers(layout.D)] = 1.0
+        amps /= np.linalg.norm(amps)
+    state = EncodedState(layout, amps)
+    return state, draw(st.integers(1, 5000)), draw(st.integers(0, 2**63 - 1))
+
+
+@settings(deadline=None)
+@given(case=sampling_cases())
+def test_sample_shots_matches_generator_choice(case):
+    state, total_shots, seed = case
+    shots = sample_shots(state, total_shots, seed)
+    flats, counts = reference_sample(state.probabilities(), total_shots, seed)
+    assert np.array_equal(shots.flats, flats)
+    assert np.array_equal(shots.counts, counts)
