@@ -1,5 +1,7 @@
 """Byte-for-byte pins of the CLI outputs for fixed seeds.
 
+Solve, histogram, verify and baselines outputs are all pinned.
+
 Any refactor must reproduce the files under tests/golden/ exactly; a change
 that means to alter an output replaces them on purpose and says so.  The
 result JSON is compared with its `metadata` field (wall time, timestamp)
@@ -41,3 +43,15 @@ def test_histogram_matches_golden(tmp_path):
     argv = ["histogram", str(GOLDEN / "golden5.json"), "--angles", "0.9,1.7", "--seed", "55"]
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "histogram_n5.csv").read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["encoder", "one_design", "baselines"])
+def test_verify_matches_golden(suite, capsys):
+    assert main(["verify", suite]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"verify_{suite}.txt").read_text()
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_baselines_match_golden(n, capsys):
+    assert main(["baselines", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"baselines_n{n}.json").read_text()
