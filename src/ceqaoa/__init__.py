@@ -24,6 +24,7 @@ from .encoded import (
     index_to_label,
     indices_to_labels,
     label_to_index,
+    labels_to_indices,
     overlap_probability,
     uniform_initial_state,
 )
@@ -68,7 +69,6 @@ from .phqc import (
 )
 from .qubitref import (
     GateOp,
-    QubitState,
     block_xy_mixer_gates,
     count_two_qubit_gates,
     fidelity,

@@ -140,31 +140,22 @@ def cmd_solve(args) -> int:
         for cost, count in zip(costs.tolist(), totals.astype(np.int64).tolist()):
             hist_lines.append(f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n")
 
-    t0 = time.perf_counter()
     if isinstance(grid_or_pairs, AngleGrid):
         grid_json = {"gammas": list(grid_or_pairs.gammas), "betas": list(grid_or_pairs.betas)}
-        result = phqc_solve(
-            enc,
-            depth=args.depth,
-            grid=grid_or_pairs,
-            shots_per_point=shots,
-            norm=norm,
-            master_seed=args.seed,
-            penalty_weight=lam,
-            point_hook=point_hook,
-        )
+        schedules = grid_or_pairs.schedules(args.depth)
     else:
         grid_json = {"pairs": [list(p) for p in grid_or_pairs]}
         schedules = [LayerSchedule.constant(g, b, args.depth) for g, b in grid_or_pairs]
-        result = phqc_solve(
-            enc,
-            shots_per_point=shots,
-            norm=norm,
-            master_seed=args.seed,
-            penalty_weight=lam,
-            schedules=schedules,
-            point_hook=point_hook,
-        )
+    t0 = time.perf_counter()
+    result = phqc_solve(
+        enc,
+        schedules,
+        shots_per_point=shots,
+        norm=norm,
+        master_seed=args.seed,
+        penalty_weight=lam,
+        point_hook=point_hook,
+    )
     wall = time.perf_counter() - t0
 
     payload = {

@@ -3,7 +3,10 @@
 An (n, m) layout describes m blocks carrying n symbols each; the encoded
 space has dimension D = n**m.  A basis label is a tuple of m symbols, and
 labels map to flat indices in mixed radix with block 0 as the most
-significant digit.
+significant digit.  label_to_index, index_to_label and their array forms
+indices_to_labels and labels_to_indices are the only conversions between
+the two.  A q-qubit register is the layout (n=2, m=q), with qubit 0 the
+most significant bit.
 """
 
 from __future__ import annotations
@@ -71,13 +74,6 @@ class BlockLayout:
                 raise ValueError(f"symbol {j} outside [0, {self.n}) in label {label}")
         return label
 
-    def symbol_column(self, b: int, dtype=np.int64) -> np.ndarray:
-        """Symbols of block b for every flat index, as a length-D array."""
-        if not 0 <= b < self.m:
-            raise ValueError(f"block {b} outside [0, {self.m})")
-        idx = np.arange(self.D, dtype=np.int64)
-        return ((idx // self.n ** (self.m - 1 - b)) % self.n).astype(dtype)
-
 
 def label_to_index(layout: BlockLayout, label) -> int:
     """Flat index of a label; block 0 is the most significant digit."""
@@ -99,32 +95,30 @@ def index_to_label(layout: BlockLayout, index: int) -> Label:
     return tuple(symbols)
 
 
+def _radix(layout: BlockLayout) -> np.ndarray:
+    return layout.n ** np.arange(layout.m - 1, -1, -1, dtype=np.int64)
+
+
 def indices_to_labels(layout: BlockLayout, flats) -> np.ndarray:
     """(k, m) int64 array whose row i equals index_to_label(layout, flats[i])."""
-    radix = layout.n ** np.arange(layout.m - 1, -1, -1, dtype=np.int64)
-    return np.asarray(flats, dtype=np.int64)[:, None] // radix % layout.n
+    return np.asarray(flats, dtype=np.int64)[:, None] // _radix(layout) % layout.n
 
 
-def check_norm(amps: np.ndarray) -> None:
-    """Raise ValueError unless the squared norm of amps is 1 within NORM_TOL.
+def labels_to_indices(layout: BlockLayout, labels) -> np.ndarray:
+    """Inverse of indices_to_labels: the int64 flat index of every row of a (k, m) array.
 
-    NaN and inf fail the check.  The sum of squares runs through einsum on
-    the real view: numpy's own single-threaded loop, where a BLAS dot would
-    start a thread pool for one reduction.
+    Symbols are not validated; callers pass arrays they built themselves.
     """
-    v = np.ascontiguousarray(amps).view(np.float64)
-    norm_sq = float(np.einsum("i,i->", v, v))
-    if not abs(norm_sq - 1.0) <= NORM_TOL:
-        raise ValueError(f"squared norm {norm_sq!r} deviates from 1 by more than {NORM_TOL}")
+    return np.asarray(labels, dtype=np.int64) @ _radix(layout)
 
 
 @dataclass(frozen=True, eq=False)
 class EncodedState:
     """Complex amplitudes over the D basis labels of a layout.
 
-    The squared norm must equal 1 within NORM_TOL.  Construction re-checks
-    the norm instead of renormalizing, so a non-unitary pipeline fails
-    loudly instead of being masked.
+    The squared norm must equal 1 within NORM_TOL; NaN and inf fail.
+    Construction re-checks the norm instead of renormalizing, so a
+    non-unitary pipeline fails loudly instead of being masked.
     """
 
     layout: BlockLayout
@@ -137,7 +131,12 @@ class EncodedState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.layout.D},)"
             )
-        check_norm(amps)
+        # einsum on the real view is numpy's own single-threaded loop, where a
+        # BLAS dot would start a thread pool for one reduction.
+        v = np.ascontiguousarray(amps).view(np.float64)
+        norm_sq = float(np.einsum("i,i->", v, v))
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(f"squared norm {norm_sq!r} deviates from 1 by more than {NORM_TOL}")
 
     def tensor(self) -> np.ndarray:
         """Amplitudes viewed as an m-way tensor with one axis per block."""

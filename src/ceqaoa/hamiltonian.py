@@ -15,11 +15,12 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .encoded import BlockLayout, Label, index_to_label
+from .encoded import BlockLayout, Label, index_to_label, labels_to_indices
 
 # Absorbs summation-order noise when counting exactly degenerate tours
 # (e.g. the reversal of a tour on a symmetric instance).
 TIE_TOL = 1e-12
+BRUTE_FORCE_CHUNK = 200_000  # tours scored per vectorized batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +45,11 @@ class TspInstance:
             raise ValueError(f"instance {self.name!r}: non-finite distance entry")
         if np.any(dist < 0):
             raise ValueError(f"instance {self.name!r}: negative distance entry")
+        # a tour sums n distances; the factor 2 covers rounding in the running sum
+        if not math.isfinite(2.0 * n * float(dist.max())):
+            raise ValueError(
+                f"instance {self.name!r}: distances up to {float(dist.max())!r} overflow a tour cost"
+            )
         if np.any(np.diagonal(dist) != 0):
             raise ValueError(f"instance {self.name!r}: nonzero diagonal entry")
 
@@ -119,6 +125,7 @@ class CostDiagonal:
     penalty: np.ndarray
     penalty_weight: float
     _last_phase: tuple[str, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _energy_bound: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         obj = np.asarray(self.objective, dtype=np.float64)
@@ -131,6 +138,9 @@ class CostDiagonal:
             raise ValueError("penalty energies must be non-negative")
         if not self.penalty_weight > 0:
             raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
+        # bounds |objective + penalty| everywhere; NaN when any energy is NaN
+        bound = max(float(obj.max()), -float(obj.min())) + float(pen.max())
+        object.__setattr__(self, "_energy_bound", bound)
 
     def feasible_mask(self) -> np.ndarray:
         return self.penalty == 0.0
@@ -142,10 +152,15 @@ class CostDiagonal:
         exponential.  The key is the exact float (its hex form keeps 0.0 and
         -0.0 apart).  The old vector is dropped before the new one is
         computed and the exponential overwrites its own argument, so one
-        complex D-vector is held and built at a time.
+        complex D-vector is held and built at a time.  A gamma whose product
+        with the largest energy is not finite raises ValueError.
         """
         key = float(gamma).hex()
         if self._last_phase is None or self._last_phase[0] != key:
+            if not math.isfinite(float(gamma) * self._energy_bound):
+                raise ValueError(
+                    f"gamma {gamma!r} times the largest energy {self._energy_bound!r} is not finite"
+                )
             object.__setattr__(self, "_last_phase", None)
             vec = (-1j * float(gamma)) * (self.objective + self.penalty)
             np.exp(vec, out=vec)
@@ -178,6 +193,8 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     if lam <= 0:
         raise ValueError(f"penalty weight must be positive, got {lam}")
     n, m = enc.layout.n, enc.layout.m
+    if not math.isfinite(lam * (n - m + m * (m - 1))):
+        raise ValueError(f"penalty weight {lam!r} makes the largest penalty non-finite")
     C = enc.instance.distances
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
     step = C[np.ix_(cities, cities)]
@@ -213,7 +230,7 @@ def _tie_threshold(best: float) -> float:
     return TIE_TOL * max(1.0, abs(best))
 
 
-def brute_force_optimum(enc: AnchoredTsp, chunk_size: int = 200_000) -> BruteForceResult:
+def brute_force_optimum(enc: AnchoredTsp) -> BruteForceResult:
     """Enumerate all (n_cities - 1)! anchored tours and collect every optimum.
 
     Exact ties (degenerate optima) are counted with a tolerance that only
@@ -226,14 +243,13 @@ def brute_force_optimum(enc: AnchoredTsp, chunk_size: int = 200_000) -> BruteFor
     C = enc.instance.distances
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
     start = enc.start_city
-    radix = np.array([enc.layout.n ** (m - 1 - b) for b in range(m)], dtype=np.int64)
 
     best = math.inf
     cand_flats: list[np.ndarray] = []
     cand_costs: list[np.ndarray] = []
     gen = permutations(range(m))
     while True:
-        chunk = list(islice(gen, chunk_size))
+        chunk = list(islice(gen, BRUTE_FORCE_CHUNK))
         if not chunk:
             break
         sym = np.asarray(chunk, dtype=np.int64)
@@ -244,7 +260,7 @@ def brute_force_optimum(enc: AnchoredTsp, chunk_size: int = 200_000) -> BruteFor
         cost = cost + C[seq[:, -1], start]
         best = min(best, float(cost.min()))
         keep = cost <= best + _tie_threshold(best)
-        cand_flats.append(sym[keep] @ radix)
+        cand_flats.append(labels_to_indices(enc.layout, sym[keep]))
         cand_costs.append(cost[keep])
 
     flats = np.concatenate(cand_flats)

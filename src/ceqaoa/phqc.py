@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .layers import DEFAULT_NORMALIZATION, LayerSchedule, MixerNormalization, ru
 
 @dataclass(frozen=True)
 class AngleGrid:
-    """Rectangular (gamma, beta) grid; points iterate gamma-major."""
+    """Rectangular (gamma, beta) grid."""
 
     gammas: tuple[float, ...]
     betas: tuple[float, ...]
@@ -46,16 +46,9 @@ class AngleGrid:
             if list(vals) != sorted(vals):
                 raise ValueError(f"{axis} axis must be sorted ascending")
 
-    @property
-    def size(self) -> int:
-        return len(self.gammas) * len(self.betas)
-
-    def points(self) -> Iterator[tuple[int, float, float]]:
-        idx = 0
-        for g in self.gammas:
-            for b in self.betas:
-                yield idx, g, b
-                idx += 1
+    def schedules(self, depth: int = 1) -> list[LayerSchedule]:
+        """One constant-angle schedule per grid point, gamma-major."""
+        return [LayerSchedule.constant(g, b, depth) for g in self.gammas for b in self.betas]
 
 
 def default_grid(n_cities: int) -> AngleGrid:
@@ -161,13 +154,11 @@ class ScoredShots:
     feasible_shots: int
 
 
-def score_shots(enc: AnchoredTsp, shots: ShotSet, diag: CostDiagonal | None = None) -> ScoredShots:
+def score_shots(enc: AnchoredTsp, shots: ShotSet, diag: CostDiagonal) -> ScoredShots:
     """Deterministic checker: keep feasible samples, score with the tour objective.
 
     Frequency never matters; ties on cost break toward the lowest flat index.
     """
-    if diag is None:
-        diag = build_cost_diagonal(enc)
     if shots.layout != enc.layout or diag.layout != enc.layout:
         raise ValueError("shot set, diagonal, and instance layouts must agree")
     feasible = diag.penalty[shots.flats] == 0.0
@@ -223,34 +214,29 @@ PointHook = Callable[[GridPointStat, ShotSet, CostDiagonal], None]
 
 def phqc_solve(
     enc: AnchoredTsp,
-    depth: int = 1,
-    grid: AngleGrid | None = None,
+    schedules: Sequence[LayerSchedule] | None = None,
     shots_per_point: int | None = None,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
     master_seed: int = 0,
     penalty_weight: float | None = None,
-    schedules: Sequence[LayerSchedule] | None = None,
     point_hook: PointHook | None = None,
 ) -> PhqcResult:
-    """Grid-search solve: sample every angle point, return the best feasible tour.
+    """Grid-search solve: sample every schedule, return the best feasible tour.
 
-    Each grid point repeats its (gamma, beta) pair across all depth layers;
-    pass explicit schedules to search arbitrary angle sequences instead of
-    the 2-D grid.  Per-point seeds derive from (master_seed, grid_index), so
-    any evaluation order gives identical output.
+    Schedule i is grid point i; its first layer's angles label the point.
+    The default is the depth-1 default grid, gamma-major, so consecutive
+    points share a phase vector.  Per-point seeds derive from
+    (master_seed, grid_index), so any evaluation order gives identical
+    output.
     """
     if shots_per_point is None:
         shots_per_point = 10 * enc.instance.n_cities**3
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
     if schedules is None:
-        if grid is None:
-            grid = default_grid(enc.instance.n_cities)
-        plan = [(i, g, b, LayerSchedule.constant(g, b, depth)) for i, g, b in grid.points()]
-    else:
-        plan = [(i, s.pairs[0][0], s.pairs[0][1], s) for i, s in enumerate(schedules)]
-        if not plan:
-            raise ValueError("empty schedule list")
+        schedules = default_grid(enc.instance.n_cities).schedules()
+    if not schedules:
+        raise ValueError("empty schedule list")
 
     t_start = time.perf_counter()
     diag = build_cost_diagonal(enc, penalty_weight)
@@ -261,7 +247,8 @@ def phqc_solve(
     opt_mass: list[float] = []  # exact probability of the optima, per point
     best: tuple[float, int, int] | None = None  # (cost, flat, grid index)
     feasible_total = 0
-    for idx, g, b, sched in plan:
+    for idx, sched in enumerate(schedules):
+        g, b = sched.pairs[0]
         state = run_circuit(diag, sched, norm)
         if oracle is not None:
             opt_mass.append(_optimal_mass(state, oracle))
@@ -280,7 +267,7 @@ def phqc_solve(
                 best = key
 
     t_sweep = time.perf_counter()
-    feasible_fraction = feasible_total / (shots_per_point * len(plan))
+    feasible_fraction = feasible_total / (shots_per_point * len(schedules))
     best_label = best_cost = best_angles = p_opt = degen = None
     if best is not None:
         cost, flat, win_idx = best
@@ -299,7 +286,7 @@ def phqc_solve(
         degen,
         tuple(stats),
         shots_per_point,
-        depth if schedules is None else max(s.depth for s in schedules),
+        max(s.depth for s in schedules),
         master_seed,
         {
             "diagonal_s": t_diag - t_start,

@@ -1,9 +1,10 @@
 """Dense full-Hilbert-space reference simulator for the block one-hot circuits.
 
-Qubit 0 is the most significant bit of a basis index, so for q = 3 the
-string |100> (excitation on qubit 0) is index 4.  Block b occupies qubits
-[b*n, (b+1)*n); the one-hot state with symbol j in block b has qubit
-b*n + j set.
+A q-qubit register is an EncodedState over BlockLayout(2, q), one
+two-symbol block per qubit, so qubit 0 is the most significant bit of a
+basis index: for q = 3 the string |100> (excitation on qubit 0) is index 4.
+One-hot block b of an (n, m) layout occupies qubits [b*n, (b+1)*n); the
+one-hot state with symbol j in block b has qubit b*n + j set.
 
 Gate semantics (angles in radians):
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoded import BlockLayout, EncodedState, check_norm
+from .encoded import BlockLayout, EncodedState, indices_to_labels, labels_to_indices
 
 MAX_QUBITS = 20
 
@@ -93,59 +94,44 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class QubitState:
-    """Dense statevector on q qubits (q <= MAX_QUBITS), norm-checked."""
-
-    q: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.q <= MAX_QUBITS:
-            raise ValueError(f"qubit count {self.q} outside [1, {MAX_QUBITS}]")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (1 << self.q,):
-            raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({1 << self.q},)")
-        check_norm(amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def zero_state(q: int) -> QubitState:
+def zero_state(q: int) -> EncodedState:
+    """|0...0> on q qubits: an EncodedState over the register layout BlockLayout(2, q)."""
+    if not 1 <= q <= MAX_QUBITS:
+        raise ValueError(f"qubit count {q} outside [1, {MAX_QUBITS}]")
     amps = np.zeros(1 << q, dtype=np.complex128)
     amps[0] = 1.0
-    return QubitState(q, amps)
+    return EncodedState(BlockLayout(2, q), amps)
 
 
-def apply_gate(state: QubitState, op: GateOp) -> QubitState:
+def apply_gate(state: EncodedState, op: GateOp) -> EncodedState:
+    layout = state.layout
+    if layout.n != 2:
+        raise ValueError(f"gates act on qubit registers (n=2), got a layout with n={layout.n}")
     for t in op.qubits:
-        if not 0 <= t < state.q:
-            raise ValueError(f"gate targets qubit {t} outside [0, {state.q})")
+        if not 0 <= t < layout.m:
+            raise ValueError(f"gate targets qubit {t} outside [0, {layout.m})")
     k = len(op.qubits)
-    arr = state.amplitudes.reshape((2,) * state.q)
-    arr = np.moveaxis(arr, op.qubits, range(k))
+    arr = np.moveaxis(state.tensor(), op.qubits, range(k))
     shape = arr.shape
     out = (gate_matrix(op) @ arr.reshape(1 << k, -1)).reshape(shape)
     out = np.moveaxis(out, range(k), op.qubits)
-    return QubitState(state.q, np.ascontiguousarray(out).reshape(-1))
+    return EncodedState(layout, np.ascontiguousarray(out).reshape(-1))
 
 
-def run_gates(q: int, ops, initial: QubitState | None = None) -> QubitState:
+def run_gates(q: int, ops, initial: EncodedState | None = None) -> EncodedState:
     """Apply a gate list to |0...0> (or a supplied initial state)."""
     state = zero_state(q) if initial is None else initial
-    if state.q != q:
-        raise ValueError(f"initial state has {state.q} qubits, expected {q}")
+    if state.layout != BlockLayout(2, q):
+        raise ValueError(f"initial state layout {state.layout} is not a {q}-qubit register")
     for op in ops:
         state = apply_gate(state, op)
     return state
 
 
-def fidelity(a: QubitState, b: QubitState) -> float:
+def fidelity(a: EncodedState, b: EncodedState) -> float:
     """|<a|b>|**2."""
-    if a.q != b.q:
-        raise ValueError("states differ in qubit count")
+    if a.layout != b.layout:
+        raise ValueError("states differ in layout")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
@@ -209,26 +195,28 @@ def block_xy_mixer_gates(n: int, m: int, beta: float) -> list[GateOp]:
 
 
 def encoded_basis_indices(layout: BlockLayout) -> np.ndarray:
-    """Ambient basis index of every one-hot label, in flat-label order."""
-    q = layout.n * layout.m
-    idx = np.zeros(layout.D, dtype=np.int64)
-    for b in range(layout.m):
-        sym = layout.symbol_column(b)
-        idx += np.int64(1) << (q - 1 - (b * layout.n + sym))
-    return idx
+    """Ambient basis index of every one-hot label, in flat-label order.
+
+    Label (j_0, ..., j_{m-1}) sets qubit b*n + j_b; its bit string, read as a
+    label of the register BlockLayout(2, n*m), gives the index.
+    """
+    labels = indices_to_labels(layout, np.arange(layout.D))
+    bits = np.eye(layout.n, dtype=np.int64)[labels].reshape(layout.D, -1)
+    return labels_to_indices(BlockLayout(2, layout.n * layout.m), bits)
 
 
 def project_to_encoded(
-    state: QubitState, layout: BlockLayout
+    state: EncodedState, layout: BlockLayout
 ) -> tuple[EncodedState | None, float]:
-    """Read the one-hot-sector amplitudes into an EncodedState.
+    """Read the one-hot-sector amplitudes of a qubit register into an EncodedState.
 
     Returns (normalized encoded state, leaked mass outside the sector); the
     state is None when the sector carries no mass at all.
     """
-    if state.q != layout.n * layout.m:
+    if state.layout != BlockLayout(2, layout.n * layout.m):
         raise ValueError(
-            f"state has {state.q} qubits, layout needs {layout.n * layout.m}"
+            f"state layout {state.layout} is not the {layout.n * layout.m}-qubit register"
+            f" the layout (n={layout.n}, m={layout.m}) needs"
         )
     sub = state.amplitudes[encoded_basis_indices(layout)]
     mass = float(np.real(np.vdot(sub, sub)))

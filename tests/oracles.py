@@ -89,23 +89,27 @@ def reference_cost_diagonal(enc, penalty_weight):
     equal-symbol block pairs by comparing the columns pairwise.
     """
     layout = enc.layout
+    n, m = layout.n, layout.m
     C = enc.instance.distances
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
-    sym = [layout.symbol_column(b, dtype=np.int8) for b in range(layout.m)]
+    # block b's symbol is the b-th most significant base-n digit of the index;
+    # spelled out here so the reference shares nothing with the package codec
+    idx = np.arange(layout.D, dtype=np.int64)
+    sym = [(idx // n ** (m - 1 - b) % n).astype(np.int8) for b in range(m)]
 
     prev = cities[sym[0]]
     objective = C[enc.start_city, prev]
-    for b in range(1, layout.m):
+    for b in range(1, m):
         cur = cities[sym[b]]
         objective = objective + C[prev, cur]
         prev = cur
     objective = objective + C[prev, enc.start_city]
 
     collisions = np.zeros(layout.D, dtype=np.int16)
-    for i in range(layout.m):
-        for j in range(i + 1, layout.m):
+    for i in range(m):
+        for j in range(i + 1, m):
             collisions += sym[i] == sym[j]
-    penalty = penalty_weight * (layout.n - layout.m + 2 * collisions).astype(np.float64)
+    penalty = penalty_weight * (n - m + 2 * collisions).astype(np.float64)
     return objective, penalty
 
 

@@ -235,6 +235,19 @@ class TestBaselines:
             1600 * math.log10(2) - math.log10(math.factorial(40) + 1), rel=1e-9
         )
 
+    def test_log10_space_beyond_exact_size(self):
+        # n = 200: past the exact-integer size for model b, still cheap to check exactly
+        rep = classical_baselines(200)
+        exact = math.log10(2 ** 40000 + 1) - math.log10(math.factorial(200) + 1)
+        assert rep.log10_model_b == pytest.approx(exact, rel=1e-12)
+        # n = 10**5: 2**(n*n) would be a 1.25 GB integer
+        n = 10**5
+        rep = classical_baselines(n)
+        log10_fact = math.lgamma(n + 1) / math.log(10)
+        assert rep.model_a_trials == rep.model_b_trials == math.inf
+        assert rep.log10_model_a == pytest.approx(n * math.log10(n) - log10_fact, rel=1e-9)
+        assert rep.log10_model_b == pytest.approx(n * n * math.log10(2) - log10_fact, rel=1e-9)
+
     def test_separation_log10_formula(self):
         for n in range(2, 13):
             rep = classical_baselines(n)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ def strip_metadata(payload):
 class TestGridSpec:
     def test_default(self):
         grid = parse_grid_spec("n+1", 4)
-        assert grid.size == 25
+        assert len(grid.schedules()) == 25
 
     def test_square(self):
-        assert parse_grid_spec("20x20", 4).size == 400
+        assert len(parse_grid_spec("20x20", 4).schedules()) == 400
 
     def test_list(self):
         pairs = parse_grid_spec("list:0,0;1.5,2.4", 4)
@@ -84,11 +85,11 @@ class TestSolve:
         # single shot at the uniform point: find a master seed whose one draw
         # is infeasible, then check the documented exit code
         enc = anchor(TspInstance("ex4", 4, np.asarray(MATRIX_4, float)), 0)
-        grid = AngleGrid((0.0,), (0.0,))
+        schedules = AngleGrid((0.0,), (0.0,)).schedules()
         seed = next(
             s
             for s in range(50)
-            if phqc_solve(enc, grid=grid, shots_per_point=1, master_seed=s).best_label is None
+            if phqc_solve(enc, schedules, shots_per_point=1, master_seed=s).best_label is None
         )
         out = tmp_path / "none.json"
         code = main(
@@ -109,16 +110,50 @@ class TestSolve:
         assert read_json(out)["best_tour"] is None
 
     @pytest.mark.parametrize(
-        "cap,code", [("10", 3), ("abc", 1), ("0", 1), ("-5", 1)], ids=["10", "abc", "0", "-5"]
+        "cap,code,command",
+        [("10", 3, "solve"), ("abc", 1, "solve"), ("0", 1, "solve"), ("-5", 1, "solve"),
+         ("512", 3, "verify")],
+        ids=["10", "abc", "0", "-5", "verify-encoder-512"],
     )
-    def test_dimension_cap_exit_code(self, instance_file, tmp_path, monkeypatch, capsys, cap, code):
+    def test_dimension_cap_exit_code(
+        self, instance_file, tmp_path, monkeypatch, capsys, cap, code, command
+    ):
+        # verify encoder simulates qubit registers up to 10 qubits (D = 1024)
         monkeypatch.setenv("CEQAOA_MAX_DIM", cap)
-        assert main(["solve", str(instance_file), "--out", str(tmp_path / "x.json")]) == code
+        if command == "verify":
+            argv = ["verify", "encoder"]
+        else:
+            argv = ["solve", str(instance_file), "--out", str(tmp_path / "x.json")]
+        assert main(argv) == code
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "CEQAOA_MAX_DIM" in err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["solve", "--lambda", "inf"], "inf"),
+        (["solve", "--lambda", "1e308"], "1e+308"),
+        (["solve", "--grid", "list:1e308,0"], "1e+308"),
+        (["histogram", "--angles", "0,0", "--lambda", "inf"], "inf"),
+        (["histogram", "--angles", "0,0", "--lambda", "1e308"], "1e+308"),
+        (["histogram", "--angles", "1e308,0"], "1e+308"),
+    ],
+    ids=["solve-lambda-inf", "solve-lambda-1e308", "solve-gamma-1e308",
+         "histogram-lambda-inf", "histogram-lambda-1e308", "histogram-gamma-1e308"],
+)
+def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, argv, value):
+    command, *rest = argv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, str(instance_file), *rest, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and value in err
 
 
 class TestHistogram:

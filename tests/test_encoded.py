@@ -10,6 +10,7 @@ from ceqaoa.encoded import (
     index_to_label,
     indices_to_labels,
     label_to_index,
+    labels_to_indices,
     overlap_probability,
     uniform_initial_state,
 )
@@ -66,14 +67,15 @@ class TestLabelIndexing:
         with pytest.raises(ValueError):
             index_to_label(lay, -1)
 
-    def test_symbol_columns_match_labels(self):
+    def test_label_arrays_match_scalar_codec(self):
         lay = BlockLayout(4, 3)
         flats = np.arange(0, lay.D, 7)
         labels = indices_to_labels(lay, flats)
-        for b in range(lay.m):
-            assert np.array_equal(lay.symbol_column(b)[flats], labels[:, b])
         for idx, row in zip(flats, labels):
             assert tuple(int(v) for v in row) == index_to_label(lay, idx)
+            assert label_to_index(lay, row) == idx
+        back = labels_to_indices(lay, labels)
+        assert back.dtype == np.int64 and np.array_equal(back, flats)
 
 
 class TestEncodedState:

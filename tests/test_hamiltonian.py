@@ -33,6 +33,12 @@ class TestTspInstance:
         with pytest.raises(ValueError):
             TspInstance("bad", 4, m)
 
+    def test_rejects_distances_that_overflow_a_tour(self):
+        m = MATRIX_4.copy()
+        m[0, 1] = 1e308
+        with pytest.raises(ValueError, match="overflow a tour cost"):
+            TspInstance("big", 4, m)
+
     def test_rejects_nonzero_diagonal(self):
         m = MATRIX_4.copy()
         m[2, 2] = 5

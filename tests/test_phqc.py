@@ -36,18 +36,21 @@ class TestGrids:
         g = default_grid(4)
         assert len(g.gammas) == len(g.betas) == 5
         assert math.pi / 2 in g.gammas and 3 * math.pi / 4 in g.betas
-        assert g.size == 25
+        assert len(g.schedules()) == 25
 
     def test_default_grid_n6_contains_table_angles(self):
         g = default_grid(6)
         assert 5 * math.pi / 6 in g.gammas and 4 * math.pi / 6 in g.betas
 
     def test_default_grid_n3_has_16_points(self):
-        assert default_grid(3).size == 16
+        assert len(default_grid(3).schedules()) == 16
 
     def test_square_grid(self):
         g = square_grid(20)
-        assert g.size == 400
+        assert len(g.schedules()) == 400
+        # gamma-major, every layer repeating the point's pair
+        assert g.schedules(2)[1].pairs == ((0.0, g.betas[1]),) * 2
+        assert g.schedules(2)[20].pairs == ((g.gammas[1], 0.0),) * 2
         assert g.gammas[0] == 0.0 and g.gammas[-1] == pytest.approx(math.pi)
 
     def test_validation(self):
@@ -137,7 +140,7 @@ class TestScoring:
         optimum = brute_force_optimum(enc).best_label
         # the optimum appears once
         shots = shot_set(enc.layout, {(0, 0, 0): 80, (0, 1, 2): 19, optimum: 1})
-        scored = score_shots(enc, shots)
+        scored = score_shots(enc, shots, build_cost_diagonal(enc))
         assert scored.best_label == optimum
         assert scored.best_flat == label_to_index(enc.layout, optimum)
         assert scored.best_cost == 80.0
@@ -147,12 +150,12 @@ class TestScoring:
         enc = example_4()
         # (0, 2, 1) and (1, 2, 0) are the two degenerate optima
         shots = shot_set(enc.layout, {(1, 2, 0): 5, (0, 2, 1): 5})
-        assert score_shots(enc, shots).best_label == (0, 2, 1)
+        assert score_shots(enc, shots, build_cost_diagonal(enc)).best_label == (0, 2, 1)
 
     def test_no_feasible_samples(self):
         enc = example_4()
         shots = shot_set(enc.layout, {(0, 0, 0): 3, (1, 1, 2): 2})
-        scored = score_shots(enc, shots)
+        scored = score_shots(enc, shots, build_cost_diagonal(enc))
         assert scored.best_label is None and scored.best_cost is None
         assert scored.feasible_shots == 0
 
@@ -181,10 +184,10 @@ class TestSolve:
 
     def test_single_shot_semantics(self):
         enc = example_4()
-        grid = AngleGrid((0.0,), (0.0,))
+        schedules = [LayerSchedule.constant(0.0, 0.0)]
         found_feasible = found_empty = False
         for seed in range(40):
-            res = phqc_solve(enc, grid=grid, shots_per_point=1, master_seed=seed)
+            res = phqc_solve(enc, schedules, shots_per_point=1, master_seed=seed)
             frac = res.per_grid_stats[0].feasible_fraction
             assert frac in (0.0, 1.0)
             if res.best_label is None:
@@ -220,9 +223,9 @@ class TestSolve:
 
         monkeypatch.setattr(phqc, "run_circuit", counting)
         enc = example_4()
-        grid = square_grid(3)
-        res = phqc_solve(enc, grid=grid, shots_per_point=200, master_seed=4)
-        assert len(calls) == grid.size
+        schedules = square_grid(3).schedules()
+        res = phqc_solve(enc, schedules, shots_per_point=200, master_seed=4)
+        assert len(calls) == len(schedules)
         sched = LayerSchedule.constant(*res.best_angles)
         assert res.p_opt_exact == exact_success_probability(enc, sched)[0]
 

@@ -6,7 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceqaoa.encoded import BlockLayout, EncodedState, index_to_label, indices_to_labels
+from ceqaoa.encoded import (
+    BlockLayout,
+    EncodedState,
+    index_to_label,
+    indices_to_labels,
+    labels_to_indices,
+)
 from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import LayerSchedule, MixerNormalization, run_circuit
 from ceqaoa.phqc import ShotSet, sample_shots, score_shots
@@ -35,6 +41,7 @@ def test_indices_to_labels_matches_scalar(layout, data):
     labels = indices_to_labels(layout, np.array(flats, dtype=np.int64))
     assert labels.shape == (len(flats), layout.m)
     assert [tuple(row) for row in labels.tolist()] == [index_to_label(layout, f) for f in flats]
+    assert labels_to_indices(layout, labels).tolist() == flats
 
 
 @st.composite

@@ -6,7 +6,9 @@ import pytest
 from ceqaoa.encoded import BlockLayout, uniform_initial_state
 from ceqaoa.layers import MixerNormalization, apply_mixer
 from ceqaoa.qubitref import (
+    MAX_QUBITS,
     GateOp,
+    apply_gate,
     block_xy_mixer_gates,
     count_two_qubit_gates,
     encoded_basis_indices,
@@ -71,6 +73,18 @@ class TestGateOps:
         for op in ops:
             u = gate_matrix(op)
             assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) < 1e-14
+
+
+class TestRegister:
+    @pytest.mark.parametrize("q", [0, MAX_QUBITS + 1])
+    def test_zero_state_qubit_bounds(self, q):
+        with pytest.raises(ValueError, match="qubit count"):
+            zero_state(q)
+
+    def test_gates_reject_non_qubit_layouts(self):
+        state = uniform_initial_state(BlockLayout(3, 2))
+        with pytest.raises(ValueError, match="n=3"):
+            apply_gate(state, GateOp("X", (0,)))
 
 
 class TestBlockPrepare:
