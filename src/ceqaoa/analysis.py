@@ -17,7 +17,7 @@ from .layers import (
     mixer_block_matrix,
     run_circuit,
 )
-from .phqc import exact_success_probability, required_shots
+from .phqc import default_shots, exact_success_probability, required_shots
 
 EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
 EXACT_INT_BITS = 1 << 16  # larger baseline integers are handled in log10 space
@@ -344,7 +344,7 @@ class HeavyOutputReport:
     heavy_ratio: float  # p_opt * D
     threshold_crossings: tuple[tuple[int, bool], ...]  # (k, p_opt >= n**-k)
     required_shots: int | None  # at the given delta; None when p_opt == 0
-    finite_shot_bound: float  # 1 / (10 n_cities**3)
+    finite_shot_bound: float  # 1 / default_shots(n_cities)
     in_finite_shot_region: bool
 
 
@@ -358,7 +358,7 @@ def heavy_output_report(
     p_opt, degen = exact_success_probability(enc, schedule, norm, penalty_weight)
     layout = enc.layout
     crossings = tuple((k, p_opt >= layout.n ** (-k)) for k in range(1, layout.m + 1))
-    bound = 1.0 / (10.0 * enc.instance.n_cities**3)
+    bound = 1.0 / default_shots(enc.instance.n_cities)
     return HeavyOutputReport(
         p_opt=p_opt,
         degeneracy=degen,

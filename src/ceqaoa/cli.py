@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or input error (missing file, unknown
 suite, failed verify), 2 solve finished without any feasible sample,
-3 encoded dimension over the amplitude cap.
+3 encoded dimension over the amplitude cap, or an estimated peak memory
+over the memory available.
 """
 
 from __future__ import annotations
@@ -32,11 +33,14 @@ from .layers import (
     DEFAULT_NORMALIZATION,
     LayerSchedule,
     MixerNormalization,
+    holds_phase,
     run_circuit,
 )
 from .phqc import (
     AngleGrid,
     default_grid,
+    default_shots,
+    peak_bytes,
     phqc_solve,
     sample_shots,
     square_grid,
@@ -79,6 +83,45 @@ def parse_grid_spec(spec: str, n_cities: int):
             raise ValueError(f"only square grids are supported, got {spec!r}")
         return square_grid(int(a))
     raise ValueError(f"unrecognized grid spec {spec!r}")
+
+
+def _proc_kb(path: str, key: str) -> int | None:
+    """The number on a "key: N kB" line of a /proc file; None when it cannot be read."""
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def available_memory() -> int | None:
+    """MemAvailable in bytes; None when /proc/meminfo cannot be read."""
+    kb = _proc_kb("/proc/meminfo", "MemAvailable")
+    return None if kb is None else kb * 1024
+
+
+def check_memory(estimate: int) -> None:
+    """Raise DimensionCapError when the estimated peak exceeds the available memory."""
+    avail = available_memory()
+    if avail is not None and estimate > avail:
+        raise DimensionCapError(
+            f"estimated peak memory {estimate / 2**20:.0f} MB exceeds the "
+            f"{avail / 2**20:.0f} MB available (MemAvailable)"
+        )
+
+
+def peak_rss_mb() -> float:
+    """This process's peak RSS in MB: VmHWM from /proc/self/status, else ru_maxrss.
+
+    VmHWM starts afresh at exec; ru_maxrss keeps a spawning parent's peak.
+    """
+    kb = _proc_kb("/proc/self/status", "VmHWM")
+    if kb is None:
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kB on Linux
+    return kb / 1024.0
 
 
 def write_text_atomic(path: Path, text) -> None:
@@ -127,14 +170,14 @@ def _load_anchored(args):
 def cmd_solve(args) -> int:
     inst, enc = _load_anchored(args)
     grid_or_pairs = parse_grid_spec(args.grid, inst.n_cities)
-    shots = args.shots if args.shots is not None else 10 * inst.n_cities**3
+    shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     norm = MixerNormalization(args.norm)
     lam = args.penalty_weight if args.penalty_weight is not None else default_penalty_weight(inst)
 
     hist_lines = ["grid_index,gamma,beta,cost,count\n"]
 
     def point_hook(stat, shotset, diag) -> None:
-        feasible = diag.penalty[shotset.flats] == 0.0
+        feasible = diag.penalty_count[shotset.flats] == 0
         costs, which = np.unique(diag.objective[shotset.flats[feasible]], return_inverse=True)
         totals = np.bincount(which, weights=shotset.counts[feasible])
         for cost, count in zip(costs.tolist(), totals.astype(np.int64).tolist()):
@@ -146,6 +189,8 @@ def cmd_solve(args) -> int:
     else:
         grid_json = {"pairs": [list(p) for p in grid_or_pairs]}
         schedules = [LayerSchedule.constant(g, b, args.depth) for g, b in grid_or_pairs]
+    estimate = peak_bytes(enc.layout.D, enc.layout.n, holds_phase(schedules))
+    check_memory(estimate)
     t0 = time.perf_counter()
     result = phqc_solve(
         enc,
@@ -189,8 +234,8 @@ def cmd_solve(args) -> int:
             "wall_time_s": wall,
             "created_unix": time.time(),
             "timings": result.timings,
-            # ru_maxrss is in kB on Linux
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_mb": peak_rss_mb(),
+            "peak_estimate_mb": estimate / 2**20,
         },
     }
     out = Path(args.out)
@@ -227,19 +272,22 @@ def cmd_histogram(args) -> int:
     except ValueError:
         print(f"bad --angles value {args.angles!r} (want gamma,beta)", file=sys.stderr)
         return EXIT_USAGE
-    shots = args.shots if args.shots is not None else 10 * inst.n_cities**3
+    shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 0:
         print(f"--shots must be >= 0, got {shots}", file=sys.stderr)
         return EXIT_USAGE
     norm = MixerNormalization(args.norm)
-    diag = build_cost_diagonal(enc, args.penalty_weight)
-    state = run_circuit(diag, LayerSchedule.constant(gamma, beta, args.depth), norm)
-    probs = state.probabilities()
-
+    schedule = LayerSchedule.constant(gamma, beta, args.depth)
     layout = enc.layout
+    check_memory(peak_bytes(layout.D, layout.n, holds_phase([schedule])))
+    diag = build_cost_diagonal(enc, args.penalty_weight)
+    state = run_circuit(diag, schedule, norm)
+    sampled = sample_shots(state, shots, args.seed, (gamma, beta)) if shots > 0 else None
+    probs = state.probabilities()
+    del diag, state  # the rows need only the probabilities and the counts
+
     counts = np.zeros(layout.D, dtype=np.int64)
-    if shots > 0:
-        sampled = sample_shots(state, shots, args.seed, (gamma, beta))
+    if sampled is not None:
         counts[sampled.flats] = sampled.counts
     is_optimal = np.zeros(layout.D, dtype=np.int8)
     if layout.m <= 10:
@@ -292,10 +340,16 @@ def cmd_verify(args) -> int:
 def cmd_baselines(args) -> int:
     feasible = args.feasible_count if args.feasible_count is not None else math.factorial(args.n)
     rep = classical_baselines(args.n, args.m, feasible)
+    # a count with more decimal digits than Python converts is written as its log10
+    limit = sys.get_int_max_str_digits()
+    if limit and rep.feasible_count >= 10**limit:
+        count_field = {"log10_feasible_count": math.log10(rep.feasible_count)}
+    else:
+        count_field = {"feasible_count": rep.feasible_count}
     payload = {
         "n": rep.n,
         "m": rep.m,
-        "feasible_count": rep.feasible_count,
+        **count_field,
         "model_a_trials": rep.model_a_trials,
         "model_b_trials": rep.model_b_trials,
         "separation_ratio": rep.separation_ratio,

@@ -110,63 +110,86 @@ def _cycle_cost(enc: AnchoredTsp, cities) -> float:
     return float(cost + C[cities[-1], enc.start_city])
 
 
+def phase_key(gamma: float) -> str:
+    """Cache key of a phase vector: the exact float, whose hex form keeps 0.0 and -0.0 apart."""
+    return float(gamma).hex()
+
+
 @dataclass(frozen=True, eq=False)
 class CostDiagonal:
-    """Objective and penalty energies over every encoded basis label.
+    """Objective energies and penalty counts over every encoded basis label.
 
-    penalty[x] is zero exactly when x is feasible; the objective extends the
-    cyclic tour formula to infeasible labels as well, because the phase
-    layer acts on the whole encoded space.  Only the two D-vectors are held;
-    the total energy objective + penalty is formed when a phase needs it.
+    penalty_count[x] is the int16 count k = sum_a (c_a - 1)**2 over the
+    symbol counts c_a of x, zero exactly when x is feasible; the penalty
+    energy is penalty_weight * k.  The objective extends the cyclic tour
+    formula to infeasible labels as well, because the phase layer acts on
+    the whole encoded space.  Only these two D-vectors are held (10 bytes
+    per label); the total energy is formed when a phase needs it.
     """
 
     layout: BlockLayout
     objective: np.ndarray
-    penalty: np.ndarray
+    penalty_count: np.ndarray
     penalty_weight: float
     _last_phase: tuple[str, np.ndarray] | None = field(default=None, init=False, repr=False)
     _energy_bound: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         obj = np.asarray(self.objective, dtype=np.float64)
-        pen = np.asarray(self.penalty, dtype=np.float64)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "penalty", pen)
-        if obj.shape != (self.layout.D,) or pen.shape != (self.layout.D,):
+        count = np.asarray(self.penalty_count)
+        if obj.shape != (self.layout.D,) or count.shape != (self.layout.D,):
             raise ValueError("diagonal vectors must have length layout.D")
-        if np.any(pen < 0):
-            raise ValueError("penalty energies must be non-negative")
-        if not self.penalty_weight > 0:
+        if not np.issubdtype(count.dtype, np.integer):
+            raise ValueError(f"penalty counts must be integers, got dtype {count.dtype}")
+        top = int(count.max())
+        if count.min() < 0 or top > np.iinfo(np.int16).max:
+            raise ValueError("penalty counts must lie in [0, 32767]")
+        weight = float(self.penalty_weight)
+        if not weight > 0:
             raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
-        # bounds |objective + penalty| everywhere; NaN when any energy is NaN
-        bound = max(float(obj.max()), -float(obj.min())) + float(pen.max())
+        object.__setattr__(self, "objective", obj)
+        object.__setattr__(self, "penalty_count", count.astype(np.int16, copy=False))
+        object.__setattr__(self, "penalty_weight", weight)
+        # bounds |objective + weight * count| everywhere; NaN when any energy is NaN
+        bound = max(float(obj.max()), -float(obj.min())) + weight * float(top)
         object.__setattr__(self, "_energy_bound", bound)
 
-    def feasible_mask(self) -> np.ndarray:
-        return self.penalty == 0.0
+    def phase(self, gamma: float, keep: bool = True) -> np.ndarray:
+        """The vector exp(-i gamma (objective + penalty_weight * penalty_count)).
 
-    def phase(self, gamma: float) -> np.ndarray:
-        """Read-only vector exp(-i gamma (objective + penalty)); the last gamma's is kept.
-
-        Grids iterate gamma-major, so consecutive points reuse one
-        exponential.  The key is the exact float (its hex form keeps 0.0 and
-        -0.0 apart).  The old vector is dropped before the new one is
-        computed and the exponential overwrites its own argument, so one
-        complex D-vector is held and built at a time.  A gamma whose product
-        with the largest energy is not finite raises ValueError.
+        With keep, the vector is cached for the next call with the same
+        gamma and returned read-only; grids iterate gamma-major, so
+        consecutive points reuse one exponential.  Without keep the call is
+        the vector's last use: a cached vector is returned (still read-only)
+        and the cache dropped, and a vector not cached is built fresh and
+        writable, so the caller may overwrite it.  A cached vector is never
+        mutated.  On a miss the old vector is dropped first, and the energy,
+        product and exponential are formed in the one complex buffer.  A
+        gamma whose product with the largest energy is not finite raises
+        ValueError.
         """
-        key = float(gamma).hex()
-        if self._last_phase is None or self._last_phase[0] != key:
-            if not math.isfinite(float(gamma) * self._energy_bound):
-                raise ValueError(
-                    f"gamma {gamma!r} times the largest energy {self._energy_bound!r} is not finite"
-                )
-            object.__setattr__(self, "_last_phase", None)
-            vec = (-1j * float(gamma)) * (self.objective + self.penalty)
-            np.exp(vec, out=vec)
+        key = phase_key(gamma)
+        if self._last_phase is not None and self._last_phase[0] == key:
+            vec = self._last_phase[1]
+            if not keep:
+                object.__setattr__(self, "_last_phase", None)
+            return vec
+        if not math.isfinite(float(gamma) * self._energy_bound):
+            raise ValueError(
+                f"gamma {gamma!r} times the largest energy {self._energy_bound!r} is not finite"
+            )
+        object.__setattr__(self, "_last_phase", None)
+        vec = np.empty(self.layout.D, dtype=np.complex128)
+        # the float64 sum objective + weight * k, held in the complex buffer
+        # (real part, +0 imaginary), so no float temporary is made
+        np.multiply(self.penalty_count, self.penalty_weight, out=vec)
+        np.add(vec, self.objective, out=vec)
+        np.multiply(-1j * float(gamma), vec, out=vec)
+        np.exp(vec, out=vec)
+        if keep:
             vec.flags.writeable = False
             object.__setattr__(self, "_last_phase", (key, vec))
-        return self._last_phase[1]
+        return vec
 
 
 def default_penalty_weight(instance: TspInstance) -> float:
@@ -183,11 +206,12 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     last.  Each label's cost is thus summed left to right, in _cycle_cost's
     order, so scalar and vectorized costs agree bitwise.
 
-    The penalty at a label with symbol counts (c_0, ..., c_{n-1}) is
-    weight * sum_a (c_a - 1)**2, computed through the pair-collision identity
+    The penalty count at a label with symbol counts (c_0, ..., c_{n-1}) is
+    sum_a (c_a - 1)**2, computed through the pair-collision identity
     sum_a (c_a - 1)**2 = n - m + 2 * #{block pairs with equal symbols}; the
-    collision count is an (n,)*m tensor that gains an identity matrix
-    broadcast over the two axes of each block pair.
+    collision count is an int16 (n,)*m tensor that gains an identity matrix
+    broadcast over the two axes of each block pair, then becomes the
+    penalty count in place.
     """
     lam = default_penalty_weight(enc.instance) if penalty_weight is None else float(penalty_weight)
     if lam <= 0:
@@ -211,8 +235,10 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
             shape = [1] * m
             shape[i] = shape[j] = n
             collisions += eye.reshape(shape)
-    penalty = lam * (n - m + 2 * collisions.reshape(-1)).astype(np.float64)
-    return CostDiagonal(enc.layout, objective, penalty, lam)
+    count = collisions.reshape(-1)
+    count *= 2
+    count += n - m
+    return CostDiagonal(enc.layout, objective, count, lam)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,13 +10,14 @@ run in O(D * m) arithmetic without materializing any D x D matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .encoded import EncodedState, uniform_initial_state
-from .hamiltonian import CostDiagonal
+from .encoded import EncodedState
+from .hamiltonian import CostDiagonal, phase_key
 
 
 class MixerNormalization(Enum):
@@ -63,11 +64,15 @@ class LayerSchedule:
         return len(self.pairs)
 
 
-def apply_phase(state: EncodedState, gamma: float, diag: CostDiagonal) -> EncodedState:
+def apply_phase(
+    state: EncodedState, gamma: float, diag: CostDiagonal, keep_phase: bool = True
+) -> EncodedState:
     """Diagonal layer: amplitude[x] *= exp(-i gamma E(x)); probabilities unchanged.
 
     Updates the amplitudes in place and consumes the input state: the
-    returned state shares its buffer.
+    returned state shares its buffer.  keep_phase is passed on to
+    CostDiagonal.phase: false marks this layer as the phase vector's last
+    use, so the diagonal does not keep it.
     """
     if diag.layout != state.layout:
         raise ValueError("cost diagonal layout does not match the state layout")
@@ -75,8 +80,20 @@ def apply_phase(state: EncodedState, gamma: float, diag: CostDiagonal) -> Encode
     # Complex multiplies are not bitwise commutative here.  Phase first is the
     # order the former out-of-place amps * exp(...) took once numpy elided
     # its temporary, which it does for states of 16384 amplitudes or more.
-    np.multiply(diag.phase(gamma), amps, out=amps)
+    np.multiply(diag.phase(gamma, keep_phase), amps, out=amps)
     return EncodedState(state.layout, amps)
+
+
+def _phased_uniform(diag: CostDiagonal, gamma: float, keep_phase: bool) -> EncodedState:
+    """The uniform state after one phase layer, without a uniform buffer.
+
+    phase * (1/sqrt(D)), phase first, is bitwise the product of the phase
+    with a uniform state.  A phase vector the diagonal does not keep is
+    written over: it becomes the amplitude buffer.
+    """
+    phase = diag.phase(gamma, keep_phase)
+    out = phase if phase.flags.writeable else None  # cached vectors are read-only
+    return EncodedState(diag.layout, np.multiply(phase, 1.0 / math.sqrt(diag.layout.D), out=out))
 
 
 def _crossing_phases(n: int, beta: float, norm: MixerNormalization) -> tuple[complex, complex]:
@@ -122,17 +139,41 @@ def run_circuit(
     diag: CostDiagonal,
     schedule: LayerSchedule,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
+    next_gamma: float | None = None,
 ) -> EncodedState:
     """Alternate phase then mixer per layer, starting from the uniform state.
 
-    The circuit owns its buffer (a fresh uniform state), so the in-place
-    layers touch no caller's amplitudes.
+    The first layer multiplies the phase vector by 1/sqrt(D) into a buffer
+    the circuit owns, so the in-place layers touch no caller's amplitudes.
+    A phase vector stays cached only while the next phase request asks for
+    the same gamma: the next layer's, or after the last layer next_gamma,
+    the first gamma of the caller's next circuit (None: no next circuit).
+    So a depth-1 circuit whose phase is not reused holds one complex
+    D-vector, the amplitudes.
     """
-    state = uniform_initial_state(diag.layout)
-    for gamma, beta in schedule.pairs:
-        state = apply_phase(state, gamma, diag)
+    gammas = [g for g, _ in schedule.pairs]
+    keeps = [
+        nxt is not None and phase_key(nxt) == phase_key(g)
+        for g, nxt in zip(gammas, [*gammas[1:], next_gamma])
+    ]
+    state = _phased_uniform(diag, gammas[0], keeps[0])
+    state = apply_mixer(state, schedule.pairs[0][1], norm)
+    for (gamma, beta), keep in zip(schedule.pairs[1:], keeps[1:]):
+        state = apply_phase(state, gamma, diag, keep)
         state = apply_mixer(state, beta, norm)
     return state
+
+
+def holds_phase(schedules: Sequence[LayerSchedule]) -> bool:
+    """True when a run of these schedules holds a phase vector beside the amplitudes.
+
+    That happens in every layer after the first, and when consecutive
+    depth-1 points share a gamma, whose phase stays cached.
+    """
+    if any(sched.depth > 1 for sched in schedules):
+        return True
+    gammas = [sched.pairs[0][0] for sched in schedules]
+    return any(phase_key(a) == phase_key(b) for a, b in zip(gammas, gammas[1:]))
 
 
 @dataclass(frozen=True)

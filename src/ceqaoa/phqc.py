@@ -67,6 +67,25 @@ def square_grid(points_per_axis: int) -> AngleGrid:
     return AngleGrid(pts, pts)
 
 
+def default_shots(n_cities: int) -> int:
+    """Shots per grid point unless stated: 10 n^3, n the original city count."""
+    return 10 * n_cities**3
+
+
+def peak_bytes(dim: int, n: int, reuse_phase: bool) -> int:
+    """Estimated peak bytes of the D-sized buffers of a solve or histogram run.
+
+    Per label: the diagonal's float64 objective and int16 penalty count
+    (10 bytes), the complex amplitudes (16) and, when reuse_phase says a
+    phase vector is held beside them (layers.holds_phase), that vector (16).  On
+    top of that, sampling holds an 8-byte CDF, and the mixer two complex
+    block means, 32/n bytes.  The interpreter, numpy and the O(m!) oracle
+    are not counted.
+    """
+    held = 10 + 16 + (16 if reuse_phase else 0)
+    return math.ceil(dim * (held + max(8.0, 32.0 / n)))
+
+
 def derive_seed(master_seed: int, grid_index: int) -> int:
     """Stable per-grid-point seed, so grid points are independent streams."""
     ss = np.random.SeedSequence([int(master_seed), int(grid_index)])
@@ -161,7 +180,7 @@ def score_shots(enc: AnchoredTsp, shots: ShotSet, diag: CostDiagonal) -> ScoredS
     """
     if shots.layout != enc.layout or diag.layout != enc.layout:
         raise ValueError("shot set, diagonal, and instance layouts must agree")
-    feasible = diag.penalty[shots.flats] == 0.0
+    feasible = diag.penalty_count[shots.flats] == 0
     flats = shots.flats[feasible]
     if flats.size == 0:
         return ScoredShots(None, None, None, 0)
@@ -230,7 +249,7 @@ def phqc_solve(
     output.
     """
     if shots_per_point is None:
-        shots_per_point = 10 * enc.instance.n_cities**3
+        shots_per_point = default_shots(enc.instance.n_cities)
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
     if schedules is None:
@@ -249,10 +268,12 @@ def phqc_solve(
     feasible_total = 0
     for idx, sched in enumerate(schedules):
         g, b = sched.pairs[0]
-        state = run_circuit(diag, sched, norm)
+        next_gamma = schedules[idx + 1].pairs[0][0] if idx + 1 < len(schedules) else None
+        state = run_circuit(diag, sched, norm, next_gamma)
         if oracle is not None:
             opt_mass.append(_optimal_mass(state, oracle))
         shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), (g, b))
+        del state  # freed before the next circuit allocates its amplitudes
         scored = score_shots(enc, shots, diag)
         stat = GridPointStat(
             idx, g, b, scored.feasible_shots / shots_per_point, scored.best_cost

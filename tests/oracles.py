@@ -71,7 +71,8 @@ def reference_circuit(diag, schedule, norm):
     n, m, dim = diag.layout.n, diag.layout.m, diag.layout.D
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     for gamma, beta in schedule.pairs:
-        amps = np.exp(-1j * float(gamma) * (diag.objective + diag.penalty)) * amps
+        energy = diag.objective + diag.penalty_weight * diag.penalty_count.astype(np.float64)
+        amps = np.exp(-1j * float(gamma) * energy) * amps
         bp = float(beta) * norm.scale(n)
         a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
         arr = amps.reshape((n,) * m)
@@ -81,12 +82,13 @@ def reference_circuit(diag, schedule, norm):
     return amps
 
 
-def reference_cost_diagonal(enc, penalty_weight):
-    """(objective, penalty) over all labels from length-D symbol columns.
+def reference_cost_diagonal(enc):
+    """(objective, penalty count) over all labels from length-D symbol columns.
 
     Gathers each block's cities for every flat index and sums the tour left
-    to right (start edge, inner edges, return edge); the penalty counts
-    equal-symbol block pairs by comparing the columns pairwise.
+    to right (start edge, inner edges, return edge); the penalty count
+    n - m + 2 * collisions counts equal-symbol block pairs by comparing the
+    columns pairwise.
     """
     layout = enc.layout
     n, m = layout.n, layout.m
@@ -109,8 +111,7 @@ def reference_cost_diagonal(enc, penalty_weight):
     for i in range(m):
         for j in range(i + 1, m):
             collisions += sym[i] == sym[j]
-    penalty = penalty_weight * (n - m + 2 * collisions).astype(np.float64)
-    return objective, penalty
+    return objective, n - m + 2 * collisions.astype(np.int64)
 
 
 def reference_sample(probs, total_shots, seed):
@@ -120,7 +121,7 @@ def reference_sample(probs, total_shots, seed):
     return np.unique(draws, return_counts=True)
 
 
-def scalar_score(penalty, objective, flat_counts):
+def scalar_score(penalty_count, objective, flat_counts):
     """The checker as a plain loop over (flat, count) pairs in any order.
 
     Returns (best cost, best flat, feasible shots); ties on cost go to the
@@ -129,7 +130,7 @@ def scalar_score(penalty, objective, flat_counts):
     best = None
     feasible = 0
     for flat, cnt in flat_counts:
-        if penalty[flat] != 0.0:
+        if penalty_count[flat] != 0:
             continue
         feasible += cnt
         key = (float(objective[flat]), flat)

@@ -1,12 +1,20 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ceqaoa.cli as cli
 from ceqaoa.cli import main, parse_grid_spec
 from ceqaoa.hamiltonian import TspInstance, anchor
 from ceqaoa.phqc import AngleGrid, phqc_solve
+
+from oracles import random_symmetric_instance
 
 MATRIX_4 = [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]]
 
@@ -68,6 +76,7 @@ class TestSolve:
         assert all(t >= 0.0 for t in meta["timings"].values())
         assert sum(meta["timings"].values()) <= meta["wall_time_s"]
         assert meta["peak_rss_mb"] > 0.0
+        assert meta["peak_estimate_mb"] > 0.0
         csv_path = out.with_suffix(".costs.csv")
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "grid_index,gamma,beta,cost,count"
@@ -130,6 +139,63 @@ class TestSolve:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
+
+
+INTERPRETER_ALLOWANCE_MB = 48  # python, numpy and ceqaoa imported: about 30 MB
+
+
+def write_instance(path, n_cities, seed=0):
+    matrix = random_symmetric_instance(n_cities, seed).round().tolist()
+    path.write_text(json.dumps({"name": f"r{n_cities}", "n": n_cities, "matrix": matrix}))
+    return path
+
+
+class TestMemoryEstimate:
+    @pytest.mark.parametrize("command", ["solve", "histogram"])
+    def test_estimate_over_available_memory_exits_3(self, tmp_path, monkeypatch, capsys, command):
+        def no_diagonal(*args, **kwargs):
+            raise AssertionError("the cost diagonal was built")
+
+        monkeypatch.setattr(cli, "available_memory", lambda: 1 << 20)
+        monkeypatch.setattr(cli, "build_cost_diagonal", no_diagonal)
+        monkeypatch.setattr(cli, "phqc_solve", no_diagonal)
+        # n = 7 (D = 46656): the D-sized buffers alone come to 1.5 MB
+        argv = [command, str(write_instance(tmp_path / "r7.json", 7)), "--out", str(tmp_path / "o")]
+        if command == "histogram":
+            argv += ["--angles", "1.0,0.5"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "estimated peak memory" in err and "Traceback" not in err
+
+    def test_unreadable_meminfo_skips_the_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "available_memory", lambda: None)
+        out = tmp_path / "r.json"
+        instance = write_instance(tmp_path / "r5.json", 5)
+        assert main(["solve", str(instance), "--grid", "list:1,0.5", "--out", str(out)]) == 0
+
+    def test_readers(self):
+        avail = cli.available_memory()
+        assert avail is None or avail > 0
+        assert cli.peak_rss_mb() > 0.0
+
+    def test_peak_rss_stays_under_estimate(self, tmp_path):
+        # one grid point at n = 8 (D = 823543) in a fresh interpreter; the
+        # allowance covers the interpreter, numpy and the modules
+        instance = write_instance(tmp_path / "r8.json", 8, seed=3)
+        out = tmp_path / "r8-result.json"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ceqaoa.cli", "solve", str(instance),
+             "--grid", "list:1.0,0.5", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        meta = read_json(out)["metadata"]
+        assert meta["peak_estimate_mb"] == pytest.approx(34 * 7**7 / 2**20, rel=0.01)
+        assert meta["peak_rss_mb"] < meta["peak_estimate_mb"] + INTERPRETER_ALLOWANCE_MB
 
 
 @pytest.mark.parametrize(
@@ -216,6 +282,19 @@ class TestVerifyCommand:
 
 
 class TestBaselinesCommand:
+    @pytest.mark.parametrize("n", [1558, 1559, 2000])
+    def test_counts_past_the_int_to_str_limit(self, n, capsys):
+        # n! has 4299 digits at n = 1558 and more than the 4300 Python converts from n = 1559
+        assert main(["baselines", "--n", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        log10_count = math.lgamma(n + 1) / math.log(10)
+        if n == 1558:
+            assert payload["feasible_count"] == math.factorial(n)
+            assert "log10_feasible_count" not in payload
+        else:
+            assert "feasible_count" not in payload
+            assert payload["log10_feasible_count"] == pytest.approx(log10_count, rel=1e-12)
+
     def test_values(self, tmp_path, capsys):
         out = tmp_path / "base.json"
         assert main(["baselines", "--n", "3", "--feasible-count", "6", "--out", str(out)]) == 0

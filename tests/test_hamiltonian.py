@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ceqaoa.encoded import index_to_label, label_to_index
+from ceqaoa.encoded import BlockLayout, index_to_label, label_to_index
 from ceqaoa.hamiltonian import (
+    CostDiagonal,
     TspInstance,
     anchor,
     brute_force_optimum,
@@ -130,9 +131,11 @@ class TestCostDiagonal:
         enc = example_4()
         lam = 7.0
         diag = build_cost_diagonal(enc, lam)
-        assert diag.penalty[label_to_index(enc.layout, (0, 0, 0))] == 6 * lam
-        assert diag.penalty[label_to_index(enc.layout, (0, 0, 1))] == 2 * lam
-        assert diag.penalty[label_to_index(enc.layout, (0, 1, 2))] == 0.0
+        assert diag.penalty_weight == lam
+        assert diag.penalty_count.dtype == np.int16
+        assert diag.penalty_count[label_to_index(enc.layout, (0, 0, 0))] == 6
+        assert diag.penalty_count[label_to_index(enc.layout, (0, 0, 1))] == 2
+        assert diag.penalty_count[label_to_index(enc.layout, (0, 1, 2))] == 0
 
     @pytest.mark.parametrize("n_cities", [3, 4, 5, 6])
     def test_penalty_zero_iff_feasible(self, n_cities):
@@ -141,7 +144,7 @@ class TestCostDiagonal:
         lay = enc.layout
         for idx in range(lay.D):
             feas = is_feasible(enc, index_to_label(lay, idx))
-            assert (diag.penalty[idx] == 0.0) == feas
+            assert (diag.penalty_count[idx] == 0) == feas
 
     def test_objective_matches_tour_cost_bitwise(self):
         enc = example_4()
@@ -171,9 +174,31 @@ class TestCostDiagonal:
         # with the default weight, every infeasible energy exceeds every tour cost
         enc = example_4()
         diag = build_cost_diagonal(enc)
-        feas = diag.feasible_mask()
-        total = diag.objective + diag.penalty
+        feas = diag.penalty_count == 0
+        total = diag.objective + diag.penalty_weight * diag.penalty_count
         assert total[~feas].min() > diag.objective[feas].max()
+
+
+    def test_rejects_counts_that_are_not_int16_counts(self):
+        lay = BlockLayout(2, 2)
+        obj = np.zeros(4)
+        for bad in (np.zeros(4), np.array([0, 0, -1, 0]), np.array([0, 0, 1 << 15, 0])):
+            with pytest.raises(ValueError, match="penalty counts"):
+                CostDiagonal(lay, obj, bad, 1.0)
+        diag = CostDiagonal(lay, obj, [0, 1, 2, 32767], 2)
+        assert diag.penalty_count.dtype == np.int16 and diag.penalty_weight == 2.0
+
+    def test_phase_kept_or_handed_over(self):
+        diag = build_cost_diagonal(example_4())
+        kept = diag.phase(0.3)
+        assert not kept.flags.writeable
+        assert diag.phase(0.3) is kept  # cached
+        assert diag.phase(0.3, keep=False) is kept  # last use: still read-only, cache dropped
+        fresh = diag.phase(0.3, keep=False)
+        assert fresh is not kept and fresh.flags.writeable
+        assert np.array_equal(fresh, kept)
+        assert diag.phase(0.3) is not fresh  # a handed-over vector is not cached
+        assert diag.phase(-0.0) is not diag.phase(0.0)  # keys keep the sign of zero
 
 
 class TestBruteForce:

@@ -6,13 +6,15 @@ import pytest
 import ceqaoa.phqc as phqc
 from ceqaoa.encoded import BlockLayout, EncodedState, label_to_index, uniform_initial_state
 from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal, tour_cost
-from ceqaoa.layers import LayerSchedule
+from ceqaoa.layers import LayerSchedule, holds_phase
 from ceqaoa.phqc import (
     AngleGrid,
     ShotSet,
     default_grid,
+    default_shots,
     derive_seed,
     exact_success_probability,
+    peak_bytes,
     phqc_solve,
     required_shots,
     sample_shots,
@@ -229,13 +231,50 @@ class TestSolve:
         sched = LayerSchedule.constant(*res.best_angles)
         assert res.p_opt_exact == exact_success_probability(enc, sched)[0]
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_one_exponential_per_gamma(self, monkeypatch, depth):
+        # a gamma-major grid computes each gamma's phase vector once, and at
+        # depth 2 the second layer reuses the first layer's
+        enc = anchor(TspInstance("r5", 5, random_symmetric_instance(5, 3)), 0)
+        built = []
+        original = np.exp
+
+        def counting(x, *args, **kwargs):
+            if isinstance(x, np.ndarray) and x.shape == (enc.layout.D,):
+                built.append(x)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        phqc_solve(enc, default_grid(5).schedules(depth), shots_per_point=50)
+        assert len(built) == len(default_grid(5).gammas)
+
     @pytest.mark.parametrize("n_cities", [4, 5])
     def test_oracle_equivalence_small(self, n_cities):
         inst = TspInstance("r", n_cities, random_symmetric_instance(n_cities, 60 + n_cities))
         enc = anchor(inst, 0)
         oracle = brute_force_optimum(enc)
-        res = phqc_solve(enc, shots_per_point=10 * n_cities**3, master_seed=77)
+        res = phqc_solve(enc, shots_per_point=default_shots(n_cities), master_seed=77)
         assert res.best_cost == pytest.approx(oracle.best_cost, rel=1e-12)
+
+
+class TestMemoryPlan:
+    def test_default_shots(self):
+        assert default_shots(8) == 5120
+
+    def test_holds_phase(self):
+        grid = square_grid(3)
+        assert holds_phase(grid.schedules())  # consecutive points share a gamma
+        assert not holds_phase(grid.schedules()[::3])  # one point per gamma
+        assert not holds_phase([LayerSchedule.constant(1.0, 0.5)])
+        assert holds_phase([LayerSchedule.constant(1.0, 0.5, 2)])  # a second layer
+        assert not holds_phase([LayerSchedule.constant(g, 0.5) for g in (0.0, -0.0)])
+
+    def test_peak_bytes(self):
+        # objective, penalty count, amplitudes and CDF: 34 bytes per label
+        assert peak_bytes(8**8, 8, False) == 34 * 8**8
+        assert peak_bytes(8**8, 8, True) == 50 * 8**8
+        # at n = 2 the mixer's block means outweigh the CDF
+        assert peak_bytes(2**10, 2, False) == 42 * 2**10
 
 
 class TestExactSuccess:
@@ -263,5 +302,5 @@ class TestExactSuccess:
             from ceqaoa.layers import run_circuit
 
             probs = run_circuit(diag, sched).probabilities()
-            feasible_mass = float(probs[diag.feasible_mask()].sum())
+            feasible_mass = float(probs[diag.penalty_count == 0].sum())
             assert p == pytest.approx(feasible_mass, abs=1e-12)

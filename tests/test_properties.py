@@ -1,6 +1,7 @@
-"""Property tests against scalar and out-of-place references: the flat-index
-shot path, the in-place circuit kernels, the prefix-built cost diagonal and
-the one-buffer shot sampler."""
+"""Property tests against scalar, dense and out-of-place references: the
+flat-index shot path, the rank-1 mixer, the in-place circuit kernels and
+their phase handover, the prefix-built cost diagonal and the one-buffer shot
+sampler."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +15,13 @@ from ceqaoa.encoded import (
     labels_to_indices,
 )
 from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
-from ceqaoa.layers import LayerSchedule, MixerNormalization, run_circuit
+from ceqaoa.layers import (
+    LayerSchedule,
+    MixerNormalization,
+    apply_mixer,
+    mixer_block_matrix,
+    run_circuit,
+)
 from ceqaoa.phqc import ShotSet, sample_shots, score_shots
 
 from oracles import (
@@ -28,9 +35,9 @@ MAX_D = 50_000
 
 
 @st.composite
-def layouts(draw):
+def layouts(draw, max_dim=MAX_D):
     n = draw(st.integers(2, 12))
-    max_m = max(1, int(np.log(MAX_D) / np.log(n)))
+    max_m = max(1, int(np.log(max_dim) / np.log(n)))
     return BlockLayout(n, draw(st.integers(1, max_m)))
 
 
@@ -52,8 +59,8 @@ def scoring_cases(draw):
     dim = enc.layout.D
     # few distinct costs, so ties between feasible samples are common
     objective = draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
-    penalty = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 3.0]), min_size=dim, max_size=dim))
-    diag = CostDiagonal(enc.layout, np.array(objective, float), np.array(penalty), 1.0)
+    count = draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=dim, max_size=dim))
+    diag = CostDiagonal(enc.layout, np.array(objective, float), np.array(count), 1.0)
     flats = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=min(dim, 30))))
     counts = draw(st.lists(st.integers(0, 9), min_size=len(flats), max_size=len(flats)))
     counts[0] += 1  # total_shots >= 1
@@ -66,7 +73,7 @@ def test_score_shots_matches_scalar_loop(case):
     enc, diag, shots = case
     scored = score_shots(enc, shots, diag)
     pairs = zip(shots.flats.tolist(), shots.counts.tolist())
-    cost, flat, feasible = scalar_score(diag.penalty, diag.objective, pairs)
+    cost, flat, feasible = scalar_score(diag.penalty_count, diag.objective, pairs)
     assert (scored.best_cost, scored.best_flat, scored.feasible_shots) == (cost, flat, feasible)
     if flat is None:
         assert scored.best_label is None
@@ -88,8 +95,8 @@ def circuit_cases(draw):
     layout = draw(layouts())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     objective = rng.integers(0, 50, layout.D).astype(float)
-    penalty = rng.choice([0.0, 0.0, 7.0, 21.0], layout.D)
-    diag = CostDiagonal(layout, objective, penalty, 7.0)
+    count = rng.choice(np.array([0, 0, 1, 3], dtype=np.int16), layout.D)
+    diag = CostDiagonal(layout, objective, count, 7.0)
     gammas = (draw(angles), draw(angles))
     schedules = []
     for _ in range(2):
@@ -105,6 +112,60 @@ def test_run_circuit_matches_out_of_place_reference_bitwise(case):
     for sched in schedules:
         expected = reference_circuit(diag, sched, norm)
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
+
+
+@settings(deadline=None)
+@given(
+    layout=layouts(max_dim=1024),  # the dense D x D matrix is 16 MB at D = 1024
+    beta=angles,
+    norm=st.sampled_from(list(MixerNormalization)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank1_mixer_matches_dense_kronecker_product(layout, beta, norm, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
+    amps /= np.linalg.norm(amps)
+    dense = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(layout.m):  # block 0 is the leftmost factor
+        dense = np.kron(dense, mixer_block_matrix(layout.n, beta, norm))
+    expected = dense @ amps
+    out = apply_mixer(EncodedState(layout, amps), beta, norm)
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+
+def diagonal_copy(diag):
+    return CostDiagonal(diag.layout, diag.objective, diag.penalty_count, diag.penalty_weight)
+
+
+@settings(deadline=None)
+@given(case=circuit_cases())
+def test_reused_and_consumed_phases_give_equal_amplitudes(case):
+    """A circuit whose phase stays cached, one that consumes it and one that
+    finds it cached give bitwise the same amplitudes."""
+    diag, schedules, norm = case
+    for sched in schedules:
+        last_gamma = sched.pairs[-1][0]
+        kept = run_circuit(diagonal_copy(diag), sched, norm, next_gamma=last_gamma).amplitudes
+        consumed = run_circuit(diagonal_copy(diag), sched, norm).amplitudes
+        warm = diagonal_copy(diag)
+        warm.phase(sched.pairs[0][0])  # cached before the circuit asks for it
+        assert np.array_equal(kept, consumed)
+        assert np.array_equal(run_circuit(warm, sched, norm).amplitudes, consumed)
+
+
+@settings(deadline=None)
+@given(case=circuit_cases())
+def test_returned_phase_is_never_written(case):
+    diag, schedules, norm = case
+    gamma = schedules[0].pairs[0][0]
+    phase = diag.phase(gamma)
+    before = phase.copy()
+    for sched in schedules:
+        for next_gamma in (gamma, None):
+            run_circuit(diag, sched, norm, next_gamma=next_gamma)
+        diag.phase(gamma, keep=False)
+    assert not phase.flags.writeable
+    assert np.array_equal(phase.view(np.uint64), before.view(np.uint64))
 
 
 @st.composite
@@ -133,9 +194,10 @@ def diagonal_cases(draw):
 def test_cost_diagonal_matches_symbol_column_reference(case):
     enc, weight = case
     diag = build_cost_diagonal(enc, weight)
-    objective, penalty = reference_cost_diagonal(enc, weight)
+    objective, count = reference_cost_diagonal(enc)
     assert np.array_equal(diag.objective, objective)
-    assert np.array_equal(diag.penalty, penalty)
+    assert diag.penalty_weight == weight
+    assert np.array_equal(diag.penalty_count, count)
 
 
 @st.composite
