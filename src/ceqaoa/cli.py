@@ -9,6 +9,7 @@ over the memory available.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -113,6 +114,33 @@ def check_memory(estimate: int) -> None:
         )
 
 
+M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter number (malloc.h)
+MMAP_THRESHOLD_BYTES = 128 * 1024  # glibc's initial threshold
+
+
+def pin_mmap_threshold() -> None:
+    """Give every allocation of 128 KiB or more its own mapping (glibc; a no-op elsewhere).
+
+    glibc raises its mmap threshold to the size of each large block freed,
+    so once a solve has dropped its first phase vector, the next ones come
+    from the brk heap.  Which freed vectors then stay resident depends on
+    the small objects allocated between them, and a solve's peak RSS moved
+    by whole float D-vectors from one instance to the next (77 or 89 MB at
+    n = 8).  Setting the threshold turns that adjustment off: a freed buffer
+    goes back to the system, and the peak follows the buffers alive at once.
+    A solve allocates its amplitude and scratch buffers once
+    (layers.Workspace), so what it maps afresh is mostly one phase vector
+    per gamma.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+
+
 def peak_rss_mb() -> float:
     """This process's peak RSS in MB: VmHWM from /proc/self/status, else ru_maxrss.
 
@@ -190,6 +218,7 @@ def cmd_solve(args) -> int:
         grid_json = {"pairs": [list(p) for p in grid_or_pairs]}
         schedules = [LayerSchedule.constant(g, b, args.depth) for g, b in grid_or_pairs]
     estimate = peak_bytes(enc.layout.D, enc.layout.n, holds_phase(schedules))
+    pin_mmap_threshold()
     check_memory(estimate)
     t0 = time.perf_counter()
     result = phqc_solve(

@@ -142,8 +142,11 @@ class EncodedState:
         """Amplitudes viewed as an m-way tensor with one axis per block."""
         return self.amplitudes.reshape((self.layout.n,) * self.layout.m)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+    def probabilities(self, out: np.ndarray | None = None) -> np.ndarray:
+        """|amplitude|**2 per label, written into out (a float64 D-vector) when given."""
+        if out is None:
+            return np.abs(self.amplitudes) ** 2
+        return np.square(np.abs(self.amplitudes, out=out), out=out)
 
 
 def uniform_initial_state(layout: BlockLayout) -> EncodedState:

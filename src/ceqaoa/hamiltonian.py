@@ -154,19 +154,21 @@ class CostDiagonal:
         bound = max(float(obj.max()), -float(obj.min())) + weight * float(top)
         object.__setattr__(self, "_energy_bound", bound)
 
-    def phase(self, gamma: float, keep: bool = True) -> np.ndarray:
+    def phase(
+        self, gamma: float, keep: bool = True, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The vector exp(-i gamma (objective + penalty_weight * penalty_count)).
 
         With keep, the vector is cached for the next call with the same
         gamma and returned read-only; grids iterate gamma-major, so
         consecutive points reuse one exponential.  Without keep the call is
         the vector's last use: a cached vector is returned (still read-only)
-        and the cache dropped, and a vector not cached is built fresh and
-        writable, so the caller may overwrite it.  A cached vector is never
-        mutated.  On a miss the old vector is dropped first, and the energy,
-        product and exponential are formed in the one complex buffer.  A
-        gamma whose product with the largest energy is not finite raises
-        ValueError.
+        and the cache dropped, and a vector not cached is built writable in
+        out (a fresh buffer when None), so the caller may overwrite it.  A
+        cached vector is never mutated.  On a miss the old vector is dropped
+        first, and the energy, product and exponential are formed in the one
+        complex buffer.  A gamma whose product with the largest energy is not
+        finite raises ValueError.
         """
         key = phase_key(gamma)
         if self._last_phase is not None and self._last_phase[0] == key:
@@ -179,7 +181,7 @@ class CostDiagonal:
                 f"gamma {gamma!r} times the largest energy {self._energy_bound!r} is not finite"
             )
         object.__setattr__(self, "_last_phase", None)
-        vec = np.empty(self.layout.D, dtype=np.complex128)
+        vec = np.empty(self.layout.D, dtype=np.complex128) if keep or out is None else out
         # the float64 sum objective + weight * k, held in the complex buffer
         # (real part, +0 imaginary), so no float temporary is made
         np.multiply(self.penalty_count, self.penalty_weight, out=vec)

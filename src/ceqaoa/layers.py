@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .encoded import EncodedState
+from .encoded import BlockLayout, EncodedState
 from .hamiltonian import CostDiagonal, phase_key
 
 
@@ -84,16 +84,20 @@ def apply_phase(
     return EncodedState(state.layout, amps)
 
 
-def _phased_uniform(diag: CostDiagonal, gamma: float, keep_phase: bool) -> EncodedState:
-    """The uniform state after one phase layer, without a uniform buffer.
+def _phased_uniform(
+    diag: CostDiagonal, gamma: float, keep_phase: bool, out: np.ndarray | None
+) -> EncodedState:
+    """The uniform state after one phase layer, in out (None: a fresh buffer).
 
     phase * (1/sqrt(D)), phase first, is bitwise the product of the phase
     with a uniform state.  A phase vector the diagonal does not keep is
-    written over: it becomes the amplitude buffer.
+    built in out and written over: it becomes the amplitude buffer.
     """
-    phase = diag.phase(gamma, keep_phase)
-    out = phase if phase.flags.writeable else None  # cached vectors are read-only
-    return EncodedState(diag.layout, np.multiply(phase, 1.0 / math.sqrt(diag.layout.D), out=out))
+    phase = diag.phase(gamma, keep_phase, out)
+    target = phase if phase.flags.writeable else out  # cached vectors are read-only
+    return EncodedState(
+        diag.layout, np.multiply(phase, 1.0 / math.sqrt(diag.layout.D), out=target)
+    )
 
 
 def _crossing_phases(n: int, beta: float, norm: MixerNormalization) -> tuple[complex, complex]:
@@ -111,28 +115,73 @@ def mixer_block_matrix(
     return b * np.eye(n, dtype=np.complex128) + ((a - b) / n) * np.ones((n, n), np.complex128)
 
 
+# numpy's temporary elision threshold (NPY_MIN_ELIDE_BYTES): an expression
+# whose temporary operand holds this many bytes or more computes in place
+_ELIDE_BYTES = 256 * 1024
+
+
+def mixer_scratch_size(layout: BlockLayout) -> int:
+    """float64 elements apply_mixer's scratch needs: two complex block means of D/n each."""
+    return 4 * (layout.D // layout.n)
+
+
 def apply_mixer(
-    state: EncodedState, beta: float, norm: MixerNormalization = DEFAULT_NORMALIZATION
+    state: EncodedState,
+    beta: float,
+    norm: MixerNormalization = DEFAULT_NORMALIZATION,
+    scratch: np.ndarray | None = None,
 ) -> EncodedState:
     """Apply the block mixer on every block axis via the rank-1 update.
 
     Per axis: psi <- b * psi + (a - b) * mean_over_axis(psi), which equals
     multiplying that axis by the closed-form block matrix.  Updates the
     amplitudes in place and consumes the input state: the returned state
-    shares its buffer.
+    shares its buffer.  The block means live in scratch, a contiguous
+    float64 buffer of at least mixer_scratch_size(layout) elements; None
+    allocates one for the call.
     """
     layout = state.layout
     a, b = _crossing_phases(layout.n, beta, norm)
     arr = state.tensor()
+    size, need = layout.D // layout.n, mixer_scratch_size(layout)
+    means = (np.empty(need) if scratch is None else scratch[:need]).view(np.complex128)
     for axis in range(layout.m):
-        # Bitwise the former b * arr + (a - b) * mean: b stays the first
-        # operand (arr *= b rounds differently), and the mean keeps its
-        # out-of-place scaling (in place, a one-element mean at m == 1
-        # rounds differently).
-        mean = (a - b) * arr.mean(axis=axis, keepdims=True)
+        # Bitwise the former b * arr + (a - b) * arr.mean(...): b stays the
+        # first operand (arr *= b rounds differently).  Complex multiplies
+        # are not bitwise commutative, and numpy (in builds that elide
+        # temporaries, such as Linux ones) scaled a temporary mean of
+        # _ELIDE_BYTES or more in place, as mean * (a - b); a smaller one
+        # got a fresh (a - b) * mean.  Both orders are kept.
+        shape = arr.shape[:axis] + (1,) + arr.shape[axis + 1 :]
+        mean = arr.mean(axis=axis, keepdims=True, out=means[:size].reshape(shape))
+        if mean.nbytes >= _ELIDE_BYTES:
+            scaled = np.multiply(mean, a - b, out=mean)
+        else:
+            scaled = np.multiply(a - b, mean, out=means[size:].reshape(shape))
         np.multiply(b, arr, out=arr)
-        arr += mean
+        arr += scaled
     return EncodedState(layout, arr.reshape(-1))
+
+
+@dataclass(frozen=True)
+class Workspace:
+    """The D-sized buffers of one circuit, reused by the next circuit.
+
+    amps is the complex amplitude buffer.  scratch is a float64 buffer of
+    max(D, 4D/n) elements: it holds the mixer's block means during a
+    circuit and the sampling CDF after it.  A solve that keeps one
+    workspace allocates no D-sized buffer per grid point.
+    """
+
+    amps: np.ndarray
+    scratch: np.ndarray
+
+    @classmethod
+    def for_layout(cls, layout: BlockLayout) -> "Workspace":
+        return cls(
+            np.empty(layout.D, dtype=np.complex128),
+            np.empty(max(layout.D, mixer_scratch_size(layout))),
+        )
 
 
 def run_circuit(
@@ -140,11 +189,15 @@ def run_circuit(
     schedule: LayerSchedule,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
     next_gamma: float | None = None,
+    workspace: Workspace | None = None,
 ) -> EncodedState:
     """Alternate phase then mixer per layer, starting from the uniform state.
 
     The first layer multiplies the phase vector by 1/sqrt(D) into a buffer
     the circuit owns, so the in-place layers touch no caller's amplitudes.
+    That buffer is workspace.amps when a workspace is given, so the state
+    returned is overwritten by the next circuit run in the same workspace;
+    without one, each circuit allocates its own buffers.
     A phase vector stays cached only while the next phase request asks for
     the same gamma: the next layer's, or after the last layer next_gamma,
     the first gamma of the caller's next circuit (None: no next circuit).
@@ -156,11 +209,12 @@ def run_circuit(
         nxt is not None and phase_key(nxt) == phase_key(g)
         for g, nxt in zip(gammas, [*gammas[1:], next_gamma])
     ]
-    state = _phased_uniform(diag, gammas[0], keeps[0])
-    state = apply_mixer(state, schedule.pairs[0][1], norm)
+    amps, scratch = (None, None) if workspace is None else (workspace.amps, workspace.scratch)
+    state = _phased_uniform(diag, gammas[0], keeps[0], amps)
+    state = apply_mixer(state, schedule.pairs[0][1], norm, scratch)
     for (gamma, beta), keep in zip(schedule.pairs[1:], keeps[1:]):
         state = apply_phase(state, gamma, diag, keep)
-        state = apply_mixer(state, beta, norm)
+        state = apply_mixer(state, beta, norm, scratch)
     return state
 
 

@@ -23,7 +23,13 @@ from .hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
 )
-from .layers import DEFAULT_NORMALIZATION, LayerSchedule, MixerNormalization, run_circuit
+from .layers import (
+    DEFAULT_NORMALIZATION,
+    LayerSchedule,
+    MixerNormalization,
+    Workspace,
+    run_circuit,
+)
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,9 @@ def peak_bytes(dim: int, n: int, reuse_phase: bool) -> int:
     Per label: the diagonal's float64 objective and int16 penalty count
     (10 bytes), the complex amplitudes (16) and, when reuse_phase says a
     phase vector is held beside them (layers.holds_phase), that vector (16).  On
-    top of that, sampling holds an 8-byte CDF, and the mixer two complex
-    block means, 32/n bytes.  The interpreter, numpy and the O(m!) oracle
-    are not counted.
+    top of that, one scratch buffer (layers.Workspace) holds the mixer's two
+    complex block means, 32/n bytes, and then the 8-byte sampling CDF.  The
+    interpreter, numpy and the O(m!) oracle are not counted.
     """
     held = 10 + 16 + (16 if reuse_phase else 0)
     return math.ceil(dim * (held + max(8.0, 32.0 / n)))
@@ -135,19 +141,20 @@ def sample_shots(
     total_shots: int,
     seed: int,
     angles: tuple[float, float] | None = None,
+    out: np.ndarray | None = None,
 ) -> ShotSet:
     """Draw total_shots independent samples from the exact probability vector.
 
-    Inverse-CDF sampling in one float buffer: the steps, the rounding and
-    the uniform stream are those of rng.choice(D, size, p=p / p.sum()), so
-    the draws are the same, without choice's normalised copy, cumulative
-    copy and argument checks (the state's norm gate already rules out
-    non-finite amplitudes).
+    Inverse-CDF sampling in one float buffer, out (a float64 D-vector) when
+    given: the steps, the rounding and the uniform stream are those of
+    rng.choice(D, size, p=p / p.sum()), so the draws are the same, without
+    choice's normalised copy, cumulative copy and argument checks (the
+    state's norm gate already rules out non-finite amplitudes).
     """
     if total_shots < 1:
         raise ValueError(f"total_shots must be >= 1, got {total_shots}")
     rng = np.random.default_rng(seed)
-    cdf = state.probabilities()
+    cdf = state.probabilities(out)
     cdf /= cdf.sum()
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
@@ -266,14 +273,17 @@ def phqc_solve(
     opt_mass: list[float] = []  # exact probability of the optima, per point
     best: tuple[float, int, int] | None = None  # (cost, flat, grid index)
     feasible_total = 0
+    # every grid point runs in the same buffers, so no D-sized buffer is
+    # allocated per point and the peak does not hinge on the allocator
+    work = Workspace.for_layout(enc.layout)
+    cdf = work.scratch[: enc.layout.D]
     for idx, sched in enumerate(schedules):
         g, b = sched.pairs[0]
         next_gamma = schedules[idx + 1].pairs[0][0] if idx + 1 < len(schedules) else None
-        state = run_circuit(diag, sched, norm, next_gamma)
+        state = run_circuit(diag, sched, norm, next_gamma, work)
         if oracle is not None:
             opt_mass.append(_optimal_mass(state, oracle))
-        shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), (g, b))
-        del state  # freed before the next circuit allocates its amplitudes
+        shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), (g, b), cdf)
         scored = score_shots(enc, shots, diag)
         stat = GridPointStat(
             idx, g, b, scored.feasible_shots / shots_per_point, scored.best_cost

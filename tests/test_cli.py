@@ -179,23 +179,37 @@ class TestMemoryEstimate:
         assert avail is None or avail > 0
         assert cli.peak_rss_mb() > 0.0
 
-    def test_peak_rss_stays_under_estimate(self, tmp_path):
-        # one grid point at n = 8 (D = 823543) in a fresh interpreter; the
-        # allowance covers the interpreter, numpy and the modules
-        instance = write_instance(tmp_path / "r8.json", 8, seed=3)
-        out = tmp_path / "r8-result.json"
+    @staticmethod
+    def solve_metadata(tmp_path, seed, *args):
+        """metadata of an n = 8 solve (D = 823543) run in a fresh interpreter."""
+        instance = write_instance(tmp_path / f"r8-{seed}.json", 8, seed=seed)
+        out = tmp_path / f"r8-{seed}-result.json"
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
-            [sys.executable, "-m", "ceqaoa.cli", "solve", str(instance),
-             "--grid", "list:1.0,0.5", "--out", str(out)],
+            [sys.executable, "-m", "ceqaoa.cli", "solve", str(instance), *args,
+             "--seed", str(seed), "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        meta = read_json(out)["metadata"]
+        return read_json(out)["metadata"]
+
+    def test_peak_rss_stays_under_estimate(self, tmp_path):
+        # one grid point; the allowance covers the interpreter, numpy and the modules
+        meta = self.solve_metadata(tmp_path, 3, "--grid", "list:1.0,0.5")
         assert meta["peak_estimate_mb"] == pytest.approx(34 * 7**7 / 2**20, rel=0.01)
         assert meta["peak_rss_mb"] < meta["peak_estimate_mb"] + INTERPRETER_ALLOWANCE_MB
+
+    def test_peak_rss_does_not_depend_on_the_instance(self, tmp_path):
+        # 16 grid points of 5120 shots: when D-sized buffers were freed onto
+        # the allocator's heap, such runs peaked 6 or 12 MB apart (one or
+        # two float D-vectors) from one instance to the next
+        peaks = [
+            self.solve_metadata(tmp_path, seed, "--grid", "4x4", "--shots", "5120")["peak_rss_mb"]
+            for seed in range(4)
+        ]
+        assert max(peaks) - min(peaks) < 2.0, peaks
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ their phase handover, the prefix-built cost diagonal and the one-buffer shot
 sampler."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_dia
 from ceqaoa.layers import (
     LayerSchedule,
     MixerNormalization,
+    Workspace,
     apply_mixer,
     mixer_block_matrix,
     run_circuit,
@@ -109,9 +111,29 @@ def circuit_cases(draw):
 @given(case=circuit_cases())
 def test_run_circuit_matches_out_of_place_reference_bitwise(case):
     diag, schedules, norm = case
+    work = Workspace.for_layout(diag.layout)  # shared by the schedules, as in a solve
     for sched in schedules:
         expected = reference_circuit(diag, sched, norm)
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
+        assert np.array_equal(run_circuit(diag, sched, norm, workspace=work).amplitudes, expected)
+
+
+@pytest.mark.parametrize("n, m", [(2, 14), (2, 15), (4, 8), (3, 10)])
+def test_mixer_matches_reference_across_the_elision_threshold(n, m):
+    """Block means of D/n = 16384 amplitudes (256 KiB) or more are where
+    numpy scaled the reference's temporary mean in place; the circuit must
+    match the reference bit for bit on both sides, with and without a
+    workspace."""
+    layout = BlockLayout(n, m)
+    rng = np.random.default_rng(n * 100 + m)
+    objective = rng.integers(0, 50, layout.D).astype(float)
+    diag = CostDiagonal(layout, objective, np.zeros(layout.D, dtype=np.int16), 7.0)
+    sched = LayerSchedule(((0.7, 0.4), (-1.3, 2.1)))
+    work = Workspace.for_layout(layout)
+    for norm in MixerNormalization:
+        expected = reference_circuit(diag, sched, norm)
+        assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
+        assert np.array_equal(run_circuit(diag, sched, norm, workspace=work).amplitudes, expected)
 
 
 @settings(deadline=None)
@@ -223,7 +245,12 @@ def sampling_cases(draw):
 @given(case=sampling_cases())
 def test_sample_shots_matches_generator_choice(case):
     state, total_shots, seed = case
+    before = state.amplitudes.copy()
     shots = sample_shots(state, total_shots, seed)
+    # the CDF in a slice of a longer buffer, as a solve passes its workspace scratch
+    in_scratch = sample_shots(state, total_shots, seed, out=np.empty(state.layout.D + 3)[3:])
     flats, counts = reference_sample(state.probabilities(), total_shots, seed)
-    assert np.array_equal(shots.flats, flats)
-    assert np.array_equal(shots.counts, counts)
+    for drawn in (shots, in_scratch):
+        assert np.array_equal(drawn.flats, flats)
+        assert np.array_equal(drawn.counts, counts)
+    assert np.array_equal(state.amplitudes, before)
