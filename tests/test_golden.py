@@ -20,6 +20,13 @@ GOLDEN = Path(__file__).parent / "golden"
 SOLVES = [
     ("solve_n5", "golden5.json", ["--seed", "5"]),
     ("solve_n6", "golden6.json", ["--seed", "6"]),
+    # depth 2 over gammas (0.5, 0.5, 0.9, 0.5): a phase reused inside a circuit
+    # and across points, a miss, and a return to an earlier gamma
+    (
+        "solve_n5_depth2",
+        "golden5.json",
+        ["--depth", "2", "--grid", "list:0.5,0.3;0.5,1.1;0.9,0.3;0.5,0.7", "--seed", "7"],
+    ),
 ]
 
 
