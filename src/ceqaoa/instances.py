@@ -40,7 +40,11 @@ def parse_instance(path, euclidean_rounding: bool = True) -> TspInstance:
 
 
 def _as_instance(path, name: str, matrix, line: int | None = None) -> TspInstance:
-    arr = np.asarray(matrix, dtype=np.float64)
+    try:
+        arr = np.asarray(matrix, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        # ragged rows or entries that are not numbers
+        raise InstanceParseError(f"matrix is not rows of numbers ({exc})", path, line) from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InstanceParseError(f"matrix is not square (shape {arr.shape})", path, line)
     try:
@@ -62,8 +66,10 @@ def _parse_json(path: Path) -> TspInstance:
         raise InstanceParseError('missing "matrix" key', path) from None
     name = str(data.get("name", path.stem))
     n = data.get("n")
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
+        raise InstanceParseError(f'"n" must be a JSON integer, got {json.dumps(n)}', path)
     inst = _as_instance(path, name, matrix)
-    if n is not None and int(n) != inst.n_cities:
+    if n is not None and n != inst.n_cities:
         raise InstanceParseError(f'"n" is {n} but the matrix has {inst.n_cities} rows', path)
     return inst
 

@@ -6,6 +6,7 @@ import pytest
 from ceqaoa.instances import InstanceParseError, parse_instance
 
 MATRIX_4 = [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]]
+MATRIX_3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def write(tmp_path, name, text):
@@ -40,6 +41,26 @@ class TestJson:
         path = write(tmp_path, "bad.json", json.dumps({"n": 5, "matrix": MATRIX_4}))
         with pytest.raises(InstanceParseError):
             parse_instance(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"n": 3.5, "matrix": MATRIX_3}, '"n" must be a JSON integer, got 3.5'),
+            ({"n": "abc", "matrix": MATRIX_3}, '"n" must be a JSON integer, got "abc"'),
+            ({"n": True, "matrix": MATRIX_3}, '"n" must be a JSON integer, got true'),
+            ({"matrix": [[0, 1, 2], [1, 0], [2, 1, 0]]}, "matrix is not rows of numbers"),
+            ({"matrix": [[0, 1, "x"], [1, 0, 1], [2, 1, 0]]}, "matrix is not rows of numbers"),
+            ({"matrix": [[0, 1, {}], [1, 0, 1], [2, 1, 0]]}, "matrix is not rows of numbers"),
+        ],
+        ids=["n-float", "n-string", "n-bool", "ragged", "string-entry", "object-entry"],
+    )
+    def test_malformed_body_names_the_file(self, tmp_path, body, message):
+        path = write(tmp_path, "bad.json", json.dumps(body))
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(path)
+        text = str(err.value)
+        assert text.startswith(f"{path}: {message}")
+        assert "\n" not in text
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = write(tmp_path, "bad.json", '{"matrix": [[0, 1],\n [1, }')
