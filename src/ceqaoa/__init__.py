@@ -8,7 +8,6 @@ from .analysis import (
     angle_averaged_transition,
     block_design_moments,
     classical_baselines,
-    entangler_schmidt_rank,
     find_good_permutation,
     heavy_output_report,
     lie_algebra_dimension,
@@ -20,12 +19,10 @@ from .encoded import (
     BlockPermutation,
     DimensionCapError,
     EncodedState,
-    apply_block_permutation,
     index_to_label,
     indices_to_labels,
     label_to_index,
     labels_to_indices,
-    overlap_probability,
     uniform_initial_state,
 )
 from .hamiltonian import (
@@ -37,9 +34,7 @@ from .hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
     default_penalty_weight,
-    is_feasible,
     tour_cities,
-    tour_cost,
 )
 from .instances import InstanceParseError, parse_instance
 from .layers import (

@@ -246,17 +246,6 @@ def lie_algebra_dimension(n: int, diagonal, tol: float = 1e-8) -> int:
     return len(basis_vecs)
 
 
-def entangler_schmidt_rank(cost_table, gamma: float, rel_tol: float = 1e-9) -> int:
-    """Numerical rank of the phase matrix exp(-i gamma C); 1 iff C is additive."""
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero")
-    table = np.asarray(cost_table, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError("cost table must be a matrix")
-    s = np.linalg.svd(np.exp(-1j * float(gamma) * table), compute_uv=False)
-    return int(np.sum(s > rel_tol * s[0]))
-
-
 def _pow10(log10: float) -> float:
     try:
         return 10.0**log10

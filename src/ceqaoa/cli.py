@@ -34,7 +34,7 @@ from .layers import (
     DEFAULT_NORMALIZATION,
     LayerSchedule,
     MixerNormalization,
-    holds_phase,
+    Workspace,
     run_circuit,
 )
 from .phqc import (
@@ -122,15 +122,16 @@ def pin_mmap_threshold() -> None:
     """Give every allocation of 128 KiB or more its own mapping (glibc; a no-op elsewhere).
 
     glibc raises its mmap threshold to the size of each large block freed,
-    so once a solve has dropped its first phase vector, the next ones come
-    from the brk heap.  Which freed vectors then stay resident depends on
-    the small objects allocated between them, and a solve's peak RSS moved
-    by whole float D-vectors from one instance to the next (77 or 89 MB at
-    n = 8).  Setting the threshold turns that adjustment off: a freed buffer
+    after which blocks up to that size come from the brk heap, and which
+    freed ones stay resident depends on the small objects allocated between
+    them.  Setting the threshold turns that adjustment off: a freed buffer
     goes back to the system, and the peak follows the buffers alive at once.
-    A solve allocates its amplitude and scratch buffers once
-    (layers.Workspace), so what it maps afresh is mostly one phase vector
-    per gamma.
+    A solve allocates every D-sized buffer once (layers.Workspace), so no
+    phase vector is freed and mapped again per gamma any more, but the pin
+    still lowers the peak: on a 2-core VM, one grid point at n = 9
+    (D = 16.8M) peaks at 583.7 MB with it and 589.3 MB without.
+    Default-grid solves at n = 8 peak within 76.5-77.0 MB over 20 instances
+    either way.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -217,7 +218,7 @@ def cmd_solve(args) -> int:
     else:
         grid_json = {"pairs": [list(p) for p in grid_or_pairs]}
         schedules = [LayerSchedule.constant(g, b, args.depth) for g, b in grid_or_pairs]
-    estimate = peak_bytes(enc.layout.D, enc.layout.n, holds_phase(schedules))
+    estimate = peak_bytes(enc.layout, schedules)
     pin_mmap_threshold()
     check_memory(estimate)
     t0 = time.perf_counter()
@@ -308,12 +309,14 @@ def cmd_histogram(args) -> int:
     norm = MixerNormalization(args.norm)
     schedule = LayerSchedule.constant(gamma, beta, args.depth)
     layout = enc.layout
-    check_memory(peak_bytes(layout.D, layout.n, holds_phase([schedule])))
+    check_memory(peak_bytes(layout, [schedule]))
     diag = build_cost_diagonal(enc, args.penalty_weight)
-    state = run_circuit(diag, schedule, norm)
-    sampled = sample_shots(state, shots, args.seed, (gamma, beta)) if shots > 0 else None
-    probs = state.probabilities()
-    del diag, state  # the rows need only the probabilities and the counts
+    work = Workspace.for_schedules(layout, [schedule])
+    state = run_circuit(diag, schedule, norm, work)
+    scratch = work.scratch[: layout.D]
+    sampled = sample_shots(state, shots, args.seed, scratch) if shots > 0 else None
+    probs = state.probabilities(scratch)  # the sampling CDF is spent
+    del diag, state, work  # the rows need only the probabilities and the counts
 
     counts = np.zeros(layout.D, dtype=np.int64)
     if sampled is not None:

@@ -168,55 +168,5 @@ class BlockPermutation:
             if sorted(p) != list(range(len(p))):
                 raise ValueError(f"block {b} entry {p} is not a permutation")
 
-    @classmethod
-    def identity(cls, layout: BlockLayout) -> "BlockPermutation":
-        return cls(tuple(tuple(range(layout.n)) for _ in range(layout.m)))
-
-    @classmethod
-    def random(cls, layout: BlockLayout, rng: np.random.Generator) -> "BlockPermutation":
-        return cls(
-            tuple(tuple(int(v) for v in rng.permutation(layout.n)) for _ in range(layout.m))
-        )
-
     def apply_to_label(self, label) -> Label:
         return tuple(p[j] for p, j in zip(self.perms, label))
-
-    def inverse(self) -> "BlockPermutation":
-        out = []
-        for p in self.perms:
-            inv = [0] * len(p)
-            for j, v in enumerate(p):
-                inv[v] = j
-            out.append(tuple(inv))
-        return BlockPermutation(tuple(out))
-
-    def then(self, other: "BlockPermutation") -> "BlockPermutation":
-        """Composition acting as self first, then other."""
-        return BlockPermutation(
-            tuple(tuple(q[v] for v in p) for p, q in zip(self.perms, other.perms))
-        )
-
-
-def apply_block_permutation(state: EncodedState, perm: BlockPermutation) -> EncodedState:
-    """Relabel amplitudes blockwise.
-
-    The output amplitude at label (j_0, ..., j_{m-1}) equals the input
-    amplitude at (perm_0^-1(j_0), ..., perm_{m-1}^-1(j_{m-1})); a pure
-    relabeling, so the norm is preserved exactly.
-    """
-    layout = state.layout
-    if len(perm.perms) != layout.m or any(len(p) != layout.n for p in perm.perms):
-        raise ValueError(
-            f"permutation blocks {[len(p) for p in perm.perms]} do not match layout "
-            f"(n={layout.n}, m={layout.m})"
-        )
-    arr = state.tensor()
-    for b, p in enumerate(perm.inverse().perms):
-        arr = np.take(arr, p, axis=b)
-    return EncodedState(layout, arr.reshape(-1))
-
-
-def overlap_probability(state: EncodedState, label) -> float:
-    """|amplitude|**2 at one basis label."""
-    idx = label_to_index(state.layout, label)
-    return float(abs(state.amplitudes[idx]) ** 2)

@@ -79,40 +79,11 @@ def anchor(instance: TspInstance, start: int = 0) -> AnchoredTsp:
     return AnchoredTsp(instance, start, BlockLayout(n_red, n_red), rest)
 
 
-def is_feasible(enc: AnchoredTsp, label) -> bool:
-    """True when all symbols are pairwise distinct (a permutation for m == n)."""
-    label = enc.layout.validate_label(label)
-    return len(set(label)) == enc.layout.m
-
-
 def tour_cities(enc: AnchoredTsp, label) -> tuple[int, ...]:
     """Full city cycle for a label, starting and ending at the start city."""
     label = enc.layout.validate_label(label)
     mid = tuple(enc.city_of_symbol[j] for j in label)
     return (enc.start_city,) + mid + (enc.start_city,)
-
-
-def tour_cost(enc: AnchoredTsp, label) -> float:
-    """Cyclic tour cost of a feasible label; callers must filter with is_feasible."""
-    label = enc.layout.validate_label(label)
-    if not is_feasible(enc, label):
-        raise ValueError(f"label {label} repeats a city; filter with is_feasible first")
-    return _cycle_cost(enc, [enc.city_of_symbol[j] for j in label])
-
-
-def _cycle_cost(enc: AnchoredTsp, cities) -> float:
-    # Left-to-right accumulation; build_cost_diagonal uses the same order so
-    # scalar and vectorized costs agree bitwise.
-    C = enc.instance.distances
-    cost = C[enc.start_city, cities[0]]
-    for a, b in zip(cities[:-1], cities[1:]):
-        cost = cost + C[a, b]
-    return float(cost + C[cities[-1], enc.start_city])
-
-
-def phase_key(gamma: float) -> str:
-    """Cache key of a phase vector: the exact float, whose hex form keeps 0.0 and -0.0 apart."""
-    return float(gamma).hex()
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +102,6 @@ class CostDiagonal:
     objective: np.ndarray
     penalty_count: np.ndarray
     penalty_weight: float
-    _last_phase: tuple[str, np.ndarray] | None = field(default=None, init=False, repr=False)
     _energy_bound: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -154,43 +124,25 @@ class CostDiagonal:
         bound = max(float(obj.max()), -float(obj.min())) + weight * float(top)
         object.__setattr__(self, "_energy_bound", bound)
 
-    def phase(
-        self, gamma: float, keep: bool = True, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The vector exp(-i gamma (objective + penalty_weight * penalty_count)).
+    def phase(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Fill out with exp(-i gamma (objective + penalty_weight * penalty_count)).
 
-        With keep, the vector is cached for the next call with the same
-        gamma and returned read-only; grids iterate gamma-major, so
-        consecutive points reuse one exponential.  Without keep the call is
-        the vector's last use: a cached vector is returned (still read-only)
-        and the cache dropped, and a vector not cached is built writable in
-        out (a fresh buffer when None), so the caller may overwrite it.  A
-        cached vector is never mutated.  On a miss the old vector is dropped
-        first, and the energy, product and exponential are formed in the one
-        complex buffer.  A gamma whose product with the largest energy is not
-        finite raises ValueError.
+        out is a complex D-vector (None: a fresh one) and is returned.  The
+        energy, product and exponential are formed in that one buffer.  A
+        gamma whose product with the largest energy is not finite raises
+        ValueError before out is written.
         """
-        key = phase_key(gamma)
-        if self._last_phase is not None and self._last_phase[0] == key:
-            vec = self._last_phase[1]
-            if not keep:
-                object.__setattr__(self, "_last_phase", None)
-            return vec
         if not math.isfinite(float(gamma) * self._energy_bound):
             raise ValueError(
                 f"gamma {gamma!r} times the largest energy {self._energy_bound!r} is not finite"
             )
-        object.__setattr__(self, "_last_phase", None)
-        vec = np.empty(self.layout.D, dtype=np.complex128) if keep or out is None else out
+        vec = np.empty(self.layout.D, dtype=np.complex128) if out is None else out
         # the float64 sum objective + weight * k, held in the complex buffer
         # (real part, +0 imaginary), so no float temporary is made
         np.multiply(self.penalty_count, self.penalty_weight, out=vec)
         np.add(vec, self.objective, out=vec)
         np.multiply(-1j * float(gamma), vec, out=vec)
         np.exp(vec, out=vec)
-        if keep:
-            vec.flags.writeable = False
-            object.__setattr__(self, "_last_phase", (key, vec))
         return vec
 
 
@@ -205,8 +157,9 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     The objective is built over label prefixes: the costs of every k-block
     prefix, reshaped so its last symbol is an axis, broadcast-add the n x n
     step matrix to give every (k+1)-block prefix; the return edge is added
-    last.  Each label's cost is thus summed left to right, in _cycle_cost's
-    order, so scalar and vectorized costs agree bitwise.
+    last.  Each label's cost is thus summed left to right (start edge, inner
+    edges, return edge), the order of a scalar tour sum, so scalar and
+    vectorized costs agree bitwise.
 
     The penalty count at a label with symbol counts (c_0, ..., c_{n-1}) is
     sum_a (c_a - 1)**2, computed through the pair-collision identity
@@ -287,9 +240,9 @@ def brute_force_optimum(enc: AnchoredTsp) -> BruteForceResult:
             cost = cost + C[seq[:, b - 1], seq[:, b]]
         cost = cost + C[seq[:, -1], start]
         best = min(best, float(cost.min()))
-        keep = cost <= best + _tie_threshold(best)
-        cand_flats.append(labels_to_indices(enc.layout, sym[keep]))
-        cand_costs.append(cost[keep])
+        near = cost <= best + _tie_threshold(best)
+        cand_flats.append(labels_to_indices(enc.layout, sym[near]))
+        cand_costs.append(cost[near])
 
     flats = np.concatenate(cand_flats)
     costs = np.concatenate(cand_costs)

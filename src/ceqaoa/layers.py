@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .encoded import BlockLayout, EncodedState
-from .hamiltonian import CostDiagonal, phase_key
+from .hamiltonian import CostDiagonal
 
 
 class MixerNormalization(Enum):
@@ -64,40 +64,26 @@ class LayerSchedule:
         return len(self.pairs)
 
 
-def apply_phase(
-    state: EncodedState, gamma: float, diag: CostDiagonal, keep_phase: bool = True
-) -> EncodedState:
-    """Diagonal layer: amplitude[x] *= exp(-i gamma E(x)); probabilities unchanged.
+def apply_phase(state: EncodedState, phase: np.ndarray) -> EncodedState:
+    """Diagonal layer: amplitude[x] *= phase[x]; probabilities unchanged.
 
-    Updates the amplitudes in place and consumes the input state: the
-    returned state shares its buffer.  keep_phase is passed on to
-    CostDiagonal.phase: false marks this layer as the phase vector's last
-    use, so the diagonal does not keep it.
+    phase is a vector CostDiagonal.phase filled, exp(-i gamma E).  Updates
+    the amplitudes in place and consumes the input state: the returned
+    state shares its buffer.
     """
-    if diag.layout != state.layout:
-        raise ValueError("cost diagonal layout does not match the state layout")
     amps = state.amplitudes
+    if phase.shape != amps.shape:
+        raise ValueError(f"phase shape {phase.shape} does not match the state's {amps.shape}")
     # Complex multiplies are not bitwise commutative here.  Phase first is the
     # order the former out-of-place amps * exp(...) took once numpy elided
     # its temporary, which it does for states of 16384 amplitudes or more.
-    np.multiply(diag.phase(gamma, keep_phase), amps, out=amps)
+    np.multiply(phase, amps, out=amps)
     return EncodedState(state.layout, amps)
 
 
-def _phased_uniform(
-    diag: CostDiagonal, gamma: float, keep_phase: bool, out: np.ndarray | None
-) -> EncodedState:
-    """The uniform state after one phase layer, in out (None: a fresh buffer).
-
-    phase * (1/sqrt(D)), phase first, is bitwise the product of the phase
-    with a uniform state.  A phase vector the diagonal does not keep is
-    built in out and written over: it becomes the amplitude buffer.
-    """
-    phase = diag.phase(gamma, keep_phase, out)
-    target = phase if phase.flags.writeable else out  # cached vectors are read-only
-    return EncodedState(
-        diag.layout, np.multiply(phase, 1.0 / math.sqrt(diag.layout.D), out=target)
-    )
+def phase_key(gamma: float) -> str:
+    """Key of a phase vector: the exact float, whose hex form keeps 0.0 and -0.0 apart."""
+    return float(gamma).hex()
 
 
 def _crossing_phases(n: int, beta: float, norm: MixerNormalization) -> tuple[complex, complex]:
@@ -163,66 +149,80 @@ def apply_mixer(
     return EncodedState(layout, arr.reshape(-1))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Workspace:
-    """The D-sized buffers of one circuit, reused by the next circuit.
+    """Every D-sized buffer of a run of circuits, reused from one circuit to the next.
 
     amps is the complex amplitude buffer.  scratch is a float64 buffer of
     max(D, 4D/n) elements: it holds the mixer's block means during a
-    circuit and the sampling CDF after it.  A solve that keeps one
-    workspace allocates no D-sized buffer per grid point.
+    circuit and the sampling CDF after it.  phase is a complex buffer for
+    exp(-i gamma E), or None when the run holds no phase vector beside the
+    amplitudes (holds_phase).  A solve that keeps one workspace allocates
+    no D-sized buffer per grid point.
     """
 
     amps: np.ndarray
     scratch: np.ndarray
+    phase: np.ndarray | None = None
+    # the diagonal and phase_key(gamma) whose phase the buffer holds
+    _held: tuple[CostDiagonal, str] | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def for_layout(cls, layout: BlockLayout) -> "Workspace":
+    def for_schedules(cls, layout: BlockLayout, schedules: Sequence[LayerSchedule]) -> "Workspace":
         return cls(
             np.empty(layout.D, dtype=np.complex128),
             np.empty(max(layout.D, mixer_scratch_size(layout))),
+            np.empty(layout.D, dtype=np.complex128) if holds_phase(schedules) else None,
         )
+
+    def phase_for(self, diag: CostDiagonal, gamma: float) -> np.ndarray:
+        """The phase buffer holding diag.phase(gamma); filled only when it holds another."""
+        key = (diag, phase_key(gamma))
+        if self._held != key:
+            self._held = None  # an interrupted fill leaves no stale key
+            diag.phase(gamma, self.phase)
+            self._held = key
+        return self.phase
 
 
 def run_circuit(
     diag: CostDiagonal,
     schedule: LayerSchedule,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
-    next_gamma: float | None = None,
     workspace: Workspace | None = None,
 ) -> EncodedState:
     """Alternate phase then mixer per layer, starting from the uniform state.
 
-    The first layer multiplies the phase vector by 1/sqrt(D) into a buffer
-    the circuit owns, so the in-place layers touch no caller's amplitudes.
-    That buffer is workspace.amps when a workspace is given, so the state
-    returned is overwritten by the next circuit run in the same workspace;
-    without one, each circuit allocates its own buffers.
-    A phase vector stays cached only while the next phase request asks for
-    the same gamma: the next layer's, or after the last layer next_gamma,
-    the first gamma of the caller's next circuit (None: no next circuit).
-    So a depth-1 circuit whose phase is not reused holds one complex
-    D-vector, the amplitudes.
+    The circuit runs in workspace (None: a fresh one for this schedule), so
+    the state returned is overwritten by the next circuit run in it.  The
+    first layer is phase * (1/sqrt(D)), phase first, bitwise the product of
+    the phase with a uniform state.  With a phase buffer, every layer takes
+    its phase from there, recomputed only when the gamma changes.  Without
+    one, the only phase is built straight into the amplitude buffer, so a
+    phase used once needs no second D-vector; a schedule of depth > 1 then
+    raises ValueError.
     """
-    gammas = [g for g, _ in schedule.pairs]
-    keeps = [
-        nxt is not None and phase_key(nxt) == phase_key(g)
-        for g, nxt in zip(gammas, [*gammas[1:], next_gamma])
-    ]
-    amps, scratch = (None, None) if workspace is None else (workspace.amps, workspace.scratch)
-    state = _phased_uniform(diag, gammas[0], keeps[0], amps)
-    state = apply_mixer(state, schedule.pairs[0][1], norm, scratch)
-    for (gamma, beta), keep in zip(schedule.pairs[1:], keeps[1:]):
-        state = apply_phase(state, gamma, diag, keep)
-        state = apply_mixer(state, beta, norm, scratch)
+    work = Workspace.for_schedules(diag.layout, [schedule]) if workspace is None else workspace
+    (gamma, beta), *rest = schedule.pairs
+    if work.phase is None:
+        if rest:
+            raise ValueError("a schedule of depth > 1 needs a workspace with a phase buffer")
+        phase = diag.phase(gamma, work.amps)
+    else:
+        phase = work.phase_for(diag, gamma)
+    amps = np.multiply(phase, 1.0 / math.sqrt(diag.layout.D), out=work.amps)
+    state = apply_mixer(EncodedState(diag.layout, amps), beta, norm, work.scratch)
+    for gamma, beta in rest:
+        state = apply_phase(state, work.phase_for(diag, gamma))
+        state = apply_mixer(state, beta, norm, work.scratch)
     return state
 
 
 def holds_phase(schedules: Sequence[LayerSchedule]) -> bool:
     """True when a run of these schedules holds a phase vector beside the amplitudes.
 
-    That happens in every layer after the first, and when consecutive
-    depth-1 points share a gamma, whose phase stays cached.
+    That is needed by every layer after the first, and pays when
+    consecutive depth-1 points share a gamma, whose phase is then built once.
     """
     if any(sched.depth > 1 for sched in schedules):
         return True

@@ -28,6 +28,7 @@ from .layers import (
     LayerSchedule,
     MixerNormalization,
     Workspace,
+    holds_phase,
     run_circuit,
 )
 
@@ -78,18 +79,19 @@ def default_shots(n_cities: int) -> int:
     return 10 * n_cities**3
 
 
-def peak_bytes(dim: int, n: int, reuse_phase: bool) -> int:
-    """Estimated peak bytes of the D-sized buffers of a solve or histogram run.
+def peak_bytes(layout: BlockLayout, schedules: Sequence[LayerSchedule]) -> int:
+    """Estimated peak bytes of the D-sized buffers of a run of these schedules.
 
     Per label: the diagonal's float64 objective and int16 penalty count
-    (10 bytes), the complex amplitudes (16) and, when reuse_phase says a
-    phase vector is held beside them (layers.holds_phase), that vector (16).  On
-    top of that, one scratch buffer (layers.Workspace) holds the mixer's two
-    complex block means, 32/n bytes, and then the 8-byte sampling CDF.  The
-    interpreter, numpy and the O(m!) oracle are not counted.
+    (10 bytes), and the buffers of layers.Workspace.for_schedules: the
+    complex amplitudes (16), the complex phase when the run holds one beside
+    them (layers.holds_phase, 16), and one scratch buffer holding the
+    mixer's two complex block means, 32/n bytes, and then the 8-byte
+    sampling CDF.  The interpreter, numpy and the O(m!) oracle are not
+    counted.
     """
-    held = 10 + 16 + (16 if reuse_phase else 0)
-    return math.ceil(dim * (held + max(8.0, 32.0 / n)))
+    held = 10 + 16 + (16 if holds_phase(schedules) else 0)
+    return math.ceil(layout.D * (held + max(8.0, 32.0 / layout.n)))
 
 
 def derive_seed(master_seed: int, grid_index: int) -> int:
@@ -111,8 +113,6 @@ class ShotSet:
     flats: np.ndarray
     counts: np.ndarray
     total_shots: int
-    angles: tuple[float, float] | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         flats = np.asarray(self.flats, dtype=np.int64)
@@ -140,7 +140,6 @@ def sample_shots(
     state: EncodedState,
     total_shots: int,
     seed: int,
-    angles: tuple[float, float] | None = None,
     out: np.ndarray | None = None,
 ) -> ShotSet:
     """Draw total_shots independent samples from the exact probability vector.
@@ -160,7 +159,7 @@ def sample_shots(
     cdf /= cdf[-1]
     draws = cdf.searchsorted(rng.random(total_shots), side="right")
     flats, counts = np.unique(draws, return_counts=True)
-    return ShotSet(state.layout, flats, counts, total_shots, angles, int(seed))
+    return ShotSet(state.layout, flats, counts, total_shots)
 
 
 def required_shots(p_min: float, delta: float) -> int:
@@ -251,7 +250,7 @@ def phqc_solve(
 
     Schedule i is grid point i; its first layer's angles label the point.
     The default is the depth-1 default grid, gamma-major, so consecutive
-    points share a phase vector.  Per-point seeds derive from
+    points share a phase vector (layers.Workspace).  Per-point seeds derive from
     (master_seed, grid_index), so any evaluation order gives identical
     output.
     """
@@ -275,15 +274,14 @@ def phqc_solve(
     feasible_total = 0
     # every grid point runs in the same buffers, so no D-sized buffer is
     # allocated per point and the peak does not hinge on the allocator
-    work = Workspace.for_layout(enc.layout)
+    work = Workspace.for_schedules(enc.layout, schedules)
     cdf = work.scratch[: enc.layout.D]
     for idx, sched in enumerate(schedules):
         g, b = sched.pairs[0]
-        next_gamma = schedules[idx + 1].pairs[0][0] if idx + 1 < len(schedules) else None
-        state = run_circuit(diag, sched, norm, next_gamma, work)
+        state = run_circuit(diag, sched, norm, work)
         if oracle is not None:
             opt_mass.append(_optimal_mass(state, oracle))
-        shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), (g, b), cdf)
+        shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), cdf)
         scored = score_shots(enc, shots, diag)
         stat = GridPointStat(
             idx, g, b, scored.feasible_shots / shots_per_point, scored.best_cost

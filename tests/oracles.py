@@ -45,6 +45,32 @@ def held_karp_cycle(dist, start=0):
     return min(dp[(full, i)] + dist[others[i]][start] for i in range(k))
 
 
+def is_feasible(enc, label):
+    """True when all symbols are pairwise distinct (a permutation for m == n)."""
+    label = enc.layout.validate_label(label)
+    return len(set(label)) == enc.layout.m
+
+
+def tour_cost(enc, label):
+    """Cyclic tour cost of a feasible label, the scalar reference of the cost diagonal.
+
+    Sums left to right: start edge, inner edges, return edge, the order
+    build_cost_diagonal keeps, so the two agree bitwise.
+    """
+    label = enc.layout.validate_label(label)
+    if not is_feasible(enc, label):
+        raise ValueError(f"label {label} repeats a city; filter with is_feasible first")
+    return _cycle_cost(enc, [enc.city_of_symbol[j] for j in label])
+
+
+def _cycle_cost(enc, cities):
+    C = enc.instance.distances
+    cost = C[enc.start_city, cities[0]]
+    for a, b in zip(cities[:-1], cities[1:]):
+        cost = cost + C[a, b]
+    return float(cost + C[cities[-1], enc.start_city])
+
+
 def dense_block_mixer(n, angle):
     """exp(-i angle A(K_n)) on one block, via eigendecomposition."""
     return expm_hermitian(np.ones((n, n)) - np.eye(n), angle)

@@ -7,7 +7,6 @@ from ceqaoa.analysis import (
     angle_averaged_transition,
     block_design_moments,
     classical_baselines,
-    entangler_schmidt_rank,
     find_good_permutation,
     heavy_output_report,
     lie_algebra_dimension,
@@ -15,7 +14,7 @@ from ceqaoa.analysis import (
     transition_closed_form,
     twirl_average,
 )
-from ceqaoa.encoded import BlockLayout, apply_block_permutation, overlap_probability
+from ceqaoa.encoded import BlockLayout, label_to_index
 from ceqaoa.hamiltonian import TspInstance, anchor
 from ceqaoa.layers import LayerSchedule, MixerNormalization, run_circuit
 from ceqaoa.verify import random_diagonal
@@ -104,10 +103,11 @@ class TestGoodPermutation:
         sched = schedules_for(1, 21)[0]
         target = (2, 0)
         perm, overlap = find_good_permutation(diag, sched, target)
-        state = run_circuit(diag, sched)
-        # overlap = |<target| P^dag U s0>|^2; P^dag acts as the inverse permutation
-        rotated = apply_block_permutation(state, perm.inverse())
-        assert overlap_probability(rotated, target) == pytest.approx(overlap, abs=1e-15)
+        probs = run_circuit(diag, sched).probabilities()
+        # overlap = |<target| P^dag U s0>|^2 = |<P target| U s0>|^2
+        assert probs[label_to_index(lay, perm.apply_to_label(target))] == pytest.approx(
+            overlap, abs=1e-15
+        )
 
 
 class TestErgodicity:
@@ -198,22 +198,6 @@ class TestLieDimension:
         for _ in range(3):
             d = rng.normal(size=4)
             assert lie_algebra_dimension(4, d) == 15
-
-
-class TestEntanglerRank:
-    def test_additive_table_rank_one(self):
-        alpha = np.array([0.0, 1.3, 2.1])
-        beta = np.array([0.4, 0.9, 3.0])
-        table = alpha[:, None] + beta[None, :]
-        assert entangler_schmidt_rank(table, 0.8) == 1
-
-    def test_product_table_full_rank(self):
-        table = np.outer(np.arange(3.0), np.arange(3.0))
-        assert entangler_schmidt_rank(table, math.pi / 2) > 1
-
-    def test_zero_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            entangler_schmidt_rank(np.eye(3), 0.0)
 
 
 class TestBaselines:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from ceqaoa.hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
     default_penalty_weight,
-    is_feasible,
     tour_cities,
-    tour_cost,
 )
 
-from oracles import held_karp_cycle, random_symmetric_instance
+from oracles import held_karp_cycle, is_feasible, random_symmetric_instance, tour_cost
 
 MATRIX_4 = np.array(
     [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]], dtype=float
@@ -188,17 +187,16 @@ class TestCostDiagonal:
         diag = CostDiagonal(lay, obj, [0, 1, 2, 32767], 2)
         assert diag.penalty_count.dtype == np.int16 and diag.penalty_weight == 2.0
 
-    def test_phase_kept_or_handed_over(self):
+    def test_phase_fills_out(self):
         diag = build_cost_diagonal(example_4())
-        kept = diag.phase(0.3)
-        assert not kept.flags.writeable
-        assert diag.phase(0.3) is kept  # cached
-        assert diag.phase(0.3, keep=False) is kept  # last use: still read-only, cache dropped
-        fresh = diag.phase(0.3, keep=False)
-        assert fresh is not kept and fresh.flags.writeable
-        assert np.array_equal(fresh, kept)
-        assert diag.phase(0.3) is not fresh  # a handed-over vector is not cached
-        assert diag.phase(-0.0) is not diag.phase(0.0)  # keys keep the sign of zero
+        out = np.full(diag.layout.D, np.nan, dtype=np.complex128)
+        assert diag.phase(0.3, out) is out
+        fresh = diag.phase(0.3)
+        assert fresh is not out
+        assert np.array_equal(out.view(np.uint64), fresh.view(np.uint64))  # bitwise
+        filled = weakref.ref(out)
+        del out
+        assert filled() is None  # the diagonal keeps no reference to it
 
 
 class TestBruteForce:

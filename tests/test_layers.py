@@ -6,6 +6,7 @@ from ceqaoa.hamiltonian import TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import (
     LayerSchedule,
     MixerNormalization,
+    Workspace,
     apply_mixer,
     apply_phase,
     mixer_block_matrix,
@@ -57,14 +58,14 @@ class TestPhase:
         diag = small_diag()
         state = uniform_initial_state(diag.layout)
         before = state.amplitudes.copy()  # the kernel updates in place
-        out = apply_phase(state, 0.0, diag)
+        out = apply_phase(state, diag.phase(0.0))
         assert np.array_equal(out.amplitudes, before)
 
     def test_probabilities_unchanged(self):
         diag = small_diag(seed=3)
         state = random_state(diag.layout, 4)
         before = state.probabilities()
-        out = apply_phase(state, 1.234, diag)
+        out = apply_phase(state, diag.phase(1.234))
         assert np.allclose(out.probabilities(), before, atol=1e-14)
 
     def test_phase_arithmetic(self):
@@ -75,13 +76,13 @@ class TestPhase:
 
         diag = CostDiagonal(lay, diag_vec, np.zeros(2, dtype=np.int16), 1.0)
         state = EncodedState(lay, np.array([1.0, 0.0], dtype=complex))
-        out = apply_phase(state, np.pi / 2, diag)
+        out = apply_phase(state, diag.phase(np.pi / 2))
         assert abs(out.amplitudes[0] + 1.0) < 1e-15
 
     def test_layout_mismatch(self):
         diag = small_diag()
         with pytest.raises(ValueError):
-            apply_phase(uniform_initial_state(BlockLayout(3, 2)), 0.1, diag)
+            apply_phase(uniform_initial_state(BlockLayout(3, 2)), diag.phase(0.1))
 
 
 class TestMixerBlockMatrix:
@@ -176,10 +177,18 @@ class TestRunCircuit:
         diag = small_diag(seed=15)
         sched = LayerSchedule.constant(0.8, 0.5)
         manual = apply_mixer(
-            apply_phase(uniform_initial_state(diag.layout), 0.8, diag), 0.5, OVER_N
+            apply_phase(uniform_initial_state(diag.layout), diag.phase(0.8)), 0.5, OVER_N
         )
         auto = run_circuit(diag, sched, OVER_N)
         assert np.array_equal(auto.amplitudes, manual.amplitudes)
+
+    def test_depth_two_needs_a_phase_buffer(self):
+        diag = small_diag(seed=16)
+        sched = LayerSchedule.constant(0.8, 0.5, 2)
+        work = Workspace.for_schedules(diag.layout, [LayerSchedule.constant(0.8, 0.5)])
+        assert work.phase is None
+        with pytest.raises(ValueError, match="phase buffer"):
+            run_circuit(diag, sched, OVER_N, work)
 
 
 class TestSpectrum:

@@ -5,7 +5,7 @@ import pytest
 
 import ceqaoa.phqc as phqc
 from ceqaoa.encoded import BlockLayout, EncodedState, label_to_index, uniform_initial_state
-from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal, tour_cost
+from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal
 from ceqaoa.layers import LayerSchedule, holds_phase
 from ceqaoa.phqc import (
     AngleGrid,
@@ -22,7 +22,7 @@ from ceqaoa.phqc import (
     square_grid,
 )
 
-from oracles import random_asymmetric_instance, random_symmetric_instance
+from oracles import random_asymmetric_instance, random_symmetric_instance, tour_cost
 
 MATRIX_4 = np.array(
     [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]], dtype=float
@@ -270,11 +270,14 @@ class TestMemoryPlan:
         assert not holds_phase([LayerSchedule.constant(g, 0.5) for g in (0.0, -0.0)])
 
     def test_peak_bytes(self):
+        one_point = [LayerSchedule.constant(1.0, 0.5)]
         # objective, penalty count, amplitudes and CDF: 34 bytes per label
-        assert peak_bytes(8**8, 8, False) == 34 * 8**8
-        assert peak_bytes(8**8, 8, True) == 50 * 8**8
+        assert peak_bytes(BlockLayout(8, 8), one_point) == 34 * 8**8
+        # a phase buffer beside the amplitudes adds 16
+        assert peak_bytes(BlockLayout(8, 8), square_grid(3).schedules()) == 50 * 8**8
+        assert peak_bytes(BlockLayout(8, 8), [LayerSchedule.constant(1.0, 0.5, 2)]) == 50 * 8**8
         # at n = 2 the mixer's block means outweigh the CDF
-        assert peak_bytes(2**10, 2, False) == 42 * 2**10
+        assert peak_bytes(BlockLayout(2, 10), one_point) == 42 * 2**10
 
 
 class TestExactSuccess:

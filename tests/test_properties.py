@@ -1,7 +1,7 @@
 """Property tests against scalar, dense and out-of-place references: the
 flat-index shot path, the rank-1 mixer, the in-place circuit kernels and
-their phase handover, the prefix-built cost diagonal and the one-buffer shot
-sampler."""
+the workspace's phase buffer, the prefix-built cost diagonal and the
+one-buffer shot sampler."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from ceqaoa.layers import (
     Workspace,
     apply_mixer,
     mixer_block_matrix,
+    phase_key,
     run_circuit,
 )
 from ceqaoa.phqc import ShotSet, sample_shots, score_shots
@@ -90,8 +91,8 @@ angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 def circuit_cases(draw):
     """A random diagonal on a small layout and two schedules over two gammas.
 
-    Gamma sequences such as (g1, g2, g1), run back to back on one diagonal,
-    hit, miss and replace its cached phase vector.  Layouts reach past 16384
+    Gamma sequences such as (g1, g2, g1), run back to back in one workspace,
+    hit, miss and replace the phase vector it holds.  Layouts reach past 16384
     amplitudes, the size from which numpy elides temporaries.
     """
     layout = draw(layouts())
@@ -111,7 +112,7 @@ def circuit_cases(draw):
 @given(case=circuit_cases())
 def test_run_circuit_matches_out_of_place_reference_bitwise(case):
     diag, schedules, norm = case
-    work = Workspace.for_layout(diag.layout)  # shared by the schedules, as in a solve
+    work = Workspace.for_schedules(diag.layout, schedules)  # shared, as in a solve
     for sched in schedules:
         expected = reference_circuit(diag, sched, norm)
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
@@ -129,7 +130,7 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
     objective = rng.integers(0, 50, layout.D).astype(float)
     diag = CostDiagonal(layout, objective, np.zeros(layout.D, dtype=np.int16), 7.0)
     sched = LayerSchedule(((0.7, 0.4), (-1.3, 2.1)))
-    work = Workspace.for_layout(layout)
+    work = Workspace.for_schedules(layout, [sched])
     for norm in MixerNormalization:
         expected = reference_circuit(diag, sched, norm)
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
@@ -155,39 +156,36 @@ def test_rank1_mixer_matches_dense_kronecker_product(layout, beta, norm, seed):
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
 
 
-def diagonal_copy(diag):
-    return CostDiagonal(diag.layout, diag.objective, diag.penalty_count, diag.penalty_weight)
+def workspace(layout, phase_buffer):
+    """A workspace with or without a phase buffer, whatever schedules it will run."""
+    depth = 2 if phase_buffer else 1  # a second layer needs the buffer
+    return Workspace.for_schedules(layout, [LayerSchedule.constant(0.0, 0.0, depth)])
 
 
 @settings(deadline=None)
 @given(case=circuit_cases())
-def test_reused_and_consumed_phases_give_equal_amplitudes(case):
-    """A circuit whose phase stays cached, one that consumes it and one that
-    finds it cached give bitwise the same amplitudes."""
+def test_phase_buffer_or_none_gives_the_reference_bitwise(case):
+    """Every schedule matches the reference bitwise: run back to back in a
+    workspace that holds a phase, alone in one that does not (depth 1
+    only), and without a workspace.  A circuit whose gammas all hit the
+    held phase leaves the buffer's bits unchanged."""
     diag, schedules, norm = case
+    holding = workspace(diag.layout, phase_buffer=True)
+    held_gamma = None
     for sched in schedules:
-        last_gamma = sched.pairs[-1][0]
-        kept = run_circuit(diagonal_copy(diag), sched, norm, next_gamma=last_gamma).amplitudes
-        consumed = run_circuit(diagonal_copy(diag), sched, norm).amplitudes
-        warm = diagonal_copy(diag)
-        warm.phase(sched.pairs[0][0])  # cached before the circuit asks for it
-        assert np.array_equal(kept, consumed)
-        assert np.array_equal(run_circuit(warm, sched, norm).amplitudes, consumed)
-
-
-@settings(deadline=None)
-@given(case=circuit_cases())
-def test_returned_phase_is_never_written(case):
-    diag, schedules, norm = case
-    gamma = schedules[0].pairs[0][0]
-    phase = diag.phase(gamma)
-    before = phase.copy()
-    for sched in schedules:
-        for next_gamma in (gamma, None):
-            run_circuit(diag, sched, norm, next_gamma=next_gamma)
-        diag.phase(gamma, keep=False)
-    assert not phase.flags.writeable
-    assert np.array_equal(phase.view(np.uint64), before.view(np.uint64))
+        expected = reference_circuit(diag, sched, norm)
+        hits = held_gamma is not None and all(
+            phase_key(g) == phase_key(held_gamma) for g, _ in sched.pairs
+        )
+        before = holding.phase.copy()
+        assert np.array_equal(run_circuit(diag, sched, norm, holding).amplitudes, expected)
+        if hits:
+            assert np.array_equal(holding.phase.view(np.uint64), before.view(np.uint64))
+        held_gamma = sched.pairs[-1][0]
+        assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
+        if sched.depth == 1:
+            bare = workspace(diag.layout, phase_buffer=False)
+            assert np.array_equal(run_circuit(diag, sched, norm, bare).amplitudes, expected)
 
 
 @st.composite
