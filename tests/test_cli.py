@@ -140,6 +140,16 @@ class TestSolve:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "body", [{"n": "abc", "matrix": MATRIX_4}, {"matrix": [[0, 1], [1]]}], ids=["n", "ragged"]
+    )
+    def test_malformed_instance_ends_in_one_line_naming_the_file(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        assert main(["solve", str(path), "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"{path}: ")
+
 
 INTERPRETER_ALLOWANCE_MB = 48  # python, numpy and ceqaoa imported: about 30 MB
 

@@ -111,12 +111,28 @@ def circuit_cases(draw):
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_run_circuit_matches_out_of_place_reference_bitwise(case):
+    """Every schedule matches the reference bitwise: run back to back in a
+    workspace that holds a phase, as in a solve, alone in one that does not
+    (depth 1 only), and without a workspace.  A circuit whose gammas all
+    hit the held phase leaves the buffer's bits unchanged."""
     diag, schedules, norm = case
-    work = Workspace.for_schedules(diag.layout, schedules)  # shared, as in a solve
+    # a second layer needs a phase buffer; a single one does without
+    holding = Workspace.for_schedules(diag.layout, [LayerSchedule.constant(0.0, 0.0, 2)])
+    bare = Workspace.for_schedules(diag.layout, [LayerSchedule.constant(0.0, 0.0)])
+    held_gamma = None
     for sched in schedules:
         expected = reference_circuit(diag, sched, norm)
+        hits = held_gamma is not None and all(
+            phase_key(g) == phase_key(held_gamma) for g, _ in sched.pairs
+        )
+        before = holding.phase.copy()
+        assert np.array_equal(run_circuit(diag, sched, norm, holding).amplitudes, expected)
+        if hits:
+            assert np.array_equal(holding.phase.view(np.uint64), before.view(np.uint64))
+        held_gamma = sched.pairs[-1][0]
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
-        assert np.array_equal(run_circuit(diag, sched, norm, workspace=work).amplitudes, expected)
+        if sched.depth == 1:
+            assert np.array_equal(run_circuit(diag, sched, norm, bare).amplitudes, expected)
 
 
 @pytest.mark.parametrize("n, m", [(2, 14), (2, 15), (4, 8), (3, 10)])
@@ -154,38 +170,6 @@ def test_rank1_mixer_matches_dense_kronecker_product(layout, beta, norm, seed):
     expected = dense @ amps
     out = apply_mixer(EncodedState(layout, amps), beta, norm)
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
-
-
-def workspace(layout, phase_buffer):
-    """A workspace with or without a phase buffer, whatever schedules it will run."""
-    depth = 2 if phase_buffer else 1  # a second layer needs the buffer
-    return Workspace.for_schedules(layout, [LayerSchedule.constant(0.0, 0.0, depth)])
-
-
-@settings(deadline=None)
-@given(case=circuit_cases())
-def test_phase_buffer_or_none_gives_the_reference_bitwise(case):
-    """Every schedule matches the reference bitwise: run back to back in a
-    workspace that holds a phase, alone in one that does not (depth 1
-    only), and without a workspace.  A circuit whose gammas all hit the
-    held phase leaves the buffer's bits unchanged."""
-    diag, schedules, norm = case
-    holding = workspace(diag.layout, phase_buffer=True)
-    held_gamma = None
-    for sched in schedules:
-        expected = reference_circuit(diag, sched, norm)
-        hits = held_gamma is not None and all(
-            phase_key(g) == phase_key(held_gamma) for g, _ in sched.pairs
-        )
-        before = holding.phase.copy()
-        assert np.array_equal(run_circuit(diag, sched, norm, holding).amplitudes, expected)
-        if hits:
-            assert np.array_equal(holding.phase.view(np.uint64), before.view(np.uint64))
-        held_gamma = sched.pairs[-1][0]
-        assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
-        if sched.depth == 1:
-            bare = workspace(diag.layout, phase_buffer=False)
-            assert np.array_equal(run_circuit(diag, sched, norm, bare).amplitudes, expected)
 
 
 @st.composite
