@@ -108,31 +108,63 @@ def circuit_cases(draw):
     return diag, schedules, draw(st.sampled_from(list(MixerNormalization)))
 
 
+def phase_workspaces(layout):
+    """A workspace that holds a phase vector and one that does not (depth 1 only)."""
+    holding = Workspace.for_schedules(layout, [LayerSchedule.constant(0.0, 0.0, 2)])
+    bare = Workspace.for_schedules(layout, [LayerSchedule.constant(0.0, 0.0)])
+    return holding, bare
+
+
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_run_circuit_matches_out_of_place_reference_bitwise(case):
-    """Every schedule matches the reference bitwise: run back to back in a
-    workspace that holds a phase, as in a solve, alone in one that does not
-    (depth 1 only), and without a workspace.  A circuit whose gammas all
-    hit the held phase leaves the buffer's bits unchanged."""
     diag, schedules, norm = case
-    # a second layer needs a phase buffer; a single one does without
-    holding = Workspace.for_schedules(diag.layout, [LayerSchedule.constant(0.0, 0.0, 2)])
-    bare = Workspace.for_schedules(diag.layout, [LayerSchedule.constant(0.0, 0.0)])
-    held_gamma = None
+    work = Workspace.for_schedules(diag.layout, schedules)  # shared by the schedules, as in a solve
     for sched in schedules:
         expected = reference_circuit(diag, sched, norm)
-        hits = held_gamma is not None and all(
-            phase_key(g) == phase_key(held_gamma) for g, _ in sched.pairs
-        )
-        before = holding.phase.copy()
-        assert np.array_equal(run_circuit(diag, sched, norm, holding).amplitudes, expected)
-        if hits:
-            assert np.array_equal(holding.phase.view(np.uint64), before.view(np.uint64))
-        held_gamma = sched.pairs[-1][0]
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
+        assert np.array_equal(run_circuit(diag, sched, norm, workspace=work).amplitudes, expected)
+
+
+@settings(deadline=None)
+@given(case=circuit_cases())
+def test_reused_and_consumed_phases_give_equal_amplitudes(case):
+    """A circuit whose phase is reused from the workspace's buffer, one whose
+    phase is built fresh into that buffer, one that finds it already filled
+    and one that builds its phase straight into the amplitudes (depth 1)
+    give bitwise the same amplitudes as a circuit without a workspace."""
+    diag, schedules, norm = case
+    reused, bare = phase_workspaces(diag.layout)
+    for sched in schedules:
+        fresh = run_circuit(diag, sched, norm).amplitudes
+        assert np.array_equal(run_circuit(diag, sched, norm, reused).amplitudes, fresh)
+        cold, _ = phase_workspaces(diag.layout)
+        assert np.array_equal(run_circuit(diag, sched, norm, cold).amplitudes, fresh)
+        warm, _ = phase_workspaces(diag.layout)
+        warm.phase_for(diag, sched.pairs[0][0])  # filled before the circuit asks for it
+        assert np.array_equal(run_circuit(diag, sched, norm, warm).amplitudes, fresh)
         if sched.depth == 1:
-            assert np.array_equal(run_circuit(diag, sched, norm, bare).amplitudes, expected)
+            assert np.array_equal(run_circuit(diag, sched, norm, bare).amplitudes, fresh)
+
+
+@settings(deadline=None)
+@given(case=circuit_cases())
+def test_returned_phase_is_never_written(case):
+    """The phase buffer a circuit reads is never written by it: after each
+    circuit it holds bitwise a fresh phase of the last gamma, and a circuit
+    whose gammas all hit the held phase leaves its bits unchanged."""
+    diag, schedules, norm = case
+    holding, _ = phase_workspaces(diag.layout)
+    gamma = schedules[0].pairs[0][0]
+    holding.phase_for(diag, gamma)
+    for sched in schedules:
+        before = holding.phase.copy()
+        run_circuit(diag, sched, norm, holding)
+        if all(phase_key(g) == phase_key(gamma) for g, _ in sched.pairs):
+            assert np.array_equal(holding.phase.view(np.uint64), before.view(np.uint64))
+        gamma = sched.pairs[-1][0]
+        expected = diag.phase(gamma)
+        assert np.array_equal(holding.phase.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("n, m", [(2, 14), (2, 15), (4, 8), (3, 10)])
