@@ -11,9 +11,12 @@ removed and re-serialized the way the CLI writes it.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ceqaoa.cli import main
+from ceqaoa.hamiltonian import anchor, build_cost_diagonal
+from ceqaoa.instances import parse_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,6 +30,9 @@ SOLVES = [
         "golden5.json",
         ["--depth", "2", "--grid", "list:0.5,0.3;0.5,1.1;0.9,0.3;0.5,0.7", "--seed", "7"],
     ),
+    # integer distances 1..12 at n = 7: the energies span at most D // 16
+    # integer levels, so the phase can come from a table of them
+    ("solve_n7_table", "golden7.json", ["--grid", "4x4", "--shots", "300", "--seed", "8"]),
 ]
 
 
@@ -43,6 +49,16 @@ def test_solve_matches_golden(name, instance, extra, tmp_path):
     assert stripped_json(out) == (GOLDEN / f"{name}.json").read_text()
     costs = out.with_suffix(".costs.csv").read_bytes()
     assert costs == (GOLDEN / f"{name}.costs.csv").read_bytes()
+
+
+def test_table_golden_spans_few_energy_levels():
+    diag = build_cost_diagonal(anchor(parse_instance(GOLDEN / "golden7.json")))
+    obj, count, weight = diag.objective, diag.penalty_count, diag.penalty_weight
+    lo = float(obj.min()) + weight * float(count.min())
+    hi = float(obj.max()) + weight * float(count.max())
+    energy = obj + weight * count.astype(np.float64)
+    assert np.array_equal(energy, np.round(energy))
+    assert hi - lo + 1 <= diag.layout.D // 16
 
 
 def test_histogram_matches_golden(tmp_path):
