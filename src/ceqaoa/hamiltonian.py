@@ -21,6 +21,8 @@ from .encoded import BlockLayout, Label, index_to_label, labels_to_indices
 # (e.g. the reversal of a tour on a symmetric instance).
 TIE_TOL = 1e-12
 BRUTE_FORCE_CHUNK = 200_000  # tours scored per vectorized batch
+PHASE_CHUNK = 8192  # labels per chunk of the level-table phase fill
+EXACT_INTEGERS = 2.0**53  # float64 holds every integer of smaller magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +105,7 @@ class CostDiagonal:
     penalty_count: np.ndarray
     penalty_weight: float
     _energy_bound: float = field(init=False, repr=False)
+    _energy_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         obj = np.asarray(self.objective, dtype=np.float64)
@@ -120,30 +123,76 @@ class CostDiagonal:
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "penalty_count", count.astype(np.int16, copy=False))
         object.__setattr__(self, "penalty_weight", weight)
+        obj_lo, obj_hi = float(obj.min()), float(obj.max())
         # bounds |objective + weight * count| everywhere; NaN when any energy is NaN
-        bound = max(float(obj.max()), -float(obj.min())) + weight * float(top)
+        bound = max(obj_hi, -obj_lo) + weight * float(top)
         object.__setattr__(self, "_energy_bound", bound)
+        # every energy lies in [lo, hi]: both ends go through the phase's own
+        # two roundings (weight * k, then + objective), and rounding is monotone
+        lo = weight * float(count.min()) + obj_lo
+        object.__setattr__(self, "_energy_range", (lo, weight * float(top) + obj_hi))
 
     def phase(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
         """Fill out with exp(-i gamma (objective + penalty_weight * penalty_count)).
 
-        out is a complex D-vector (None: a fresh one) and is returned.  The
-        energy, product and exponential are formed in that one buffer.  A
+        out is a complex D-vector (None: a fresh one) and is returned.  A
         gamma whose product with the largest energy is not finite raises
         ValueError before out is written.
+
+        When the energy range [lo, hi] starts at an integer, lies within
+        +-2**53 and holds T = hi - lo + 1 <= D // 16 integers (a table of at
+        most one byte per label), the exponentials of the T levels are
+        computed once and gathered by E - lo, PHASE_CHUNK labels at a time.
+        Each table entry comes from the same operations on the same complex
+        number (E, +0) as the direct fill, so the two are bitwise equal.  A
+        chunk with a non-integral energy sends the whole vector to the direct
+        fill, which forms the energy, product and exponential in out itself.
         """
         if not math.isfinite(float(gamma) * self._energy_bound):
             raise ValueError(
                 f"gamma {gamma!r} times the largest energy {self._energy_bound!r} is not finite"
             )
         vec = np.empty(self.layout.D, dtype=np.complex128) if out is None else out
-        # the float64 sum objective + weight * k, held in the complex buffer
-        # (real part, +0 imaginary), so no float temporary is made
-        np.multiply(self.penalty_count, self.penalty_weight, out=vec)
-        np.add(vec, self.objective, out=vec)
-        np.multiply(-1j * float(gamma), vec, out=vec)
-        np.exp(vec, out=vec)
+        if not self._phase_from_levels(float(gamma), vec):
+            # the float64 sum objective + weight * k, held in the complex buffer
+            # (real part, +0 imaginary), so no float temporary is made
+            np.multiply(self.penalty_count, self.penalty_weight, out=vec)
+            np.add(vec, self.objective, out=vec)
+            np.multiply(-1j * float(gamma), vec, out=vec)
+            np.exp(vec, out=vec)
         return vec
+
+    def _phase_from_levels(self, gamma: float, vec: np.ndarray) -> bool:
+        """Fill vec from a table of integer energy levels; False when it cannot."""
+        lo, hi = self._energy_range
+        dim = self.layout.D
+        if not (
+            lo.is_integer()
+            and abs(lo) < EXACT_INTEGERS
+            and abs(hi) < EXACT_INTEGERS
+            and hi - lo + 1 <= dim // 16
+        ):
+            return False
+        table = np.arange(int(hi - lo) + 1, dtype=np.float64)
+        table += lo
+        table = table + 0j
+        np.multiply(-1j * gamma, table, out=table)
+        np.exp(table, out=table)
+        energy = np.empty(min(PHASE_CHUNK, dim))
+        level = np.empty(energy.shape, dtype=np.int64)
+        exact = np.empty(energy.shape, dtype=bool)
+        for start in range(0, dim, PHASE_CHUNK):
+            stop = min(start + PHASE_CHUNK, dim)
+            e, k, ok = energy[: stop - start], level[: stop - start], exact[: stop - start]
+            np.multiply(self.penalty_count[start:stop], self.penalty_weight, out=e)
+            np.add(e, self.objective[start:stop], out=e)
+            # truncation keeps the value only of an integral energy (|E| < 2**53)
+            np.copyto(k, e, casting="unsafe")
+            if not np.equal(k, e, out=ok).all():
+                return False
+            k -= int(lo)
+            np.take(table, k, out=vec[start:stop])
+        return True
 
 
 def default_penalty_weight(instance: TspInstance) -> float:
@@ -162,11 +211,12 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     vectorized costs agree bitwise.
 
     The penalty count at a label with symbol counts (c_0, ..., c_{n-1}) is
-    sum_a (c_a - 1)**2, computed through the pair-collision identity
-    sum_a (c_a - 1)**2 = n - m + 2 * #{block pairs with equal symbols}; the
-    collision count is an int16 (n,)*m tensor that gains an identity matrix
-    broadcast over the two axes of each block pair, then becomes the
-    penalty count in place.
+    sum_a (c_a - 1)**2 = n - m + 2 * #{block pairs with equal symbols}.  It
+    is built over label prefixes too: every k-block prefix carries its count
+    (int16) and twice its symbol counts (int8, shape (n**k, n)), and
+    appending symbol s to prefix p adds twice p's count of s, the pairs the
+    new block makes.  The values are exact small integers, and only the
+    last two steps write D entries.
     """
     lam = default_penalty_weight(enc.instance) if penalty_weight is None else float(penalty_weight)
     if lam <= 0:
@@ -183,16 +233,13 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
         objective = (objective.reshape(-1, n, 1) + step).reshape(-1)
     objective.reshape(-1, n)[...] += C[cities, enc.start_city]
 
-    collisions = np.zeros((n,) * m, dtype=np.int16)
-    eye = np.eye(n, dtype=np.int16)
-    for i in range(m):
-        for j in range(i + 1, m):
-            shape = [1] * m
-            shape[i] = shape[j] = n
-            collisions += eye.reshape(shape)
-    count = collisions.reshape(-1)
-    count *= 2
-    count += n - m
+    twice_eye = 2 * np.eye(n, dtype=np.int8)
+    count = np.full(n, n - m, dtype=np.int16)
+    twice_symbols = twice_eye
+    for k in range(1, m):
+        count = (count.reshape(-1, 1) + twice_symbols).reshape(-1)
+        if k + 1 < m:
+            twice_symbols = (twice_symbols.reshape(-1, 1, n) + twice_eye).reshape(-1, n)
     return CostDiagonal(enc.layout, objective, count, lam)
 
 

@@ -85,6 +85,18 @@ def kron_mixer(n, m, angle):
     return out
 
 
+def reference_phase(diag, gamma):
+    """exp(-i gamma E) formed directly on all D energies, out of place.
+
+    The energy weight * k + objective is one float64 per label, and the
+    product with -1j * gamma and the exponential act on its complex form
+    (E, +0): the operations, in their order, that CostDiagonal.phase must
+    match bit for bit however it forms the vector.
+    """
+    energy = diag.penalty_count * diag.penalty_weight + diag.objective
+    return np.exp(-1j * float(gamma) * energy)
+
+
 def reference_circuit(diag, schedule, norm):
     """Amplitudes after the circuit, built out of place, one layer expression at a time.
 
@@ -97,8 +109,7 @@ def reference_circuit(diag, schedule, norm):
     n, m, dim = diag.layout.n, diag.layout.m, diag.layout.D
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     for gamma, beta in schedule.pairs:
-        energy = diag.objective + diag.penalty_weight * diag.penalty_count.astype(np.float64)
-        amps = np.exp(-1j * float(gamma) * energy) * amps
+        amps = reference_phase(diag, gamma) * amps
         bp = float(beta) * norm.scale(n)
         a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
         arr = amps.reshape((n,) * m)

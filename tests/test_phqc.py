@@ -232,21 +232,30 @@ class TestSolve:
         assert res.p_opt_exact == exact_success_probability(enc, sched)[0]
 
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_one_exponential_per_gamma(self, monkeypatch, depth):
-        # a gamma-major grid computes each gamma's phase vector once, and at
-        # depth 2 the second layer reuses the first layer's
-        enc = anchor(TspInstance("r5", 5, random_symmetric_instance(5, 3)), 0)
-        built = []
+    @pytest.mark.parametrize("path", ["direct", "table"])
+    def test_one_exponential_per_gamma(self, monkeypatch, path, depth):
+        # a gamma-major grid computes each gamma's phase once, and at depth 2
+        # the second layer reuses the first layer's.  Non-integer distances
+        # exponentiate all D energies; integer ones whose energies span at
+        # most D // 16 levels exponentiate only the levels.
+        if path == "direct":
+            inst, lam = TspInstance("r5", 5, random_symmetric_instance(5, 3)), None
+        else:
+            inst, lam = TspInstance("i6", 6, np.rint(random_symmetric_instance(6, 3, 1, 5))), 6.0
+        enc = anchor(inst, 0)
+        shapes = []
         original = np.exp
 
         def counting(x, *args, **kwargs):
-            if isinstance(x, np.ndarray) and x.shape == (enc.layout.D,):
-                built.append(x)
+            if isinstance(x, np.ndarray):
+                shapes.append(x.shape)
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting)
-        phqc_solve(enc, default_grid(5).schedules(depth), shots_per_point=50)
-        assert len(built) == len(default_grid(5).gammas)
+        grid = default_grid(inst.n_cities)
+        phqc_solve(enc, grid.schedules(depth), shots_per_point=50, penalty_weight=lam)
+        assert len(shapes) == len(grid.gammas)
+        assert all((shape == (enc.layout.D,)) == (path == "direct") for shape in shapes)
 
     @pytest.mark.parametrize("n_cities", [4, 5])
     def test_oracle_equivalence_small(self, n_cities):

@@ -1,7 +1,7 @@
 """Property tests against scalar, dense and out-of-place references: the
 flat-index shot path, the rank-1 mixer, the in-place circuit kernels and
-the workspace's phase buffer, the prefix-built cost diagonal and the
-one-buffer shot sampler."""
+the workspace's phase buffer, the level-table phase, the prefix-built cost
+diagonal and the one-buffer shot sampler."""
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from ceqaoa.phqc import ShotSet, sample_shots, score_shots
 from oracles import (
     reference_circuit,
     reference_cost_diagonal,
+    reference_phase,
     reference_sample,
     scalar_score,
 )
@@ -165,6 +166,59 @@ def test_returned_phase_is_never_written(case):
         gamma = sched.pairs[-1][0]
         expected = diag.phase(gamma)
         assert np.array_equal(holding.phase.view(np.uint64), expected.view(np.uint64))
+
+
+PHASE_KINDS = ["table", "fraction", "weight", "wide", "huge"]
+
+
+@st.composite
+def phase_cases(draw):
+    """A diagonal whose energies span T levels, set against D // 16, a gamma and the kind.
+
+    "table": integral energies from a base that may be negative, with
+    T <= D // 16.  The rest must fall back to the direct fill: "fraction"
+    (one non-integral energy, in the last chunk), "weight" (a non-integer
+    penalty weight and an odd count), "wide" (T = D // 16 + 1) and "huge"
+    (energies of 2**53 or more in magnitude).  D lies on both sides of the
+    8192-label chunk.
+    """
+    shapes = [(4, 3), (3, 8), (2, 13), (2, 14), (3, 9), (6, 6)]  # D = 64 .. 46656
+    layout = BlockLayout(*draw(st.sampled_from(shapes)))
+    bound = layout.D // 16
+    kind = draw(st.sampled_from(PHASE_KINDS))
+    step = draw(st.integers(1, 2))
+    levels = bound + 1 if kind == "wide" else draw(st.integers(step + 2, bound))
+    top = draw(st.integers(1, (levels - 2) // step))  # the largest penalty count
+    span = levels - 1 - step * top  # the objective's spread, at least 1
+    huge = st.sampled_from([2**53, -(2**54)])
+    base = draw(huge if kind == "huge" else st.integers(-999, 999))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = rng.integers(0, top + 1, layout.D)
+    objective = (base + rng.integers(0, span + 1, layout.D)).astype(np.float64)
+    count[:2] = 0, top  # both ends of the range [base, base + levels - 1]
+    objective[:2] = base, base + span
+    weight = step - 0.5 if kind == "weight" else step
+    if kind == "weight":
+        count[-1] = 1
+    if kind == "fraction":
+        count[-1] = 0
+        objective[-1] = base + draw(st.sampled_from([0.5, 2.0**-30]))
+    diag = CostDiagonal(layout, objective, count, weight)
+    return diag, draw(st.sampled_from([0.0, -0.0]) | angles), kind
+
+
+@settings(deadline=None)
+@given(case=phase_cases())
+def test_phase_matches_direct_reference_bitwise(case):
+    """The level table gives the direct fill's bits, and a fallback found in
+    a late chunk rewrites the whole vector."""
+    diag, gamma, kind = case
+    expected = reference_phase(diag, gamma).view(np.uint64)
+    assert np.array_equal(diag.phase(gamma).view(np.uint64), expected)
+    out = np.full(diag.layout.D, np.nan, dtype=np.complex128)
+    assert diag.phase(gamma, out) is out
+    assert np.array_equal(out.view(np.uint64), expected)
+    assert diag._phase_from_levels(float(gamma), out) == (kind == "table")
 
 
 @pytest.mark.parametrize("n, m", [(2, 14), (2, 15), (4, 8), (3, 10)])
