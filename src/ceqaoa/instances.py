@@ -42,8 +42,8 @@ def parse_instance(path, euclidean_rounding: bool = True) -> TspInstance:
 def _as_instance(path, name: str, matrix, line: int | None = None) -> TspInstance:
     try:
         arr = np.asarray(matrix, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        # ragged rows or entries that are not numbers
+    except (TypeError, ValueError, OverflowError) as exc:
+        # ragged rows, entries that are not numbers, or integers past float64
         raise InstanceParseError(f"matrix is not rows of numbers ({exc})", path, line) from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InstanceParseError(f"matrix is not square (shape {arr.shape})", path, line)
@@ -68,6 +68,15 @@ def _parse_json(path: Path) -> TspInstance:
     n = data.get("n")
     if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
         raise InstanceParseError(f'"n" must be a JSON integer, got {json.dumps(n)}', path)
+    for row in matrix if isinstance(matrix, list) else ():
+        for value in row if isinstance(row, list) else ():
+            # numpy would read the string "1" and the boolean true as distances
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InstanceParseError(
+                    f"matrix is not rows of numbers (entry {json.dumps(value)} "
+                    "is not a JSON number)",
+                    path,
+                )
     inst = _as_instance(path, name, matrix)
     if n is not None and n != inst.n_cities:
         raise InstanceParseError(f'"n" is {n} but the matrix has {inst.n_cities} rows', path)

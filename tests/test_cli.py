@@ -141,7 +141,13 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
 
     @pytest.mark.parametrize(
-        "body", [{"n": "abc", "matrix": MATRIX_4}, {"matrix": [[0, 1], [1]]}], ids=["n", "ragged"]
+        "body",
+        [
+            {"n": "abc", "matrix": MATRIX_4},
+            {"matrix": [[0, 1], [1]]},
+            {"matrix": [[0, "1", True], ["1", 0, 1], [True, 1, 0]]},
+        ],
+        ids=["n", "ragged", "non-numeric-entries"],
     )
     def test_malformed_instance_ends_in_one_line_naming_the_file(self, tmp_path, capsys, body):
         path = tmp_path / "bad.json"

@@ -51,8 +51,32 @@ class TestJson:
             ({"matrix": [[0, 1, 2], [1, 0], [2, 1, 0]]}, "matrix is not rows of numbers"),
             ({"matrix": [[0, 1, "x"], [1, 0, 1], [2, 1, 0]]}, "matrix is not rows of numbers"),
             ({"matrix": [[0, 1, {}], [1, 0, 1], [2, 1, 0]]}, "matrix is not rows of numbers"),
+            (
+                {"matrix": [[0, "1", True], ["1", 0, 1], [True, 1, 0]]},
+                'matrix is not rows of numbers (entry "1" is not a JSON number)',
+            ),
+            (
+                {"matrix": [[0, 1, 1], [1, 0, True], [1, 1, 0]]},
+                "matrix is not rows of numbers (entry true is not a JSON number)",
+            ),
+            (
+                {"matrix": [[0, 1, 1], [1, 0, 1], [None, 1, 0]]},
+                "matrix is not rows of numbers (entry null is not a JSON number)",
+            ),
+            ({"matrix": [[0, 1, 1], [10**400, 0, 1], [1, 1, 0]]}, "matrix is not rows of numbers"),
         ],
-        ids=["n-float", "n-string", "n-bool", "ragged", "string-entry", "object-entry"],
+        ids=[
+            "n-float",
+            "n-string",
+            "n-bool",
+            "ragged",
+            "string-entry",
+            "object-entry",
+            "numeric-string-entry",
+            "bool-entry",
+            "null-entry",
+            "integer-past-float64",
+        ],
     )
     def test_malformed_body_names_the_file(self, tmp_path, body, message):
         path = write(tmp_path, "bad.json", json.dumps(body))
