@@ -167,6 +167,3 @@ class BlockPermutation:
         for b, p in enumerate(perms):
             if sorted(p) != list(range(len(p))):
                 raise ValueError(f"block {b} entry {p} is not a permutation")
-
-    def apply_to_label(self, label) -> Label:
-        return tuple(p[j] for p, j in zip(self.perms, label))

@@ -104,10 +104,10 @@ class TestGoodPermutation:
         target = (2, 0)
         perm, overlap = find_good_permutation(diag, sched, target)
         probs = run_circuit(diag, sched).probabilities()
-        # overlap = |<target| P^dag U s0>|^2 = |<P target| U s0>|^2
-        assert probs[label_to_index(lay, perm.apply_to_label(target))] == pytest.approx(
-            overlap, abs=1e-15
-        )
+        # overlap = |<target| P^dag U s0>|^2 = |<P target| U s0>|^2, where
+        # P sends block b's symbol j to perms[b][j]
+        moved = tuple(p[j] for p, j in zip(perm.perms, target))
+        assert probs[label_to_index(lay, moved)] == pytest.approx(overlap, abs=1e-15)
 
 
 class TestErgodicity:

@@ -122,19 +122,6 @@ class TestBlockPermutation:
             BlockPermutation(((0, 0),))
         BlockPermutation(((1, 0), (0, 1)))
 
-    def test_single_block_swap(self):
-        swap = BlockPermutation(((1, 0),))
-        assert [swap.apply_to_label((j,)) for j in range(2)] == [(1,), (0,)]
-
-    def test_action_on_labels(self):
-        # block b's symbol j goes to perms[b][j], each block on its own
-        perm = BlockPermutation(((1, 2, 0), (2, 0, 1)))
-        assert perm.apply_to_label((0, 0)) == (1, 2)
-        assert perm.apply_to_label((2, 1)) == (0, 0)
-        lay = BlockLayout(3, 2)
-        moved = {perm.apply_to_label(index_to_label(lay, idx)) for idx in range(lay.D)}
-        assert len(moved) == lay.D  # a bijection of the labels
-
 
 class TestOverlap:
     """|<x|psi>|^2 is the probability at x's flat index."""
