@@ -173,9 +173,7 @@ class CostDiagonal:
             and hi - lo + 1 <= dim // 16
         ):
             return False
-        table = np.arange(int(hi - lo) + 1, dtype=np.float64)
-        table += lo
-        table = table + 0j
+        table = (np.arange(int(hi - lo) + 1, dtype=np.float64) + lo) + 0j
         np.multiply(-1j * gamma, table, out=table)
         np.exp(table, out=table)
         energy = np.empty(min(PHASE_CHUNK, dim))
