@@ -173,7 +173,9 @@ class CostDiagonal:
             and hi - lo + 1 <= dim // 16
         ):
             return False
-        table = (np.arange(int(hi - lo) + 1, dtype=np.float64) + lo) + 0j
+        # the levels lo, lo + 1, ..., hi as (E, +0), in the one complex buffer
+        table = np.arange(int(hi - lo) + 1, dtype=np.complex128)
+        table += lo
         np.multiply(-1j * gamma, table, out=table)
         np.exp(table, out=table)
         energy = np.empty(min(PHASE_CHUNK, dim))
