@@ -163,7 +163,10 @@ class CostDiagonal:
         return vec
 
     def _phase_from_levels(self, gamma: float, vec: np.ndarray) -> bool:
-        """Fill vec from a table of integer energy levels; False when it cannot."""
+        """Fill vec from a table of integer energy levels.
+
+        Returns False, with vec perhaps partly written, when it cannot.
+        """
         lo, hi = self._energy_range
         dim = self.layout.D
         if not (
