@@ -2,14 +2,12 @@
 
 from .analysis import (
     BaselineReport,
-    HeavyOutputReport,
     MomentReport,
     TwirlEstimate,
     angle_averaged_transition,
     block_design_moments,
     classical_baselines,
     find_good_permutation,
-    heavy_output_report,
     lie_algebra_dimension,
     transition_closed_form,
     twirl_average,

@@ -9,7 +9,7 @@ from itertools import permutations
 import numpy as np
 
 from .encoded import BlockPermutation, index_to_label, labels_to_indices
-from .hamiltonian import AnchoredTsp, CostDiagonal
+from .hamiltonian import CostDiagonal
 from .layers import (
     DEFAULT_NORMALIZATION,
     LayerSchedule,
@@ -17,7 +17,6 @@ from .layers import (
     mixer_block_matrix,
     run_circuit,
 )
-from .phqc import default_shots, exact_success_probability, required_shots
 
 EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
 EXACT_INT_BITS = 1 << 16  # larger baseline integers are handled in log10 space
@@ -320,41 +319,4 @@ def classical_baselines(
         log10_model_a=log10_a,
         log10_model_b=log10_b,
         log10_separation=log10_sep,
-    )
-
-
-@dataclass(frozen=True)
-class HeavyOutputReport:
-    """How far the exact optimum mass sits above the 1/D design baseline."""
-
-    p_opt: float
-    degeneracy: int
-    uniform_baseline: float  # 1/D
-    heavy_ratio: float  # p_opt * D
-    threshold_crossings: tuple[tuple[int, bool], ...]  # (k, p_opt >= n**-k)
-    required_shots: int | None  # at the given delta; None when p_opt == 0
-    finite_shot_bound: float  # 1 / default_shots(n_cities)
-    in_finite_shot_region: bool
-
-
-def heavy_output_report(
-    enc: AnchoredTsp,
-    schedule: LayerSchedule,
-    norm: MixerNormalization = DEFAULT_NORMALIZATION,
-    delta: float = math.exp(-10),
-    penalty_weight: float | None = None,
-) -> HeavyOutputReport:
-    p_opt, degen = exact_success_probability(enc, schedule, norm, penalty_weight)
-    layout = enc.layout
-    crossings = tuple((k, p_opt >= layout.n ** (-k)) for k in range(1, layout.m + 1))
-    bound = 1.0 / default_shots(enc.instance.n_cities)
-    return HeavyOutputReport(
-        p_opt=p_opt,
-        degeneracy=degen,
-        uniform_baseline=1.0 / layout.D,
-        heavy_ratio=p_opt * layout.D,
-        threshold_crossings=crossings,
-        required_shots=required_shots(p_opt, delta) if p_opt > 0 else None,
-        finite_shot_bound=bound,
-        in_finite_shot_region=p_opt >= bound,
     )

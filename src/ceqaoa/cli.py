@@ -244,7 +244,9 @@ def cmd_solve(args) -> int:
         "penalty_weight": lam,
         "seed": args.seed,
         "grid": grid_json,
-        "best_tour": list(tour_cities(enc, result.best_label)) if result.best_label else None,
+        "best_tour": (
+            None if result.best_flat is None else list(tour_cities(enc, result.best_flat))
+        ),
         "best_cost": result.best_cost,
         "best_angles": list(result.best_angles) if result.best_angles else None,
         "p_opt_exact": result.p_opt_exact,
@@ -274,7 +276,7 @@ def cmd_solve(args) -> int:
     hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
     write_text_atomic(hist_path, hist_lines)
 
-    if result.best_label is None:
+    if result.best_flat is None:
         print(f"no feasible sample in {shots} shots x {len(result.per_grid_stats)} grid points")
         return EXIT_NO_FEASIBLE
     print(
@@ -311,6 +313,7 @@ def cmd_histogram(args) -> int:
     layout = enc.layout
     check_memory(peak_bytes(layout, [schedule]))
     diag = build_cost_diagonal(enc, args.penalty_weight)
+    optimal_flats = brute_force_optimum(diag).optimal_flats
     work = Workspace.for_schedules(layout, [schedule])
     state = run_circuit(diag, schedule, norm, work)
     scratch = work.scratch[: layout.D]
@@ -322,8 +325,7 @@ def cmd_histogram(args) -> int:
     if sampled is not None:
         counts[sampled.flats] = sampled.counts
     is_optimal = np.zeros(layout.D, dtype=np.int8)
-    if layout.m <= 10:
-        is_optimal[brute_force_optimum(enc).optimal_flats] = 1
+    is_optimal[optimal_flats] = 1
     # most sampled first; the stable sort keeps equal counts in flat order
     order = np.argsort(-counts, kind="stable")
     # A flat index splits into a high half of m // 2 symbols and a low half

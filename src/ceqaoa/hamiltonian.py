@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, permutations
 
 import numpy as np
 
-from .encoded import BlockLayout, Label, index_to_label, labels_to_indices
+from .encoded import BlockLayout, index_to_label
 
 # Absorbs summation-order noise when counting exactly degenerate tours
 # (e.g. the reversal of a tour on a symmetric instance).
 TIE_TOL = 1e-12
-BRUTE_FORCE_CHUNK = 200_000  # tours scored per vectorized batch
 PHASE_CHUNK = 8192  # labels per chunk of the level-table phase fill
 EXACT_INTEGERS = 2.0**53  # float64 holds every integer of smaller magnitude
 
@@ -81,10 +79,9 @@ def anchor(instance: TspInstance, start: int = 0) -> AnchoredTsp:
     return AnchoredTsp(instance, start, BlockLayout(n_red, n_red), rest)
 
 
-def tour_cities(enc: AnchoredTsp, label) -> tuple[int, ...]:
-    """Full city cycle for a label, starting and ending at the start city."""
-    label = enc.layout.validate_label(label)
-    mid = tuple(enc.city_of_symbol[j] for j in label)
+def tour_cities(enc: AnchoredTsp, flat: int) -> tuple[int, ...]:
+    """Full city cycle for a flat label index, starting and ending at the start city."""
+    mid = tuple(enc.city_of_symbol[j] for j in index_to_label(enc.layout, flat))
     return (enc.start_city,) + mid + (enc.start_city,)
 
 
@@ -248,12 +245,10 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
 
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
-    """Every optimal tour, as labels and as the ascending int64 array of their flat indices."""
+    """The optimal tour cost and the ascending int64 flat indices of every optimal tour."""
 
-    best_label: Label
     best_cost: float
     degeneracy: int
-    optimal_labels: tuple[Label, ...]
     optimal_flats: np.ndarray
 
 
@@ -261,42 +256,17 @@ def _tie_threshold(best: float) -> float:
     return TIE_TOL * max(1.0, abs(best))
 
 
-def brute_force_optimum(enc: AnchoredTsp) -> BruteForceResult:
-    """Enumerate all (n_cities - 1)! anchored tours and collect every optimum.
+def brute_force_optimum(diag: CostDiagonal) -> BruteForceResult:
+    """Scan the diagonal's feasible labels and collect every optimal tour.
 
-    Exact ties (degenerate optima) are counted with a tolerance that only
-    absorbs float summation-order noise; with integer distances the tie set
-    is exact.  Refuses m > 10 (factorial blow-up).
+    The feasible labels (penalty count 0) are exactly the anchored tours,
+    and their objectives are the scalar tour sums, bitwise.  Exact ties
+    (degenerate optima) are counted with a tolerance that only absorbs
+    float summation-order noise; with integer distances the tie set is
+    exact.
     """
-    m = enc.layout.m
-    if m > 10:
-        raise ValueError(f"refusing factorial enumeration for m={m} > 10")
-    C = enc.instance.distances
-    cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
-    start = enc.start_city
-
-    best = math.inf
-    cand_flats: list[np.ndarray] = []
-    cand_costs: list[np.ndarray] = []
-    gen = permutations(range(m))
-    while True:
-        chunk = list(islice(gen, BRUTE_FORCE_CHUNK))
-        if not chunk:
-            break
-        sym = np.asarray(chunk, dtype=np.int64)
-        seq = cities[sym]
-        cost = C[start, seq[:, 0]]
-        for b in range(1, m):
-            cost = cost + C[seq[:, b - 1], seq[:, b]]
-        cost = cost + C[seq[:, -1], start]
-        best = min(best, float(cost.min()))
-        near = cost <= best + _tie_threshold(best)
-        cand_flats.append(labels_to_indices(enc.layout, sym[near]))
-        cand_costs.append(cost[near])
-
-    flats = np.concatenate(cand_flats)
-    costs = np.concatenate(cand_costs)
-    sel = costs <= best + _tie_threshold(best)
-    flats = np.sort(flats[sel])
-    labels = tuple(index_to_label(enc.layout, int(f)) for f in flats)
-    return BruteForceResult(labels[0], best, len(labels), labels, flats)
+    feasible = np.flatnonzero(diag.penalty_count == 0)
+    costs = diag.objective[feasible]
+    best = float(costs.min())
+    flats = feasible[costs <= best + _tie_threshold(best)]
+    return BruteForceResult(best, int(flats.size), flats)

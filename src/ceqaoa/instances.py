@@ -131,6 +131,8 @@ def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
         raise InstanceParseError("missing DIMENSION header", path) from None
     except ValueError:
         raise InstanceParseError(f"bad DIMENSION value {headers['DIMENSION']!r}", path) from None
+    if dimension < 1:
+        raise InstanceParseError(f"DIMENSION must be at least 1, got {dimension}", path)
 
     weight_type = headers.get("EDGE_WEIGHT_TYPE", "").upper()
     if weight_type == "EXPLICIT":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoded import BlockLayout, EncodedState, Label, index_to_label
+from .encoded import BlockLayout, EncodedState
 from .hamiltonian import (
     AnchoredTsp,
     BruteForceResult,
@@ -87,7 +87,8 @@ def peak_bytes(layout: BlockLayout, schedules: Sequence[LayerSchedule]) -> int:
     complex amplitudes (16), the complex phase when the run holds one beside
     them (layers.holds_phase, 16), and one scratch buffer holding the
     mixer's two complex block means, 32/n bytes, and then the 8-byte
-    sampling CDF.  The interpreter, numpy and the O(m!) oracle are not
+    sampling CDF.  The interpreter, numpy and the oracle's one-byte
+    feasibility mask, freed before the workspace is allocated, are not
     counted.
     """
     held = 10 + 16 + (16 if holds_phase(schedules) else 0)
@@ -173,7 +174,6 @@ def required_shots(p_min: float, delta: float) -> int:
 
 @dataclass(frozen=True)
 class ScoredShots:
-    best_label: Label | None
     best_cost: float | None
     best_flat: int | None
     feasible_shots: int
@@ -189,15 +189,10 @@ def score_shots(enc: AnchoredTsp, shots: ShotSet, diag: CostDiagonal) -> ScoredS
     feasible = diag.penalty_count[shots.flats] == 0
     flats = shots.flats[feasible]
     if flats.size == 0:
-        return ScoredShots(None, None, None, 0)
+        return ScoredShots(None, None, 0)
     # flats ascend, so the first minimum is the lowest flat index among ties
     flat = int(flats[np.argmin(diag.objective[flats])])
-    return ScoredShots(
-        index_to_label(shots.layout, flat),
-        float(diag.objective[flat]),
-        flat,
-        int(shots.counts[feasible].sum()),
-    )
+    return ScoredShots(float(diag.objective[flat]), flat, int(shots.counts[feasible].sum()))
 
 
 @dataclass(frozen=True)
@@ -213,15 +208,17 @@ class GridPointStat:
 class PhqcResult:
     """Best feasible sample, its cost, the winning angles, and overlap statistics.
 
-    feasible_fraction aggregates over every sampled shot (per-point values
-    sit in per_grid_stats).  p_opt_exact is the simulator-exact probability
-    mass on all degenerate optima at the winning angles; it is None when no
-    feasible sample appeared or the brute-force oracle is out of range.
-    timings holds the wall seconds of the solve's stages: diagonal_s (cost
-    diagonal), oracle_s (brute-force optimum) and sweep_s (every grid point).
+    best_flat is the flat index of the best feasible sample
+    (hamiltonian.tour_cities gives its tour).  feasible_fraction aggregates
+    over every sampled shot (per-point values sit in per_grid_stats).
+    p_opt_exact is the simulator-exact probability mass on all degenerate
+    optima at the winning angles; it is None when no feasible sample
+    appeared.  timings holds the wall seconds of the solve's stages:
+    diagonal_s (cost diagonal), oracle_s (the optimum's scan of the
+    diagonal) and sweep_s (every grid point).
     """
 
-    best_label: Label | None
+    best_flat: int | None
     best_cost: float | None
     best_angles: tuple[float, float] | None
     feasible_fraction: float
@@ -266,7 +263,7 @@ def phqc_solve(
     t_start = time.perf_counter()
     diag = build_cost_diagonal(enc, penalty_weight)
     t_diag = time.perf_counter()
-    oracle = brute_force_optimum(enc) if enc.layout.m <= 10 else None
+    oracle = brute_force_optimum(diag)
     t_oracle = time.perf_counter()
     stats: list[GridPointStat] = []
     opt_mass: list[float] = []  # exact probability of the optima, per point
@@ -279,8 +276,7 @@ def phqc_solve(
     for idx, sched in enumerate(schedules):
         g, b = sched.pairs[0]
         state = run_circuit(diag, sched, norm, work)
-        if oracle is not None:
-            opt_mass.append(_optimal_mass(state, oracle))
+        opt_mass.append(_optimal_mass(state, oracle))
         shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), cdf)
         scored = score_shots(enc, shots, diag)
         stat = GridPointStat(
@@ -297,17 +293,14 @@ def phqc_solve(
 
     t_sweep = time.perf_counter()
     feasible_fraction = feasible_total / (shots_per_point * len(schedules))
-    best_label = best_cost = best_angles = p_opt = degen = None
+    best_flat = best_cost = best_angles = p_opt = degen = None
     if best is not None:
-        cost, flat, win_idx = best
-        best_label = index_to_label(enc.layout, flat)
-        best_cost = cost
+        best_cost, best_flat, win_idx = best
         best_angles = (stats[win_idx].gamma, stats[win_idx].beta)
-        if oracle is not None:
-            p_opt = opt_mass[win_idx]
-            degen = oracle.degeneracy
+        p_opt = opt_mass[win_idx]
+        degen = oracle.degeneracy
     return PhqcResult(
-        best_label,
+        best_flat,
         best_cost,
         best_angles,
         feasible_fraction,
@@ -331,21 +324,15 @@ def _optimal_mass(state: EncodedState, oracle: BruteForceResult) -> float:
 
 
 def exact_success_probability(
-    enc: AnchoredTsp,
+    diag: CostDiagonal,
     schedule: LayerSchedule,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
-    penalty_weight: float | None = None,
-    diag: CostDiagonal | None = None,
-    oracle: BruteForceResult | None = None,
 ) -> tuple[float, int]:
     """Exact probability mass on every optimal label after the circuit.
 
-    Returns (p_opt, number of degenerate optima); needs the brute-force
-    oracle, hence m <= 10.
+    Returns (p_opt, number of degenerate optima), the optima found by
+    scanning diag.
     """
-    if diag is None:
-        diag = build_cost_diagonal(enc, penalty_weight)
-    if oracle is None:
-        oracle = brute_force_optimum(enc)
+    oracle = brute_force_optimum(diag)
     state = run_circuit(diag, schedule, norm)
     return _optimal_mass(state, oracle), oracle.degeneracy

@@ -6,8 +6,11 @@ with the implementations under test.
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
+
+from ceqaoa.hamiltonian import TIE_TOL
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,6 +64,23 @@ def tour_cost(enc, label):
     if not is_feasible(enc, label):
         raise ValueError(f"label {label} repeats a city; filter with is_feasible first")
     return _cycle_cost(enc, [enc.city_of_symbol[j] for j in label])
+
+
+def enumerated_optimum(enc):
+    """(best cost, ascending flat indices of every optimal tour) by enumerating all tours.
+
+    Walks every permutation of the m symbols, sums each tour with tour_cost,
+    and keeps the tours within TIE_TOL * max(1, |best|) of the best, the
+    tie rule of brute_force_optimum.  The flat index of a label is its
+    base-n reading, block 0 most significant.
+    """
+    n, m = enc.layout.n, enc.layout.m
+    costs = {
+        sum(s * n ** (m - 1 - b) for b, s in enumerate(perm)): tour_cost(enc, perm)
+        for perm in permutations(range(m))
+    }
+    best = min(costs.values())
+    return best, sorted(f for f, c in costs.items() if c <= best + TIE_TOL * max(1.0, abs(best)))
 
 
 def _cycle_cost(enc, cities):

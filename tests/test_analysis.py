@@ -8,18 +8,14 @@ from ceqaoa.analysis import (
     block_design_moments,
     classical_baselines,
     find_good_permutation,
-    heavy_output_report,
     lie_algebra_dimension,
     random_block_permutation_array,
     transition_closed_form,
     twirl_average,
 )
 from ceqaoa.encoded import BlockLayout, label_to_index
-from ceqaoa.hamiltonian import TspInstance, anchor
 from ceqaoa.layers import LayerSchedule, MixerNormalization, run_circuit
 from ceqaoa.verify import random_diagonal
-
-from oracles import random_asymmetric_instance
 
 
 def schedules_for(count, seed):
@@ -238,16 +234,3 @@ class TestBaselines:
             assert rep.log10_separation == pytest.approx(
                 n * (n * math.log10(2) - math.log10(n)), rel=1e-12
             )
-
-
-class TestHeavyOutputs:
-    def test_uniform_angles_uniform_ratio(self):
-        inst = TspInstance("a4", 4, random_asymmetric_instance(4, 2))
-        enc = anchor(inst, 0)
-        rep = heavy_output_report(enc, LayerSchedule.constant(0.0, 0.0))
-        assert rep.degeneracy == 1
-        assert rep.heavy_ratio == pytest.approx(1.0, abs=1e-12)
-        assert rep.uniform_baseline == pytest.approx(1 / 27)
-        assert rep.required_shots == 270
-        assert rep.threshold_crossings[0] == (1, False)  # 1/27 < 1/3
-        assert rep.threshold_crossings[2] == (3, True)  # 1/27 >= 1/27

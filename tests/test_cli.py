@@ -98,7 +98,7 @@ class TestSolve:
         seed = next(
             s
             for s in range(50)
-            if phqc_solve(enc, schedules, shots_per_point=1, master_seed=s).best_label is None
+            if phqc_solve(enc, schedules, shots_per_point=1, master_seed=s).best_flat is None
         )
         out = tmp_path / "none.json"
         code = main(
@@ -141,17 +141,31 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
 
     @pytest.mark.parametrize(
-        "body",
+        "name,body",
         [
-            {"n": "abc", "matrix": MATRIX_4},
-            {"matrix": [[0, 1], [1]]},
-            {"matrix": [[0, "1", True], ["1", 0, 1], [True, 1, 0]]},
+            ("bad.json", {"n": "abc", "matrix": MATRIX_4}),
+            ("bad.json", {"matrix": [[0, 1], [1]]}),
+            ("bad.json", {"matrix": [[0, "1", True], ["1", 0, 1], [True, 1, 0]]}),
+            ("bad.tsp", "DIMENSION: 0\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\nEOF\n"),
+            (
+                "bad.tsp",
+                "DIMENSION: -1\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
+                "EDGE_WEIGHT_SECTION\n0\nEOF\n",
+            ),
         ],
-        ids=["n", "ragged", "non-numeric-entries"],
+        ids=[
+            "n",
+            "ragged",
+            "non-numeric-entries",
+            "tsplib-dimension-0",
+            "tsplib-dimension-minus-1",
+        ],
     )
-    def test_malformed_instance_ends_in_one_line_naming_the_file(self, tmp_path, capsys, body):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(body))
+    def test_malformed_instance_ends_in_one_line_naming_the_file(
+        self, tmp_path, capsys, name, body
+    ):
+        path = tmp_path / name
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
         assert main(["solve", str(path), "--out", str(tmp_path / "x.json")]) == 1
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and err.startswith(f"{path}: ")

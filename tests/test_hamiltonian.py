@@ -15,7 +15,14 @@ from ceqaoa.hamiltonian import (
     tour_cities,
 )
 
-from oracles import held_karp_cycle, is_feasible, random_symmetric_instance, tour_cost
+from oracles import (
+    enumerated_optimum,
+    held_karp_cycle,
+    is_feasible,
+    random_asymmetric_instance,
+    random_symmetric_instance,
+    tour_cost,
+)
 
 MATRIX_4 = np.array(
     [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]], dtype=float
@@ -113,7 +120,7 @@ class TestTourCost:
 
     def test_tour_cities_cycle(self):
         enc = example_4()
-        assert tour_cities(enc, (0, 2, 1)) == (0, 1, 3, 2, 0)
+        assert tour_cities(enc, label_to_index(enc.layout, (0, 2, 1))) == (0, 1, 3, 2, 0)
 
     def test_reversal_invariance_symmetric(self):
         for seed in range(5):
@@ -199,35 +206,61 @@ class TestCostDiagonal:
         assert filled() is None  # the diagonal keeps no reference to it
 
 
+def optimum(enc):
+    return brute_force_optimum(build_cost_diagonal(enc))
+
+
+def oracle_instance(kind, n_cities, seed):
+    """A distance matrix of one kind: symmetric, asymmetric, all-equal or small-integer."""
+    if kind == "symmetric":
+        return random_symmetric_instance(n_cities, seed)
+    if kind == "asymmetric":
+        return random_asymmetric_instance(n_cities, seed)
+    if kind == "all-equal":
+        return np.ones((n_cities, n_cities)) - np.eye(n_cities)
+    # distances 1..3: many tours share the optimal cost
+    return np.rint(random_asymmetric_instance(n_cities, seed, 1.0, 3.0))
+
+
 class TestBruteForce:
     def test_worked_example(self):
-        res = brute_force_optimum(example_4())
+        enc = example_4()
+        res = optimum(enc)
         assert res.best_cost == 80.0
         assert res.degeneracy == 2  # a symmetric tour and its reversal
-        assert set(res.optimal_labels) == {(0, 2, 1), (1, 2, 0)}
-        assert res.best_label == (0, 2, 1)
+        expected = [label_to_index(enc.layout, lab) for lab in [(0, 2, 1), (1, 2, 0)]]
+        assert res.optimal_flats.tolist() == expected
 
     def test_all_equal_distances_fully_degenerate(self):
         for n_cities in (4, 5):
             m = np.ones((n_cities, n_cities)) - np.eye(n_cities)
-            res = brute_force_optimum(anchor(TspInstance("eq", n_cities, m), 0))
+            res = optimum(anchor(TspInstance("eq", n_cities, m), 0))
             assert res.degeneracy == math.factorial(n_cities - 1)
 
     @pytest.mark.parametrize("n_cities", [5, 6, 7, 8, 9])
     def test_matches_held_karp(self, n_cities):
         m = random_symmetric_instance(n_cities, 40 + n_cities)
-        res = brute_force_optimum(anchor(TspInstance("hk", n_cities, m), 0))
+        res = optimum(anchor(TspInstance("hk", n_cities, m), 0))
         assert res.best_cost == pytest.approx(held_karp_cycle(m, 0), rel=1e-10)
-
-    def test_refuses_large(self, monkeypatch):
-        monkeypatch.setenv("CEQAOA_MAX_DIM", str(12**12))
-        enc = anchor(TspInstance("big", 13, random_symmetric_instance(13, 0)), 0)
-        with pytest.raises(ValueError, match="factorial"):
-            brute_force_optimum(enc)
 
     def test_optimal_labels_are_feasible_minima(self):
         enc = anchor(TspInstance("r6", 6, random_symmetric_instance(6, 11)), 0)
-        res = brute_force_optimum(enc)
-        for label in res.optimal_labels:
+        res = optimum(enc)
+        for flat in res.optimal_flats.tolist():
+            label = index_to_label(enc.layout, flat)
             assert is_feasible(enc, label)
             assert tour_cost(enc, label) == pytest.approx(res.best_cost, rel=1e-12)
+
+    @pytest.mark.parametrize("n_cities", [4, 5, 6, 7])
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "all-equal", "small-integer"])
+    def test_scan_matches_enumeration(self, kind, n_cities):
+        # the scan reads the cost diagonal; the reference enumerates the
+        # permutations and sums each tour with the scalar tour_cost
+        for seed in range(3):
+            enc = anchor(TspInstance(kind, n_cities, oracle_instance(kind, n_cities, seed)), 0)
+            res = optimum(enc)
+            best, flats = enumerated_optimum(enc)
+            assert res.best_cost == best
+            assert res.optimal_flats.dtype == np.int64
+            assert res.optimal_flats.tolist() == flats
+            assert res.degeneracy == len(flats)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import ceqaoa.phqc as phqc
-from ceqaoa.encoded import BlockLayout, EncodedState, label_to_index, uniform_initial_state
+from ceqaoa.encoded import (
+    BlockLayout,
+    EncodedState,
+    index_to_label,
+    label_to_index,
+    uniform_initial_state,
+)
 from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal
 from ceqaoa.layers import LayerSchedule, holds_phase
 from ceqaoa.phqc import (
@@ -22,7 +28,12 @@ from ceqaoa.phqc import (
     square_grid,
 )
 
-from oracles import random_asymmetric_instance, random_symmetric_instance, tour_cost
+from oracles import (
+    held_karp_cycle,
+    random_asymmetric_instance,
+    random_symmetric_instance,
+    tour_cost,
+)
 
 MATRIX_4 = np.array(
     [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]], dtype=float
@@ -139,12 +150,13 @@ def shot_set(layout, label_counts):
 class TestScoring:
     def test_injected_optimum_is_found(self):
         enc = example_4()
-        optimum = brute_force_optimum(enc).best_label
+        diag = build_cost_diagonal(enc)
+        flat = int(brute_force_optimum(diag).optimal_flats[0])
         # the optimum appears once
+        optimum = index_to_label(enc.layout, flat)
         shots = shot_set(enc.layout, {(0, 0, 0): 80, (0, 1, 2): 19, optimum: 1})
-        scored = score_shots(enc, shots, build_cost_diagonal(enc))
-        assert scored.best_label == optimum
-        assert scored.best_flat == label_to_index(enc.layout, optimum)
+        scored = score_shots(enc, shots, diag)
+        assert scored.best_flat == flat
         assert scored.best_cost == 80.0
         assert scored.feasible_shots == 20
 
@@ -152,13 +164,14 @@ class TestScoring:
         enc = example_4()
         # (0, 2, 1) and (1, 2, 0) are the two degenerate optima
         shots = shot_set(enc.layout, {(1, 2, 0): 5, (0, 2, 1): 5})
-        assert score_shots(enc, shots, build_cost_diagonal(enc)).best_label == (0, 2, 1)
+        best = score_shots(enc, shots, build_cost_diagonal(enc)).best_flat
+        assert best == label_to_index(enc.layout, (0, 2, 1))
 
     def test_no_feasible_samples(self):
         enc = example_4()
         shots = shot_set(enc.layout, {(0, 0, 0): 3, (1, 1, 2): 2})
         scored = score_shots(enc, shots, build_cost_diagonal(enc))
-        assert scored.best_label is None and scored.best_cost is None
+        assert scored.best_flat is None and scored.best_cost is None
         assert scored.feasible_shots == 0
 
 
@@ -167,7 +180,7 @@ class TestSolve:
         enc = example_4()
         res = phqc_solve(enc, master_seed=5)
         assert res.best_cost == 80.0
-        assert res.best_cost == tour_cost(enc, res.best_label)
+        assert res.best_cost == tour_cost(enc, index_to_label(enc.layout, res.best_flat))
         assert res.degenerate_optima == 2
         assert 0 < res.feasible_fraction < 1
         assert len(res.per_grid_stats) == 25
@@ -180,7 +193,7 @@ class TestSolve:
     def test_deterministic_given_seed(self):
         a = phqc_solve(example_4(), master_seed=9)
         b = phqc_solve(example_4(), master_seed=9)
-        assert a.best_label == b.best_label
+        assert a.best_flat == b.best_flat
         assert a.best_cost == b.best_cost
         assert a.per_grid_stats == b.per_grid_stats
 
@@ -192,12 +205,12 @@ class TestSolve:
             res = phqc_solve(enc, schedules, shots_per_point=1, master_seed=seed)
             frac = res.per_grid_stats[0].feasible_fraction
             assert frac in (0.0, 1.0)
-            if res.best_label is None:
+            if res.best_flat is None:
                 assert frac == 0.0 and res.best_angles is None and res.p_opt_exact is None
                 found_empty = True
             else:
                 assert frac == 1.0
-                assert res.best_cost == tour_cost(enc, res.best_label)
+                assert res.best_cost == tour_cost(enc, index_to_label(enc.layout, res.best_flat))
                 found_feasible = True
             if found_feasible and found_empty:
                 break
@@ -229,7 +242,7 @@ class TestSolve:
         res = phqc_solve(enc, schedules, shots_per_point=200, master_seed=4)
         assert len(calls) == len(schedules)
         sched = LayerSchedule.constant(*res.best_angles)
-        assert res.p_opt_exact == exact_success_probability(enc, sched)[0]
+        assert res.p_opt_exact == exact_success_probability(build_cost_diagonal(enc), sched)[0]
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("path", ["direct", "table"])
@@ -259,11 +272,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("n_cities", [4, 5])
     def test_oracle_equivalence_small(self, n_cities):
-        inst = TspInstance("r", n_cities, random_symmetric_instance(n_cities, 60 + n_cities))
-        enc = anchor(inst, 0)
-        oracle = brute_force_optimum(enc)
+        # Held-Karp shares no code with the cost diagonal the solve scores on
+        matrix = random_symmetric_instance(n_cities, 60 + n_cities)
+        enc = anchor(TspInstance("r", n_cities, matrix), 0)
         res = phqc_solve(enc, shots_per_point=default_shots(n_cities), master_seed=77)
-        assert res.best_cost == pytest.approx(oracle.best_cost, rel=1e-12)
+        assert res.best_cost == pytest.approx(held_karp_cycle(matrix, 0), rel=1e-12)
 
 
 class TestMemoryPlan:
@@ -291,15 +304,15 @@ class TestMemoryPlan:
 
 class TestExactSuccess:
     def test_uniform_angles_give_degeneracy_over_dimension(self):
-        enc = example_4()
-        p, k = exact_success_probability(enc, LayerSchedule.constant(0.0, 0.0))
+        diag = build_cost_diagonal(example_4())
+        p, k = exact_success_probability(diag, LayerSchedule.constant(0.0, 0.0))
         assert k == 2
         assert p == pytest.approx(2 / 27, abs=1e-13)
 
     def test_unique_optimum_asymmetric(self):
         inst = TspInstance("a4", 4, random_asymmetric_instance(4, 1))
-        enc = anchor(inst, 0)
-        p, k = exact_success_probability(enc, LayerSchedule.constant(0.0, 0.0))
+        diag = build_cost_diagonal(anchor(inst, 0))
+        p, k = exact_success_probability(diag, LayerSchedule.constant(0.0, 0.0))
         assert k == 1
         assert p == pytest.approx(1 / 27, abs=1e-13)
 
@@ -309,7 +322,7 @@ class TestExactSuccess:
         diag = build_cost_diagonal(enc)
         for gamma, beta in [(0.0, 0.0), (0.9, 1.7), (2.2, 0.3)]:
             sched = LayerSchedule.constant(gamma, beta)
-            p, k = exact_success_probability(enc, sched)
+            p, k = exact_success_probability(diag, sched)
             assert k == 6
             from ceqaoa.layers import run_circuit
 
