@@ -126,17 +126,23 @@ def reference_circuit(diag, schedule, norm):
     first, as numpy's temporary elision evaluated the former
     amps * exp(...) for states of 16384 amplitudes or more.
     """
-    n, m, dim = diag.layout.n, diag.layout.m, diag.layout.D
+    dim = diag.layout.D
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     for gamma, beta in schedule.pairs:
         amps = reference_phase(diag, gamma) * amps
-        bp = float(beta) * norm.scale(n)
-        a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
-        arr = amps.reshape((n,) * m)
-        for axis in range(m):
-            arr = b * arr + (a - b) * arr.mean(axis=axis, keepdims=True)
-        amps = arr.reshape(-1)
+        amps = former_mixer(diag.layout, amps, beta, norm)
     return amps
+
+
+def former_mixer(layout, amps, beta, norm):
+    """The block mixer as b * psi + (a - b) * mean_over_axis(psi), one axis at a time, out of place."""
+    n, m = layout.n, layout.m
+    bp = float(beta) * norm.scale(n)
+    a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
+    arr = amps.reshape((n,) * m)
+    for axis in range(m):
+        arr = b * arr + (a - b) * arr.mean(axis=axis, keepdims=True)
+    return arr.reshape(-1)
 
 
 def reference_cost_diagonal(enc):

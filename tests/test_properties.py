@@ -5,7 +5,7 @@ diagonal and the one-buffer shot sampler."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ceqaoa.encoded import (
@@ -28,6 +28,7 @@ from ceqaoa.layers import (
 from ceqaoa.phqc import ShotSet, sample_shots, score_shots
 
 from oracles import (
+    former_mixer,
     reference_circuit,
     reference_cost_diagonal,
     reference_phase,
@@ -252,6 +253,27 @@ def test_rank1_mixer_matches_dense_kronecker_product(layout, beta, norm, seed):
     expected = dense @ amps
     out = apply_mixer(EncodedState(layout, amps), beta, norm)
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(
+    layout=layouts(),
+    beta=angles,
+    norm=st.sampled_from(list(MixerNormalization)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the layouts of the elision-threshold test, n = 2, m = 15 among them
+@example(layout=BlockLayout(2, 14), beta=0.4, norm=MixerNormalization.OVER_N, seed=1)
+@example(layout=BlockLayout(2, 15), beta=2.1, norm=MixerNormalization.RAW, seed=2)
+@example(layout=BlockLayout(4, 8), beta=-1.3, norm=MixerNormalization.OVER_N_MINUS_1, seed=3)
+@example(layout=BlockLayout(3, 10), beta=0.7, norm=MixerNormalization.OVER_N, seed=4)
+def test_mixer_matches_former_mixer(layout, beta, norm, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
+    amps /= np.linalg.norm(amps)
+    expected = former_mixer(layout, amps, beta, norm)
+    out = apply_mixer(EncodedState(layout, amps.copy()), beta, norm)
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-13
 
 
 @st.composite
