@@ -3,8 +3,12 @@
 The per-block mixer generator is the complete-graph adjacency on the n
 symbols (optionally scaled by 1/n or 1/(n-1)); its exponential has the
 rank-1 closed form a * J/n + b * (I - J/n) with crossing phases
-a = exp(-i beta' (n-1)) and b = exp(+i beta'), which lets the full mixer
-run in O(D * m) arithmetic without materializing any D x D matrix.
+a = exp(-i beta' (n-1)) and b = exp(+i beta'), which factorises as
+b * (I + kappa * J) with kappa = (a / b - 1) / n.  The full mixer then
+runs in O(D * m) additions: per block axis, the sum of the axis's n slices,
+scaled by kappa and added back to every slice; one multiply by b**m
+closes it.  No D x D matrix is materialized.  Once a state is larger than
+a cache-sized block, the later axes run block by block.
 """
 
 from __future__ import annotations
@@ -101,14 +105,9 @@ def mixer_block_matrix(
     return b * np.eye(n, dtype=np.complex128) + ((a - b) / n) * np.ones((n, n), np.complex128)
 
 
-# numpy's temporary elision threshold (NPY_MIN_ELIDE_BYTES): an expression
-# whose temporary operand holds this many bytes or more computes in place
-_ELIDE_BYTES = 256 * 1024
-
-
-def mixer_scratch_size(layout: BlockLayout) -> int:
-    """float64 elements apply_mixer's scratch needs: two complex block means of D/n each."""
-    return 4 * (layout.D // layout.n)
+# bytes of one cache-sized block: the axes after the leading ones that make a
+# block this small are mixed block by block, so each block stays in cache
+_BLOCK_BYTES = 4 << 20
 
 
 def apply_mixer(
@@ -117,45 +116,56 @@ def apply_mixer(
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
     scratch: np.ndarray | None = None,
 ) -> EncodedState:
-    """Apply the block mixer on every block axis via the rank-1 update.
+    """Apply the block mixer on every block axis via the factorised rank-1 update.
 
-    Per axis: psi <- b * psi + (a - b) * mean_over_axis(psi), which equals
-    multiplying that axis by the closed-form block matrix.  Updates the
-    amplitudes in place and consumes the input state: the returned state
-    shares its buffer.  The block means live in scratch, a contiguous
-    float64 buffer of at least mixer_scratch_size(layout) elements; None
-    allocates one for the call.
+    The block matrix is b * (I + kappa * J) with kappa = (a / b - 1) / n, so
+    per axis: psi += kappa * (the sum of the axis's n slices, added one by
+    one), and after the last axis psi *= b**m.  Axes past the leading ones
+    that cut the state into blocks of at most _BLOCK_BYTES run block by
+    block; every element sees the same operations in the same order, so the
+    bits do not depend on the blocking.  Updates the amplitudes in place and
+    consumes the input state: the returned state shares its buffer.  The
+    slice sums live in scratch, a contiguous float64 buffer of at least
+    2 * D / n elements (D / n complex); None allocates one for the call.
     """
     layout = state.layout
-    a, b = _crossing_phases(layout.n, beta, norm)
+    n, m = layout.n, layout.m
+    a, b = _crossing_phases(n, beta, norm)
+    kappa = (a / b - 1) / n
     arr = state.tensor()
-    size, need = layout.D // layout.n, mixer_scratch_size(layout)
-    means = (np.empty(need) if scratch is None else scratch[:need]).view(np.complex128)
-    for axis in range(layout.m):
-        # Bitwise the former b * arr + (a - b) * arr.mean(...): b stays the
-        # first operand (arr *= b rounds differently).  Complex multiplies
-        # are not bitwise commutative, and numpy (in builds that elide
-        # temporaries, such as Linux ones) scaled a temporary mean of
-        # _ELIDE_BYTES or more in place, as mean * (a - b); a smaller one
-        # got a fresh (a - b) * mean.  Both orders are kept.
-        shape = arr.shape[:axis] + (1,) + arr.shape[axis + 1 :]
-        mean = arr.mean(axis=axis, keepdims=True, out=means[:size].reshape(shape))
-        if mean.nbytes >= _ELIDE_BYTES:
-            scaled = np.multiply(mean, a - b, out=mean)
-        else:
-            scaled = np.multiply(a - b, mean, out=means[size:].reshape(shape))
-        np.multiply(b, arr, out=arr)
-        arr += scaled
+    need = 2 * (layout.D // n)
+    sums = (np.empty(need) if scratch is None else scratch[:need]).view(np.complex128)
+    lead = 0
+    while 16 * n ** (m - lead) > _BLOCK_BYTES:
+        lead += 1
+    for axis in range(lead):
+        _mix_axis(arr, axis, kappa, sums)
+    for block in arr.reshape((-1,) + arr.shape[lead:]):
+        for axis in range(m - lead):
+            _mix_axis(block, axis, kappa, sums)
+    np.multiply(arr, b**m, out=arr)
     return EncodedState(layout, arr.reshape(-1))
+
+
+def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> None:
+    """arr += kappa * (sum of arr's slices along axis), summed slice by slice."""
+    shape = arr.shape[:axis] + arr.shape[axis + 1 :]
+    sums = buf[: math.prod(shape)].reshape(shape)
+    lead = (slice(None),) * axis
+    np.add(arr[lead + (0,)], arr[lead + (1,)], out=sums)
+    for i in range(2, arr.shape[axis]):
+        np.add(sums, arr[lead + (i,)], out=sums)
+    np.multiply(sums, kappa, out=sums)
+    np.add(arr, np.expand_dims(sums, axis), out=arr)
 
 
 @dataclass(eq=False)
 class Workspace:
     """Every D-sized buffer of a run of circuits, reused from one circuit to the next.
 
-    amps is the complex amplitude buffer.  scratch is a float64 buffer of
-    max(D, 4D/n) elements: it holds the mixer's block means during a
-    circuit and the sampling CDF after it.  phase is a complex buffer for
+    amps is the complex amplitude buffer.  scratch is a float64 buffer of D
+    elements: it holds the mixer's slice sums (2D/n elements, at most D for
+    every n >= 2) during a circuit and the sampling CDF after it.  phase is a complex buffer for
     exp(-i gamma E), or None when the run holds no phase vector beside the
     amplitudes (holds_phase).  A solve that keeps one workspace allocates
     no D-sized buffer per grid point.
@@ -171,7 +181,7 @@ class Workspace:
     def for_schedules(cls, layout: BlockLayout, schedules: Sequence[LayerSchedule]) -> "Workspace":
         return cls(
             np.empty(layout.D, dtype=np.complex128),
-            np.empty(max(layout.D, mixer_scratch_size(layout))),
+            np.empty(layout.D),
             np.empty(layout.D, dtype=np.complex128) if holds_phase(schedules) else None,
         )
 

@@ -120,17 +120,33 @@ def reference_phase(diag, gamma):
 def reference_circuit(diag, schedule, norm):
     """Amplitudes after the circuit, built out of place, one layer expression at a time.
 
-    Keeps the expressions the in-place kernels replaced, in the same operand
+    Keeps the expressions of the in-place kernels, in the same operand
     order, so the kernels must match it bit for bit.  Complex multiplies are
-    not bitwise commutative, so the phase product names its order: phase
-    first, as numpy's temporary elision evaluated the former
-    amps * exp(...) for states of 16384 amplitudes or more.
+    not bitwise commutative, so each product names its order: phase first,
+    as numpy's temporary elision evaluated the former amps * exp(...) for
+    states of 16384 amplitudes or more; the mixer's slice sums times kappa;
+    the state times b**m.  The mixer is the factorised b * (I + kappa * J)
+    per block, kappa = (a / b - 1) / n, with each axis's slices summed one
+    by one, left to right.  At m = 1 the sum is a numpy scalar, whose
+    product takes numpy's scalar loop, as the kernel's one-element in-place
+    product does (a one-element array product out of place takes the vector
+    loop, whose bits differ).
     """
-    dim = diag.layout.D
+    n, m, dim = diag.layout.n, diag.layout.m, diag.layout.D
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     for gamma, beta in schedule.pairs:
         amps = reference_phase(diag, gamma) * amps
-        amps = former_mixer(diag.layout, amps, beta, norm)
+        bp = float(beta) * norm.scale(n)
+        a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
+        kappa = (a / b - 1) / n
+        arr = amps.reshape((n,) * m)
+        for axis in range(m):
+            parts = [arr[(slice(None),) * axis + (i,)] for i in range(n)]
+            total = parts[0] + parts[1]
+            for part in parts[2:]:
+                total = total + part
+            arr = arr + np.expand_dims(total * kappa, axis)
+        amps = (arr * b**m).reshape(-1)
     return amps
 
 

@@ -16,6 +16,7 @@ from ceqaoa.encoded import (
     labels_to_indices,
 )
 from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
+from ceqaoa import layers
 from ceqaoa.layers import (
     LayerSchedule,
     MixerNormalization,
@@ -221,9 +222,9 @@ def test_phase_matches_direct_reference_bitwise(case):
 @pytest.mark.parametrize("n, m", [(2, 14), (2, 15), (4, 8), (3, 10)])
 def test_mixer_matches_reference_across_the_elision_threshold(n, m):
     """Block means of D/n = 16384 amplitudes (256 KiB) or more are where
-    numpy scaled the reference's temporary mean in place; the circuit must
-    match the reference bit for bit on both sides, with and without a
-    workspace."""
+    numpy scaled the former mixer's temporary mean in place; on both sides
+    of that size the circuit must match the factorised reference bit for
+    bit, with and without a workspace."""
     layout = BlockLayout(n, m)
     rng = np.random.default_rng(n * 100 + m)
     objective = rng.integers(0, 50, layout.D).astype(float)
@@ -234,6 +235,21 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
         expected = reference_circuit(diag, sched, norm)
         assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
         assert np.array_equal(run_circuit(diag, sched, norm, workspace=work).amplitudes, expected)
+
+
+@pytest.mark.parametrize("n, m", [(8, 7), (5, 9)])
+def test_blocked_mixer_matches_unblocked_bitwise(monkeypatch, n, m):
+    """States over 4 MiB mix their later axes block by block (blocks of 8**6
+    and 5**7 amplitudes here, the latter odd); every amplitude must come out
+    as when each axis runs over the whole state."""
+    layout = BlockLayout(n, m)
+    rng = np.random.default_rng(n * 100 + m)
+    amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
+    amps /= np.linalg.norm(amps)
+    blocked = apply_mixer(EncodedState(layout, amps.copy()), 0.9).amplitudes
+    monkeypatch.setattr(layers, "_BLOCK_BYTES", 16 * layout.D)
+    unblocked = apply_mixer(EncodedState(layout, amps), 0.9).amplitudes
+    assert np.array_equal(blocked.view(np.uint64), unblocked.view(np.uint64))
 
 
 @settings(deadline=None)
