@@ -35,6 +35,7 @@ from .layers import (
     LayerSchedule,
     MixerNormalization,
     Workspace,
+    holds_phase,
     run_circuit,
 )
 from .phqc import (
@@ -61,29 +62,32 @@ def parse_grid_spec(spec: str, n_cities: int):
     """Grid flag: 'n+1' (default), 'NxN', or 'list:g,b;g,b;...' explicit pairs.
 
     Returns an AngleGrid, or a list of (gamma, beta) pairs for list mode.
+    A spec of none of these forms raises ValueError naming the flag.
     """
-    spec = spec.strip()
-    if spec == "n+1":
+    bad = ValueError(f"bad --grid value {spec!r} (want n+1, NxN or list:g,b;...)")
+    text = spec.strip()
+    if text == "n+1":
         return default_grid(n_cities)
-    if spec.startswith("list:"):
+    if text.startswith("list:"):
         pairs = []
-        for chunk in spec[5:].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
+        for chunk in text[5:].split(";"):
+            if not chunk.strip():
                 continue
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"bad angle pair {chunk!r} (want gamma,beta)")
-            pairs.append((float(parts[0]), float(parts[1])))
+            try:
+                gamma, beta = (float(v) for v in chunk.split(","))
+            except ValueError:
+                raise bad from None
+            pairs.append((gamma, beta))
         if not pairs:
-            raise ValueError("empty angle list")
+            raise bad
         return pairs
-    if "x" in spec.lower():
-        a, _, b = spec.lower().partition("x")
-        if a != b:
-            raise ValueError(f"only square grids are supported, got {spec!r}")
-        return square_grid(int(a))
-    raise ValueError(f"unrecognized grid spec {spec!r}")
+    try:
+        rows, cols = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise bad from None
+    if rows != cols:
+        raise ValueError(f"only square grids are supported, got {spec!r}")
+    return square_grid(rows)
 
 
 def _proc_kb(path: str, key: str) -> int | None:
@@ -212,15 +216,20 @@ def cmd_solve(args) -> int:
         for cost, count in zip(costs.tolist(), totals.astype(np.int64).tolist()):
             hist_lines.append(f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n")
 
+    schedules = None
     if isinstance(grid_or_pairs, AngleGrid):
         grid_json = {"gammas": list(grid_or_pairs.gammas), "betas": list(grid_or_pairs.betas)}
-        schedules = grid_or_pairs.schedules(args.depth)
+        points = len(grid_or_pairs.gammas) * len(grid_or_pairs.betas)
+        phase = grid_or_pairs.holds_phase(args.depth)
     else:
         grid_json = {"pairs": [list(p) for p in grid_or_pairs]}
         schedules = [LayerSchedule.constant(g, b, args.depth) for g, b in grid_or_pairs]
-    estimate = peak_bytes(enc.layout, schedules)
+        points, phase = len(schedules), holds_phase(schedules)
+    estimate = peak_bytes(enc.layout, points, shots, phase)
     pin_mmap_threshold()
     check_memory(estimate)
+    if schedules is None:  # a grid's schedules are built once they are known to fit
+        schedules = grid_or_pairs.schedules(args.depth)
     t0 = time.perf_counter()
     result = phqc_solve(
         enc,
@@ -311,7 +320,7 @@ def cmd_histogram(args) -> int:
     norm = MixerNormalization(args.norm)
     schedule = LayerSchedule.constant(gamma, beta, args.depth)
     layout = enc.layout
-    check_memory(peak_bytes(layout, [schedule]))
+    check_memory(peak_bytes(layout, 1, shots, holds_phase([schedule])))
     diag = build_cost_diagonal(enc, args.penalty_weight)
     optimal_flats = brute_force_optimum(diag).optimal_flats
     work = Workspace.for_schedules(layout, [schedule])

@@ -57,6 +57,12 @@ class AngleGrid:
         """One constant-angle schedule per grid point, gamma-major."""
         return [LayerSchedule.constant(g, b, depth) for g in self.gammas for b in self.betas]
 
+    def holds_phase(self, depth: int = 1) -> bool:
+        """layers.holds_phase of schedules(depth), without a schedule per grid point."""
+        if depth > 1 or len(self.betas) > 1:
+            return True  # a second layer, or consecutive points on one gamma
+        return holds_phase(self.schedules())
+
 
 def default_grid(n_cities: int) -> AngleGrid:
     """(n+1) x (n+1) points {j pi / n} over [0, pi]^2, n the original city count."""
@@ -79,20 +85,29 @@ def default_shots(n_cities: int) -> int:
     return 10 * n_cities**3
 
 
-def peak_bytes(layout: BlockLayout, schedules: Sequence[LayerSchedule]) -> int:
-    """Estimated peak bytes of the D-sized buffers of a run of these schedules.
+# per grid point: its schedule, statistics, JSON row and cost-histogram
+# lines, about 1.9 kB measured on a 150 x 150 grid
+POINT_BYTES = 2048
+# per shot of one point: the uniform draws and their indices, and np.unique's
+# sorted copy, mask and outputs, 41 bytes measured when every draw differs
+SHOT_BYTES = 48
+
+
+def peak_bytes(layout: BlockLayout, points: int, shots: int, phase: bool) -> int:
+    """Estimated peak bytes of a run of points circuits, each sampled shots times.
 
     Per label: the diagonal's float64 objective and int16 penalty count
     (10 bytes), and the buffers of layers.Workspace.for_schedules: the
     complex amplitudes (16), the complex phase when the run holds one beside
-    them (layers.holds_phase, 16), and one scratch buffer holding the
-    mixer's two complex block means, 32/n bytes, and then the 8-byte
-    sampling CDF.  The interpreter, numpy and the oracle's one-byte
+    them (phase, from layers.holds_phase, 16), and the 8-byte scratch buffer
+    that holds the mixer's slice sums and then the sampling CDF.  Then
+    POINT_BYTES per grid point and SHOT_BYTES per shot, one point's shots
+    alive at a time.  The interpreter, numpy and the oracle's one-byte
     feasibility mask, freed before the workspace is allocated, are not
     counted.
     """
-    held = 10 + 16 + (16 if holds_phase(schedules) else 0)
-    return math.ceil(layout.D * (held + max(8.0, 32.0 / layout.n)))
+    held = 10 + 16 + (16 if phase else 0) + 8
+    return layout.D * held + points * POINT_BYTES + shots * SHOT_BYTES
 
 
 def derive_seed(master_seed: int, grid_index: int) -> int:

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, qubitref
-from .encoded import BlockLayout, uniform_initial_state
+from .encoded import BlockLayout, EncodedState, uniform_initial_state
 from .hamiltonian import CostDiagonal
 from .layers import (
     LayerSchedule,
     MixerNormalization,
+    apply_mixer,
     mixer_block_matrix,
     mixer_spectrum,
 )
@@ -142,6 +143,42 @@ def check_mixer_closed_form(seed: int = 11) -> list[CheckResult]:
             u = mixer_block_matrix(n, beta, MixerNormalization.RAW)
             worst = max(worst, float(np.max(np.abs(dense - u))))
     return [_check("mixer", "closed_form_vs_expm", worst < 1e-10, f"{worst:.3e}", "< 1e-10")]
+
+
+def check_mixer_gates(seed: int = 13) -> list[CheckResult]:
+    """Trotterised gate sweeps approach the encoded mixer with first-order error, n = 3, m = 2.
+
+    k sweeps of block_xy_mixer_gates at beta / k on the 6-qubit register,
+    started from a random one-hot state, against apply_mixer's raw mixer at
+    2 beta (the two-local identity carries the factor 2): the sweeps stay in
+    the one-hot sector, and the error halves as k doubles.
+    """
+    n, m, beta = 3, 2, 0.7
+    layout, q = BlockLayout(n, m), n * m
+    rng = np.random.default_rng(seed)
+    start = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
+    start /= np.linalg.norm(start)
+    register = np.zeros(1 << q, dtype=np.complex128)
+    register[qubitref.encoded_basis_indices(layout)] = start
+    initial = EncodedState(BlockLayout(2, q), register)
+    exact = apply_mixer(EncodedState(layout, start), 2 * beta, MixerNormalization.RAW).amplitudes
+    errors, leaked = [], 0.0
+    for k in (8, 16, 32):
+        sweeps = qubitref.block_xy_mixer_gates(n, m, beta / k) * k
+        approx, leak = qubitref.project_to_encoded(qubitref.run_gates(q, sweeps, initial), layout)
+        errors.append(float(np.linalg.norm(approx.amplitudes - exact)))
+        leaked = max(leaked, leak)
+    ratios = [b / a for a, b in zip(errors, errors[1:])]
+    return [
+        _check("mixer", "gate_sweep_leakage", leaked < 1e-10, f"{leaked:.3e}", "< 1e-10"),
+        _check(
+            "mixer",
+            "gate_sweep_first_order",
+            all(0.4 < r < 0.6 for r in ratios),
+            "error ratios " + ", ".join(f"{r:.3f}" for r in ratios) + f" (k=32: {errors[-1]:.3e})",
+            "each in (0.4, 0.6) as k doubles",
+        ),
+    ]
 
 
 def check_ergodicity() -> list[CheckResult]:
@@ -319,7 +356,12 @@ def check_baselines() -> list[CheckResult]:
 def run_suite(name: str) -> list[CheckResult]:
     suites = {
         "encoder": lambda: check_encoder() + check_encoder_variants() + check_cross_representation(),
-        "mixer": lambda: check_mixer_spectrum() + check_mixer_unitarity() + check_mixer_closed_form(),
+        "mixer": lambda: (
+            check_mixer_spectrum()
+            + check_mixer_unitarity()
+            + check_mixer_closed_form()
+            + check_mixer_gates()
+        ),
         "ergodicity": check_ergodicity,
         "one_design": lambda: check_one_design() + check_existence_bound(),
         "two_design": check_two_design_moments,

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import ceqaoa.cli as cli
+from ceqaoa import layers, verify
 from ceqaoa.cli import main, parse_grid_spec
 from ceqaoa.hamiltonian import TspInstance, anchor
-from ceqaoa.phqc import AngleGrid, phqc_solve
+from ceqaoa.phqc import POINT_BYTES, SHOT_BYTES, AngleGrid, default_shots, phqc_solve
 
 from oracles import random_symmetric_instance
 
@@ -47,10 +48,20 @@ class TestGridSpec:
         assert pairs == [(0.0, 0.0), (1.5, 2.4)]
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad --grid value 'fine'"):
             parse_grid_spec("fine", 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only square grids"):
             parse_grid_spec("3x4", 4)
+
+    @pytest.mark.parametrize("spec", ["x", "fine", "3x", "3x3x3", "list:", "list:1", "list:a,b"])
+    def test_malformed_grid_ends_in_one_line_naming_the_flag(
+        self, instance_file, tmp_path, capsys, spec
+    ):
+        out = tmp_path / "x.json"
+        assert main(["solve", str(instance_file), "--grid", spec, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"bad --grid value {spec!r} (want n+1, NxN or list:g,b;...)"
+        assert not out.exists()
 
 
 class TestSolve:
@@ -181,22 +192,50 @@ def write_instance(path, n_cities, seed=0):
 
 
 class TestMemoryEstimate:
+    @staticmethod
+    def refuse_to_run(monkeypatch, available):
+        """Stub the available-memory reader, and fail on any step that allocates."""
+
+        def allocates(*args, **kwargs):
+            raise AssertionError("the run started before its memory check")
+
+        monkeypatch.setattr(cli, "available_memory", lambda: available)
+        monkeypatch.setattr(cli, "build_cost_diagonal", allocates)
+        monkeypatch.setattr(cli, "phqc_solve", allocates)
+        monkeypatch.setattr(cli.AngleGrid, "schedules", allocates)
+
+    @staticmethod
+    def assert_one_line(capsys):
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "estimated peak memory" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve", "histogram"])
     def test_estimate_over_available_memory_exits_3(self, tmp_path, monkeypatch, capsys, command):
-        def no_diagonal(*args, **kwargs):
-            raise AssertionError("the cost diagonal was built")
-
-        monkeypatch.setattr(cli, "available_memory", lambda: 1 << 20)
-        monkeypatch.setattr(cli, "build_cost_diagonal", no_diagonal)
-        monkeypatch.setattr(cli, "phqc_solve", no_diagonal)
+        self.refuse_to_run(monkeypatch, 1 << 20)
         # n = 7 (D = 46656): the D-sized buffers alone come to 1.5 MB
         argv = [command, str(write_instance(tmp_path / "r7.json", 7)), "--out", str(tmp_path / "o")]
         if command == "histogram":
             argv += ["--angles", "1.0,0.5"]
         assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "estimated peak memory" in err and "Traceback" not in err
+        self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--shots", "100000000000"],
+            ["histogram", "--angles", "1.0,0.5", "--shots", "100000000000"],
+            ["solve", "--grid", "100000x100000"],
+        ],
+        ids=["solve-shots", "histogram-shots", "solve-grid"],
+    )
+    def test_huge_shot_count_or_grid_exits_3(self, tmp_path, monkeypatch, capsys, argv):
+        # 8 GB available; D = 256 at n = 5, so the shots or grid points alone exceed it
+        self.refuse_to_run(monkeypatch, 8 << 30)
+        command, *rest = argv
+        instance = str(write_instance(tmp_path / "r5.json", 5))
+        assert main([command, instance, *rest, "--out", str(tmp_path / "o")]) == 3
+        self.assert_one_line(capsys)
 
     def test_unreadable_meminfo_skips_the_check(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "available_memory", lambda: None)
@@ -228,7 +267,8 @@ class TestMemoryEstimate:
     def test_peak_rss_stays_under_estimate(self, tmp_path):
         # one grid point; the allowance covers the interpreter, numpy and the modules
         meta = self.solve_metadata(tmp_path, 3, "--grid", "list:1.0,0.5")
-        assert meta["peak_estimate_mb"] == pytest.approx(34 * 7**7 / 2**20, rel=0.01)
+        estimate = 34 * 7**7 + POINT_BYTES + default_shots(8) * SHOT_BYTES
+        assert meta["peak_estimate_mb"] == estimate / 2**20
         assert meta["peak_rss_mb"] < meta["peak_estimate_mb"] + INTERPRETER_ALLOWANCE_MB
 
     def test_peak_rss_does_not_depend_on_the_instance(self, tmp_path):
@@ -318,8 +358,16 @@ class TestVerifyCommand:
     def test_mixer_suite_passes(self, capsys):
         assert main(["verify", "mixer"]) == 0
         out = capsys.readouterr().out
-        assert "raw_spectrum_n16" in out
+        assert "raw_spectrum_n16" in out and "gate_sweep_first_order" in out
         assert "FAIL" not in out
+
+    def test_gate_sweep_check_fails_on_a_mixer_at_the_wrong_angle(self, monkeypatch):
+        def half_angle(state, beta, norm):
+            return layers.apply_mixer(state, beta / 2, norm)
+
+        monkeypatch.setattr(verify, "apply_mixer", half_angle)
+        first_order = verify.check_mixer_gates()[1]
+        assert first_order.name == "gate_sweep_first_order" and not first_order.passed
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 1

@@ -14,6 +14,8 @@ from ceqaoa.encoded import (
 from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal
 from ceqaoa.layers import LayerSchedule, holds_phase
 from ceqaoa.phqc import (
+    POINT_BYTES,
+    SHOT_BYTES,
     AngleGrid,
     ShotSet,
     default_grid,
@@ -292,14 +294,26 @@ class TestMemoryPlan:
         assert not holds_phase([LayerSchedule.constant(g, 0.5) for g in (0.0, -0.0)])
 
     def test_peak_bytes(self):
-        one_point = [LayerSchedule.constant(1.0, 0.5)]
         # objective, penalty count, amplitudes and CDF: 34 bytes per label
-        assert peak_bytes(BlockLayout(8, 8), one_point) == 34 * 8**8
+        assert peak_bytes(BlockLayout(8, 8), 0, 0, False) == 34 * 8**8
         # a phase buffer beside the amplitudes adds 16
-        assert peak_bytes(BlockLayout(8, 8), square_grid(3).schedules()) == 50 * 8**8
-        assert peak_bytes(BlockLayout(8, 8), [LayerSchedule.constant(1.0, 0.5, 2)]) == 50 * 8**8
-        # at n = 2 the mixer's block means outweigh the CDF
-        assert peak_bytes(BlockLayout(2, 10), one_point) == 42 * 2**10
+        assert peak_bytes(BlockLayout(8, 8), 0, 0, True) == 50 * 8**8
+        # the mixer's slice sums share the CDF buffer, at n = 2 too
+        assert peak_bytes(BlockLayout(2, 10), 0, 0, False) == 34 * 2**10
+        # grid points and the shots of one point add their own terms
+        grown = peak_bytes(BlockLayout(2, 10), 81, 5120, False) - 34 * 2**10
+        assert grown == 81 * POINT_BYTES + 5120 * SHOT_BYTES
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_grid_holds_phase_without_its_schedules(self, depth):
+        grids = [
+            square_grid(3),
+            AngleGrid((0.0, 1.0, 2.0), (0.5,)),
+            AngleGrid((-0.0, 0.0, 1.0), (0.5,)),  # 0.0 and -0.0 are two phases
+            AngleGrid((1.0, 1.0), (0.5,)),  # a repeated gamma shares its phase
+        ]
+        for grid in grids:
+            assert grid.holds_phase(depth) == holds_phase(grid.schedules(depth))
 
 
 class TestExactSuccess:
