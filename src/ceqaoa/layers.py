@@ -151,10 +151,10 @@ def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> No
     """arr += kappa * (sum of arr's slices along axis), summed slice by slice."""
     shape = arr.shape[:axis] + arr.shape[axis + 1 :]
     sums = buf[: math.prod(shape)].reshape(shape)
-    lead = (slice(None),) * axis
-    np.add(arr[lead + (0,)], arr[lead + (1,)], out=sums)
+    before = (slice(None),) * axis
+    np.add(arr[before + (0,)], arr[before + (1,)], out=sums)
     for i in range(2, arr.shape[axis]):
-        np.add(sums, arr[lead + (i,)], out=sums)
+        np.add(sums, arr[before + (i,)], out=sums)
     np.multiply(sums, kappa, out=sums)
     np.add(arr, np.expand_dims(sums, axis), out=arr)
 
@@ -165,9 +165,9 @@ class Workspace:
 
     amps is the complex amplitude buffer.  scratch is a float64 buffer of D
     elements: it holds the mixer's slice sums (2D/n elements, at most D for
-    every n >= 2) during a circuit and the sampling CDF after it.  phase is a complex buffer for
-    exp(-i gamma E), or None when the run holds no phase vector beside the
-    amplitudes (holds_phase).  A solve that keeps one workspace allocates
+    every n >= 2) during a circuit and the sampling CDF after it.  phase is
+    a complex buffer for exp(-i gamma E), or None when the run holds no
+    phase vector beside the amplitudes (holds_phase).  A solve that keeps one workspace allocates
     no D-sized buffer per grid point.
     """
 
