@@ -306,6 +306,27 @@ def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, ar
     assert len(err.splitlines()) == 1 and value in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--grid", "list:nan,0.5"],
+        ["solve", "--grid", "list:0.5,inf"],
+        ["histogram", "--angles", "nan,0.5"],
+        ["solve", "--depth", "0"],
+        ["histogram", "--angles", "0.5,0.5", "--depth", "0"],
+    ],
+    ids=["solve-gamma-nan", "solve-beta-inf", "histogram-gamma-nan", "solve-depth-0",
+         "histogram-depth-0"],
+)
+def test_bad_angles_or_depth_end_in_one_line(instance_file, tmp_path, capsys, argv):
+    command, *rest = argv
+    out = tmp_path / "out"
+    assert main([command, str(instance_file), *rest, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestHistogram:
     def test_uniform_histogram(self, instance_file, tmp_path):
         out = tmp_path / "hist.csv"

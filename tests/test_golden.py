@@ -30,6 +30,13 @@ SOLVES = [
         "golden5.json",
         ["--depth", "2", "--grid", "list:0.5,0.3;0.5,1.1;0.9,0.3;0.5,0.7", "--seed", "7"],
     ),
+    # depth 1 over gammas (0.5, 0.5, 0.0, -0.0, 0.5): a run of equal gammas,
+    # two zeros whose signs differ, and a return to an earlier gamma
+    (
+        "solve_n5_list_runs",
+        "golden5.json",
+        ["--grid", "list:0.5,0.3;0.5,1.1;0.0,0.2;-0.0,0.2;0.5,0.7", "--seed", "9"],
+    ),
     # integer distances 1..12 at n = 7: the energies span at most D // 16
     # integer levels, so the phase can come from a table of them
     ("solve_n7_table", "golden7.json", ["--grid", "4x4", "--shots", "300", "--seed", "8"]),
