@@ -37,7 +37,7 @@ from .hamiltonian import (
 from .instances import InstanceParseError, parse_instance
 from .layers import (
     DEFAULT_NORMALIZATION,
-    LayerSchedule,
+    Column,
     MixerNormalization,
     MixerSpectrum,
     apply_mixer,
@@ -53,7 +53,6 @@ from .phqc import (
     ShotSet,
     default_grid,
     derive_seed,
-    exact_success_probability,
     phqc_solve,
     required_shots,
     sample_shots,

@@ -12,7 +12,7 @@ from .encoded import BlockPermutation, index_to_label, labels_to_indices
 from .hamiltonian import CostDiagonal
 from .layers import (
     DEFAULT_NORMALIZATION,
-    LayerSchedule,
+    Column,
     MixerNormalization,
     mixer_block_matrix,
     run_circuit,
@@ -31,7 +31,7 @@ class TwirlEstimate:
 
 def twirl_average(
     diag: CostDiagonal,
-    schedule: LayerSchedule,
+    column: Column,
     target,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
     mode: str = "exhaustive",
@@ -41,13 +41,15 @@ def twirl_average(
     """Average overlap on the permuted target over blockwise symbol permutations.
 
     The averaged quantity is |<target| P^dag U |s0>|^2 = prob(U|s0>) at
-    P(target).  Exhaustive mode enumerates all (n!)**m blockwise
-    permutations (refused above 10**6); monte_carlo draws n_samples of them
-    uniformly and reports the standard error of the mean.
+    P(target), U the circuit of a one-beta column.  Exhaustive mode
+    enumerates all (n!)**m blockwise permutations (refused above 10**6);
+    monte_carlo draws n_samples of them uniformly and reports the standard
+    error of the mean.
     """
     layout = diag.layout
     target = layout.validate_label(target)
-    probs = run_circuit(diag, schedule, norm).probabilities()
+    (state,) = run_circuit(diag, column, norm)
+    probs = state.probabilities()
     if mode == "exhaustive":
         count = math.factorial(layout.n) ** layout.m
         if count > EXHAUSTIVE_TWIRL_LIMIT:
@@ -80,20 +82,21 @@ def random_block_permutation_array(
 
 def find_good_permutation(
     diag: CostDiagonal,
-    schedule: LayerSchedule,
+    column: Column,
     target,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
 ) -> tuple[BlockPermutation, float]:
     """Blockwise permutation lifting the target overlap to the histogram peak.
 
-    The image P(target) ranges over every basis label as P ranges over all
+    The histogram is that of a one-beta column's circuit.  The image P(target) ranges over every basis label as P ranges over all
     blockwise permutations, so the best permutation reads off the argmax of
     the probability vector (first index wins ties).  The averaging identity
     guarantees the returned overlap is >= 1/D.
     """
     layout = diag.layout
     target = layout.validate_label(target)
-    probs = run_circuit(diag, schedule, norm).probabilities()
+    (state,) = run_circuit(diag, column, norm)
+    probs = state.probabilities()
     flat = int(np.argmax(probs))
     best = index_to_label(layout, flat)
     perms = []

@@ -30,18 +30,12 @@ from .hamiltonian import (
     tour_cities,
 )
 from .instances import InstanceParseError, parse_instance
-from .layers import (
-    DEFAULT_NORMALIZATION,
-    LayerSchedule,
-    MixerNormalization,
-    Workspace,
-    holds_phase,
-    run_circuit,
-)
+from .layers import DEFAULT_NORMALIZATION, MixerNormalization, Workspace, run_circuit
 from .phqc import (
     AngleGrid,
     default_grid,
     default_shots,
+    pair_columns,
     peak_bytes,
     phqc_solve,
     sample_shots,
@@ -216,24 +210,19 @@ def cmd_solve(args) -> int:
         for cost, count in zip(costs.tolist(), totals.astype(np.int64).tolist()):
             hist_lines.append(f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n")
 
-    schedules = None
     if isinstance(grid_or_pairs, AngleGrid):
         grid_json = {"gammas": list(grid_or_pairs.gammas), "betas": list(grid_or_pairs.betas)}
-        points = len(grid_or_pairs.gammas) * len(grid_or_pairs.betas)
-        phase = grid_or_pairs.holds_phase(args.depth)
+        columns = grid_or_pairs.columns(args.depth)
     else:
         grid_json = {"pairs": [list(p) for p in grid_or_pairs]}
-        schedules = [LayerSchedule.constant(g, b, args.depth) for g, b in grid_or_pairs]
-        points, phase = len(schedules), holds_phase(schedules)
-    estimate = peak_bytes(enc.layout, points, shots, phase)
+        columns = pair_columns(grid_or_pairs, args.depth)
+    estimate = peak_bytes(enc.layout, columns, shots)
     pin_mmap_threshold()
     check_memory(estimate)
-    if schedules is None:  # a grid's schedules are built once they are known to fit
-        schedules = grid_or_pairs.schedules(args.depth)
     t0 = time.perf_counter()
     result = phqc_solve(
         enc,
-        schedules,
+        columns,
         shots_per_point=shots,
         norm=norm,
         master_seed=args.seed,
@@ -318,13 +307,13 @@ def cmd_histogram(args) -> int:
         print(f"--shots must be >= 0, got {shots}", file=sys.stderr)
         return EXIT_USAGE
     norm = MixerNormalization(args.norm)
-    schedule = LayerSchedule.constant(gamma, beta, args.depth)
+    columns = pair_columns([(gamma, beta)], args.depth)
     layout = enc.layout
-    check_memory(peak_bytes(layout, 1, shots, holds_phase([schedule])))
+    check_memory(peak_bytes(layout, columns, shots))
     diag = build_cost_diagonal(enc, args.penalty_weight)
     optimal_flats = brute_force_optimum(diag).optimal_flats
-    work = Workspace.for_schedules(layout, [schedule])
-    state = run_circuit(diag, schedule, norm, work)
+    work = Workspace(layout)
+    (state,) = run_circuit(diag, columns[0], norm, work)
     scratch = work.scratch[: layout.D]
     sampled = sample_shots(state, shots, args.seed, scratch) if shots > 0 else None
     probs = state.probabilities(scratch)  # the sampling CDF is spent

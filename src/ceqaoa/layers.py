@@ -14,8 +14,8 @@ a cache-sized block, the later axes run block by block.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,29 +43,34 @@ DEFAULT_NORMALIZATION = MixerNormalization.OVER_N
 
 
 @dataclass(frozen=True)
-class LayerSchedule:
-    """Angle pairs (gamma, beta), one per layer."""
+class Column:
+    """One gamma, the betas swept at it and the depth: circuits that share one phase.
 
-    pairs: tuple[tuple[float, float], ...]
+    Circuit k runs depth layers, each the phase exp(-i gamma E) then the
+    mixer at betas[k].  gamma and depth are checked here.  The betas are
+    checked once where they enter the program (phqc.AngleGrid,
+    phqc.pair_columns), so the columns of a grid, which share its betas
+    tuple, cost O(1) each; a non-finite beta would still fail the norm gate.
+    """
+
+    gamma: float
+    betas: tuple[float, ...]
+    depth: int = 1
 
     def __post_init__(self) -> None:
-        pairs = tuple((float(g), float(b)) for g, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if not pairs:
-            raise ValueError("schedule needs at least one layer")
-        for g, b in pairs:
-            if not (math.isfinite(g) and math.isfinite(b)):
-                raise ValueError(f"non-finite angle pair ({g}, {b})")
-
-    @classmethod
-    def constant(cls, gamma: float, beta: float, depth: int = 1) -> "LayerSchedule":
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        return cls(((gamma, beta),) * depth)
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "betas", tuple(self.betas))
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"non-finite gamma {self.gamma}")
+        if not self.betas:
+            raise ValueError("a column needs at least one beta")
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
 
     @property
-    def depth(self) -> int:
-        return len(self.pairs)
+    def reuses_phase(self) -> bool:
+        """True when the phase is applied more than once, so it needs a buffer of its own."""
+        return self.depth > 1 or len(self.betas) > 1
 
 
 def apply_phase(state: EncodedState, phase: np.ndarray) -> EncodedState:
@@ -83,11 +88,6 @@ def apply_phase(state: EncodedState, phase: np.ndarray) -> EncodedState:
     # its temporary, which it does for states of 16384 amplitudes or more.
     np.multiply(phase, amps, out=amps)
     return EncodedState(state.layout, amps)
-
-
-def phase_key(gamma: float) -> str:
-    """Key of a phase vector: the exact float, whose hex form keeps 0.0 and -0.0 apart."""
-    return float(gamma).hex()
 
 
 def _crossing_phases(n: int, beta: float, norm: MixerNormalization) -> tuple[complex, complex]:
@@ -159,85 +159,55 @@ def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> No
     np.add(arr, np.expand_dims(sums, axis), out=arr)
 
 
-@dataclass(eq=False)
 class Workspace:
     """Every D-sized buffer of a run of circuits, reused from one circuit to the next.
 
     amps is the complex amplitude buffer.  scratch is a float64 buffer of D
     elements: it holds the mixer's slice sums (2D/n elements, at most D for
     every n >= 2) during a circuit and the sampling CDF after it.  phase is
-    a complex buffer for exp(-i gamma E), or None when the run holds no
-    phase vector beside the amplitudes (holds_phase).  A solve that keeps one workspace allocates
-    no D-sized buffer per grid point.
+    a complex buffer for exp(-i gamma E), allocated by the first column that
+    reuses its phase (Column.reuses_phase) and None until then.  A solve
+    that keeps one workspace allocates no D-sized buffer per grid point.
     """
 
-    amps: np.ndarray
-    scratch: np.ndarray
-    phase: np.ndarray | None = None
-    # the diagonal and phase_key(gamma) whose phase the buffer holds
-    _held: tuple[CostDiagonal, str] | None = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def for_schedules(cls, layout: BlockLayout, schedules: Sequence[LayerSchedule]) -> "Workspace":
-        return cls(
-            np.empty(layout.D, dtype=np.complex128),
-            np.empty(layout.D),
-            np.empty(layout.D, dtype=np.complex128) if holds_phase(schedules) else None,
-        )
-
-    def phase_for(self, diag: CostDiagonal, gamma: float) -> np.ndarray:
-        """The phase buffer holding diag.phase(gamma); filled only when it holds another."""
-        key = (diag, phase_key(gamma))
-        if self._held != key:
-            self._held = None  # an interrupted fill leaves no stale key
-            diag.phase(gamma, self.phase)
-            self._held = key
-        return self.phase
+    def __init__(self, layout: BlockLayout) -> None:
+        self.amps = np.empty(layout.D, dtype=np.complex128)
+        self.scratch = np.empty(layout.D)
+        self.phase: np.ndarray | None = None
 
 
 def run_circuit(
     diag: CostDiagonal,
-    schedule: LayerSchedule,
+    column: Column,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
     workspace: Workspace | None = None,
-) -> EncodedState:
-    """Alternate phase then mixer per layer, starting from the uniform state.
+) -> Iterator[EncodedState]:
+    """Yield the state after each of the column's circuits, one per beta, in order.
 
-    The circuit runs in workspace (None: a fresh one for this schedule), so
-    the state returned is overwritten by the next circuit run in it.  The
-    first layer is phase * (1/sqrt(D)), phase first, bitwise the product of
-    the phase with a uniform state.  With a phase buffer, every layer takes
-    its phase from there, recomputed only when the gamma changes.  Without
-    one, the only phase is built straight into the amplitude buffer, so a
-    phase used once needs no second D-vector; a schedule of depth > 1 then
-    raises ValueError.
+    Each circuit starts from the uniform state and alternates phase then
+    mixer.  They run in workspace (None: a fresh one), so every state
+    yielded is overwritten by the next.  The phase is built once, when the
+    first state is asked for: into the amplitude buffer when the column
+    uses it once (one beta at depth 1), else into workspace.phase, from
+    which every layer reads it.  The first layer is phase * (1/sqrt(D)),
+    phase first, bitwise the product of the phase with a uniform state.  A
+    caller of a one-beta column unpacks (state,) = run_circuit(...), which
+    runs the generator to its end, so it holds no buffer afterwards.
     """
-    work = Workspace.for_schedules(diag.layout, [schedule]) if workspace is None else workspace
-    (gamma, beta), *rest = schedule.pairs
-    if work.phase is None:
-        if rest:
-            raise ValueError("a schedule of depth > 1 needs a workspace with a phase buffer")
-        phase = diag.phase(gamma, work.amps)
+    layout = diag.layout
+    work = Workspace(layout) if workspace is None else workspace
+    if not column.reuses_phase:
+        phase = diag.phase(column.gamma, work.amps)
     else:
-        phase = work.phase_for(diag, gamma)
-    amps = np.multiply(phase, 1.0 / math.sqrt(diag.layout.D), out=work.amps)
-    state = apply_mixer(EncodedState(diag.layout, amps), beta, norm, work.scratch)
-    for gamma, beta in rest:
-        state = apply_phase(state, work.phase_for(diag, gamma))
-        state = apply_mixer(state, beta, norm, work.scratch)
-    return state
-
-
-def holds_phase(schedules: Sequence[LayerSchedule]) -> bool:
-    """True when a run of these schedules holds a phase vector beside the amplitudes.
-
-    That is needed by every layer after the first, and pays when
-    consecutive depth-1 points share a gamma, whose phase is then built once.
-    """
-    if any(sched.depth > 1 for sched in schedules):
-        return True
-    gammas = [sched.pairs[0][0] for sched in schedules]
-    return any(phase_key(a) == phase_key(b) for a, b in zip(gammas, gammas[1:]))
+        if work.phase is None:
+            work.phase = np.empty(layout.D, dtype=np.complex128)
+        phase = diag.phase(column.gamma, work.phase)
+    for beta in column.betas:
+        amps = np.multiply(phase, 1.0 / math.sqrt(layout.D), out=work.amps)
+        state = apply_mixer(EncodedState(layout, amps), beta, norm, work.scratch)
+        for _ in range(column.depth - 1):
+            state = apply_mixer(apply_phase(state, phase), beta, norm, work.scratch)
+        yield state
 
 
 @dataclass(frozen=True)

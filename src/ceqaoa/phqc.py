@@ -25,10 +25,9 @@ from .hamiltonian import (
 )
 from .layers import (
     DEFAULT_NORMALIZATION,
-    LayerSchedule,
+    Column,
     MixerNormalization,
     Workspace,
-    holds_phase,
     run_circuit,
 )
 
@@ -53,15 +52,28 @@ class AngleGrid:
             if list(vals) != sorted(vals):
                 raise ValueError(f"{axis} axis must be sorted ascending")
 
-    def schedules(self, depth: int = 1) -> list[LayerSchedule]:
-        """One constant-angle schedule per grid point, gamma-major."""
-        return [LayerSchedule.constant(g, b, depth) for g in self.gammas for b in self.betas]
+    def columns(self, depth: int = 1) -> list[Column]:
+        """One column per gamma, each sharing the grid's betas tuple: gamma-major order."""
+        return [Column(g, self.betas, depth) for g in self.gammas]
 
-    def holds_phase(self, depth: int = 1) -> bool:
-        """layers.holds_phase of schedules(depth), without a schedule per grid point."""
-        if depth > 1 or len(self.betas) > 1:
-            return True  # a second layer, or consecutive points on one gamma
-        return holds_phase(self.schedules())
+
+def pair_columns(pairs: Sequence[tuple[float, float]], depth: int = 1) -> list[Column]:
+    """One column per run of consecutive (gamma, beta) pairs whose gammas are the same float.
+
+    The columns' points come in pair order.  0.0 and -0.0 are different
+    gammas, and a return to an earlier gamma starts a new column.  A
+    non-finite angle raises ValueError.
+    """
+    runs: list[tuple[float, list[float]]] = []
+    for gamma, beta in pairs:
+        gamma, beta = float(gamma), float(beta)
+        if not (math.isfinite(gamma) and math.isfinite(beta)):
+            raise ValueError(f"non-finite angle pair ({gamma}, {beta})")
+        if runs and runs[-1][0].hex() == gamma.hex():
+            runs[-1][1].append(beta)
+        else:
+            runs.append((gamma, [beta]))
+    return [Column(gamma, tuple(betas), depth) for gamma, betas in runs]
 
 
 def default_grid(n_cities: int) -> AngleGrid:
@@ -85,29 +97,33 @@ def default_shots(n_cities: int) -> int:
     return 10 * n_cities**3
 
 
-# per grid point: its schedule, statistics, JSON row and cost-histogram
-# lines, about 1.9 kB measured on a 150 x 150 grid
+# per grid point: its statistics, JSON row and cost-histogram lines, about
+# 1.9 kB measured on a 150 x 150 grid
 POINT_BYTES = 2048
 # per shot of one point: the uniform draws and their indices, and np.unique's
 # sorted copy, mask and outputs, 41 bytes measured when every draw differs
 SHOT_BYTES = 48
+# the interpreter, numpy and ceqaoa: a one-point solve at n = 5 (D = 256)
+# peaks at 36.9 MB with numpy 2.4 on Linux, and larger runs stay that far
+# above the rest of the estimate up to n = 9
+INTERPRETER_BYTES = 40 << 20
 
 
-def peak_bytes(layout: BlockLayout, points: int, shots: int, phase: bool) -> int:
-    """Estimated peak bytes of a run of points circuits, each sampled shots times.
+def peak_bytes(layout: BlockLayout, columns: Sequence[Column], shots: int) -> int:
+    """Estimated peak bytes of a process that runs the columns' circuits, each sampled shots times.
 
-    Per label: the diagonal's float64 objective and int16 penalty count
-    (10 bytes), and the buffers of layers.Workspace.for_schedules: the
-    complex amplitudes (16), the complex phase when the run holds one beside
-    them (phase, from layers.holds_phase, 16), and the 8-byte scratch buffer
-    that holds the mixer's slice sums and then the sampling CDF.  Then
-    POINT_BYTES per grid point and SHOT_BYTES per shot, one point's shots
-    alive at a time.  The interpreter, numpy and the oracle's one-byte
-    feasibility mask, freed before the workspace is allocated, are not
-    counted.
+    INTERPRETER_BYTES, then per label: the diagonal's float64 objective and
+    int16 penalty count (10 bytes), and the buffers of layers.Workspace:
+    the complex amplitudes (16), the complex phase when some column reuses
+    it (Column.reuses_phase, 16), and the 8-byte scratch buffer that holds
+    the mixer's slice sums and then the sampling CDF.  Then POINT_BYTES per
+    grid point and SHOT_BYTES per shot, one point's shots alive at a time.
+    The oracle's one-byte feasibility mask is freed before the workspace is
+    allocated.
     """
-    held = 10 + 16 + (16 if phase else 0) + 8
-    return layout.D * held + points * POINT_BYTES + shots * SHOT_BYTES
+    points = sum(len(col.betas) for col in columns)
+    held = 10 + 16 + (16 if any(col.reuses_phase for col in columns) else 0) + 8
+    return INTERPRETER_BYTES + layout.D * held + points * POINT_BYTES + shots * SHOT_BYTES
 
 
 def derive_seed(master_seed: int, grid_index: int) -> int:
@@ -251,29 +267,29 @@ PointHook = Callable[[GridPointStat, ShotSet, CostDiagonal], None]
 
 def phqc_solve(
     enc: AnchoredTsp,
-    schedules: Sequence[LayerSchedule] | None = None,
+    columns: Sequence[Column] | None = None,
     shots_per_point: int | None = None,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
     master_seed: int = 0,
     penalty_weight: float | None = None,
     point_hook: PointHook | None = None,
 ) -> PhqcResult:
-    """Grid-search solve: sample every schedule, return the best feasible tour.
+    """Grid-search solve: sample every grid point, return the best feasible tour.
 
-    Schedule i is grid point i; its first layer's angles label the point.
-    The default is the depth-1 default grid, gamma-major, so consecutive
-    points share a phase vector (layers.Workspace).  Per-point seeds derive from
-    (master_seed, grid_index), so any evaluation order gives identical
-    output.
+    The grid points are the columns' (gamma, beta) pairs, numbered column
+    by column in beta order; each column builds its phase once.  The
+    default is the depth-1 default grid, one column per gamma.  Per-point
+    seeds derive from (master_seed, grid_index), so any evaluation order
+    gives identical output.
     """
     if shots_per_point is None:
         shots_per_point = default_shots(enc.instance.n_cities)
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
-    if schedules is None:
-        schedules = default_grid(enc.instance.n_cities).schedules()
-    if not schedules:
-        raise ValueError("empty schedule list")
+    if columns is None:
+        columns = default_grid(enc.instance.n_cities).columns()
+    if not columns:
+        raise ValueError("empty column list")
 
     t_start = time.perf_counter()
     diag = build_cost_diagonal(enc, penalty_weight)
@@ -286,11 +302,14 @@ def phqc_solve(
     feasible_total = 0
     # every grid point runs in the same buffers, so no D-sized buffer is
     # allocated per point and the peak does not hinge on the allocator
-    work = Workspace.for_schedules(enc.layout, schedules)
+    work = Workspace(enc.layout)
     cdf = work.scratch[: enc.layout.D]
-    for idx, sched in enumerate(schedules):
-        g, b = sched.pairs[0]
-        state = run_circuit(diag, sched, norm, work)
+    points = (
+        (col.gamma, beta, state)
+        for col in columns
+        for state, beta in zip(run_circuit(diag, col, norm, work), col.betas, strict=True)
+    )
+    for idx, (g, b, state) in enumerate(points):
         opt_mass.append(_optimal_mass(state, oracle))
         shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), cdf)
         scored = score_shots(enc, shots, diag)
@@ -307,7 +326,7 @@ def phqc_solve(
                 best = key
 
     t_sweep = time.perf_counter()
-    feasible_fraction = feasible_total / (shots_per_point * len(schedules))
+    feasible_fraction = feasible_total / (shots_per_point * len(stats))
     best_flat = best_cost = best_angles = p_opt = degen = None
     if best is not None:
         best_cost, best_flat, win_idx = best
@@ -323,7 +342,7 @@ def phqc_solve(
         degen,
         tuple(stats),
         shots_per_point,
-        max(s.depth for s in schedules),
+        max(col.depth for col in columns),
         master_seed,
         {
             "diagonal_s": t_diag - t_start,
@@ -336,18 +355,3 @@ def phqc_solve(
 def _optimal_mass(state: EncodedState, oracle: BruteForceResult) -> float:
     # O(degeneracy): square only the optimal amplitudes, not the whole state
     return float((np.abs(state.amplitudes[oracle.optimal_flats]) ** 2).sum())
-
-
-def exact_success_probability(
-    diag: CostDiagonal,
-    schedule: LayerSchedule,
-    norm: MixerNormalization = DEFAULT_NORMALIZATION,
-) -> tuple[float, int]:
-    """Exact probability mass on every optimal label after the circuit.
-
-    Returns (p_opt, number of degenerate optima), the optima found by
-    scanning diag.
-    """
-    oracle = brute_force_optimum(diag)
-    state = run_circuit(diag, schedule, norm)
-    return _optimal_mass(state, oracle), oracle.degeneracy

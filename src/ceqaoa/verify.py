@@ -15,7 +15,7 @@ from . import analysis, qubitref
 from .encoded import BlockLayout, EncodedState, uniform_initial_state
 from .hamiltonian import CostDiagonal
 from .layers import (
-    LayerSchedule,
+    Column,
     MixerNormalization,
     apply_mixer,
     mixer_block_matrix,
@@ -214,10 +214,10 @@ def check_ergodicity() -> list[CheckResult]:
     return out
 
 
-def _random_schedules(count: int, seed: int) -> list[LayerSchedule]:
+def _random_columns(count: int, seed: int) -> list[Column]:
     rng = np.random.default_rng(seed)
     return [
-        LayerSchedule.constant(float(g), float(b))
+        Column(float(g), (float(b),))
         for g, b in zip(rng.uniform(0, math.pi, count), rng.uniform(0, math.pi, count))
     ]
 
@@ -229,8 +229,8 @@ def check_one_design() -> list[CheckResult]:
     diag = random_diagonal(layout, seed=101)
     target = (1, 2)
     worst = 0.0
-    for sched in _random_schedules(10, seed=202):
-        est = analysis.twirl_average(diag, sched, target, mode="exhaustive")
+    for col in _random_columns(10, seed=202):
+        est = analysis.twirl_average(diag, col, target, mode="exhaustive")
         worst = max(worst, abs(est.value - 1.0 / layout.D))
     out.append(
         _check("one_design", "exhaustive_twirl_36_perms", worst < 1e-12, f"{worst:.3e}", "< 1e-12")
@@ -238,9 +238,9 @@ def check_one_design() -> list[CheckResult]:
 
     layout = BlockLayout(4, 3)
     diag = random_diagonal(layout, seed=303)
-    sched = _random_schedules(1, seed=404)[0]
+    col = _random_columns(1, seed=404)[0]
     est = analysis.twirl_average(
-        diag, sched, (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=505
+        diag, col, (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=505
     )
     dev = abs(est.value - 1.0 / layout.D)
     out.append(
@@ -256,19 +256,19 @@ def check_one_design() -> list[CheckResult]:
 
 
 def check_existence_bound() -> list[CheckResult]:
-    """Best permutation overlap >= 1/D for every tested schedule at n=3, m in {2, 3}."""
+    """Best permutation overlap >= 1/D for every tested column at n=3, m in {2, 3}."""
     out = []
     for m, seed in ((2, 606), (3, 707)):
         layout = BlockLayout(3, m)
         diag = random_diagonal(layout, seed=seed)
         target = tuple(range(m)) if m <= 3 else (0,) * m
-        schedules = _random_schedules(10, seed=seed + 1) + [LayerSchedule.constant(0.0, 0.0)]
+        columns = _random_columns(10, seed=seed + 1) + [Column(0.0, (0.0,))]
         ok = True
         worst = math.inf
         slack = 1.0 - 1e-12  # absorbs one-ulp rounding at exactly degenerate points
-        for sched in schedules:
-            _, overlap = analysis.find_good_permutation(diag, sched, target)
-            twirl = analysis.twirl_average(diag, sched, target, mode="exhaustive").value
+        for col in columns:
+            _, overlap = analysis.find_good_permutation(diag, col, target)
+            twirl = analysis.twirl_average(diag, col, target, mode="exhaustive").value
             worst = min(worst, overlap)
             ok = ok and overlap >= slack / layout.D and overlap >= slack * twirl
         out.append(

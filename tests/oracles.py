@@ -2,7 +2,8 @@
 
 Deliberately written from scratch (subset DP, dense eigendecomposition
 exponentials, explicit Kronecker products) so they share no code path
-with the implementations under test.
+with the implementations under test.  exact_success_probability is the
+one exception: a test helper built on the simulator itself.
 """
 
 import math
@@ -10,7 +11,8 @@ from itertools import permutations
 
 import numpy as np
 
-from ceqaoa.hamiltonian import TIE_TOL
+from ceqaoa.hamiltonian import TIE_TOL, brute_force_optimum
+from ceqaoa.layers import DEFAULT_NORMALIZATION, run_circuit
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -117,8 +119,8 @@ def reference_phase(diag, gamma):
     return np.exp(-1j * float(gamma) * energy)
 
 
-def reference_circuit(diag, schedule, norm):
-    """Amplitudes after the circuit, built out of place, one layer expression at a time.
+def reference_circuit(diag, pairs, norm):
+    """Amplitudes after one layer per (gamma, beta) pair, built out of place, one layer at a time.
 
     Keeps the expressions of the in-place kernels, in the same operand
     order, so the kernels must match it bit for bit.  Complex multiplies are
@@ -134,7 +136,7 @@ def reference_circuit(diag, schedule, norm):
     """
     n, m, dim = diag.layout.n, diag.layout.m, diag.layout.D
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    for gamma, beta in schedule.pairs:
+    for gamma, beta in pairs:
         amps = reference_phase(diag, gamma) * amps
         bp = float(beta) * norm.scale(n)
         a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
@@ -148,6 +150,17 @@ def reference_circuit(diag, schedule, norm):
             arr = arr + np.expand_dims(total * kappa, axis)
         amps = (arr * b**m).reshape(-1)
     return amps
+
+
+def exact_success_probability(diag, column, norm=DEFAULT_NORMALIZATION):
+    """(p_opt, degeneracy): the exact mass on every optimal label after a one-beta column.
+
+    Not independent of the package: it composes the diagonal's scan for the
+    optima with the simulator, as the solver does for its winning point.
+    """
+    oracle = brute_force_optimum(diag)
+    (state,) = run_circuit(diag, column, norm)
+    return float((np.abs(state.amplitudes[oracle.optimal_flats]) ** 2).sum()), oracle.degeneracy
 
 
 def former_mixer(layout, amps, beta, norm):

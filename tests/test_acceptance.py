@@ -16,15 +16,10 @@ import pytest
 from ceqaoa import verify
 from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal
 from ceqaoa.instances import parse_instance
-from ceqaoa.layers import LayerSchedule
-from ceqaoa.phqc import (
-    derive_seed,
-    exact_success_probability,
-    phqc_solve,
-    required_shots,
-)
+from ceqaoa.layers import Column, run_circuit
+from ceqaoa.phqc import derive_seed, phqc_solve, required_shots
 
-from oracles import held_karp_cycle, random_symmetric_instance
+from oracles import exact_success_probability, held_karp_cycle, random_symmetric_instance
 
 
 def _finish(criterion, description, t0, ok, detail=""):
@@ -123,15 +118,14 @@ def test_criterion_08_chernoff_shot_calculus():
         [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]], dtype=float
     )
     enc = anchor(TspInstance("ex4", 4, matrix), 0)
-    schedule = LayerSchedule.constant(0.9, 1.2)
-    from ceqaoa.layers import run_circuit
-
+    column = Column(0.9, (1.2,))
     diag = build_cost_diagonal(enc)
-    p_opt, _ = exact_success_probability(diag, schedule)
+    p_opt, _ = exact_success_probability(diag, column)
     delta = math.exp(-10)
     shots = required_shots(p_opt, delta)
 
-    probs = run_circuit(diag, schedule).probabilities()
+    (state,) = run_circuit(diag, column)
+    probs = state.probabilities()
     optimal = set(brute_force_optimum(diag).optimal_flats.tolist())
     trials = 500
     hits = 0
@@ -216,7 +210,7 @@ def test_criterion_12_conditional_benchmark_reproduction():
         res = phqc_solve(enc, shots_per_point=shots, master_seed=1)
         if res.best_cost is None or not math.isclose(res.best_cost, expected_cost, rel_tol=1e-6):
             failures.append(f"{name}: best_cost {res.best_cost} != {expected_cost}")
-        p_opt, _ = exact_success_probability(build_cost_diagonal(enc), LayerSchedule.constant(*angles))
+        p_opt, _ = exact_success_probability(build_cost_diagonal(enc), Column(angles[0], (angles[1],)))
         if abs(p_opt - expected_p) > 0.25 * expected_p:
             failures.append(f"{name}: p_opt {p_opt:.3e} not within 25% of {expected_p:.3e}")
     elapsed = _finish(12, "benchmark tour costs and success probabilities", t0,

@@ -14,14 +14,14 @@ from ceqaoa.analysis import (
     twirl_average,
 )
 from ceqaoa.encoded import BlockLayout, label_to_index
-from ceqaoa.layers import LayerSchedule, MixerNormalization, run_circuit
+from ceqaoa.layers import Column, MixerNormalization, run_circuit
 from ceqaoa.verify import random_diagonal
 
 
-def schedules_for(count, seed):
+def columns_for(count, seed):
     rng = np.random.default_rng(seed)
     return [
-        LayerSchedule.constant(g, b)
+        Column(g, (b,))
         for g, b in zip(rng.uniform(0, math.pi, count), rng.uniform(0, math.pi, count))
     ]
 
@@ -30,17 +30,17 @@ class TestTwirl:
     def test_exhaustive_equals_uniform_baseline(self):
         lay = BlockLayout(3, 2)
         diag = random_diagonal(lay, 1)
-        for sched in schedules_for(10, 2):
-            est = twirl_average(diag, sched, (1, 2), mode="exhaustive")
+        for col in columns_for(10, 2):
+            est = twirl_average(diag, col, (1, 2), mode="exhaustive")
             assert est.n_terms == 36
             assert abs(est.value - 1 / 9) < 1e-12
 
     def test_zero_angles_any_mode(self):
         lay = BlockLayout(3, 2)
         diag = random_diagonal(lay, 3)
-        sched = LayerSchedule.constant(0.0, 0.0)
-        ex = twirl_average(diag, sched, (0, 1), mode="exhaustive")
-        mc = twirl_average(diag, sched, (0, 1), mode="monte_carlo", n_samples=100, seed=4)
+        col = Column(0.0, (0.0,))
+        ex = twirl_average(diag, col, (0, 1), mode="exhaustive")
+        mc = twirl_average(diag, col, (0, 1), mode="monte_carlo", n_samples=100, seed=4)
         assert abs(ex.value - 1 / 9) < 1e-12
         assert abs(mc.value - 1 / 9) < 1e-12  # every term equals 1/D
 
@@ -48,7 +48,7 @@ class TestTwirl:
         lay = BlockLayout(4, 3)
         diag = random_diagonal(lay, 5)
         est = twirl_average(
-            diag, schedules_for(1, 6)[0], (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=7
+            diag, columns_for(1, 6)[0], (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=7
         )
         assert abs(est.value - 1 / 64) <= 3 * est.std_error
 
@@ -56,12 +56,12 @@ class TestTwirl:
         lay = BlockLayout(6, 6)  # (6!)^6 permutations
         diag = random_diagonal(lay, 8)
         with pytest.raises(ValueError):
-            twirl_average(diag, schedules_for(1, 9)[0], (0,) * 6, mode="exhaustive")
+            twirl_average(diag, columns_for(1, 9)[0], (0,) * 6, mode="exhaustive")
 
     def test_unknown_mode(self):
         lay = BlockLayout(3, 2)
         with pytest.raises(ValueError):
-            twirl_average(random_diagonal(lay, 1), schedules_for(1, 1)[0], (0, 0), mode="median")
+            twirl_average(random_diagonal(lay, 1), columns_for(1, 1)[0], (0, 0), mode="median")
 
     def test_permutation_sampler_uniform_chi_squared(self):
         rng = np.random.default_rng(11)
@@ -78,7 +78,7 @@ class TestGoodPermutation:
     def test_zero_angles_hit_baseline_exactly(self):
         lay = BlockLayout(3, 2)
         diag = random_diagonal(lay, 12)
-        perm, overlap = find_good_permutation(diag, LayerSchedule.constant(0.0, 0.0), (1, 2))
+        perm, overlap = find_good_permutation(diag, Column(0.0, (0.0,)), (1, 2))
         assert overlap == pytest.approx(1 / 9, abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -87,19 +87,20 @@ class TestGoodPermutation:
         diag = random_diagonal(lay, 13 + m)
         target = tuple(range(m))
         slack = 1.0 - 1e-12  # one-ulp margin at exactly degenerate points
-        for sched in schedules_for(10, 14 + m):
-            perm, overlap = find_good_permutation(diag, sched, target)
+        for col in columns_for(10, 14 + m):
+            perm, overlap = find_good_permutation(diag, col, target)
             assert overlap >= slack / lay.D
-            twirl = twirl_average(diag, sched, target, mode="exhaustive").value
+            twirl = twirl_average(diag, col, target, mode="exhaustive").value
             assert overlap >= slack * twirl  # pigeonhole against the average
 
     def test_returned_permutation_realizes_overlap(self):
         lay = BlockLayout(3, 2)
         diag = random_diagonal(lay, 20)
-        sched = schedules_for(1, 21)[0]
+        col = columns_for(1, 21)[0]
         target = (2, 0)
-        perm, overlap = find_good_permutation(diag, sched, target)
-        probs = run_circuit(diag, sched).probabilities()
+        perm, overlap = find_good_permutation(diag, col, target)
+        (state,) = run_circuit(diag, col)
+        probs = state.probabilities()
         # overlap = |<target| P^dag U s0>|^2 = |<P target| U s0>|^2, where
         # P sends block b's symbol j to perms[b][j]
         moved = tuple(p[j] for p, j in zip(perm.perms, target))

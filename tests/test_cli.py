@@ -13,7 +13,14 @@ import ceqaoa.cli as cli
 from ceqaoa import layers, verify
 from ceqaoa.cli import main, parse_grid_spec
 from ceqaoa.hamiltonian import TspInstance, anchor
-from ceqaoa.phqc import POINT_BYTES, SHOT_BYTES, AngleGrid, default_shots, phqc_solve
+from ceqaoa.layers import Column
+from ceqaoa.phqc import (
+    INTERPRETER_BYTES,
+    POINT_BYTES,
+    SHOT_BYTES,
+    default_shots,
+    phqc_solve,
+)
 
 from oracles import random_symmetric_instance
 
@@ -38,10 +45,11 @@ def strip_metadata(payload):
 class TestGridSpec:
     def test_default(self):
         grid = parse_grid_spec("n+1", 4)
-        assert len(grid.schedules()) == 25
+        assert len(grid.gammas) * len(grid.betas) == 25
 
     def test_square(self):
-        assert len(parse_grid_spec("20x20", 4).schedules()) == 400
+        grid = parse_grid_spec("20x20", 4)
+        assert len(grid.gammas) * len(grid.betas) == 400
 
     def test_list(self):
         pairs = parse_grid_spec("list:0,0;1.5,2.4", 4)
@@ -105,11 +113,11 @@ class TestSolve:
         # single shot at the uniform point: find a master seed whose one draw
         # is infeasible, then check the documented exit code
         enc = anchor(TspInstance("ex4", 4, np.asarray(MATRIX_4, float)), 0)
-        schedules = AngleGrid((0.0,), (0.0,)).schedules()
+        columns = [Column(0.0, (0.0,))]
         seed = next(
             s
             for s in range(50)
-            if phqc_solve(enc, schedules, shots_per_point=1, master_seed=s).best_flat is None
+            if phqc_solve(enc, columns, shots_per_point=1, master_seed=s).best_flat is None
         )
         out = tmp_path / "none.json"
         code = main(
@@ -182,9 +190,6 @@ class TestSolve:
         assert len(err.splitlines()) == 1 and err.startswith(f"{path}: ")
 
 
-INTERPRETER_ALLOWANCE_MB = 48  # python, numpy and ceqaoa imported: about 30 MB
-
-
 def write_instance(path, n_cities, seed=0):
     matrix = random_symmetric_instance(n_cities, seed).round().tolist()
     path.write_text(json.dumps({"name": f"r{n_cities}", "n": n_cities, "matrix": matrix}))
@@ -202,7 +207,6 @@ class TestMemoryEstimate:
         monkeypatch.setattr(cli, "available_memory", lambda: available)
         monkeypatch.setattr(cli, "build_cost_diagonal", allocates)
         monkeypatch.setattr(cli, "phqc_solve", allocates)
-        monkeypatch.setattr(cli.AngleGrid, "schedules", allocates)
 
     @staticmethod
     def assert_one_line(capsys):
@@ -265,11 +269,18 @@ class TestMemoryEstimate:
         return read_json(out)["metadata"]
 
     def test_peak_rss_stays_under_estimate(self, tmp_path):
-        # one grid point; the allowance covers the interpreter, numpy and the modules
-        meta = self.solve_metadata(tmp_path, 3, "--grid", "list:1.0,0.5")
-        estimate = 34 * 7**7 + POINT_BYTES + default_shots(8) * SHOT_BYTES
-        assert meta["peak_estimate_mb"] == estimate / 2**20
-        assert meta["peak_rss_mb"] < meta["peak_estimate_mb"] + INTERPRETER_ALLOWANCE_MB
+        # one grid point, and a grid that holds a phase buffer; the estimate
+        # counts the interpreter too, so it bounds the whole process
+        for grid, per_label, points in (("list:1.0,0.5", 34, 1), ("3x3", 50, 9)):
+            meta = self.solve_metadata(tmp_path, 3, "--grid", grid)
+            estimate = (
+                INTERPRETER_BYTES
+                + per_label * 7**7
+                + points * POINT_BYTES
+                + default_shots(8) * SHOT_BYTES
+            )
+            assert meta["peak_estimate_mb"] == estimate / 2**20
+            assert meta["peak_rss_mb"] <= meta["peak_estimate_mb"], grid
 
     def test_peak_rss_does_not_depend_on_the_instance(self, tmp_path):
         # 16 grid points of 5120 shots: when D-sized buffers were freed onto
@@ -312,11 +323,12 @@ def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, ar
         ["solve", "--grid", "list:nan,0.5"],
         ["solve", "--grid", "list:0.5,inf"],
         ["histogram", "--angles", "nan,0.5"],
+        ["histogram", "--angles", "0.5,nan"],
         ["solve", "--depth", "0"],
         ["histogram", "--angles", "0.5,0.5", "--depth", "0"],
     ],
-    ids=["solve-gamma-nan", "solve-beta-inf", "histogram-gamma-nan", "solve-depth-0",
-         "histogram-depth-0"],
+    ids=["solve-gamma-nan", "solve-beta-inf", "histogram-gamma-nan", "histogram-beta-nan",
+         "solve-depth-0", "histogram-depth-0"],
 )
 def test_bad_angles_or_depth_end_in_one_line(instance_file, tmp_path, capsys, argv):
     command, *rest = argv

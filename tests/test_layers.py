@@ -4,7 +4,7 @@ import pytest
 from ceqaoa.encoded import BlockLayout, EncodedState, uniform_initial_state
 from ceqaoa.hamiltonian import TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import (
-    LayerSchedule,
+    Column,
     MixerNormalization,
     Workspace,
     apply_mixer,
@@ -38,19 +38,26 @@ class TestNormalization:
         assert MixerNormalization.OVER_N_MINUS_1.scale(5) == 0.25
 
 
-class TestSchedule:
-    def test_constant(self):
-        s = LayerSchedule.constant(0.1, 0.2, 3)
-        assert s.depth == 3
-        assert s.pairs == ((0.1, 0.2),) * 3
+class TestColumn:
+    def test_fields(self):
+        col = Column(1, (0.1, 0.2), 3)
+        assert col.gamma == 1.0 and isinstance(col.gamma, float)
+        assert col.betas == (0.1, 0.2) and col.depth == 3
 
-    def test_rejects_empty_and_nonfinite(self):
+    def test_rejects_no_beta_nonfinite_gamma_and_zero_depth(self):
         with pytest.raises(ValueError):
-            LayerSchedule(())
+            Column(0.0, ())
         with pytest.raises(ValueError):
-            LayerSchedule(((np.inf, 0.0),))
+            Column(np.inf, (0.0,))
         with pytest.raises(ValueError):
-            LayerSchedule.constant(0, 0, 0)
+            Column(np.nan, (0.0,))
+        with pytest.raises(ValueError):
+            Column(0, (0.0,), 0)
+
+    def test_reuses_phase(self):
+        assert not Column(1.0, (0.5,)).reuses_phase
+        assert Column(1.0, (0.5, 0.6)).reuses_phase  # a second beta
+        assert Column(1.0, (0.5,), 2).reuses_phase  # a second layer
 
 
 class TestPhase:
@@ -156,39 +163,51 @@ class TestApplyMixer:
 class TestRunCircuit:
     def test_zero_angles_give_uniform(self):
         diag = small_diag()
-        out = run_circuit(diag, LayerSchedule.constant(0.0, 0.0))
+        (out,) = run_circuit(diag, Column(0.0, (0.0,)))
         assert np.allclose(out.amplitudes, uniform_initial_state(diag.layout).amplitudes, atol=1e-14)
 
     def test_gamma_zero_keeps_uniform_probabilities(self):
         diag = small_diag(seed=12)
-        for beta in (0.4, 1.3, 2.9):
-            out = run_circuit(diag, LayerSchedule.constant(0.0, beta))
+        for out in run_circuit(diag, Column(0.0, (0.4, 1.3, 2.9))):
             assert np.max(np.abs(out.probabilities() - 1 / diag.layout.D)) < 1e-12
 
     def test_norm_across_depths(self):
         diag = small_diag(seed=13)
         rng = np.random.default_rng(14)
         for p in (1, 2, 5):
-            pairs = tuple((rng.uniform(0, np.pi), rng.uniform(0, np.pi)) for _ in range(p))
-            out = run_circuit(diag, LayerSchedule(pairs))
-            assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1) < 1e-10
+            col = Column(rng.uniform(0, np.pi), tuple(rng.uniform(0, np.pi, 2)), p)
+            for out in run_circuit(diag, col):
+                assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1) < 1e-10
 
     def test_order_phase_then_mixer(self):
         diag = small_diag(seed=15)
-        sched = LayerSchedule.constant(0.8, 0.5)
         manual = apply_mixer(
             apply_phase(uniform_initial_state(diag.layout), diag.phase(0.8)), 0.5, OVER_N
         )
-        auto = run_circuit(diag, sched, OVER_N)
+        (auto,) = run_circuit(diag, Column(0.8, (0.5,)), OVER_N)
         assert np.array_equal(auto.amplitudes, manual.amplitudes)
 
+    def test_phase_is_built_when_the_first_state_is_asked_for(self):
+        diag = small_diag(seed=17)
+        work = Workspace(diag.layout)
+        work.amps.fill(0.0)
+        states = run_circuit(diag, Column(0.8, (0.5,)), OVER_N, work)
+        assert not work.amps.any()
+        next(states)
+        assert work.amps.any()
+
     def test_depth_two_needs_a_phase_buffer(self):
+        # so do several betas; the workspace allocates the buffer at the
+        # first column that needs it and keeps it for the next
         diag = small_diag(seed=16)
-        sched = LayerSchedule.constant(0.8, 0.5, 2)
-        work = Workspace.for_schedules(diag.layout, [LayerSchedule.constant(0.8, 0.5)])
-        assert work.phase is None
-        with pytest.raises(ValueError, match="phase buffer"):
-            run_circuit(diag, sched, OVER_N, work)
+        work = Workspace(diag.layout)
+        (_,) = run_circuit(diag, Column(0.8, (0.5,)), OVER_N, work)
+        assert work.phase is None  # built into the amplitudes
+        (_,) = run_circuit(diag, Column(0.8, (0.5,), 2), OVER_N, work)
+        phase = work.phase
+        assert phase is not None
+        for _ in run_circuit(diag, Column(0.9, (0.5, 0.6)), OVER_N, work):
+            assert work.phase is phase  # allocated once per workspace
 
 
 class TestSpectrum:

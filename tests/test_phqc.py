@@ -12,8 +12,9 @@ from ceqaoa.encoded import (
     uniform_initial_state,
 )
 from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal
-from ceqaoa.layers import LayerSchedule, holds_phase
+from ceqaoa.layers import Column, run_circuit
 from ceqaoa.phqc import (
+    INTERPRETER_BYTES,
     POINT_BYTES,
     SHOT_BYTES,
     AngleGrid,
@@ -21,7 +22,7 @@ from ceqaoa.phqc import (
     default_grid,
     default_shots,
     derive_seed,
-    exact_success_probability,
+    pair_columns,
     peak_bytes,
     phqc_solve,
     required_shots,
@@ -31,6 +32,7 @@ from ceqaoa.phqc import (
 )
 
 from oracles import (
+    exact_success_probability,
     held_karp_cycle,
     random_asymmetric_instance,
     random_symmetric_instance,
@@ -46,26 +48,31 @@ def example_4():
     return anchor(TspInstance("ex4", 4, MATRIX_4), 0)
 
 
+def point_count(columns):
+    return sum(len(col.betas) for col in columns)
+
+
 class TestGrids:
     def test_default_grid_points(self):
         g = default_grid(4)
         assert len(g.gammas) == len(g.betas) == 5
         assert math.pi / 2 in g.gammas and 3 * math.pi / 4 in g.betas
-        assert len(g.schedules()) == 25
+        assert point_count(g.columns()) == 25
 
     def test_default_grid_n6_contains_table_angles(self):
         g = default_grid(6)
         assert 5 * math.pi / 6 in g.gammas and 4 * math.pi / 6 in g.betas
 
     def test_default_grid_n3_has_16_points(self):
-        assert len(default_grid(3).schedules()) == 16
+        assert point_count(default_grid(3).columns()) == 16
 
     def test_square_grid(self):
         g = square_grid(20)
-        assert len(g.schedules()) == 400
-        # gamma-major, every layer repeating the point's pair
-        assert g.schedules(2)[1].pairs == ((0.0, g.betas[1]),) * 2
-        assert g.schedules(2)[20].pairs == ((g.gammas[1], 0.0),) * 2
+        cols = g.columns(2)
+        assert point_count(cols) == 400
+        # gamma-major: one column per gamma, every one sharing the grid's betas
+        assert [c.gamma for c in cols] == list(g.gammas)
+        assert all(c.betas is g.betas and c.depth == 2 for c in cols)
         assert g.gammas[0] == 0.0 and g.gammas[-1] == pytest.approx(math.pi)
 
     def test_validation(self):
@@ -73,6 +80,23 @@ class TestGrids:
             AngleGrid((), (0.0,))
         with pytest.raises(ValueError):
             AngleGrid((1.0, 0.5), (0.0,))
+
+    def test_pair_columns(self):
+        pairs = [(0.5, 0.3), (0.5, 1.1), (0.0, 0.2), (-0.0, 0.2), (0.5, 0.7), (0.5, 0.1)]
+        cols = pair_columns(pairs, 2)
+        # a run of equal gammas is one column; 0.0 and -0.0 split; a return
+        # to an earlier gamma starts a new column
+        assert [(c.gamma, c.betas) for c in cols] == [
+            (0.5, (0.3, 1.1)),
+            (0.0, (0.2,)),
+            (-0.0, (0.2,)),
+            (0.5, (0.7, 0.1)),
+        ]
+        assert [math.copysign(1.0, c.gamma) for c in cols] == [1.0, 1.0, -1.0, 1.0]
+        assert all(c.depth == 2 for c in cols)
+        # grid order is pair order
+        assert [(c.gamma, b) for c in cols for b in c.betas] == pairs
+        assert pair_columns([]) == []
 
 
 class TestSampling:
@@ -201,10 +225,10 @@ class TestSolve:
 
     def test_single_shot_semantics(self):
         enc = example_4()
-        schedules = [LayerSchedule.constant(0.0, 0.0)]
+        columns = [Column(0.0, (0.0,))]
         found_feasible = found_empty = False
         for seed in range(40):
-            res = phqc_solve(enc, schedules, shots_per_point=1, master_seed=seed)
+            res = phqc_solve(enc, columns, shots_per_point=1, master_seed=seed)
             frac = res.per_grid_stats[0].feasible_fraction
             assert frac in (0.0, 1.0)
             if res.best_flat is None:
@@ -220,8 +244,8 @@ class TestSolve:
 
     def test_explicit_schedule_list(self):
         enc = example_4()
-        schedules = [LayerSchedule.constant(0.0, 0.0), LayerSchedule.constant(1.1, 0.6)]
-        res = phqc_solve(enc, shots_per_point=500, master_seed=3, schedules=schedules)
+        columns = [Column(0.0, (0.0,)), Column(1.1, (0.6,))]
+        res = phqc_solve(enc, shots_per_point=500, master_seed=3, columns=columns)
         assert res.best_cost == 80.0
         assert len(res.per_grid_stats) == 2
 
@@ -231,28 +255,31 @@ class TestSolve:
         assert derive_seed(2, 2) != derive_seed(1, 2)
 
     def test_one_circuit_per_grid_point(self, monkeypatch):
-        calls = []
+        states = []
         original = phqc.run_circuit
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            for state in original(*args, **kwargs):
+                states.append(state)
+                yield state
 
         monkeypatch.setattr(phqc, "run_circuit", counting)
         enc = example_4()
-        schedules = square_grid(3).schedules()
-        res = phqc_solve(enc, schedules, shots_per_point=200, master_seed=4)
-        assert len(calls) == len(schedules)
-        sched = LayerSchedule.constant(*res.best_angles)
-        assert res.p_opt_exact == exact_success_probability(build_cost_diagonal(enc), sched)[0]
+        columns = square_grid(3).columns()
+        res = phqc_solve(enc, columns, shots_per_point=200, master_seed=4)
+        assert len(states) == point_count(columns) == len(res.per_grid_stats)
+        gamma, beta = res.best_angles
+        col = Column(gamma, (beta,))
+        assert res.p_opt_exact == exact_success_probability(build_cost_diagonal(enc), col)[0]
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("path", ["direct", "table"])
     def test_one_exponential_per_gamma(self, monkeypatch, path, depth):
-        # a gamma-major grid computes each gamma's phase once, and at depth 2
-        # the second layer reuses the first layer's.  Non-integer distances
-        # exponentiate all D energies; integer ones whose energies span at
-        # most D // 16 levels exponentiate only the levels.
+        # a gamma-major grid computes each gamma's phase once, a list grid
+        # once per run of equal gammas, and at depth 2 the second layer
+        # reuses the first layer's.  Non-integer distances exponentiate all
+        # D energies; integer ones whose energies span at most D // 16
+        # levels exponentiate only the levels.
         if path == "direct":
             inst, lam = TspInstance("r5", 5, random_symmetric_instance(5, 3)), None
         else:
@@ -267,10 +294,16 @@ class TestSolve:
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting)
-        grid = default_grid(inst.n_cities)
-        phqc_solve(enc, grid.schedules(depth), shots_per_point=50, penalty_weight=lam)
-        assert len(shapes) == len(grid.gammas)
-        assert all((shape == (enc.layout.D,)) == (path == "direct") for shape in shapes)
+        # four runs: a repeated gamma, two signed zeros, a return to 0.5
+        pairs = [(0.5, 0.3), (0.5, 1.1), (0.0, 0.2), (-0.0, 0.2), (0.5, 0.7)]
+        for columns, phases in (
+            (default_grid(inst.n_cities).columns(depth), inst.n_cities + 1),
+            (pair_columns(pairs, depth), 4),
+        ):
+            shapes.clear()
+            phqc_solve(enc, columns, shots_per_point=50, penalty_weight=lam)
+            assert len(shapes) == phases
+            assert all((shape == (enc.layout.D,)) == (path == "direct") for shape in shapes)
 
     @pytest.mark.parametrize("n_cities", [4, 5])
     def test_oracle_equivalence_small(self, n_cities):
@@ -285,48 +318,49 @@ class TestMemoryPlan:
     def test_default_shots(self):
         assert default_shots(8) == 5120
 
-    def test_holds_phase(self):
-        grid = square_grid(3)
-        assert holds_phase(grid.schedules())  # consecutive points share a gamma
-        assert not holds_phase(grid.schedules()[::3])  # one point per gamma
-        assert not holds_phase([LayerSchedule.constant(1.0, 0.5)])
-        assert holds_phase([LayerSchedule.constant(1.0, 0.5, 2)])  # a second layer
-        assert not holds_phase([LayerSchedule.constant(g, 0.5) for g in (0.0, -0.0)])
-
     def test_peak_bytes(self):
+        one = [Column(1.0, (0.5,))]
+        base = INTERPRETER_BYTES + POINT_BYTES
         # objective, penalty count, amplitudes and CDF: 34 bytes per label
-        assert peak_bytes(BlockLayout(8, 8), 0, 0, False) == 34 * 8**8
-        # a phase buffer beside the amplitudes adds 16
-        assert peak_bytes(BlockLayout(8, 8), 0, 0, True) == 50 * 8**8
+        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 34 * 8**8
+        # a column that reuses its phase adds a phase buffer of 16
+        assert peak_bytes(BlockLayout(8, 8), [Column(1.0, (0.5,), 2)], 0) == base + 50 * 8**8
         # the mixer's slice sums share the CDF buffer, at n = 2 too
-        assert peak_bytes(BlockLayout(2, 10), 0, 0, False) == 34 * 2**10
+        assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 34 * 2**10
         # grid points and the shots of one point add their own terms
-        grown = peak_bytes(BlockLayout(2, 10), 81, 5120, False) - 34 * 2**10
+        grid = square_grid(9).columns()
+        grown = peak_bytes(BlockLayout(2, 10), grid, 5120) - INTERPRETER_BYTES - 50 * 2**10
         assert grown == 81 * POINT_BYTES + 5120 * SHOT_BYTES
 
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_grid_holds_phase_without_its_schedules(self, depth):
-        grids = [
-            square_grid(3),
-            AngleGrid((0.0, 1.0, 2.0), (0.5,)),
-            AngleGrid((-0.0, 0.0, 1.0), (0.5,)),  # 0.0 and -0.0 are two phases
-            AngleGrid((1.0, 1.0), (0.5,)),  # a repeated gamma shares its phase
-        ]
-        for grid in grids:
-            assert grid.holds_phase(depth) == holds_phase(grid.schedules(depth))
+    def test_phase_buffer_only_when_a_column_reuses_its_phase(self, depth):
+        layout = BlockLayout(2, 10)
+
+        def phase_bytes(columns):
+            points = point_count(columns) * POINT_BYTES
+            return peak_bytes(layout, columns, 0) - INTERPRETER_BYTES - 34 * layout.D - points
+
+        # one point per gamma, 0.0 and -0.0 among them: at depth 1 each
+        # phase is used once, and built into the amplitudes
+        once = 16 * layout.D if depth > 1 else 0
+        assert phase_bytes(AngleGrid((-0.0, 0.0, 1.0), (0.5,)).columns(depth)) == once
+        assert phase_bytes(pair_columns([(0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)], depth)) == once
+        # consecutive points on one gamma share its phase
+        assert phase_bytes(square_grid(3).columns(depth)) == 16 * layout.D
+        assert phase_bytes(pair_columns([(1.0, 0.5), (1.0, 0.6)], depth)) == 16 * layout.D
 
 
 class TestExactSuccess:
     def test_uniform_angles_give_degeneracy_over_dimension(self):
         diag = build_cost_diagonal(example_4())
-        p, k = exact_success_probability(diag, LayerSchedule.constant(0.0, 0.0))
+        p, k = exact_success_probability(diag, Column(0.0, (0.0,)))
         assert k == 2
         assert p == pytest.approx(2 / 27, abs=1e-13)
 
     def test_unique_optimum_asymmetric(self):
         inst = TspInstance("a4", 4, random_asymmetric_instance(4, 1))
         diag = build_cost_diagonal(anchor(inst, 0))
-        p, k = exact_success_probability(diag, LayerSchedule.constant(0.0, 0.0))
+        p, k = exact_success_probability(diag, Column(0.0, (0.0,)))
         assert k == 1
         assert p == pytest.approx(1 / 27, abs=1e-13)
 
@@ -335,11 +369,10 @@ class TestExactSuccess:
         enc = anchor(TspInstance("eq4", 4, m), 0)
         diag = build_cost_diagonal(enc)
         for gamma, beta in [(0.0, 0.0), (0.9, 1.7), (2.2, 0.3)]:
-            sched = LayerSchedule.constant(gamma, beta)
-            p, k = exact_success_probability(diag, sched)
+            col = Column(gamma, (beta,))
+            p, k = exact_success_probability(diag, col)
             assert k == 6
-            from ceqaoa.layers import run_circuit
-
-            probs = run_circuit(diag, sched).probabilities()
+            (state,) = run_circuit(diag, col)
+            probs = state.probabilities()
             feasible_mass = float(probs[diag.penalty_count == 0].sum())
             assert p == pytest.approx(feasible_mass, abs=1e-12)

@@ -3,6 +3,8 @@ flat-index shot path, the rank-1 mixer, the in-place circuit kernels and
 the workspace's phase buffer, the level-table phase, the prefix-built cost
 diagonal and the one-buffer shot sampler."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,12 +20,11 @@ from ceqaoa.encoded import (
 from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
 from ceqaoa import layers
 from ceqaoa.layers import (
-    LayerSchedule,
+    Column,
     MixerNormalization,
     Workspace,
     apply_mixer,
     mixer_block_matrix,
-    phase_key,
     run_circuit,
 )
 from ceqaoa.phqc import ShotSet, sample_shots, score_shots
@@ -88,11 +89,12 @@ angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
 @st.composite
 def circuit_cases(draw):
-    """A random diagonal on a small layout and two schedules over two gammas.
+    """A random diagonal on a small layout and two columns of 1-3 betas at depth 1-3.
 
-    Gamma sequences such as (g1, g2, g1), run back to back in one workspace,
-    hit, miss and replace the phase vector it holds.  Layouts reach past 16384
-    amplitudes, the size from which numpy elides temporaries.
+    The columns take their gammas from two, so sequences such as (g1, g2)
+    and (g1, g1), run back to back in one workspace, rebuild the phase
+    buffer it holds.  Layouts reach past 16384 amplitudes, the size from
+    which numpy elides temporaries.
     """
     layout = draw(layouts())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -100,70 +102,71 @@ def circuit_cases(draw):
     count = rng.choice(np.array([0, 0, 1, 3], dtype=np.int16), layout.D)
     diag = CostDiagonal(layout, objective, count, 7.0)
     gammas = (draw(angles), draw(angles))
-    schedules = []
-    for _ in range(2):
-        picks = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
-        schedules.append(LayerSchedule(tuple((gammas[i], draw(angles)) for i in picks)))
-    return diag, schedules, draw(st.sampled_from(list(MixerNormalization)))
+    columns = [
+        Column(
+            gammas[draw(st.integers(0, 1))],
+            tuple(draw(st.lists(angles, min_size=1, max_size=3))),
+            draw(st.integers(1, 3)),
+        )
+        for _ in range(2)
+    ]
+    return diag, columns, draw(st.sampled_from(list(MixerNormalization)))
 
 
-def phase_workspaces(layout):
-    """A workspace that holds a phase vector and one that does not (depth 1 only)."""
-    holding = Workspace.for_schedules(layout, [LayerSchedule.constant(0.0, 0.0, 2)])
-    bare = Workspace.for_schedules(layout, [LayerSchedule.constant(0.0, 0.0)])
-    return holding, bare
+def amplitudes_of(column_states):
+    """A copy of every state a column yields, each taken before the next overwrites it."""
+    return [state.amplitudes.copy() for state in column_states]
 
 
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_run_circuit_matches_out_of_place_reference_bitwise(case):
-    diag, schedules, norm = case
-    work = Workspace.for_schedules(diag.layout, schedules)  # shared by the schedules, as in a solve
-    for sched in schedules:
-        expected = reference_circuit(diag, sched, norm)
-        assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
-        assert np.array_equal(run_circuit(diag, sched, norm, workspace=work).amplitudes, expected)
+    diag, columns, norm = case
+    work = Workspace(diag.layout)  # shared by the columns, as in a solve
+    for col in columns:
+        expected = [reference_circuit(diag, [(col.gamma, b)] * col.depth, norm) for b in col.betas]
+        for got in (
+            amplitudes_of(run_circuit(diag, col, norm)),
+            amplitudes_of(run_circuit(diag, col, norm, workspace=work)),
+        ):
+            assert len(got) == len(expected)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_reused_and_consumed_phases_give_equal_amplitudes(case):
-    """A circuit whose phase is reused from the workspace's buffer, one whose
-    phase is built fresh into that buffer, one that finds it already filled
-    and one that builds its phase straight into the amplitudes (depth 1)
-    give bitwise the same amplitudes as a circuit without a workspace."""
-    diag, schedules, norm = case
-    reused, bare = phase_workspaces(diag.layout)
-    for sched in schedules:
-        fresh = run_circuit(diag, sched, norm).amplitudes
-        assert np.array_equal(run_circuit(diag, sched, norm, reused).amplitudes, fresh)
-        cold, _ = phase_workspaces(diag.layout)
-        assert np.array_equal(run_circuit(diag, sched, norm, cold).amplitudes, fresh)
-        warm, _ = phase_workspaces(diag.layout)
-        warm.phase_for(diag, sched.pairs[0][0])  # filled before the circuit asks for it
-        assert np.array_equal(run_circuit(diag, sched, norm, warm).amplitudes, fresh)
-        if sched.depth == 1:
-            assert np.array_equal(run_circuit(diag, sched, norm, bare).amplitudes, fresh)
+    """Every circuit of a column, which reads its phase from the workspace's
+    buffer (several betas, or depth > 1) or builds it straight into the
+    amplitudes (one beta at depth 1), in a workspace an earlier column has
+    used, gives bitwise the amplitudes of its beta run alone in a one-beta
+    column without a workspace."""
+    diag, columns, norm = case
+    shared = Workspace(diag.layout)
+    for col in columns:
+        for state, beta in zip(run_circuit(diag, col, norm, shared), col.betas, strict=True):
+            (alone,) = run_circuit(diag, Column(col.gamma, (beta,), col.depth), norm)
+            assert np.array_equal(state.amplitudes, alone.amplitudes)
 
 
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_returned_phase_is_never_written(case):
-    """The phase buffer a circuit reads is never written by it: after each
-    circuit it holds bitwise a fresh phase of the last gamma, and a circuit
-    whose gammas all hit the held phase leaves its bits unchanged."""
-    diag, schedules, norm = case
-    holding, _ = phase_workspaces(diag.layout)
-    gamma = schedules[0].pairs[0][0]
-    holding.phase_for(diag, gamma)
-    for sched in schedules:
-        before = holding.phase.copy()
-        run_circuit(diag, sched, norm, holding)
-        if all(phase_key(g) == phase_key(gamma) for g, _ in sched.pairs):
-            assert np.array_equal(holding.phase.view(np.uint64), before.view(np.uint64))
-        gamma = sched.pairs[-1][0]
-        expected = diag.phase(gamma)
-        assert np.array_equal(holding.phase.view(np.uint64), expected.view(np.uint64))
+    """The phase buffer the circuits read is never written by them: while a
+    column that reuses its phase yields, and after it, the buffer holds
+    bitwise a fresh diag.phase(column.gamma); a column that uses its phase
+    once leaves the buffer as it was."""
+    diag, columns, norm = case
+    work = Workspace(diag.layout)
+    held = None  # the bits the phase buffer must hold
+    for col in columns:
+        if col.reuses_phase:
+            held = diag.phase(col.gamma).view(np.uint64)
+        for _ in itertools.chain(run_circuit(diag, col, norm, work), [None]):  # and after
+            if held is None:
+                assert work.phase is None
+            else:
+                assert np.array_equal(work.phase.view(np.uint64), held)
 
 
 PHASE_KINDS = ["table", "fraction", "weight", "wide", "huge"]
@@ -229,12 +232,15 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
     rng = np.random.default_rng(n * 100 + m)
     objective = rng.integers(0, 50, layout.D).astype(float)
     diag = CostDiagonal(layout, objective, np.zeros(layout.D, dtype=np.int16), 7.0)
-    sched = LayerSchedule(((0.7, 0.4), (-1.3, 2.1)))
-    work = Workspace.for_schedules(layout, [sched])
+    col = Column(0.7, (0.4, 2.1), 2)
+    work = Workspace(layout)
     for norm in MixerNormalization:
-        expected = reference_circuit(diag, sched, norm)
-        assert np.array_equal(run_circuit(diag, sched, norm).amplitudes, expected)
-        assert np.array_equal(run_circuit(diag, sched, norm, workspace=work).amplitudes, expected)
+        expected = [reference_circuit(diag, [(0.7, b)] * 2, norm) for b in col.betas]
+        for got in (
+            amplitudes_of(run_circuit(diag, col, norm)),
+            amplitudes_of(run_circuit(diag, col, norm, workspace=work)),
+        ):
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 
 
 @pytest.mark.parametrize("n, m", [(8, 7), (5, 9)])
