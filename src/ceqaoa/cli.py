@@ -9,7 +9,9 @@ over the memory available.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
+import itertools
 import json
 import math
 import os
@@ -22,17 +24,10 @@ import numpy as np
 
 from .analysis import classical_baselines
 from .encoded import BlockLayout, DimensionCapError, indices_to_labels
-from .hamiltonian import (
-    anchor,
-    brute_force_optimum,
-    build_cost_diagonal,
-    default_penalty_weight,
-    tour_cities,
-)
-from .instances import InstanceParseError, parse_instance
-from .layers import DEFAULT_NORMALIZATION, MixerNormalization, Workspace, run_circuit
+from .hamiltonian import anchor, brute_force_optimum, build_cost_diagonal, tour_cities
+from .instances import parse_instance
+from .layers import DEFAULT_NORMALIZATION, Column, MixerNormalization, Workspace, run_circuit
 from .phqc import (
-    AngleGrid,
     default_grid,
     default_shots,
     pair_columns,
@@ -50,18 +45,20 @@ EXIT_DIM_CAP = 3
 
 SCHEMA_VERSION = 1
 HISTOGRAM_CHUNK = 1 << 16  # rows formatted at a time, so memory stays bounded for any D
+# per row of a chunk: its Python ints, floats and row strings and the joined
+# text, measured with tracemalloc at 238 bytes (n = 7), 334 (n = 8) and 347 (n = 9)
+HISTOGRAM_ROW_BYTES = 384
 
 
-def parse_grid_spec(spec: str, n_cities: int):
+def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column], dict]:
     """Grid flag: 'n+1' (default), 'NxN', or 'list:g,b;g,b;...' explicit pairs.
 
-    Returns an AngleGrid, or a list of (gamma, beta) pairs for list mode.
-    A spec of none of these forms raises ValueError naming the flag.
+    Returns the grid's columns at the given depth and the grid as the
+    result JSON records it: its gammas and betas, or for list mode its
+    pairs.  A spec of none of these forms raises ValueError naming the flag.
     """
     bad = ValueError(f"bad --grid value {spec!r} (want n+1, NxN or list:g,b;...)")
     text = spec.strip()
-    if text == "n+1":
-        return default_grid(n_cities)
     if text.startswith("list:"):
         pairs = []
         for chunk in text[5:].split(";"):
@@ -74,14 +71,21 @@ def parse_grid_spec(spec: str, n_cities: int):
             pairs.append((gamma, beta))
         if not pairs:
             raise bad
-        return pairs
-    try:
-        rows, cols = (int(v) for v in text.lower().split("x"))
-    except ValueError:
-        raise bad from None
-    if rows != cols:
-        raise ValueError(f"only square grids are supported, got {spec!r}")
-    return square_grid(rows)
+        columns = pair_columns(pairs, depth)
+        return columns, {"pairs": [[col.gamma, beta] for col in columns for beta in col.betas]}
+    if text == "n+1":
+        columns = default_grid(n_cities, depth)
+    else:
+        try:
+            rows, cols = (int(v) for v in text.lower().split("x"))
+        except ValueError:
+            raise bad from None
+        if rows != cols:
+            raise ValueError(f"only square grids are supported, got {spec!r}")
+        if rows < 2:
+            raise ValueError(f"bad --grid value {spec!r} (need at least 2 points per axis)")
+        columns = square_grid(rows, depth)
+    return columns, {"gammas": [col.gamma for col in columns], "betas": list(columns[0].betas)}
 
 
 def _proc_kb(path: str, key: str) -> int | None:
@@ -124,12 +128,13 @@ def pin_mmap_threshold() -> None:
     freed ones stay resident depends on the small objects allocated between
     them.  Setting the threshold turns that adjustment off: a freed buffer
     goes back to the system, and the peak follows the buffers alive at once.
-    A solve allocates every D-sized buffer once (layers.Workspace), so no
-    phase vector is freed and mapped again per gamma any more, but the pin
-    still lowers the peak: on a 2-core VM, one grid point at n = 9
-    (D = 16.8M) peaks at 583.7 MB with it and 589.3 MB without.
-    Default-grid solves at n = 8 peak within 76.5-77.0 MB over 20 instances
-    either way.
+    main pins it for every command.  A solve allocates every D-sized
+    buffer once (layers.Workspace), but the pin still lowers the peak: on a
+    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 583.7 MB with it
+    and 589.3 MB without.  Default-grid solves at n = 8 peak within
+    76.5-77.0 MB over 20 instances either way.  histogram frees its
+    row-formatting buffers once per chunk: at n = 8 it peaks at 76.2 MB
+    with the pin and 82.6 MB without, at n = 9 at 580.8 and 603.3 MB.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -152,11 +157,19 @@ def peak_rss_mb() -> float:
 
 
 def write_text_atomic(path: Path, text) -> None:
-    """Write a string, or an iterable of string chunks, through a .tmp file and a rename."""
+    """Write a string, or an iterable of string chunks, through a .tmp file and a rename.
+
+    When the write or the rename fails, the .tmp file is removed.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_json_atomic(path: Path, obj) -> None:
@@ -190,34 +203,20 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_anchored(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     inst = parse_instance(args.instance, euclidean_rounding=not args.euclid_exact)
     return inst, anchor(inst, args.start_city)
 
 
 def cmd_solve(args) -> int:
     inst, enc = _load_anchored(args)
-    grid_or_pairs = parse_grid_spec(args.grid, inst.n_cities)
+    columns, grid_json = parse_grid_spec(args.grid, inst.n_cities, args.depth)
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
+    if shots < 1:
+        raise ValueError(f"--shots must be >= 1, got {shots}")
     norm = MixerNormalization(args.norm)
-    lam = args.penalty_weight if args.penalty_weight is not None else default_penalty_weight(inst)
-
-    hist_lines = ["grid_index,gamma,beta,cost,count\n"]
-
-    def point_hook(stat, shotset, diag) -> None:
-        feasible = diag.penalty_count[shotset.flats] == 0
-        costs, which = np.unique(diag.objective[shotset.flats[feasible]], return_inverse=True)
-        totals = np.bincount(which, weights=shotset.counts[feasible])
-        for cost, count in zip(costs.tolist(), totals.astype(np.int64).tolist()):
-            hist_lines.append(f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n")
-
-    if isinstance(grid_or_pairs, AngleGrid):
-        grid_json = {"gammas": list(grid_or_pairs.gammas), "betas": list(grid_or_pairs.betas)}
-        columns = grid_or_pairs.columns(args.depth)
-    else:
-        grid_json = {"pairs": [list(p) for p in grid_or_pairs]}
-        columns = pair_columns(grid_or_pairs, args.depth)
     estimate = peak_bytes(enc.layout, columns, shots)
-    pin_mmap_threshold()
     check_memory(estimate)
     t0 = time.perf_counter()
     result = phqc_solve(
@@ -226,8 +225,7 @@ def cmd_solve(args) -> int:
         shots_per_point=shots,
         norm=norm,
         master_seed=args.seed,
-        penalty_weight=lam,
-        point_hook=point_hook,
+        penalty_weight=args.penalty_weight,
     )
     wall = time.perf_counter() - t0
 
@@ -239,7 +237,7 @@ def cmd_solve(args) -> int:
         "depth": args.depth,
         "shots_per_point": shots,
         "normalization": norm.value,
-        "penalty_weight": lam,
+        "penalty_weight": result.penalty_weight,
         "seed": args.seed,
         "grid": grid_json,
         "best_tour": (
@@ -272,7 +270,12 @@ def cmd_solve(args) -> int:
     write_json_atomic(out, payload)
 
     hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
-    write_text_atomic(hist_path, hist_lines)
+    rows = (
+        f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n"
+        for stat in result.per_grid_stats
+        for cost, count in stat.cost_counts
+    )
+    write_text_atomic(hist_path, itertools.chain(["grid_index,gamma,beta,cost,count\n"], rows))
 
     if result.best_flat is None:
         print(f"no feasible sample in {shots} shots x {len(result.per_grid_stats)} grid points")
@@ -309,7 +312,9 @@ def cmd_histogram(args) -> int:
     norm = MixerNormalization(args.norm)
     columns = pair_columns([(gamma, beta)], args.depth)
     layout = enc.layout
-    check_memory(peak_bytes(layout, columns, shots))
+    check_memory(
+        peak_bytes(layout, columns, shots) + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
+    )
     diag = build_cost_diagonal(enc, args.penalty_weight)
     optimal_flats = brute_force_optimum(diag).optimal_flats
     work = Workspace(layout)
@@ -439,18 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_mmap_threshold()
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except InstanceParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except DimensionCapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DIM_CAP
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers InstanceParseError
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,10 +3,9 @@
 An (n, m) layout describes m blocks carrying n symbols each; the encoded
 space has dimension D = n**m.  A basis label is a tuple of m symbols, and
 labels map to flat indices in mixed radix with block 0 as the most
-significant digit.  label_to_index, index_to_label and their array forms
-indices_to_labels and labels_to_indices are the only conversions between
-the two.  A q-qubit register is the layout (n=2, m=q), with qubit 0 the
-most significant bit.
+significant digit.  index_to_label and the array forms indices_to_labels
+and labels_to_indices are the only conversions between the two.  A q-qubit
+register is the layout (n=2, m=q), with qubit 0 the most significant bit.
 """
 
 from __future__ import annotations
@@ -75,17 +74,8 @@ class BlockLayout:
         return label
 
 
-def label_to_index(layout: BlockLayout, label) -> int:
-    """Flat index of a label; block 0 is the most significant digit."""
-    label = layout.validate_label(label)
-    idx = 0
-    for j in label:
-        idx = idx * layout.n + j
-    return idx
-
-
 def index_to_label(layout: BlockLayout, index: int) -> Label:
-    """Inverse of label_to_index."""
+    """Label of a flat index; block 0 is the most significant digit."""
     index = int(index)
     if not 0 <= index < layout.D:
         raise ValueError(f"index {index} outside [0, {layout.D})")

@@ -48,9 +48,10 @@ class Column:
 
     Circuit k runs depth layers, each the phase exp(-i gamma E) then the
     mixer at betas[k].  gamma and depth are checked here.  The betas are
-    checked once where they enter the program (phqc.AngleGrid,
-    phqc.pair_columns), so the columns of a grid, which share its betas
-    tuple, cost O(1) each; a non-finite beta would still fail the norm gate.
+    checked once where they enter the program (phqc.pair_columns; the
+    rectangular grids make their own), so the columns of a grid, which
+    share one betas tuple, cost O(1) each; a non-finite beta would still
+    fail the norm gate.
     """
 
     gamma: float

@@ -2,15 +2,15 @@
 
 Every grid point runs the exact circuit, draws shots from the exact
 probabilities, filters feasible samples, and scores them with the tour
-objective.  A single appearance of the optimum suffices; the checker never
-consults frequency.
+objective.  A single appearance of the optimum suffices; the choice of the
+best sample never consults frequency.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,31 +32,6 @@ from .layers import (
 )
 
 
-@dataclass(frozen=True)
-class AngleGrid:
-    """Rectangular (gamma, beta) grid."""
-
-    gammas: tuple[float, ...]
-    betas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        gammas = tuple(float(g) for g in self.gammas)
-        betas = tuple(float(b) for b in self.betas)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "betas", betas)
-        for axis, vals in (("gamma", gammas), ("beta", betas)):
-            if not vals:
-                raise ValueError(f"empty {axis} axis")
-            if any(not math.isfinite(v) for v in vals):
-                raise ValueError(f"non-finite {axis} value")
-            if list(vals) != sorted(vals):
-                raise ValueError(f"{axis} axis must be sorted ascending")
-
-    def columns(self, depth: int = 1) -> list[Column]:
-        """One column per gamma, each sharing the grid's betas tuple: gamma-major order."""
-        return [Column(g, self.betas, depth) for g in self.gammas]
-
-
 def pair_columns(pairs: Sequence[tuple[float, float]], depth: int = 1) -> list[Column]:
     """One column per run of consecutive (gamma, beta) pairs whose gammas are the same float.
 
@@ -76,20 +51,23 @@ def pair_columns(pairs: Sequence[tuple[float, float]], depth: int = 1) -> list[C
     return [Column(gamma, tuple(betas), depth) for gamma, betas in runs]
 
 
-def default_grid(n_cities: int) -> AngleGrid:
-    """(n+1) x (n+1) points {j pi / n} over [0, pi]^2, n the original city count."""
+def default_grid(n_cities: int, depth: int = 1) -> list[Column]:
+    """(n+1) x (n+1) points {j pi / n} over [0, pi]^2, n the original city count.
+
+    One column per gamma, gamma-major, every column sharing one betas tuple.
+    """
     if n_cities < 3:
         raise ValueError(f"need at least 3 cities, got {n_cities}")
     pts = tuple(j * math.pi / n_cities for j in range(n_cities + 1))
-    return AngleGrid(pts, pts)
+    return [Column(g, pts, depth) for g in pts]
 
 
-def square_grid(points_per_axis: int) -> AngleGrid:
-    """Evenly spaced points_per_axis x points_per_axis grid over [0, pi]^2."""
+def square_grid(points_per_axis: int, depth: int = 1) -> list[Column]:
+    """Evenly spaced points_per_axis x points_per_axis grid over [0, pi]^2, as default_grid's."""
     if points_per_axis < 2:
         raise ValueError("need at least 2 points per axis")
     pts = tuple(float(v) for v in np.linspace(0.0, math.pi, points_per_axis))
-    return AngleGrid(pts, pts)
+    return [Column(g, pts, depth) for g in pts]
 
 
 def default_shots(n_cities: int) -> int:
@@ -97,8 +75,8 @@ def default_shots(n_cities: int) -> int:
     return 10 * n_cities**3
 
 
-# per grid point: its statistics, JSON row and cost-histogram lines, about
-# 1.9 kB measured on a 150 x 150 grid
+# per grid point: its statistics with their cost histogram, and its JSON row,
+# about 1.7 kB measured on a 150 x 150 grid at n = 5
 POINT_BYTES = 2048
 # per shot of one point: the uniform draws and their indices, and np.unique's
 # sorted copy, mask and outputs, 41 bytes measured when every draw differs
@@ -205,34 +183,54 @@ def required_shots(p_min: float, delta: float) -> int:
 
 @dataclass(frozen=True)
 class ScoredShots:
+    """The checked shots of one grid point.
+
+    cost_counts pairs every distinct feasible cost, ascending, with the
+    number of shots that drew a tour of that cost.
+    """
+
     best_cost: float | None
     best_flat: int | None
     feasible_shots: int
+    cost_counts: tuple[tuple[float, int], ...]
 
 
-def score_shots(enc: AnchoredTsp, shots: ShotSet, diag: CostDiagonal) -> ScoredShots:
+def score_shots(shots: ShotSet, diag: CostDiagonal) -> ScoredShots:
     """Deterministic checker: keep feasible samples, score with the tour objective.
 
-    Frequency never matters; ties on cost break toward the lowest flat index.
+    Frequency never decides the best sample; ties on cost break toward the
+    lowest flat index.  One feasibility mask serves the best sample and the
+    cost histogram.
     """
-    if shots.layout != enc.layout or diag.layout != enc.layout:
-        raise ValueError("shot set, diagonal, and instance layouts must agree")
+    if shots.layout != diag.layout:
+        raise ValueError("shot set and diagonal layouts must agree")
     feasible = diag.penalty_count[shots.flats] == 0
-    flats = shots.flats[feasible]
+    flats, counts = shots.flats[feasible], shots.counts[feasible]
     if flats.size == 0:
-        return ScoredShots(None, None, 0)
+        return ScoredShots(None, None, 0, ())
+    costs = diag.objective[flats]
     # flats ascend, so the first minimum is the lowest flat index among ties
-    flat = int(flats[np.argmin(diag.objective[flats])])
-    return ScoredShots(float(diag.objective[flat]), flat, int(shots.counts[feasible].sum()))
+    best = int(np.argmin(costs))
+    levels, which = np.unique(costs, return_inverse=True)
+    totals = np.bincount(which, weights=counts).astype(np.int64)
+    return ScoredShots(
+        float(costs[best]),
+        int(flats[best]),
+        int(counts.sum()),
+        tuple(zip(levels.tolist(), totals.tolist())),
+    )
 
 
 @dataclass(frozen=True)
 class GridPointStat:
+    """One grid point: its angles, feasible share, best sampled cost and cost histogram."""
+
     grid_index: int
     gamma: float
     beta: float
     feasible_fraction: float
     min_sampled_cost: float | None
+    cost_counts: tuple[tuple[float, int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +242,10 @@ class PhqcResult:
     over every sampled shot (per-point values sit in per_grid_stats).
     p_opt_exact is the simulator-exact probability mass on all degenerate
     optima at the winning angles; it is None when no feasible sample
-    appeared.  timings holds the wall seconds of the solve's stages:
-    diagonal_s (cost diagonal), oracle_s (the optimum's scan of the
-    diagonal) and sweep_s (every grid point).
+    appeared.  penalty_weight is the cost diagonal's.  timings holds the
+    wall seconds of the solve's stages: diagonal_s (cost diagonal),
+    oracle_s (the optimum's scan of the diagonal) and sweep_s (every grid
+    point).
     """
 
     best_flat: int | None
@@ -256,13 +255,8 @@ class PhqcResult:
     p_opt_exact: float | None
     degenerate_optima: int | None
     per_grid_stats: tuple[GridPointStat, ...]
-    shots_per_point: int
-    depth: int
-    master_seed: int
+    penalty_weight: float
     timings: dict[str, float]
-
-
-PointHook = Callable[[GridPointStat, ShotSet, CostDiagonal], None]
 
 
 def phqc_solve(
@@ -272,7 +266,6 @@ def phqc_solve(
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
     master_seed: int = 0,
     penalty_weight: float | None = None,
-    point_hook: PointHook | None = None,
 ) -> PhqcResult:
     """Grid-search solve: sample every grid point, return the best feasible tour.
 
@@ -287,7 +280,7 @@ def phqc_solve(
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
     if columns is None:
-        columns = default_grid(enc.instance.n_cities).columns()
+        columns = default_grid(enc.instance.n_cities)
     if not columns:
         raise ValueError("empty column list")
 
@@ -312,14 +305,18 @@ def phqc_solve(
     for idx, (g, b, state) in enumerate(points):
         opt_mass.append(_optimal_mass(state, oracle))
         shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), cdf)
-        scored = score_shots(enc, shots, diag)
-        stat = GridPointStat(
-            idx, g, b, scored.feasible_shots / shots_per_point, scored.best_cost
+        scored = score_shots(shots, diag)
+        stats.append(
+            GridPointStat(
+                idx,
+                g,
+                b,
+                scored.feasible_shots / shots_per_point,
+                scored.best_cost,
+                scored.cost_counts,
+            )
         )
-        stats.append(stat)
         feasible_total += scored.feasible_shots
-        if point_hook is not None:
-            point_hook(stat, shots, diag)
         if scored.best_flat is not None:
             key = (scored.best_cost, scored.best_flat, idx)
             if best is None or key < best:
@@ -341,9 +338,7 @@ def phqc_solve(
         p_opt,
         degen,
         tuple(stats),
-        shots_per_point,
-        max(col.depth for col in columns),
-        master_seed,
+        diag.penalty_weight,
         {
             "diagonal_s": t_diag - t_start,
             "oracle_s": t_oracle - t_diag,

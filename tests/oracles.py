@@ -50,6 +50,15 @@ def held_karp_cycle(dist, start=0):
     return min(dp[(full, i)] + dist[others[i]][start] for i in range(k))
 
 
+def label_to_index(layout, label):
+    """Flat index of one label, block 0 the most significant digit: the scalar codec tests use."""
+    label = layout.validate_label(label)
+    idx = 0
+    for j in label:
+        idx = idx * layout.n + j
+    return idx
+
+
 def is_feasible(enc, label):
     """True when all symbols are pairwise distinct (a permutation for m == n)."""
     label = enc.layout.validate_label(label)
@@ -216,21 +225,24 @@ def reference_sample(probs, total_shots, seed):
 def scalar_score(penalty_count, objective, flat_counts):
     """The checker as a plain loop over (flat, count) pairs in any order.
 
-    Returns (best cost, best flat, feasible shots); ties on cost go to the
-    lowest flat index, and (None, None, 0) means no feasible sample.
+    Returns (best cost, best flat, feasible shots, cost histogram); ties on
+    cost go to the lowest flat index, the histogram is the ascending
+    (cost, shots) pairs, and (None, None, 0, ()) means no feasible sample.
     """
     best = None
     feasible = 0
+    histogram = {}
     for flat, cnt in flat_counts:
         if penalty_count[flat] != 0:
             continue
         feasible += cnt
         key = (float(objective[flat]), flat)
+        histogram[key[0]] = histogram.get(key[0], 0) + cnt
         if best is None or key < best:
             best = key
     if best is None:
-        return None, None, 0
-    return best[0], best[1], feasible
+        return None, None, 0, ()
+    return best[0], best[1], feasible, tuple(sorted(histogram.items()))
 
 
 def random_symmetric_instance(n_cities, seed, lo=1.0, hi=10.0):

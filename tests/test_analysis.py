@@ -13,9 +13,11 @@ from ceqaoa.analysis import (
     transition_closed_form,
     twirl_average,
 )
-from ceqaoa.encoded import BlockLayout, label_to_index
+from ceqaoa.encoded import BlockLayout
 from ceqaoa.layers import Column, MixerNormalization, run_circuit
 from ceqaoa.verify import random_diagonal
+
+from oracles import label_to_index
 
 
 def columns_for(count, seed):

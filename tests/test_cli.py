@@ -44,31 +44,42 @@ def strip_metadata(payload):
 
 class TestGridSpec:
     def test_default(self):
-        grid = parse_grid_spec("n+1", 4)
-        assert len(grid.gammas) * len(grid.betas) == 25
+        columns, grid_json = parse_grid_spec("n+1", 4, 1)
+        assert sum(len(col.betas) for col in columns) == 25
+        assert grid_json["gammas"] == [col.gamma for col in columns]
+        assert grid_json["betas"] == list(columns[0].betas) and len(grid_json["betas"]) == 5
 
     def test_square(self):
-        grid = parse_grid_spec("20x20", 4)
-        assert len(grid.gammas) * len(grid.betas) == 400
+        columns, grid_json = parse_grid_spec("20x20", 4, 2)
+        assert sum(len(col.betas) for col in columns) == 400
+        assert all(col.depth == 2 for col in columns)
+        assert len(grid_json["gammas"]) == len(grid_json["betas"]) == 20
 
     def test_list(self):
-        pairs = parse_grid_spec("list:0,0;1.5,2.4", 4)
-        assert pairs == [(0.0, 0.0), (1.5, 2.4)]
+        columns, grid_json = parse_grid_spec("list:0,0;1.5,2.4", 4, 1)
+        assert columns == [Column(0.0, (0.0,)), Column(1.5, (2.4,))]
+        assert grid_json == {"pairs": [[0.0, 0.0], [1.5, 2.4]]}
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError, match="bad --grid value 'fine'"):
-            parse_grid_spec("fine", 4)
+            parse_grid_spec("fine", 4, 1)
         with pytest.raises(ValueError, match="only square grids"):
-            parse_grid_spec("3x4", 4)
+            parse_grid_spec("3x4", 4, 1)
 
-    @pytest.mark.parametrize("spec", ["x", "fine", "3x", "3x3x3", "list:", "list:1", "list:a,b"])
+    @pytest.mark.parametrize(
+        "spec,reason",
+        [(spec, "want n+1, NxN or list:g,b;...")
+         for spec in ["x", "fine", "3x", "3x3x3", "list:", "list:1", "list:a,b"]]
+        + [(spec, "need at least 2 points per axis") for spec in ["1x1", "0x0"]],
+        ids=["x", "fine", "3x", "3x3x3", "list:", "list:1", "list:a,b", "1x1", "0x0"],
+    )
     def test_malformed_grid_ends_in_one_line_naming_the_flag(
-        self, instance_file, tmp_path, capsys, spec
+        self, instance_file, tmp_path, capsys, spec, reason
     ):
         out = tmp_path / "x.json"
         assert main(["solve", str(instance_file), "--grid", spec, "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip()
-        assert err == f"bad --grid value {spec!r} (want n+1, NxN or list:g,b;...)"
+        assert err == f"bad --grid value {spec!r} ({reason})"
         assert not out.exists()
 
 
@@ -196,6 +207,18 @@ def write_instance(path, n_cities, seed=0):
     return path
 
 
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """Run python with ARGS in a fresh interpreter that imports ceqaoa from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestMemoryEstimate:
     @staticmethod
     def refuse_to_run(monkeypatch, available):
@@ -257,13 +280,9 @@ class TestMemoryEstimate:
         """metadata of an n = 8 solve (D = 823543) run in a fresh interpreter."""
         instance = write_instance(tmp_path / f"r8-{seed}.json", 8, seed=seed)
         out = tmp_path / f"r8-{seed}-result.json"
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ceqaoa.cli", "solve", str(instance), *args,
-             "--seed", str(seed), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
+        proc = run_python(
+            "-m", "ceqaoa.cli", "solve", str(instance), *args,
+            "--seed", str(seed), "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
         return read_json(out)["metadata"]
@@ -281,6 +300,29 @@ class TestMemoryEstimate:
             )
             assert meta["peak_estimate_mb"] == estimate / 2**20
             assert meta["peak_rss_mb"] <= meta["peak_estimate_mb"], grid
+
+    @pytest.mark.parametrize("n_cities", [7, 8])
+    def test_histogram_peak_rss_stays_under_estimate(self, tmp_path, n_cities):
+        # n = 7 formats its D = 46656 rows in one chunk, n = 8 in 13 chunks;
+        # the estimate is the one the command checked before allocating
+        instance = write_instance(tmp_path / f"r{n_cities}.json", n_cities)
+        script = (
+            "import sys\n"
+            "import ceqaoa.cli as cli\n"
+            "estimates = []\n"
+            "check = cli.check_memory\n"
+            "cli.check_memory = lambda estimate: (estimates.append(estimate), check(estimate))\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, estimates[0] / 2**20, cli.peak_rss_mb())\n"
+        )
+        proc = run_python(
+            "-c", script, "histogram", str(instance), "--angles", "1.0,0.5",
+            "--out", str(tmp_path / "hist.csv"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, estimate_mb, peak_mb = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert float(peak_mb) <= float(estimate_mb)
 
     def test_peak_rss_does_not_depend_on_the_instance(self, tmp_path):
         # 16 grid points of 5120 shots: when D-sized buffers were freed onto
@@ -318,25 +360,50 @@ def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ["solve", "--grid", "list:nan,0.5"],
-        ["solve", "--grid", "list:0.5,inf"],
-        ["histogram", "--angles", "nan,0.5"],
-        ["histogram", "--angles", "0.5,nan"],
-        ["solve", "--depth", "0"],
-        ["histogram", "--angles", "0.5,0.5", "--depth", "0"],
+        (["solve", "--grid", "list:nan,0.5"], "nan"),
+        (["solve", "--grid", "list:0.5,inf"], "inf"),
+        (["histogram", "--angles", "nan,0.5"], "nan"),
+        (["histogram", "--angles", "0.5,nan"], "nan"),
+        (["solve", "--depth", "0"], "depth"),
+        (["histogram", "--angles", "0.5,0.5", "--depth", "0"], "depth"),
+        (["solve", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["histogram", "--angles", "0.5,0.5", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["solve", "--shots", "0"], "--shots must be >= 1, got 0"),
     ],
     ids=["solve-gamma-nan", "solve-beta-inf", "histogram-gamma-nan", "histogram-beta-nan",
-         "solve-depth-0", "histogram-depth-0"],
+         "solve-depth-0", "histogram-depth-0", "solve-seed-negative", "histogram-seed-negative",
+         "solve-shots-0"],
 )
-def test_bad_angles_or_depth_end_in_one_line(instance_file, tmp_path, capsys, argv):
+def test_bad_angles_or_depth_end_in_one_line(instance_file, tmp_path, capsys, argv, named):
     command, *rest = argv
     out = tmp_path / "out"
     assert main([command, str(instance_file), *rest, "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--out", "{dir}"],
+        ["solve", "--out", "{tmp}/r.json", "--hist-out", "{dir}"],
+        ["histogram", "--angles", "0.5,0.5", "--out", "{dir}"],
+    ],
+    ids=["solve-out", "solve-hist-out", "histogram-out"],
+)
+def test_output_path_that_is_a_directory_ends_in_one_line(instance_file, tmp_path, capsys, argv):
+    target = tmp_path / "dir"
+    target.mkdir()
+    command, *rest = (arg.format(dir=target, tmp=tmp_path) for arg in argv)
+    assert main([command, str(instance_file), *rest]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and str(target) in err
+    # the partial output is removed and the directory is left as it was
+    assert not (tmp_path / "dir.tmp").exists() and not any(target.iterdir())
 
 
 class TestHistogram:
@@ -426,3 +493,17 @@ class TestBaselinesCommand:
         payload = read_json(out)
         assert payload["model_a_trials"] == 4.5
         assert payload["model_b_trials"] == pytest.approx(513 / 7)
+
+
+def test_benchmark_probe_stamps_the_first_circuit(instance_file, tmp_path):
+    # perfbench/probe.py times set-up by patching layers.run_circuit and
+    # phqc.run_circuit; in setup mode it writes the stamp and exits 0 at the
+    # first circuit, so a solve that stops calling them by those names fails here
+    probe = SRC.parent / "perfbench" / "probe.py"
+    stamp = tmp_path / "setup.stamp"
+    proc = run_python(
+        str(probe), str(stamp), "setup", "--",
+        "solve", str(instance_file), "--out", str(tmp_path / "r.json"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(stamp.read_text()) > 0.0

@@ -8,10 +8,11 @@ from ceqaoa.encoded import (
     EncodedState,
     index_to_label,
     indices_to_labels,
-    label_to_index,
     labels_to_indices,
     uniform_initial_state,
 )
+
+from oracles import label_to_index
 
 
 class TestBlockLayout:

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ceqaoa.encoded import BlockLayout, index_to_label, label_to_index
+from ceqaoa.encoded import BlockLayout, index_to_label
 from ceqaoa.hamiltonian import (
     CostDiagonal,
     TspInstance,
@@ -19,6 +19,7 @@ from oracles import (
     enumerated_optimum,
     held_karp_cycle,
     is_feasible,
+    label_to_index,
     random_asymmetric_instance,
     random_symmetric_instance,
     tour_cost,

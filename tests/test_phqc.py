@@ -8,16 +8,20 @@ from ceqaoa.encoded import (
     BlockLayout,
     EncodedState,
     index_to_label,
-    label_to_index,
     uniform_initial_state,
 )
-from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal
+from ceqaoa.hamiltonian import (
+    TspInstance,
+    anchor,
+    brute_force_optimum,
+    build_cost_diagonal,
+    default_penalty_weight,
+)
 from ceqaoa.layers import Column, run_circuit
 from ceqaoa.phqc import (
     INTERPRETER_BYTES,
     POINT_BYTES,
     SHOT_BYTES,
-    AngleGrid,
     ShotSet,
     default_grid,
     default_shots,
@@ -34,6 +38,7 @@ from ceqaoa.phqc import (
 from oracles import (
     exact_success_probability,
     held_karp_cycle,
+    label_to_index,
     random_asymmetric_instance,
     random_symmetric_instance,
     tour_cost,
@@ -52,34 +57,40 @@ def point_count(columns):
     return sum(len(col.betas) for col in columns)
 
 
+def gammas(columns):
+    return [col.gamma for col in columns]
+
+
 class TestGrids:
     def test_default_grid_points(self):
-        g = default_grid(4)
-        assert len(g.gammas) == len(g.betas) == 5
-        assert math.pi / 2 in g.gammas and 3 * math.pi / 4 in g.betas
-        assert point_count(g.columns()) == 25
+        cols = default_grid(4)
+        assert len(cols) == len(cols[0].betas) == 5
+        assert math.pi / 2 in gammas(cols) and 3 * math.pi / 4 in cols[0].betas
+        assert point_count(cols) == 25
 
     def test_default_grid_n6_contains_table_angles(self):
-        g = default_grid(6)
-        assert 5 * math.pi / 6 in g.gammas and 4 * math.pi / 6 in g.betas
+        cols = default_grid(6)
+        assert 5 * math.pi / 6 in gammas(cols) and 4 * math.pi / 6 in cols[0].betas
 
     def test_default_grid_n3_has_16_points(self):
-        assert point_count(default_grid(3).columns()) == 16
+        assert point_count(default_grid(3)) == 16
 
     def test_square_grid(self):
-        g = square_grid(20)
-        cols = g.columns(2)
+        cols = square_grid(20, 2)
         assert point_count(cols) == 400
-        # gamma-major: one column per gamma, every one sharing the grid's betas
-        assert [c.gamma for c in cols] == list(g.gammas)
-        assert all(c.betas is g.betas and c.depth == 2 for c in cols)
-        assert g.gammas[0] == 0.0 and g.gammas[-1] == pytest.approx(math.pi)
+        # gamma-major: one column per gamma, every one sharing one betas
+        # tuple, and the gamma axis equal to the beta axis
+        assert gammas(cols) == list(cols[0].betas)
+        assert all(c.betas is cols[0].betas and c.depth == 2 for c in cols)
+        assert cols[0].gamma == 0.0 and cols[-1].gamma == pytest.approx(math.pi)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AngleGrid((), (0.0,))
+            default_grid(2)
         with pytest.raises(ValueError):
-            AngleGrid((1.0, 0.5), (0.0,))
+            square_grid(1)
+        with pytest.raises(ValueError):
+            square_grid(3, depth=0)
 
     def test_pair_columns(self):
         pairs = [(0.5, 0.3), (0.5, 1.1), (0.0, 0.2), (-0.0, 0.2), (0.5, 0.7), (0.5, 0.1)]
@@ -181,24 +192,32 @@ class TestScoring:
         # the optimum appears once
         optimum = index_to_label(enc.layout, flat)
         shots = shot_set(enc.layout, {(0, 0, 0): 80, (0, 1, 2): 19, optimum: 1})
-        scored = score_shots(enc, shots, diag)
+        scored = score_shots(shots, diag)
         assert scored.best_flat == flat
         assert scored.best_cost == 80.0
         assert scored.feasible_shots == 20
+        # the cost histogram counts the feasible shots by cost, ascending
+        assert scored.cost_counts == ((80.0, 1), (tour_cost(enc, (0, 1, 2)), 19))
 
     def test_tie_breaks_to_lowest_flat_index(self):
         enc = example_4()
         # (0, 2, 1) and (1, 2, 0) are the two degenerate optima
         shots = shot_set(enc.layout, {(1, 2, 0): 5, (0, 2, 1): 5})
-        best = score_shots(enc, shots, build_cost_diagonal(enc)).best_flat
-        assert best == label_to_index(enc.layout, (0, 2, 1))
+        scored = score_shots(shots, build_cost_diagonal(enc))
+        assert scored.best_flat == label_to_index(enc.layout, (0, 2, 1))
+        assert scored.cost_counts == ((80.0, 10),)
 
     def test_no_feasible_samples(self):
         enc = example_4()
         shots = shot_set(enc.layout, {(0, 0, 0): 3, (1, 1, 2): 2})
-        scored = score_shots(enc, shots, build_cost_diagonal(enc))
+        scored = score_shots(shots, build_cost_diagonal(enc))
         assert scored.best_flat is None and scored.best_cost is None
-        assert scored.feasible_shots == 0
+        assert scored.feasible_shots == 0 and scored.cost_counts == ()
+
+    def test_rejects_a_diagonal_of_another_layout(self):
+        shots = shot_set(BlockLayout(2, 3), {(0, 1, 1): 2})
+        with pytest.raises(ValueError, match="layouts must agree"):
+            score_shots(shots, build_cost_diagonal(example_4()))
 
 
 class TestSolve:
@@ -210,11 +229,16 @@ class TestSolve:
         assert res.degenerate_optima == 2
         assert 0 < res.feasible_fraction < 1
         assert len(res.per_grid_stats) == 25
+        assert res.penalty_weight == default_penalty_weight(enc.instance)
 
     def test_best_is_min_over_grid_stats(self):
         res = phqc_solve(example_4(), master_seed=6)
         observed = [s.min_sampled_cost for s in res.per_grid_stats if s.min_sampled_cost is not None]
         assert res.best_cost == min(observed)
+        # each point's cost histogram holds its feasible shots, cheapest first
+        for s in res.per_grid_stats:
+            assert sum(count for _, count in s.cost_counts) == round(s.feasible_fraction * 640)
+            assert s.min_sampled_cost == (s.cost_counts[0][0] if s.cost_counts else None)
 
     def test_deterministic_given_seed(self):
         a = phqc_solve(example_4(), master_seed=9)
@@ -265,7 +289,7 @@ class TestSolve:
 
         monkeypatch.setattr(phqc, "run_circuit", counting)
         enc = example_4()
-        columns = square_grid(3).columns()
+        columns = square_grid(3)
         res = phqc_solve(enc, columns, shots_per_point=200, master_seed=4)
         assert len(states) == point_count(columns) == len(res.per_grid_stats)
         gamma, beta = res.best_angles
@@ -297,7 +321,7 @@ class TestSolve:
         # four runs: a repeated gamma, two signed zeros, a return to 0.5
         pairs = [(0.5, 0.3), (0.5, 1.1), (0.0, 0.2), (-0.0, 0.2), (0.5, 0.7)]
         for columns, phases in (
-            (default_grid(inst.n_cities).columns(depth), inst.n_cities + 1),
+            (default_grid(inst.n_cities, depth), inst.n_cities + 1),
             (pair_columns(pairs, depth), 4),
         ):
             shapes.clear()
@@ -328,7 +352,7 @@ class TestMemoryPlan:
         # the mixer's slice sums share the CDF buffer, at n = 2 too
         assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 34 * 2**10
         # grid points and the shots of one point add their own terms
-        grid = square_grid(9).columns()
+        grid = square_grid(9)
         grown = peak_bytes(BlockLayout(2, 10), grid, 5120) - INTERPRETER_BYTES - 50 * 2**10
         assert grown == 81 * POINT_BYTES + 5120 * SHOT_BYTES
 
@@ -343,10 +367,10 @@ class TestMemoryPlan:
         # one point per gamma, 0.0 and -0.0 among them: at depth 1 each
         # phase is used once, and built into the amplitudes
         once = 16 * layout.D if depth > 1 else 0
-        assert phase_bytes(AngleGrid((-0.0, 0.0, 1.0), (0.5,)).columns(depth)) == once
+        assert phase_bytes([Column(g, (0.5,), depth) for g in (-0.0, 0.0, 1.0)]) == once
         assert phase_bytes(pair_columns([(0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)], depth)) == once
         # consecutive points on one gamma share its phase
-        assert phase_bytes(square_grid(3).columns(depth)) == 16 * layout.D
+        assert phase_bytes(square_grid(3, depth)) == 16 * layout.D
         assert phase_bytes(pair_columns([(1.0, 0.5), (1.0, 0.6)], depth)) == 16 * layout.D
 
 

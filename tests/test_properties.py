@@ -77,11 +77,12 @@ def scoring_cases(draw):
 @settings(deadline=None)
 @given(case=scoring_cases())
 def test_score_shots_matches_scalar_loop(case):
-    enc, diag, shots = case
-    scored = score_shots(enc, shots, diag)
+    _, diag, shots = case
+    scored = score_shots(shots, diag)
     pairs = zip(shots.flats.tolist(), shots.counts.tolist())
-    cost, flat, feasible = scalar_score(diag.penalty_count, diag.objective, pairs)
-    assert (scored.best_cost, scored.best_flat, scored.feasible_shots) == (cost, flat, feasible)
+    expected = scalar_score(diag.penalty_count, diag.objective, pairs)
+    got = (scored.best_cost, scored.best_flat, scored.feasible_shots, scored.cost_counts)
+    assert got == expected
 
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
