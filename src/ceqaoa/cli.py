@@ -44,9 +44,13 @@ EXIT_NO_FEASIBLE = 2
 EXIT_DIM_CAP = 3
 
 SCHEMA_VERSION = 1
-HISTOGRAM_CHUNK = 1 << 16  # rows formatted at a time, so memory stays bounded for any D
+# rows formatted at a time: memory stays bounded for any D, and each of a
+# chunk's buffers (the joined text reaches 64 kB at n = 9) stays under the
+# mmap threshold (MMAP_THRESHOLD_BYTES), so chunks reuse heap memory
+# instead of mapping every buffer afresh
+HISTOGRAM_CHUNK = 1 << 10
 # per row of a chunk: its Python ints, floats and row strings and the joined
-# text, measured with tracemalloc at 238 bytes (n = 7), 334 (n = 8) and 347 (n = 9)
+# text, measured with tracemalloc at 297 bytes (n = 7), 341 (n = 8) and 353 (n = 9)
 HISTOGRAM_ROW_BYTES = 384
 
 
@@ -130,11 +134,11 @@ def pin_mmap_threshold() -> None:
     goes back to the system, and the peak follows the buffers alive at once.
     main pins it for every command.  A solve allocates every D-sized
     buffer once (layers.Workspace), but the pin still lowers the peak: on a
-    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 583.7 MB with it
-    and 589.3 MB without.  Default-grid solves at n = 8 peak within
-    76.5-77.0 MB over 20 instances either way.  histogram frees its
-    row-formatting buffers once per chunk: at n = 8 it peaks at 76.2 MB
-    with the pin and 82.6 MB without, at n = 9 at 580.8 and 603.3 MB.
+    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 453.6 MB with it
+    and 475.5 MB without, and default-grid solves at n = 8 at 72.2-72.3 MB
+    against 72.5-72.6 MB (3 instances).  histogram's row buffers stay under
+    the threshold (HISTOGRAM_CHUNK), so it peaks at 65.4 MB with the pin and
+    66.0 MB without at n = 8.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -203,9 +207,16 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_anchored(args):
+    """The instance and its anchoring; the flags are checked here, so each error names its flag."""
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.depth < 1:
+        raise ValueError(f"--depth must be >= 1, got {args.depth}")
+    if args.penalty_weight is not None and not args.penalty_weight > 0:
+        raise ValueError(f"--lambda must be positive, got {args.penalty_weight}")
     inst = parse_instance(args.instance, euclidean_rounding=not args.euclid_exact)
+    if not 0 <= args.start_city < inst.n_cities:
+        raise ValueError(f"--start-city must lie in [0, {inst.n_cities}), got {args.start_city}")
     return inst, anchor(inst, args.start_city)
 
 
@@ -267,15 +278,21 @@ def cmd_solve(args) -> int:
         },
     }
     out = Path(args.out)
-    write_json_atomic(out, payload)
-
     hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
     rows = (
         f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n"
         for stat in result.per_grid_stats
         for cost, count in stat.cost_counts
     )
+    # the CSV goes first and is removed when the JSON cannot be written, so
+    # a failed solve leaves no result behind
     write_text_atomic(hist_path, itertools.chain(["grid_index,gamma,beta,cost,count\n"], rows))
+    try:
+        write_json_atomic(out, payload)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            hist_path.unlink()
+        raise
 
     if result.best_flat is None:
         print(f"no feasible sample in {shots} shots x {len(result.per_grid_stats)} grid points")
@@ -312,16 +329,22 @@ def cmd_histogram(args) -> int:
     norm = MixerNormalization(args.norm)
     columns = pair_columns([(gamma, beta)], args.depth)
     layout = enc.layout
+    # the probabilities' own float D-vector, then one chunk of rows
     check_memory(
-        peak_bytes(layout, columns, shots) + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
+        peak_bytes(layout, columns, shots)
+        + 8 * layout.D
+        + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
     )
     diag = build_cost_diagonal(enc, args.penalty_weight)
     optimal_flats = brute_force_optimum(diag).optimal_flats
     work = Workspace(layout)
     (state,) = run_circuit(diag, columns[0], norm, work)
-    scratch = work.scratch[: layout.D]
-    sampled = sample_shots(state, shots, args.seed, scratch) if shots > 0 else None
-    probs = state.probabilities(scratch)  # the sampling CDF is spent
+    probs = state.probabilities()
+    sampled = None
+    if shots > 0:  # the state is spent: the sampling CDF overwrites its amplitudes
+        sampled = sample_shots(
+            state, shots, args.seed, state.amplitudes.view(np.float64)[: layout.D]
+        )
     del diag, state, work  # the rows need only the probabilities and the counts
 
     counts = np.zeros(layout.D, dtype=np.int64)

@@ -20,6 +20,8 @@ Label = tuple[int, ...]
 
 DEFAULT_MAX_DIM = 1 << 25
 NORM_TOL = 1e-10
+# labels per chunk of EncodedState.probabilities
+_CHUNK = 1 << 15
 
 
 class DimensionCapError(ValueError):
@@ -133,10 +135,25 @@ class EncodedState:
         return self.amplitudes.reshape((self.layout.n,) * self.layout.m)
 
     def probabilities(self, out: np.ndarray | None = None) -> np.ndarray:
-        """|amplitude|**2 per label, written into out (a float64 D-vector) when given."""
+        """|amplitude|**2 per label, written into out (a float64 D-vector) when given.
+
+        out may be the amplitudes' own buffer viewed as D floats, as a
+        caller done with the state passes it: label k's probability then
+        lands in the first half of amplitude k // 2, already read.  The
+        labels go element 0 alone, then in chunks [s, min(2s, s + _CHUNK)),
+        whose outputs lie below the amplitudes they read, so no chunk
+        writes over an amplitude not yet read and numpy needs no copy.
+        """
+        amps = self.amplitudes
         if out is None:
-            return np.abs(self.amplitudes) ** 2
-        return np.square(np.abs(self.amplitudes, out=out), out=out)
+            out = np.empty(amps.shape)
+        np.square(np.abs(amps[:1]), out=out[:1])
+        lo = 1
+        while lo < amps.size:
+            hi = min(2 * lo, lo + _CHUNK, amps.size)
+            np.square(np.abs(amps[lo:hi], out=out[lo:hi]), out=out[lo:hi])
+            lo = hi
+        return out
 
 
 def uniform_initial_state(layout: BlockLayout) -> EncodedState:

@@ -7,8 +7,8 @@ a = exp(-i beta' (n-1)) and b = exp(+i beta'), which factorises as
 b * (I + kappa * J) with kappa = (a / b - 1) / n.  The full mixer then
 runs in O(D * m) additions: per block axis, the sum of the axis's n slices,
 scaled by kappa and added back to every slice; one multiply by b**m
-closes it.  No D x D matrix is materialized.  Once a state is larger than
-a cache-sized block, the later axes run block by block.
+closes it.  No D x D matrix is materialized.  Every axis works on
+cache-sized pieces (apply_mixer), in buffers of at most one block.
 """
 
 from __future__ import annotations
@@ -106,46 +106,112 @@ def mixer_block_matrix(
     return b * np.eye(n, dtype=np.complex128) + ((a - b) / n) * np.ones((n, n), np.complex128)
 
 
-# bytes of one cache-sized block: the axes after the leading ones that make a
-# block this small are mixed block by block, so each block stays in cache
-_BLOCK_BYTES = 4 << 20
+# bytes of one block, one core's L2: the axes after the leading ones are
+# mixed block by block, so each block stays in cache
+_BLOCK_BYTES = 2 << 20
+# most labels per column chunk of a leading axis; at least 4, so no chunk is
+# a single label, which numpy (2.4, AVX-512) multiplies in place by another
+# loop than longer arrays, one whose last bits differ
+_CHUNK = 4096
+# a block's last axes, mixed on a transposed copy when the state spans blocks
+_TAIL_AXES = 3
+
+
+def _mixer_plan(layout: BlockLayout) -> tuple[int, int, int]:
+    """(leading axes, slice-sum elements, transposed-block elements) of the layout's mixer.
+
+    The leading axes are the fewest that leave blocks of at most
+    _BLOCK_BYTES.  The slice sums hold one column chunk of a leading axis
+    and one slice of a block; the transposed block buffer is needed only
+    when the state spans blocks of more than _TAIL_AXES axes.
+    """
+    n, m = layout.n, layout.m
+    lead = 0
+    while 16 * n ** (m - lead) > _BLOCK_BYTES:
+        lead += 1
+    block = n ** (m - lead)
+    sums = max(min(_CHUNK, n ** (m - 1)) if lead else 0, block // n)
+    tail = block if lead and m - lead > _TAIL_AXES else 0
+    return lead, sums, tail
+
+
+def mixer_bytes(layout: BlockLayout) -> int:
+    """Bytes of the buffers the layout's mixer works in (MixerBuffers), block-sized at most."""
+    _, sums, tail = _mixer_plan(layout)
+    return 16 * (sums + tail)
+
+
+class MixerBuffers:
+    """The mixer's complex buffers: slice sums, and a transposed block (None when unused)."""
+
+    def __init__(self, layout: BlockLayout) -> None:
+        _, sums, tail = _mixer_plan(layout)
+        self.sums = np.empty(sums, dtype=np.complex128)
+        self.tail = np.empty(tail, dtype=np.complex128) if tail else None
 
 
 def apply_mixer(
     state: EncodedState,
     beta: float,
     norm: MixerNormalization = DEFAULT_NORMALIZATION,
-    scratch: np.ndarray | None = None,
+    buffers: MixerBuffers | None = None,
 ) -> EncodedState:
     """Apply the block mixer on every block axis via the factorised rank-1 update.
 
     The block matrix is b * (I + kappa * J) with kappa = (a / b - 1) / n, so
     per axis: psi += kappa * (the sum of the axis's n slices, added one by
-    one), and after the last axis psi *= b**m.  Axes past the leading ones
-    that cut the state into blocks of at most _BLOCK_BYTES run block by
-    block; every element sees the same operations in the same order, so the
-    bits do not depend on the blocking.  Updates the amplitudes in place and
-    consumes the input state: the returned state shares its buffer.  The
-    slice sums live in scratch, a contiguous float64 buffer of at least
-    2 * D / n elements (D / n complex); None allocates one for the call.
+    one), and after the last axis psi *= b**m.  The leading axes, those
+    over the whole state, run one at a time in column chunks of at most
+    _CHUNK labels.  The later axes run block by block, blocks of at most
+    _BLOCK_BYTES, and each block takes its b**m while still in cache.  When
+    the state spans blocks, each block's last _TAIL_AXES axes are mixed and
+    multiplied on a transposed copy, where their slices are contiguous, and
+    the copy is written back.  Every amplitude sees the same operations in
+    the same order, so the bits do not depend on the blocking.  Updates the
+    amplitudes in place and consumes the input state: the returned state
+    shares its buffer.  The work buffers come from buffers (None allocates
+    them for the call).
     """
     layout = state.layout
     n, m = layout.n, layout.m
     a, b = _crossing_phases(n, beta, norm)
     kappa = (a / b - 1) / n
-    arr = state.tensor()
-    need = 2 * (layout.D // n)
-    sums = (np.empty(need) if scratch is None else scratch[:need]).view(np.complex128)
-    lead = 0
-    while 16 * n ** (m - lead) > _BLOCK_BYTES:
-        lead += 1
+    closing = b**m
+    buf = MixerBuffers(layout) if buffers is None else buffers
+    lead = _mixer_plan(layout)[0]
+    amps = state.tensor().reshape(-1)
     for axis in range(lead):
-        _mix_axis(arr, axis, kappa, sums)
-    for block in arr.reshape((-1,) + arr.shape[lead:]):
-        for axis in range(m - lead):
-            _mix_axis(block, axis, kappa, sums)
-    np.multiply(arr, b**m, out=arr)
-    return EncodedState(layout, arr.reshape(-1))
+        _mix_lead_axis(amps.reshape(n**axis, n, -1), kappa, buf.sums)
+    if lead == m:
+        np.multiply(amps, closing, out=amps)
+        return EncodedState(layout, amps)
+    tail = buf.tail
+    for block in amps.reshape((-1,) + (n,) * (m - lead)):
+        inner = block.ndim - (0 if tail is None else _TAIL_AXES)
+        for axis in range(inner):
+            _mix_axis(block, axis, kappa, buf.sums)
+        if tail is None:
+            np.multiply(block, closing, out=block)
+            continue
+        rows = n**inner
+        t = tail.reshape(-1, rows)
+        np.copyto(t, block.reshape(rows, -1).T)
+        t = t.reshape((n,) * _TAIL_AXES + (rows,))
+        for axis in range(_TAIL_AXES):
+            _mix_axis(t, axis, kappa, buf.sums)
+        np.multiply(t, closing, out=t)
+        np.copyto(block.reshape(rows, -1), t.reshape(-1, rows).T)
+    return EncodedState(layout, amps)
+
+
+def _mix_lead_axis(arr: np.ndarray, kappa: complex, sums: np.ndarray) -> None:
+    """_mix_axis on axis 1 of an (outer, n, columns) array, in near-equal column chunks."""
+    cols = arr.shape[2]
+    chunks = -(-cols // _CHUNK)
+    bounds = [cols * i // chunks for i in range(chunks + 1)]
+    for part in arr:
+        for lo, hi in zip(bounds, bounds[1:]):
+            _mix_axis(part[:, lo:hi], 0, kappa, sums)
 
 
 def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> None:
@@ -161,19 +227,19 @@ def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> No
 
 
 class Workspace:
-    """Every D-sized buffer of a run of circuits, reused from one circuit to the next.
+    """Every buffer of a run of circuits, reused from one circuit to the next.
 
-    amps is the complex amplitude buffer.  scratch is a float64 buffer of D
-    elements: it holds the mixer's slice sums (2D/n elements, at most D for
-    every n >= 2) during a circuit and the sampling CDF after it.  phase is
-    a complex buffer for exp(-i gamma E), allocated by the first column that
-    reuses its phase (Column.reuses_phase) and None until then.  A solve
-    that keeps one workspace allocates no D-sized buffer per grid point.
+    amps is the complex amplitude buffer, the only D-sized one a circuit
+    needs; a caller that samples a spent state writes its CDF there.
+    mixer holds the mixer's block-sized buffers.  phase is a complex
+    buffer for exp(-i gamma E), allocated by the first column that reuses
+    its phase (Column.reuses_phase) and None until then.  A solve that
+    keeps one workspace allocates no D-sized buffer per grid point.
     """
 
     def __init__(self, layout: BlockLayout) -> None:
         self.amps = np.empty(layout.D, dtype=np.complex128)
-        self.scratch = np.empty(layout.D)
+        self.mixer = MixerBuffers(layout)
         self.phase: np.ndarray | None = None
 
 
@@ -205,9 +271,9 @@ def run_circuit(
         phase = diag.phase(column.gamma, work.phase)
     for beta in column.betas:
         amps = np.multiply(phase, 1.0 / math.sqrt(layout.D), out=work.amps)
-        state = apply_mixer(EncodedState(layout, amps), beta, norm, work.scratch)
+        state = apply_mixer(EncodedState(layout, amps), beta, norm, work.mixer)
         for _ in range(column.depth - 1):
-            state = apply_mixer(apply_phase(state, phase), beta, norm, work.scratch)
+            state = apply_mixer(apply_phase(state, phase), beta, norm, work.mixer)
         yield state
 
 

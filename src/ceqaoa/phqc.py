@@ -28,6 +28,7 @@ from .layers import (
     Column,
     MixerNormalization,
     Workspace,
+    mixer_bytes,
     run_circuit,
 )
 
@@ -92,16 +93,22 @@ def peak_bytes(layout: BlockLayout, columns: Sequence[Column], shots: int) -> in
 
     INTERPRETER_BYTES, then per label: the diagonal's float64 objective and
     int16 penalty count (10 bytes), and the buffers of layers.Workspace:
-    the complex amplitudes (16), the complex phase when some column reuses
-    it (Column.reuses_phase, 16), and the 8-byte scratch buffer that holds
-    the mixer's slice sums and then the sampling CDF.  Then POINT_BYTES per
-    grid point and SHOT_BYTES per shot, one point's shots alive at a time.
-    The oracle's one-byte feasibility mask is freed before the workspace is
-    allocated.
+    the complex amplitudes (16), which hold the sampling CDF once a state
+    is spent, and the complex phase when some column reuses it
+    (Column.reuses_phase, 16).  Then the mixer's block-sized buffers
+    (layers.mixer_bytes), POINT_BYTES per grid point and SHOT_BYTES per
+    shot, one point's shots alive at a time.  The oracle's one-byte
+    feasibility mask is freed before the workspace is allocated.
     """
     points = sum(len(col.betas) for col in columns)
-    held = 10 + 16 + (16 if any(col.reuses_phase for col in columns) else 0) + 8
-    return INTERPRETER_BYTES + layout.D * held + points * POINT_BYTES + shots * SHOT_BYTES
+    held = 10 + 16 + (16 if any(col.reuses_phase for col in columns) else 0)
+    return (
+        INTERPRETER_BYTES
+        + layout.D * held
+        + mixer_bytes(layout)
+        + points * POINT_BYTES
+        + shots * SHOT_BYTES
+    )
 
 
 def derive_seed(master_seed: int, grid_index: int) -> int:
@@ -155,7 +162,9 @@ def sample_shots(
     """Draw total_shots independent samples from the exact probability vector.
 
     Inverse-CDF sampling in one float buffer, out (a float64 D-vector) when
-    given: the steps, the rounding and the uniform stream are those of
+    given; a caller done with the state may pass its own amplitudes,
+    state.amplitudes.view(np.float64)[:D] (EncodedState.probabilities).
+    The steps, the rounding and the uniform stream are those of
     rng.choice(D, size, p=p / p.sum()), so the draws are the same, without
     choice's normalised copy, cumulative copy and argument checks (the
     state's norm gate already rules out non-finite amplitudes).
@@ -296,7 +305,6 @@ def phqc_solve(
     # every grid point runs in the same buffers, so no D-sized buffer is
     # allocated per point and the peak does not hinge on the allocator
     work = Workspace(enc.layout)
-    cdf = work.scratch[: enc.layout.D]
     points = (
         (col.gamma, beta, state)
         for col in columns
@@ -304,6 +312,8 @@ def phqc_solve(
     )
     for idx, (g, b, state) in enumerate(points):
         opt_mass.append(_optimal_mass(state, oracle))
+        # the state is spent once its optimal mass is read: the CDF overwrites it
+        cdf = state.amplitudes.view(np.float64)[: enc.layout.D]
         shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), cdf)
         scored = score_shots(shots, diag)
         stats.append(

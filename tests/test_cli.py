@@ -12,6 +12,7 @@ import pytest
 import ceqaoa.cli as cli
 from ceqaoa import layers, verify
 from ceqaoa.cli import main, parse_grid_spec
+from ceqaoa.encoded import BlockLayout
 from ceqaoa.hamiltonian import TspInstance, anchor
 from ceqaoa.layers import Column
 from ceqaoa.phqc import (
@@ -290,11 +291,12 @@ class TestMemoryEstimate:
     def test_peak_rss_stays_under_estimate(self, tmp_path):
         # one grid point, and a grid that holds a phase buffer; the estimate
         # counts the interpreter too, so it bounds the whole process
-        for grid, per_label, points in (("list:1.0,0.5", 34, 1), ("3x3", 50, 9)):
+        for grid, per_label, points in (("list:1.0,0.5", 26, 1), ("3x3", 42, 9)):
             meta = self.solve_metadata(tmp_path, 3, "--grid", grid)
             estimate = (
                 INTERPRETER_BYTES
                 + per_label * 7**7
+                + layers.mixer_bytes(BlockLayout(7, 7))
                 + points * POINT_BYTES
                 + default_shots(8) * SHOT_BYTES
             )
@@ -303,7 +305,7 @@ class TestMemoryEstimate:
 
     @pytest.mark.parametrize("n_cities", [7, 8])
     def test_histogram_peak_rss_stays_under_estimate(self, tmp_path, n_cities):
-        # n = 7 formats its D = 46656 rows in one chunk, n = 8 in 13 chunks;
+        # n = 7 formats its D = 46656 rows in 46 chunks, n = 8 in 805;
         # the estimate is the one the command checked before allocating
         instance = write_instance(tmp_path / f"r{n_cities}.json", n_cities)
         script = (
@@ -366,15 +368,21 @@ def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, ar
         (["solve", "--grid", "list:0.5,inf"], "inf"),
         (["histogram", "--angles", "nan,0.5"], "nan"),
         (["histogram", "--angles", "0.5,nan"], "nan"),
-        (["solve", "--depth", "0"], "depth"),
-        (["histogram", "--angles", "0.5,0.5", "--depth", "0"], "depth"),
+        (["solve", "--depth", "0"], "--depth must be >= 1, got 0"),
+        (["histogram", "--angles", "0.5,0.5", "--depth", "0"], "--depth must be >= 1, got 0"),
         (["solve", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["histogram", "--angles", "0.5,0.5", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["solve", "--shots", "0"], "--shots must be >= 1, got 0"),
+        (["solve", "--lambda", "0"], "--lambda must be positive, got 0.0"),
+        (["solve", "--lambda", "nan"], "--lambda must be positive, got nan"),
+        (["histogram", "--angles", "0.5,0.5", "--lambda", "-2"], "--lambda must be positive"),
+        (["solve", "--start-city", "9"], "--start-city must lie in [0, 4), got 9"),
+        (["histogram", "--angles", "0.5,0.5", "--start-city", "-1"], "--start-city must lie"),
     ],
     ids=["solve-gamma-nan", "solve-beta-inf", "histogram-gamma-nan", "histogram-beta-nan",
          "solve-depth-0", "histogram-depth-0", "solve-seed-negative", "histogram-seed-negative",
-         "solve-shots-0"],
+         "solve-shots-0", "solve-lambda-0", "solve-lambda-nan", "histogram-lambda-negative",
+         "solve-start-city-9", "histogram-start-city-negative"],
 )
 def test_bad_angles_or_depth_end_in_one_line(instance_file, tmp_path, capsys, argv, named):
     command, *rest = argv
@@ -392,8 +400,9 @@ def test_bad_angles_or_depth_end_in_one_line(instance_file, tmp_path, capsys, ar
         ["solve", "--out", "{dir}"],
         ["solve", "--out", "{tmp}/r.json", "--hist-out", "{dir}"],
         ["histogram", "--angles", "0.5,0.5", "--out", "{dir}"],
+        ["solve", "--out", "{dir}", "--hist-out", "{tmp}/costs.csv"],
     ],
-    ids=["solve-out", "solve-hist-out", "histogram-out"],
+    ids=["solve-out", "solve-hist-out", "histogram-out", "solve-out-with-hist-out"],
 )
 def test_output_path_that_is_a_directory_ends_in_one_line(instance_file, tmp_path, capsys, argv):
     target = tmp_path / "dir"
@@ -402,8 +411,10 @@ def test_output_path_that_is_a_directory_ends_in_one_line(instance_file, tmp_pat
     assert main([command, str(instance_file), *rest]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "Traceback" not in err and str(target) in err
-    # the partial output is removed and the directory is left as it was
-    assert not (tmp_path / "dir.tmp").exists() and not any(target.iterdir())
+    # the partial output is removed and the directory is left as it was;
+    # a solve leaves neither its result JSON nor its cost CSV behind
+    assert not any(target.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "ex4.json"]
 
 
 class TestHistogram:

@@ -17,7 +17,7 @@ from ceqaoa.hamiltonian import (
     build_cost_diagonal,
     default_penalty_weight,
 )
-from ceqaoa.layers import Column, run_circuit
+from ceqaoa.layers import Column, mixer_bytes, run_circuit
 from ceqaoa.phqc import (
     INTERPRETER_BYTES,
     POINT_BYTES,
@@ -345,16 +345,20 @@ class TestMemoryPlan:
     def test_peak_bytes(self):
         one = [Column(1.0, (0.5,))]
         base = INTERPRETER_BYTES + POINT_BYTES
-        # objective, penalty count, amplitudes and CDF: 34 bytes per label
-        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 34 * 8**8
+        # objective, penalty count and the amplitudes, which then hold the
+        # CDF: 26 bytes per label.  The mixer adds one column chunk of
+        # slice sums (4096 labels) and one transposed block (8**5 labels).
+        mixer = 16 * (4096 + 8**5)
+        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 26 * 8**8 + mixer
         # a column that reuses its phase adds a phase buffer of 16
-        assert peak_bytes(BlockLayout(8, 8), [Column(1.0, (0.5,), 2)], 0) == base + 50 * 8**8
-        # the mixer's slice sums share the CDF buffer, at n = 2 too
-        assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 34 * 2**10
+        reused = [Column(1.0, (0.5,), 2)]
+        assert peak_bytes(BlockLayout(8, 8), reused, 0) == base + 42 * 8**8 + mixer
+        # a state of one block needs only the slice sums of one axis, D / n
+        assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 26 * 2**10 + 16 * 2**9
         # grid points and the shots of one point add their own terms
         grid = square_grid(9)
-        grown = peak_bytes(BlockLayout(2, 10), grid, 5120) - INTERPRETER_BYTES - 50 * 2**10
-        assert grown == 81 * POINT_BYTES + 5120 * SHOT_BYTES
+        grown = peak_bytes(BlockLayout(2, 10), grid, 5120) - INTERPRETER_BYTES - 42 * 2**10
+        assert grown == 16 * 2**9 + 81 * POINT_BYTES + 5120 * SHOT_BYTES
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_phase_buffer_only_when_a_column_reuses_its_phase(self, depth):
@@ -362,7 +366,8 @@ class TestMemoryPlan:
 
         def phase_bytes(columns):
             points = point_count(columns) * POINT_BYTES
-            return peak_bytes(layout, columns, 0) - INTERPRETER_BYTES - 34 * layout.D - points
+            rest = INTERPRETER_BYTES + 26 * layout.D + mixer_bytes(layout) + points
+            return peak_bytes(layout, columns, 0) - rest
 
         # one point per gamma, 0.0 and -0.0 among them: at depth 1 each
         # phase is used once, and built into the amplitudes

@@ -244,19 +244,50 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
             assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 
 
-@pytest.mark.parametrize("n, m", [(8, 7), (5, 9)])
-def test_blocked_mixer_matches_unblocked_bitwise(monkeypatch, n, m):
-    """States over 4 MiB mix their later axes block by block (blocks of 8**6
-    and 5**7 amplitudes here, the latter odd); every amplitude must come out
-    as when each axis runs over the whole state."""
+@pytest.mark.parametrize(
+    "n, m, block_bytes, chunk, tail",
+    [
+        # the constants as shipped: 2 leading axes, blocks of 8**5 and 5**7
+        # amplitudes, a transposed tail; 4096 divides no column count of 5**9
+        (8, 7, None, None, None),
+        (5, 9, None, None, None),
+        # 3 or 4 leading axes in chunks of at most 7 to 100 labels, none
+        # dividing the columns; a transposed tail of 3 or 2 axes, and
+        # blocks of 4**3 labels, too small for one
+        (5, 7, 16 * 5**4, 37, 3),
+        (3, 9, 16 * 3**5, 100, 2),
+        (4, 6, 16 * 4**3, 7, 3),
+        (2, 12, 16 * 2**8, 48, 3),
+    ],
+    ids=["8-7", "5-9", "5-7-chunk37", "3-9-tail2", "4-6-no-tail", "2-12-chunk48"],
+)
+def test_blocked_mixer_matches_unblocked_bitwise(monkeypatch, n, m, block_bytes, chunk, tail):
+    """The leading axes run in column chunks, the later ones block by block,
+    each block's last axes on a transposed copy; every amplitude must come
+    out as when each axis runs over the whole state."""
     layout = BlockLayout(n, m)
     rng = np.random.default_rng(n * 100 + m)
     amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
     amps /= np.linalg.norm(amps)
+    for name, value in (("_BLOCK_BYTES", block_bytes), ("_CHUNK", chunk), ("_TAIL_AXES", tail)):
+        if value is not None:
+            monkeypatch.setattr(layers, name, value)
+    assert layers._mixer_plan(layout)[0] >= 2
     blocked = apply_mixer(EncodedState(layout, amps.copy()), 0.9).amplitudes
     monkeypatch.setattr(layers, "_BLOCK_BYTES", 16 * layout.D)
+    assert layers._mixer_plan(layout) == (0, layout.D // n, 0)
     unblocked = apply_mixer(EncodedState(layout, amps), 0.9).amplitudes
     assert np.array_equal(blocked.view(np.uint64), unblocked.view(np.uint64))
+
+
+def test_mixer_buffers_are_block_sized():
+    # no D-vector beside the amplitudes, up to the dimension cap
+    for n, m in [(2, 25), (5, 10), (7, 7), (8, 8), (64, 4), (2**25, 1)]:
+        layout = BlockLayout(n, m)
+        buffers = layers.MixerBuffers(layout)
+        sizes = [buffers.sums.nbytes, 0 if buffers.tail is None else buffers.tail.nbytes]
+        assert sum(sizes) == layers.mixer_bytes(layout)
+        assert max(sizes) <= layers._BLOCK_BYTES
 
 
 @settings(deadline=None)
@@ -355,11 +386,15 @@ def sampling_cases(draw):
 def test_sample_shots_matches_generator_choice(case):
     state, total_shots, seed = case
     before = state.amplitudes.copy()
-    shots = sample_shots(state, total_shots, seed)
-    # the CDF in a slice of a longer buffer, as a solve passes its workspace scratch
-    in_scratch = sample_shots(state, total_shots, seed, out=np.empty(state.layout.D + 3)[3:])
     flats, counts = reference_sample(state.probabilities(), total_shots, seed)
-    for drawn in (shots, in_scratch):
+    shots = sample_shots(state, total_shots, seed)
+    # the CDF in a slice of a longer buffer
+    in_slice = sample_shots(state, total_shots, seed, out=np.empty(state.layout.D + 3)[3:])
+    assert np.array_equal(state.amplitudes, before)
+    # the CDF in the state's own buffer, as a solve samples a spent state
+    in_state = sample_shots(
+        state, total_shots, seed, out=state.amplitudes.view(np.float64)[: state.layout.D]
+    )
+    for drawn in (shots, in_slice, in_state):
         assert np.array_equal(drawn.flats, flats)
         assert np.array_equal(drawn.counts, counts)
-    assert np.array_equal(state.amplitudes, before)
