@@ -26,9 +26,7 @@ from .hamiltonian import (
 )
 from .instances import InstanceParseError, parse_instance
 from .layers import (
-    DEFAULT_NORMALIZATION,
     Column,
-    MixerNormalization,
     apply_mixer,
     apply_phase,
     mixer_block_matrix,

@@ -10,13 +10,7 @@ import numpy as np
 
 from .encoded import BlockPermutation, index_to_label, labels_to_indices
 from .hamiltonian import CostDiagonal
-from .layers import (
-    DEFAULT_NORMALIZATION,
-    Column,
-    MixerNormalization,
-    mixer_block_matrix,
-    run_circuit,
-)
+from .layers import Column, mixer_block_matrix, run_circuit
 
 EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
 EXACT_INT_BITS = 1 << 16  # larger baseline integers are handled in log10 space
@@ -33,7 +27,6 @@ def twirl_average(
     diag: CostDiagonal,
     column: Column,
     target,
-    norm: MixerNormalization = DEFAULT_NORMALIZATION,
     mode: str = "exhaustive",
     n_samples: int = 100_000,
     seed: int = 0,
@@ -48,7 +41,7 @@ def twirl_average(
     """
     layout = diag.layout
     target = layout.validate_label(target)
-    (state,) = run_circuit(diag, column, norm)
+    (state,) = run_circuit(diag, column)
     probs = state.probabilities()
     if mode == "exhaustive":
         count = math.factorial(layout.n) ** layout.m
@@ -84,7 +77,6 @@ def find_good_permutation(
     diag: CostDiagonal,
     column: Column,
     target,
-    norm: MixerNormalization = DEFAULT_NORMALIZATION,
 ) -> tuple[BlockPermutation, float]:
     """Blockwise permutation lifting the target overlap to the histogram peak.
 
@@ -95,7 +87,7 @@ def find_good_permutation(
     """
     layout = diag.layout
     target = layout.validate_label(target)
-    (state,) = run_circuit(diag, column, norm)
+    (state,) = run_circuit(diag, column)
     probs = state.probabilities()
     flat = int(np.argmax(probs))
     best = index_to_label(layout, flat)
@@ -114,15 +106,12 @@ def transition_closed_form(n: int) -> np.ndarray:
     return out
 
 
-def angle_averaged_transition(
-    n: int,
-    quadrature_points: int = 4096,
-    norm: MixerNormalization = MixerNormalization.RAW,
-) -> np.ndarray:
+def angle_averaged_transition(n: int, quadrature_points: int = 4096) -> np.ndarray:
     """Average |U(beta)_{ij}|^2 over beta in [0, 2pi) on a uniform grid.
 
-    The integrand is a short trigonometric polynomial, so the uniform rule
-    is exact to roundoff once quadrature_points exceeds its degree.
+    With the unit gap the integrand is a trigonometric polynomial of period
+    2pi in beta and short degree, so the uniform rule is exact to roundoff
+    once quadrature_points exceeds its degree.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -131,7 +120,7 @@ def angle_averaged_transition(
     acc = np.zeros((n, n))
     for k in range(quadrature_points):
         beta = 2.0 * math.pi * k / quadrature_points
-        acc += np.abs(mixer_block_matrix(n, beta, norm)) ** 2
+        acc += np.abs(mixer_block_matrix(n, beta)) ** 2
     return acc / quadrature_points
 
 

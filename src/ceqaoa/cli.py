@@ -1,9 +1,9 @@
 """Command line front end: solve, verify, histogram, baselines.
 
-Exit codes: 0 success, 1 usage or input error (missing file, unknown
-suite, failed verify), 2 solve finished without any feasible sample,
-3 encoded dimension over the amplitude cap, or an estimated peak memory
-over the memory available.
+Exit codes: 0 success, 1 usage or input error (a flag argparse refuses,
+missing file, unknown suite, failed verify), 2 solve finished without any
+feasible sample, 3 encoded dimension over the amplitude cap, or an
+estimated peak memory over the memory available.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .analysis import classical_baselines
 from .encoded import BlockLayout, DimensionCapError, indices_to_labels
 from .hamiltonian import anchor, brute_force_optimum, build_cost_diagonal, tour_cities
 from .instances import parse_instance
-from .layers import DEFAULT_NORMALIZATION, Column, MixerNormalization, Workspace, run_circuit
+from .layers import Column, Workspace, run_circuit
 from .phqc import (
     default_grid,
     default_shots,
@@ -75,7 +75,10 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
             pairs.append((gamma, beta))
         if not pairs:
             raise bad
-        columns = pair_columns(pairs, depth)
+        try:
+            columns = pair_columns(pairs, depth)
+        except ValueError as exc:  # a non-finite angle
+            raise ValueError(f"bad --grid value {spec!r} ({exc})") from None
         return columns, {"pairs": [[col.gamma, beta] for col in columns for beta in col.betas]}
     if text == "n+1":
         columns = default_grid(n_cities, depth)
@@ -189,12 +192,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
         help="keep exact EUC_2D distances instead of nearest-integer rounding",
     )
     p.add_argument(
-        "--norm",
-        choices=[n.value for n in MixerNormalization],
-        default=DEFAULT_NORMALIZATION.value,
-        help="mixer normalization (default over_n)",
-    )
-    p.add_argument(
         "--lambda",
         dest="penalty_weight",
         type=float,
@@ -226,7 +223,6 @@ def cmd_solve(args) -> int:
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 1:
         raise ValueError(f"--shots must be >= 1, got {shots}")
-    norm = MixerNormalization(args.norm)
     estimate = peak_bytes(enc.layout, columns, shots)
     check_memory(estimate)
     t0 = time.perf_counter()
@@ -234,7 +230,6 @@ def cmd_solve(args) -> int:
         enc,
         columns,
         shots_per_point=shots,
-        norm=norm,
         master_seed=args.seed,
         penalty_weight=args.penalty_weight,
     )
@@ -247,7 +242,7 @@ def cmd_solve(args) -> int:
         "start_city": enc.start_city,
         "depth": args.depth,
         "shots_per_point": shots,
-        "normalization": norm.value,
+        "normalization": "over_n",  # the unit-gap mixer, the only one
         "penalty_weight": result.penalty_weight,
         "seed": args.seed,
         "grid": grid_json,
@@ -326,8 +321,10 @@ def cmd_histogram(args) -> int:
     if shots < 0:
         print(f"--shots must be >= 0, got {shots}", file=sys.stderr)
         return EXIT_USAGE
-    norm = MixerNormalization(args.norm)
-    columns = pair_columns([(gamma, beta)], args.depth)
+    try:
+        columns = pair_columns([(gamma, beta)], args.depth)
+    except ValueError as exc:  # a non-finite angle
+        raise ValueError(f"bad --angles value {args.angles!r} ({exc})") from None
     layout = enc.layout
     # the probabilities' own float D-vector, then one chunk of rows
     check_memory(
@@ -338,13 +335,11 @@ def cmd_histogram(args) -> int:
     diag = build_cost_diagonal(enc, args.penalty_weight)
     optimal_flats = brute_force_optimum(diag).optimal_flats
     work = Workspace(layout)
-    (state,) = run_circuit(diag, columns[0], norm, work)
+    (state,) = run_circuit(diag, columns[0], work)
     probs = state.probabilities()
     sampled = None
     if shots > 0:  # the state is spent: the sampling CDF overwrites its amplitudes
-        sampled = sample_shots(
-            state, shots, args.seed, state.amplitudes.view(np.float64)[: layout.D]
-        )
+        sampled = sample_shots(state, shots, args.seed)
     del diag, state, work  # the rows need only the probabilities and the counts
 
     counts = np.zeros(layout.D, dtype=np.int64)
@@ -424,8 +419,19 @@ def cmd_baselines(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print one stderr line and exit 1, not 2.
+
+    Exit 2 means a solve that found no feasible sample; subcommand parsers
+    are made of this class too.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ceqaoa",
         description="Exact one-hot-encoded QAOA simulator and grid-search TSP solver",
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoded import DimensionCapError, max_dimension
 from .hamiltonian import TspInstance
 
 
@@ -83,6 +84,31 @@ def _parse_json(path: Path) -> TspInstance:
     return inst
 
 
+def _read_dimension(path: Path, value: str) -> int:
+    """The DIMENSION header's city count d, refused when its anchored layout is over the cap.
+
+    Runs when the header line is read, before the sections are parsed and
+    before any d x d array is built.  The anchored layout has
+    (d-1)**(d-1) labels; the power is formed factor by factor and stops
+    once past the cap, so a huge DIMENSION costs a few multiplications.
+    """
+    try:
+        cities = int(value)
+    except ValueError:
+        raise InstanceParseError(f"bad DIMENSION value {value!r}", path) from None
+    if cities < 1:
+        raise InstanceParseError(f"DIMENSION must be at least 1, got {cities}", path)
+    cap, size, labels = max_dimension(), cities - 1, 1
+    for _ in range(size):
+        labels *= size
+        if labels > cap:
+            raise DimensionCapError(
+                f"{path}: DIMENSION {cities} needs encoded dimension {size}**{size}, over the "
+                f"cap {cap} (override with CEQAOA_MAX_DIM)"
+            )
+    return cities
+
+
 def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
     headers: dict[str, str] = {}
     coords: list[tuple[float, float]] = []
@@ -120,19 +146,16 @@ def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
             continue
         if ":" in line:
             key, _, value = line.partition(":")
-            headers[key.strip().upper()] = value.strip()
+            key, value = key.strip().upper(), value.strip()
+            headers[key] = value
+            if key == "DIMENSION":
+                dimension = _read_dimension(path, value)
             continue
         raise InstanceParseError(f"unrecognized line: {line!r}", path, lineno)
 
     name = headers.get("NAME", path.stem)
-    try:
-        dimension = int(headers["DIMENSION"])
-    except KeyError:
-        raise InstanceParseError("missing DIMENSION header", path) from None
-    except ValueError:
-        raise InstanceParseError(f"bad DIMENSION value {headers['DIMENSION']!r}", path) from None
-    if dimension < 1:
-        raise InstanceParseError(f"DIMENSION must be at least 1, got {dimension}", path)
+    if dimension is None:
+        raise InstanceParseError("missing DIMENSION header", path)
 
     weight_type = headers.get("EDGE_WEIGHT_TYPE", "").upper()
     if weight_type == "EXPLICIT":

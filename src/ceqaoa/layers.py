@@ -1,14 +1,14 @@
 """Circuit layers on the encoded space: diagonal phase and the block XY mixer.
 
 The per-block mixer generator is the complete-graph adjacency on the n
-symbols (optionally scaled by 1/n or 1/(n-1)); its exponential has the
+symbols scaled by 1/n, so its spectral gap is 1; its exponential has the
 rank-1 closed form a * J/n + b * (I - J/n) with crossing phases
-a = exp(-i beta' (n-1)) and b = exp(+i beta'), which factorises as
-b * (I + kappa * J) with kappa = (a / b - 1) / n.  The full mixer then
-runs in O(D * m) additions: per block axis, the sum of the axis's n slices,
-scaled by kappa and added back to every slice; one multiply by b**m
-closes it.  No D x D matrix is materialized.  Every axis works on
-cache-sized pieces (apply_mixer), in buffers of at most one block.
+a = exp(-i beta' (n-1)) and b = exp(+i beta'), beta' = beta / n, which
+factorises as b * (I + kappa * J) with kappa = (a / b - 1) / n.  The full
+mixer then runs in O(D * m) additions: per block axis, the sum of the
+axis's n slices, scaled by kappa and added back to every slice; one
+multiply by b**m closes it.  No D x D matrix is materialized.  Every axis
+works on cache-sized pieces (apply_mixer), in buffers of at most one block.
 """
 
 from __future__ import annotations
@@ -16,30 +16,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .encoded import BlockLayout, EncodedState
 from .hamiltonian import CostDiagonal
-
-
-class MixerNormalization(Enum):
-    """Scaling applied to the complete-graph block generator."""
-
-    RAW = "raw"
-    OVER_N = "over_n"
-    OVER_N_MINUS_1 = "over_n_minus_1"
-
-    def scale(self, n: int) -> float:
-        if self is MixerNormalization.RAW:
-            return 1.0
-        if self is MixerNormalization.OVER_N:
-            return 1.0 / n
-        return 1.0 / (n - 1)
-
-
-DEFAULT_NORMALIZATION = MixerNormalization.OVER_N
 
 
 @dataclass(frozen=True)
@@ -91,18 +72,18 @@ def apply_phase(state: EncodedState, phase: np.ndarray) -> EncodedState:
     return EncodedState(state.layout, amps)
 
 
-def _crossing_phases(n: int, beta: float, norm: MixerNormalization) -> tuple[complex, complex]:
-    bp = float(beta) * norm.scale(n)
+def _crossing_phases(n: int, beta: float) -> tuple[complex, complex]:
+    # beta times the rounded 1/n, not beta / n: the two differ in the last
+    # bit for some betas, and every output depends on it
+    bp = float(beta) * (1.0 / n)
     return complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
 
 
-def mixer_block_matrix(
-    n: int, beta: float, norm: MixerNormalization = DEFAULT_NORMALIZATION
-) -> np.ndarray:
+def mixer_block_matrix(n: int, beta: float) -> np.ndarray:
     """Closed-form one-block mixer a * J/n + b * (I - J/n); unitary by construction."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    a, b = _crossing_phases(n, beta, norm)
+    a, b = _crossing_phases(n, beta)
     return b * np.eye(n, dtype=np.complex128) + ((a - b) / n) * np.ones((n, n), np.complex128)
 
 
@@ -153,7 +134,6 @@ class MixerBuffers:
 def apply_mixer(
     state: EncodedState,
     beta: float,
-    norm: MixerNormalization = DEFAULT_NORMALIZATION,
     buffers: MixerBuffers | None = None,
 ) -> EncodedState:
     """Apply the block mixer on every block axis via the factorised rank-1 update.
@@ -174,7 +154,7 @@ def apply_mixer(
     """
     layout = state.layout
     n, m = layout.n, layout.m
-    a, b = _crossing_phases(n, beta, norm)
+    a, b = _crossing_phases(n, beta)
     kappa = (a / b - 1) / n
     closing = b**m
     buf = MixerBuffers(layout) if buffers is None else buffers
@@ -246,7 +226,6 @@ class Workspace:
 def run_circuit(
     diag: CostDiagonal,
     column: Column,
-    norm: MixerNormalization = DEFAULT_NORMALIZATION,
     workspace: Workspace | None = None,
 ) -> Iterator[EncodedState]:
     """Yield the state after each of the column's circuits, one per beta, in order.
@@ -271,9 +250,9 @@ def run_circuit(
         phase = diag.phase(column.gamma, work.phase)
     for beta in column.betas:
         amps = np.multiply(phase, 1.0 / math.sqrt(layout.D), out=work.amps)
-        state = apply_mixer(EncodedState(layout, amps), beta, norm, work.mixer)
+        state = apply_mixer(EncodedState(layout, amps), beta, work.mixer)
         for _ in range(column.depth - 1):
-            state = apply_mixer(apply_phase(state, phase), beta, norm, work.mixer)
+            state = apply_mixer(apply_phase(state, phase), beta, work.mixer)
         yield state
 
 
@@ -283,10 +262,10 @@ class MixerSpectrum:
     gap: float  # top eigenvalue minus the second one
 
 
-def mixer_spectrum(n: int, norm: MixerNormalization = DEFAULT_NORMALIZATION) -> MixerSpectrum:
-    """Numerical eigenvalues of the scaled complete-graph generator and its gap."""
+def mixer_spectrum(n: int) -> MixerSpectrum:
+    """Numerical eigenvalues of the complete-graph generator over n and its gap (1)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    gen = norm.scale(n) * (np.ones((n, n)) - np.eye(n))
+    gen = (1.0 / n) * (np.ones((n, n)) - np.eye(n))
     eig = np.linalg.eigvalsh(gen)
     return MixerSpectrum(eig, float(eig[-1] - eig[-2]))

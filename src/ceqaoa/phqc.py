@@ -23,14 +23,7 @@ from .hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
 )
-from .layers import (
-    DEFAULT_NORMALIZATION,
-    Column,
-    MixerNormalization,
-    Workspace,
-    mixer_bytes,
-    run_circuit,
-)
+from .layers import Column, Workspace, mixer_bytes, run_circuit
 
 
 def pair_columns(pairs: Sequence[tuple[float, float]], depth: int = 1) -> list[Column]:
@@ -153,18 +146,13 @@ class ShotSet:
             raise ValueError(f"counts sum to {total}, expected {self.total_shots}")
 
 
-def sample_shots(
-    state: EncodedState,
-    total_shots: int,
-    seed: int,
-    out: np.ndarray | None = None,
-) -> ShotSet:
+def sample_shots(state: EncodedState, total_shots: int, seed: int) -> ShotSet:
     """Draw total_shots independent samples from the exact probability vector.
 
-    Inverse-CDF sampling in one float buffer, out (a float64 D-vector) when
-    given; a caller done with the state may pass its own amplitudes,
-    state.amplitudes.view(np.float64)[:D] (EncodedState.probabilities).
-    The steps, the rounding and the uniform stream are those of
+    Consumes the state: the inverse-CDF sampling runs in its own buffer,
+    the amplitudes viewed as D floats (EncodedState.probabilities), so a
+    caller that needs the state afterwards passes a copy.  The steps, the
+    rounding and the uniform stream are those of
     rng.choice(D, size, p=p / p.sum()), so the draws are the same, without
     choice's normalised copy, cumulative copy and argument checks (the
     state's norm gate already rules out non-finite amplitudes).
@@ -172,7 +160,7 @@ def sample_shots(
     if total_shots < 1:
         raise ValueError(f"total_shots must be >= 1, got {total_shots}")
     rng = np.random.default_rng(seed)
-    cdf = state.probabilities(out)
+    cdf = state.probabilities(state.amplitudes.view(np.float64)[: state.layout.D])
     cdf /= cdf.sum()
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
@@ -272,7 +260,6 @@ def phqc_solve(
     enc: AnchoredTsp,
     columns: Sequence[Column] | None = None,
     shots_per_point: int | None = None,
-    norm: MixerNormalization = DEFAULT_NORMALIZATION,
     master_seed: int = 0,
     penalty_weight: float | None = None,
 ) -> PhqcResult:
@@ -308,13 +295,12 @@ def phqc_solve(
     points = (
         (col.gamma, beta, state)
         for col in columns
-        for state, beta in zip(run_circuit(diag, col, norm, work), col.betas, strict=True)
+        for state, beta in zip(run_circuit(diag, col, work), col.betas, strict=True)
     )
     for idx, (g, b, state) in enumerate(points):
         opt_mass.append(_optimal_mass(state, oracle))
         # the state is spent once its optimal mass is read: the CDF overwrites it
-        cdf = state.amplitudes.view(np.float64)[: enc.layout.D]
-        shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx), cdf)
+        shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx))
         scored = score_shots(shots, diag)
         stats.append(
             GridPointStat(

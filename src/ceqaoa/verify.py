@@ -14,13 +14,7 @@ import numpy as np
 from . import analysis, qubitref
 from .encoded import BlockLayout, EncodedState, uniform_initial_state
 from .hamiltonian import CostDiagonal
-from .layers import (
-    Column,
-    MixerNormalization,
-    apply_mixer,
-    mixer_block_matrix,
-    mixer_spectrum,
-)
+from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum
 
 SUITE_NAMES = (
     "encoder",
@@ -103,17 +97,16 @@ def check_cross_representation() -> list[CheckResult]:
 
 
 def check_mixer_spectrum() -> list[CheckResult]:
-    """Eigenvalues {n-1, -1 x (n-1)} and unit normalized gap, n = 2..16."""
+    """Adjacency eigenvalues {n-1, -1 x (n-1)} (n times the mixer's) and unit gap, n = 2..16."""
     out = []
     for n in range(2, 17):
-        raw = mixer_spectrum(n, MixerNormalization.RAW)
+        spectrum = mixer_spectrum(n)
         expected = np.array([-1.0] * (n - 1) + [float(n - 1)])
-        eig_err = float(np.max(np.abs(raw.eigenvalues - expected)))
+        eig_err = float(np.max(np.abs(n * spectrum.eigenvalues - expected)))
         out.append(
             _check("mixer", f"raw_spectrum_n{n}", eig_err < 1e-9, f"{eig_err:.3e}", "< 1e-9")
         )
-        scaled = mixer_spectrum(n, MixerNormalization.OVER_N)
-        gap_err = abs(scaled.gap - 1.0)
+        gap_err = abs(spectrum.gap - 1.0)
         out.append(
             _check("mixer", f"normalized_gap_n{n}", gap_err < 1e-12, f"{gap_err:.3e}", "< 1e-12")
         )
@@ -126,13 +119,13 @@ def check_mixer_unitarity(seed: int = 7) -> list[CheckResult]:
     worst = 0.0
     for n in range(2, 17):
         for beta in rng.uniform(-2 * math.pi, 2 * math.pi, 100):
-            u = mixer_block_matrix(n, beta, MixerNormalization.RAW)
+            u = mixer_block_matrix(n, n * beta)
             worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(n)))))
     return [_check("mixer", "block_unitarity", worst < 1e-12, f"{worst:.3e}", "< 1e-12")]
 
 
 def check_mixer_closed_form(seed: int = 11) -> list[CheckResult]:
-    """Closed form vs eigendecomposition exponential of the block generator, n <= 8."""
+    """Closed form at n * beta vs the eigendecomposed exp(-i beta adjacency), n <= 8."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(2, 9):
@@ -140,7 +133,7 @@ def check_mixer_closed_form(seed: int = 11) -> list[CheckResult]:
         evals, evecs = np.linalg.eigh(adj)
         for beta in rng.uniform(-math.pi, math.pi, 20):
             dense = (evecs * np.exp(-1j * beta * evals)) @ evecs.conj().T
-            u = mixer_block_matrix(n, beta, MixerNormalization.RAW)
+            u = mixer_block_matrix(n, n * beta)
             worst = max(worst, float(np.max(np.abs(dense - u))))
     return [_check("mixer", "closed_form_vs_expm", worst < 1e-10, f"{worst:.3e}", "< 1e-10")]
 
@@ -149,9 +142,10 @@ def check_mixer_gates(seed: int = 13) -> list[CheckResult]:
     """Trotterised gate sweeps approach the encoded mixer with first-order error, n = 3, m = 2.
 
     k sweeps of block_xy_mixer_gates at beta / k on the 6-qubit register,
-    started from a random one-hot state, against apply_mixer's raw mixer at
-    2 beta (the two-local identity carries the factor 2): the sweeps stay in
-    the one-hot sector, and the error halves as k doubles.
+    started from a random one-hot state, against apply_mixer at 2 n beta
+    (the two-local identity carries the factor 2, the unit-gap mixer the
+    factor n): the sweeps stay in the one-hot sector, and the error halves
+    as k doubles.
     """
     n, m, beta = 3, 2, 0.7
     layout, q = BlockLayout(n, m), n * m
@@ -161,7 +155,7 @@ def check_mixer_gates(seed: int = 13) -> list[CheckResult]:
     register = np.zeros(1 << q, dtype=np.complex128)
     register[qubitref.encoded_basis_indices(layout)] = start
     initial = EncodedState(BlockLayout(2, q), register)
-    exact = apply_mixer(EncodedState(layout, start), 2 * beta, MixerNormalization.RAW).amplitudes
+    exact = apply_mixer(EncodedState(layout, start), 2 * beta * n).amplitudes
     errors, leaked = [], 0.0
     for k in (8, 16, 32):
         sweeps = qubitref.block_xy_mixer_gates(n, m, beta / k) * k
@@ -201,16 +195,6 @@ def check_ergodicity() -> list[CheckResult]:
                 "< 1e-12",
             )
         )
-    rescale_err = 0.0
-    for n in range(2, 9):
-        raw = analysis.angle_averaged_transition(n, 4096, MixerNormalization.RAW)
-        scaled = analysis.angle_averaged_transition(n, 4096, MixerNormalization.OVER_N)
-        rescale_err = max(rescale_err, float(np.max(np.abs(raw - scaled))))
-    out.append(
-        _check(
-            "ergodicity", "rescaling_invariance", rescale_err < 1e-10, f"{rescale_err:.3e}", "< 1e-10"
-        )
-    )
     return out
 
 

@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 
 from ceqaoa.hamiltonian import TIE_TOL, brute_force_optimum
-from ceqaoa.layers import DEFAULT_NORMALIZATION, run_circuit
+from ceqaoa.layers import run_circuit
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -128,7 +128,7 @@ def reference_phase(diag, gamma):
     return np.exp(-1j * float(gamma) * energy)
 
 
-def reference_circuit(diag, pairs, norm):
+def reference_circuit(diag, pairs):
     """Amplitudes after one layer per (gamma, beta) pair, built out of place, one layer at a time.
 
     Keeps the expressions of the in-place kernels, in the same operand
@@ -147,7 +147,7 @@ def reference_circuit(diag, pairs, norm):
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     for gamma, beta in pairs:
         amps = reference_phase(diag, gamma) * amps
-        bp = float(beta) * norm.scale(n)
+        bp = float(beta) * (1.0 / n)
         a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
         kappa = (a / b - 1) / n
         arr = amps.reshape((n,) * m)
@@ -161,21 +161,21 @@ def reference_circuit(diag, pairs, norm):
     return amps
 
 
-def exact_success_probability(diag, column, norm=DEFAULT_NORMALIZATION):
+def exact_success_probability(diag, column):
     """(p_opt, degeneracy): the exact mass on every optimal label after a one-beta column.
 
     Not independent of the package: it composes the diagonal's scan for the
     optima with the simulator, as the solver does for its winning point.
     """
     oracle = brute_force_optimum(diag)
-    (state,) = run_circuit(diag, column, norm)
+    (state,) = run_circuit(diag, column)
     return float((np.abs(state.amplitudes[oracle.optimal_flats]) ** 2).sum()), oracle.degeneracy
 
 
-def former_mixer(layout, amps, beta, norm):
+def former_mixer(layout, amps, beta):
     """The block mixer as b * psi + (a - b) * mean_over_axis(psi), one axis at a time, out of place."""
     n, m = layout.n, layout.m
-    bp = float(beta) * norm.scale(n)
+    bp = float(beta) * (1.0 / n)
     a, b = complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
     arr = amps.reshape((n,) * m)
     for axis in range(m):

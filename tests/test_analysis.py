@@ -14,7 +14,7 @@ from ceqaoa.analysis import (
     twirl_average,
 )
 from ceqaoa.encoded import BlockLayout
-from ceqaoa.layers import Column, MixerNormalization, run_circuit
+from ceqaoa.layers import Column, run_circuit
 from ceqaoa.verify import random_diagonal
 
 from oracles import label_to_index
@@ -128,12 +128,6 @@ class TestErgodicity:
 
     def test_n2_all_half(self):
         assert np.allclose(angle_averaged_transition(2, 512), 0.5, atol=1e-12)
-
-    def test_rescaling_invariance(self):
-        for n in (2, 5, 8):
-            raw = angle_averaged_transition(n, 4096, MixerNormalization.RAW)
-            over = angle_averaged_transition(n, 4096, MixerNormalization.OVER_N)
-            assert np.max(np.abs(raw - over)) < 1e-10
 
     def test_uniform_is_stationary(self):
         for n in (3, 6):

@@ -366,8 +366,10 @@ def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, ar
     [
         (["solve", "--grid", "list:nan,0.5"], "nan"),
         (["solve", "--grid", "list:0.5,inf"], "inf"),
+        (["solve", "--grid", "list:inf,0.5"], "bad --grid value 'list:inf,0.5' (non-finite"),
         (["histogram", "--angles", "nan,0.5"], "nan"),
         (["histogram", "--angles", "0.5,nan"], "nan"),
+        (["histogram", "--angles", "nan,1"], "bad --angles value 'nan,1' (non-finite"),
         (["solve", "--depth", "0"], "--depth must be >= 1, got 0"),
         (["histogram", "--angles", "0.5,0.5", "--depth", "0"], "--depth must be >= 1, got 0"),
         (["solve", "--seed", "-1"], "--seed must be >= 0, got -1"),
@@ -379,7 +381,8 @@ def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, ar
         (["solve", "--start-city", "9"], "--start-city must lie in [0, 4), got 9"),
         (["histogram", "--angles", "0.5,0.5", "--start-city", "-1"], "--start-city must lie"),
     ],
-    ids=["solve-gamma-nan", "solve-beta-inf", "histogram-gamma-nan", "histogram-beta-nan",
+    ids=["solve-gamma-nan", "solve-beta-inf", "solve-gamma-inf-named", "histogram-gamma-nan",
+         "histogram-beta-nan", "histogram-gamma-nan-named",
          "solve-depth-0", "histogram-depth-0", "solve-seed-negative", "histogram-seed-negative",
          "solve-shots-0", "solve-lambda-0", "solve-lambda-nan", "histogram-lambda-negative",
          "solve-start-city-9", "histogram-start-city-negative"],
@@ -391,6 +394,70 @@ def test_bad_angles_or_depth_end_in_one_line(instance_file, tmp_path, capsys, ar
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["solve", "{file}", "--out", "{out}", "--norm", "raw"], "arguments: --norm raw"),
+        (["solve", "{file}", "--out", "{out}", "--bogus", "1"], "arguments: --bogus 1"),
+        (["solve", "{file}", "--shots", "abc", "--out", "{out}"], "--shots: invalid int value"),
+        (["histogram", "{file}", "--out", "{out}"], "arguments are required: --angles"),
+        (["frobnicate", "{file}"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["norm-raw", "bogus", "shots-abc", "histogram-no-angles", "unknown-command", "no-command"],
+)
+def test_usage_errors_exit_1_in_one_line(instance_file, tmp_path, capsys, argv, named):
+    # exit 2 is a solve that found no feasible sample, so usage errors must not use it
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(file=instance_file, out=out) for arg in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1 and named in err and err.startswith("ceqaoa")
+    assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["histogram", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: ceqaoa" in capsys.readouterr().out
+
+
+def test_usage_error_exit_code_of_the_process(instance_file, tmp_path):
+    proc = run_python("-m", "ceqaoa.cli", "solve", str(instance_file), "--norm", "raw")
+    assert proc.returncode == 1
+    assert len(proc.stderr.strip().splitlines()) == 1 and "--norm" in proc.stderr
+
+
+def test_huge_tsplib_dimension_exits_3_before_any_distance_matrix(tmp_path):
+    # 12,000 EUC_2D cities: one d x d float64 array takes 1.07 GiB, so a
+    # solve under a 1 GiB address-space limit ends in exit 3 only when the
+    # cap is checked as soon as DIMENSION is read
+    d = 12_000
+    coords = np.random.default_rng(0).integers(0, 1000, (d, 2))
+    path = tmp_path / "huge.tsp"
+    path.write_text(
+        f"NAME: huge\nDIMENSION: {d}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+        + "".join(f"{i} {x} {y}\n" for i, (x, y) in enumerate(coords.tolist(), 1))
+        + "EOF\n"
+    )
+    out = tmp_path / "r.json"
+    proc = run_python(
+        "-c",
+        "import resource, sys; from ceqaoa.cli import main; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        f"sys.exit(main(['solve', {str(path)!r}, '--out', {str(out)!r}]))",
+    )
+    assert proc.returncode == 3, proc.stderr
+    err = proc.stderr.strip()
+    assert len(err.splitlines()) == 1
+    assert f"DIMENSION {d}" in err and "CEQAOA_MAX_DIM" in err and str(path) in err
     assert not out.exists()
 
 
@@ -473,8 +540,8 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
     def test_gate_sweep_check_fails_on_a_mixer_at_the_wrong_angle(self, monkeypatch):
-        def half_angle(state, beta, norm):
-            return layers.apply_mixer(state, beta / 2, norm)
+        def half_angle(state, beta):
+            return layers.apply_mixer(state, beta / 2)
 
         monkeypatch.setattr(verify, "apply_mixer", half_angle)
         first_order = verify.check_mixer_gates()[1]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ceqaoa.encoded import DimensionCapError
 from ceqaoa.instances import InstanceParseError, parse_instance
 
 MATRIX_4 = [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]]
@@ -152,3 +153,21 @@ class TestTsplib:
         with pytest.raises(InstanceParseError) as err:
             parse_instance(write(tmp_path, "bad.tsp", text))
         assert err.value.line == 5
+
+    @pytest.mark.parametrize(
+        "cap,dimension,refused", [("27", 4, False), ("27", 5, True), ("1", 2, False)]
+    )
+    def test_dimension_over_the_cap_is_refused(
+        self, tmp_path, monkeypatch, cap, dimension, refused
+    ):
+        # the anchored layout has (d-1)**(d-1) labels: 27 at d = 4, 256 at
+        # d = 5 and 1 at d = 2, where BlockLayout(1, 1) itself is invalid
+        monkeypatch.setenv("CEQAOA_MAX_DIM", cap)
+        coords = "".join(f"{i} {i} {2 * i}\n" for i in range(1, dimension + 1))
+        header = f"DIMENSION: {dimension}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+        path = write(tmp_path, "pts.tsp", f"{header}{coords}EOF\n")
+        if refused:
+            with pytest.raises(DimensionCapError, match=f"DIMENSION {dimension} needs"):
+                parse_instance(path)
+        else:
+            assert parse_instance(path).n_cities == dimension

@@ -5,7 +5,6 @@ from ceqaoa.encoded import BlockLayout, EncodedState, uniform_initial_state
 from ceqaoa.hamiltonian import TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import (
     Column,
-    MixerNormalization,
     Workspace,
     apply_mixer,
     apply_phase,
@@ -16,10 +15,6 @@ from ceqaoa.layers import (
 
 from oracles import dense_block_mixer, kron_mixer, random_symmetric_instance
 
-RAW = MixerNormalization.RAW
-OVER_N = MixerNormalization.OVER_N
-
-
 def small_diag(n_cities=4, seed=0, start=0):
     inst = TspInstance("t", n_cities, random_symmetric_instance(n_cities, seed))
     return build_cost_diagonal(anchor(inst, start))
@@ -29,13 +24,6 @@ def random_state(layout, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
     return EncodedState(layout, amps / np.linalg.norm(amps))
-
-
-class TestNormalization:
-    def test_scales(self):
-        assert RAW.scale(5) == 1.0
-        assert OVER_N.scale(5) == 0.2
-        assert MixerNormalization.OVER_N_MINUS_1.scale(5) == 0.25
 
 
 class TestColumn:
@@ -94,17 +82,17 @@ class TestPhase:
 
 class TestMixerBlockMatrix:
     def test_beta_zero_identity(self):
-        assert np.allclose(mixer_block_matrix(4, 0.0, RAW), np.eye(4), atol=1e-15)
+        assert np.allclose(mixer_block_matrix(4, 0.0), np.eye(4), atol=1e-15)
 
     def test_worked_column(self):
-        u = mixer_block_matrix(3, np.pi, RAW)
+        u = mixer_block_matrix(3, 3 * np.pi)
         assert np.allclose(u[:, 0], [-1 / 3, 2 / 3, 2 / 3], atol=1e-12)
 
     def test_unitarity_sweep(self):
         rng = np.random.default_rng(5)
         for n in range(2, 17):
             for beta in rng.uniform(-2 * np.pi, 2 * np.pi, 100):
-                u = mixer_block_matrix(n, beta, RAW)
+                u = mixer_block_matrix(n, n * beta)
                 assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
 
     def test_against_eigendecomposition(self):
@@ -112,13 +100,7 @@ class TestMixerBlockMatrix:
         for n in range(2, 9):
             for beta in rng.uniform(-np.pi, np.pi, 10):
                 dense = dense_block_mixer(n, beta)
-                assert np.max(np.abs(dense - mixer_block_matrix(n, beta, RAW))) < 1e-10
-
-    def test_normalization_rescales_angle(self):
-        n, beta = 5, 0.9
-        assert np.allclose(
-            mixer_block_matrix(n, beta, OVER_N), mixer_block_matrix(n, beta / n, RAW), atol=1e-14
-        )
+                assert np.max(np.abs(dense - mixer_block_matrix(n, n * beta))) < 1e-10
 
 
 class TestApplyMixer:
@@ -126,7 +108,7 @@ class TestApplyMixer:
         lay = BlockLayout(3, 2)
         state = random_state(lay, 7)
         before = state.amplitudes.copy()  # the kernel updates in place
-        out = apply_mixer(state, 0.0, RAW)
+        out = apply_mixer(state, 0.0)
         assert np.allclose(out.amplitudes, before, atol=1e-15)
 
     def test_uniform_is_eigenvector(self):
@@ -134,7 +116,7 @@ class TestApplyMixer:
         state = uniform_initial_state(lay)
         before = state.amplitudes.copy()  # the kernel updates in place
         beta = 0.77
-        out = apply_mixer(state, beta, OVER_N)
+        out = apply_mixer(state, beta)
         phase = np.exp(-1j * (beta / lay.n) * (lay.n - 1) * lay.m)
         assert np.max(np.abs(out.amplitudes - phase * before)) < 1e-12
         assert np.max(np.abs(out.probabilities() - 1 / lay.D)) < 1e-12
@@ -142,7 +124,7 @@ class TestApplyMixer:
     def test_single_block_example(self):
         lay = BlockLayout(3, 1)
         state = EncodedState(lay, np.array([1, 0, 0], dtype=complex))
-        out = apply_mixer(state, np.pi, RAW)
+        out = apply_mixer(state, 3 * np.pi)
         assert np.allclose(out.probabilities(), [1 / 9, 4 / 9, 4 / 9], atol=1e-12)
 
     def test_factorization_against_kron(self):
@@ -150,13 +132,13 @@ class TestApplyMixer:
         for seed, beta in [(8, 0.3), (9, 1.9), (10, -0.8)]:
             state = random_state(lay, seed)
             expected = kron_mixer(3, 2, beta) @ state.amplitudes
-            out = apply_mixer(state, beta, RAW)
+            out = apply_mixer(state, 3 * beta)
             assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
     def test_norm_preserved(self):
         lay = BlockLayout(5, 3)
         state = random_state(lay, 11)
-        out = apply_mixer(state, 2.1, OVER_N)
+        out = apply_mixer(state, 2.1)
         assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1) < 1e-10
 
 
@@ -182,16 +164,16 @@ class TestRunCircuit:
     def test_order_phase_then_mixer(self):
         diag = small_diag(seed=15)
         manual = apply_mixer(
-            apply_phase(uniform_initial_state(diag.layout), diag.phase(0.8)), 0.5, OVER_N
+            apply_phase(uniform_initial_state(diag.layout), diag.phase(0.8)), 0.5
         )
-        (auto,) = run_circuit(diag, Column(0.8, (0.5,)), OVER_N)
+        (auto,) = run_circuit(diag, Column(0.8, (0.5,)))
         assert np.array_equal(auto.amplitudes, manual.amplitudes)
 
     def test_phase_is_built_when_the_first_state_is_asked_for(self):
         diag = small_diag(seed=17)
         work = Workspace(diag.layout)
         work.amps.fill(0.0)
-        states = run_circuit(diag, Column(0.8, (0.5,)), OVER_N, work)
+        states = run_circuit(diag, Column(0.8, (0.5,)), work)
         assert not work.amps.any()
         next(states)
         assert work.amps.any()
@@ -201,22 +183,23 @@ class TestRunCircuit:
         # first column that needs it and keeps it for the next
         diag = small_diag(seed=16)
         work = Workspace(diag.layout)
-        (_,) = run_circuit(diag, Column(0.8, (0.5,)), OVER_N, work)
+        (_,) = run_circuit(diag, Column(0.8, (0.5,)), work)
         assert work.phase is None  # built into the amplitudes
-        (_,) = run_circuit(diag, Column(0.8, (0.5,), 2), OVER_N, work)
+        (_,) = run_circuit(diag, Column(0.8, (0.5,), 2), work)
         phase = work.phase
         assert phase is not None
-        for _ in run_circuit(diag, Column(0.9, (0.5, 0.6)), OVER_N, work):
+        for _ in run_circuit(diag, Column(0.9, (0.5, 0.6)), work):
             assert work.phase is phase  # allocated once per workspace
 
 
 class TestSpectrum:
     def test_raw_examples(self):
-        s = mixer_spectrum(4, RAW)
-        assert np.allclose(np.sort(s.eigenvalues), [-1, -1, -1, 3], atol=1e-9)
-        assert abs(s.gap - 4) < 1e-9
-        assert abs(mixer_spectrum(2, RAW).gap - 2) < 1e-12
+        # the adjacency's spectrum and gap are n times the mixer's
+        s = mixer_spectrum(4)
+        assert np.allclose(np.sort(4 * s.eigenvalues), [-1, -1, -1, 3], atol=1e-9)
+        assert abs(4 * s.gap - 4) < 1e-9
+        assert abs(2 * mixer_spectrum(2).gap - 2) < 1e-12
 
     def test_normalized_gap(self):
         for n in range(2, 17):
-            assert abs(mixer_spectrum(n, OVER_N).gap - 1.0) < 1e-12
+            assert abs(mixer_spectrum(n).gap - 1.0) < 1e-12

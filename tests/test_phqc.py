@@ -131,7 +131,8 @@ class TestSampling:
     def test_same_seed_identical(self):
         lay = BlockLayout(3, 3)
         state = uniform_initial_state(lay)
-        a = sample_shots(state, 500, seed=7)
+        # sampling consumes its state, so the first draw gets a copy
+        a = sample_shots(EncodedState(lay, state.amplitudes.copy()), 500, seed=7)
         b = sample_shots(state, 500, seed=7)
         assert np.array_equal(a.flats, b.flats)
         assert np.array_equal(a.counts, b.counts)

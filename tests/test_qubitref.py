@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ceqaoa.encoded import BlockLayout, uniform_initial_state
-from ceqaoa.layers import MixerNormalization, apply_mixer
+from ceqaoa.layers import apply_mixer
 from ceqaoa.qubitref import (
     MAX_QUBITS,
     GateOp,
@@ -151,13 +151,14 @@ class TestMixerGates:
         assert leaked < 1e-10
 
     def test_trotter_convergence_to_encoded_mixer(self):
-        # one gate sweep at angle beta approximates the encoded generator at
-        # angle 2*beta (the two-local identity carries a factor 2)
+        # one gate sweep at angle beta approximates the encoded unit-gap mixer
+        # at angle 2*n*beta (the two-local identity carries a factor 2, the
+        # unit gap a factor n)
         n, beta = 3, 0.7
         lay = BlockLayout(n, 1)
         prep = multi_block_prepare(n, 1)
         start, _ = project_to_encoded(run_gates(n, prep), lay)
-        exact = apply_mixer(start, 2 * beta, MixerNormalization.RAW)
+        exact = apply_mixer(start, 2 * beta * n)
 
         def trotter_error(k):
             ops = list(prep)
