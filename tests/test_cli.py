@@ -430,9 +430,12 @@ def test_help_exits_0(capsys, argv):
 
 
 def test_usage_error_exit_code_of_the_process(instance_file, tmp_path):
-    proc = run_python("-m", "ceqaoa.cli", "solve", str(instance_file), "--norm", "raw")
+    out = tmp_path / "r.json"
+    argv = ["solve", str(instance_file), "--out", str(out), "--norm", "raw"]
+    proc = run_python("-m", "ceqaoa.cli", *argv)
     assert proc.returncode == 1
     assert len(proc.stderr.strip().splitlines()) == 1 and "--norm" in proc.stderr
+    assert not out.exists()
 
 
 def test_huge_tsplib_dimension_exits_3_before_any_distance_matrix(tmp_path):
