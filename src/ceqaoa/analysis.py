@@ -284,26 +284,17 @@ class BaselineReport:
     log10_separation: float
 
 
-def classical_baselines(
-    n: int, m: int | None = None, feasible_count: int | None = None
-) -> BaselineReport:
+def classical_baselines(n: int) -> BaselineReport:
+    """The baselines for n blocks of n symbols, whose feasible set is the n! permutations."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if m is None:
-        m = n
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if feasible_count is None:
-        feasible_count = math.factorial(n)
-    if feasible_count < 1:
-        raise ValueError(f"need feasible_count >= 1, got {feasible_count}")
-
-    model_a, log10_a = _trials(n, m, 0, feasible_count)
+    feasible_count = math.factorial(n)
+    model_a, log10_a = _trials(n, n, 0, feasible_count)
     model_b, log10_b = _trials(2, n * n, 1, feasible_count + 1)
     log10_sep = n * (n * math.log10(2.0) - math.log10(n))
     return BaselineReport(
         n=n,
-        m=m,
+        m=n,
         feasible_count=feasible_count,
         model_a_trials=model_a,
         model_b_trials=model_b,

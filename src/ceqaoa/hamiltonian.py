@@ -19,7 +19,7 @@ from .encoded import BlockLayout, index_to_label
 # Absorbs summation-order noise when counting exactly degenerate tours
 # (e.g. the reversal of a tour on a symmetric instance).
 TIE_TOL = 1e-12
-PHASE_CHUNK = 8192  # labels per chunk of the level-table phase fill
+PHASE_CHUNK = 8192  # labels per chunk of the phase fill
 EXACT_INTEGERS = 2.0**53  # float64 holds every integer of smaller magnitude
 
 
@@ -101,7 +101,6 @@ class CostDiagonal:
     objective: np.ndarray
     penalty_count: np.ndarray
     penalty_weight: float
-    _energy_bound: float = field(init=False, repr=False)
     _energy_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,9 +120,6 @@ class CostDiagonal:
         object.__setattr__(self, "penalty_count", count.astype(np.int16, copy=False))
         object.__setattr__(self, "penalty_weight", weight)
         obj_lo, obj_hi = float(obj.min()), float(obj.max())
-        # bounds |objective + weight * count| everywhere; NaN when any energy is NaN
-        bound = max(obj_hi, -obj_lo) + weight * float(top)
-        object.__setattr__(self, "_energy_bound", bound)
         # every energy lies in [lo, hi]: both ends go through the phase's own
         # two roundings (weight * k, then + objective), and rounding is monotone
         lo = weight * float(count.min()) + obj_lo
@@ -136,63 +132,48 @@ class CostDiagonal:
         gamma whose product with the largest energy is not finite raises
         ValueError before out is written.
 
+        The energies E are formed in float64, PHASE_CHUNK labels at a time.
         When the energy range [lo, hi] starts at an integer, lies within
         +-2**53 and holds T = hi - lo + 1 <= D // 16 integers (a table of at
         most one byte per label), the exponentials of the T levels are
-        computed once and gathered by E - lo, PHASE_CHUNK labels at a time.
-        Each table entry comes from the same operations on the same complex
-        number (E, +0) as the direct fill, so the two are bitwise equal.  A
-        chunk with a non-integral energy sends the whole vector to the direct
-        fill, which forms the energy, product and exponential in out itself.
+        computed once and a chunk of integral energies gathers its entries
+        by E - lo.  Any other chunk takes the product and exponential on
+        (E, +0) in out itself; each table entry comes from the same
+        operations on the same number, so the two are bitwise equal.
         """
-        if not math.isfinite(float(gamma) * self._energy_bound):
-            raise ValueError(
-                f"gamma {gamma!r} times the largest energy {self._energy_bound!r} is not finite"
-            )
-        vec = np.empty(self.layout.D, dtype=np.complex128) if out is None else out
-        if not self._phase_from_levels(float(gamma), vec):
-            # the float64 sum objective + weight * k, held in the complex buffer
-            # (real part, +0 imaginary), so no float temporary is made
-            np.multiply(self.penalty_count, self.penalty_weight, out=vec)
-            np.add(vec, self.objective, out=vec)
-            np.multiply(-1j * float(gamma), vec, out=vec)
-            np.exp(vec, out=vec)
-        return vec
-
-    def _phase_from_levels(self, gamma: float, vec: np.ndarray) -> bool:
-        """Fill vec from a table of integer energy levels.
-
-        Returns False, with vec perhaps partly written, when it cannot.
-        """
+        gamma = float(gamma)
         lo, hi = self._energy_range
+        bound = max(abs(lo), abs(hi))  # not finite when any energy is not
+        if not math.isfinite(gamma * bound):
+            raise ValueError(f"gamma {gamma!r} times the largest energy {bound!r} is not finite")
         dim = self.layout.D
-        if not (
-            lo.is_integer()
-            and abs(lo) < EXACT_INTEGERS
-            and abs(hi) < EXACT_INTEGERS
-            and hi - lo + 1 <= dim // 16
-        ):
-            return False
-        # the levels lo, lo + 1, ..., hi as (E, +0), in the one complex buffer
-        table = np.arange(int(hi - lo) + 1, dtype=np.complex128)
-        table += lo
-        np.multiply(-1j * gamma, table, out=table)
-        np.exp(table, out=table)
+        vec = np.empty(dim, dtype=np.complex128) if out is None else out
+        table = None
+        if lo.is_integer() and bound < EXACT_INTEGERS and hi - lo + 1 <= dim // 16:
+            # the levels lo, lo + 1, ..., hi as (E, +0)
+            table = np.arange(int(hi - lo) + 1, dtype=np.complex128)
+            table += lo
+            np.multiply(-1j * gamma, table, out=table)
+            np.exp(table, out=table)
         energy = np.empty(min(PHASE_CHUNK, dim))
         level = np.empty(energy.shape, dtype=np.int64)
         exact = np.empty(energy.shape, dtype=bool)
         for start in range(0, dim, PHASE_CHUNK):
             stop = min(start + PHASE_CHUNK, dim)
             e, k, ok = energy[: stop - start], level[: stop - start], exact[: stop - start]
+            v = vec[start:stop]
             np.multiply(self.penalty_count[start:stop], self.penalty_weight, out=e)
             np.add(e, self.objective[start:stop], out=e)
-            # truncation keeps the value only of an integral energy (|E| < 2**53)
-            np.copyto(k, e, casting="unsafe")
-            if not np.equal(k, e, out=ok).all():
-                return False
-            k -= int(lo)
-            np.take(table, k, out=vec[start:stop])
-        return True
+            if table is not None:
+                # truncation keeps the value only of an integral energy (|E| < 2**53)
+                np.copyto(k, e, casting="unsafe")
+                if np.equal(k, e, out=ok).all():
+                    k -= int(lo)
+                    np.take(table, k, out=v)
+                    continue
+            np.multiply(-1j * gamma, e, out=v)
+            np.exp(v, out=v)
+        return vec
 
 
 def default_penalty_weight(instance: TspInstance) -> float:

@@ -16,17 +16,6 @@ from .encoded import BlockLayout, EncodedState, uniform_initial_state
 from .hamiltonian import CostDiagonal
 from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum
 
-SUITE_NAMES = (
-    "encoder",
-    "mixer",
-    "ergodicity",
-    "one_design",
-    "two_design",
-    "lie",
-    "baselines",
-)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     suite: str
@@ -307,7 +296,7 @@ def check_lie_dimension() -> list[CheckResult]:
 def check_baselines() -> list[CheckResult]:
     """Raw-bitstring baseline exact small case and log10 separations, n <= 12."""
     out = []
-    rep = analysis.classical_baselines(3, 3, 6)
+    rep = analysis.classical_baselines(3)
     out.append(
         _check(
             "baselines",
@@ -337,29 +326,30 @@ def check_baselines() -> list[CheckResult]:
     return out
 
 
+SUITES = {
+    "encoder": lambda: check_encoder() + check_encoder_variants() + check_cross_representation(),
+    "mixer": lambda: (
+        check_mixer_spectrum()
+        + check_mixer_unitarity()
+        + check_mixer_closed_form()
+        + check_mixer_gates()
+    ),
+    "ergodicity": check_ergodicity,
+    "one_design": lambda: check_one_design() + check_existence_bound(),
+    "two_design": check_two_design_moments,
+    "lie": check_lie_dimension,
+    "baselines": check_baselines,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str) -> list[CheckResult]:
-    suites = {
-        "encoder": lambda: check_encoder() + check_encoder_variants() + check_cross_representation(),
-        "mixer": lambda: (
-            check_mixer_spectrum()
-            + check_mixer_unitarity()
-            + check_mixer_closed_form()
-            + check_mixer_gates()
-        ),
-        "ergodicity": check_ergodicity,
-        "one_design": lambda: check_one_design() + check_existence_bound(),
-        "two_design": check_two_design_moments,
-        "lie": check_lie_dimension,
-        "baselines": check_baselines,
-    }
+    """The named suite's results, or every suite's for "all"; ValueError for any other name."""
     if name == "all":
-        results: list[CheckResult] = []
-        for suite in SUITE_NAMES:
-            results.extend(suites[suite]())
-        return results
-    if name not in suites:
+        return [result for suite in SUITES.values() for result in suite()]
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
-    return suites[name]()
+    return SUITES[name]()
 
 
 def format_results(results) -> str:

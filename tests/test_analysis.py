@@ -195,7 +195,8 @@ class TestLieDimension:
 
 class TestBaselines:
     def test_worked_examples(self):
-        rep = classical_baselines(3, 3, 6)
+        rep = classical_baselines(3)
+        assert (rep.m, rep.feasible_count) == (3, 6)
         assert rep.model_a_trials == pytest.approx(4.5)
         assert rep.model_b_trials == pytest.approx(513 / 7)
         assert rep.separation_ratio == pytest.approx((8 / 3) ** 3, rel=1e-12)

@@ -531,8 +531,9 @@ class TestHistogram:
         assert capsys.readouterr().err.strip() == "--shots must be >= 0, got -3"
         assert not out.exists()
 
-    def test_bad_angles(self, instance_file, tmp_path):
+    def test_bad_angles(self, instance_file, tmp_path, capsys):
         assert main(["histogram", str(instance_file), "--angles", "zero", "--out", str(tmp_path / "h.csv")]) == 1
+        assert capsys.readouterr().err.strip() == "bad --angles value 'zero' (want gamma,beta)"
 
 
 class TestVerifyCommand:
@@ -552,6 +553,8 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"unknown suite 'nope'; choose from {', '.join(verify.SUITE_NAMES)} or all"
 
 
 class TestBaselinesCommand:
@@ -570,10 +573,24 @@ class TestBaselinesCommand:
 
     def test_values(self, tmp_path, capsys):
         out = tmp_path / "base.json"
-        assert main(["baselines", "--n", "3", "--feasible-count", "6", "--out", str(out)]) == 0
+        assert main(["baselines", "--n", "3", "--out", str(out)]) == 0
         payload = read_json(out)
+        assert payload["m"] == 3 and payload["feasible_count"] == 6
         assert payload["model_a_trials"] == 4.5
         assert payload["model_b_trials"] == pytest.approx(513 / 7)
+
+    @pytest.mark.parametrize("n", ["-3", "0", "1"])
+    def test_n_below_two_names_the_flag(self, n, capsys):
+        assert main(["baselines", "--n", n]) == 1
+        assert capsys.readouterr().err.strip() == f"--n must be >= 2, got {n}"
+
+    @pytest.mark.parametrize("flag", [["--m", "2"], ["--feasible-count", "100"]])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["baselines", "--n", "3", *flag])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "unrecognized arguments" in err
 
 
 def test_benchmark_probe_stamps_the_first_circuit(instance_file, tmp_path):

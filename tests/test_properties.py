@@ -1,9 +1,10 @@
 """Property tests against scalar, dense and out-of-place references: the
 flat-index shot path, the rank-1 mixer, the in-place circuit kernels and
-the workspace's phase buffer, the level-table phase, the prefix-built cost
+the workspace's phase buffer, the per-chunk phase fill, the prefix-built cost
 diagonal and the one-buffer shot sampler."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from ceqaoa.encoded import (
     indices_to_labels,
     labels_to_indices,
 )
-from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
+from ceqaoa.hamiltonian import (
+    PHASE_CHUNK,
+    CostDiagonal,
+    TspInstance,
+    anchor,
+    build_cost_diagonal,
+)
 from ceqaoa import layers
 from ceqaoa.layers import (
     Column,
@@ -174,18 +181,20 @@ PHASE_KINDS = ["table", "fraction", "weight", "wide", "huge"]
 
 @st.composite
 def phase_cases(draw):
-    """A diagonal whose energies span T levels, set against D // 16, a gamma and the kind.
+    """A diagonal whose energies span T levels, set against D // 16, a gamma,
+    the kind and the number of labels the level table must fill.
 
     "table": integral energies from a base that may be negative, with
-    T <= D // 16.  The rest must fall back to the direct fill: "fraction"
-    (one non-integral energy, in the last chunk), "weight" (a non-integer
-    penalty weight and an odd count), "wide" (T = D // 16 + 1) and "huge"
-    (energies of 2**53 or more in magnitude).  D lies on both sides of the
-    8192-label chunk.
+    T <= D // 16; every chunk gathers.  "fraction": the same with one
+    non-integral energy, in the last chunk or, when D spans 3 or more
+    chunks, in a middle one; every other chunk gathers.  No chunk gathers
+    for "weight" (a non-integer penalty weight and an odd count in every
+    chunk), "wide" (T = D // 16 + 1) or "huge" (energies of 2**53 or more
+    in magnitude).  D lies on both sides of the 8192-label chunk.
     """
     shapes = [(4, 3), (3, 8), (2, 13), (2, 14), (3, 9), (6, 6)]  # D = 64 .. 46656
     layout = BlockLayout(*draw(st.sampled_from(shapes)))
-    bound = layout.D // 16
+    dim, bound = layout.D, layout.D // 16
     kind = draw(st.sampled_from(PHASE_KINDS))
     step = draw(st.integers(1, 2))
     levels = bound + 1 if kind == "wide" else draw(st.integers(step + 2, bound))
@@ -194,32 +203,40 @@ def phase_cases(draw):
     huge = st.sampled_from([2**53, -(2**54)])
     base = draw(huge if kind == "huge" else st.integers(-999, 999))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    count = rng.integers(0, top + 1, layout.D)
-    objective = (base + rng.integers(0, span + 1, layout.D)).astype(np.float64)
+    count = rng.integers(0, top + 1, dim)
+    objective = (base + rng.integers(0, span + 1, dim)).astype(np.float64)
     count[:2] = 0, top  # both ends of the range [base, base + levels - 1]
     objective[:2] = base, base + span
     weight = step - 0.5 if kind == "weight" else step
     if kind == "weight":
+        count[PHASE_CHUNK - 1 :: PHASE_CHUNK] = 1
         count[-1] = 1
+    gathered = dim if kind in ("table", "fraction") else 0
     if kind == "fraction":
-        count[-1] = 0
-        objective[-1] = base + draw(st.sampled_from([0.5, 2.0**-30]))
+        chunks = -(-dim // PHASE_CHUNK)
+        middle = st.integers(PHASE_CHUNK, (chunks - 1) * PHASE_CHUNK - 1)
+        at = draw(middle if chunks >= 3 and draw(st.booleans()) else st.just(dim - 1))
+        count[at] = 0
+        objective[at] = base + draw(st.sampled_from([0.5, 2.0**-30]))
+        chunk = at - at % PHASE_CHUNK
+        gathered -= min(chunk + PHASE_CHUNK, dim) - chunk
     diag = CostDiagonal(layout, objective, count, weight)
-    return diag, draw(st.sampled_from([0.0, -0.0]) | angles), kind
+    return diag, draw(st.sampled_from([0.0, -0.0]) | angles), kind, gathered
 
 
 @settings(deadline=None)
 @given(case=phase_cases())
 def test_phase_matches_direct_reference_bitwise(case):
-    """The level table gives the direct fill's bits, and a fallback found in
-    a late chunk rewrites the whole vector."""
-    diag, gamma, kind = case
+    """Each chunk gathers from the level table or fills itself directly, and
+    either way gives the direct reference's bits."""
+    diag, gamma, kind, gathered = case
     expected = reference_phase(diag, gamma).view(np.uint64)
     assert np.array_equal(diag.phase(gamma).view(np.uint64), expected)
     out = np.full(diag.layout.D, np.nan, dtype=np.complex128)
-    assert diag.phase(gamma, out) is out
+    with mock.patch.object(np, "take", wraps=np.take) as take:
+        assert diag.phase(gamma, out) is out
     assert np.array_equal(out.view(np.uint64), expected)
-    assert diag._phase_from_levels(float(gamma), out) == (kind == "table")
+    assert sum(call.kwargs["out"].size for call in take.call_args_list) == gathered, kind
 
 
 @pytest.mark.parametrize("n, m", [(2, 14), (2, 15), (4, 8), (3, 10)])
