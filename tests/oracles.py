@@ -77,19 +77,26 @@ def tour_cost(enc, label):
     return _cycle_cost(enc, [enc.city_of_symbol[j] for j in label])
 
 
-def enumerated_optimum(enc):
-    """(best cost, ascending flat indices of every optimal tour) by enumerating all tours.
+def enumerated_tours(enc):
+    """{flat: cost} over every tour, by enumerating the permutations of the m symbols.
 
-    Walks every permutation of the m symbols, sums each tour with tour_cost,
-    and keeps the tours within TIE_TOL * max(1, |best|) of the best, the
-    tie rule of brute_force_optimum.  The flat index of a label is its
+    Each cost is tour_cost's scalar sum.  The flat index of a label is its
     base-n reading, block 0 most significant.
     """
     n, m = enc.layout.n, enc.layout.m
-    costs = {
+    return {
         sum(s * n ** (m - 1 - b) for b, s in enumerate(perm)): tour_cost(enc, perm)
         for perm in permutations(range(m))
     }
+
+
+def enumerated_optimum(enc):
+    """(best cost, ascending flat indices of every optimal tour) by enumerating all tours.
+
+    Keeps the tours of enumerated_tours within TIE_TOL * max(1, |best|) of
+    the best, the tie rule of brute_force_optimum.
+    """
+    costs = enumerated_tours(enc)
     best = min(costs.values())
     return best, sorted(f for f, c in costs.items() if c <= best + TIE_TOL * max(1.0, abs(best)))
 
@@ -170,6 +177,12 @@ def exact_success_probability(diag, column):
     oracle = brute_force_optimum(diag)
     (state,) = run_circuit(diag, column)
     return float((np.abs(state.amplitudes[oracle.optimal_flats]) ** 2).sum()), oracle.degeneracy
+
+
+def tour_probabilities(diag, column, flats):
+    """Exact probabilities of the given flat labels after a one-beta column, from run_circuit."""
+    (state,) = run_circuit(diag, column)
+    return np.abs(state.amplitudes[np.asarray(flats, dtype=np.int64)]) ** 2
 
 
 def former_mixer(layout, amps, beta):
