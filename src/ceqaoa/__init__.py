@@ -16,8 +16,8 @@ from .encoded import (
     uniform_initial_state,
 )
 from .hamiltonian import (
-    BruteForceResult,
     CostDiagonal,
+    FeasibleSet,
     TspInstance,
     anchor,
     brute_force_optimum,
@@ -35,11 +35,9 @@ from .layers import (
 )
 from .phqc import (
     PhqcResult,
-    ShotSet,
     default_grid,
     derive_seed,
     phqc_solve,
-    sample_shots,
     square_grid,
 )
 

@@ -33,7 +33,6 @@ from .phqc import (
     pair_columns,
     peak_bytes,
     phqc_solve,
-    sample_shots,
     square_grid,
 )
 from .verify import SUITE_NAMES, format_results, run_suite
@@ -331,20 +330,16 @@ def cmd_histogram(args) -> int:
         + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
     )
     diag = build_cost_diagonal(enc, args.penalty_weight)
-    optimal_flats = brute_force_optimum(diag).optimal_flats
+    feasible = brute_force_optimum(diag)
     work = Workspace(layout)
     (state,) = run_circuit(diag, columns[0], work)
     probs = state.probabilities()
-    sampled = None
-    if shots > 0:  # the state is spent: the sampling CDF overwrites its amplitudes
-        sampled = sample_shots(state, shots, args.seed)
     del diag, state, work  # the rows need only the probabilities and the counts
 
-    counts = np.zeros(layout.D, dtype=np.int64)
-    if sampled is not None:
-        counts[sampled.flats] = sampled.counts
+    rng = np.random.default_rng(args.seed)
+    counts = np.bincount(rng.choice(layout.D, shots, p=probs / probs.sum()), minlength=layout.D)
     is_optimal = np.zeros(layout.D, dtype=np.int8)
-    is_optimal[optimal_flats] = 1
+    is_optimal[feasible.flats[: feasible.degeneracy]] = 1
     # most sampled first; the stable sort keeps equal counts in flat order
     order = np.argsort(-counts, kind="stable")
     # A flat index splits into a high half of m // 2 symbols and a low half

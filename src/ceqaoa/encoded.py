@@ -20,8 +20,6 @@ Label = tuple[int, ...]
 
 DEFAULT_MAX_DIM = 1 << 25
 NORM_TOL = 1e-10
-# labels per chunk of EncodedState.probabilities
-_CHUNK = 1 << 15
 
 
 class DimensionCapError(ValueError):
@@ -134,26 +132,10 @@ class EncodedState:
         """Amplitudes viewed as an m-way tensor with one axis per block."""
         return self.amplitudes.reshape((self.layout.n,) * self.layout.m)
 
-    def probabilities(self, out: np.ndarray | None = None) -> np.ndarray:
-        """|amplitude|**2 per label, written into out (a float64 D-vector) when given.
-
-        out may be the amplitudes' own buffer viewed as D floats, as a
-        caller done with the state passes it: label k's probability then
-        lands in the first half of amplitude k // 2, already read.  The
-        labels go element 0 alone, then in chunks [s, min(2s, s + _CHUNK)),
-        whose outputs lie below the amplitudes they read, so no chunk
-        writes over an amplitude not yet read and numpy needs no copy.
-        """
-        amps = self.amplitudes
-        if out is None:
-            out = np.empty(amps.shape)
-        np.square(np.abs(amps[:1]), out=out[:1])
-        lo = 1
-        while lo < amps.size:
-            hi = min(2 * lo, lo + _CHUNK, amps.size)
-            np.square(np.abs(amps[lo:hi], out=out[lo:hi]), out=out[lo:hi])
-            lo = hi
-        return out
+    def probabilities(self) -> np.ndarray:
+        """|amplitude|**2 per label, in a float64 D-vector of its own."""
+        probs = np.abs(self.amplitudes)
+        return np.square(probs, out=probs)
 
 
 def uniform_initial_state(layout: BlockLayout) -> EncodedState:

@@ -225,29 +225,38 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
 
 
 @dataclass(frozen=True, eq=False)
-class BruteForceResult:
-    """The optimal tour cost and the ascending int64 flat indices of every optimal tour."""
+class FeasibleSet:
+    """Every tour of a layout, cheapest first: 16 bytes per tour.
 
-    best_cost: float
+    flats holds the int64 flat index of each feasible label, sorted by
+    (cost, flat), and costs their float64 objectives in the same order.
+    The first degeneracy tours are the optima: those within the tie
+    tolerance of the best cost.
+    """
+
+    layout: BlockLayout
+    flats: np.ndarray
+    costs: np.ndarray
     degeneracy: int
-    optimal_flats: np.ndarray
 
 
 def _tie_threshold(best: float) -> float:
     return TIE_TOL * max(1.0, abs(best))
 
 
-def brute_force_optimum(diag: CostDiagonal) -> BruteForceResult:
-    """Scan the diagonal's feasible labels and collect every optimal tour.
+def brute_force_optimum(diag: CostDiagonal) -> FeasibleSet:
+    """Scan the diagonal's feasible labels and sort them by cost, ties in flat order.
 
     The feasible labels (penalty count 0) are exactly the anchored tours,
-    and their objectives are the scalar tour sums, bitwise.  Exact ties
-    (degenerate optima) are counted with a tolerance that only absorbs
-    float summation-order noise; with integer distances the tie set is
-    exact.
+    and their objectives are the scalar tour sums, bitwise.  Ties among
+    the optima (degenerate optima) are counted with a tolerance that only
+    absorbs float summation-order noise; with integer distances the tie
+    set is exact.
     """
     feasible = np.flatnonzero(diag.penalty_count == 0)
     costs = diag.objective[feasible]
-    best = float(costs.min())
-    flats = feasible[costs <= best + _tie_threshold(best)]
-    return BruteForceResult(best, int(flats.size), flats)
+    order = np.argsort(costs, kind="stable")
+    flats, costs = feasible[order], costs[order]
+    best = float(costs[0])
+    degeneracy = int(np.searchsorted(costs, best + _tie_threshold(best), side="right"))
+    return FeasibleSet(diag.layout, flats, costs, degeneracy)

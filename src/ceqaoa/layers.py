@@ -210,8 +210,7 @@ class Workspace:
     """Every buffer of a run of circuits, reused from one circuit to the next.
 
     amps is the complex amplitude buffer, the only D-sized one a circuit
-    needs; a caller that samples a spent state writes its CDF there.
-    mixer holds the mixer's block-sized buffers.  phase is a complex
+    needs.  mixer holds the mixer's block-sized buffers.  phase is a complex
     buffer for exp(-i gamma E), allocated by the first column that reuses
     its phase (Column.reuses_phase) and None until then.  A solve that
     keeps one workspace allocates no D-sized buffer per grid point.

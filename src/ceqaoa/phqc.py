@@ -1,7 +1,7 @@
 """Grid-search hybrid solver: shot sampling, deterministic checking, shot calculus.
 
 Every grid point runs the exact circuit, draws shots from the exact
-probabilities, filters feasible samples, and scores them with the tour
+probabilities, keeps the feasible samples, and scores them with the tour
 objective.  A single appearance of the optimum suffices; the choice of the
 best sample never consults frequency.
 """
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoded import BlockLayout, EncodedState
-from .hamiltonian import (
-    AnchoredTsp,
-    BruteForceResult,
-    CostDiagonal,
-    brute_force_optimum,
-    build_cost_diagonal,
-)
+from .hamiltonian import AnchoredTsp, FeasibleSet, brute_force_optimum, build_cost_diagonal
 from .layers import Column, Workspace, mixer_bytes, run_circuit
 
 
@@ -72,9 +66,13 @@ def default_shots(n_cities: int) -> int:
 # per grid point: its statistics with their cost histogram, and its JSON row,
 # about 1.7 kB measured on a 150 x 150 grid at n = 5
 POINT_BYTES = 2048
-# per shot of one point: the uniform draws and their indices, and np.unique's
-# sorted copy, mask and outputs, 41 bytes measured when every draw differs
-SHOT_BYTES = 48
+# per tour: the feasible set's flat and cost (16 bytes), and a point's gather
+# of its complex amplitudes and their moduli (24), measured at n = 7..9
+TOUR_BYTES = 40
+# per shot of one point: the uniform draws and their indices, their costs,
+# and np.unique's sorted copy, mask and outputs, 26 bytes measured when
+# every shot is feasible
+SHOT_BYTES = 32
 # the interpreter, numpy and ceqaoa: a one-point solve at n = 5 (D = 256)
 # peaks at 36.9 MB with numpy 2.4 on Linux, and larger runs stay that far
 # above the rest of the estimate up to n = 9
@@ -86,12 +84,12 @@ def peak_bytes(layout: BlockLayout, columns: Sequence[Column], shots: int) -> in
 
     INTERPRETER_BYTES, then per label: the diagonal's float64 objective and
     int16 penalty count (10 bytes), and the buffers of layers.Workspace:
-    the complex amplitudes (16), which hold the sampling CDF once a state
-    is spent, and the complex phase when some column reuses it
-    (Column.reuses_phase, 16).  Then the mixer's block-sized buffers
-    (layers.mixer_bytes), POINT_BYTES per grid point and SHOT_BYTES per
-    shot, one point's shots alive at a time.  The oracle's one-byte
-    feasibility mask is freed before the workspace is allocated.
+    the complex amplitudes (16) and the complex phase when some column
+    reuses it (Column.reuses_phase, 16).  Then the mixer's block-sized
+    buffers (layers.mixer_bytes), POINT_BYTES per grid point, TOUR_BYTES
+    per feasible label (the feasible set and one point's gather) and
+    SHOT_BYTES per shot, one point's shots alive at a time.  The oracle's
+    one-byte feasibility mask is freed before the workspace is allocated.
     """
     points = sum(len(col.betas) for col in columns)
     held = 10 + 16 + (16 if any(col.reuses_phase for col in columns) else 0)
@@ -100,6 +98,7 @@ def peak_bytes(layout: BlockLayout, columns: Sequence[Column], shots: int) -> in
         + layout.D * held
         + mixer_bytes(layout)
         + points * POINT_BYTES
+        + math.perm(layout.n, layout.m) * TOUR_BYTES
         + shots * SHOT_BYTES
     )
 
@@ -108,65 +107,6 @@ def derive_seed(master_seed: int, grid_index: int) -> int:
     """Stable per-grid-point seed, so grid points are independent streams."""
     ss = np.random.SeedSequence([int(master_seed), int(grid_index)])
     return int(ss.generate_state(1)[0])
-
-
-@dataclass(frozen=True, eq=False)
-class ShotSet:
-    """Measured samples at one angle pair.
-
-    flats holds the distinct sampled flat indices in strictly ascending
-    order and counts how often each was drawn; both are int64 arrays of
-    equal length, and the counts sum to total_shots.
-    """
-
-    layout: BlockLayout
-    flats: np.ndarray
-    counts: np.ndarray
-    total_shots: int
-
-    def __post_init__(self) -> None:
-        flats = np.asarray(self.flats, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "flats", flats)
-        object.__setattr__(self, "counts", counts)
-        if self.total_shots < 1:
-            raise ValueError(f"total_shots must be >= 1, got {self.total_shots}")
-        if flats.ndim != 1 or flats.shape != counts.shape:
-            raise ValueError(
-                f"flats {flats.shape} and counts {counts.shape} must be 1-D of equal length"
-            )
-        if np.any(np.diff(flats) <= 0):
-            raise ValueError("flats must be strictly ascending")
-        if flats.size and not (flats[0] >= 0 and flats[-1] < self.layout.D):
-            raise ValueError(f"flat index outside [0, {self.layout.D})")
-        if np.any(counts < 0):
-            raise ValueError("negative count")
-        total = int(counts.sum())
-        if total != self.total_shots:
-            raise ValueError(f"counts sum to {total}, expected {self.total_shots}")
-
-
-def sample_shots(state: EncodedState, total_shots: int, seed: int) -> ShotSet:
-    """Draw total_shots independent samples from the exact probability vector.
-
-    Consumes the state: the inverse-CDF sampling runs in its own buffer,
-    the amplitudes viewed as D floats (EncodedState.probabilities), so a
-    caller that needs the state afterwards passes a copy.  The steps, the
-    rounding and the uniform stream are those of
-    rng.choice(D, size, p=p / p.sum()), so the draws are the same, without
-    choice's normalised copy, cumulative copy and argument checks (the
-    state's norm gate already rules out non-finite amplitudes).
-    """
-    if total_shots < 1:
-        raise ValueError(f"total_shots must be >= 1, got {total_shots}")
-    rng = np.random.default_rng(seed)
-    cdf = state.probabilities(state.amplitudes.view(np.float64)[: state.layout.D])
-    cdf /= cdf.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(rng.random(total_shots), side="right")
-    flats, counts = np.unique(draws, return_counts=True)
-    return ShotSet(state.layout, flats, counts, total_shots)
 
 
 def required_shots(p_min: float, delta: float) -> int:
@@ -180,41 +120,58 @@ def required_shots(p_min: float, delta: float) -> int:
 
 @dataclass(frozen=True)
 class ScoredShots:
-    """The checked shots of one grid point.
+    """One grid point: the exact mass on its optima, and its checked shots.
 
     cost_counts pairs every distinct feasible cost, ascending, with the
     number of shots that drew a tour of that cost.
     """
 
+    p_opt: float
     best_cost: float | None
     best_flat: int | None
     feasible_shots: int
     cost_counts: tuple[tuple[float, int], ...]
 
 
-def score_shots(shots: ShotSet, diag: CostDiagonal) -> ScoredShots:
-    """Deterministic checker: keep feasible samples, score with the tour objective.
+def sample_tours(
+    state: EncodedState, feasible: FeasibleSet, total_shots: int, seed: int
+) -> ScoredShots:
+    """Draw total_shots shots from the state and check them, drawing only the feasible ones.
 
-    Frequency never decides the best sample; ties on cost break toward the
-    lowest flat index.  One feasibility mask serves the best sample and the
-    cost histogram.
+    One O(m!) gather, p = |amplitudes[feasible.flats]|**2, gives the
+    point's exact optimum mass (the first feasible.degeneracy entries,
+    summed in ascending flat order), its feasible mass F = sum(p), the
+    number of feasible shots K ~ Binomial(total_shots, F), and those K
+    shots, drawn over the tours by rng.choice with p / F.  An infeasible
+    shot reaches the checker only as a count, so the outcome has the law
+    of drawing every shot over all D labels and keeping the feasible ones.
+    The tours come cheapest first, so the least drawn index is the best
+    sample: ties on cost go to the lowest flat index, and frequency never
+    decides.  The state is left as it is.
     """
-    if shots.layout != diag.layout:
-        raise ValueError("shot set and diagonal layouts must agree")
-    feasible = diag.penalty_count[shots.flats] == 0
-    flats, counts = shots.flats[feasible], shots.counts[feasible]
-    if flats.size == 0:
-        return ScoredShots(None, None, 0, ())
-    costs = diag.objective[flats]
-    # flats ascend, so the first minimum is the lowest flat index among ties
-    best = int(np.argmin(costs))
-    levels, which = np.unique(costs, return_inverse=True)
-    totals = np.bincount(which, weights=counts).astype(np.int64)
+    if state.layout != feasible.layout:
+        raise ValueError("state and feasible set layouts must agree")
+    if total_shots < 1:
+        raise ValueError(f"total_shots must be >= 1, got {total_shots}")
+    rng = np.random.default_rng(seed)
+    p = np.abs(state.amplitudes[feasible.flats])
+    np.square(p, out=p)
+    optima = np.argsort(feasible.flats[: feasible.degeneracy])
+    p_opt = float(p[optima].sum())
+    mass = float(p.sum())
+    hits = int(rng.binomial(total_shots, min(mass, 1.0)))
+    if hits == 0:
+        return ScoredShots(p_opt, None, None, 0, ())
+    p /= mass
+    draws = rng.choice(p.size, hits, p=p)
+    best = int(draws.min())
+    levels, counts = np.unique(feasible.costs[draws], return_counts=True)
     return ScoredShots(
-        float(costs[best]),
-        int(flats[best]),
-        int(counts.sum()),
-        tuple(zip(levels.tolist(), totals.tolist())),
+        p_opt,
+        float(feasible.costs[best]),
+        int(feasible.flats[best]),
+        hits,
+        tuple(zip(levels.tolist(), counts.tolist())),
     )
 
 
@@ -283,7 +240,7 @@ def phqc_solve(
     t_start = time.perf_counter()
     diag = build_cost_diagonal(enc, penalty_weight)
     t_diag = time.perf_counter()
-    oracle = brute_force_optimum(diag)
+    feasible = brute_force_optimum(diag)
     t_oracle = time.perf_counter()
     stats: list[GridPointStat] = []
     opt_mass: list[float] = []  # exact probability of the optima, per point
@@ -298,10 +255,8 @@ def phqc_solve(
         for state, beta in zip(run_circuit(diag, col, work), col.betas, strict=True)
     )
     for idx, (g, b, state) in enumerate(points):
-        opt_mass.append(_optimal_mass(state, oracle))
-        # the state is spent once its optimal mass is read: the CDF overwrites it
-        shots = sample_shots(state, shots_per_point, derive_seed(master_seed, idx))
-        scored = score_shots(shots, diag)
+        scored = sample_tours(state, feasible, shots_per_point, derive_seed(master_seed, idx))
+        opt_mass.append(scored.p_opt)
         stats.append(
             GridPointStat(
                 idx,
@@ -325,7 +280,7 @@ def phqc_solve(
         best_cost, best_flat, win_idx = best
         best_angles = (stats[win_idx].gamma, stats[win_idx].beta)
         p_opt = opt_mass[win_idx]
-        degen = oracle.degeneracy
+        degen = feasible.degeneracy
     return PhqcResult(
         best_flat,
         best_cost,
@@ -342,7 +297,3 @@ def phqc_solve(
         },
     )
 
-
-def _optimal_mass(state: EncodedState, oracle: BruteForceResult) -> float:
-    # O(degeneracy): square only the optimal amplitudes, not the whole state
-    return float((np.abs(state.amplitudes[oracle.optimal_flats]) ** 2).sum())

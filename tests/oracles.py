@@ -174,9 +174,10 @@ def exact_success_probability(diag, column):
     Not independent of the package: it composes the diagonal's scan for the
     optima with the simulator, as the solver does for its winning point.
     """
-    oracle = brute_force_optimum(diag)
+    feasible = brute_force_optimum(diag)
+    optimal = np.sort(feasible.flats[: feasible.degeneracy])
     (state,) = run_circuit(diag, column)
-    return float((np.abs(state.amplitudes[oracle.optimal_flats]) ** 2).sum()), oracle.degeneracy
+    return float((np.abs(state.amplitudes[optimal]) ** 2).sum()), feasible.degeneracy
 
 
 def tour_probabilities(diag, column, flats):
@@ -228,11 +229,23 @@ def reference_cost_diagonal(enc):
     return objective, n - m + 2 * collisions.astype(np.int64)
 
 
-def reference_sample(probs, total_shots, seed):
-    """(flats, counts) of total_shots draws by Generator.choice on the normalised vector."""
+def reference_tour_sample(amplitudes, tours, total_shots, seed):
+    """(flat, 1) per feasible shot, replaying the per-point sampler's draws over given tours.
+
+    tours is {flat: cost}, as enumerated_tours gives it.  The tours are
+    ordered by (cost, flat), and the draws take the sampler's steps: K ~
+    Binomial(total_shots, F) feasible shots, F the tours' total
+    probability, then K draws by Generator.choice over the tours'
+    probabilities divided by F.
+    """
+    order = sorted(tours, key=lambda flat: (tours[flat], flat))
+    probs = np.abs(amplitudes[np.array(order, dtype=np.int64)]) ** 2
+    mass = float(probs.sum())
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(probs), size=total_shots, p=probs / probs.sum())
-    return np.unique(draws, return_counts=True)
+    hits = int(rng.binomial(total_shots, min(mass, 1.0)))
+    if hits == 0:
+        return []
+    return [(order[i], 1) for i in rng.choice(len(order), hits, p=probs / mass).tolist()]
 
 
 def scalar_score(penalty_count, objective, flat_counts):

@@ -19,6 +19,7 @@ from ceqaoa.phqc import (
     INTERPRETER_BYTES,
     POINT_BYTES,
     SHOT_BYTES,
+    TOUR_BYTES,
     default_shots,
     phqc_solve,
 )
@@ -298,6 +299,7 @@ class TestMemoryEstimate:
                 + per_label * 7**7
                 + layers.mixer_bytes(BlockLayout(7, 7))
                 + points * POINT_BYTES
+                + math.factorial(7) * TOUR_BYTES
                 + default_shots(8) * SHOT_BYTES
             )
             assert meta["peak_estimate_mb"] == estimate / 2**20

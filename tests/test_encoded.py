@@ -1,9 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from ceqaoa import encoded
 from ceqaoa.encoded import (
     BlockLayout,
     BlockPermutation,
@@ -118,29 +115,6 @@ class TestEncodedState:
         EncodedState(lay, np.array([1.0 + 4e-11, 0.0]))  # within 1e-10 on the square
         with pytest.raises(ValueError):
             EncodedState(lay, np.array([1.0 + 1e-9, 0.0]))
-
-    @pytest.mark.parametrize("chunk", [1, 5, 1 << 15])
-    def test_probabilities_in_the_state_own_buffer(self, monkeypatch, chunk):
-        # the doubling chunks, then (for the small chunks) fixed ones with a
-        # short last chunk; a chunk whose output overlapped its input would
-        # make numpy copy the input first
-        monkeypatch.setattr(encoded, "_CHUNK", chunk)
-        lay = BlockLayout(3, 8)
-        rng = np.random.default_rng(chunk)
-        amps = rng.normal(size=lay.D) + 1j * rng.normal(size=lay.D)
-        state = EncodedState(lay, amps / np.linalg.norm(amps))
-        expected = np.abs(state.amplitudes) ** 2
-        assert np.array_equal(state.probabilities(), expected)
-        assert np.array_equal(state.probabilities(np.empty(lay.D)), expected)
-        own = state.amplitudes.view(np.float64)[: lay.D]
-        tracemalloc.start()
-        try:
-            assert np.shares_memory(state.probabilities(own), state.amplitudes)
-            copied = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(own, expected)
-        assert copied < lay.D  # bytes: far below a copy of the amplitudes (16 D)
 
 
 class TestBlockPermutation:

@@ -17,6 +17,7 @@ from ceqaoa.hamiltonian import (
 
 from oracles import (
     enumerated_optimum,
+    enumerated_tours,
     held_karp_cycle,
     is_feasible,
     label_to_index,
@@ -223,14 +224,20 @@ def oracle_instance(kind, n_cities, seed):
     return np.rint(random_asymmetric_instance(n_cities, seed, 1.0, 3.0))
 
 
+def optimal_flats(res):
+    """The optima of a feasible set as ascending flat indices."""
+    return sorted(res.flats[: res.degeneracy].tolist())
+
+
 class TestBruteForce:
     def test_worked_example(self):
         enc = example_4()
         res = optimum(enc)
-        assert res.best_cost == 80.0
+        assert res.costs[0] == 80.0
         assert res.degeneracy == 2  # a symmetric tour and its reversal
         expected = [label_to_index(enc.layout, lab) for lab in [(0, 2, 1), (1, 2, 0)]]
-        assert res.optimal_flats.tolist() == expected
+        assert optimal_flats(res) == expected
+        assert res.layout == enc.layout and res.flats.size == res.costs.size == 6
 
     def test_all_equal_distances_fully_degenerate(self):
         for n_cities in (4, 5):
@@ -242,15 +249,15 @@ class TestBruteForce:
     def test_matches_held_karp(self, n_cities):
         m = random_symmetric_instance(n_cities, 40 + n_cities)
         res = optimum(anchor(TspInstance("hk", n_cities, m), 0))
-        assert res.best_cost == pytest.approx(held_karp_cycle(m, 0), rel=1e-10)
+        assert res.costs[0] == pytest.approx(held_karp_cycle(m, 0), rel=1e-10)
 
     def test_optimal_labels_are_feasible_minima(self):
         enc = anchor(TspInstance("r6", 6, random_symmetric_instance(6, 11)), 0)
         res = optimum(enc)
-        for flat in res.optimal_flats.tolist():
+        for flat in optimal_flats(res):
             label = index_to_label(enc.layout, flat)
             assert is_feasible(enc, label)
-            assert tour_cost(enc, label) == pytest.approx(res.best_cost, rel=1e-12)
+            assert tour_cost(enc, label) == pytest.approx(res.costs[0], rel=1e-12)
 
     @pytest.mark.parametrize("n_cities", [4, 5, 6, 7])
     @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "all-equal", "small-integer"])
@@ -261,7 +268,12 @@ class TestBruteForce:
             enc = anchor(TspInstance(kind, n_cities, oracle_instance(kind, n_cities, seed)), 0)
             res = optimum(enc)
             best, flats = enumerated_optimum(enc)
-            assert res.best_cost == best
-            assert res.optimal_flats.dtype == np.int64
-            assert res.optimal_flats.tolist() == flats
+            assert res.costs[0] == best
+            assert optimal_flats(res) == flats
             assert res.degeneracy == len(flats)
+            # every tour, sorted by (cost, flat)
+            tours = enumerated_tours(enc)
+            order = sorted(tours, key=lambda flat: (tours[flat], flat))
+            assert res.flats.dtype == np.int64
+            assert res.flats.tolist() == order
+            assert res.costs.tolist() == [tours[flat] for flat in order]

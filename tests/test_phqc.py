@@ -11,6 +11,7 @@ from ceqaoa.encoded import (
     uniform_initial_state,
 )
 from ceqaoa.hamiltonian import (
+    CostDiagonal,
     TspInstance,
     anchor,
     brute_force_optimum,
@@ -22,7 +23,7 @@ from ceqaoa.phqc import (
     INTERPRETER_BYTES,
     POINT_BYTES,
     SHOT_BYTES,
-    ShotSet,
+    TOUR_BYTES,
     default_grid,
     default_shots,
     derive_seed,
@@ -30,8 +31,7 @@ from ceqaoa.phqc import (
     peak_bytes,
     phqc_solve,
     required_shots,
-    sample_shots,
-    score_shots,
+    sample_tours,
     square_grid,
 )
 
@@ -110,59 +110,60 @@ class TestGrids:
         assert pair_columns([]) == []
 
 
+def basis_mix(layout, label_probs):
+    """State whose probability on each given label is as given, with phases from label order."""
+    amps = np.zeros(layout.D, dtype=complex)
+    for k, (label, prob) in enumerate(label_probs.items()):
+        amps[label_to_index(layout, label)] = np.sqrt(prob) * np.exp(0.7j * k)
+    return EncodedState(layout, amps)
+
+
+def checked(scored):
+    return (scored.best_cost, scored.best_flat, scored.feasible_shots, scored.cost_counts)
+
+
 class TestSampling:
-    def test_basis_state_all_shots_equal(self):
-        lay = BlockLayout(3, 2)
-        flat = label_to_index(lay, (2, 0))
-        amps = np.zeros(lay.D, dtype=complex)
-        amps[flat] = 1.0
-        shots = sample_shots(EncodedState(lay, amps), 50, seed=1)
-        assert shots.flats.tolist() == [flat]
-        assert shots.counts.tolist() == [50]
+    def test_basis_state_on_one_tour_gets_every_shot(self):
+        enc = example_4()
+        feasible = brute_force_optimum(build_cost_diagonal(enc))
+        flat = label_to_index(enc.layout, (1, 0, 2))
+        scored = sample_tours(basis_mix(enc.layout, {(1, 0, 2): 1.0}), feasible, 50, seed=1)
+        cost = tour_cost(enc, (1, 0, 2))
+        assert checked(scored) == (cost, flat, 50, ((cost, 50),))
+        assert scored.p_opt == 0.0
 
     def test_uniform_counts_within_five_sigma(self):
-        lay = BlockLayout(3, 3)
-        shots = sample_shots(uniform_initial_state(lay), 27000, seed=2)
-        sigma = math.sqrt(27000 * (1 / 27) * (26 / 27))
-        assert shots.counts.sum() == 27000
-        for cnt in shots.counts:
-            assert abs(cnt - 1000) <= 5 * sigma
+        # every tour of this instance has its own cost, so the cost
+        # histogram counts the shots of each tour
+        enc = anchor(TspInstance("a5", 5, random_asymmetric_instance(5, 4)), 0)
+        feasible = brute_force_optimum(build_cost_diagonal(enc))
+        tours, dim, shots = feasible.flats.size, enc.layout.D, 25600
+        assert np.unique(feasible.costs).size == tours == 24
+        scored = sample_tours(uniform_initial_state(enc.layout), feasible, shots, seed=2)
+        mass = tours / dim
+        assert abs(scored.feasible_shots - shots * mass) <= 5 * math.sqrt(
+            shots * mass * (1 - mass)
+        )
+        assert len(scored.cost_counts) == tours
+        sigma = math.sqrt(shots * (1 / dim) * (1 - 1 / dim))
+        for _, cnt in scored.cost_counts:
+            assert abs(cnt - shots / dim) <= 5 * sigma
 
     def test_same_seed_identical(self):
-        lay = BlockLayout(3, 3)
-        state = uniform_initial_state(lay)
-        # sampling consumes its state, so the first draw gets a copy
-        a = sample_shots(EncodedState(lay, state.amplitudes.copy()), 500, seed=7)
-        b = sample_shots(state, 500, seed=7)
-        assert np.array_equal(a.flats, b.flats)
-        assert np.array_equal(a.counts, b.counts)
-
-    def test_shotset_validation(self):
-        lay = BlockLayout(2, 2)
-        flat = label_to_index(lay, (0, 1))
-        with pytest.raises(ValueError):
-            ShotSet(lay, [flat], [2], 3)  # counts do not sum to total_shots
-        with pytest.raises(ValueError):
-            ShotSet(lay, [0, flat], [4, -1], 3)  # negative count
-        with pytest.raises(ValueError):
-            ShotSet(lay, [flat], [3, 0], 3)  # unequal lengths
-        with pytest.raises(ValueError):
-            ShotSet(lay, [], [], 0)
-
-    @pytest.mark.parametrize(
-        "flats",
-        [[2, 1], [1, 1], [4], [-1], [[1]]],
-        ids=["unsorted", "duplicate", "at_D", "negative", "two_dim"],
-    )
-    def test_shotset_rejects_bad_flats(self, flats):
-        lay = BlockLayout(2, 2)
-        counts = np.ones(np.shape(flats), dtype=np.int64)
-        with pytest.raises(ValueError):
-            ShotSet(lay, flats, counts, int(counts.sum()))
+        enc = example_4()
+        feasible = brute_force_optimum(build_cost_diagonal(enc))
+        state = uniform_initial_state(enc.layout)
+        before = state.amplitudes.copy()
+        a = sample_tours(state, feasible, 500, seed=7)
+        b = sample_tours(state, feasible, 500, seed=7)
+        assert a == b
+        assert np.array_equal(state.amplitudes, before)  # the state is left as it is
 
     def test_rejects_zero_shots(self):
-        with pytest.raises(ValueError):
-            sample_shots(uniform_initial_state(BlockLayout(2, 2)), 0, seed=0)
+        enc = example_4()
+        feasible = brute_force_optimum(build_cost_diagonal(enc))
+        with pytest.raises(ValueError, match="total_shots"):
+            sample_tours(uniform_initial_state(enc.layout), feasible, 0, seed=0)
 
 
 class TestRequiredShots:
@@ -179,46 +180,68 @@ class TestRequiredShots:
             required_shots(0.5, 1.0)
 
 
-def shot_set(layout, label_counts):
-    """ShotSet from {label: count}, with flats from label_to_index."""
-    flats, counts = zip(*sorted((label_to_index(layout, lab), c) for lab, c in label_counts.items()))
-    return ShotSet(layout, flats, counts, sum(counts))
-
-
 class TestScoring:
     def test_injected_optimum_is_found(self):
         enc = example_4()
         diag = build_cost_diagonal(enc)
-        flat = int(brute_force_optimum(diag).optimal_flats[0])
-        # the optimum appears once
-        optimum = index_to_label(enc.layout, flat)
-        shots = shot_set(enc.layout, {(0, 0, 0): 80, (0, 1, 2): 19, optimum: 1})
-        scored = score_shots(shots, diag)
+        feasible = brute_force_optimum(diag)
+        flat = label_to_index(enc.layout, (0, 2, 1))
+        # the optimum holds 1% of the mass, an infeasible label 80%
+        state = basis_mix(enc.layout, {(0, 0, 0): 0.8, (0, 1, 2): 0.19, (0, 2, 1): 0.01})
+        scored = sample_tours(state, feasible, 2000, seed=3)
         assert scored.best_flat == flat
         assert scored.best_cost == 80.0
-        assert scored.feasible_shots == 20
+        assert scored.p_opt == pytest.approx(0.01, abs=1e-15)
         # the cost histogram counts the feasible shots by cost, ascending
-        assert scored.cost_counts == ((80.0, 1), (tour_cost(enc, (0, 1, 2)), 19))
+        levels = [cost for cost, _ in scored.cost_counts]
+        assert levels == [80.0, tour_cost(enc, (0, 1, 2))]
+        assert sum(cnt for _, cnt in scored.cost_counts) == scored.feasible_shots
 
     def test_tie_breaks_to_lowest_flat_index(self):
         enc = example_4()
+        feasible = brute_force_optimum(build_cost_diagonal(enc))
         # (0, 2, 1) and (1, 2, 0) are the two degenerate optima
-        shots = shot_set(enc.layout, {(1, 2, 0): 5, (0, 2, 1): 5})
-        scored = score_shots(shots, build_cost_diagonal(enc))
-        assert scored.best_flat == label_to_index(enc.layout, (0, 2, 1))
-        assert scored.cost_counts == ((80.0, 10),)
+        state = basis_mix(enc.layout, {(1, 2, 0): 0.5, (0, 2, 1): 0.5})
+        scored = sample_tours(state, feasible, 100, seed=4)
+        flat = label_to_index(enc.layout, (0, 2, 1))
+        assert checked(scored) == (80.0, flat, 100, ((80.0, 100),))
 
-    def test_no_feasible_samples(self):
+    def test_no_feasible_mass(self):
         enc = example_4()
-        shots = shot_set(enc.layout, {(0, 0, 0): 3, (1, 1, 2): 2})
-        scored = score_shots(shots, build_cost_diagonal(enc))
-        assert scored.best_flat is None and scored.best_cost is None
-        assert scored.feasible_shots == 0 and scored.cost_counts == ()
+        feasible = brute_force_optimum(build_cost_diagonal(enc))
+        state = basis_mix(enc.layout, {(0, 0, 0): 0.6, (1, 1, 2): 0.4})
+        scored = sample_tours(state, feasible, 5, seed=5)
+        assert checked(scored) == (None, None, 0, ())
+        assert scored.p_opt == 0.0
 
-    def test_rejects_a_diagonal_of_another_layout(self):
-        shots = shot_set(BlockLayout(2, 3), {(0, 1, 1): 2})
+    def test_rejects_a_state_of_another_layout(self):
+        feasible = brute_force_optimum(build_cost_diagonal(example_4()))
         with pytest.raises(ValueError, match="layouts must agree"):
-            score_shots(shots, build_cost_diagonal(example_4()))
+            sample_tours(uniform_initial_state(BlockLayout(2, 3)), feasible, 2, seed=0)
+
+    def test_optimum_mass_sums_the_optima_in_flat_order(self):
+        # 24 optimal tours whose costs lie within the tie tolerance but
+        # fall as the flat index grows: the set's optimum prefix runs
+        # against flat order, and the mass is still summed in flat order
+        enc = anchor(TspInstance("eq5", 5, np.ones((5, 5)) - np.eye(5)), 0)
+        base = build_cost_diagonal(enc)
+        tours = np.flatnonzero(base.penalty_count == 0)
+        objective = base.objective.copy()
+        objective[tours] = 10.0 + 1e-14 * np.arange(tours.size)[::-1]
+        diag = CostDiagonal(enc.layout, objective, base.penalty_count, base.penalty_weight)
+        feasible = brute_force_optimum(diag)
+        assert feasible.degeneracy == 24
+        assert feasible.flats.tolist() == tours[::-1].tolist()
+        rng = np.random.default_rng(6)
+        reversed_differs = False
+        for seed in range(10):
+            amps = rng.normal(size=enc.layout.D) + 1j * rng.normal(size=enc.layout.D)
+            state = EncodedState(enc.layout, amps / np.linalg.norm(amps))
+            probs = np.abs(state.amplitudes[tours]) ** 2
+            p_opt = sample_tours(state, feasible, 1, seed).p_opt
+            assert p_opt == float(probs.sum())
+            reversed_differs |= float(probs[::-1].sum()) != p_opt
+        assert reversed_differs  # the summation order shows in the bits
 
 
 class TestSolve:
@@ -346,15 +369,17 @@ class TestMemoryPlan:
     def test_peak_bytes(self):
         one = [Column(1.0, (0.5,))]
         base = INTERPRETER_BYTES + POINT_BYTES
-        # objective, penalty count and the amplitudes, which then hold the
-        # CDF: 26 bytes per label.  The mixer adds one column chunk of
-        # slice sums (4096 labels) and one transposed block (8**5 labels).
+        # objective, penalty count and the amplitudes: 26 bytes per label.
+        # The mixer adds one column chunk of slice sums (4096 labels) and
+        # one transposed block (8**5 labels), and the 8! tours their own term.
         mixer = 16 * (4096 + 8**5)
-        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 26 * 8**8 + mixer
+        tours = math.factorial(8) * TOUR_BYTES
+        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 26 * 8**8 + mixer + tours
         # a column that reuses its phase adds a phase buffer of 16
         reused = [Column(1.0, (0.5,), 2)]
-        assert peak_bytes(BlockLayout(8, 8), reused, 0) == base + 42 * 8**8 + mixer
-        # a state of one block needs only the slice sums of one axis, D / n
+        assert peak_bytes(BlockLayout(8, 8), reused, 0) == base + 42 * 8**8 + mixer + tours
+        # a state of one block needs only the slice sums of one axis, D / n;
+        # 10 blocks of 2 symbols hold no tour
         assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 26 * 2**10 + 16 * 2**9
         # grid points and the shots of one point add their own terms
         grid = square_grid(9)

@@ -1,7 +1,7 @@
 """Property tests against scalar, dense and out-of-place references: the
-flat-index shot path, the rank-1 mixer, the in-place circuit kernels and
-the workspace's phase buffer, the per-chunk phase fill, the prefix-built cost
-diagonal and the one-buffer shot sampler."""
+per-point tour sampler and checker, the rank-1 mixer, the in-place circuit
+kernels and the workspace's phase buffer, the per-chunk phase fill and the
+prefix-built cost diagonal."""
 
 import itertools
 from unittest import mock
@@ -23,6 +23,7 @@ from ceqaoa.hamiltonian import (
     CostDiagonal,
     TspInstance,
     anchor,
+    brute_force_optimum,
     build_cost_diagonal,
 )
 from ceqaoa import layers
@@ -33,14 +34,18 @@ from ceqaoa.layers import (
     mixer_block_matrix,
     run_circuit,
 )
-from ceqaoa.phqc import ShotSet, sample_shots, score_shots
+from ceqaoa.phqc import sample_tours
 
 from oracles import (
+    enumerated_optimum,
+    enumerated_tours,
     former_mixer,
+    random_asymmetric_instance,
+    random_symmetric_instance,
     reference_circuit,
     reference_cost_diagonal,
     reference_phase,
-    reference_sample,
+    reference_tour_sample,
     scalar_score,
 )
 
@@ -65,30 +70,51 @@ def test_indices_to_labels_matches_scalar(layout, data):
 
 
 @st.composite
-def scoring_cases(draw):
-    """An anchored instance, a random diagonal with ties and infeasible labels, and shots."""
-    n_cities = draw(st.integers(3, 4))
-    enc = anchor(TspInstance("p", n_cities, np.ones((n_cities, n_cities)) - np.eye(n_cities)))
+def tour_sampling_cases(draw):
+    """An anchored instance, often with tied tours, a normalised state on its layout, shots and a seed.
+
+    The state is random, random with exact zeros, a basis state (on a tour
+    or not) or spread over the infeasible labels only.
+    """
+    n_cities = draw(st.integers(3, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        # distances 1..3: many tours share a cost
+        matrix = np.rint(random_asymmetric_instance(n_cities, seed, 1.0, 3.0))
+    else:
+        matrix = random_symmetric_instance(n_cities, seed)
+    enc = anchor(TspInstance("p", n_cities, matrix))
     dim = enc.layout.D
-    # few distinct costs, so ties between feasible samples are common
-    objective = draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
-    count = draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=dim, max_size=dim))
-    diag = CostDiagonal(enc.layout, np.array(objective, float), np.array(count), 1.0)
-    flats = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=min(dim, 30))))
-    counts = draw(st.lists(st.integers(0, 9), min_size=len(flats), max_size=len(flats)))
-    counts[0] += 1  # total_shots >= 1
-    return enc, diag, ShotSet(enc.layout, flats, counts, sum(counts))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["random", "zeros", "basis", "infeasible"]))
+    if kind == "basis":
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[draw(st.integers(0, dim - 1))] = 1.0
+    else:
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if kind == "zeros":
+            amps[rng.random(dim) < draw(st.sampled_from([0.5, 0.9]))] = 0.0
+            amps[rng.integers(dim)] = 1.0
+        elif kind == "infeasible":
+            amps[list(enumerated_tours(enc))] = 0.0
+        amps /= np.linalg.norm(amps)
+    state = EncodedState(enc.layout, amps)
+    return enc, state, draw(st.integers(1, 2000)), draw(st.integers(0, 2**63 - 1))
 
 
 @settings(deadline=None)
-@given(case=scoring_cases())
-def test_score_shots_matches_scalar_loop(case):
-    _, diag, shots = case
-    scored = score_shots(shots, diag)
-    pairs = zip(shots.flats.tolist(), shots.counts.tolist())
+@given(case=tour_sampling_cases())
+def test_sample_tours_matches_scalar_checker(case):
+    # the reference replays the draws over the enumerated tours and scores
+    # them with the scalar loop; the optimum mass sums the enumerated optima
+    enc, state, total_shots, seed = case
+    diag = build_cost_diagonal(enc)
+    scored = sample_tours(state, brute_force_optimum(diag), total_shots, seed)
+    pairs = reference_tour_sample(state.amplitudes, enumerated_tours(enc), total_shots, seed)
     expected = scalar_score(diag.penalty_count, diag.objective, pairs)
-    got = (scored.best_cost, scored.best_flat, scored.feasible_shots, scored.cost_counts)
-    assert got == expected
+    assert (scored.best_cost, scored.best_flat, scored.feasible_shots, scored.cost_counts) == expected
+    _, optima = enumerated_optimum(enc)
+    assert scored.p_opt == float((np.abs(state.amplitudes[optima]) ** 2).sum())
 
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
@@ -373,32 +399,3 @@ def test_cost_diagonal_matches_symbol_column_reference(case):
     assert np.array_equal(diag.objective, objective)
     assert diag.penalty_weight == weight
     assert np.array_equal(diag.penalty_count, count)
-
-
-@st.composite
-def sampling_cases(draw):
-    """A normalised state (random, with exact zeros, or a basis state), shots and a seed."""
-    layout = draw(layouts())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "zeros", "basis"]))
-    if kind == "basis":
-        amps = np.zeros(layout.D, dtype=np.complex128)
-        amps[draw(st.integers(0, layout.D - 1))] = 1.0
-    else:
-        amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
-        if kind == "zeros":
-            amps[rng.random(layout.D) < draw(st.sampled_from([0.5, 0.99]))] = 0.0
-            amps[rng.integers(layout.D)] = 1.0
-        amps /= np.linalg.norm(amps)
-    state = EncodedState(layout, amps)
-    return state, draw(st.integers(1, 5000)), draw(st.integers(0, 2**63 - 1))
-
-
-@settings(deadline=None)
-@given(case=sampling_cases())
-def test_sample_shots_matches_generator_choice(case):
-    state, total_shots, seed = case
-    flats, counts = reference_sample(state.probabilities(), total_shots, seed)
-    shots = sample_shots(state, total_shots, seed)  # the CDF overwrites the state
-    assert np.array_equal(shots.flats, flats)
-    assert np.array_equal(shots.counts, counts)
