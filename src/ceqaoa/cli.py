@@ -217,6 +217,10 @@ def _load_anchored(args):
 
 
 def cmd_solve(args) -> int:
+    out = Path(args.out)
+    hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
+    if out.resolve() == hist_path.resolve():
+        raise ValueError(f"--out and --hist-out name the same file {str(out)!r}")
     inst, enc = _load_anchored(args)
     columns, grid_json = parse_grid_spec(args.grid, inst.n_cities, args.depth)
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
@@ -271,8 +275,6 @@ def cmd_solve(args) -> int:
             "peak_estimate_mb": estimate / 2**20,
         },
     }
-    out = Path(args.out)
-    hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
     rows = (
         f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n"
         for stat in result.per_grid_stats

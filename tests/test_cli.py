@@ -489,6 +489,17 @@ def test_output_path_that_is_a_directory_ends_in_one_line(instance_file, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "ex4.json"]
 
 
+@pytest.mark.parametrize("hist_out", ["{tmp}/r.json", "{tmp}/sub/../r.json"])
+def test_out_and_hist_out_on_one_file_end_in_one_line(instance_file, tmp_path, capsys, hist_out):
+    # the JSON would overwrite the cost CSV; the solve is refused before it runs
+    (tmp_path / "sub").mkdir()
+    argv = ["--out", str(tmp_path / "r.json"), "--hist-out", hist_out.format(tmp=tmp_path)]
+    assert main(["solve", str(instance_file), *argv]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--out" in err and "--hist-out" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex4.json", "sub"]
+
+
 class TestHistogram:
     def test_uniform_histogram(self, instance_file, tmp_path):
         out = tmp_path / "hist.csv"
