@@ -139,8 +139,8 @@ def pin_mmap_threshold() -> None:
     2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 453.6 MB with it
     and 475.5 MB without, and default-grid solves at n = 8 at 72.2-72.3 MB
     against 72.5-72.6 MB (3 instances).  histogram's row buffers stay under
-    the threshold (HISTOGRAM_CHUNK), so it peaks at 65.4 MB with the pin and
-    66.0 MB without at n = 8.
+    the threshold (HISTOGRAM_CHUNK), so it peaks at 61.4 MB with the pin and
+    62.9-63.0 MB without at n = 8 (2 instances).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

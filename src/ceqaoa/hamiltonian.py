@@ -226,7 +226,7 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
 
 @dataclass(frozen=True, eq=False)
 class FeasibleSet:
-    """Every tour of a layout, cheapest first: 16 bytes per tour.
+    """The tours (feasible labels) of a cost diagonal, cheapest first: 16 bytes per tour.
 
     flats holds the int64 flat index of each feasible label, sorted by
     (cost, flat), and costs their float64 objectives in the same order.
@@ -248,10 +248,10 @@ def brute_force_optimum(diag: CostDiagonal) -> FeasibleSet:
     """Scan the diagonal's feasible labels and sort them by cost, ties in flat order.
 
     The feasible labels (penalty count 0) are exactly the anchored tours,
-    and their objectives are the scalar tour sums, bitwise.  Ties among
-    the optima (degenerate optima) are counted with a tolerance that only
-    absorbs float summation-order noise; with integer distances the tie
-    set is exact.
+    and their objectives are the scalar tour sums, bitwise.  Exact ties
+    (degenerate optima) are counted with a tolerance that only absorbs
+    float summation-order noise; with integer distances the tie set is
+    exact.
     """
     feasible = np.flatnonzero(diag.penalty_count == 0)
     costs = diag.objective[feasible]

@@ -123,7 +123,8 @@ def checked(scored):
 
 
 class TestSampling:
-    def test_basis_state_on_one_tour_gets_every_shot(self):
+    def test_basis_state_all_shots_equal(self):
+        # a basis state on one tour gets every shot
         enc = example_4()
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         flat = label_to_index(enc.layout, (1, 0, 2))
@@ -206,7 +207,8 @@ class TestScoring:
         flat = label_to_index(enc.layout, (0, 2, 1))
         assert checked(scored) == (80.0, flat, 100, ((80.0, 100),))
 
-    def test_no_feasible_mass(self):
+    def test_no_feasible_samples(self):
+        # a state with no mass on any tour draws no feasible shot
         enc = example_4()
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         state = basis_mix(enc.layout, {(0, 0, 0): 0.6, (1, 1, 2): 0.4})
@@ -214,10 +216,11 @@ class TestScoring:
         assert checked(scored) == (None, None, 0, ())
         assert scored.p_opt == 0.0
 
-    def test_rejects_a_state_of_another_layout(self):
-        feasible = brute_force_optimum(build_cost_diagonal(example_4()))
+    def test_rejects_a_diagonal_of_another_layout(self):
+        three = anchor(TspInstance("t3", 3, np.ones((3, 3)) - np.eye(3)), 0)
+        feasible = brute_force_optimum(build_cost_diagonal(three))
         with pytest.raises(ValueError, match="layouts must agree"):
-            sample_tours(uniform_initial_state(BlockLayout(2, 3)), feasible, 2, seed=0)
+            sample_tours(uniform_initial_state(example_4().layout), feasible, 2, seed=0)
 
     def test_optimum_mass_sums_the_optima_in_flat_order(self):
         # 24 optimal tours whose costs lie within the tie tolerance but
