@@ -28,6 +28,7 @@ from .hamiltonian import anchor, brute_force_optimum, build_cost_diagonal, tour_
 from .instances import parse_instance
 from .layers import Column, Workspace, run_circuit
 from .phqc import (
+    POINT_BYTES,
     default_grid,
     default_shots,
     pair_columns,
@@ -58,7 +59,9 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
 
     Returns the grid's columns at the given depth and the grid as the
     result JSON records it: its gammas and betas, or for list mode its
-    pairs.  A spec of none of these forms raises ValueError naming the flag.
+    pairs.  A spec of none of these forms raises ValueError naming the flag,
+    and an NxN grid whose points alone (POINT_BYTES each) exceed the
+    available memory raises DimensionCapError before its angles are built.
     """
     bad = ValueError(f"bad --grid value {spec!r} (want n+1, NxN or list:g,b;...)")
     text = spec.strip()
@@ -90,6 +93,7 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
             raise ValueError(f"only square grids are supported, got {spec!r}")
         if rows < 2:
             raise ValueError(f"bad --grid value {spec!r} (need at least 2 points per axis)")
+        check_memory(rows * rows * POINT_BYTES)
         columns = square_grid(rows, depth)
     return columns, {"gammas": [col.gamma for col in columns], "betas": list(columns[0].betas)}
 
@@ -136,11 +140,11 @@ def pin_mmap_threshold() -> None:
     goes back to the system, and the peak follows the buffers alive at once.
     main pins it for every command.  A solve allocates every D-sized
     buffer once (layers.Workspace), but the pin still lowers the peak: on a
-    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 453.6 MB with it
-    and 475.5 MB without, and default-grid solves at n = 8 at 72.2-72.3 MB
-    against 72.5-72.6 MB (3 instances).  histogram's row buffers stay under
-    the threshold (HISTOGRAM_CHUNK), so it peaks at 61.4 MB with the pin and
-    62.9-63.0 MB without at n = 8 (2 instances).
+    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 422.4 MB with it
+    and 443.3-443.4 MB without (2 instances), and default-grid solves at
+    n = 8 at 71.0-71.1 MB against 71.2 MB (3 instances).  histogram's row
+    buffers stay under the threshold (HISTOGRAM_CHUNK), so it peaks at
+    61.3-61.8 MB with the pin and 63.0 MB without at n = 8 (2 instances).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

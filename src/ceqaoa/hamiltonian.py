@@ -9,12 +9,13 @@ multiplicity penalty survives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoded import BlockLayout, index_to_label
+from .encoded import BlockLayout, index_to_label, labels_to_indices
 
 # Absorbs summation-order noise when counting exactly degenerate tours
 # (e.g. the reversal of a tour on a symmetric instance).
@@ -87,59 +88,46 @@ def tour_cities(enc: AnchoredTsp, flat: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CostDiagonal:
-    """Objective energies and penalty counts over every encoded basis label.
+    """The cost Hamiltonian's diagonal: one float64 energy per encoded basis label.
 
-    penalty_count[x] is the int16 count k = sum_a (c_a - 1)**2 over the
-    symbol counts c_a of x, zero exactly when x is feasible; the penalty
-    energy is penalty_weight * k.  The objective extends the cyclic tour
-    formula to infeasible labels as well, because the phase layer acts on
-    the whole encoded space.  Only these two D-vectors are held (10 bytes
-    per label); the total energy is formed when a phase needs it.
+    energy[x] = objective[x] + penalty_weight * k[x], where k = sum_a
+    (c_a - 1)**2 over the symbol counts c_a of x is zero exactly when x is
+    feasible.  The objective extends the cyclic tour formula to infeasible
+    labels as well, because the phase layer acts on the whole encoded
+    space.  Only this D-vector is held (8 bytes per label).
     """
 
     layout: BlockLayout
-    objective: np.ndarray
-    penalty_count: np.ndarray
+    energy: np.ndarray
     penalty_weight: float
     _energy_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        obj = np.asarray(self.objective, dtype=np.float64)
-        count = np.asarray(self.penalty_count)
-        if obj.shape != (self.layout.D,) or count.shape != (self.layout.D,):
-            raise ValueError("diagonal vectors must have length layout.D")
-        if not np.issubdtype(count.dtype, np.integer):
-            raise ValueError(f"penalty counts must be integers, got dtype {count.dtype}")
-        top = int(count.max())
-        if count.min() < 0 or top > np.iinfo(np.int16).max:
-            raise ValueError("penalty counts must lie in [0, 32767]")
+        energy = np.asarray(self.energy, dtype=np.float64)
+        if energy.shape != (self.layout.D,):
+            raise ValueError("the energy vector must have length layout.D")
         weight = float(self.penalty_weight)
         if not weight > 0:
             raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "penalty_count", count.astype(np.int16, copy=False))
+        object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "penalty_weight", weight)
-        obj_lo, obj_hi = float(obj.min()), float(obj.max())
-        # every energy lies in [lo, hi]: both ends go through the phase's own
-        # two roundings (weight * k, then + objective), and rounding is monotone
-        lo = weight * float(count.min()) + obj_lo
-        object.__setattr__(self, "_energy_range", (lo, weight * float(top) + obj_hi))
+        object.__setattr__(self, "_energy_range", (float(energy.min()), float(energy.max())))
 
     def phase(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Fill out with exp(-i gamma (objective + penalty_weight * penalty_count)).
+        """Fill out with exp(-i gamma energy).
 
         out is a complex D-vector (None: a fresh one) and is returned.  A
         gamma whose product with the largest energy is not finite raises
         ValueError before out is written.
 
-        The energies E are formed in float64, PHASE_CHUNK labels at a time.
-        When the energy range [lo, hi] starts at an integer, lies within
-        +-2**53 and holds T = hi - lo + 1 <= D // 16 integers (a table of at
-        most one byte per label), the exponentials of the T levels are
-        computed once and a chunk of integral energies gathers its entries
-        by E - lo.  Any other chunk takes the product and exponential on
-        (E, +0) in out itself; each table entry comes from the same
-        operations on the same number, so the two are bitwise equal.
+        The labels go PHASE_CHUNK at a time.  When the energy range [lo, hi]
+        starts at an integer, lies within +-2**53 and holds T = hi - lo + 1
+        <= D // 16 integers (a table of at most one byte per label), the
+        exponentials of the T levels are computed once and a chunk of
+        integral energies gathers its entries by E - lo.  Any other chunk
+        takes the product and exponential on (E, +0) in out itself; each
+        table entry comes from the same operations on the same number, so
+        the two are bitwise equal.
         """
         gamma = float(gamma)
         lo, hi = self._energy_range
@@ -155,17 +143,14 @@ class CostDiagonal:
             table += lo
             np.multiply(-1j * gamma, table, out=table)
             np.exp(table, out=table)
-        energy = np.empty(min(PHASE_CHUNK, dim))
-        level = np.empty(energy.shape, dtype=np.int64)
-        exact = np.empty(energy.shape, dtype=bool)
+        level = np.empty(min(PHASE_CHUNK, dim), dtype=np.int64)
+        exact = np.empty(level.shape, dtype=bool)
         for start in range(0, dim, PHASE_CHUNK):
             stop = min(start + PHASE_CHUNK, dim)
-            e, k, ok = energy[: stop - start], level[: stop - start], exact[: stop - start]
-            v = vec[start:stop]
-            np.multiply(self.penalty_count[start:stop], self.penalty_weight, out=e)
-            np.add(e, self.objective[start:stop], out=e)
+            e, v = self.energy[start:stop], vec[start:stop]
             if table is not None:
                 # truncation keeps the value only of an integral energy (|E| < 2**53)
+                k, ok = level[: stop - start], exact[: stop - start]
                 np.copyto(k, e, casting="unsafe")
                 if np.equal(k, e, out=ok).all():
                     k -= int(lo)
@@ -182,7 +167,7 @@ def default_penalty_weight(instance: TspInstance) -> float:
 
 
 def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -> CostDiagonal:
-    """Evaluate the cyclic objective and the symbol-multiplicity penalty on all labels.
+    """Evaluate the energy, cyclic objective plus weighted penalty, on all labels.
 
     The objective is built over label prefixes: the costs of every k-block
     prefix, reshaped so its last symbol is an axis, broadcast-add the n x n
@@ -196,8 +181,11 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     is built over label prefixes too: every k-block prefix carries its count
     (int16) and twice its symbol counts (int8, shape (n**k, n)), and
     appending symbol s to prefix p adds twice p's count of s, the pairs the
-    new block makes.  The values are exact small integers, and only the
-    last two steps write D entries.
+    new block makes.  The counts are exact small integers.  The last block's
+    counts k are formed about PHASE_CHUNK labels at a time, and float64(k)
+    * weight is added to the objective in place: each energy takes the
+    roundings of weight * k + objective.  An energy past the float range is
+    inf, which CostDiagonal.phase refuses.
     """
     lam = default_penalty_weight(enc.instance) if penalty_weight is None else float(penalty_weight)
     if lam <= 0:
@@ -209,19 +197,24 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
     step = C[np.ix_(cities, cities)]
 
-    objective = C[enc.start_city, cities]
+    energy = C[enc.start_city, cities]
     for _ in range(m - 1):
-        objective = (objective.reshape(-1, n, 1) + step).reshape(-1)
-    objective.reshape(-1, n)[...] += C[cities, enc.start_city]
+        energy = (energy.reshape(-1, n, 1) + step).reshape(-1)
+    rows = energy.reshape(-1, n)  # row p: the labels that extend the (m-1)-block prefix p
+    rows += C[cities, enc.start_city]
 
     twice_eye = 2 * np.eye(n, dtype=np.int8)
     count = np.full(n, n - m, dtype=np.int16)
     twice_symbols = twice_eye
-    for k in range(1, m):
+    for _ in range(m - 2):
         count = (count.reshape(-1, 1) + twice_symbols).reshape(-1)
-        if k + 1 < m:
-            twice_symbols = (twice_symbols.reshape(-1, 1, n) + twice_eye).reshape(-1, n)
-    return CostDiagonal(enc.layout, objective, count, lam)
+        twice_symbols = (twice_symbols.reshape(-1, 1, n) + twice_eye).reshape(-1, n)
+    per_chunk = max(1, PHASE_CHUNK // n)
+    with np.errstate(over="ignore"):
+        for p in range(0, count.size, per_chunk):
+            k = count[p : p + per_chunk, None] + twice_symbols[p : p + per_chunk]
+            rows[p : p + per_chunk] += k * lam
+    return CostDiagonal(enc.layout, energy, lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,16 +238,20 @@ def _tie_threshold(best: float) -> float:
 
 
 def brute_force_optimum(diag: CostDiagonal) -> FeasibleSet:
-    """Scan the diagonal's feasible labels and sort them by cost, ties in flat order.
+    """Enumerate the layout's feasible labels and sort them by cost, ties in flat order.
 
-    The feasible labels (penalty count 0) are exactly the anchored tours,
-    and their objectives are the scalar tour sums, bitwise.  Exact ties
-    (degenerate optima) are counted with a tolerance that only absorbs
-    float summation-order noise; with integer distances the tie set is
-    exact.
+    The feasible labels, whose symbols are pairwise distinct, are exactly
+    the anchored tours; itertools.permutations yields them in ascending
+    flat order.  Their penalty is zero, so their energies are the scalar
+    tour sums, bitwise.  Exact ties (degenerate optima) are counted with a
+    tolerance that only absorbs float summation-order noise; with integer
+    distances the tie set is exact.
     """
-    feasible = np.flatnonzero(diag.penalty_count == 0)
-    costs = diag.objective[feasible]
+    n, m = diag.layout.n, diag.layout.m
+    tours = itertools.permutations(range(n), m)
+    labels = np.fromiter(tours, dtype=(np.int64, m), count=math.perm(n, m))
+    feasible = labels_to_indices(diag.layout, labels)
+    costs = diag.energy[feasible]
     order = np.argsort(costs, kind="stable")
     flats, costs = feasible[order], costs[order]
     best = float(costs[0])

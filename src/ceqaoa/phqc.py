@@ -82,17 +82,16 @@ INTERPRETER_BYTES = 40 << 20
 def peak_bytes(layout: BlockLayout, columns: Sequence[Column], shots: int) -> int:
     """Estimated peak bytes of a process that runs the columns' circuits, each sampled shots times.
 
-    INTERPRETER_BYTES, then per label: the diagonal's float64 objective and
-    int16 penalty count (10 bytes), and the buffers of layers.Workspace:
-    the complex amplitudes (16) and the complex phase when some column
-    reuses it (Column.reuses_phase, 16).  Then the mixer's block-sized
-    buffers (layers.mixer_bytes), POINT_BYTES per grid point, TOUR_BYTES
-    per feasible label (the feasible set and one point's gather) and
-    SHOT_BYTES per shot, one point's shots alive at a time.  The oracle's
-    one-byte feasibility mask is freed before the workspace is allocated.
+    INTERPRETER_BYTES, then per label: the diagonal's float64 energy (8
+    bytes), and the buffers of layers.Workspace: the complex amplitudes
+    (16) and the complex phase when some column reuses it
+    (Column.reuses_phase, 16).  Then the mixer's block-sized buffers
+    (layers.mixer_bytes), POINT_BYTES per grid point, TOUR_BYTES per
+    feasible label (the feasible set and one point's gather) and SHOT_BYTES
+    per shot, one point's shots alive at a time.
     """
     points = sum(len(col.betas) for col in columns)
-    held = 10 + 16 + (16 if any(col.reuses_phase for col in columns) else 0)
+    held = 8 + 16 + (16 if any(col.reuses_phase for col in columns) else 0)
     return (
         INTERPRETER_BYTES
         + layout.D * held
@@ -198,8 +197,8 @@ class PhqcResult:
     optima at the winning angles; it is None when no feasible sample
     appeared.  penalty_weight is the cost diagonal's.  timings holds the
     wall seconds of the solve's stages: diagonal_s (cost diagonal),
-    oracle_s (the optimum's scan of the diagonal) and sweep_s (every grid
-    point).
+    oracle_s (the feasible set: the tours' enumeration and sort) and
+    sweep_s (every grid point).
     """
 
     best_flat: int | None

@@ -32,11 +32,10 @@ def _check(suite: str, name: str, passed: bool, measured, target) -> CheckResult
 def random_diagonal(layout: BlockLayout, seed: int) -> CostDiagonal:
     """Synthetic diagonal for design checks on layouts with m != n.
 
-    Objective entries are uniform on [0, 1); a constant positive penalty
-    weight keeps the type honest while every penalty count is zero.
+    Energies are uniform on [0, 1); the penalty weight is nominal.
     """
     rng = np.random.default_rng(seed)
-    return CostDiagonal(layout, rng.random(layout.D), np.zeros(layout.D, dtype=np.int16), 1.0)
+    return CostDiagonal(layout, rng.random(layout.D), 1.0)
 
 
 def check_encoder() -> list[CheckResult]:

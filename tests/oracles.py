@@ -126,13 +126,12 @@ def kron_mixer(n, m, angle):
 def reference_phase(diag, gamma):
     """exp(-i gamma E) formed directly on all D energies, out of place.
 
-    The energy weight * k + objective is one float64 per label, and the
-    product with -1j * gamma and the exponential act on its complex form
-    (E, +0): the operations, in their order, that CostDiagonal.phase must
-    match bit for bit however it forms the vector.
+    The product with -1j * gamma and the exponential act on the complex
+    form (E, +0) of each float64 energy: the operations, in their order,
+    that CostDiagonal.phase must match bit for bit however it forms the
+    vector.
     """
-    energy = diag.penalty_count * diag.penalty_weight + diag.objective
-    return np.exp(-1j * float(gamma) * energy)
+    return np.exp(-1j * float(gamma) * diag.energy)
 
 
 def reference_circuit(diag, pairs):

@@ -266,6 +266,18 @@ class TestMemoryEstimate:
         assert main([command, instance, *rest, "--out", str(tmp_path / "o")]) == 3
         self.assert_one_line(capsys)
 
+    def test_grid_too_large_to_build_exits_3(self, tmp_path, monkeypatch, capsys):
+        # 10**16 points: the grid's angles are never built
+        self.refuse_to_run(monkeypatch, 1 << 30)
+
+        def square_grid(*args, **kwargs):
+            raise AssertionError("the grid was built before its memory check")
+
+        monkeypatch.setattr(cli, "square_grid", square_grid)
+        argv = ["solve", str(write_instance(tmp_path / "r5.json", 5)), "--grid", "100000000x100000000"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+        self.assert_one_line(capsys)
+
     def test_unreadable_meminfo_skips_the_check(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "available_memory", lambda: None)
         out = tmp_path / "r.json"
@@ -292,7 +304,7 @@ class TestMemoryEstimate:
     def test_peak_rss_stays_under_estimate(self, tmp_path):
         # one grid point, and a grid that holds a phase buffer; the estimate
         # counts the interpreter too, so it bounds the whole process
-        for grid, per_label, points in (("list:1.0,0.5", 26, 1), ("3x3", 42, 9)):
+        for grid, per_label, points in (("list:1.0,0.5", 24, 1), ("3x3", 40, 9)):
             meta = self.solve_metadata(tmp_path, 3, "--grid", grid)
             estimate = (
                 INTERPRETER_BYTES
@@ -340,20 +352,31 @@ class TestMemoryEstimate:
 
 
 @pytest.mark.parametrize(
-    "argv,value",
+    "argv,value,distance",
     [
-        (["solve", "--lambda", "inf"], "inf"),
-        (["solve", "--lambda", "1e308"], "1e+308"),
-        (["solve", "--grid", "list:1e308,0"], "1e+308"),
-        (["histogram", "--angles", "0,0", "--lambda", "inf"], "inf"),
-        (["histogram", "--angles", "0,0", "--lambda", "1e308"], "1e+308"),
-        (["histogram", "--angles", "1e308,0"], "1e+308"),
+        (["solve", "--lambda", "inf"], "inf", None),
+        (["solve", "--lambda", "1e308"], "1e+308", None),
+        (["solve", "--grid", "list:1e308,0"], "1e+308", None),
+        (["histogram", "--angles", "0,0", "--lambda", "inf"], "inf", None),
+        (["histogram", "--angles", "0,0", "--lambda", "1e308"], "1e+308", None),
+        (["histogram", "--angles", "1e308,0"], "1e+308", None),
+        # tour costs of 4e307 and penalties up to 6 * 2.9e307 are finite;
+        # some of their sums are not
+        (["solve", "--lambda", "2.9e307"], "gamma 0.0 times the largest energy inf", 1e307),
+        (["histogram", "--angles", "0,0", "--lambda", "2.9e307"], "largest energy inf", 1e307),
     ],
     ids=["solve-lambda-inf", "solve-lambda-1e308", "solve-gamma-1e308",
-         "histogram-lambda-inf", "histogram-lambda-1e308", "histogram-gamma-1e308"],
+         "histogram-lambda-inf", "histogram-lambda-1e308", "histogram-gamma-1e308",
+         "solve-energy-sum-overflows", "histogram-energy-sum-overflows"],
 )
-def test_non_finite_energies_end_in_one_line(instance_file, tmp_path, capsys, argv, value):
+def test_non_finite_energies_end_in_one_line(
+    instance_file, tmp_path, capsys, argv, value, distance
+):
     command, *rest = argv
+    if distance is not None:
+        instance_file.write_text(json.dumps(
+            {"name": "far4", "n": 4, "matrix": (distance * (1 - np.eye(4))).tolist()}
+        ))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, str(instance_file), *rest, "--out", str(tmp_path / "out")])

@@ -18,6 +18,8 @@ from ceqaoa.cli import main
 from ceqaoa.hamiltonian import anchor, build_cost_diagonal
 from ceqaoa.instances import parse_instance
 
+from oracles import reference_cost_diagonal
+
 GOLDEN = Path(__file__).parent / "golden"
 
 SOLVES = [
@@ -59,13 +61,13 @@ def test_solve_matches_golden(name, instance, extra, tmp_path):
 
 
 def test_table_golden_spans_few_energy_levels():
-    diag = build_cost_diagonal(anchor(parse_instance(GOLDEN / "golden7.json")))
-    obj, count, weight = diag.objective, diag.penalty_count, diag.penalty_weight
-    lo = float(obj.min()) + weight * float(count.min())
-    hi = float(obj.max()) + weight * float(count.max())
-    energy = obj + weight * count.astype(np.float64)
+    enc = anchor(parse_instance(GOLDEN / "golden7.json"))
+    diag = build_cost_diagonal(enc)
+    objective, count = reference_cost_diagonal(enc)
+    energy = diag.energy
+    assert np.array_equal(energy, objective + diag.penalty_weight * count.astype(np.float64))
     assert np.array_equal(energy, np.round(energy))
-    assert hi - lo + 1 <= diag.layout.D // 16
+    assert energy.max() - energy.min() + 1 <= diag.layout.D // 16
 
 
 def test_histogram_matches_golden(tmp_path):

@@ -23,6 +23,7 @@ from oracles import (
     label_to_index,
     random_asymmetric_instance,
     random_symmetric_instance,
+    reference_cost_diagonal,
     tour_cost,
 )
 
@@ -140,19 +141,24 @@ class TestCostDiagonal:
         lam = 7.0
         diag = build_cost_diagonal(enc, lam)
         assert diag.penalty_weight == lam
-        assert diag.penalty_count.dtype == np.int16
-        assert diag.penalty_count[label_to_index(enc.layout, (0, 0, 0))] == 6
-        assert diag.penalty_count[label_to_index(enc.layout, (0, 0, 1))] == 2
-        assert diag.penalty_count[label_to_index(enc.layout, (0, 1, 2))] == 0
+        assert diag.energy.dtype == np.float64 and diag.energy.shape == (enc.layout.D,)
+        # symbols (0, 0, 0) visit cities (1, 1, 1): objective 10 + 0 + 0 + 10, count 6
+        assert diag.energy[label_to_index(enc.layout, (0, 0, 0))] == 20.0 + 6 * lam
+        # (0, 0, 1) visits (1, 1, 2): objective 10 + 0 + 35 + 15, count 2
+        assert diag.energy[label_to_index(enc.layout, (0, 0, 1))] == 60.0 + 2 * lam
+        # (0, 1, 2) visits (1, 2, 3), a tour: 10 + 35 + 30 + 20, count 0
+        assert diag.energy[label_to_index(enc.layout, (0, 1, 2))] == 95.0
 
     @pytest.mark.parametrize("n_cities", [3, 4, 5, 6])
     def test_penalty_zero_iff_feasible(self, n_cities):
+        # the energy above the reference objective is the penalty
         enc = anchor(TspInstance("r", n_cities, random_symmetric_instance(n_cities, 2)), 0)
         diag = build_cost_diagonal(enc)
+        objective, _ = reference_cost_diagonal(enc)
         lay = enc.layout
         for idx in range(lay.D):
             feas = is_feasible(enc, index_to_label(lay, idx))
-            assert (diag.penalty_count[idx] == 0) == feas
+            assert (diag.energy[idx] == objective[idx]) == feas
 
     def test_objective_matches_tour_cost_bitwise(self):
         enc = example_4()
@@ -161,13 +167,14 @@ class TestCostDiagonal:
         for idx in range(lay.D):
             label = index_to_label(lay, idx)
             if is_feasible(enc, label):
-                assert diag.objective[idx] == tour_cost(enc, label)
+                assert diag.energy[idx] == tour_cost(enc, label)
 
     def test_objective_defined_on_infeasible_labels(self):
         enc = example_4()
         diag = build_cost_diagonal(enc)
-        # symbols (0, 0, 1) visit cities (1, 1, 2): 10 + 0 + 35 + 15
-        assert diag.objective[label_to_index(enc.layout, (0, 0, 1))] == 60.0
+        # symbols (0, 0, 1) visit cities (1, 1, 2): 10 + 0 + 35 + 15, and
+        # the default weight 4 * 35 times the count 2
+        assert diag.energy[label_to_index(enc.layout, (0, 0, 1))] == 60.0 + 2 * 140.0
 
     def test_default_weight(self):
         inst = TspInstance("ex4", 4, MATRIX_4)
@@ -182,19 +189,19 @@ class TestCostDiagonal:
         # with the default weight, every infeasible energy exceeds every tour cost
         enc = example_4()
         diag = build_cost_diagonal(enc)
-        feas = diag.penalty_count == 0
-        total = diag.objective + diag.penalty_weight * diag.penalty_count
-        assert total[~feas].min() > diag.objective[feas].max()
+        feas = reference_cost_diagonal(enc)[1] == 0
+        assert diag.energy[~feas].min() > diag.energy[feas].max()
 
-
-    def test_rejects_counts_that_are_not_int16_counts(self):
+    def test_rejects_an_energy_of_another_length(self):
         lay = BlockLayout(2, 2)
-        obj = np.zeros(4)
-        for bad in (np.zeros(4), np.array([0, 0, -1, 0]), np.array([0, 0, 1 << 15, 0])):
-            with pytest.raises(ValueError, match="penalty counts"):
-                CostDiagonal(lay, obj, bad, 1.0)
-        diag = CostDiagonal(lay, obj, [0, 1, 2, 32767], 2)
-        assert diag.penalty_count.dtype == np.int16 and diag.penalty_weight == 2.0
+        for bad in (np.zeros(3), np.zeros(5), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="length layout.D"):
+                CostDiagonal(lay, bad, 1.0)
+        for weight in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="penalty weight"):
+                CostDiagonal(lay, np.zeros(4), weight)
+        diag = CostDiagonal(lay, [0, 1, 2, 3], 2)
+        assert diag.energy.dtype == np.float64 and diag.penalty_weight == 2.0
 
     def test_phase_fills_out(self):
         diag = build_cost_diagonal(example_4())

@@ -69,7 +69,7 @@ class TestPhase:
         diag_vec = np.array([2.0, 0.0])
         from ceqaoa.hamiltonian import CostDiagonal
 
-        diag = CostDiagonal(lay, diag_vec, np.zeros(2, dtype=np.int16), 1.0)
+        diag = CostDiagonal(lay, diag_vec, 1.0)
         state = EncodedState(lay, np.array([1.0, 0.0], dtype=complex))
         out = apply_phase(state, diag.phase(np.pi / 2))
         assert abs(out.amplitudes[0] + 1.0) < 1e-15

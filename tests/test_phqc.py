@@ -41,6 +41,7 @@ from oracles import (
     label_to_index,
     random_asymmetric_instance,
     random_symmetric_instance,
+    reference_cost_diagonal,
     tour_cost,
 )
 
@@ -228,10 +229,10 @@ class TestScoring:
         # against flat order, and the mass is still summed in flat order
         enc = anchor(TspInstance("eq5", 5, np.ones((5, 5)) - np.eye(5)), 0)
         base = build_cost_diagonal(enc)
-        tours = np.flatnonzero(base.penalty_count == 0)
-        objective = base.objective.copy()
-        objective[tours] = 10.0 + 1e-14 * np.arange(tours.size)[::-1]
-        diag = CostDiagonal(enc.layout, objective, base.penalty_count, base.penalty_weight)
+        tours = np.flatnonzero(reference_cost_diagonal(enc)[1] == 0)
+        energy = base.energy.copy()
+        energy[tours] = 10.0 + 1e-14 * np.arange(tours.size)[::-1]
+        diag = CostDiagonal(enc.layout, energy, base.penalty_weight)
         feasible = brute_force_optimum(diag)
         assert feasible.degeneracy == 24
         assert feasible.flats.tolist() == tours[::-1].tolist()
@@ -372,21 +373,21 @@ class TestMemoryPlan:
     def test_peak_bytes(self):
         one = [Column(1.0, (0.5,))]
         base = INTERPRETER_BYTES + POINT_BYTES
-        # objective, penalty count and the amplitudes: 26 bytes per label.
+        # the energy and the amplitudes: 24 bytes per label.
         # The mixer adds one column chunk of slice sums (4096 labels) and
         # one transposed block (8**5 labels), and the 8! tours their own term.
         mixer = 16 * (4096 + 8**5)
         tours = math.factorial(8) * TOUR_BYTES
-        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 26 * 8**8 + mixer + tours
+        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 24 * 8**8 + mixer + tours
         # a column that reuses its phase adds a phase buffer of 16
         reused = [Column(1.0, (0.5,), 2)]
-        assert peak_bytes(BlockLayout(8, 8), reused, 0) == base + 42 * 8**8 + mixer + tours
+        assert peak_bytes(BlockLayout(8, 8), reused, 0) == base + 40 * 8**8 + mixer + tours
         # a state of one block needs only the slice sums of one axis, D / n;
         # 10 blocks of 2 symbols hold no tour
-        assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 26 * 2**10 + 16 * 2**9
+        assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 24 * 2**10 + 16 * 2**9
         # grid points and the shots of one point add their own terms
         grid = square_grid(9)
-        grown = peak_bytes(BlockLayout(2, 10), grid, 5120) - INTERPRETER_BYTES - 42 * 2**10
+        grown = peak_bytes(BlockLayout(2, 10), grid, 5120) - INTERPRETER_BYTES - 40 * 2**10
         assert grown == 16 * 2**9 + 81 * POINT_BYTES + 5120 * SHOT_BYTES
 
     @pytest.mark.parametrize("depth", [1, 2])
@@ -395,7 +396,7 @@ class TestMemoryPlan:
 
         def phase_bytes(columns):
             points = point_count(columns) * POINT_BYTES
-            rest = INTERPRETER_BYTES + 26 * layout.D + mixer_bytes(layout) + points
+            rest = INTERPRETER_BYTES + 24 * layout.D + mixer_bytes(layout) + points
             return peak_bytes(layout, columns, 0) - rest
 
         # one point per gamma, 0.0 and -0.0 among them: at depth 1 each
@@ -432,5 +433,5 @@ class TestExactSuccess:
             assert k == 6
             (state,) = run_circuit(diag, col)
             probs = state.probabilities()
-            feasible_mass = float(probs[diag.penalty_count == 0].sum())
+            feasible_mass = float(probs[reference_cost_diagonal(enc)[1] == 0].sum())
             assert p == pytest.approx(feasible_mass, abs=1e-12)

@@ -111,7 +111,8 @@ def test_sample_tours_matches_scalar_checker(case):
     diag = build_cost_diagonal(enc)
     scored = sample_tours(state, brute_force_optimum(diag), total_shots, seed)
     pairs = reference_tour_sample(state.amplitudes, enumerated_tours(enc), total_shots, seed)
-    expected = scalar_score(diag.penalty_count, diag.objective, pairs)
+    objective, count = reference_cost_diagonal(enc)
+    expected = scalar_score(count, objective, pairs)
     assert (scored.best_cost, scored.best_flat, scored.feasible_shots, scored.cost_counts) == expected
     _, optima = enumerated_optimum(enc)
     assert scored.p_opt == float((np.abs(state.amplitudes[optima]) ** 2).sum())
@@ -132,8 +133,8 @@ def circuit_cases(draw):
     layout = draw(layouts())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     objective = rng.integers(0, 50, layout.D).astype(float)
-    count = rng.choice(np.array([0, 0, 1, 3], dtype=np.int16), layout.D)
-    diag = CostDiagonal(layout, objective, count, 7.0)
+    count = rng.choice(np.array([0, 0, 1, 3]), layout.D)
+    diag = CostDiagonal(layout, objective + 7.0 * count, 7.0)
     gammas = (draw(angles), draw(angles))
     columns = [
         Column(
@@ -246,7 +247,7 @@ def phase_cases(draw):
         objective[at] = base + draw(st.sampled_from([0.5, 2.0**-30]))
         chunk = at - at % PHASE_CHUNK
         gathered -= min(chunk + PHASE_CHUNK, dim) - chunk
-    diag = CostDiagonal(layout, objective, count, weight)
+    diag = CostDiagonal(layout, objective + weight * count, weight)
     return diag, draw(st.sampled_from([0.0, -0.0]) | angles), kind, gathered
 
 
@@ -273,8 +274,7 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
     bit, with and without a workspace."""
     layout = BlockLayout(n, m)
     rng = np.random.default_rng(n * 100 + m)
-    objective = rng.integers(0, 50, layout.D).astype(float)
-    diag = CostDiagonal(layout, objective, np.zeros(layout.D, dtype=np.int16), 7.0)
+    diag = CostDiagonal(layout, rng.integers(0, 50, layout.D).astype(float), 7.0)
     col = Column(0.7, (0.4, 2.1), 2)
     work = Workspace(layout)
     expected = [reference_circuit(diag, [(0.7, b)] * 2) for b in col.betas]
@@ -396,6 +396,18 @@ def test_cost_diagonal_matches_symbol_column_reference(case):
     enc, weight = case
     diag = build_cost_diagonal(enc, weight)
     objective, count = reference_cost_diagonal(enc)
-    assert np.array_equal(diag.objective, objective)
+    assert np.array_equal(diag.energy, objective + weight * count.astype(np.float64))
     assert diag.penalty_weight == weight
-    assert np.array_equal(diag.penalty_count, count)
+
+
+@settings(deadline=None)
+@given(case=diagonal_cases())
+def test_feasible_set_matches_the_penalty_count_scan(case):
+    # the tours are the labels of reference count 0, sorted by (cost, flat)
+    enc, weight = case
+    feasible = brute_force_optimum(build_cost_diagonal(enc, weight))
+    objective, count = reference_cost_diagonal(enc)
+    tours = np.flatnonzero(count == 0)
+    order = np.lexsort((tours, objective[tours]))
+    assert np.array_equal(feasible.flats, tours[order])
+    assert np.array_equal(feasible.costs, objective[tours[order]])
