@@ -248,9 +248,9 @@ def brute_force_optimum(diag: CostDiagonal) -> FeasibleSet:
     distances the tie set is exact.
     """
     n, m = diag.layout.n, diag.layout.m
-    tours = itertools.permutations(range(n), m)
-    labels = np.fromiter(tours, dtype=(np.int64, m), count=math.perm(n, m))
-    feasible = labels_to_indices(diag.layout, labels)
+    symbols = itertools.chain.from_iterable(itertools.permutations(range(n), m))
+    labels = np.fromiter(symbols, dtype=np.int64, count=m * math.perm(n, m))
+    feasible = labels_to_indices(diag.layout, labels.reshape(-1, m))
     costs = diag.energy[feasible]
     order = np.argsort(costs, kind="stable")
     flats, costs = feasible[order], costs[order]
