@@ -274,8 +274,9 @@ class TestMemoryEstimate:
             raise AssertionError("the grid was built before its memory check")
 
         monkeypatch.setattr(cli, "square_grid", square_grid)
-        argv = ["solve", str(write_instance(tmp_path / "r5.json", 5)), "--grid", "100000000x100000000"]
-        assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+        instance = str(write_instance(tmp_path / "r5.json", 5))
+        argv = ["solve", instance, "--grid", "100000000x100000000", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
         self.assert_one_line(capsys)
 
     def test_unreadable_meminfo_skips_the_check(self, tmp_path, monkeypatch):
@@ -374,9 +375,8 @@ def test_non_finite_energies_end_in_one_line(
 ):
     command, *rest = argv
     if distance is not None:
-        instance_file.write_text(json.dumps(
-            {"name": "far4", "n": 4, "matrix": (distance * (1 - np.eye(4))).tolist()}
-        ))
+        matrix = (distance * (1 - np.eye(4))).tolist()
+        instance_file.write_text(json.dumps({"name": "far4", "n": 4, "matrix": matrix}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, str(instance_file), *rest, "--out", str(tmp_path / "out")])
