@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ceqaoa import layers
 from ceqaoa.encoded import BlockLayout, EncodedState, uniform_initial_state
 from ceqaoa.hamiltonian import TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import (
@@ -140,6 +143,25 @@ class TestApplyMixer:
         state = random_state(lay, 11)
         out = apply_mixer(state, 2.1)
         assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n, m, block_bytes, seed, digest",
+        [
+            # states of more than one 2 MiB block, which no golden solve reaches
+            (7, 7, None, 77, "33b1ad88239dc5f3a7ddf4a7ca0c68eb2a7cb3afb33a2fd36379cc805fb9852e"),
+            (8, 6, None, 86, "3178418b07e9c5411e5517bd3e5e03101f28555b21eb6c88641e6665e08e82c0"),
+            # blocks of one label: every axis is a leading one
+            (3, 3, 16 * 2, 33, "78efd378004934a45d2fa59ceee357d7db83081dba09275441dd7caa753ed714"),
+        ],
+        ids=["7-7", "8-6", "3-3-block32"],
+    )
+    def test_blocked_mixer_matches_pinned_digest(self, monkeypatch, n, m, block_bytes, seed, digest):
+        # the output bytes of the blocked mixer, pinned so a change to its
+        # blocking must keep every bit
+        if block_bytes is not None:
+            monkeypatch.setattr(layers, "_BLOCK_BYTES", block_bytes)
+        out = apply_mixer(random_state(BlockLayout(n, m), seed), 0.9).amplitudes
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 class TestRunCircuit:
