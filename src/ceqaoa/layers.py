@@ -8,7 +8,7 @@ factorises as b * (I + kappa * J) with kappa = (a / b - 1) / n.  The full
 mixer then runs in O(D * m) additions: per block axis, the sum of the
 axis's n slices, scaled by kappa and added back to every slice; one
 multiply by b**m closes it.  No D x D matrix is materialized.  Every axis
-works on cache-sized pieces (apply_mixer), in buffers of at most one block.
+works on cache-sized pieces (apply_mixer), with slice sums of at most one block.
 """
 
 from __future__ import annotations
@@ -94,48 +94,30 @@ _BLOCK_BYTES = 2 << 20
 # a single label, which numpy (2.4, AVX-512) multiplies in place by another
 # loop than longer arrays, one whose last bits differ
 _CHUNK = 4096
-# a block's last axes, mixed on a transposed copy when the state spans blocks
-_TAIL_AXES = 3
 
 
-def _mixer_plan(layout: BlockLayout) -> tuple[int, int, int]:
-    """(leading axes, slice-sum elements, transposed-block elements) of the layout's mixer.
+def _mixer_plan(layout: BlockLayout) -> tuple[int, int]:
+    """(leading axes, slice-sum elements) of the layout's mixer.
 
     The leading axes are the fewest that leave blocks of at most
-    _BLOCK_BYTES.  The slice sums hold one column chunk of a leading axis
-    and one slice of a block; the transposed block buffer is needed only
-    when the state spans blocks of more than _TAIL_AXES axes.
+    _BLOCK_BYTES, and at most m - 1, so every block keeps an axis.  The
+    slice sums hold one column chunk of a leading axis or one slice of a
+    block, whichever is larger.
     """
     n, m = layout.n, layout.m
     lead = 0
-    while 16 * n ** (m - lead) > _BLOCK_BYTES:
+    while lead < m - 1 and 16 * n ** (m - lead) > _BLOCK_BYTES:
         lead += 1
     block = n ** (m - lead)
-    sums = max(min(_CHUNK, n ** (m - 1)) if lead else 0, block // n)
-    tail = block if lead and m - lead > _TAIL_AXES else 0
-    return lead, sums, tail
+    return lead, max(min(_CHUNK, n ** (m - 1)) if lead else 0, block // n)
 
 
 def mixer_bytes(layout: BlockLayout) -> int:
-    """Bytes of the buffers the layout's mixer works in (MixerBuffers), block-sized at most."""
-    _, sums, tail = _mixer_plan(layout)
-    return 16 * (sums + tail)
+    """Bytes of the mixer's slice sums (Workspace.sums), block-sized at most."""
+    return 16 * _mixer_plan(layout)[1]
 
 
-class MixerBuffers:
-    """The mixer's complex buffers: slice sums, and a transposed block (None when unused)."""
-
-    def __init__(self, layout: BlockLayout) -> None:
-        _, sums, tail = _mixer_plan(layout)
-        self.sums = np.empty(sums, dtype=np.complex128)
-        self.tail = np.empty(tail, dtype=np.complex128) if tail else None
-
-
-def apply_mixer(
-    state: EncodedState,
-    beta: float,
-    buffers: MixerBuffers | None = None,
-) -> EncodedState:
+def apply_mixer(state: EncodedState, beta: float, sums: np.ndarray | None = None) -> EncodedState:
     """Apply the block mixer on every block axis via the factorised rank-1 update.
 
     The block matrix is b * (I + kappa * J) with kappa = (a / b - 1) / n, so
@@ -143,44 +125,28 @@ def apply_mixer(
     one), and after the last axis psi *= b**m.  The leading axes, those
     over the whole state, run one at a time in column chunks of at most
     _CHUNK labels.  The later axes run block by block, blocks of at most
-    _BLOCK_BYTES, and each block takes its b**m while still in cache.  When
-    the state spans blocks, each block's last _TAIL_AXES axes are mixed and
-    multiplied on a transposed copy, where their slices are contiguous, and
-    the copy is written back.  Every amplitude sees the same operations in
+    _BLOCK_BYTES unless one axis alone is larger, and each block takes its
+    b**m while still in cache.  Every amplitude sees the same operations in
     the same order, so the bits do not depend on the blocking.  Updates the
     amplitudes in place and consumes the input state: the returned state
-    shares its buffer.  The work buffers come from buffers (None allocates
-    them for the call).
+    shares its buffer.  The slice sums go in sums, of mixer_bytes(layout)
+    bytes at least (None allocates them for the call).
     """
     layout = state.layout
     n, m = layout.n, layout.m
     a, b = _crossing_phases(n, beta)
     kappa = (a / b - 1) / n
     closing = b**m
-    buf = MixerBuffers(layout) if buffers is None else buffers
-    lead = _mixer_plan(layout)[0]
+    lead, size = _mixer_plan(layout)
+    if sums is None:
+        sums = np.empty(size, dtype=np.complex128)
     amps = state.tensor().reshape(-1)
     for axis in range(lead):
-        _mix_lead_axis(amps.reshape(n**axis, n, -1), kappa, buf.sums)
-    if lead == m:
-        np.multiply(amps, closing, out=amps)
-        return EncodedState(layout, amps)
-    tail = buf.tail
+        _mix_lead_axis(amps.reshape(n**axis, n, -1), kappa, sums)
     for block in amps.reshape((-1,) + (n,) * (m - lead)):
-        inner = block.ndim - (0 if tail is None else _TAIL_AXES)
-        for axis in range(inner):
-            _mix_axis(block, axis, kappa, buf.sums)
-        if tail is None:
-            np.multiply(block, closing, out=block)
-            continue
-        rows = n**inner
-        t = tail.reshape(-1, rows)
-        np.copyto(t, block.reshape(rows, -1).T)
-        t = t.reshape((n,) * _TAIL_AXES + (rows,))
-        for axis in range(_TAIL_AXES):
-            _mix_axis(t, axis, kappa, buf.sums)
-        np.multiply(t, closing, out=t)
-        np.copyto(block.reshape(rows, -1), t.reshape(-1, rows).T)
+        for axis in range(m - lead):
+            _mix_axis(block, axis, kappa, sums)
+        np.multiply(block, closing, out=block)
     return EncodedState(layout, amps)
 
 
@@ -210,15 +176,16 @@ class Workspace:
     """Every buffer of a run of circuits, reused from one circuit to the next.
 
     amps is the complex amplitude buffer, the only D-sized one a circuit
-    needs.  mixer holds the mixer's block-sized buffers.  phase is a complex
-    buffer for exp(-i gamma E), allocated by the first column that reuses
-    its phase (Column.reuses_phase) and None until then.  A solve that
-    keeps one workspace allocates no D-sized buffer per grid point.
+    needs.  sums holds the mixer's slice sums, block-sized at most.  phase
+    is a complex buffer for exp(-i gamma E), allocated by the first column
+    that reuses its phase (Column.reuses_phase) and None until then.  A
+    solve that keeps one workspace allocates no D-sized buffer per grid
+    point.
     """
 
     def __init__(self, layout: BlockLayout) -> None:
         self.amps = np.empty(layout.D, dtype=np.complex128)
-        self.mixer = MixerBuffers(layout)
+        self.sums = np.empty(_mixer_plan(layout)[1], dtype=np.complex128)
         self.phase: np.ndarray | None = None
 
 
@@ -249,9 +216,9 @@ def run_circuit(
         phase = diag.phase(column.gamma, work.phase)
     for beta in column.betas:
         amps = np.multiply(phase, 1.0 / math.sqrt(layout.D), out=work.amps)
-        state = apply_mixer(EncodedState(layout, amps), beta, work.mixer)
+        state = apply_mixer(EncodedState(layout, amps), beta, work.sums)
         for _ in range(column.depth - 1):
-            state = apply_mixer(apply_phase(state, phase), beta, work.mixer)
+            state = apply_mixer(apply_phase(state, phase), beta, work.sums)
         yield state
 
 

@@ -85,7 +85,7 @@ def peak_bytes(layout: BlockLayout, columns: Sequence[Column], shots: int) -> in
     INTERPRETER_BYTES, then per label: the diagonal's float64 energy (8
     bytes), and the buffers of layers.Workspace: the complex amplitudes
     (16) and the complex phase when some column reuses it
-    (Column.reuses_phase, 16).  Then the mixer's block-sized buffers
+    (Column.reuses_phase, 16).  Then the mixer's block-sized slice sums
     (layers.mixer_bytes), POINT_BYTES per grid point, TOUR_BYTES per
     feasible label (the feasible set and one point's gather) and SHOT_BYTES
     per shot, one point's shots alive at a time.

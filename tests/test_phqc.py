@@ -374,9 +374,9 @@ class TestMemoryPlan:
         one = [Column(1.0, (0.5,))]
         base = INTERPRETER_BYTES + POINT_BYTES
         # the energy and the amplitudes: 24 bytes per label.
-        # The mixer adds one column chunk of slice sums (4096 labels) and
-        # one transposed block (8**5 labels), and the 8! tours their own term.
-        mixer = 16 * (4096 + 8**5)
+        # The mixer adds one column chunk of slice sums (4096 labels), and
+        # the 8! tours their own term.
+        mixer = 16 * 4096
         tours = math.factorial(8) * TOUR_BYTES
         assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 24 * 8**8 + mixer + tours
         # a column that reuses its phase adds a phase buffer of 16

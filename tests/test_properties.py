@@ -286,37 +286,36 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
 
 
 @pytest.mark.parametrize(
-    "n, m, block_bytes, chunk, tail",
+    "n, m, block_bytes, chunk",
     [
         # the constants as shipped: 2 leading axes, blocks of 8**5 and 5**7
-        # amplitudes, a transposed tail; 4096 divides no column count of 5**9
-        (8, 7, None, None, None),
-        (5, 9, None, None, None),
+        # amplitudes; 4096 divides no column count of 5**9
+        (8, 7, None, None),
+        (5, 9, None, None),
         # 3 or 4 leading axes in chunks of at most 7 to 100 labels, none
-        # dividing the columns; a transposed tail of 3 or 2 axes, and
-        # blocks of 4**3 labels, too small for one
-        (5, 7, 16 * 5**4, 37, 3),
-        (3, 9, 16 * 3**5, 100, 2),
-        (4, 6, 16 * 4**3, 7, 3),
-        (2, 12, 16 * 2**8, 48, 3),
+        # dividing the columns, and blocks of 3 to 8 axes
+        (5, 7, 16 * 5**4, 37),
+        (3, 9, 16 * 3**5, 100),
+        (4, 6, 16 * 4**3, 7),
+        (2, 12, 16 * 2**8, 48),
     ],
-    ids=["8-7", "5-9", "5-7-chunk37", "3-9-tail2", "4-6-no-tail", "2-12-chunk48"],
+    ids=["8-7", "5-9", "5-7-chunk37", "3-9-chunk100", "4-6-chunk7", "2-12-chunk48"],
 )
-def test_blocked_mixer_matches_unblocked_bitwise(monkeypatch, n, m, block_bytes, chunk, tail):
-    """The leading axes run in column chunks, the later ones block by block,
-    each block's last axes on a transposed copy; every amplitude must come
-    out as when each axis runs over the whole state."""
+def test_blocked_mixer_matches_unblocked_bitwise(monkeypatch, n, m, block_bytes, chunk):
+    """The leading axes run in column chunks, the later ones block by block;
+    every amplitude must come out as when each axis runs over the whole
+    state."""
     layout = BlockLayout(n, m)
     rng = np.random.default_rng(n * 100 + m)
     amps = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
     amps /= np.linalg.norm(amps)
-    for name, value in (("_BLOCK_BYTES", block_bytes), ("_CHUNK", chunk), ("_TAIL_AXES", tail)):
+    for name, value in (("_BLOCK_BYTES", block_bytes), ("_CHUNK", chunk)):
         if value is not None:
             monkeypatch.setattr(layers, name, value)
     assert layers._mixer_plan(layout)[0] >= 2
     blocked = apply_mixer(EncodedState(layout, amps.copy()), 0.9).amplitudes
     monkeypatch.setattr(layers, "_BLOCK_BYTES", 16 * layout.D)
-    assert layers._mixer_plan(layout) == (0, layout.D // n, 0)
+    assert layers._mixer_plan(layout) == (0, layout.D // n)
     unblocked = apply_mixer(EncodedState(layout, amps), 0.9).amplitudes
     assert np.array_equal(blocked.view(np.uint64), unblocked.view(np.uint64))
 
@@ -325,10 +324,7 @@ def test_mixer_buffers_are_block_sized():
     # no D-vector beside the amplitudes, up to the dimension cap
     for n, m in [(2, 25), (5, 10), (7, 7), (8, 8), (64, 4), (2**25, 1)]:
         layout = BlockLayout(n, m)
-        buffers = layers.MixerBuffers(layout)
-        sizes = [buffers.sums.nbytes, 0 if buffers.tail is None else buffers.tail.nbytes]
-        assert sum(sizes) == layers.mixer_bytes(layout)
-        assert max(sizes) <= layers._BLOCK_BYTES
+        assert 16 * layers._mixer_plan(layout)[1] == layers.mixer_bytes(layout) <= layers._BLOCK_BYTES
 
 
 @settings(deadline=None)
