@@ -59,6 +59,8 @@ def _parse_json(path: Path) -> TspInstance:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"invalid JSON ({exc.msg})", path, exc.lineno) from exc
+    except RecursionError:
+        raise InstanceParseError("invalid JSON (nested too deeply to parse)", path) from None
     if not isinstance(data, dict):
         raise InstanceParseError("top-level JSON value must be an object", path)
     try:
@@ -180,8 +182,11 @@ def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
                 section_line,
             )
         pts = np.asarray(coords, dtype=np.float64)
-        diff = pts[:, None, :] - pts[None, :, :]
-        matrix = np.sqrt((diff**2).sum(axis=2))
+        # coordinates near float64's limit give inf or nan distances, which
+        # TspInstance refuses as non-finite; numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = pts[:, None, :] - pts[None, :, :]
+            matrix = np.sqrt((diff**2).sum(axis=2))
         if euclidean_rounding:
             matrix = np.floor(matrix + 0.5)
         return _as_instance(path, name, matrix, section_line)

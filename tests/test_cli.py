@@ -184,6 +184,8 @@ class TestSolve:
                 "DIMENSION: -1\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
                 "EDGE_WEIGHT_SECTION\n0\nEOF\n",
             ),
+            # past the interpreter's recursion limit for json.loads
+            ("bad.json", '{"matrix": ' + "[" * 100_000),
         ],
         ids=[
             "n",
@@ -191,6 +193,7 @@ class TestSolve:
             "non-numeric-entries",
             "tsplib-dimension-0",
             "tsplib-dimension-minus-1",
+            "nested-100000-deep",
         ],
     )
     def test_malformed_instance_ends_in_one_line_naming_the_file(
@@ -201,6 +204,24 @@ class TestSolve:
         assert main(["solve", str(path), "--out", str(tmp_path / "x.json")]) == 1
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and err.startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("coord", ["1e200", "1e308", "inf"])
+    def test_euc_2d_distances_past_float64_end_in_one_line(self, tmp_path, capsys, coord):
+        # the squares overflow (or inf - inf is nan); the instance refuses the
+        # non-finite distance, with no numpy warning before the message
+        path = tmp_path / "far.tsp"
+        path.write_text(
+            "NAME: far\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+            f"1 {coord} 0\n2 -{coord} 0\n3 0 {coord}\nEOF\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert not caught
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"{path}:4: ")
+        assert "non-finite distance" in err
 
 
 def write_instance(path, n_cities, seed=0):
