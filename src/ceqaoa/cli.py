@@ -140,11 +140,11 @@ def pin_mmap_threshold() -> None:
     goes back to the system, and the peak follows the buffers alive at once.
     main pins it for every command.  A solve allocates every D-sized
     buffer once (layers.Workspace), but the pin still lowers the peak: on a
-    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 422.4 MB with it
-    and 443.3-443.4 MB without (2 instances), and default-grid solves at
-    n = 8 at 71.0-71.1 MB against 71.2 MB (3 instances).  histogram's row
-    buffers stay under the threshold (HISTOGRAM_CHUNK), so it peaks at
-    61.3-61.8 MB with the pin and 63.0 MB without at n = 8 (2 instances).
+    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 421.9-422.0 MB
+    with it and 443.3 MB without (2 instances), and default-grid solves at
+    n = 8 at 69.2-69.4 MB against 69.3-69.4 MB (3 instances).  histogram's
+    row buffers stay under the threshold (HISTOGRAM_CHUNK), so it peaks at
+    61.5 MB with the pin and 63.0-63.1 MB without at n = 8 (2 instances).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

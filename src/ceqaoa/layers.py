@@ -8,7 +8,8 @@ factorises as b * (I + kappa * J) with kappa = (a / b - 1) / n.  The full
 mixer then runs in O(D * m) additions: per block axis, the sum of the
 axis's n slices, scaled by kappa and added back to every slice; one
 multiply by b**m closes it.  No D x D matrix is materialized.  Every axis
-works on cache-sized pieces (apply_mixer), with slice sums of at most one block.
+works on cache-sized pieces (apply_mixer), and the slice sums, the mixer's
+one buffer, hold at most one block.
 """
 
 from __future__ import annotations
