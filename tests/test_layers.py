@@ -150,7 +150,7 @@ class TestApplyMixer:
             # states of more than one 2 MiB block, which no golden solve reaches
             (7, 7, None, 77, "33b1ad88239dc5f3a7ddf4a7ca0c68eb2a7cb3afb33a2fd36379cc805fb9852e"),
             (8, 6, None, 86, "3178418b07e9c5411e5517bd3e5e03101f28555b21eb6c88641e6665e08e82c0"),
-            # blocks of one label: every axis is a leading one
+            # 32-byte blocks, smaller than one axis of 3 labels (48 bytes)
             (3, 3, 16 * 2, 33, "78efd378004934a45d2fa59ceee357d7db83081dba09275441dd7caa753ed714"),
         ],
         ids=["7-7", "8-6", "3-3-block32"],
