@@ -42,6 +42,11 @@ SOLVES = [
     # integer distances 1..12 at n = 7: the energies span at most D // 16
     # integer levels, so the phase can come from a table of them
     ("solve_n7_table", "golden7.json", ["--grid", "4x4", "--shots", "300", "--seed", "8"]),
+    # energies that are not all integers, held as float64: a non-integral
+    # penalty weight, and fractional distances (whose default weight is
+    # fractional too)
+    ("solve_n5_lambda_7_5", "golden5.json", ["--lambda", "7.5", "--seed", "10"]),
+    ("solve_n5_frac", "golden5_frac.json", ["--seed", "11"]),
 ]
 
 
@@ -75,6 +80,21 @@ def test_histogram_matches_golden(tmp_path):
     argv = ["histogram", str(GOLDEN / "golden5.json"), "--angles", "0.9,1.7", "--seed", "55"]
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "histogram_n5.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name,instance,extra",
+    [
+        ("histogram_n5_lambda_7_5", "golden5.json", ["--lambda", "7.5", "--seed", "56"]),
+        ("histogram_n5_frac", "golden5_frac.json", ["--seed", "57"]),
+    ],
+    ids=["lambda_7_5", "frac"],
+)
+def test_float_energy_histogram_matches_golden(name, instance, extra, tmp_path):
+    out = tmp_path / "hist.csv"
+    argv = ["histogram", str(GOLDEN / instance), "--angles", "0.9,1.7", *extra]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["encoder", "one_design", "baselines"])
