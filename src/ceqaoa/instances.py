@@ -54,6 +54,12 @@ def _as_instance(path, name: str, matrix, line: int | None = None) -> TspInstanc
         raise InstanceParseError(str(exc), path, line) from exc
 
 
+def _clipped_json(value, limit: int = 40) -> str:
+    """value as JSON text, cut to limit characters (ending in "...") when longer."""
+    text = json.dumps(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _parse_json(path: Path) -> TspInstance:
     try:
         data = json.loads(path.read_text())
@@ -70,13 +76,13 @@ def _parse_json(path: Path) -> TspInstance:
     name = str(data.get("name", path.stem))
     n = data.get("n")
     if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
-        raise InstanceParseError(f'"n" must be a JSON integer, got {json.dumps(n)}', path)
+        raise InstanceParseError(f'"n" must be a JSON integer, got {_clipped_json(n)}', path)
     for row in matrix if isinstance(matrix, list) else ():
         for value in row if isinstance(row, list) else ():
             # numpy would read the string "1" and the boolean true as distances
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InstanceParseError(
-                    f"matrix is not rows of numbers (entry {json.dumps(value)} "
+                    f"matrix is not rows of numbers (entry {_clipped_json(value)} "
                     "is not a JSON number)",
                     path,
                 )

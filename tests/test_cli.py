@@ -205,6 +205,19 @@ class TestSolve:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and err.startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("key", ["n", "matrix"])
+    def test_deep_entry_ends_in_a_short_line(self, tmp_path, capsys, key):
+        # a value nested 900 deep parses, under the recursion limit; the
+        # message quotes its first characters only
+        deep = "[" * 900 + "]" * 900
+        path = tmp_path / "deep.json"
+        body = {"n": f'{{"n": {deep}, "matrix": [[0]]}}', "matrix": f'{{"matrix": {deep}}}'}
+        path.write_text(body[key])
+        assert main(["solve", str(path), "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"{path}: ")
+        assert len(err) < 200, err
+
     @pytest.mark.parametrize("coord", ["1e200", "1e308", "inf"])
     def test_euc_2d_distances_past_float64_end_in_one_line(self, tmp_path, capsys, coord):
         # the squares overflow (or inf - inf is nan); the instance refuses the
