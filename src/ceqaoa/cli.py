@@ -24,7 +24,13 @@ import numpy as np
 
 from .analysis import classical_baselines
 from .encoded import BlockLayout, DimensionCapError, indices_to_labels
-from .hamiltonian import anchor, brute_force_optimum, build_cost_diagonal, tour_cities
+from .hamiltonian import (
+    anchor,
+    brute_force_optimum,
+    build_cost_diagonal,
+    energy_dtype,
+    tour_cities,
+)
 from .instances import parse_instance
 from .layers import Column, Workspace, run_circuit
 from .phqc import (
@@ -230,7 +236,7 @@ def cmd_solve(args) -> int:
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 1:
         raise ValueError(f"--shots must be >= 1, got {shots}")
-    estimate = peak_bytes(enc.layout, columns, shots)
+    estimate = peak_bytes(enc.layout, columns, shots, energy_dtype(enc, args.penalty_weight))
     check_memory(estimate)
     t0 = time.perf_counter()
     result = phqc_solve(
@@ -331,7 +337,7 @@ def cmd_histogram(args) -> int:
     layout = enc.layout
     # the probabilities' own float D-vector, then one chunk of rows
     check_memory(
-        peak_bytes(layout, columns, shots)
+        peak_bytes(layout, columns, shots, energy_dtype(enc, args.penalty_weight))
         + 8 * layout.D
         + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
     )

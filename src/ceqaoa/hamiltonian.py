@@ -21,7 +21,6 @@ from .encoded import BlockLayout, index_to_label, labels_to_indices
 # (e.g. the reversal of a tour on a symmetric instance).
 TIE_TOL = 1e-12
 PHASE_CHUNK = 8192  # labels per chunk of the phase fill
-EXACT_INTEGERS = 2.0**53  # float64 holds every integer of smaller magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +87,15 @@ def tour_cities(enc: AnchoredTsp, flat: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CostDiagonal:
-    """The cost Hamiltonian's diagonal: one float64 energy per encoded basis label.
+    """The cost Hamiltonian's diagonal: one energy per encoded basis label.
 
     energy[x] = objective[x] + penalty_weight * k[x], where k = sum_a
     (c_a - 1)**2 over the symbol counts c_a of x is zero exactly when x is
     feasible.  The objective extends the cyclic tour formula to infeasible
     labels as well, because the phase layer acts on the whole encoded
-    space.  Only this D-vector is held (8 bytes per label).
+    space.  Only this D-vector is held: int32 (4 bytes per label) when it
+    is given so, as build_cost_diagonal gives integral energies below
+    2**31; any other vector is held as float64 (8 bytes per label).
     """
 
     layout: BlockLayout
@@ -103,7 +104,9 @@ class CostDiagonal:
     _energy_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        energy = np.asarray(self.energy, dtype=np.float64)
+        energy = np.asarray(self.energy)
+        if energy.dtype != np.int32:
+            energy = np.asarray(energy, dtype=np.float64)
         if energy.shape != (self.layout.D,):
             raise ValueError("the energy vector must have length layout.D")
         weight = float(self.penalty_weight)
@@ -120,14 +123,13 @@ class CostDiagonal:
         gamma whose product with the largest energy is not finite raises
         ValueError before out is written.
 
-        The labels go PHASE_CHUNK at a time.  When the energy range [lo, hi]
-        starts at an integer, lies within +-2**53 and holds T = hi - lo + 1
-        <= D // 16 integers (a table of at most one byte per label), the
-        exponentials of the T levels are computed once and a chunk of
-        integral energies gathers its entries by E - lo.  Any other chunk
-        takes the product and exponential on (E, +0) in out itself; each
-        table entry comes from the same operations on the same number, so
-        the two are bitwise equal.
+        The labels go PHASE_CHUNK at a time.  When the energies are int32
+        and their range [lo, hi] holds T = hi - lo + 1 <= D // 16 integers
+        (a table of at most one byte per label), the exponentials of the T
+        levels are computed once and each chunk gathers its entries by
+        E - lo.  Otherwise each chunk takes the product and exponential on
+        (E, +0) in out itself; each table entry comes from the same
+        operations on the same number, so the two are bitwise equal.
         """
         gamma = float(gamma)
         lo, hi = self._energy_range
@@ -136,27 +138,22 @@ class CostDiagonal:
             raise ValueError(f"gamma {gamma!r} times the largest energy {bound!r} is not finite")
         dim = self.layout.D
         vec = np.empty(dim, dtype=np.complex128) if out is None else out
-        table = None
-        if lo.is_integer() and bound < EXACT_INTEGERS and hi - lo + 1 <= dim // 16:
+        if self.energy.dtype == np.int32 and hi - lo + 1 <= dim // 16:
             # the levels lo, lo + 1, ..., hi as (E, +0)
             table = np.arange(int(hi - lo) + 1, dtype=np.complex128)
             table += lo
             np.multiply(-1j * gamma, table, out=table)
             np.exp(table, out=table)
-        level = np.empty(min(PHASE_CHUNK, dim), dtype=np.int64)
-        exact = np.empty(level.shape, dtype=bool)
+            level = np.empty(min(PHASE_CHUNK, dim), dtype=np.intp)
+            for start in range(0, dim, PHASE_CHUNK):
+                stop = min(start + PHASE_CHUNK, dim)
+                k = level[: stop - start]
+                np.subtract(self.energy[start:stop], int(lo), out=k, dtype=np.intp)
+                np.take(table, k, out=vec[start:stop])
+            return vec
         for start in range(0, dim, PHASE_CHUNK):
-            stop = min(start + PHASE_CHUNK, dim)
-            e, v = self.energy[start:stop], vec[start:stop]
-            if table is not None:
-                # truncation keeps the value only of an integral energy (|E| < 2**53)
-                k, ok = level[: stop - start], exact[: stop - start]
-                np.copyto(k, e, casting="unsafe")
-                if np.equal(k, e, out=ok).all():
-                    k -= int(lo)
-                    np.take(table, k, out=v)
-                    continue
-            np.multiply(-1j * gamma, e, out=v)
+            v = vec[start : start + PHASE_CHUNK]
+            np.multiply(-1j * gamma, self.energy[start : start + PHASE_CHUNK], out=v)
             np.exp(v, out=v)
         return vec
 
@@ -164,6 +161,23 @@ class CostDiagonal:
 def default_penalty_weight(instance: TspInstance) -> float:
     """n_cities * max distance (at least 1), dominating any objective gap."""
     return max(float(instance.n_cities) * instance.max_distance, 1.0)
+
+
+def energy_dtype(enc: AnchoredTsp, penalty_weight: float | None = None) -> np.dtype:
+    """The dtype build_cost_diagonal holds the energies in: int32 or float64.
+
+    int32 when every distance and the penalty weight (None: the default)
+    are integers and the largest possible energy is below 2**31: a label's
+    objective sums n_cities distances, and its penalty count is at most
+    n - m + m*(m-1) (every block on one symbol).  float64 otherwise.
+    """
+    n, m = enc.layout.n, enc.layout.m
+    dist = enc.instance.distances
+    weight = default_penalty_weight(enc.instance) if penalty_weight is None else penalty_weight
+    bound = enc.instance.n_cities * enc.instance.max_distance + weight * (n - m + m * (m - 1))
+    if float(weight).is_integer() and np.array_equal(dist, np.trunc(dist)) and bound < 2**31:
+        return np.dtype(np.int32)
+    return np.dtype(np.float64)
 
 
 def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -> CostDiagonal:
@@ -182,10 +196,11 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     (int16) and twice its symbol counts (int8, shape (n**k, n)), and
     appending symbol s to prefix p adds twice p's count of s, the pairs the
     new block makes.  The counts are exact small integers.  The last block's
-    counts k are formed about PHASE_CHUNK labels at a time, and float64(k)
-    * weight is added to the objective in place: each energy takes the
-    roundings of weight * k + objective.  An energy past the float range is
-    inf, which CostDiagonal.phase refuses.
+    counts k are formed about PHASE_CHUNK labels at a time, and k * weight
+    is added to the objective in place.  Both steps run in energy_dtype:
+    int32 sums are exact, as no energy reaches 2**31; in float64 each
+    energy takes the roundings of weight * k + objective, and one past the
+    float range is inf, which CostDiagonal.phase refuses.
     """
     lam = default_penalty_weight(enc.instance) if penalty_weight is None else float(penalty_weight)
     if lam <= 0:
@@ -193,7 +208,8 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     n, m = enc.layout.n, enc.layout.m
     if not math.isfinite(lam * (n - m + m * (m - 1))):
         raise ValueError(f"penalty weight {lam!r} makes the largest penalty non-finite")
-    C = enc.instance.distances
+    dtype = energy_dtype(enc, lam)
+    C = enc.instance.distances.astype(dtype)
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
     step = C[np.ix_(cities, cities)]
 
@@ -210,10 +226,11 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
         count = (count.reshape(-1, 1) + twice_symbols).reshape(-1)
         twice_symbols = (twice_symbols.reshape(-1, 1, n) + twice_eye).reshape(-1, n)
     per_chunk = max(1, PHASE_CHUNK // n)
+    weight = dtype.type(lam)  # a numpy scalar, so k * weight takes the energy dtype
     with np.errstate(over="ignore"):
         for p in range(0, count.size, per_chunk):
             k = count[p : p + per_chunk, None] + twice_symbols[p : p + per_chunk]
-            rows[p : p + per_chunk] += k * lam
+            rows[p : p + per_chunk] += k * weight
     return CostDiagonal(enc.layout, energy, lam)
 
 
@@ -251,7 +268,7 @@ def brute_force_optimum(diag: CostDiagonal) -> FeasibleSet:
     symbols = itertools.chain.from_iterable(itertools.permutations(range(n), m))
     labels = np.fromiter(symbols, dtype=np.int64, count=m * math.perm(n, m))
     feasible = labels_to_indices(diag.layout, labels.reshape(-1, m))
-    costs = diag.energy[feasible]
+    costs = diag.energy[feasible].astype(np.float64, copy=False)
     order = np.argsort(costs, kind="stable")
     flats, costs = feasible[order], costs[order]
     best = float(costs[0])

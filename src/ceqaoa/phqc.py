@@ -79,19 +79,23 @@ SHOT_BYTES = 32
 INTERPRETER_BYTES = 40 << 20
 
 
-def peak_bytes(layout: BlockLayout, columns: Sequence[Column], shots: int) -> int:
+def peak_bytes(
+    layout: BlockLayout, columns: Sequence[Column], shots: int, energy: np.dtype
+) -> int:
     """Estimated peak bytes of a process that runs the columns' circuits, each sampled shots times.
 
-    INTERPRETER_BYTES, then per label: the diagonal's float64 energy (8
-    bytes), and the buffers of layers.Workspace: the complex amplitudes
-    (16) and the complex phase when some column reuses it
-    (Column.reuses_phase, 16).  Then the mixer's block-sized slice sums
+    energy is the diagonal's dtype, hamiltonian.energy_dtype.
+    INTERPRETER_BYTES, then per label: the diagonal's energy (4 bytes for
+    int32, 8 for float64), and the buffers of layers.Workspace: the
+    complex amplitudes (16) and the complex phase when some column reuses
+    it (Column.reuses_phase, 16).  Then the mixer's block-sized slice sums
     (layers.mixer_bytes), POINT_BYTES per grid point, TOUR_BYTES per
     feasible label (the feasible set and one point's gather) and SHOT_BYTES
     per shot, one point's shots alive at a time.
     """
     points = sum(len(col.betas) for col in columns)
-    held = 8 + 16 + (16 if any(col.reuses_phase for col in columns) else 0)
+    phase = 16 if any(col.reuses_phase for col in columns) else 0
+    held = np.dtype(energy).itemsize + 16 + phase
     return (
         INTERPRETER_BYTES
         + layout.D * held

@@ -127,9 +127,9 @@ def reference_phase(diag, gamma):
     """exp(-i gamma E) formed directly on all D energies, out of place.
 
     The product with -1j * gamma and the exponential act on the complex
-    form (E, +0) of each float64 energy: the operations, in their order,
-    that CostDiagonal.phase must match bit for bit however it forms the
-    vector.
+    form (E, +0) of each energy, int32 or float64: the operations, in
+    their order, that CostDiagonal.phase must match bit for bit however it
+    forms the vector.
     """
     return np.exp(-1j * float(gamma) * diag.energy)
 

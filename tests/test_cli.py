@@ -339,7 +339,8 @@ class TestMemoryEstimate:
     def test_peak_rss_stays_under_estimate(self, tmp_path):
         # one grid point, and a grid that holds a phase buffer; the estimate
         # counts the interpreter too, so it bounds the whole process
-        for grid, per_label, points in (("list:1.0,0.5", 24, 1), ("3x3", 40, 9)):
+        # the instance's integer distances give int32 energies, 4 bytes a label
+        for grid, per_label, points in (("list:1.0,0.5", 20, 1), ("3x3", 36, 9)):
             meta = self.solve_metadata(tmp_path, 3, "--grid", grid)
             estimate = (
                 INTERPRETER_BYTES

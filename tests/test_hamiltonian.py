@@ -12,6 +12,7 @@ from ceqaoa.hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
     default_penalty_weight,
+    energy_dtype,
     tour_cities,
 )
 
@@ -136,12 +137,13 @@ class TestTourCost:
 
 
 class TestCostDiagonal:
-    def test_penalty_worked_examples(self):
+    @pytest.mark.parametrize("lam, dtype", [(7.0, np.int32), (7.5, np.float64)])
+    def test_penalty_worked_examples(self, lam, dtype):
+        # integer distances and an integral weight give int32 energies
         enc = example_4()
-        lam = 7.0
         diag = build_cost_diagonal(enc, lam)
         assert diag.penalty_weight == lam
-        assert diag.energy.dtype == np.float64 and diag.energy.shape == (enc.layout.D,)
+        assert diag.energy.dtype == dtype and diag.energy.shape == (enc.layout.D,)
         # symbols (0, 0, 0) visit cities (1, 1, 1): objective 10 + 0 + 0 + 10, count 6
         assert diag.energy[label_to_index(enc.layout, (0, 0, 0))] == 20.0 + 6 * lam
         # (0, 0, 1) visits (1, 1, 2): objective 10 + 0 + 35 + 15, count 2
@@ -159,6 +161,39 @@ class TestCostDiagonal:
         for idx in range(lay.D):
             feas = is_feasible(enc, index_to_label(lay, idx))
             assert (diag.energy[idx] == objective[idx]) == feas
+
+    @pytest.mark.parametrize(
+        "distance, lam, dtype",
+        [
+            # the default weight 5 d: the bound 5 d + 12 * 5 d is 2**31 - 63, then 2**31 + 2
+            (33038209.0, None, np.int32),
+            (33038210.0, None, np.float64),
+            # 5 * 10 + 12 w is 2**31 - 6, then 2**31 + 6
+            (10.0, 178956966.0, np.int32),
+            (10.0, 178956967.0, np.float64),
+        ],
+    )
+    def test_energy_dtype_at_the_int32_bound(self, distance, lam, dtype):
+        # all-equal distances at n = 5 (n = m = 4): the labels on one symbol
+        # reach 2 d + 12 * weight, over 95% of the bound, so an int32 that
+        # wrapped around would show as a negative energy
+        enc = anchor(TspInstance("b5", 5, distance * (np.ones((5, 5)) - np.eye(5))), 0)
+        diag = build_cost_diagonal(enc, lam)
+        assert diag.energy.dtype == energy_dtype(enc, lam) == dtype
+        objective, count = reference_cost_diagonal(enc)
+        energy = objective + diag.penalty_weight * count.astype(np.float64)
+        assert np.array_equal(diag.energy, energy)
+        assert diag.energy.max() == 2 * distance + 12 * diag.penalty_weight > 0.95 * 2**31
+
+    @pytest.mark.parametrize("fraction, lam", [(0.25, None), (0.0, 7.5), (0.0, 0.5)])
+    def test_a_fractional_distance_or_weight_gives_float64(self, fraction, lam):
+        matrix = MATRIX_4.copy()
+        matrix[2, 3] += fraction
+        enc = anchor(TspInstance("f4", 4, matrix), 0)
+        diag = build_cost_diagonal(enc, lam)
+        assert diag.energy.dtype == energy_dtype(enc, lam) == np.float64
+        objective, count = reference_cost_diagonal(enc)
+        assert np.array_equal(diag.energy, objective + diag.penalty_weight * count)
 
     def test_objective_matches_tour_cost_bitwise(self):
         enc = example_4()
@@ -202,6 +237,10 @@ class TestCostDiagonal:
                 CostDiagonal(lay, np.zeros(4), weight)
         diag = CostDiagonal(lay, [0, 1, 2, 3], 2)
         assert diag.energy.dtype == np.float64 and diag.penalty_weight == 2.0
+        # an int32 vector is held as it is; other integers become float64
+        ints = np.arange(4, dtype=np.int32)
+        assert CostDiagonal(lay, ints, 2).energy is ints
+        assert CostDiagonal(lay, ints.astype(np.int16), 2).energy.dtype == np.float64
 
     def test_phase_fills_out(self):
         diag = build_cost_diagonal(example_4())
@@ -281,6 +320,6 @@ class TestBruteForce:
             # every tour, sorted by (cost, flat)
             tours = enumerated_tours(enc)
             order = sorted(tours, key=lambda flat: (tours[flat], flat))
-            assert res.flats.dtype == np.int64
+            assert res.flats.dtype == np.int64 and res.costs.dtype == np.float64
             assert res.flats.tolist() == order
             assert res.costs.tolist() == [tours[flat] for flat in order]

@@ -17,6 +17,7 @@ from ceqaoa.hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
     default_penalty_weight,
+    energy_dtype,
 )
 from ceqaoa.layers import Column, mixer_bytes, run_circuit
 from ceqaoa.phqc import (
@@ -48,6 +49,8 @@ from oracles import (
 MATRIX_4 = np.array(
     [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]], dtype=float
 )
+
+FLOAT, INT = np.dtype(np.float64), np.dtype(np.int32)
 
 
 def example_4():
@@ -230,7 +233,8 @@ class TestScoring:
         enc = anchor(TspInstance("eq5", 5, np.ones((5, 5)) - np.eye(5)), 0)
         base = build_cost_diagonal(enc)
         tours = np.flatnonzero(reference_cost_diagonal(enc)[1] == 0)
-        energy = base.energy.copy()
+        # the integral energies come as int32; a float64 copy holds the ties
+        energy = base.energy.astype(np.float64)
         energy[tours] = 10.0 + 1e-14 * np.arange(tours.size)[::-1]
         diag = CostDiagonal(enc.layout, energy, base.penalty_weight)
         feasible = brute_force_optimum(diag)
@@ -373,22 +377,36 @@ class TestMemoryPlan:
     def test_peak_bytes(self):
         one = [Column(1.0, (0.5,))]
         base = INTERPRETER_BYTES + POINT_BYTES
-        # the energy and the amplitudes: 24 bytes per label.
+        # the energy and the amplitudes: 24 bytes per label with float64
+        # energies, 20 with int32.
         # The mixer adds one column chunk of slice sums (4096 labels), and
         # the 8! tours their own term.
         mixer = 16 * 4096
         tours = math.factorial(8) * TOUR_BYTES
-        assert peak_bytes(BlockLayout(8, 8), one, 0) == base + 24 * 8**8 + mixer + tours
+        lay = BlockLayout(8, 8)
+        assert peak_bytes(lay, one, 0, FLOAT) == base + 24 * 8**8 + mixer + tours
+        assert peak_bytes(lay, one, 0, INT) == base + 20 * 8**8 + mixer + tours
         # a column that reuses its phase adds a phase buffer of 16
         reused = [Column(1.0, (0.5,), 2)]
-        assert peak_bytes(BlockLayout(8, 8), reused, 0) == base + 40 * 8**8 + mixer + tours
+        assert peak_bytes(lay, reused, 0, FLOAT) == base + 40 * 8**8 + mixer + tours
+        assert peak_bytes(lay, reused, 0, INT) == base + 36 * 8**8 + mixer + tours
         # a state of one block needs only the slice sums of one axis, D / n;
         # 10 blocks of 2 symbols hold no tour
-        assert peak_bytes(BlockLayout(2, 10), one, 0) == base + 24 * 2**10 + 16 * 2**9
+        assert peak_bytes(BlockLayout(2, 10), one, 0, FLOAT) == base + 24 * 2**10 + 16 * 2**9
         # grid points and the shots of one point add their own terms
         grid = square_grid(9)
-        grown = peak_bytes(BlockLayout(2, 10), grid, 5120) - INTERPRETER_BYTES - 40 * 2**10
+        grown = peak_bytes(BlockLayout(2, 10), grid, 5120, FLOAT) - INTERPRETER_BYTES - 40 * 2**10
         assert grown == 16 * 2**9 + 81 * POINT_BYTES + 5120 * SHOT_BYTES
+
+    @pytest.mark.parametrize("energy, held", [(FLOAT, 24), (INT, 20)])
+    def test_peak_bytes_counts_the_energy_dtype_of_the_instance(self, energy, held):
+        # the diagonal the solve builds has the dtype the estimate counts
+        matrix = MATRIX_4 if energy == INT else MATRIX_4 + 0.5 - 0.5 * np.eye(4)
+        enc = anchor(TspInstance("m4", 4, matrix), 0)
+        assert energy_dtype(enc) == build_cost_diagonal(enc).energy.dtype == energy
+        one = [Column(1.0, (0.5,))]
+        rest = INTERPRETER_BYTES + POINT_BYTES + mixer_bytes(enc.layout) + 6 * TOUR_BYTES
+        assert peak_bytes(enc.layout, one, 0, energy_dtype(enc)) == rest + held * 27
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_phase_buffer_only_when_a_column_reuses_its_phase(self, depth):
@@ -397,7 +415,7 @@ class TestMemoryPlan:
         def phase_bytes(columns):
             points = point_count(columns) * POINT_BYTES
             rest = INTERPRETER_BYTES + 24 * layout.D + mixer_bytes(layout) + points
-            return peak_bytes(layout, columns, 0) - rest
+            return peak_bytes(layout, columns, 0, FLOAT) - rest
 
         # one point per gamma, 0.0 and -0.0 among them: at depth 1 each
         # phase is used once, and built into the amplitudes

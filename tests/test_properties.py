@@ -134,7 +134,9 @@ def circuit_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     objective = rng.integers(0, 50, layout.D).astype(float)
     count = rng.choice(np.array([0, 0, 1, 3]), layout.D)
-    diag = CostDiagonal(layout, objective + 7.0 * count, 7.0)
+    energy = objective + 7.0 * count
+    # int32 energies of few levels take the phase from the level table
+    diag = CostDiagonal(layout, energy.astype(draw(st.sampled_from([np.float64, np.int32]))), 7.0)
     gammas = (draw(angles), draw(angles))
     columns = [
         Column(
@@ -211,13 +213,14 @@ def phase_cases(draw):
     """A diagonal whose energies span T levels, set against D // 16, a gamma,
     the kind and the number of labels the level table must fill.
 
-    "table": integral energies from a base that may be negative, with
-    T <= D // 16; every chunk gathers.  "fraction": the same with one
-    non-integral energy, in the last chunk or, when D spans 3 or more
-    chunks, in a middle one; every other chunk gathers.  No chunk gathers
-    for "weight" (a non-integer penalty weight and an odd count in every
-    chunk), "wide" (T = D // 16 + 1) or "huge" (energies of 2**53 or more
-    in magnitude).  D lies on both sides of the 8192-label chunk.
+    "table": int32 energies from a base that may be negative, with
+    T <= D // 16; every chunk gathers.  "wide": the same with
+    T = D // 16 + 1; no chunk gathers.  The float64 kinds never gather:
+    "fraction" (the "table" energies with one non-integral energy, in the
+    last chunk or, when D spans 3 or more chunks, in a middle one), "weight"
+    (a non-integer penalty weight and an odd count in every chunk) and
+    "huge" (energies of 2**53 or more in magnitude).  D lies on both sides
+    of the 8192-label chunk.
     """
     shapes = [(4, 3), (3, 8), (2, 13), (2, 14), (3, 9), (6, 6)]  # D = 64 .. 46656
     layout = BlockLayout(*draw(st.sampled_from(shapes)))
@@ -238,24 +241,27 @@ def phase_cases(draw):
     if kind == "weight":
         count[PHASE_CHUNK - 1 :: PHASE_CHUNK] = 1
         count[-1] = 1
-    gathered = dim if kind in ("table", "fraction") else 0
     if kind == "fraction":
         chunks = -(-dim // PHASE_CHUNK)
         middle = st.integers(PHASE_CHUNK, (chunks - 1) * PHASE_CHUNK - 1)
         at = draw(middle if chunks >= 3 and draw(st.booleans()) else st.just(dim - 1))
         count[at] = 0
         objective[at] = base + draw(st.sampled_from([0.5, 2.0**-30]))
-        chunk = at - at % PHASE_CHUNK
-        gathered -= min(chunk + PHASE_CHUNK, dim) - chunk
-    diag = CostDiagonal(layout, objective + weight * count, weight)
+    energy = objective + weight * count
+    if kind in ("table", "wide"):
+        energy = energy.astype(np.int32)
+    diag = CostDiagonal(layout, energy, weight)
+    assert diag.energy.dtype == (np.int32 if kind in ("table", "wide") else np.float64)
+    gathered = dim if kind == "table" else 0
     return diag, draw(st.sampled_from([0.0, -0.0]) | angles), kind, gathered
 
 
 @settings(deadline=None)
 @given(case=phase_cases())
 def test_phase_matches_direct_reference_bitwise(case):
-    """Each chunk gathers from the level table or fills itself directly, and
-    either way gives the direct reference's bits."""
+    """int32 energies of few levels gather from the level table, any others
+    fill each chunk directly, and either way give the direct reference's
+    bits."""
     diag, gamma, kind, gathered = case
     expected = reference_phase(diag, gamma).view(np.uint64)
     assert np.array_equal(diag.phase(gamma).view(np.uint64), expected)
@@ -407,3 +413,35 @@ def test_feasible_set_matches_the_penalty_count_scan(case):
     order = np.lexsort((tours, objective[tours]))
     assert np.array_equal(feasible.flats, tours[order])
     assert np.array_equal(feasible.costs, objective[tours[order]])
+
+
+@st.composite
+def integral_cases(draw):
+    """An anchored instance with integer distances (symmetric or not) and an
+    integral penalty weight, or None for the default weight."""
+    n_cities = draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([3, 100, 10**6]))
+    dist = rng.integers(0, top + 1, (n_cities, n_cities)).astype(np.float64)
+    if draw(st.booleans()):
+        dist = np.triu(dist) + np.triu(dist, 1).T
+    np.fill_diagonal(dist, 0.0)
+    enc = anchor(TspInstance("i", n_cities, dist), draw(st.integers(0, n_cities - 1)))
+    weight = draw(st.none() | st.integers(1, 10**4).map(float))
+    return enc, weight
+
+
+@settings(deadline=None)
+@given(case=integral_cases(), gamma=angles)
+def test_integral_diagonal_is_int32_with_the_float_bits(case, gamma):
+    """Integer distances and weight give int32 energies equal to the reference
+    value for value, whose phase has the bits of the float64 energies'."""
+    enc, weight = case
+    diag = build_cost_diagonal(enc, weight)
+    assert diag.energy.dtype == np.int32
+    objective, count = reference_cost_diagonal(enc)
+    energy = objective + diag.penalty_weight * count.astype(np.float64)
+    assert np.array_equal(diag.energy, energy)
+    expected = reference_phase(CostDiagonal(enc.layout, energy, diag.penalty_weight), gamma)
+    assert np.array_equal(reference_phase(diag, gamma).view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(diag.phase(gamma).view(np.uint64), expected.view(np.uint64))
