@@ -145,12 +145,13 @@ def pin_mmap_threshold() -> None:
     them.  Setting the threshold turns that adjustment off: a freed buffer
     goes back to the system, and the peak follows the buffers alive at once.
     main pins it for every command.  A solve allocates every D-sized
-    buffer once (layers.Workspace), but the pin still lowers the peak: on a
-    2-core VM, one grid point at n = 9 (D = 16.8M) peaks at 421.9-422.0 MB
-    with it and 443.3 MB without (2 instances), and default-grid solves at
-    n = 8 at 69.2-69.4 MB against 69.3-69.4 MB (3 instances).  histogram's
-    row buffers stay under the threshold (HISTOGRAM_CHUNK), so it peaks at
-    61.5 MB with the pin and 63.0-63.1 MB without at n = 8 (2 instances).
+    buffer once (layers.Workspace), but the pin still lowers the peak at
+    n = 9: on a 2-core VM, one grid point (D = 16.8M) peaks at
+    358.0-358.1 MB with it and 363.5-363.6 MB without (2 instances), while
+    default-grid solves at n = 8 peak at 66.2-66.4 MB either way (3
+    instances).  histogram's row buffers stay under the threshold
+    (HISTOGRAM_CHUNK), so it peaks at 61.6-61.7 MB with the pin and
+    63.0-63.1 MB without at n = 8 (2 instances).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -54,10 +54,10 @@ def _as_instance(path, name: str, matrix, line: int | None = None) -> TspInstanc
         raise InstanceParseError(str(exc), path, line) from exc
 
 
-def _clipped_json(value, limit: int = 40) -> str:
-    """value as JSON text, cut to limit characters (ending in "...") when longer."""
+def _clipped_json(value) -> str:
+    """value as JSON text, cut to 40 characters (ending in "...") when longer."""
     text = json.dumps(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _parse_json(path: Path) -> TspInstance:

@@ -137,19 +137,19 @@ class TestTourCost:
 
 
 class TestCostDiagonal:
-    @pytest.mark.parametrize("lam, dtype", [(7.0, np.int32), (7.5, np.float64)])
-    def test_penalty_worked_examples(self, lam, dtype):
-        # integer distances and an integral weight give int32 energies
+    def test_penalty_worked_examples(self):
         enc = example_4()
-        diag = build_cost_diagonal(enc, lam)
-        assert diag.penalty_weight == lam
-        assert diag.energy.dtype == dtype and diag.energy.shape == (enc.layout.D,)
-        # symbols (0, 0, 0) visit cities (1, 1, 1): objective 10 + 0 + 0 + 10, count 6
-        assert diag.energy[label_to_index(enc.layout, (0, 0, 0))] == 20.0 + 6 * lam
-        # (0, 0, 1) visits (1, 1, 2): objective 10 + 0 + 35 + 15, count 2
-        assert diag.energy[label_to_index(enc.layout, (0, 0, 1))] == 60.0 + 2 * lam
-        # (0, 1, 2) visits (1, 2, 3), a tour: 10 + 35 + 30 + 20, count 0
-        assert diag.energy[label_to_index(enc.layout, (0, 1, 2))] == 95.0
+        # integer distances and an integral weight give int32 energies
+        for lam, dtype in ((7.0, np.int32), (7.5, np.float64)):
+            diag = build_cost_diagonal(enc, lam)
+            assert diag.penalty_weight == lam
+            assert diag.energy.dtype == dtype and diag.energy.shape == (enc.layout.D,)
+            # symbols (0, 0, 0) visit cities (1, 1, 1): objective 10 + 0 + 0 + 10, count 6
+            assert diag.energy[label_to_index(enc.layout, (0, 0, 0))] == 20.0 + 6 * lam
+            # (0, 0, 1) visits (1, 1, 2): objective 10 + 0 + 35 + 15, count 2
+            assert diag.energy[label_to_index(enc.layout, (0, 0, 1))] == 60.0 + 2 * lam
+            # (0, 1, 2) visits (1, 2, 3), a tour: 10 + 35 + 30 + 20, count 0
+            assert diag.energy[label_to_index(enc.layout, (0, 1, 2))] == 95.0
 
     @pytest.mark.parametrize("n_cities", [3, 4, 5, 6])
     def test_penalty_zero_iff_feasible(self, n_cities):
