@@ -226,11 +226,13 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
         count = (count.reshape(-1, 1) + twice_symbols).reshape(-1)
         twice_symbols = (twice_symbols.reshape(-1, 1, n) + twice_eye).reshape(-1, n)
     per_chunk = max(1, PHASE_CHUNK // n)
-    weight = dtype.type(lam)  # a numpy scalar, so k * weight takes the energy dtype
+    weight = dtype.type(lam)
     with np.errstate(over="ignore"):
         for p in range(0, count.size, per_chunk):
             k = count[p : p + per_chunk, None] + twice_symbols[p : p + per_chunk]
-            rows[p : p + per_chunk] += k * weight
+            # dtype is named: NumPy 1 would size k * weight by the weight's
+            # value, so an int16-sized weight would wrap in int16
+            rows[p : p + per_chunk] += np.multiply(k, weight, dtype=dtype)
     return CostDiagonal(enc.layout, energy, lam)
 
 

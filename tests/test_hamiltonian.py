@@ -185,6 +185,16 @@ class TestCostDiagonal:
         assert np.array_equal(diag.energy, energy)
         assert diag.energy.max() == 2 * distance + 12 * diag.penalty_weight > 0.95 * 2**31
 
+    def test_penalties_past_int16_with_an_int16_weight(self):
+        # the default weight 5000 fits int16 but k * 5000 does not for k >= 7
+        # (k reaches 12 at n = 5), so the fold must multiply in int32
+        enc = anchor(TspInstance("w5", 5, 1000.0 * (np.ones((5, 5)) - np.eye(5))), 0)
+        diag = build_cost_diagonal(enc)
+        assert diag.energy.dtype == np.int32 and diag.penalty_weight == 5000.0
+        objective, count = reference_cost_diagonal(enc)
+        assert np.array_equal(diag.energy, objective + diag.penalty_weight * count)
+        assert diag.energy.max() == 2000 + 12 * 5000
+
     @pytest.mark.parametrize("fraction, lam", [(0.25, None), (0.0, 7.5), (0.0, 0.5)])
     def test_a_fractional_distance_or_weight_gives_float64(self, fraction, lam):
         matrix = MATRIX_4.copy()
