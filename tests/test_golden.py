@@ -65,6 +65,17 @@ def test_solve_matches_golden(name, instance, extra, tmp_path):
     assert costs == (GOLDEN / f"{name}.costs.csv").read_bytes()
 
 
+def test_no_feasible_solve_matches_golden(tmp_path):
+    # one shot at each of two points on one gamma, none of them feasible:
+    # exit 2, and the winner's fields written as null
+    out = tmp_path / "result.json"
+    argv = ["--grid", "list:0,0;0,0.7", "--shots", "1", "--seed", "1"]
+    assert main(["solve", str(GOLDEN / "golden5.json"), "--out", str(out), *argv]) == 2
+    assert stripped_json(out) == (GOLDEN / "solve_n5_no_feasible.json").read_text()
+    costs = out.with_suffix(".costs.csv").read_bytes()
+    assert costs == (GOLDEN / "solve_n5_no_feasible.costs.csv").read_bytes()
+
+
 def test_table_golden_spans_few_energy_levels():
     enc = anchor(parse_instance(GOLDEN / "golden7.json"))
     diag = build_cost_diagonal(enc)
