@@ -41,7 +41,7 @@ def twirl_average(
     """
     layout = diag.layout
     target = layout.validate_label(target)
-    (state,) = run_circuit(diag, column)
+    (state,) = run_circuit(diag, [column])
     probs = state.probabilities()
     if mode == "exhaustive":
         count = math.factorial(layout.n) ** layout.m
@@ -87,7 +87,7 @@ def find_good_permutation(
     """
     layout = diag.layout
     target = layout.validate_label(target)
-    (state,) = run_circuit(diag, column)
+    (state,) = run_circuit(diag, [column])
     probs = state.probabilities()
     flat = int(np.argmax(probs))
     best = index_to_label(layout, flat)

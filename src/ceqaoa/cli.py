@@ -32,7 +32,7 @@ from .hamiltonian import (
     tour_cities,
 )
 from .instances import parse_instance
-from .layers import Column, Workspace, run_circuit
+from .layers import Column, run_circuit
 from .phqc import (
     POINT_BYTES,
     default_grid,
@@ -145,7 +145,7 @@ def pin_mmap_threshold() -> None:
     them.  Setting the threshold turns that adjustment off: a freed buffer
     goes back to the system, and the peak follows the buffers alive at once.
     main pins it for every command.  A solve allocates every D-sized
-    buffer once (layers.Workspace), but the pin still lowers the peak at
+    buffer once (layers.run_circuit), but the pin still lowers the peak at
     n = 9: on a 2-core VM, one grid point (D = 16.8M) peaks at
     358.0-358.1 MB with it and 363.5-363.6 MB without (2 instances), while
     default-grid solves at n = 8 peak at 66.2-66.4 MB either way (3
@@ -248,6 +248,8 @@ def cmd_solve(args) -> int:
         penalty_weight=args.penalty_weight,
     )
     wall = time.perf_counter() - t0
+    points = result.points
+    best = None if result.winner is None else points[result.winner]
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -260,23 +262,21 @@ def cmd_solve(args) -> int:
         "penalty_weight": result.penalty_weight,
         "seed": args.seed,
         "grid": grid_json,
-        "best_tour": (
-            None if result.best_flat is None else list(tour_cities(enc, result.best_flat))
-        ),
-        "best_cost": result.best_cost,
-        "best_angles": list(result.best_angles) if result.best_angles else None,
-        "p_opt_exact": result.p_opt_exact,
-        "degenerate_optima": result.degenerate_optima,
-        "feasible_fraction": result.feasible_fraction,
+        "best_tour": None if best is None else list(tour_cities(enc, best.scored.best_flat)),
+        "best_cost": None if best is None else best.scored.best_cost,
+        "best_angles": None if best is None else [best.gamma, best.beta],
+        "p_opt_exact": None if best is None else best.scored.p_opt,
+        "degenerate_optima": None if best is None else result.degeneracy,
+        "feasible_fraction": sum(p.scored.feasible_shots for p in points) / (shots * len(points)),
         "grid_table": [
             {
-                "grid_index": s.grid_index,
-                "gamma": s.gamma,
-                "beta": s.beta,
-                "feasible_fraction": s.feasible_fraction,
-                "min_sampled_cost": s.min_sampled_cost,
+                "grid_index": i,
+                "gamma": p.gamma,
+                "beta": p.beta,
+                "feasible_fraction": p.scored.feasible_shots / shots,
+                "min_sampled_cost": p.scored.best_cost,
             }
-            for s in result.per_grid_stats
+            for i, p in enumerate(points)
         ],
         "metadata": {
             "wall_time_s": wall,
@@ -287,9 +287,9 @@ def cmd_solve(args) -> int:
         },
     }
     rows = (
-        f"{stat.grid_index},{stat.gamma!r},{stat.beta!r},{cost!r},{count}\n"
-        for stat in result.per_grid_stats
-        for cost, count in stat.cost_counts
+        f"{i},{p.gamma!r},{p.beta!r},{cost!r},{count}\n"
+        for i, p in enumerate(points)
+        for cost, count in p.scored.cost_counts
     )
     # the CSV goes first and is removed when the JSON cannot be written, so
     # a failed solve leaves no result behind
@@ -301,11 +301,11 @@ def cmd_solve(args) -> int:
             hist_path.unlink()
         raise
 
-    if result.best_flat is None:
-        print(f"no feasible sample in {shots} shots x {len(result.per_grid_stats)} grid points")
+    if best is None:
+        print(f"no feasible sample in {shots} shots x {len(points)} grid points")
         return EXIT_NO_FEASIBLE
     print(
-        f"best cost {result.best_cost} at angles {result.best_angles} "
+        f"best cost {best.scored.best_cost} at angles {(best.gamma, best.beta)} "
         f"(tour {payload['best_tour']}); result in {out}"
     )
     return EXIT_OK
@@ -344,10 +344,9 @@ def cmd_histogram(args) -> int:
     )
     diag = build_cost_diagonal(enc, args.penalty_weight)
     feasible = brute_force_optimum(diag)
-    work = Workspace(layout)
-    (state,) = run_circuit(diag, columns[0], work)
+    (state,) = run_circuit(diag, columns)
     probs = state.probabilities()
-    del diag, state, work  # the rows need only the probabilities and the counts
+    del diag, state  # the rows need only the probabilities and the counts
 
     rng = np.random.default_rng(args.seed)
     counts = np.bincount(rng.choice(layout.D, shots, p=probs / probs.sum()), minlength=layout.D)

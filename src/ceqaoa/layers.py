@@ -15,7 +15,7 @@ one buffer, hold at most one block.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +114,7 @@ def _mixer_plan(layout: BlockLayout) -> tuple[int, int]:
 
 
 def mixer_bytes(layout: BlockLayout) -> int:
-    """Bytes of the mixer's slice sums (Workspace.sums), block-sized at most."""
+    """Bytes of the mixer's slice sums, block-sized at most."""
     return 16 * _mixer_plan(layout)[1]
 
 
@@ -173,54 +173,39 @@ def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> No
     np.add(arr, np.expand_dims(sums, axis), out=arr)
 
 
-class Workspace:
-    """Every buffer of a run of circuits, reused from one circuit to the next.
-
-    amps is the complex amplitude buffer, the only D-sized one a circuit
-    needs.  sums holds the mixer's slice sums, block-sized at most.  phase
-    is a complex buffer for exp(-i gamma E), allocated by the first column
-    that reuses its phase (Column.reuses_phase) and None until then.  A
-    solve that keeps one workspace allocates no D-sized buffer per grid
-    point.
-    """
-
-    def __init__(self, layout: BlockLayout) -> None:
-        self.amps = np.empty(layout.D, dtype=np.complex128)
-        self.sums = np.empty(_mixer_plan(layout)[1], dtype=np.complex128)
-        self.phase: np.ndarray | None = None
-
-
-def run_circuit(
-    diag: CostDiagonal,
-    column: Column,
-    workspace: Workspace | None = None,
-) -> Iterator[EncodedState]:
-    """Yield the state after each of the column's circuits, one per beta, in order.
+def run_circuit(diag: CostDiagonal, columns: Sequence[Column]) -> Iterator[EncodedState]:
+    """Yield the state after each circuit of the grid: column by column, one per beta.
 
     Each circuit starts from the uniform state and alternates phase then
-    mixer.  They run in workspace (None: a fresh one), so every state
-    yielded is overwritten by the next.  The phase is built once, when the
-    first state is asked for: into the amplitude buffer when the column
-    uses it once (one beta at depth 1), else into workspace.phase, from
-    which every layer reads it.  The first layer is phase * (1/sqrt(D)),
-    phase first, bitwise the product of the phase with a uniform state.  A
-    caller of a one-beta column unpacks (state,) = run_circuit(...), which
-    runs the generator to its end, so it holds no buffer afterwards.
+    mixer.  Every circuit runs in the same buffers, allocated once when the
+    first state is asked for: the complex amplitudes, the mixer's slice
+    sums, and a complex phase buffer, made at the first column that reuses
+    its phase (Column.reuses_phase).  So every state yielded is overwritten
+    by the next, and a grid allocates no D-sized buffer per point.  Each
+    column builds its phase once: into the amplitude buffer when it uses it
+    once (one beta at depth 1), else into the phase buffer, from which
+    every layer reads it.  The first layer is phase * (1/sqrt(D)), phase
+    first, bitwise the product of the phase with a uniform state.  A caller
+    of a one-point grid unpacks (state,) = run_circuit(...), which runs the
+    generator to its end, so it holds no other buffer afterwards.
     """
     layout = diag.layout
-    work = Workspace(layout) if workspace is None else workspace
-    if not column.reuses_phase:
-        phase = diag.phase(column.gamma, work.amps)
-    else:
-        if work.phase is None:
-            work.phase = np.empty(layout.D, dtype=np.complex128)
-        phase = diag.phase(column.gamma, work.phase)
-    for beta in column.betas:
-        amps = np.multiply(phase, 1.0 / math.sqrt(layout.D), out=work.amps)
-        state = apply_mixer(EncodedState(layout, amps), beta, work.sums)
-        for _ in range(column.depth - 1):
-            state = apply_mixer(apply_phase(state, phase), beta, work.sums)
-        yield state
+    amps = np.empty(layout.D, dtype=np.complex128)
+    sums = np.empty(_mixer_plan(layout)[1], dtype=np.complex128)
+    phase_buf = None
+    for column in columns:
+        if not column.reuses_phase:
+            phase = diag.phase(column.gamma, amps)
+        else:
+            if phase_buf is None:
+                phase_buf = np.empty(layout.D, dtype=np.complex128)
+            phase = diag.phase(column.gamma, phase_buf)
+        for beta in column.betas:
+            np.multiply(phase, 1.0 / math.sqrt(layout.D), out=amps)
+            state = apply_mixer(EncodedState(layout, amps), beta, sums)
+            for _ in range(column.depth - 1):
+                state = apply_mixer(apply_phase(state, phase), beta, sums)
+            yield state
 
 
 @dataclass(frozen=True)

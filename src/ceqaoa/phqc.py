@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoded import BlockLayout, EncodedState
 from .hamiltonian import AnchoredTsp, FeasibleSet, brute_force_optimum, build_cost_diagonal
-from .layers import Column, Workspace, mixer_bytes, run_circuit
+from .layers import Column, mixer_bytes, run_circuit
 
 
 def pair_columns(pairs: Sequence[tuple[float, float]], depth: int = 1) -> list[Column]:
@@ -86,7 +86,7 @@ def peak_bytes(
 
     energy is the diagonal's dtype, hamiltonian.energy_dtype.
     INTERPRETER_BYTES, then per label: the diagonal's energy (4 bytes for
-    int32, 8 for float64), and the buffers of layers.Workspace: the
+    int32, 8 for float64), and the buffers of layers.run_circuit: the
     complex amplitudes (16) and the complex phase when some column reuses
     it (Column.reuses_phase, 16).  Then the mixer's block-sized slice sums
     (layers.mixer_bytes), POINT_BYTES per grid point, TOUR_BYTES per
@@ -180,38 +180,32 @@ def sample_tours(
 
 @dataclass(frozen=True)
 class GridPointStat:
-    """One grid point: its angles, feasible share, best sampled cost and cost histogram."""
+    """One grid point: its angles and its checked shots."""
 
-    grid_index: int
     gamma: float
     beta: float
-    feasible_fraction: float
-    min_sampled_cost: float | None
-    cost_counts: tuple[tuple[float, int], ...]
+    scored: ScoredShots
 
 
 @dataclass(frozen=True, eq=False)
 class PhqcResult:
-    """Best feasible sample, its cost, the winning angles, and overlap statistics.
+    """Every grid point of a solve, in grid order, and which one won.
 
-    best_flat is the flat index of the best feasible sample
-    (hamiltonian.tour_cities gives its tour).  feasible_fraction aggregates
-    over every sampled shot (per-point values sit in per_grid_stats).
-    p_opt_exact is the simulator-exact probability mass on all degenerate
-    optima at the winning angles; it is None when no feasible sample
-    appeared.  penalty_weight is the cost diagonal's.  timings holds the
-    wall seconds of the solve's stages: diagonal_s (cost diagonal),
-    oracle_s (the feasible set: the tours' enumeration and sort) and
-    sweep_s (every grid point).
+    winner is the index of the point whose best sample is cheapest (ties
+    to the lower flat index, then the lower grid index); None when no
+    point drew a feasible shot.  Its scored.best_flat is the best feasible
+    sample (hamiltonian.tour_cities gives its tour) and its scored.p_opt
+    the simulator-exact mass on the degeneracy optima at its angles.
+    shots_per_point is every point's shot count.  penalty_weight is the
+    cost diagonal's.  timings holds the wall seconds of the solve's
+    stages: diagonal_s (cost diagonal), oracle_s (the feasible set: the
+    tours' enumeration and sort) and sweep_s (every grid point).
     """
 
-    best_flat: int | None
-    best_cost: float | None
-    best_angles: tuple[float, float] | None
-    feasible_fraction: float
-    p_opt_exact: float | None
-    degenerate_optima: int | None
-    per_grid_stats: tuple[GridPointStat, ...]
+    points: tuple[GridPointStat, ...]
+    winner: int | None
+    shots_per_point: int
+    degeneracy: int
     penalty_weight: float
     timings: dict[str, float]
 
@@ -223,7 +217,7 @@ def phqc_solve(
     master_seed: int = 0,
     penalty_weight: float | None = None,
 ) -> PhqcResult:
-    """Grid-search solve: sample every grid point, return the best feasible tour.
+    """Grid-search solve: sample every grid point, return them with the winner.
 
     The grid points are the columns' (gamma, beta) pairs, numbered column
     by column in beta order; each column builds its phase once.  The
@@ -245,53 +239,23 @@ def phqc_solve(
     t_diag = time.perf_counter()
     feasible = brute_force_optimum(diag)
     t_oracle = time.perf_counter()
-    stats: list[GridPointStat] = []
-    opt_mass: list[float] = []  # exact probability of the optima, per point
-    best: tuple[float, int, int] | None = None  # (cost, flat, grid index)
-    feasible_total = 0
-    # every grid point runs in the same buffers, so no D-sized buffer is
-    # allocated per point and the peak does not hinge on the allocator
-    work = Workspace(enc.layout)
-    points = (
-        (col.gamma, beta, state)
-        for col in columns
-        for state, beta in zip(run_circuit(diag, col, work), col.betas, strict=True)
+    angles = [(col.gamma, beta) for col in columns for beta in col.betas]
+    states = run_circuit(diag, columns)
+    points = tuple(
+        GridPointStat(g, b, sample_tours(s, feasible, shots_per_point, derive_seed(master_seed, i)))
+        for i, ((g, b), s) in enumerate(zip(angles, states, strict=True))
     )
-    for idx, (g, b, state) in enumerate(points):
-        scored = sample_tours(state, feasible, shots_per_point, derive_seed(master_seed, idx))
-        opt_mass.append(scored.p_opt)
-        stats.append(
-            GridPointStat(
-                idx,
-                g,
-                b,
-                scored.feasible_shots / shots_per_point,
-                scored.best_cost,
-                scored.cost_counts,
-            )
-        )
-        feasible_total += scored.feasible_shots
-        if scored.best_flat is not None:
-            key = (scored.best_cost, scored.best_flat, idx)
-            if best is None or key < best:
-                best = key
-
     t_sweep = time.perf_counter()
-    feasible_fraction = feasible_total / (shots_per_point * len(stats))
-    best_flat = best_cost = best_angles = p_opt = degen = None
-    if best is not None:
-        best_cost, best_flat, win_idx = best
-        best_angles = (stats[win_idx].gamma, stats[win_idx].beta)
-        p_opt = opt_mass[win_idx]
-        degen = feasible.degeneracy
+    winner = min(
+        (i for i, p in enumerate(points) if p.scored.best_flat is not None),
+        key=lambda i: (points[i].scored.best_cost, points[i].scored.best_flat, i),
+        default=None,
+    )
     return PhqcResult(
-        best_flat,
-        best_cost,
-        best_angles,
-        feasible_fraction,
-        p_opt,
-        degen,
-        tuple(stats),
+        points,
+        winner,
+        shots_per_point,
+        feasible.degeneracy,
         diag.penalty_weight,
         {
             "diagonal_s": t_diag - t_start,
@@ -299,4 +263,3 @@ def phqc_solve(
             "sweep_s": t_sweep - t_oracle,
         },
     )
-

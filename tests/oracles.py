@@ -175,13 +175,18 @@ def exact_success_probability(diag, column):
     """
     feasible = brute_force_optimum(diag)
     optimal = np.sort(feasible.flats[: feasible.degeneracy])
-    (state,) = run_circuit(diag, column)
+    (state,) = run_circuit(diag, [column])
     return float((np.abs(state.amplitudes[optimal]) ** 2).sum()), feasible.degeneracy
+
+
+def solved_cost(result):
+    """The best sampled cost of a solve, its winning point's; None when no shot was feasible."""
+    return None if result.winner is None else result.points[result.winner].scored.best_cost
 
 
 def tour_probabilities(diag, column, flats):
     """Exact probabilities of the given flat labels after a one-beta column, from run_circuit."""
-    (state,) = run_circuit(diag, column)
+    (state,) = run_circuit(diag, [column])
     return np.abs(state.amplitudes[np.asarray(flats, dtype=np.int64)]) ** 2
 
 

@@ -19,7 +19,12 @@ from ceqaoa.instances import parse_instance
 from ceqaoa.layers import Column, run_circuit
 from ceqaoa.phqc import derive_seed, phqc_solve, required_shots
 
-from oracles import exact_success_probability, held_karp_cycle, random_symmetric_instance
+from oracles import (
+    exact_success_probability,
+    held_karp_cycle,
+    random_symmetric_instance,
+    solved_cost,
+)
 
 
 def _finish(criterion, description, t0, ok, detail=""):
@@ -95,11 +100,11 @@ def test_criterion_07_solver_oracle_equivalence():
             # Held-Karp shares no code with the cost diagonal the solve scores on
             best = held_karp_cycle(matrix, 0)
             runs += 1
-            res = phqc_solve(enc, shots_per_point=10 * n_cities**3, master_seed=i)
-            if res.best_cost is not None and math.isclose(res.best_cost, best, rel_tol=1e-9):
+            cost = solved_cost(phqc_solve(enc, shots_per_point=10 * n_cities**3, master_seed=i))
+            if cost is not None and math.isclose(cost, best, rel_tol=1e-9):
                 hits_small += 1
-            res = phqc_solve(enc, shots_per_point=10 * n_cities**4, master_seed=i)
-            if res.best_cost is not None and math.isclose(res.best_cost, best, rel_tol=1e-9):
+            cost = solved_cost(phqc_solve(enc, shots_per_point=10 * n_cities**4, master_seed=i))
+            if cost is not None and math.isclose(cost, best, rel_tol=1e-9):
                 hits_large += 1
     ok = hits_small >= math.ceil(0.95 * runs) and hits_large == runs
     elapsed = _finish(
@@ -124,7 +129,7 @@ def test_criterion_08_chernoff_shot_calculus():
     delta = math.exp(-10)
     shots = required_shots(p_opt, delta)
 
-    (state,) = run_circuit(diag, column)
+    (state,) = run_circuit(diag, [column])
     probs = state.probabilities()
     feasible = brute_force_optimum(diag)
     optimal = set(feasible.flats[: feasible.degeneracy].tolist())
@@ -208,9 +213,9 @@ def test_criterion_12_conditional_benchmark_reproduction():
     failures = []
     for name, (shots, expected_cost, angles, expected_p) in BENCHMARK_ROWS.items():
         enc = anchor(parse_instance(paths[name]), 0)
-        res = phqc_solve(enc, shots_per_point=shots, master_seed=1)
-        if res.best_cost is None or not math.isclose(res.best_cost, expected_cost, rel_tol=1e-6):
-            failures.append(f"{name}: best_cost {res.best_cost} != {expected_cost}")
+        cost = solved_cost(phqc_solve(enc, shots_per_point=shots, master_seed=1))
+        if cost is None or not math.isclose(cost, expected_cost, rel_tol=1e-6):
+            failures.append(f"{name}: best_cost {cost} != {expected_cost}")
         p_opt, _ = exact_success_probability(build_cost_diagonal(enc), Column(angles[0], (angles[1],)))
         if abs(p_opt - expected_p) > 0.25 * expected_p:
             failures.append(f"{name}: p_opt {p_opt:.3e} not within 25% of {expected_p:.3e}")

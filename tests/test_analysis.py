@@ -101,7 +101,7 @@ class TestGoodPermutation:
         col = columns_for(1, 21)[0]
         target = (2, 0)
         perm, overlap = find_good_permutation(diag, col, target)
-        (state,) = run_circuit(diag, col)
+        (state,) = run_circuit(diag, [col])
         probs = state.probabilities()
         # overlap = |<target| P^dag U s0>|^2 = |<P target| U s0>|^2, where
         # P sends block b's symbol j to perms[b][j]

@@ -130,7 +130,7 @@ class TestSolve:
         seed = next(
             s
             for s in range(50)
-            if phqc_solve(enc, columns, shots_per_point=1, master_seed=s).best_flat is None
+            if phqc_solve(enc, columns, shots_per_point=1, master_seed=s).winner is None
         )
         out = tmp_path / "none.json"
         code = main(

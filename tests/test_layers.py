@@ -1,14 +1,14 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ceqaoa import layers
 from ceqaoa.encoded import BlockLayout, EncodedState, uniform_initial_state
-from ceqaoa.hamiltonian import TspInstance, anchor, build_cost_diagonal
+from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import (
     Column,
-    Workspace,
     apply_mixer,
     apply_phase,
     mixer_block_matrix,
@@ -167,12 +167,12 @@ class TestApplyMixer:
 class TestRunCircuit:
     def test_zero_angles_give_uniform(self):
         diag = small_diag()
-        (out,) = run_circuit(diag, Column(0.0, (0.0,)))
+        (out,) = run_circuit(diag, [Column(0.0, (0.0,))])
         assert np.allclose(out.amplitudes, uniform_initial_state(diag.layout).amplitudes, atol=1e-14)
 
     def test_gamma_zero_keeps_uniform_probabilities(self):
         diag = small_diag(seed=12)
-        for out in run_circuit(diag, Column(0.0, (0.4, 1.3, 2.9))):
+        for out in run_circuit(diag, [Column(0.0, (0.4, 1.3, 2.9))]):
             assert np.max(np.abs(out.probabilities() - 1 / diag.layout.D)) < 1e-12
 
     def test_norm_across_depths(self):
@@ -180,7 +180,7 @@ class TestRunCircuit:
         rng = np.random.default_rng(14)
         for p in (1, 2, 5):
             col = Column(rng.uniform(0, np.pi), tuple(rng.uniform(0, np.pi, 2)), p)
-            for out in run_circuit(diag, col):
+            for out in run_circuit(diag, [col]):
                 assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1) < 1e-10
 
     def test_order_phase_then_mixer(self):
@@ -188,30 +188,50 @@ class TestRunCircuit:
         manual = apply_mixer(
             apply_phase(uniform_initial_state(diag.layout), diag.phase(0.8)), 0.5
         )
-        (auto,) = run_circuit(diag, Column(0.8, (0.5,)))
+        (auto,) = run_circuit(diag, [Column(0.8, (0.5,))])
         assert np.array_equal(auto.amplitudes, manual.amplitudes)
 
-    def test_phase_is_built_when_the_first_state_is_asked_for(self):
+    def test_phase_is_built_when_the_first_state_is_asked_for(self, monkeypatch):
+        # and each column's phase when its own first state is
         diag = small_diag(seed=17)
-        work = Workspace(diag.layout)
-        work.amps.fill(0.0)
-        states = run_circuit(diag, Column(0.8, (0.5,)), work)
-        assert not work.amps.any()
-        next(states)
-        assert work.amps.any()
+        built = []
+        fill = CostDiagonal.phase
+        monkeypatch.setattr(
+            CostDiagonal, "phase", lambda self, gamma, out=None: built.append(gamma) or fill(self, gamma, out)
+        )
+        states = run_circuit(diag, [Column(0.8, (0.5,)), Column(0.9, (0.5, 0.6))])
+        assert built == []
+        for expected in ([0.8], [0.8, 0.9], [0.8, 0.9]):
+            next(states)
+            assert built == expected
 
     def test_depth_two_needs_a_phase_buffer(self):
-        # so do several betas; the workspace allocates the buffer at the
-        # first column that needs it and keeps it for the next
-        diag = small_diag(seed=16)
-        work = Workspace(diag.layout)
-        (_,) = run_circuit(diag, Column(0.8, (0.5,)), work)
-        assert work.phase is None  # built into the amplitudes
-        (_,) = run_circuit(diag, Column(0.8, (0.5,), 2), work)
-        phase = work.phase
-        assert phase is not None
-        for _ in run_circuit(diag, Column(0.9, (0.5, 0.6)), work):
-            assert work.phase is phase  # allocated once per workspace
+        # so do several betas.  A grid whose columns each use their phase
+        # once allocates one complex D-vector, the amplitudes; one that
+        # reuses a phase allocates exactly one more, however many columns
+        # it has.  The rest is the slice sums (4 bytes a label here) and
+        # numpy's casting buffers, 24.1 bytes a label in all.
+        layout = BlockLayout(4, 8)
+        diag = CostDiagonal(layout, np.arange(layout.D, dtype=np.float64) % 50, 7.0)
+        vector = 16 * layout.D
+
+        def traced_peak(columns):
+            tracemalloc.start()
+            try:
+                for _ in run_circuit(diag, columns):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        once = traced_peak([Column(0.8, (0.5,)), Column(0.9, (0.6,)), Column(1.0, (0.7,))])
+        assert vector <= once < 2 * vector
+        for columns in (
+            [Column(0.8, (0.5,), 2)],
+            [Column(0.8, (0.5, 0.6))],
+            [Column(0.8, (0.5,)), Column(0.9, (0.5, 0.6)), Column(1.0, (0.7,), 2)],
+        ):
+            assert abs(traced_peak(columns) - once - vector) < layout.D // 2
 
 
 class TestSpectrum:

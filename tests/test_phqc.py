@@ -43,6 +43,7 @@ from oracles import (
     random_asymmetric_instance,
     random_symmetric_instance,
     reference_cost_diagonal,
+    solved_cost,
     tour_cost,
 )
 
@@ -256,28 +257,32 @@ class TestSolve:
     def test_recovers_brute_force_on_example(self):
         enc = example_4()
         res = phqc_solve(enc, master_seed=5)
-        assert res.best_cost == 80.0
-        assert res.best_cost == tour_cost(enc, index_to_label(enc.layout, res.best_flat))
-        assert res.degenerate_optima == 2
-        assert 0 < res.feasible_fraction < 1
-        assert len(res.per_grid_stats) == 25
+        best = res.points[res.winner].scored
+        assert best.best_cost == 80.0
+        assert best.best_cost == tour_cost(enc, index_to_label(enc.layout, best.best_flat))
+        assert res.degeneracy == 2
+        assert len(res.points) == 25 and res.shots_per_point == 640
+        assert 0 < sum(p.scored.feasible_shots for p in res.points) < 25 * 640
         assert res.penalty_weight == default_penalty_weight(enc.instance)
 
     def test_best_is_min_over_grid_stats(self):
         res = phqc_solve(example_4(), master_seed=6)
-        observed = [s.min_sampled_cost for s in res.per_grid_stats if s.min_sampled_cost is not None]
-        assert res.best_cost == min(observed)
+        observed = [p.scored.best_cost for p in res.points if p.scored.best_cost is not None]
+        assert solved_cost(res) == min(observed)
+        # the winner is the first point, in grid order, with the cheapest
+        # sample, ties to the lower flat index
+        keys = [(p.scored.best_cost, p.scored.best_flat) for p in res.points]
+        assert keys.index(min(k for k in keys if k[1] is not None)) == res.winner
         # each point's cost histogram holds its feasible shots, cheapest first
-        for s in res.per_grid_stats:
-            assert sum(count for _, count in s.cost_counts) == round(s.feasible_fraction * 640)
-            assert s.min_sampled_cost == (s.cost_counts[0][0] if s.cost_counts else None)
+        for p in res.points:
+            assert sum(count for _, count in p.scored.cost_counts) == p.scored.feasible_shots
+            assert p.scored.best_cost == (p.scored.cost_counts[0][0] if p.scored.cost_counts else None)
 
     def test_deterministic_given_seed(self):
         a = phqc_solve(example_4(), master_seed=9)
         b = phqc_solve(example_4(), master_seed=9)
-        assert a.best_flat == b.best_flat
-        assert a.best_cost == b.best_cost
-        assert a.per_grid_stats == b.per_grid_stats
+        assert a.winner == b.winner
+        assert a.points == b.points
 
     def test_single_shot_semantics(self):
         enc = example_4()
@@ -285,14 +290,16 @@ class TestSolve:
         found_feasible = found_empty = False
         for seed in range(40):
             res = phqc_solve(enc, columns, shots_per_point=1, master_seed=seed)
-            frac = res.per_grid_stats[0].feasible_fraction
-            assert frac in (0.0, 1.0)
-            if res.best_flat is None:
-                assert frac == 0.0 and res.best_angles is None and res.p_opt_exact is None
+            (point,) = res.points
+            hits = point.scored.feasible_shots
+            assert hits in (0, 1)
+            if res.winner is None:
+                assert hits == 0 and point.scored.best_flat is None
                 found_empty = True
             else:
-                assert frac == 1.0
-                assert res.best_cost == tour_cost(enc, index_to_label(enc.layout, res.best_flat))
+                assert hits == 1 and res.winner == 0
+                flat = point.scored.best_flat
+                assert point.scored.best_cost == tour_cost(enc, index_to_label(enc.layout, flat))
                 found_feasible = True
             if found_feasible and found_empty:
                 break
@@ -302,8 +309,8 @@ class TestSolve:
         enc = example_4()
         columns = [Column(0.0, (0.0,)), Column(1.1, (0.6,))]
         res = phqc_solve(enc, shots_per_point=500, master_seed=3, columns=columns)
-        assert res.best_cost == 80.0
-        assert len(res.per_grid_stats) == 2
+        assert solved_cost(res) == 80.0
+        assert [(p.gamma, p.beta) for p in res.points] == [(0.0, 0.0), (1.1, 0.6)]
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2) == derive_seed(1, 2)
@@ -311,10 +318,12 @@ class TestSolve:
         assert derive_seed(2, 2) != derive_seed(1, 2)
 
     def test_one_circuit_per_grid_point(self, monkeypatch):
-        states = []
+        # from one run_circuit call over the whole grid
+        calls, states = [], []
         original = phqc.run_circuit
 
         def counting(*args, **kwargs):
+            calls.append(args)
             for state in original(*args, **kwargs):
                 states.append(state)
                 yield state
@@ -323,10 +332,11 @@ class TestSolve:
         enc = example_4()
         columns = square_grid(3)
         res = phqc_solve(enc, columns, shots_per_point=200, master_seed=4)
-        assert len(states) == point_count(columns) == len(res.per_grid_stats)
-        gamma, beta = res.best_angles
-        col = Column(gamma, (beta,))
-        assert res.p_opt_exact == exact_success_probability(build_cost_diagonal(enc), col)[0]
+        assert len(calls) == 1
+        assert len(states) == point_count(columns) == len(res.points)
+        best = res.points[res.winner]
+        col = Column(best.gamma, (best.beta,))
+        assert best.scored.p_opt == exact_success_probability(build_cost_diagonal(enc), col)[0]
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("path", ["direct", "table"])
@@ -367,7 +377,7 @@ class TestSolve:
         matrix = random_symmetric_instance(n_cities, 60 + n_cities)
         enc = anchor(TspInstance("r", n_cities, matrix), 0)
         res = phqc_solve(enc, shots_per_point=default_shots(n_cities), master_seed=77)
-        assert res.best_cost == pytest.approx(held_karp_cycle(matrix, 0), rel=1e-12)
+        assert solved_cost(res) == pytest.approx(held_karp_cycle(matrix, 0), rel=1e-12)
 
 
 class TestMemoryPlan:
@@ -449,7 +459,7 @@ class TestExactSuccess:
             col = Column(gamma, (beta,))
             p, k = exact_success_probability(diag, col)
             assert k == 6
-            (state,) = run_circuit(diag, col)
+            (state,) = run_circuit(diag, [col])
             probs = state.probabilities()
             feasible_mass = float(probs[reference_cost_diagonal(enc)[1] == 0].sum())
             assert p == pytest.approx(feasible_mass, abs=1e-12)

@@ -1,6 +1,6 @@
 """Property tests against scalar, dense and out-of-place references: the
 per-point tour sampler and checker, the rank-1 mixer, the in-place circuit
-kernels and the workspace's phase buffer, the per-chunk phase fill and the
+kernels and the grid's phase buffer, the per-chunk phase fill and the
 prefix-built cost diagonal."""
 
 import itertools
@@ -29,7 +29,6 @@ from ceqaoa.hamiltonian import (
 from ceqaoa import layers
 from ceqaoa.layers import (
     Column,
-    Workspace,
     apply_mixer,
     mixer_block_matrix,
     run_circuit,
@@ -126,8 +125,8 @@ def circuit_cases(draw):
     """A random diagonal on a small layout and two columns of 1-3 betas at depth 1-3.
 
     The columns take their gammas from two, so sequences such as (g1, g2)
-    and (g1, g1), run back to back in one workspace, rebuild the phase
-    buffer it holds.  Layouts reach past 16384 amplitudes, the size from
+    and (g1, g1), run back to back as one grid, rebuild the phase buffer
+    it holds.  Layouts reach past 16384 amplitudes, the size from
     which numpy elides temporaries.
     """
     layout = draw(layouts())
@@ -157,52 +156,64 @@ def amplitudes_of(column_states):
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_run_circuit_matches_out_of_place_reference_bitwise(case):
+    """Each column run alone, and the two run as one grid, as in a solve."""
     diag, columns = case
-    work = Workspace(diag.layout)  # shared by the columns, as in a solve
-    for col in columns:
-        expected = [reference_circuit(diag, [(col.gamma, b)] * col.depth) for b in col.betas]
-        for got in (
-            amplitudes_of(run_circuit(diag, col)),
-            amplitudes_of(run_circuit(diag, col, workspace=work)),
-        ):
-            assert len(got) == len(expected)
-            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    expected = [
+        [reference_circuit(diag, [(col.gamma, b)] * col.depth) for b in col.betas]
+        for col in columns
+    ]
+    for col, want in zip(columns, expected):
+        got = amplitudes_of(run_circuit(diag, [col]))
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, e) for g, e in zip(got, want))
+    grid = amplitudes_of(run_circuit(diag, columns))
+    want = [e for col_expected in expected for e in col_expected]
+    assert len(grid) == len(want)
+    assert all(np.array_equal(g, e) for g, e in zip(grid, want))
 
 
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_reused_and_consumed_phases_give_equal_amplitudes(case):
-    """Every circuit of a column, which reads its phase from the workspace's
-    buffer (several betas, or depth > 1) or builds it straight into the
-    amplitudes (one beta at depth 1), in a workspace an earlier column has
+    """Every circuit of a grid, which reads its phase from the phase buffer
+    (several betas, or depth > 1) or builds it straight into the
+    amplitudes (one beta at depth 1), in buffers an earlier column has
     used, gives bitwise the amplitudes of its beta run alone in a one-beta
-    column without a workspace."""
+    column."""
     diag, columns = case
-    shared = Workspace(diag.layout)
-    for col in columns:
-        for state, beta in zip(run_circuit(diag, col, shared), col.betas, strict=True):
-            (alone,) = run_circuit(diag, Column(col.gamma, (beta,), col.depth))
-            assert np.array_equal(state.amplitudes, alone.amplitudes)
+    points = [(col, beta) for col in columns for beta in col.betas]
+    for (col, beta), state in zip(points, run_circuit(diag, columns), strict=True):
+        (alone,) = run_circuit(diag, [Column(col.gamma, (beta,), col.depth)])
+        assert np.array_equal(state.amplitudes, alone.amplitudes)
 
 
 @settings(deadline=None)
 @given(case=circuit_cases())
 def test_returned_phase_is_never_written(case):
-    """The phase buffer the circuits read is never written by them: while a
-    column that reuses its phase yields, and after it, the buffer holds
-    bitwise a fresh diag.phase(column.gamma); a column that uses its phase
-    once leaves the buffer as it was."""
+    """The phase buffer the circuits read is never written by them: while
+    the grid yields, and after it, the one buffer besides the amplitudes
+    that a phase is built into holds bitwise a fresh diag.phase of the
+    last gamma built into it.  The columns that reuse their phase, and no
+    others, build it there; a column that uses its phase once builds it
+    into the amplitudes and leaves the phase buffer as it was."""
     diag, columns = case
-    work = Workspace(diag.layout)
-    held = None  # the bits the phase buffer must hold
-    for col in columns:
-        if col.reuses_phase:
-            held = diag.phase(col.gamma).view(np.uint64)
-        for _ in itertools.chain(run_circuit(diag, col, work), [None]):  # and after
-            if held is None:
-                assert work.phase is None
-            else:
-                assert np.array_equal(work.phase.view(np.uint64), held)
+    built = []  # (gamma, out) of every phase the grid builds
+    fill = CostDiagonal.phase
+
+    def recording(self, gamma, out=None):
+        built.append((gamma, out))
+        return fill(self, gamma, out)
+
+    amps = None
+    with mock.patch.object(CostDiagonal, "phase", recording):
+        for state in itertools.chain(run_circuit(diag, columns), [None]):  # and after
+            amps = amps if state is None else state.amplitudes
+            elsewhere = [(g, out) for g, out in built if not np.shares_memory(out, amps)]
+            assert len({id(out) for _, out in elsewhere}) <= 1
+            if elsewhere:
+                gamma, out = elsewhere[-1]
+                assert np.array_equal(out.view(np.uint64), fill(diag, gamma).view(np.uint64))
+    assert [g for g, _ in elsewhere] == [col.gamma for col in columns if col.reuses_phase]
 
 
 PHASE_KINDS = ["table", "fraction", "weight", "wide", "huge"]
@@ -277,16 +288,15 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
     """Block means of D/n = 16384 amplitudes (256 KiB) or more are where
     numpy scaled the former mixer's temporary mean in place; on both sides
     of that size the circuit must match the factorised reference bit for
-    bit, with and without a workspace."""
+    bit, alone and after a column that built its phase into the amplitudes."""
     layout = BlockLayout(n, m)
     rng = np.random.default_rng(n * 100 + m)
     diag = CostDiagonal(layout, rng.integers(0, 50, layout.D).astype(float), 7.0)
     col = Column(0.7, (0.4, 2.1), 2)
-    work = Workspace(layout)
     expected = [reference_circuit(diag, [(0.7, b)] * 2) for b in col.betas]
     for got in (
-        amplitudes_of(run_circuit(diag, col)),
-        amplitudes_of(run_circuit(diag, col, workspace=work)),
+        amplitudes_of(run_circuit(diag, [col])),
+        amplitudes_of(run_circuit(diag, [Column(1.3, (0.9,)), col]))[1:],
     ):
         assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 

@@ -22,7 +22,7 @@ from ceqaoa.hamiltonian import TspInstance, anchor, build_cost_diagonal
 from ceqaoa.layers import Column
 from ceqaoa.phqc import pair_columns, phqc_solve
 
-from oracles import enumerated_tours, tour_probabilities
+from oracles import enumerated_tours, solved_cost, tour_probabilities
 
 PAIRS = [(0.6, 0.4), (1.2, 0.9), (2.0, 2.5)]
 RUNS = 1000
@@ -67,7 +67,7 @@ def law():
 def test_optimum_hit_count(law):
     # the weakest gate: a sampler that draws from |psi| or takes F = m!/D
     # as the feasible mass still lands within 5 sigma here
-    hits = sum(res.best_cost == law["best"] for res in law["runs"])
+    hits = sum(solved_cost(res) == law["best"] for res in law["runs"])
     p = law["p_solve"]
     assert abs(hits - RUNS * p) <= SIGMAS * math.sqrt(RUNS * p * (1 - p))
 
@@ -75,7 +75,8 @@ def test_optimum_hit_count(law):
 @pytest.mark.parametrize("point", range(len(PAIRS)))
 def test_feasible_fraction_mean(law, point):
     mass = float(law["probs"][point].sum())
-    mean = sum(res.per_grid_stats[point].feasible_fraction for res in law["runs"]) / RUNS
+    hits = sum(res.points[point].scored.feasible_shots for res in law["runs"])
+    mean = hits / (law["shots"] * RUNS)
     sigma = math.sqrt(mass * (1 - mass) / (law["shots"] * RUNS))
     assert abs(mean - mass) <= SIGMAS * sigma
 
@@ -85,7 +86,7 @@ def test_pooled_cost_histogram(law, point):
     costs, probs, total = law["costs"], law["probs"][point], law["shots"] * RUNS
     observed = Counter()
     for res in law["runs"]:
-        for cost, count in res.per_grid_stats[point].cost_counts:
+        for cost, count in res.points[point].scored.cost_counts:
             observed[cost] += count
     assert set(observed) <= set(costs.tolist())
     expected = {c: total * float(probs[costs == c].sum()) for c in np.unique(costs).tolist()}
