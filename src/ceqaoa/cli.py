@@ -150,8 +150,8 @@ def pin_mmap_threshold() -> None:
     358.0-358.1 MB with it and 363.5-363.6 MB without (2 instances), while
     default-grid solves at n = 8 peak at 66.2-66.4 MB either way (3
     instances).  histogram's row buffers stay under the threshold
-    (HISTOGRAM_CHUNK), so it peaks at 61.6-61.7 MB with the pin and
-    63.0-63.1 MB without at n = 8 (2 instances).
+    (HISTOGRAM_CHUNK), so it peaks at 55.3 MB with the pin and 56.1 MB
+    without at n = 8 (2 instances).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -336,7 +336,10 @@ def cmd_histogram(args) -> int:
     except ValueError as exc:  # a non-finite angle
         raise ValueError(f"bad --angles value {args.angles!r} ({exc})") from None
     layout = enc.layout
-    # the probabilities' own float D-vector, then one chunk of rows
+    # the probabilities' own float D-vector, then one chunk of rows.  The
+    # sampler's normalised copy and its cumulative sums (two float
+    # D-vectors) and the rows' two byte masks come after the diagonal and
+    # the amplitudes are freed, and fit in the bytes those held.
     check_memory(
         peak_bytes(layout, columns, shots, energy_dtype(enc, args.penalty_weight))
         + 8 * layout.D
@@ -349,11 +352,15 @@ def cmd_histogram(args) -> int:
     del diag, state  # the rows need only the probabilities and the counts
 
     rng = np.random.default_rng(args.seed)
-    counts = np.bincount(rng.choice(layout.D, shots, p=probs / probs.sum()), minlength=layout.D)
+    draws = rng.choice(layout.D, shots, p=probs / probs.sum())
+    drawn, counts = np.unique(draws, return_counts=True)
+    unsampled = np.ones(layout.D, dtype=bool)
+    unsampled[drawn] = False
+    # most sampled first; the stable sort keeps equal counts in flat order
+    by_count = np.argsort(-counts, kind="stable")
+    drawn, counts = drawn[by_count], counts[by_count]
     is_optimal = np.zeros(layout.D, dtype=np.int8)
     is_optimal[feasible.flats[: feasible.degeneracy]] = 1
-    # most sampled first; the stable sort keeps equal counts in flat order
-    order = np.argsort(-counts, kind="stable")
     # A flat index splits into a high half of m // 2 symbols and a low half
     # of the rest; each row joins precomputed '-'-joined strings of the two.
     n, m, start = layout.n, layout.m, enc.start_city
@@ -361,24 +368,30 @@ def cmd_histogram(args) -> int:
     hi_syms, hi_cities = _half_label_strings(n, m // 2, enc.city_of_symbol)
     lo_syms, lo_cities = _half_label_strings(n, low_digits, enc.city_of_symbol)
 
+    def rows(flats: np.ndarray, counts: np.ndarray) -> str:
+        high, low = np.divmod(flats, n**low_digits)
+        fields = zip(
+            high.tolist(),
+            low.tolist(),
+            counts.tolist(),
+            probs[flats].tolist(),
+            is_optimal[flats].tolist(),
+        )
+        return "".join(
+            f"{hi_syms[h]}-{lo_syms[w]},{start}-{hi_cities[h]}-{lo_cities[w]}-{start},"
+            f"{cnt},{p!r},{opt}\n"
+            for h, w, cnt, p, opt in fields
+        )
+
     def chunks():
         yield f"# uniform_probability,{1.0 / layout.D!r}\n"
         yield "label,city_sequence,count,exact_probability,is_optimal\n"
+        for lo in range(0, drawn.size, HISTOGRAM_CHUNK):
+            yield rows(drawn[lo : lo + HISTOGRAM_CHUNK], counts[lo : lo + HISTOGRAM_CHUNK])
+        # then every label never drawn, in flat order
         for lo in range(0, layout.D, HISTOGRAM_CHUNK):
-            flats = order[lo : lo + HISTOGRAM_CHUNK]
-            high, low = np.divmod(flats, n**low_digits)
-            rows = zip(
-                high.tolist(),
-                low.tolist(),
-                counts[flats].tolist(),
-                probs[flats].tolist(),
-                is_optimal[flats].tolist(),
-            )
-            yield "".join(
-                f"{hi_syms[h]}-{lo_syms[w]},{start}-{hi_cities[h]}-{lo_cities[w]}-{start},"
-                f"{cnt},{p!r},{opt}\n"
-                for h, w, cnt, p, opt in rows
-            )
+            flats = lo + np.flatnonzero(unsampled[lo : lo + HISTOGRAM_CHUNK])
+            yield rows(flats, np.zeros_like(flats))
 
     write_text_atomic(Path(args.out), chunks())
     print(f"wrote {layout.D} rows to {args.out}")

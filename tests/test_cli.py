@@ -1,8 +1,11 @@
+import collections
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -352,6 +355,29 @@ class TestMemoryEstimate:
             )
             assert meta["peak_estimate_mb"] == estimate / 2**20
             assert meta["peak_rss_mb"] <= meta["peak_estimate_mb"], grid
+
+    def test_histogram_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
+        # every buffer the command allocates after its check, traced in
+        # process, so the interpreter's allowance cannot hide a gap; n = 8
+        # (D = 823543) has int32 energies, 28 bytes a label in the estimate.
+        # The rows are formatted a chunk at a time, each freed before the
+        # next, so the writer takes the first 64 chunks (the 5120 shots'
+        # rows and the first never drawn) and leaves the rest untraced.
+        instance = write_instance(tmp_path / "r8.json", 8)
+        estimates = []
+        check = cli.check_memory
+        monkeypatch.setattr(cli, "check_memory", lambda e: (estimates.append(e), check(e))[1])
+        write = lambda path, text: collections.deque(itertools.islice(text, 64), maxlen=0)  # noqa: E731
+        monkeypatch.setattr(cli, "write_text_atomic", write)
+        argv = ["histogram", str(instance), "--angles", "1.0,0.5", "--out", str(tmp_path / "h.csv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= estimates[0] - INTERPRETER_BYTES
 
     @pytest.mark.parametrize("n_cities", [7, 8])
     def test_histogram_peak_rss_stays_under_estimate(self, tmp_path, n_cities):
