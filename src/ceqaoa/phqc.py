@@ -195,7 +195,7 @@ class PhqcResult:
     to the lower flat index, then the lower grid index); None when no
     point drew a feasible shot.  Its scored.best_flat is the best feasible
     sample (hamiltonian.tour_cities gives its tour) and its scored.p_opt
-    the simulator-exact mass on the degeneracy optima at its angles.
+    the simulator-exact mass on all degeneracy optima at its angles.
     shots_per_point is every point's shot count.  penalty_weight is the
     cost diagonal's.  timings holds the wall seconds of the solve's
     stages: diagonal_s (cost diagonal), oracle_s (the feasible set: the
