@@ -8,9 +8,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .encoded import BlockPermutation, index_to_label, labels_to_indices
-from .hamiltonian import CostDiagonal
-from .layers import Column, mixer_block_matrix, run_circuit
+from .encoded import EncodedState, index_to_label, labels_to_indices
+from .layers import mixer_block_matrix
 
 EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
 EXACT_INT_BITS = 1 << 16  # larger baseline integers are handled in log10 space
@@ -24,8 +23,7 @@ class TwirlEstimate:
 
 
 def twirl_average(
-    diag: CostDiagonal,
-    column: Column,
+    state: EncodedState,
     target,
     mode: str = "exhaustive",
     n_samples: int = 100_000,
@@ -33,15 +31,13 @@ def twirl_average(
 ) -> TwirlEstimate:
     """Average overlap on the permuted target over blockwise symbol permutations.
 
-    The averaged quantity is |<target| P^dag U |s0>|^2 = prob(U|s0>) at
-    P(target), U the circuit of a one-beta column.  Exhaustive mode
-    enumerates all (n!)**m blockwise permutations (refused above 10**6);
-    monte_carlo draws n_samples of them uniformly and reports the standard
-    error of the mean.
+    The averaged quantity is |<target| P^dag psi>|^2 = prob(psi) at
+    P(target), psi the state.  Exhaustive mode enumerates all (n!)**m
+    blockwise permutations (refused above 10**6); monte_carlo draws
+    n_samples of them uniformly and reports the standard error of the mean.
     """
-    layout = diag.layout
+    layout = state.layout
     target = layout.validate_label(target)
-    (state,) = run_circuit(diag, [column])
     probs = state.probabilities()
     if mode == "exhaustive":
         count = math.factorial(layout.n) ** layout.m
@@ -73,21 +69,17 @@ def random_block_permutation_array(
     return np.argsort(rng.random((count, m, n)), axis=2)
 
 
-def find_good_permutation(
-    diag: CostDiagonal,
-    column: Column,
-    target,
-) -> tuple[BlockPermutation, float]:
-    """Blockwise permutation lifting the target overlap to the histogram peak.
+def find_good_permutation(state: EncodedState, target) -> tuple[tuple[tuple[int, ...], ...], float]:
+    """Blockwise permutation lifting the target overlap to the state's histogram peak.
 
-    The histogram is that of a one-beta column's circuit.  The image P(target) ranges over every basis label as P ranges over all
+    The image P(target) ranges over every basis label as P ranges over all
     blockwise permutations, so the best permutation reads off the argmax of
-    the probability vector (first index wins ties).  The averaging identity
-    guarantees the returned overlap is >= 1/D.
+    the probability vector (first index wins ties).  Returns perms, P
+    sending block b's symbol j to perms[b][j], and the overlap, which the
+    averaging identity guarantees is >= 1/D.
     """
-    layout = diag.layout
+    layout = state.layout
     target = layout.validate_label(target)
-    (state,) = run_circuit(diag, [column])
     probs = state.probabilities()
     flat = int(np.argmax(probs))
     best = index_to_label(layout, flat)
@@ -96,7 +88,7 @@ def find_good_permutation(
         p = list(range(layout.n))
         p[jt], p[jb] = p[jb], p[jt]
         perms.append(tuple(p))
-    return BlockPermutation(tuple(perms)), float(probs[flat])
+    return tuple(perms), float(probs[flat])
 
 
 def transition_closed_form(n: int) -> np.ndarray:

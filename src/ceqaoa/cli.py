@@ -408,8 +408,9 @@ def cmd_baselines(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     rep = classical_baselines(args.n)
-    # a count with more decimal digits than Python converts is written as its log10
-    limit = sys.get_int_max_str_digits()
+    # a count with more decimal digits than Python converts is written as its
+    # log10; Pythons before 3.10.7 have no such limit, nor the function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and rep.feasible_count >= 10**limit:
         count_field = {"log10_feasible_count": math.log10(rep.feasible_count)}
     else:

@@ -1,4 +1,4 @@
-"""States, labels, and permutations on the block one-hot product space.
+"""States and labels on the block one-hot product space.
 
 An (n, m) layout describes m blocks carrying n symbols each; the encoded
 space has dimension D = n**m.  A basis label is a tuple of m symbols, and
@@ -143,16 +143,3 @@ def uniform_initial_state(layout: BlockLayout) -> EncodedState:
     amp = 1.0 / math.sqrt(layout.D)
     return EncodedState(layout, np.full(layout.D, amp, dtype=np.complex128))
 
-
-@dataclass(frozen=True)
-class BlockPermutation:
-    """One symbol permutation per block, applied independently."""
-
-    perms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        perms = tuple(tuple(int(v) for v in p) for p in self.perms)
-        object.__setattr__(self, "perms", perms)
-        for b, p in enumerate(perms):
-            if sorted(p) != list(range(len(p))):
-                raise ValueError(f"block {b} entry {p} is not a permutation")

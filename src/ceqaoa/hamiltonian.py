@@ -158,6 +158,17 @@ class CostDiagonal:
         return vec
 
 
+def phase_table_bytes(layout: BlockLayout, energy: np.dtype) -> int:
+    """Most bytes CostDiagonal.phase allocates besides out, for energies of the given dtype.
+
+    int32 energies may take the level table, at most D // 16 complex values
+    (one byte a label), and its chunk of level indices; float64 take none.
+    """
+    if np.dtype(energy) != np.int32:
+        return 0
+    return 16 * (layout.D // 16) + 8 * min(PHASE_CHUNK, layout.D)
+
+
 def default_penalty_weight(instance: TspInstance) -> float:
     """n_cities * max distance (at least 1), dominating any objective gap."""
     return max(float(instance.n_cities) * instance.max_distance, 1.0)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoded import BlockLayout, EncodedState
-from .hamiltonian import AnchoredTsp, FeasibleSet, brute_force_optimum, build_cost_diagonal
+from .hamiltonian import (
+    AnchoredTsp,
+    FeasibleSet,
+    brute_force_optimum,
+    build_cost_diagonal,
+    phase_table_bytes,
+)
 from .layers import Column, mixer_bytes, run_circuit
 
 
@@ -63,9 +69,12 @@ def default_shots(n_cities: int) -> int:
     return 10 * n_cities**3
 
 
-# per grid point: its statistics with their cost histogram, and its JSON row,
-# about 1.7 kB measured on a 150 x 150 grid at n = 5
+# per grid point: its statistics and its JSON row, about 1.7 kB measured on a
+# 150 x 150 grid at n = 5
 POINT_BYTES = 2048
+# per distinct cost a point drew: its level and its count (ScoredShots),
+# at most min(shots, tours) of them
+LEVEL_BYTES = 16
 # per tour: the feasible set's flat and cost (16 bytes), and a point's gather
 # of its complex amplitudes and their moduli (24), measured at n = 7..9
 TOUR_BYTES = 40
@@ -88,20 +97,24 @@ def peak_bytes(
     INTERPRETER_BYTES, then per label: the diagonal's energy (4 bytes for
     int32, 8 for float64), and the buffers of layers.run_circuit: the
     complex amplitudes (16) and the complex phase when some column reuses
-    it (Column.reuses_phase, 16).  Then the mixer's block-sized slice sums
-    (layers.mixer_bytes), POINT_BYTES per grid point, TOUR_BYTES per
-    feasible label (the feasible set and one point's gather) and SHOT_BYTES
-    per shot, one point's shots alive at a time.
+    it (Column.reuses_phase, 16).  Then the phase's level table
+    (hamiltonian.phase_table_bytes), the mixer's block-sized slice sums
+    (layers.mixer_bytes), POINT_BYTES per grid point and LEVEL_BYTES per
+    cost level it can hold, TOUR_BYTES per feasible label (the feasible set
+    and one point's gather) and SHOT_BYTES per shot, one point's shots
+    alive at a time.
     """
     points = sum(len(col.betas) for col in columns)
+    tours = math.perm(layout.n, layout.m)
     phase = 16 if any(col.reuses_phase for col in columns) else 0
     held = np.dtype(energy).itemsize + 16 + phase
     return (
         INTERPRETER_BYTES
         + layout.D * held
+        + phase_table_bytes(layout, energy)
         + mixer_bytes(layout)
-        + points * POINT_BYTES
-        + math.perm(layout.n, layout.m) * TOUR_BYTES
+        + points * (POINT_BYTES + LEVEL_BYTES * min(shots, tours))
+        + tours * TOUR_BYTES
         + shots * SHOT_BYTES
     )
 
@@ -121,19 +134,26 @@ def required_shots(p_min: float, delta: float) -> int:
     return math.ceil(math.log(1.0 / delta) / p_min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredShots:
     """One grid point: the exact mass on its optima, and its checked shots.
 
-    cost_counts pairs every distinct feasible cost, ascending, with the
-    number of shots that drew a tour of that cost.
+    levels holds every distinct feasible cost drawn, ascending (float64),
+    and counts the number of shots that drew a tour of each (int64), as
+    np.unique returns them: 16 bytes a level.
     """
 
     p_opt: float
     best_cost: float | None
     best_flat: int | None
     feasible_shots: int
-    cost_counts: tuple[tuple[float, int], ...]
+    levels: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def cost_counts(self) -> tuple[tuple[float, int], ...]:
+        """(cost, count) pairs of Python numbers, cheapest first."""
+        return tuple(zip(self.levels.tolist(), self.counts.tolist()))
 
 
 def sample_tours(
@@ -164,17 +184,16 @@ def sample_tours(
     mass = float(p.sum())
     hits = int(rng.binomial(total_shots, min(mass, 1.0)))
     if hits == 0:
-        return ScoredShots(p_opt, None, None, 0, ())
+        return ScoredShots(p_opt, None, None, 0, np.empty(0), np.empty(0, dtype=np.int64))
     p /= mass
     draws = rng.choice(p.size, hits, p=p)
     best = int(draws.min())
-    levels, counts = np.unique(feasible.costs[draws], return_counts=True)
     return ScoredShots(
         p_opt,
         float(feasible.costs[best]),
         int(feasible.flats[best]),
         hits,
-        tuple(zip(levels.tolist(), counts.tolist())),
+        *np.unique(feasible.costs[draws], return_counts=True),
     )
 
 

@@ -14,7 +14,8 @@ import numpy as np
 from . import analysis, qubitref
 from .encoded import BlockLayout, EncodedState, uniform_initial_state
 from .hamiltonian import CostDiagonal
-from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum
+from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum, run_circuit
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -201,8 +202,8 @@ def check_one_design() -> list[CheckResult]:
     diag = random_diagonal(layout, seed=101)
     target = (1, 2)
     worst = 0.0
-    for col in _random_columns(10, seed=202):
-        est = analysis.twirl_average(diag, col, target, mode="exhaustive")
+    for state in run_circuit(diag, _random_columns(10, seed=202)):
+        est = analysis.twirl_average(state, target, mode="exhaustive")
         worst = max(worst, abs(est.value - 1.0 / layout.D))
     out.append(
         _check("one_design", "exhaustive_twirl_36_perms", worst < 1e-12, f"{worst:.3e}", "< 1e-12")
@@ -210,9 +211,9 @@ def check_one_design() -> list[CheckResult]:
 
     layout = BlockLayout(4, 3)
     diag = random_diagonal(layout, seed=303)
-    col = _random_columns(1, seed=404)[0]
+    (state,) = run_circuit(diag, _random_columns(1, seed=404))
     est = analysis.twirl_average(
-        diag, col, (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=505
+        state, (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=505
     )
     dev = abs(est.value - 1.0 / layout.D)
     out.append(
@@ -238,9 +239,9 @@ def check_existence_bound() -> list[CheckResult]:
         ok = True
         worst = math.inf
         slack = 1.0 - 1e-12  # absorbs one-ulp rounding at exactly degenerate points
-        for col in columns:
-            _, overlap = analysis.find_good_permutation(diag, col, target)
-            twirl = analysis.twirl_average(diag, col, target, mode="exhaustive").value
+        for state in run_circuit(diag, columns):  # each state is read before the next overwrites it
+            _, overlap = analysis.find_good_permutation(state, target)
+            twirl = analysis.twirl_average(state, target, mode="exhaustive").value
             worst = min(worst, overlap)
             ok = ok and overlap >= slack / layout.D and overlap >= slack * twirl
         out.append(

@@ -13,7 +13,7 @@ from ceqaoa.analysis import (
     transition_closed_form,
     twirl_average,
 )
-from ceqaoa.encoded import BlockLayout
+from ceqaoa.encoded import BlockLayout, uniform_initial_state
 from ceqaoa.layers import Column, run_circuit
 from ceqaoa.verify import random_diagonal
 
@@ -31,39 +31,33 @@ def columns_for(count, seed):
 class TestTwirl:
     def test_exhaustive_equals_uniform_baseline(self):
         lay = BlockLayout(3, 2)
-        diag = random_diagonal(lay, 1)
-        for col in columns_for(10, 2):
-            est = twirl_average(diag, col, (1, 2), mode="exhaustive")
+        for state in run_circuit(random_diagonal(lay, 1), columns_for(10, 2)):
+            est = twirl_average(state, (1, 2), mode="exhaustive")
             assert est.n_terms == 36
             assert abs(est.value - 1 / 9) < 1e-12
 
     def test_zero_angles_any_mode(self):
         lay = BlockLayout(3, 2)
-        diag = random_diagonal(lay, 3)
-        col = Column(0.0, (0.0,))
-        ex = twirl_average(diag, col, (0, 1), mode="exhaustive")
-        mc = twirl_average(diag, col, (0, 1), mode="monte_carlo", n_samples=100, seed=4)
+        (state,) = run_circuit(random_diagonal(lay, 3), [Column(0.0, (0.0,))])
+        ex = twirl_average(state, (0, 1), mode="exhaustive")
+        mc = twirl_average(state, (0, 1), mode="monte_carlo", n_samples=100, seed=4)
         assert abs(ex.value - 1 / 9) < 1e-12
         assert abs(mc.value - 1 / 9) < 1e-12  # every term equals 1/D
 
     def test_monte_carlo_three_sigma(self):
         lay = BlockLayout(4, 3)
-        diag = random_diagonal(lay, 5)
-        est = twirl_average(
-            diag, columns_for(1, 6)[0], (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=7
-        )
+        (state,) = run_circuit(random_diagonal(lay, 5), columns_for(1, 6))
+        est = twirl_average(state, (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=7)
         assert abs(est.value - 1 / 64) <= 3 * est.std_error
 
     def test_exhaustive_size_guard(self):
-        lay = BlockLayout(6, 6)  # (6!)^6 permutations
-        diag = random_diagonal(lay, 8)
+        state = uniform_initial_state(BlockLayout(6, 6))  # (6!)^6 permutations
         with pytest.raises(ValueError):
-            twirl_average(diag, columns_for(1, 9)[0], (0,) * 6, mode="exhaustive")
+            twirl_average(state, (0,) * 6, mode="exhaustive")
 
     def test_unknown_mode(self):
-        lay = BlockLayout(3, 2)
         with pytest.raises(ValueError):
-            twirl_average(random_diagonal(lay, 1), columns_for(1, 1)[0], (0, 0), mode="median")
+            twirl_average(uniform_initial_state(BlockLayout(3, 2)), (0, 0), mode="median")
 
     def test_permutation_sampler_uniform_chi_squared(self):
         rng = np.random.default_rng(11)
@@ -79,33 +73,31 @@ class TestTwirl:
 class TestGoodPermutation:
     def test_zero_angles_hit_baseline_exactly(self):
         lay = BlockLayout(3, 2)
-        diag = random_diagonal(lay, 12)
-        perm, overlap = find_good_permutation(diag, Column(0.0, (0.0,)), (1, 2))
+        (state,) = run_circuit(random_diagonal(lay, 12), [Column(0.0, (0.0,))])
+        perms, overlap = find_good_permutation(state, (1, 2))
         assert overlap == pytest.approx(1 / 9, abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_overlap_at_least_baseline(self, m):
         lay = BlockLayout(3, m)
-        diag = random_diagonal(lay, 13 + m)
         target = tuple(range(m))
         slack = 1.0 - 1e-12  # one-ulp margin at exactly degenerate points
-        for col in columns_for(10, 14 + m):
-            perm, overlap = find_good_permutation(diag, col, target)
+        for state in run_circuit(random_diagonal(lay, 13 + m), columns_for(10, 14 + m)):
+            perms, overlap = find_good_permutation(state, target)
             assert overlap >= slack / lay.D
-            twirl = twirl_average(diag, col, target, mode="exhaustive").value
+            twirl = twirl_average(state, target, mode="exhaustive").value
             assert overlap >= slack * twirl  # pigeonhole against the average
 
     def test_returned_permutation_realizes_overlap(self):
         lay = BlockLayout(3, 2)
-        diag = random_diagonal(lay, 20)
-        col = columns_for(1, 21)[0]
+        (state,) = run_circuit(random_diagonal(lay, 20), columns_for(1, 21))
         target = (2, 0)
-        perm, overlap = find_good_permutation(diag, col, target)
-        (state,) = run_circuit(diag, [col])
-        probs = state.probabilities()
+        perms, overlap = find_good_permutation(state, target)
+        assert [sorted(p) for p in perms] == [[0, 1, 2]] * lay.m
         # overlap = |<target| P^dag U s0>|^2 = |<P target| U s0>|^2, where
         # P sends block b's symbol j to perms[b][j]
-        moved = tuple(p[j] for p, j in zip(perm.perms, target))
+        moved = tuple(p[j] for p, j in zip(perms, target))
+        probs = state.probabilities()
         assert probs[label_to_index(lay, moved)] == pytest.approx(overlap, abs=1e-15)
 
 

@@ -20,6 +20,7 @@ from ceqaoa.hamiltonian import TspInstance, anchor
 from ceqaoa.layers import Column
 from ceqaoa.phqc import (
     INTERPRETER_BYTES,
+    LEVEL_BYTES,
     POINT_BYTES,
     SHOT_BYTES,
     TOUR_BYTES,
@@ -27,7 +28,7 @@ from ceqaoa.phqc import (
     phqc_solve,
 )
 
-from oracles import random_symmetric_instance
+from oracles import random_asymmetric_instance, random_symmetric_instance
 
 MATRIX_4 = [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]]
 
@@ -208,6 +209,74 @@ class TestSolve:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and err.startswith(f"{path}: ")
 
+    @pytest.mark.parametrize(
+        "name,body,message",
+        [
+            ("list.json", "[[0, 1], [1, 0]]", ": top-level JSON value must be an object"),
+            ("nomatrix.json", '{"n": 3}', ': missing "matrix" key'),
+            ("one.json", '{"matrix": [[0]]}', ": instance 'one' needs at least 2 cities"),
+            ("dim.tsp", "DIMENSION: three\n", ": bad DIMENSION value 'three'"),
+            (
+                "coord.tsp",
+                "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0\n",
+                ":4: coordinate line needs 3 fields: '1 0'",
+            ),
+            (
+                "weight.tsp",
+                "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
+                "EDGE_WEIGHT_SECTION\n0 1\n1 x\n",
+                ":6: bad weight entry: '1 x'",
+            ),
+            ("line.tsp", "NAME: x\nhello\n", ":2: unrecognized line: 'hello'"),
+            ("nodim.tsp", "NAME: x\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n", ": missing DIMENSION header"),
+            (
+                "count.tsp",
+                "DIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 0\n3 0 1\nEOF\n",
+                ":3: NODE_COORD_SECTION has 3 nodes, expected 4",
+            ),
+        ],
+        ids=[
+            "json-not-object",
+            "json-no-matrix",
+            "json-one-city",
+            "tsplib-bad-dimension",
+            "tsplib-short-coordinate",
+            "tsplib-bad-weight",
+            "tsplib-unrecognized-line",
+            "tsplib-no-dimension",
+            "tsplib-node-count",
+        ],
+    )
+    def test_instance_check_ends_in_its_one_line(self, tmp_path, capsys, name, body, message):
+        path = tmp_path / name
+        path.write_text(body)
+        assert main(["solve", str(path), "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == f"{path}{message}\n"
+
+    def test_euclid_exact_keeps_unrounded_distances(self, tmp_path):
+        coords = [(0, 0), (3, 1), (1, 4), (5, 5)]
+        path = tmp_path / "e4.tsp"
+        path.write_text(
+            "NAME: e4\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+            + "".join(f"{i + 1} {x} {y}\n" for i, (x, y) in enumerate(coords))
+            + "EOF\n"
+        )
+        out = tmp_path / "r.json"
+        assert main(["solve", str(path), "--euclid-exact", "--out", str(out)]) == 0
+
+        def exact(tour):
+            # the scalar tour sum, start edge first, of unrounded distances
+            total = 0.0
+            for a, b in zip(tour, tour[1:]):
+                (xa, ya), (xb, yb) = coords[a], coords[b]
+                total += math.sqrt((xa - xb) ** 2 + (ya - yb) ** 2)
+            return total
+
+        result = read_json(out)
+        tours = [(0, *perm, 0) for perm in itertools.permutations(range(1, 4))]
+        assert result["best_cost"] == exact(result["best_tour"]) == min(map(exact, tours))
+        assert result["best_cost"] != int(result["best_cost"])
+
     @pytest.mark.parametrize("key", ["n", "matrix"])
     def test_deep_entry_ends_in_a_short_line(self, tmp_path, capsys, key):
         # a value nested 900 deep parses, under the recursion limit; the
@@ -342,14 +411,17 @@ class TestMemoryEstimate:
     def test_peak_rss_stays_under_estimate(self, tmp_path):
         # one grid point, and a grid that holds a phase buffer; the estimate
         # counts the interpreter too, so it bounds the whole process
-        # the instance's integer distances give int32 energies, 4 bytes a label
+        # the instance's integer distances give int32 energies, 4 bytes a
+        # label, and a level table of up to D // 16 complex values with its
+        # 8192 level indices; 5120 shots a point can hold every 7! tour cost
         for grid, per_label, points in (("list:1.0,0.5", 20, 1), ("3x3", 36, 9)):
             meta = self.solve_metadata(tmp_path, 3, "--grid", grid)
             estimate = (
                 INTERPRETER_BYTES
                 + per_label * 7**7
+                + 16 * (7**7 // 16) + 8 * 8192
                 + layers.mixer_bytes(BlockLayout(7, 7))
-                + points * POINT_BYTES
+                + points * (POINT_BYTES + LEVEL_BYTES * math.factorial(7))
                 + math.factorial(7) * TOUR_BYTES
                 + default_shots(8) * SHOT_BYTES
             )
@@ -378,6 +450,46 @@ class TestMemoryEstimate:
             tracemalloc.stop()
         assert code == 0
         assert peak <= estimates[0] - INTERPRETER_BYTES
+
+    @staticmethod
+    def traced_solve(tmp_path, monkeypatch, matrix, *args):
+        """(traced peak, checked estimate less INTERPRETER_BYTES) of a solve run in process.
+
+        A one-point solve runs first, untraced, so that imports made on a
+        first run, which INTERPRETER_BYTES covers, are not charged.
+        """
+        warm_up = write_instance(tmp_path / "r5.json", 5)
+        assert main(["solve", str(warm_up), "--grid", "list:1,0.5", "--out", str(tmp_path / "w.json")]) == 0
+        instance = tmp_path / "traced.json"
+        instance.write_text(json.dumps({"name": "traced", "matrix": matrix.tolist()}))
+        estimates = []
+        check = cli.check_memory
+        monkeypatch.setattr(cli, "check_memory", lambda e: (estimates.append(e), check(e))[1])
+        tracemalloc.start()
+        try:
+            code = main(["solve", str(instance), *args, "--out", str(tmp_path / "r.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak, estimates[-1] - INTERPRETER_BYTES
+
+    def test_cost_histograms_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
+        # fractional asymmetric distances: a point can draw each of the 5!
+        # tour costs, and 400 points keep their histograms to the end
+        matrix = random_asymmetric_instance(6, 3)
+        peak, estimate = self.traced_solve(
+            tmp_path, monkeypatch, matrix, "--grid", "20x20", "--shots", "5000"
+        )
+        assert peak <= estimate
+
+    def test_phase_table_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
+        # n = 8 (D = 823543), integer distances below 140: the phase gathers
+        # from a table of 42586 energy levels, near its limit of D // 16.
+        # 100 shots a point keep the histograms' term below the table's.
+        matrix = random_symmetric_instance(8, 0, 1.0, 140.0).round()
+        peak, estimate = self.traced_solve(tmp_path, monkeypatch, matrix, "--shots", "100")
+        assert peak <= estimate
 
     @pytest.mark.parametrize("n_cities", [7, 8])
     def test_histogram_peak_rss_stays_under_estimate(self, tmp_path, n_cities):
@@ -647,6 +759,37 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "apply_mixer", half_angle)
         first_order = verify.check_mixer_gates()[1]
         assert first_order.name == "gate_sweep_first_order" and not first_order.passed
+
+    def test_one_design_runs_each_layout_in_one_sweep(self, monkeypatch):
+        calls, circuits = [], []
+
+        def counted(diag, columns):
+            calls.append(diag.layout)
+            for state in layers.run_circuit(diag, columns):
+                circuits.append(state.layout)
+                yield state
+
+        monkeypatch.setattr(verify, "run_circuit", counted)
+        assert main(["verify", "one_design"]) == 0
+        assert len(calls) == 4 and len(circuits) == 33
+
+    @pytest.mark.parametrize("second_passes", [True, False])
+    def test_all_runs_every_suite_in_order(self, monkeypatch, capsys, second_passes):
+        def suite(name, *passed):
+            return lambda: [
+                verify.CheckResult(name, f"check_{i}", ok, i, "any") for i, ok in enumerate(passed)
+            ]
+
+        # not in name order, so the output order is the dict's
+        suites = {"zeta": suite("zeta", True, True), "alpha": suite("alpha", second_passes)}
+        monkeypatch.setattr(verify, "SUITES", suites)
+        assert main(["verify", "all"]) == (0 if second_passes else 1)
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] zeta:check_0  measured=0  target=any",
+            "[PASS] zeta:check_1  measured=1  target=any",
+            f"[{'PASS' if second_passes else 'FAIL'}] alpha:check_0  measured=0  target=any",
+            f"{2 + second_passes}/3 checks passed",
+        ]
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 1

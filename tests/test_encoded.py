@@ -3,7 +3,6 @@ import pytest
 
 from ceqaoa.encoded import (
     BlockLayout,
-    BlockPermutation,
     DimensionCapError,
     EncodedState,
     index_to_label,
@@ -115,13 +114,6 @@ class TestEncodedState:
         EncodedState(lay, np.array([1.0 + 4e-11, 0.0]))  # within 1e-10 on the square
         with pytest.raises(ValueError):
             EncodedState(lay, np.array([1.0 + 1e-9, 0.0]))
-
-
-class TestBlockPermutation:
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            BlockPermutation(((0, 0),))
-        BlockPermutation(((1, 0), (0, 1)))
 
 
 class TestOverlap:

@@ -118,3 +118,10 @@ def test_verify_matches_golden(suite, capsys):
 def test_baselines_match_golden(n, capsys):
     assert main(["baselines", "--n", str(n)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"baselines_n{n}.json").read_text()
+
+
+def test_baselines_on_a_python_without_the_int_to_str_limit(capsys, monkeypatch):
+    # sys.get_int_max_str_digits came in 3.11 and 3.10.7; without it nothing is limited
+    monkeypatch.delattr("sys.get_int_max_str_digits")
+    assert main(["baselines", "--n", "8"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "baselines_n8.json").read_text()
