@@ -35,7 +35,6 @@ from .layers import (
 )
 from .phqc import (
     PhqcResult,
-    default_grid,
     derive_seed,
     phqc_solve,
     square_grid,

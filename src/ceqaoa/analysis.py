@@ -236,12 +236,15 @@ def _pow10(log10: float) -> float:
         return math.inf
 
 
-def _trials(base: int, exp: int, extra: int, den: int) -> tuple[float, float]:
-    """(value, log10 of value) of (base**exp + extra) / den.
+def _trials(
+    base: int, exp: int, extra: int, den: int | None, log10_den: float
+) -> tuple[float, float]:
+    """(value, log10 of value) of (base**exp + extra) / den, log10_den being log10(den).
 
     Exact integer arithmetic while base**exp has at most EXACT_INT_BITS
     bits; beyond that the numerator is built in log10 space, where extra
-    no longer shows.  A value that overflows a float is inf.
+    no longer shows, and den may be None.  A value that overflows a float
+    is inf.
     """
     if exp * base.bit_length() <= EXACT_INT_BITS:
         num = base**exp + extra
@@ -249,8 +252,8 @@ def _trials(base: int, exp: int, extra: int, den: int) -> tuple[float, float]:
             value = num / den
         except OverflowError:
             value = math.inf
-        return value, math.log10(num) - math.log10(den)
-    log10 = exp * math.log10(base) - math.log10(den)
+        return value, math.log10(num) - log10_den
+    log10 = exp * math.log10(base) - log10_den
     return _pow10(log10), log10
 
 
@@ -263,11 +266,14 @@ class BaselineReport:
     n*n-bit strings and needs (2**(n*n) + 1)/(|F| + 1).  Values that
     overflow a float are reported as inf, with their magnitudes in the
     log10 fields (exact logs of the integers up to EXACT_INT_BITS bits).
+    feasible_count is n!, or None past EXACT_INT_BITS bits, where only its
+    log10 is formed.
     """
 
     n: int
     m: int
-    feasible_count: int
+    feasible_count: int | None
+    log10_feasible_count: float
     model_a_trials: float
     model_b_trials: float
     separation_ratio: float  # (2**n / n)**n
@@ -280,14 +286,21 @@ def classical_baselines(n: int) -> BaselineReport:
     """The baselines for n blocks of n symbols, whose feasible set is the n! permutations."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    feasible_count = math.factorial(n)
-    model_a, log10_a = _trials(n, n, 0, feasible_count)
-    model_b, log10_b = _trials(2, n * n, 1, feasible_count + 1)
+    if math.lgamma(n + 1) <= EXACT_INT_BITS * math.log(2.0):
+        count = math.factorial(n)
+        log10_count, log10_b_den = math.log10(count), math.log10(count + 1)
+        b_den = count + 1
+    else:  # n! + 1 and n! agree to far below a float's precision
+        count = b_den = None
+        log10_count = log10_b_den = math.lgamma(n + 1) / math.log(10.0)
+    model_a, log10_a = _trials(n, n, 0, count, log10_count)
+    model_b, log10_b = _trials(2, n * n, 1, b_den, log10_b_den)
     log10_sep = n * (n * math.log10(2.0) - math.log10(n))
     return BaselineReport(
         n=n,
         m=n,
-        feasible_count=feasible_count,
+        feasible_count=count,
+        log10_feasible_count=log10_count,
         model_a_trials=model_a,
         model_b_trials=model_b,
         separation_ratio=_pow10(log10_sep),

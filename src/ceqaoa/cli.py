@@ -13,7 +13,6 @@ import contextlib
 import ctypes
 import itertools
 import json
-import math
 import os
 import resource
 import sys
@@ -28,6 +27,7 @@ from .hamiltonian import (
     anchor,
     brute_force_optimum,
     build_cost_diagonal,
+    energy_bound,
     energy_dtype,
     tour_cities,
 )
@@ -35,7 +35,6 @@ from .instances import parse_instance
 from .layers import Column, run_circuit
 from .phqc import (
     POINT_BYTES,
-    default_grid,
     default_shots,
     pair_columns,
     peak_bytes,
@@ -61,7 +60,7 @@ HISTOGRAM_ROW_BYTES = 384
 
 
 def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column], dict]:
-    """Grid flag: 'n+1' (default), 'NxN', or 'list:g,b;g,b;...' explicit pairs.
+    """Grid flag: 'n+1' (default: the NxN grid with N = n_cities + 1), 'NxN', or 'list:g,b;...'.
 
     Returns the grid's columns at the given depth and the grid as the
     result JSON records it: its gammas and betas, or for list mode its
@@ -89,18 +88,17 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
             raise ValueError(f"bad --grid value {spec!r} ({exc})") from None
         return columns, {"pairs": [[col.gamma, beta] for col in columns for beta in col.betas]}
     if text == "n+1":
-        columns = default_grid(n_cities, depth)
-    else:
-        try:
-            rows, cols = (int(v) for v in text.lower().split("x"))
-        except ValueError:
-            raise bad from None
-        if rows != cols:
-            raise ValueError(f"only square grids are supported, got {spec!r}")
-        if rows < 2:
-            raise ValueError(f"bad --grid value {spec!r} (need at least 2 points per axis)")
-        check_memory(rows * rows * POINT_BYTES)
-        columns = square_grid(rows, depth)
+        text = f"{n_cities + 1}x{n_cities + 1}"
+    try:
+        rows, cols = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise bad from None
+    if rows != cols:
+        raise ValueError(f"only square grids are supported, got {spec!r}")
+    if rows < 2:
+        raise ValueError(f"bad --grid value {spec!r} (need at least 2 points per axis)")
+    check_memory(rows * rows * POINT_BYTES)
+    columns = square_grid(rows, depth)
     return columns, {"gammas": [col.gamma for col in columns], "betas": list(columns[0].betas)}
 
 
@@ -237,16 +235,13 @@ def cmd_solve(args) -> int:
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 1:
         raise ValueError(f"--shots must be >= 1, got {shots}")
-    estimate = peak_bytes(enc.layout, columns, shots, energy_dtype(enc, args.penalty_weight))
+    lam = args.penalty_weight
+    estimate = peak_bytes(
+        enc.layout, columns, shots, energy_dtype(enc, lam), energy_bound(enc, lam)
+    )
     check_memory(estimate)
     t0 = time.perf_counter()
-    result = phqc_solve(
-        enc,
-        columns,
-        shots_per_point=shots,
-        master_seed=args.seed,
-        penalty_weight=args.penalty_weight,
-    )
+    result = phqc_solve(enc, columns, shots, args.seed, lam)
     wall = time.perf_counter() - t0
     points = result.points
     best = None if result.winner is None else points[result.winner]
@@ -335,17 +330,17 @@ def cmd_histogram(args) -> int:
         columns = pair_columns([(gamma, beta)], args.depth)
     except ValueError as exc:  # a non-finite angle
         raise ValueError(f"bad --angles value {args.angles!r} ({exc})") from None
-    layout = enc.layout
+    layout, lam = enc.layout, args.penalty_weight
     # the probabilities' own float D-vector, then one chunk of rows.  The
     # sampler's normalised copy and its cumulative sums (two float
     # D-vectors) and the rows' two byte masks come after the diagonal and
     # the amplitudes are freed, and fit in the bytes those held.
     check_memory(
-        peak_bytes(layout, columns, shots, energy_dtype(enc, args.penalty_weight))
+        peak_bytes(layout, columns, shots, energy_dtype(enc, lam), energy_bound(enc, lam))
         + 8 * layout.D
         + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
     )
-    diag = build_cost_diagonal(enc, args.penalty_weight)
+    diag = build_cost_diagonal(enc, lam)
     feasible = brute_force_optimum(diag)
     (state,) = run_circuit(diag, columns)
     probs = state.probabilities()
@@ -408,11 +403,12 @@ def cmd_baselines(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     rep = classical_baselines(args.n)
-    # a count with more decimal digits than Python converts is written as its
-    # log10; Pythons before 3.10.7 have no such limit, nor the function
+    # a count past the exact-integer budget, or with more decimal digits than
+    # Python converts, is written as its log10; Pythons before 3.10.7 have no
+    # such limit, nor the function
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and rep.feasible_count >= 10**limit:
-        count_field = {"log10_feasible_count": math.log10(rep.feasible_count)}
+    if rep.feasible_count is None or (limit and rep.feasible_count >= 10**limit):
+        count_field = {"log10_feasible_count": rep.log10_feasible_count}
     else:
         count_field = {"feasible_count": rep.feasible_count}
     payload = {

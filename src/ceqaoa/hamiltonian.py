@@ -116,11 +116,10 @@ class CostDiagonal:
         object.__setattr__(self, "penalty_weight", weight)
         object.__setattr__(self, "_energy_range", (float(energy.min()), float(energy.max())))
 
-    def phase(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Fill out with exp(-i gamma energy).
+    def phase(self, gamma: float, out: np.ndarray) -> np.ndarray:
+        """Fill out, a complex D-vector, with exp(-i gamma energy) and return it.
 
-        out is a complex D-vector (None: a fresh one) and is returned.  A
-        gamma whose product with the largest energy is not finite raises
+        A gamma whose product with the largest energy is not finite raises
         ValueError before out is written.
 
         The labels go PHASE_CHUNK at a time.  When the energies are int32
@@ -137,7 +136,6 @@ class CostDiagonal:
         if not math.isfinite(gamma * bound):
             raise ValueError(f"gamma {gamma!r} times the largest energy {bound!r} is not finite")
         dim = self.layout.D
-        vec = np.empty(dim, dtype=np.complex128) if out is None else out
         if self.energy.dtype == np.int32 and hi - lo + 1 <= dim // 16:
             # the levels lo, lo + 1, ..., hi as (E, +0)
             table = np.arange(int(hi - lo) + 1, dtype=np.complex128)
@@ -149,24 +147,26 @@ class CostDiagonal:
                 stop = min(start + PHASE_CHUNK, dim)
                 k = level[: stop - start]
                 np.subtract(self.energy[start:stop], int(lo), out=k, dtype=np.intp)
-                np.take(table, k, out=vec[start:stop])
-            return vec
+                np.take(table, k, out=out[start:stop])
+            return out
         for start in range(0, dim, PHASE_CHUNK):
-            v = vec[start : start + PHASE_CHUNK]
+            v = out[start : start + PHASE_CHUNK]
             np.multiply(-1j * gamma, self.energy[start : start + PHASE_CHUNK], out=v)
             np.exp(v, out=v)
-        return vec
+        return out
 
 
-def phase_table_bytes(layout: BlockLayout, energy: np.dtype) -> int:
+def phase_table_bytes(layout: BlockLayout, energy: np.dtype, bound: float) -> int:
     """Most bytes CostDiagonal.phase allocates besides out, for energies of the given dtype.
 
-    int32 energies may take the level table, at most D // 16 complex values
-    (one byte a label), and its chunk of level indices; float64 take none.
+    int32 energies may take the level table and its chunk of level indices;
+    float64 take none.  The table holds at most D // 16 complex values (one
+    byte a label), and, as energies lie in [0, bound] (energy_bound), at
+    most bound + 1.
     """
     if np.dtype(energy) != np.int32:
         return 0
-    return 16 * (layout.D // 16) + 8 * min(PHASE_CHUNK, layout.D)
+    return 16 * min(layout.D // 16, int(bound) + 1) + 8 * min(PHASE_CHUNK, layout.D)
 
 
 def default_penalty_weight(instance: TspInstance) -> float:
@@ -174,19 +174,27 @@ def default_penalty_weight(instance: TspInstance) -> float:
     return max(float(instance.n_cities) * instance.max_distance, 1.0)
 
 
+def energy_bound(enc: AnchoredTsp, penalty_weight: float | None = None) -> float:
+    """The largest energy build_cost_diagonal can give, penalty_weight None meaning the default.
+
+    A label's objective sums n_cities distances, and its penalty count is at
+    most n - m + m*(m-1) (every block on one symbol).  Energies are >= 0.
+    """
+    n, m = enc.layout.n, enc.layout.m
+    weight = default_penalty_weight(enc.instance) if penalty_weight is None else penalty_weight
+    return enc.instance.n_cities * enc.instance.max_distance + weight * (n - m + m * (m - 1))
+
+
 def energy_dtype(enc: AnchoredTsp, penalty_weight: float | None = None) -> np.dtype:
     """The dtype build_cost_diagonal holds the energies in: int32 or float64.
 
     int32 when every distance and the penalty weight (None: the default)
-    are integers and the largest possible energy is below 2**31: a label's
-    objective sums n_cities distances, and its penalty count is at most
-    n - m + m*(m-1) (every block on one symbol).  float64 otherwise.
+    are integers and energy_bound is below 2**31; float64 otherwise.
     """
-    n, m = enc.layout.n, enc.layout.m
     dist = enc.instance.distances
     weight = default_penalty_weight(enc.instance) if penalty_weight is None else penalty_weight
-    bound = enc.instance.n_cities * enc.instance.max_distance + weight * (n - m + m * (m - 1))
-    if float(weight).is_integer() and np.array_equal(dist, np.trunc(dist)) and bound < 2**31:
+    integral = float(weight).is_integer() and np.array_equal(dist, np.trunc(dist))
+    if integral and energy_bound(enc, weight) < 2**31:
         return np.dtype(np.int32)
     return np.dtype(np.float64)
 

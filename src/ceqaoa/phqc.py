@@ -45,22 +45,15 @@ def pair_columns(pairs: Sequence[tuple[float, float]], depth: int = 1) -> list[C
     return [Column(gamma, tuple(betas), depth) for gamma, betas in runs]
 
 
-def default_grid(n_cities: int, depth: int = 1) -> list[Column]:
-    """(n+1) x (n+1) points {j pi / n} over [0, pi]^2, n the original city count.
+def square_grid(points_per_axis: int, depth: int = 1) -> list[Column]:
+    """N x N points {j pi / (N - 1)} over [0, pi]^2, N = points_per_axis.
 
     One column per gamma, gamma-major, every column sharing one betas tuple.
+    The paper's default grid is N = n_cities + 1: angles j pi / n.
     """
-    if n_cities < 3:
-        raise ValueError(f"need at least 3 cities, got {n_cities}")
-    pts = tuple(j * math.pi / n_cities for j in range(n_cities + 1))
-    return [Column(g, pts, depth) for g in pts]
-
-
-def square_grid(points_per_axis: int, depth: int = 1) -> list[Column]:
-    """Evenly spaced points_per_axis x points_per_axis grid over [0, pi]^2, as default_grid's."""
     if points_per_axis < 2:
         raise ValueError("need at least 2 points per axis")
-    pts = tuple(float(v) for v in np.linspace(0.0, math.pi, points_per_axis))
+    pts = tuple(j * math.pi / (points_per_axis - 1) for j in range(points_per_axis))
     return [Column(g, pts, depth) for g in pts]
 
 
@@ -89,11 +82,12 @@ INTERPRETER_BYTES = 40 << 20
 
 
 def peak_bytes(
-    layout: BlockLayout, columns: Sequence[Column], shots: int, energy: np.dtype
+    layout: BlockLayout, columns: Sequence[Column], shots: int, energy: np.dtype, bound: float
 ) -> int:
     """Estimated peak bytes of a process that runs the columns' circuits, each sampled shots times.
 
-    energy is the diagonal's dtype, hamiltonian.energy_dtype.
+    energy is the diagonal's dtype (hamiltonian.energy_dtype) and bound its
+    largest energy (hamiltonian.energy_bound).
     INTERPRETER_BYTES, then per label: the diagonal's energy (4 bytes for
     int32, 8 for float64), and the buffers of layers.run_circuit: the
     complex amplitudes (16) and the complex phase when some column reuses
@@ -111,7 +105,7 @@ def peak_bytes(
     return (
         INTERPRETER_BYTES
         + layout.D * held
-        + phase_table_bytes(layout, energy)
+        + phase_table_bytes(layout, energy, bound)
         + mixer_bytes(layout)
         + points * (POINT_BYTES + LEVEL_BYTES * min(shots, tours))
         + tours * TOUR_BYTES
@@ -215,15 +209,14 @@ class PhqcResult:
     point drew a feasible shot.  Its scored.best_flat is the best feasible
     sample (hamiltonian.tour_cities gives its tour) and its scored.p_opt
     the simulator-exact mass on all degeneracy optima at its angles.
-    shots_per_point is every point's shot count.  penalty_weight is the
-    cost diagonal's.  timings holds the wall seconds of the solve's
-    stages: diagonal_s (cost diagonal), oracle_s (the feasible set: the
-    tours' enumeration and sort) and sweep_s (every grid point).
+    penalty_weight is the cost diagonal's.  timings holds the wall
+    seconds of the solve's stages: diagonal_s (cost diagonal), oracle_s
+    (the feasible set: the tours' enumeration and sort) and sweep_s (every
+    grid point).
     """
 
     points: tuple[GridPointStat, ...]
     winner: int | None
-    shots_per_point: int
     degeneracy: int
     penalty_weight: float
     timings: dict[str, float]
@@ -231,25 +224,20 @@ class PhqcResult:
 
 def phqc_solve(
     enc: AnchoredTsp,
-    columns: Sequence[Column] | None = None,
-    shots_per_point: int | None = None,
-    master_seed: int = 0,
+    columns: Sequence[Column],
+    shots_per_point: int,
+    master_seed: int,
     penalty_weight: float | None = None,
 ) -> PhqcResult:
     """Grid-search solve: sample every grid point, return them with the winner.
 
     The grid points are the columns' (gamma, beta) pairs, numbered column
-    by column in beta order; each column builds its phase once.  The
-    default is the depth-1 default grid, one column per gamma.  Per-point
+    by column in beta order; each column builds its phase once.  Per-point
     seeds derive from (master_seed, grid_index), so any evaluation order
     gives identical output.
     """
-    if shots_per_point is None:
-        shots_per_point = default_shots(enc.instance.n_cities)
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
-    if columns is None:
-        columns = default_grid(enc.instance.n_cities)
     if not columns:
         raise ValueError("empty column list")
 
@@ -273,7 +261,6 @@ def phqc_solve(
     return PhqcResult(
         points,
         winner,
-        shots_per_point,
         feasible.degeneracy,
         diag.penalty_weight,
         {

@@ -15,6 +15,7 @@ from . import analysis, qubitref
 from .encoded import BlockLayout, EncodedState, uniform_initial_state
 from .hamiltonian import CostDiagonal
 from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum, run_circuit
+from .phqc import pair_columns
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,7 @@ def check_ergodicity() -> list[CheckResult]:
 
 def _random_columns(count: int, seed: int) -> list[Column]:
     rng = np.random.default_rng(seed)
-    return [
-        Column(float(g), (float(b),))
-        for g, b in zip(rng.uniform(0, math.pi, count), rng.uniform(0, math.pi, count))
-    ]
+    return pair_columns(list(zip(rng.uniform(0, math.pi, count), rng.uniform(0, math.pi, count))))
 
 
 def check_one_design() -> list[CheckResult]:

@@ -17,7 +17,7 @@ from ceqaoa import verify
 from ceqaoa.hamiltonian import TspInstance, anchor, brute_force_optimum, build_cost_diagonal
 from ceqaoa.instances import parse_instance
 from ceqaoa.layers import Column, run_circuit
-from ceqaoa.phqc import derive_seed, phqc_solve, required_shots
+from ceqaoa.phqc import derive_seed, phqc_solve, required_shots, square_grid
 
 from oracles import (
     exact_success_probability,
@@ -100,10 +100,11 @@ def test_criterion_07_solver_oracle_equivalence():
             # Held-Karp shares no code with the cost diagonal the solve scores on
             best = held_karp_cycle(matrix, 0)
             runs += 1
-            cost = solved_cost(phqc_solve(enc, shots_per_point=10 * n_cities**3, master_seed=i))
+            grid = square_grid(n_cities + 1)
+            cost = solved_cost(phqc_solve(enc, grid, 10 * n_cities**3, i))
             if cost is not None and math.isclose(cost, best, rel_tol=1e-9):
                 hits_small += 1
-            cost = solved_cost(phqc_solve(enc, shots_per_point=10 * n_cities**4, master_seed=i))
+            cost = solved_cost(phqc_solve(enc, grid, 10 * n_cities**4, i))
             if cost is not None and math.isclose(cost, best, rel_tol=1e-9):
                 hits_large += 1
     ok = hits_small >= math.ceil(0.95 * runs) and hits_large == runs
@@ -213,7 +214,8 @@ def test_criterion_12_conditional_benchmark_reproduction():
     failures = []
     for name, (shots, expected_cost, angles, expected_p) in BENCHMARK_ROWS.items():
         enc = anchor(parse_instance(paths[name]), 0)
-        cost = solved_cost(phqc_solve(enc, shots_per_point=shots, master_seed=1))
+        grid = square_grid(enc.instance.n_cities + 1)
+        cost = solved_cost(phqc_solve(enc, grid, shots, 1))
         if cost is None or not math.isclose(cost, expected_cost, rel_tol=1e-6):
             failures.append(f"{name}: best_cost {cost} != {expected_cost}")
         p_opt, _ = exact_success_probability(build_cost_diagonal(enc), Column(angles[0], (angles[1],)))

@@ -16,7 +16,7 @@ import ceqaoa.cli as cli
 from ceqaoa import layers, verify
 from ceqaoa.cli import main, parse_grid_spec
 from ceqaoa.encoded import BlockLayout
-from ceqaoa.hamiltonian import TspInstance, anchor
+from ceqaoa.hamiltonian import TspInstance, anchor, energy_bound
 from ceqaoa.layers import Column
 from ceqaoa.phqc import (
     INTERPRETER_BYTES,
@@ -391,6 +391,29 @@ class TestMemoryEstimate:
         instance = write_instance(tmp_path / "r5.json", 5)
         assert main(["solve", str(instance), "--grid", "list:1,0.5", "--out", str(out)]) == 0
 
+    def test_level_table_is_counted_up_to_the_largest_energy(self, tmp_path, monkeypatch):
+        # n = 7 (D = 46656) with distances 1 to 3: energies are at most
+        # 7 * 3 + 21 * (6 * 5) = 651, so the phase's level table holds at
+        # most 652 levels, not the D // 16 = 2916 it may take.  A memory of
+        # exactly the estimate with 652 is enough to run.
+        matrix = 1 + np.add.outer(np.arange(7), np.arange(7)) % 3
+        np.fill_diagonal(matrix, 0)
+        instance = tmp_path / "r7.json"
+        instance.write_text(json.dumps({"name": "r7", "matrix": matrix.tolist()}))
+        estimate = (
+            INTERPRETER_BYTES
+            + 20 * 6**6
+            + 16 * 652 + 8 * 8192
+            + layers.mixer_bytes(BlockLayout(6, 6))
+            + POINT_BYTES + LEVEL_BYTES * math.factorial(6)
+            + math.factorial(6) * TOUR_BYTES
+            + default_shots(7) * SHOT_BYTES
+        )
+        monkeypatch.setattr(cli, "available_memory", lambda: estimate)
+        out = tmp_path / "r.json"
+        assert main(["solve", str(instance), "--grid", "list:1.0,0.5", "--out", str(out)]) == 0
+        assert read_json(out)["metadata"]["peak_estimate_mb"] == estimate / 2**20
+
     def test_readers(self):
         avail = cli.available_memory()
         assert avail is None or avail > 0
@@ -412,14 +435,17 @@ class TestMemoryEstimate:
         # one grid point, and a grid that holds a phase buffer; the estimate
         # counts the interpreter too, so it bounds the whole process
         # the instance's integer distances give int32 energies, 4 bytes a
-        # label, and a level table of up to D // 16 complex values with its
-        # 8192 level indices; 5120 shots a point can hold every 7! tour cost
+        # label, and a level table of up to D // 16 complex values, and of
+        # at most one more than the largest energy, with its 8192 level
+        # indices; 5120 shots a point can hold every 7! tour cost
+        matrix = random_symmetric_instance(8, 3).round()
+        levels = int(energy_bound(anchor(TspInstance("r8", 8, matrix)))) + 1
         for grid, per_label, points in (("list:1.0,0.5", 20, 1), ("3x3", 36, 9)):
             meta = self.solve_metadata(tmp_path, 3, "--grid", grid)
             estimate = (
                 INTERPRETER_BYTES
                 + per_label * 7**7
-                + 16 * (7**7 // 16) + 8 * 8192
+                + 16 * min(7**7 // 16, levels) + 8 * 8192
                 + layers.mixer_bytes(BlockLayout(7, 7))
                 + points * (POINT_BYTES + LEVEL_BYTES * math.factorial(7))
                 + math.factorial(7) * TOUR_BYTES
@@ -810,6 +836,24 @@ class TestBaselinesCommand:
         else:
             assert "feasible_count" not in payload
             assert payload["log10_feasible_count"] == pytest.approx(log10_count, rel=1e-12)
+
+    def test_count_past_the_exact_budget_is_never_formed(self, capsys, monkeypatch):
+        # 10**7! has 65.7M decimal digits and took minutes to form; its
+        # log10 comes from lgamma instead
+        factorial = math.factorial
+
+        def small_factorial(n):
+            assert n < 10**4, f"formed {n}!"
+            return factorial(n)
+
+        monkeypatch.setattr(math, "factorial", small_factorial)
+        assert main(["baselines", "--n", "10000000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "feasible_count" not in payload
+        log10_count = math.lgamma(10**7 + 1) / math.log(10)
+        assert payload["log10_feasible_count"] == log10_count
+        assert payload["log10_model_a"] == pytest.approx(7 * 10**7 - log10_count, rel=1e-12)
+        assert payload["model_a_trials"] == payload["model_b_trials"] == math.inf
 
     def test_values(self, tmp_path, capsys):
         out = tmp_path / "base.json"

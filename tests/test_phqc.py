@@ -17,6 +17,7 @@ from ceqaoa.hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
     default_penalty_weight,
+    energy_bound,
     energy_dtype,
 )
 from ceqaoa.layers import Column, mixer_bytes, run_circuit
@@ -26,7 +27,6 @@ from ceqaoa.phqc import (
     POINT_BYTES,
     SHOT_BYTES,
     TOUR_BYTES,
-    default_grid,
     default_shots,
     derive_seed,
     pair_columns,
@@ -68,18 +68,28 @@ def gammas(columns):
 
 
 class TestGrids:
-    def test_default_grid_points(self):
-        cols = default_grid(4)
+    def test_n_plus_1_grid_points(self):
+        cols = square_grid(4 + 1)
         assert len(cols) == len(cols[0].betas) == 5
         assert math.pi / 2 in gammas(cols) and 3 * math.pi / 4 in cols[0].betas
         assert point_count(cols) == 25
 
-    def test_default_grid_n6_contains_table_angles(self):
-        cols = default_grid(6)
+    def test_n_plus_1_grid_n6_contains_table_angles(self):
+        cols = square_grid(6 + 1)
         assert 5 * math.pi / 6 in gammas(cols) and 4 * math.pi / 6 in cols[0].betas
 
-    def test_default_grid_n3_has_16_points(self):
-        assert point_count(default_grid(3)) == 16
+    def test_n_plus_1_grid_n3_has_16_points(self):
+        assert point_count(square_grid(3 + 1)) == 16
+
+    @pytest.mark.parametrize("n_cities", range(3, 10))
+    def test_n_plus_1_grid_is_the_papers_grid_bitwise(self, n_cities):
+        # the paper's (n+1) x (n+1) angles {j pi / n}, formed as j * pi / n;
+        # np.linspace differs from them in the last bit at 7 points per
+        # axis (n = 6)
+        paper = [(j * math.pi / n_cities).hex() for j in range(n_cities + 1)]
+        cols = square_grid(n_cities + 1)
+        assert [g.hex() for g in gammas(cols)] == paper
+        assert [b.hex() for b in cols[0].betas] == paper
 
     def test_square_grid(self):
         cols = square_grid(20, 2)
@@ -91,8 +101,6 @@ class TestGrids:
         assert cols[0].gamma == 0.0 and cols[-1].gamma == pytest.approx(math.pi)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            default_grid(2)
         with pytest.raises(ValueError):
             square_grid(1)
         with pytest.raises(ValueError):
@@ -257,17 +265,17 @@ class TestScoring:
 class TestSolve:
     def test_recovers_brute_force_on_example(self):
         enc = example_4()
-        res = phqc_solve(enc, master_seed=5)
+        res = phqc_solve(enc, square_grid(5), 640, 5)
         best = res.points[res.winner].scored
         assert best.best_cost == 80.0
         assert best.best_cost == tour_cost(enc, index_to_label(enc.layout, best.best_flat))
         assert res.degeneracy == 2
-        assert len(res.points) == 25 and res.shots_per_point == 640
+        assert len(res.points) == 25
         assert 0 < sum(p.scored.feasible_shots for p in res.points) < 25 * 640
         assert res.penalty_weight == default_penalty_weight(enc.instance)
 
     def test_best_is_min_over_grid_stats(self):
-        res = phqc_solve(example_4(), master_seed=6)
+        res = phqc_solve(example_4(), square_grid(5), 640, 6)
         observed = [p.scored.best_cost for p in res.points if p.scored.best_cost is not None]
         assert solved_cost(res) == min(observed)
         # the winner is the first point, in grid order, with the cheapest
@@ -280,8 +288,8 @@ class TestSolve:
             assert p.scored.best_cost == (p.scored.cost_counts[0][0] if p.scored.cost_counts else None)
 
     def test_deterministic_given_seed(self):
-        a = phqc_solve(example_4(), master_seed=9)
-        b = phqc_solve(example_4(), master_seed=9)
+        a = phqc_solve(example_4(), square_grid(5), 640, 9)
+        b = phqc_solve(example_4(), square_grid(5), 640, 9)
         assert a.winner == b.winner
         assert [(p.gamma, p.beta, p.scored.p_opt, checked(p.scored)) for p in a.points] == [
             (p.gamma, p.beta, p.scored.p_opt, checked(p.scored)) for p in b.points
@@ -366,11 +374,11 @@ class TestSolve:
         # four runs: a repeated gamma, two signed zeros, a return to 0.5
         pairs = [(0.5, 0.3), (0.5, 1.1), (0.0, 0.2), (-0.0, 0.2), (0.5, 0.7)]
         for columns, phases in (
-            (default_grid(inst.n_cities, depth), inst.n_cities + 1),
+            (square_grid(inst.n_cities + 1, depth), inst.n_cities + 1),
             (pair_columns(pairs, depth), 4),
         ):
             shapes.clear()
-            phqc_solve(enc, columns, shots_per_point=50, penalty_weight=lam)
+            phqc_solve(enc, columns, 50, 0, penalty_weight=lam)
             assert len(shapes) == phases
             assert all((shape == (enc.layout.D,)) == (path == "direct") for shape in shapes)
 
@@ -379,7 +387,7 @@ class TestSolve:
         # Held-Karp shares no code with the cost diagonal the solve scores on
         matrix = random_symmetric_instance(n_cities, 60 + n_cities)
         enc = anchor(TspInstance("r", n_cities, matrix), 0)
-        res = phqc_solve(enc, shots_per_point=default_shots(n_cities), master_seed=77)
+        res = phqc_solve(enc, square_grid(n_cities + 1), default_shots(n_cities), 77)
         assert solved_cost(res) == pytest.approx(held_karp_cycle(matrix, 0), rel=1e-12)
 
 
@@ -400,36 +408,50 @@ class TestMemoryPlan:
         tours = math.factorial(8) * TOUR_BYTES
         table = 8**8 + 8 * 8192
         lay = BlockLayout(8, 8)
-        assert peak_bytes(lay, one, 0, FLOAT) == base + 24 * 8**8 + mixer + tours
-        assert peak_bytes(lay, one, 0, INT) == base + 20 * 8**8 + table + mixer + tours
+        wide = 2.0**31 - 1
+        assert peak_bytes(lay, one, 0, FLOAT, wide) == base + 24 * 8**8 + mixer + tours
+        assert peak_bytes(lay, one, 0, INT, wide) == base + 20 * 8**8 + table + mixer + tours
         # a column that reuses its phase adds a phase buffer of 16
         reused = [Column(1.0, (0.5,), 2)]
-        assert peak_bytes(lay, reused, 0, FLOAT) == base + 40 * 8**8 + mixer + tours
-        assert peak_bytes(lay, reused, 0, INT) == base + 36 * 8**8 + table + mixer + tours
+        assert peak_bytes(lay, reused, 0, FLOAT, wide) == base + 40 * 8**8 + mixer + tours
+        assert peak_bytes(lay, reused, 0, INT, wide) == base + 36 * 8**8 + table + mixer + tours
         # a state of one block needs only the slice sums of one axis, D / n;
         # 10 blocks of 2 symbols hold no tour
-        assert peak_bytes(BlockLayout(2, 10), one, 0, FLOAT) == base + 24 * 2**10 + 16 * 2**9
+        assert peak_bytes(BlockLayout(2, 10), one, 0, FLOAT, wide) == base + 24 * 2**10 + 16 * 2**9
         # grid points and the shots of one point add their own terms
         grid = square_grid(9)
-        grown = peak_bytes(BlockLayout(2, 10), grid, 5120, FLOAT) - INTERPRETER_BYTES - 40 * 2**10
+        grown = peak_bytes(BlockLayout(2, 10), grid, 5120, FLOAT, wide) - INTERPRETER_BYTES - 40 * 2**10
         assert grown == 16 * 2**9 + 81 * POINT_BYTES + 5120 * SHOT_BYTES
         # each point holds at most min(shots, tours) cost levels; 4! tours here
         lay = BlockLayout(4, 4)
         for shots, levels in ((10, 10), (100, 24)):
-            more = peak_bytes(lay, grid, shots, FLOAT) - peak_bytes(lay, grid, 0, FLOAT)
+            more = peak_bytes(lay, grid, shots, FLOAT, wide) - peak_bytes(lay, grid, 0, FLOAT, wide)
             assert more == shots * SHOT_BYTES + 81 * LEVEL_BYTES * levels
+
+    @pytest.mark.parametrize("bound, levels", [(99.0, 100), (2**20 - 1.0, 2**20), (2**20, 2**20)])
+    def test_level_table_holds_at_most_bound_plus_one_levels(self, bound, levels):
+        # energies in [0, bound] span at most bound + 1 levels, and the
+        # table takes at most D // 16 = 2**20 of them
+        lay = BlockLayout(8, 8)
+        one = [Column(1.0, (0.5,))]
+        table = peak_bytes(lay, one, 0, INT, bound) - peak_bytes(lay, one, 0, FLOAT, bound) + 4 * 8**8
+        assert table == 16 * levels + 8 * 8192
 
     @pytest.mark.parametrize("energy, held", [(FLOAT, 24), (INT, 20)])
     def test_peak_bytes_counts_the_energy_dtype_of_the_instance(self, energy, held):
         # the diagonal the solve builds has the dtype the estimate counts
         matrix = MATRIX_4 if energy == INT else MATRIX_4 + 0.5 - 0.5 * np.eye(4)
         enc = anchor(TspInstance("m4", 4, matrix), 0)
-        assert energy_dtype(enc) == build_cost_diagonal(enc).energy.dtype == energy
+        diag = build_cost_diagonal(enc)
+        assert energy_dtype(enc) == diag.energy.dtype == energy
+        # and no energy above the bound the table term counts
+        assert 0 <= diag.energy.min() and diag.energy.max() <= energy_bound(enc)
         one = [Column(1.0, (0.5,))]
         rest = INTERPRETER_BYTES + POINT_BYTES + mixer_bytes(enc.layout) + 6 * TOUR_BYTES
         # int32 adds the level table, 27 // 16 complex values, and 27 level indices
         table = 16 + 8 * 27 if energy == INT else 0
-        assert peak_bytes(enc.layout, one, 0, energy_dtype(enc)) == rest + held * 27 + table
+        estimate = peak_bytes(enc.layout, one, 0, energy_dtype(enc), energy_bound(enc))
+        assert estimate == rest + held * 27 + table
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_phase_buffer_only_when_a_column_reuses_its_phase(self, depth):
@@ -438,7 +460,7 @@ class TestMemoryPlan:
         def phase_bytes(columns):
             points = point_count(columns) * POINT_BYTES
             rest = INTERPRETER_BYTES + 24 * layout.D + mixer_bytes(layout) + points
-            return peak_bytes(layout, columns, 0, FLOAT) - rest
+            return peak_bytes(layout, columns, 0, FLOAT, 1.0) - rest
 
         # one point per gamma, 0.0 and -0.0 among them: at depth 1 each
         # phase is used once, and built into the amplitudes

@@ -200,7 +200,7 @@ def test_returned_phase_is_never_written(case):
     built = []  # (gamma, out) of every phase the grid builds
     fill = CostDiagonal.phase
 
-    def recording(self, gamma, out=None):
+    def recording(self, gamma, out):
         built.append((gamma, out))
         return fill(self, gamma, out)
 
@@ -212,7 +212,8 @@ def test_returned_phase_is_never_written(case):
             assert len({id(out) for _, out in elsewhere}) <= 1
             if elsewhere:
                 gamma, out = elsewhere[-1]
-                assert np.array_equal(out.view(np.uint64), fill(diag, gamma).view(np.uint64))
+                fresh = fill(diag, gamma, np.empty_like(out))
+                assert np.array_equal(out.view(np.uint64), fresh.view(np.uint64))
     assert [g for g, _ in elsewhere] == [col.gamma for col in columns if col.reuses_phase]
 
 
@@ -275,7 +276,6 @@ def test_phase_matches_direct_reference_bitwise(case):
     bits."""
     diag, gamma, kind, gathered = case
     expected = reference_phase(diag, gamma).view(np.uint64)
-    assert np.array_equal(diag.phase(gamma).view(np.uint64), expected)
     out = np.full(diag.layout.D, np.nan, dtype=np.complex128)
     with mock.patch.object(np, "take", wraps=np.take) as take:
         assert diag.phase(gamma, out) is out
@@ -454,4 +454,5 @@ def test_integral_diagonal_is_int32_with_the_float_bits(case, gamma):
     assert np.array_equal(diag.energy, energy)
     expected = reference_phase(CostDiagonal(enc.layout, energy, diag.penalty_weight), gamma)
     assert np.array_equal(reference_phase(diag, gamma).view(np.uint64), expected.view(np.uint64))
-    assert np.array_equal(diag.phase(gamma).view(np.uint64), expected.view(np.uint64))
+    out = np.empty(enc.layout.D, dtype=np.complex128)
+    assert np.array_equal(diag.phase(gamma, out).view(np.uint64), expected.view(np.uint64))
