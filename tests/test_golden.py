@@ -108,7 +108,7 @@ def test_float_energy_histogram_matches_golden(name, instance, extra, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("suite", ["encoder", "one_design", "baselines"])
+@pytest.mark.parametrize("suite", ["encoder", "mixer", "one_design", "baselines"])
 def test_verify_matches_golden(suite, capsys):
     assert main(["verify", suite]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"verify_{suite}.txt").read_text()
