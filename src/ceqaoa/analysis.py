@@ -15,58 +15,25 @@ EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
 EXACT_INT_BITS = 1 << 16  # larger baseline integers are handled in log10 space
 
 
-@dataclass(frozen=True)
-class TwirlEstimate:
-    value: float
-    std_error: float | None  # None in exhaustive mode
-    n_terms: int
-
-
-def twirl_average(
-    state: EncodedState,
-    target,
-    mode: str = "exhaustive",
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> TwirlEstimate:
-    """Average overlap on the permuted target over blockwise symbol permutations.
+def twirl_average(state: EncodedState, target) -> float:
+    """Average overlap on the permuted target over all blockwise symbol permutations.
 
     The averaged quantity is |<target| P^dag psi>|^2 = prob(psi) at
-    P(target), psi the state.  Exhaustive mode enumerates all (n!)**m
-    blockwise permutations (refused above 10**6); monte_carlo draws
-    n_samples of them uniformly and reports the standard error of the mean.
+    P(target), psi the state, summed exactly over all (n!)**m blockwise
+    permutations (refused above EXHAUSTIVE_TWIRL_LIMIT).
     """
     layout = state.layout
     target = layout.validate_label(target)
-    probs = state.probabilities()
-    if mode == "exhaustive":
-        count = math.factorial(layout.n) ** layout.m
-        if count > EXHAUSTIVE_TWIRL_LIMIT:
-            raise ValueError(f"exhaustive twirl over {count} permutations refused")
-        # the image of the target under every permutation tuple, in
-        # product(permutations, repeat=m) order: block 0 varies slowest
-        perms = np.array(list(permutations(range(layout.n))))
-        images = np.meshgrid(*(perms[:, j] for j in target), indexing="ij")
-        flats = labels_to_indices(layout, np.stack(images, axis=-1).reshape(count, layout.m))
-        # cumsum adds strictly in order, as a running Python sum would
-        total = float(np.cumsum(probs[flats])[-1])
-        return TwirlEstimate(total / count, None, count)
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_samples < 2:
-        raise ValueError("monte_carlo needs n_samples >= 2")
-    rng = np.random.default_rng(seed)
-    perms = random_block_permutation_array(layout.n, layout.m, n_samples, rng)
-    vals = probs[labels_to_indices(layout, perms[:, np.arange(layout.m), target])]
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return TwirlEstimate(float(vals.mean()), se, n_samples)
-
-
-def random_block_permutation_array(
-    n: int, m: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(count, m, n) array of independent uniform permutations of [0, n)."""
-    return np.argsort(rng.random((count, m, n)), axis=2)
+    count = math.factorial(layout.n) ** layout.m
+    if count > EXHAUSTIVE_TWIRL_LIMIT:
+        raise ValueError(f"exhaustive twirl over {count} permutations refused")
+    # the image of the target under every permutation tuple, in
+    # product(permutations, repeat=m) order: block 0 varies slowest
+    perms = np.array(list(permutations(range(layout.n))))
+    images = np.meshgrid(*(perms[:, j] for j in target), indexing="ij")
+    flats = labels_to_indices(layout, np.stack(images, axis=-1).reshape(count, layout.m))
+    # cumsum adds strictly in order, as a running Python sum would
+    return float(np.cumsum(state.probabilities()[flats])[-1]) / count
 
 
 def find_good_permutation(state: EncodedState, target) -> tuple[tuple[tuple[int, ...], ...], float]:
@@ -126,10 +93,8 @@ class MomentReport:
     std_errors: tuple[float, float]
 
 
-def block_design_moments(
-    n: int, pulse_layers: int, trials: int, seed: int = 0, target: int = 0
-) -> MomentReport:
-    """Moments of X = |<target| U |uniform>|^2 under random in-block circuits.
+def block_design_moments(n: int, pulse_layers: int, trials: int, seed: int = 0) -> MomentReport:
+    """Moments of X = |<0| U |uniform>|^2 under random in-block circuits.
 
     Each layer draws a uniformly random pair (i, j), an angle theta for the
     rotation exp(-i theta (|i><j| + |j><i|)), and a site k with phase
@@ -140,8 +105,6 @@ def block_design_moments(
         raise ValueError(f"block size {n} outside [2, 8]")
     if trials < 1 or pulse_layers < 0:
         raise ValueError("need trials >= 1 and pulse_layers >= 0")
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} outside [0, {n})")
     rng = np.random.default_rng(seed)
     pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
     states = np.full((trials, n), 1.0 / math.sqrt(n), dtype=np.complex128)
@@ -158,7 +121,7 @@ def block_design_moments(
         states[rows, j] = s * vi + c * vj
         k = rng.integers(0, n, trials)
         states[rows, k] *= np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi, trials))
-    x = np.abs(states[:, target]) ** 2
+    x = np.abs(states[:, 0]) ** 2
     x2 = x**2
     if trials > 1:
         se = (

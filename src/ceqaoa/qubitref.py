@@ -12,11 +12,9 @@ Gate semantics (angles in radians):
   PHASE(phi)    diag(1, exp(i phi))
   CX            controlled X on (control, target)
   CRY(theta)    controlled RY(theta) on (control, target)
-  RXX(theta)    exp(-i theta/2 XX)
-  RYY(theta)    exp(-i theta/2 YY)
   XYROT(theta)  identity on {|00>,|11>}; the rotation
                 [[cos(theta/2), -i sin(theta/2)], [-i sin(theta/2), cos(theta/2)]]
-                on {|01>,|10>}.  Equals RXX(theta/2) RYY(theta/2).
+                on {|01>,|10>}, which is exp(-i theta/4 (XX + YY)).
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ from .encoded import BlockLayout, EncodedState, indices_to_labels, labels_to_ind
 
 MAX_QUBITS = 20
 
-_GATE_ARITY = {"X": 1, "PHASE": 1, "CX": 2, "CRY": 2, "RXX": 2, "RYY": 2, "XYROT": 2}
-_NEEDS_ANGLE = {"PHASE", "CRY", "RXX", "RYY", "XYROT"}
+_GATE_ARITY = {"X": 1, "PHASE": 1, "CX": 2, "CRY": 2, "XYROT": 2}
+_NEEDS_ANGLE = {"PHASE", "CRY", "XYROT"}
 
 
 @dataclass(frozen=True)
@@ -75,18 +73,6 @@ def gate_matrix(op: GateOp) -> np.ndarray:
         out = np.eye(4, dtype=complex)
         out[2:, 2:] = [[c, -s], [s, c]]
         return out
-    if op.kind == "RXX":
-        c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
-        return np.array(
-            [[c, 0, 0, -1j * s], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [-1j * s, 0, 0, c]],
-            dtype=complex,
-        )
-    if op.kind == "RYY":
-        c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
-        return np.array(
-            [[c, 0, 0, 1j * s], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [1j * s, 0, 0, c]],
-            dtype=complex,
-        )
     # XYROT
     c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
     out = np.eye(4, dtype=complex)
@@ -181,7 +167,7 @@ def multi_block_prepare(n: int, m: int, variant: str = "xyrot") -> list[GateOp]:
 
 
 def block_xy_mixer_gates(n: int, m: int, beta: float) -> list[GateOp]:
-    """One sweep of RXX(2 beta), RYY(2 beta) over the in-block qubit pairs."""
+    """One sweep of XYROT(4 beta) = exp(-i beta (XX + YY)) over the in-block qubit pairs."""
     q = n * m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the {MAX_QUBITS}-qubit budget")
@@ -189,8 +175,7 @@ def block_xy_mixer_gates(n: int, m: int, beta: float) -> list[GateOp]:
     for b in range(m):
         for i in range(n):
             for j in range(i + 1, n):
-                ops.append(GateOp("RXX", (b * n + i, b * n + j), 2.0 * beta))
-                ops.append(GateOp("RYY", (b * n + i, b * n + j), 2.0 * beta))
+                ops.append(GateOp("XYROT", (b * n + i, b * n + j), 4.0 * beta))
     return ops
 
 

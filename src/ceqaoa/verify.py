@@ -194,15 +194,14 @@ def _random_columns(count: int, seed: int) -> list[Column]:
 
 
 def check_one_design() -> list[CheckResult]:
-    """Exhaustive twirl equals 1/D at n=3, m=2; Monte Carlo agrees at n=4, m=3."""
+    """Exhaustive twirl equals 1/D at n=3, m=2 and at n=4, m=3."""
     out = []
     layout = BlockLayout(3, 2)
     diag = random_diagonal(layout, seed=101)
     target = (1, 2)
     worst = 0.0
     for state in run_circuit(diag, _random_columns(10, seed=202)):
-        est = analysis.twirl_average(state, target, mode="exhaustive")
-        worst = max(worst, abs(est.value - 1.0 / layout.D))
+        worst = max(worst, abs(analysis.twirl_average(state, target) - 1.0 / layout.D))
     out.append(
         _check("one_design", "exhaustive_twirl_36_perms", worst < 1e-12, f"{worst:.3e}", "< 1e-12")
     )
@@ -210,18 +209,9 @@ def check_one_design() -> list[CheckResult]:
     layout = BlockLayout(4, 3)
     diag = random_diagonal(layout, seed=303)
     (state,) = run_circuit(diag, _random_columns(1, seed=404))
-    est = analysis.twirl_average(
-        state, (0, 1, 2), mode="monte_carlo", n_samples=100_000, seed=505
-    )
-    dev = abs(est.value - 1.0 / layout.D)
+    dev = abs(analysis.twirl_average(state, (0, 1, 2)) - 1.0 / layout.D)
     out.append(
-        _check(
-            "one_design",
-            "monte_carlo_twirl_n4_m3",
-            dev <= 3 * est.std_error,
-            f"dev={dev:.3e} se={est.std_error:.3e}",
-            "<= 3 std errors of 1/64",
-        )
+        _check("one_design", "exhaustive_twirl_n4_m3", dev < 1e-12, f"{dev:.3e}", "< 1e-12")
     )
     return out
 
@@ -232,14 +222,14 @@ def check_existence_bound() -> list[CheckResult]:
     for m, seed in ((2, 606), (3, 707)):
         layout = BlockLayout(3, m)
         diag = random_diagonal(layout, seed=seed)
-        target = tuple(range(m)) if m <= 3 else (0,) * m
+        target = tuple(range(m))
         columns = _random_columns(10, seed=seed + 1) + [Column(0.0, (0.0,))]
         ok = True
         worst = math.inf
         slack = 1.0 - 1e-12  # absorbs one-ulp rounding at exactly degenerate points
         for state in run_circuit(diag, columns):  # each state is read before the next overwrites it
             _, overlap = analysis.find_good_permutation(state, target)
-            twirl = analysis.twirl_average(state, target, mode="exhaustive").value
+            twirl = analysis.twirl_average(state, target)
             worst = min(worst, overlap)
             ok = ok and overlap >= slack / layout.D and overlap >= slack * twirl
         out.append(

@@ -75,7 +75,7 @@ def test_criterion_05_exact_one_design():
     t0 = time.perf_counter()
     checks = verify.check_one_design()
     failed = [c for c in checks if not c.passed]
-    elapsed = _finish(5, "permutation twirl hits 1/D (exhaustive n=3 m=2; Monte Carlo n=4 m=3)", t0,
+    elapsed = _finish(5, "permutation twirl hits 1/D (exhaustive n=3 m=2 and n=4 m=3)", t0,
                       not failed, str(failed))
     assert elapsed < 30.0
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ceqaoa import analysis, layers, qubitref
-from ceqaoa.encoded import BlockLayout, uniform_initial_state
 from ceqaoa.hamiltonian import TspInstance, anchor
 from ceqaoa.layers import Column
 from ceqaoa.phqc import phqc_solve
@@ -17,17 +16,7 @@ def equal_4():
 
 
 CHECKS = {
-    "twirl-one-sample": (
-        lambda: analysis.twirl_average(
-            uniform_initial_state(BlockLayout(3, 2)), (0, 1), mode="monte_carlo", n_samples=1
-        ),
-        "monte_carlo needs n_samples >= 2",
-    ),
     "transition-n1": (lambda: analysis.angle_averaged_transition(1), "need n >= 2, got 1"),
-    "moments-target": (
-        lambda: analysis.block_design_moments(3, 1, 10, target=3),
-        r"target 3 outside \[0, 3\)",
-    ),
     "lie-size": (lambda: analysis.lie_algebra_dimension(7, range(7)), r"block size 7 outside \[2, 6\]"),
     "lie-diagonal-length": (
         lambda: analysis.lie_algebra_dimension(3, [0.0, 1.0]),

@@ -40,25 +40,16 @@ class TestGateOps:
         with pytest.raises(ValueError):
             GateOp("CX", (1, 1))
         with pytest.raises(ValueError):
-            GateOp("RXX", (0, 1))  # missing angle
+            GateOp("XYROT", (0, 1))  # missing angle
         with pytest.raises(ValueError):
             GateOp("X", (0,), 0.5)  # spurious angle
 
     def test_rxx_ryy_product_is_xy_exponential(self):
-        # the two generators commute, so one pair is exact, not Trotterized
+        # XX and YY commute, so one XYROT is the exact two-local exponential
         for beta in (0.3, 1.1, -0.7):
-            prod = gate_matrix(GateOp("RXX", (0, 1), 2 * beta)) @ gate_matrix(
-                GateOp("RYY", (0, 1), 2 * beta)
-            )
+            xyrot = gate_matrix(GateOp("XYROT", (0, 1), 4 * beta))
             exact = expm_hermitian(XX + YY, beta)
-            assert np.max(np.abs(prod - exact)) < 1e-12
-
-    def test_xyrot_matches_half_angle_product(self):
-        for theta in (0.4, 1.9):
-            prod = gate_matrix(GateOp("RXX", (0, 1), theta / 2)) @ gate_matrix(
-                GateOp("RYY", (0, 1), theta / 2)
-            )
-            assert np.max(np.abs(gate_matrix(GateOp("XYROT", (0, 1), theta)) - prod)) < 1e-14
+            assert np.max(np.abs(xyrot - exact)) < 1e-12
 
     def test_all_gates_unitary(self):
         ops = [
@@ -66,8 +57,6 @@ class TestGateOps:
             GateOp("PHASE", (0,), 0.7),
             GateOp("CX", (0, 1)),
             GateOp("CRY", (0, 1), 1.2),
-            GateOp("RXX", (0, 1), 0.9),
-            GateOp("RYY", (0, 1), 0.9),
             GateOp("XYROT", (0, 1), 0.9),
         ]
         for op in ops:
