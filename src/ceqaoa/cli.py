@@ -402,6 +402,8 @@ def cmd_verify(args) -> int:
 def cmd_baselines(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
+    if args.n * args.n > sys.float_info.max:  # the log10 arithmetic forms n * n as a float
+        raise ValueError("--n must be at most about 1.34e154, so that n * n fits a float")
     rep = classical_baselines(args.n)
     # a count past the exact-integer budget, or with more decimal digits than
     # Python converts, is written as its log10; Pythons before 3.10.7 have no

@@ -868,6 +868,18 @@ class TestBaselinesCommand:
         assert main(["baselines", "--n", n]) == 1
         assert capsys.readouterr().err.strip() == f"--n must be >= 2, got {n}"
 
+    @pytest.mark.parametrize("n", [10**155, 10**400], ids=["1e155", "1e400"])
+    def test_n_whose_square_overflows_a_float_names_the_flag(self, n, capsys):
+        assert main(["baselines", "--n", str(n)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "--n must be at most about 1.34e154, so that n * n fits a float"
+
+    def test_largest_n_whose_square_fits_a_float(self, capsys):
+        n = math.isqrt(int(sys.float_info.max))
+        assert main(["baselines", "--n", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == n and payload["model_b_trials"] == math.inf
+
     @pytest.mark.parametrize("flag", [["--m", "2"], ["--feasible-count", "100"]])
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
