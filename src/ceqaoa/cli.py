@@ -31,7 +31,7 @@ from .hamiltonian import (
     energy_dtype,
     tour_cities,
 )
-from .instances import parse_instance
+from .instances import clipped, parse_instance
 from .layers import Column, run_circuit
 from .phqc import (
     POINT_BYTES,
@@ -68,7 +68,8 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
     and an NxN grid whose points alone (POINT_BYTES each) exceed the
     available memory raises DimensionCapError before its angles are built.
     """
-    bad = ValueError(f"bad --grid value {spec!r} (want n+1, NxN or list:g,b;...)")
+    shown = clipped(repr(spec))
+    bad = ValueError(f"bad --grid value {shown} (want n+1, NxN or list:g,b;...)")
     text = spec.strip()
     if text.startswith("list:"):
         pairs = []
@@ -85,7 +86,7 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
         try:
             columns = pair_columns(pairs, depth)
         except ValueError as exc:  # a non-finite angle
-            raise ValueError(f"bad --grid value {spec!r} ({exc})") from None
+            raise ValueError(f"bad --grid value {shown} ({exc})") from None
         return columns, {"pairs": [[col.gamma, beta] for col in columns for beta in col.betas]}
     if text == "n+1":
         text = f"{n_cities + 1}x{n_cities + 1}"
@@ -94,9 +95,9 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
     except ValueError:
         raise bad from None
     if rows != cols:
-        raise ValueError(f"only square grids are supported, got {spec!r}")
+        raise ValueError(f"only square grids are supported, got {shown}")
     if rows < 2:
-        raise ValueError(f"bad --grid value {spec!r} (need at least 2 points per axis)")
+        raise ValueError(f"bad --grid value {shown} (need at least 2 points per axis)")
     check_memory(rows * rows * POINT_BYTES)
     columns = square_grid(rows, depth)
     return columns, {"gammas": [col.gamma for col in columns], "betas": list(columns[0].betas)}
@@ -318,18 +319,19 @@ def _half_label_strings(n: int, k: int, city_of_symbol) -> tuple[list[str], list
 
 def cmd_histogram(args) -> int:
     inst, enc = _load_anchored(args)
+    shown = clipped(repr(args.angles))
     try:
         gamma_s, beta_s = args.angles.split(",")
         gamma, beta = float(gamma_s), float(beta_s)
     except ValueError:
-        raise ValueError(f"bad --angles value {args.angles!r} (want gamma,beta)") from None
+        raise ValueError(f"bad --angles value {shown} (want gamma,beta)") from None
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 0:
         raise ValueError(f"--shots must be >= 0, got {shots}")
     try:
         columns = pair_columns([(gamma, beta)], args.depth)
     except ValueError as exc:  # a non-finite angle
-        raise ValueError(f"bad --angles value {args.angles!r} ({exc})") from None
+        raise ValueError(f"bad --angles value {shown} ({exc})") from None
     layout, lam = enc.layout, args.penalty_weight
     # the probabilities' own float D-vector, then one chunk of rows.  The
     # sampler's normalised copy and its cumulative sums (two float
@@ -431,15 +433,20 @@ def cmd_baselines(args) -> int:
     return EXIT_OK
 
 
+# characters of an argparse message kept in its one stderr line; the
+# message echoes the offending value whole, however long
+USAGE_ERROR_CHARS = 150
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors print one stderr line and exit 1, not 2.
+    """An ArgumentParser whose usage errors print one short stderr line and exit 1, not 2.
 
     Exit 2 means a solve that found no feasible sample; subcommand parsers
     are made of this class too.
     """
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {clipped(message, USAGE_ERROR_CHARS)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

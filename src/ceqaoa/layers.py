@@ -173,6 +173,96 @@ def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> No
     np.add(arr, np.expand_dims(sums, axis), out=arr)
 
 
+def tour_amplitudes(
+    diag: CostDiagonal, columns: Sequence[Column], flats: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield, per depth-1 column, the amplitudes at the labels flats after each of its circuits.
+
+    The closed form of a depth-1 circuit: with the block matrix
+    b * (I + kappa * J), psi(y) = b**m / sqrt(D) * sum_k kappa**k T_k(y),
+    where T_k(y) sums, over the k-subsets S of blocks, the phase vector's
+    marginal over S (its sum over the blocks in S) read at y.  Per column,
+    one depth-first pass over the 2**m subsets forms each marginal from
+    its parent's by summing one more block axis, slice by slice as
+    apply_mixer does, and gathers it at the labels into the (m + 1, len(flats))
+    sums T; then each beta is a Horner step over T.  So a column costs
+    about n * D * ((1 + 1/n)**m - 1) additions, once, and O(m * len(flats))
+    per beta, where circuits cost O(D * m) per beta.  The phase comes from
+    CostDiagonal.phase; nothing is summed by a BLAS call or a reduction, so
+    the bits do not depend on the CPU.  They differ from run_circuit's in
+    the last places, and the amplitudes are not norm-checked.
+
+    Yields a (len(betas), len(flats)) complex array per column.  Every
+    column runs in the same buffers, tour_amplitude_bytes of them for the
+    most betas a column has, allocated when the first column is asked for,
+    so each array yielded is overwritten by the next.
+    """
+    layout = diag.layout
+    n, m = layout.n, layout.m
+    flats = np.asarray(flats, dtype=np.int64)
+    # suffix[j]: the number the digits of blocks j..m-1 make, so the index
+    # of a label in a marginal over blocks < j drops block j by
+    # (index - suffix[j]) // n + suffix[j + 1]
+    suffix = [flats % n ** (m - j) for j in range(m + 1)]
+    phase = np.empty(layout.D, dtype=np.complex128)
+    marginals = [np.empty(n ** (m - k), dtype=np.complex128) for k in range(1, m + 1)]
+    indices = [np.empty(flats.size, dtype=np.int64) for _ in range(m)]
+    gathered = np.empty(flats.size, dtype=np.complex128)
+    sums = np.empty((m + 1, flats.size), dtype=np.complex128)
+    betas = max((len(col.betas) for col in columns), default=0)
+    amps = np.empty((betas, flats.size), dtype=np.complex128)
+
+    def visit(parent: np.ndarray, index: np.ndarray, k: int, first: int) -> None:
+        # parent: the marginal over k blocks, all before first; its label
+        # indices are index
+        for j in range(first, m):
+            slices = parent.reshape(n ** (j - k), n, n ** (m - 1 - j))
+            child = marginals[k]
+            total = child.reshape(slices.shape[0], slices.shape[2])
+            np.add(slices[:, 0], slices[:, 1], out=total)
+            for i in range(2, n):
+                np.add(total, slices[:, i], out=total)
+            at = indices[k]
+            np.subtract(index, suffix[j], out=at)
+            np.floor_divide(at, n, out=at)
+            np.add(at, suffix[j + 1], out=at)
+            np.take(child, at, out=gathered)
+            np.add(sums[k + 1], gathered, out=sums[k + 1])
+            visit(child, at, k + 1, j + 1)
+
+    scale = 1.0 / math.sqrt(layout.D)
+    for column in columns:
+        if column.depth != 1:
+            raise ValueError(f"the closed form is for depth 1, got depth {column.depth}")
+        diag.phase(column.gamma, phase)
+        np.take(phase, flats, out=sums[0])
+        sums[1:] = 0
+        visit(phase, flats, 0, 0)
+        for row, beta in zip(amps, column.betas):
+            a, b = _crossing_phases(n, beta)
+            kappa = (a / b - 1) / n
+            np.multiply(sums[m], kappa, out=row)
+            for k in range(m - 1, 0, -1):
+                np.add(row, sums[k], out=row)
+                np.multiply(row, kappa, out=row)
+            np.add(row, sums[0], out=row)
+            np.multiply(row, b**m * scale, out=row)
+        yield amps[: len(column.betas)]
+
+
+def tour_amplitude_bytes(layout: BlockLayout, labels: int, betas: int) -> int:
+    """Bytes of tour_amplitudes' buffers, at most betas betas a column, labels labels.
+
+    The complex phase (16 per label of the layout), the marginal chain (one
+    per subset size, 16 * (D - 1) / (n - 1) in all), and per label gathered:
+    its m + 1 sums and one gather (16 each), its m indices and m + 1 suffixes
+    (8 each) and its betas amplitudes (16 each).
+    """
+    n, m, dim = layout.n, layout.m, layout.D
+    per_label = 16 * (m + 2) + 8 * (2 * m + 1) + 16 * betas
+    return 16 * dim + 16 * (dim - 1) // (n - 1) + labels * per_label
+
+
 def run_circuit(diag: CostDiagonal, columns: Sequence[Column]) -> Iterator[EncodedState]:
     """Yield the state after each circuit of the grid: column by column, one per beta.
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import analysis, qubitref
 from .encoded import BlockLayout, EncodedState, uniform_initial_state
 from .hamiltonian import CostDiagonal
+from .instances import clipped
 from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum, run_circuit
 from .phqc import pair_columns
 
@@ -336,7 +337,9 @@ def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
         return [result for suite in SUITES.values() for result in suite()]
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
+        raise ValueError(
+            f"unknown suite {clipped(repr(name))}; choose from {', '.join(SUITE_NAMES)} or all"
+        )
     return SUITES[name]()
 
 

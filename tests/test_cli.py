@@ -438,17 +438,25 @@ class TestMemoryEstimate:
         # label, and a level table of up to D // 16 complex values, and of
         # at most one more than the largest energy, with its 8192 level
         # indices; 5120 shots a point can hold every 7! tour cost
+        # The default grid takes the closed form instead: the phase, the
+        # marginal chain and its tour buffers (layers.tour_amplitude_bytes
+        # for 9 betas) and the gate's tour amplitudes.
         matrix = random_symmetric_instance(8, 3).round()
         levels = int(energy_bound(anchor(TspInstance("r8", 8, matrix)))) + 1
-        for grid, per_label, points in (("list:1.0,0.5", 20, 1), ("3x3", 36, 9)):
+        layout, tours = BlockLayout(7, 7), math.factorial(7)
+        circuits = layers.mixer_bytes(layout)
+        closed = layers.tour_amplitude_bytes(layout, tours, 9) + 16 * tours - 16 * 7**7
+        for grid, per_label, held, points in (
+            ("list:1.0,0.5", 20, circuits, 1), ("3x3", 36, circuits, 9), ("n+1", 20, closed, 81)
+        ):
             meta = self.solve_metadata(tmp_path, 3, "--grid", grid)
             estimate = (
                 INTERPRETER_BYTES
                 + per_label * 7**7
                 + 16 * min(7**7 // 16, levels) + 8 * 8192
-                + layers.mixer_bytes(BlockLayout(7, 7))
-                + points * (POINT_BYTES + LEVEL_BYTES * math.factorial(7))
-                + math.factorial(7) * TOUR_BYTES
+                + held
+                + points * (POINT_BYTES + LEVEL_BYTES * tours)
+                + tours * TOUR_BYTES
                 + default_shots(8) * SHOT_BYTES
             )
             assert meta["peak_estimate_mb"] == estimate / 2**20
@@ -507,6 +515,14 @@ class TestMemoryEstimate:
         peak, estimate = self.traced_solve(
             tmp_path, monkeypatch, matrix, "--grid", "20x20", "--shots", "5000"
         )
+        assert peak <= estimate
+
+    def test_closed_form_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
+        # n = 8 (D = 823543) on its default grid, which takes the closed
+        # form, with fractional distances: float64 energies, filled
+        # directly, and 5120 shots a point
+        matrix = random_symmetric_instance(8, 5)
+        peak, estimate = self.traced_solve(tmp_path, monkeypatch, matrix)
         assert peak <= estimate
 
     def test_phase_table_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
@@ -643,6 +659,30 @@ def test_usage_errors_exit_1_in_one_line(instance_file, tmp_path, capsys, argv, 
     err = captured.err.strip()
     assert len(err.splitlines()) == 1 and named in err and err.startswith("ceqaoa")
     assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["baselines", "--n", "1" + "0" * 5000], "argument --n: invalid int value: '1000"),
+        (["solve", "{file}", "--grid", "x" * 3000, "--out", "{out}"], "bad --grid value 'xxx"),
+        (["histogram", "{file}", "--angles", "1" * 3000, "--out", "{out}"], "bad --angles value '111"),
+        (["verify", "x" * 3000], "unknown suite 'xxx"),
+    ],
+    ids=["baselines-n", "solve-grid", "histogram-angles", "verify-suite"],
+)
+def test_long_bad_values_are_clipped_in_their_one_line(instance_file, tmp_path, capsys, argv, named):
+    # each value alone is thousands of characters; the line echoes its start
+    out = tmp_path / "out"
+    try:
+        code = main([arg.format(file=instance_file, out=out) for arg in argv])
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert named in err and "..." in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["histogram", "-h"]])

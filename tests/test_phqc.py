@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import ceqaoa.phqc as phqc
+from ceqaoa.cli import main
 from ceqaoa.encoded import (
     BlockLayout,
     EncodedState,
@@ -132,6 +134,11 @@ def basis_mix(layout, label_probs):
     return EncodedState(layout, amps)
 
 
+def sample(state, feasible, shots, seed):
+    """sample_tours on the state's amplitudes at the tours."""
+    return sample_tours(state.amplitudes[feasible.flats], feasible, shots, seed)
+
+
 def checked(scored):
     return (scored.best_cost, scored.best_flat, scored.feasible_shots, scored.cost_counts)
 
@@ -142,7 +149,7 @@ class TestSampling:
         enc = example_4()
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         flat = label_to_index(enc.layout, (1, 0, 2))
-        scored = sample_tours(basis_mix(enc.layout, {(1, 0, 2): 1.0}), feasible, 50, seed=1)
+        scored = sample(basis_mix(enc.layout, {(1, 0, 2): 1.0}), feasible, 50, seed=1)
         cost = tour_cost(enc, (1, 0, 2))
         assert checked(scored) == (cost, flat, 50, ((cost, 50),))
         assert scored.p_opt == 0.0
@@ -154,7 +161,7 @@ class TestSampling:
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         tours, dim, shots = feasible.flats.size, enc.layout.D, 25600
         assert np.unique(feasible.costs).size == tours == 24
-        scored = sample_tours(uniform_initial_state(enc.layout), feasible, shots, seed=2)
+        scored = sample(uniform_initial_state(enc.layout), feasible, shots, seed=2)
         mass = tours / dim
         assert abs(scored.feasible_shots - shots * mass) <= 5 * math.sqrt(
             shots * mass * (1 - mass)
@@ -167,18 +174,18 @@ class TestSampling:
     def test_same_seed_identical(self):
         enc = example_4()
         feasible = brute_force_optimum(build_cost_diagonal(enc))
-        state = uniform_initial_state(enc.layout)
-        before = state.amplitudes.copy()
-        a = sample_tours(state, feasible, 500, seed=7)
-        b = sample_tours(state, feasible, 500, seed=7)
+        amps = uniform_initial_state(enc.layout).amplitudes[feasible.flats]
+        before = amps.copy()
+        a = sample_tours(amps, feasible, 500, seed=7)
+        b = sample_tours(amps, feasible, 500, seed=7)
         assert (a.p_opt, checked(a)) == (b.p_opt, checked(b))
-        assert np.array_equal(state.amplitudes, before)  # the state is left as it is
+        assert np.array_equal(amps, before)  # the amplitudes are left as they are
 
     def test_rejects_zero_shots(self):
         enc = example_4()
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         with pytest.raises(ValueError, match="total_shots"):
-            sample_tours(uniform_initial_state(enc.layout), feasible, 0, seed=0)
+            sample(uniform_initial_state(enc.layout), feasible, 0, seed=0)
 
 
 class TestRequiredShots:
@@ -203,7 +210,7 @@ class TestScoring:
         flat = label_to_index(enc.layout, (0, 2, 1))
         # the optimum holds 1% of the mass, an infeasible label 80%
         state = basis_mix(enc.layout, {(0, 0, 0): 0.8, (0, 1, 2): 0.19, (0, 2, 1): 0.01})
-        scored = sample_tours(state, feasible, 2000, seed=3)
+        scored = sample(state, feasible, 2000, seed=3)
         assert scored.best_flat == flat
         assert scored.best_cost == 80.0
         assert scored.p_opt == pytest.approx(0.01, abs=1e-15)
@@ -217,7 +224,7 @@ class TestScoring:
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         # (0, 2, 1) and (1, 2, 0) are the two degenerate optima
         state = basis_mix(enc.layout, {(1, 2, 0): 0.5, (0, 2, 1): 0.5})
-        scored = sample_tours(state, feasible, 100, seed=4)
+        scored = sample(state, feasible, 100, seed=4)
         flat = label_to_index(enc.layout, (0, 2, 1))
         assert checked(scored) == (80.0, flat, 100, ((80.0, 100),))
 
@@ -226,15 +233,18 @@ class TestScoring:
         enc = example_4()
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         state = basis_mix(enc.layout, {(0, 0, 0): 0.6, (1, 1, 2): 0.4})
-        scored = sample_tours(state, feasible, 5, seed=5)
+        scored = sample(state, feasible, 5, seed=5)
         assert checked(scored) == (None, None, 0, ())
         assert scored.p_opt == 0.0
 
     def test_rejects_a_diagonal_of_another_layout(self):
+        # the 3! tours' amplitudes of a 4-city layout, against the 2! tours of a 3-city one
         three = anchor(TspInstance("t3", 3, np.ones((3, 3)) - np.eye(3)), 0)
         feasible = brute_force_optimum(build_cost_diagonal(three))
-        with pytest.raises(ValueError, match="layouts must agree"):
-            sample_tours(uniform_initial_state(example_4().layout), feasible, 2, seed=0)
+        four = brute_force_optimum(build_cost_diagonal(example_4()))
+        amps = uniform_initial_state(example_4().layout).amplitudes[four.flats]
+        with pytest.raises(ValueError, match=r"\(6,\) amplitudes for the 2 tours"):
+            sample_tours(amps, feasible, 2, seed=0)
 
     def test_optimum_mass_sums_the_optima_in_flat_order(self):
         # 24 optimal tours whose costs lie within the tie tolerance but
@@ -256,7 +266,7 @@ class TestScoring:
             amps = rng.normal(size=enc.layout.D) + 1j * rng.normal(size=enc.layout.D)
             state = EncodedState(enc.layout, amps / np.linalg.norm(amps))
             probs = np.abs(state.amplitudes[tours]) ** 2
-            p_opt = sample_tours(state, feasible, 1, seed).p_opt
+            p_opt = sample(state, feasible, 1, seed).p_opt
             assert p_opt == float(probs.sum())
             reversed_differs |= float(probs[::-1].sum()) != p_opt
         assert reversed_differs  # the summation order shows in the bits
@@ -328,35 +338,98 @@ class TestSolve:
         assert derive_seed(1, 2) != derive_seed(1, 3)
         assert derive_seed(2, 2) != derive_seed(1, 2)
 
-    def test_one_circuit_per_grid_point(self, monkeypatch):
-        # from one run_circuit call over the whole grid
+    @staticmethod
+    def record_circuits(monkeypatch):
+        """The columns of every phqc.run_circuit call, and every state the calls yield."""
         calls, states = [], []
         original = phqc.run_circuit
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            for state in original(*args, **kwargs):
+        def recording(diag, columns):
+            calls.append(list(columns))
+            for state in original(diag, columns):
                 states.append(state)
                 yield state
 
-        monkeypatch.setattr(phqc, "run_circuit", counting)
+        monkeypatch.setattr(phqc, "run_circuit", recording)
+        return calls, states
+
+    def test_one_circuit_per_solve_on_a_default_grid(self, monkeypatch):
+        # the default grid takes the closed form; the one circuit is the
+        # gate's, at the grid's first point
+        calls, states = self.record_circuits(monkeypatch)
         enc = example_4()
-        columns = square_grid(3)
+        columns = square_grid(5)
         res = phqc_solve(enc, columns, shots_per_point=200, master_seed=4)
+        assert calls == [[Column(columns[0].gamma, columns[0].betas[:1])]]
+        assert len(states) == 1
+        assert len(res.points) == point_count(columns)
+        diag = build_cost_diagonal(enc)
+        for p in res.points:
+            exact = exact_success_probability(diag, Column(p.gamma, (p.beta,)))[0]
+            assert p.scored.p_opt == pytest.approx(exact, rel=0, abs=1e-12)
+
+    def test_mixed_grid_runs_the_gate_and_the_short_columns_in_one_call(self, monkeypatch):
+        # columns of CLOSED_FORM_BETAS betas take the closed form, the
+        # others run after the gate in one run_circuit call; the points keep
+        # their grid order and their seeds
+        calls, states = self.record_circuits(monkeypatch)
+        enc = example_4()
+        pairs = [(0.3, 0.1)] + [(1.1, b) for b in (0.2, 0.9, 1.4, 2.2)] + [(0.7, 0.5), (0.7, 2.0)]
+        pairs += [(2.0, 0.4 * k) for k in range(5)]
+        res = phqc_solve(enc, pair_columns(pairs), shots_per_point=300, master_seed=11)
+        assert calls == [[Column(1.1, (0.2,)), Column(0.3, (0.1,)), Column(0.7, (0.5, 2.0))]]
+        assert len(states) == 4
+        diag = build_cost_diagonal(enc)
+        feasible = brute_force_optimum(diag)
+        for i, ((g, b), p) in enumerate(zip(pairs, res.points, strict=True)):
+            assert (p.gamma, p.beta) == (g, b)
+            (state,) = run_circuit(diag, [Column(g, (b,))])
+            alone = sample(state, feasible, 300, derive_seed(11, i))
+            assert checked(p.scored) == checked(alone)
+            assert p.scored.p_opt == pytest.approx(alone.p_opt, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("shift, code", [(1e-9, 1), (1e-13, 0)])
+    def test_gate_refuses_a_closed_form_off_by_more_than_its_tolerance(
+        self, monkeypatch, tmp_path, capsys, shift, code
+    ):
+        # every closed-form amplitude scaled by 1 + shift: a relative error
+        # of 1e-9 ends the solve at the gate, before any point is sampled,
+        # in one stderr line and exit 1 with no output file; 1e-13 passes
+        original = phqc.tour_amplitudes
+
+        def shifted(*args):
+            for amps in original(*args):
+                yield amps * (1 + shift)
+
+        monkeypatch.setattr(phqc, "tour_amplitudes", shifted)
+        calls, _ = self.record_circuits(monkeypatch)
+        sampled = []
+        sample_tours = phqc.sample_tours
+        monkeypatch.setattr(phqc, "sample_tours", lambda *a: (sampled.append(a), sample_tours(*a))[1])
+        instance = tmp_path / "ex4.json"
+        instance.write_text(json.dumps({"name": "ex4", "matrix": MATRIX_4.tolist()}))
+        out = tmp_path / "r.json"
+        assert main(["solve", str(instance), "--out", str(out)]) == code
         assert len(calls) == 1
-        assert len(states) == point_count(columns) == len(res.points)
-        best = res.points[res.winner]
-        col = Column(best.gamma, (best.beta,))
-        assert best.scored.p_opt == exact_success_probability(build_cost_diagonal(enc), col)[0]
+        err = capsys.readouterr().err.strip()
+        if code:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("the closed-form tour amplitudes at gamma 0.0, beta 0.0 differ")
+            assert not sampled
+            assert not out.exists() and not out.with_suffix(".costs.csv").exists()
+        else:
+            assert not err and len(sampled) == 25 and out.exists()
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("path", ["direct", "table"])
     def test_one_exponential_per_gamma(self, monkeypatch, path, depth):
         # a gamma-major grid computes each gamma's phase once, a list grid
         # once per run of equal gammas, and at depth 2 the second layer
-        # reuses the first layer's.  Non-integer distances exponentiate all
-        # D energies; integer ones whose energies span at most D // 16
-        # levels exponentiate only the levels.
+        # reuses the first layer's.  At depth 1 the square grid takes the
+        # closed form, and its gate's circuit builds the first gamma's phase
+        # once more.  Non-integer distances exponentiate all D energies;
+        # integer ones whose energies span at most D // 16 levels
+        # exponentiate only the levels.
         if path == "direct":
             inst, lam = TspInstance("r5", 5, random_symmetric_instance(5, 3)), None
         else:
@@ -374,7 +447,7 @@ class TestSolve:
         # four runs: a repeated gamma, two signed zeros, a return to 0.5
         pairs = [(0.5, 0.3), (0.5, 1.1), (0.0, 0.2), (-0.0, 0.2), (0.5, 0.7)]
         for columns, phases in (
-            (square_grid(inst.n_cities + 1, depth), inst.n_cities + 1),
+            (square_grid(inst.n_cities + 1, depth), inst.n_cities + 1 + (depth == 1)),
             (pair_columns(pairs, depth), 4),
         ):
             shapes.clear()
@@ -418,15 +491,35 @@ class TestMemoryPlan:
         # a state of one block needs only the slice sums of one axis, D / n;
         # 10 blocks of 2 symbols hold no tour
         assert peak_bytes(BlockLayout(2, 10), one, 0, FLOAT, wide) == base + 24 * 2**10 + 16 * 2**9
-        # grid points and the shots of one point add their own terms
+        # grid points and the shots of one point add their own terms.  The
+        # 9 x 9 grid takes the closed form: the phase and the marginal
+        # chain, 16 (D - 1) / (n - 1), outweigh the gate's amplitudes and
+        # slice sums
         grid = square_grid(9)
-        grown = peak_bytes(BlockLayout(2, 10), grid, 5120, FLOAT, wide) - INTERPRETER_BYTES - 40 * 2**10
-        assert grown == 16 * 2**9 + 81 * POINT_BYTES + 5120 * SHOT_BYTES
+        grown = peak_bytes(BlockLayout(2, 10), grid, 5120, FLOAT, wide) - INTERPRETER_BYTES - 8 * 2**10
+        assert grown == 16 * 2**10 + 16 * (2**10 - 1) + 81 * POINT_BYTES + 5120 * SHOT_BYTES
         # each point holds at most min(shots, tours) cost levels; 4! tours here
         lay = BlockLayout(4, 4)
         for shots, levels in ((10, 10), (100, 24)):
             more = peak_bytes(lay, grid, shots, FLOAT, wide) - peak_bytes(lay, grid, 0, FLOAT, wide)
             assert more == shots * SHOT_BYTES + 81 * LEVEL_BYTES * levels
+
+    def test_closed_form_buffers(self):
+        # the default grid at n_cities = 9 takes the closed form: the phase,
+        # the marginal chain of 16 (D - 1) / (n - 1) bytes, and per tour its
+        # 9 sums and one gather, 8 indices and 9 suffixes, the amplitudes of
+        # 10 betas and the gate's, which outweigh run_circuit's buffers
+        lay, tours = BlockLayout(8, 8), math.factorial(8)
+        per_tour = 16 * 10 + 8 * 17 + 16 * 10 + 16
+        closed = 16 * 8**8 + 16 * (8**8 - 1) // 7 + tours * per_tour
+        rest = INTERPRETER_BYTES + 8 * 8**8 + tours * TOUR_BYTES
+        assert peak_bytes(lay, square_grid(10), 0, FLOAT, 1.0) == rest + 100 * POINT_BYTES + closed
+        # columns of 3 betas run circuits, with a phase buffer
+        circuits = 32 * 8**8 + mixer_bytes(lay)
+        assert peak_bytes(lay, square_grid(3), 0, FLOAT, 1.0) == rest + 9 * POINT_BYTES + circuits
+        # a grid of both holds the larger set
+        mixed = square_grid(10) + square_grid(3)
+        assert peak_bytes(lay, mixed, 0, FLOAT, 1.0) == rest + 109 * POINT_BYTES + max(closed, circuits)
 
     @pytest.mark.parametrize("bound, levels", [(99.0, 100), (2**20 - 1.0, 2**20), (2**20, 2**20)])
     def test_level_table_holds_at_most_bound_plus_one_levels(self, bound, levels):

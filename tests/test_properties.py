@@ -1,14 +1,14 @@
 """Property tests against scalar, dense and out-of-place references: the
 per-point tour sampler and checker, the rank-1 mixer, the in-place circuit
-kernels and the grid's phase buffer, the per-chunk phase fill and the
-prefix-built cost diagonal."""
+kernels and the grid's phase buffer, the closed-form depth-1 amplitudes,
+the per-chunk phase fill and the prefix-built cost diagonal."""
 
 import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ceqaoa.encoded import (
@@ -32,8 +32,9 @@ from ceqaoa.layers import (
     apply_mixer,
     mixer_block_matrix,
     run_circuit,
+    tour_amplitudes,
 )
-from ceqaoa.phqc import sample_tours
+from ceqaoa.phqc import sample_tours, square_grid
 
 from oracles import (
     enumerated_optimum,
@@ -107,8 +108,8 @@ def test_sample_tours_matches_scalar_checker(case):
     # the reference replays the draws over the enumerated tours and scores
     # them with the scalar loop; the optimum mass sums the enumerated optima
     enc, state, total_shots, seed = case
-    diag = build_cost_diagonal(enc)
-    scored = sample_tours(state, brute_force_optimum(diag), total_shots, seed)
+    feasible = brute_force_optimum(build_cost_diagonal(enc))
+    scored = sample_tours(state.amplitudes[feasible.flats], feasible, total_shots, seed)
     pairs = reference_tour_sample(state.amplitudes, enumerated_tours(enc), total_shots, seed)
     objective, count = reference_cost_diagonal(enc)
     expected = scalar_score(count, objective, pairs)
@@ -379,6 +380,73 @@ def test_mixer_matches_former_mixer(layout, beta, seed):
     expected = former_mixer(layout, amps, beta)
     out = apply_mixer(EncodedState(layout, amps.copy()), beta)
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-13
+
+
+# Every solve's layout has n = m blocks under the dimension cap, so at most
+# 8.  The closed form's rounding grows with the blocks: its terms reach
+# about 3**m times the amplitudes they cancel to, near beta = pi.
+CLOSED_FORM_MAX_M = 8
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A random diagonal, whose phase takes either path, on a layout of at
+    most CLOSED_FORM_MAX_M blocks, two depth-1 columns of 1-4 betas, signed
+    zeros among the angles, and every label in a random order.
+
+    "table": int32 energies of at most D // 16 levels, gathered from the
+    level table; "wide": int32 energies of more levels, and "float":
+    float64 energies with a fraction, both filled directly.
+    """
+    layout = draw(layouts())
+    assume(layout.m <= CLOSED_FORM_MAX_M)
+    dim = layout.D
+    kind = draw(st.sampled_from(["table", "wide", "float"]))
+    assume(kind != "table" or dim >= 16)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = dim // 16 if kind == "table" else dim // 16 + 1 + draw(st.integers(0, 100))
+    energy = rng.integers(0, levels, dim)
+    energy[:2] = 0, levels - 1
+    if kind == "float":
+        energy = energy + 0.25
+    diag = CostDiagonal(layout, energy.astype(np.float64 if kind == "float" else np.int32), 7.0)
+    table = diag.energy.dtype == np.int32 and energy.max() - energy.min() + 1 <= dim // 16
+    assert table == (kind == "table")
+    signed = st.sampled_from([0.0, -0.0]) | angles
+    columns = [
+        Column(draw(signed), tuple(draw(st.lists(signed, min_size=1, max_size=4))))
+        for _ in range(2)
+    ]
+    return diag, columns, rng.permutation(dim)
+
+
+@settings(deadline=None)
+@given(case=closed_form_cases())
+def test_closed_form_matches_run_circuit_at_every_label(case):
+    """The closed form, gathered at every label, against the circuit of each
+    point, to 1e-12 of the largest amplitude; the second column runs in the
+    buffers of the first."""
+    diag, columns, flats = case
+    closed = tour_amplitudes(diag, columns, flats)
+    for col, amps in zip(columns, closed, strict=True):
+        assert amps.shape == (len(col.betas), diag.layout.D)
+        for row, state in zip(amps, run_circuit(diag, [col]), strict=True):
+            want = state.amplitudes[flats]
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_cities", range(4, 9))
+def test_closed_form_matches_run_circuit_on_the_default_grid(n_cities):
+    """The default grid's tour amplitudes, from integer distances (int32
+    energies, filled from the level table at n_cities >= 6)."""
+    matrix = random_symmetric_instance(n_cities, 40 + n_cities, 1.0, 100.0).round()
+    diag = build_cost_diagonal(anchor(TspInstance("g", n_cities, matrix)))
+    flats = brute_force_optimum(diag).flats
+    columns = square_grid(n_cities + 1)
+    closed = itertools.chain.from_iterable(tour_amplitudes(diag, columns, flats))
+    for row, state in zip(closed, run_circuit(diag, columns), strict=True):
+        want = state.amplitudes[flats]
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @st.composite
