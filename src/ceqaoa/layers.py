@@ -9,7 +9,8 @@ mixer then runs in O(D * m) additions: per block axis, the sum of the
 axis's n slices, scaled by kappa and added back to every slice; one
 multiply by b**m closes it.  No D x D matrix is materialized.  Every axis
 works on cache-sized pieces (apply_mixer), and the slice sums, the mixer's
-one buffer, hold at most one block.
+one buffer, hold at most one block.  At depth 1 the same factorisation
+gives the amplitudes at chosen labels without a state (tour_amplitudes).
 """
 
 from __future__ import annotations

@@ -180,11 +180,12 @@ def sample_tours(
     """Draw total_shots shots from a state and check them, drawing only the feasible ones.
 
     amplitudes are the state's at the tours, in feasible.flats order (a
-    circuit's state gives state.amplitudes[feasible.flats]).  Their squared
-    moduli p give the point's exact optimum mass (the first feasible.degeneracy entries,
-    summed in ascending flat order), its feasible mass F = sum(p), the
-    number of feasible shots K ~ Binomial(total_shots, F), and those K
-    shots, drawn over the tours by rng.choice with p / F.  An infeasible
+    circuit's state gives state.amplitudes[feasible.flats]).  Their
+    squared moduli p give the point's exact optimum mass (the first
+    feasible.degeneracy entries, summed in ascending flat order), its
+    feasible mass F = sum(p), the number of feasible shots
+    K ~ Binomial(total_shots, F), and those K shots, drawn over the tours
+    by rng.choice with p / F.  An infeasible
     shot reaches the checker only as a count, so the outcome has the law
     of drawing every shot over all D labels and keeping the feasible ones.
     The tours come cheapest first, so the least drawn index is the best
@@ -192,9 +193,7 @@ def sample_tours(
     decides.  The amplitudes are left as they are.
     """
     if np.shape(amplitudes) != feasible.flats.shape:
-        raise ValueError(
-            f"{np.shape(amplitudes)} amplitudes for the {feasible.flats.size} tours"
-        )
+        raise ValueError(f"{np.shape(amplitudes)} amplitudes for the {feasible.flats.size} tours")
     if total_shots < 1:
         raise ValueError(f"total_shots must be >= 1, got {total_shots}")
     rng = np.random.default_rng(seed)
