@@ -311,7 +311,8 @@ def phqc_solve(
     for i, state in zip(points, states, strict=True):
         sample(i, state.amplitudes[feasible.flats])
     amplitudes = tour_amplitudes(diag, [col for _, col in formed], feasible.flats)
-    for (i, _), amps in zip(formed, amplitudes, strict=True):
+    # zip asks formed first, so without a closed-form column no pass starts
+    for (i, _), amps in zip(formed, amplitudes):
         if i == formed[0][0]:
             _check_gate(expected, amps[0], gate[0])
         for k, row in enumerate(amps):
