@@ -185,13 +185,16 @@ def tour_amplitudes(
     marginal over S (its sum over the blocks in S) read at y.  Per column,
     one depth-first pass over the 2**m subsets forms each marginal from
     its parent's by summing one more block axis, slice by slice as
-    apply_mixer does, and gathers it at the labels into the (m + 1, len(flats))
-    sums T; then each beta is a Horner step over T.  So a column costs
-    about n * D * ((1 + 1/n)**m - 1) additions, once, and O(m * len(flats))
-    per beta, where circuits cost O(D * m) per beta.  The phase comes from
-    CostDiagonal.phase; nothing is summed by a BLAS call or a reduction, so
-    the bits do not depend on the CPU.  They differ from run_circuit's in
-    the last places, and the amplitudes are not norm-checked.
+    apply_mixer does, and gathers it at the labels into the
+    (m + 1, len(flats)) sums T; then each beta is a Horner step over T.  So
+    a column costs about n * D * ((1 + 1/n)**m - 1) additions, once, and
+    O(m * len(flats)) per beta, where circuits cost O(D * m) per beta.  The
+    phase comes from CostDiagonal.phase; nothing is summed by a BLAS call
+    or a reduction, so the bits do not depend on the CPU.  They differ from
+    run_circuit's in the last places: near beta = pi the terms reach about
+    3**m times the amplitudes they cancel to, so the rounding grows with m
+    (at most 4e-14 of the largest amplitude on the default grids up to
+    m = 7).  The amplitudes are not norm-checked.
 
     Yields a (len(betas), len(flats)) complex array per column.  Every
     column runs in the same buffers, tour_amplitude_bytes of them for the
