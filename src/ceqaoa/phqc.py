@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoded import BlockLayout
+from .encoded import BlockLayout, EncodedState
 from .hamiltonian import (
     AnchoredTsp,
     FeasibleSet,
@@ -111,8 +111,9 @@ def peak_bytes(
     form and the gate: the complex amplitudes (16 a label), the complex
     phase when one of those columns reuses it (Column.reuses_phase, 16)
     and the mixer's block-sized slice sums (layers.mixer_bytes).  The
-    buffers of layers.tour_amplitudes (layers.tour_amplitude_bytes) and
-    the gate's tour amplitudes, when some column takes the closed form.
+    buffers of layers.tour_amplitudes (layers.tour_amplitude_bytes).
+    When some column takes the closed form, the gate's tour amplitudes
+    (16 a tour) are held beside either set.
     Then POINT_BYTES per grid point and LEVEL_BYTES per cost level it can
     hold, TOUR_BYTES per feasible label (the feasible set and one point's
     gather) and SHOT_BYTES per shot, one point's shots alive at a time.
@@ -125,7 +126,7 @@ def peak_bytes(
     held = (16 + phase) * layout.D + mixer_bytes(layout)
     if formed:
         betas = max(len(col.betas) for col in formed)
-        held = max(held, tour_amplitude_bytes(layout, tours, betas) + 16 * tours)
+        held = max(held, tour_amplitude_bytes(layout, tours, betas)) + 16 * tours
     return (
         INTERPRETER_BYTES
         + np.dtype(energy).itemsize * layout.D
@@ -179,9 +180,8 @@ def sample_tours(
 ) -> ScoredShots:
     """Draw total_shots shots from a state and check them, drawing only the feasible ones.
 
-    amplitudes are the state's at the tours, in feasible.flats order (a
-    circuit's state gives state.amplitudes[feasible.flats]).  Their
-    squared moduli p give the point's exact optimum mass (the first
+    amplitudes are the state's at the tours, in feasible.flats order.
+    Their squared moduli p give the point's exact optimum mass (the first
     feasible.degeneracy entries, summed in ascending flat order), its
     feasible mass F = sum(p), the number of feasible shots
     K ~ Binomial(total_shots, F), and those K shots, drawn over the tours
@@ -194,10 +194,23 @@ def sample_tours(
     """
     if np.shape(amplitudes) != feasible.flats.shape:
         raise ValueError(f"{np.shape(amplitudes)} amplitudes for the {feasible.flats.size} tours")
+    return _draw_tours(np.abs(amplitudes), feasible, total_shots, seed)
+
+
+def sample_state(
+    state: EncodedState, feasible: FeasibleSet, total_shots: int, seed: int
+) -> ScoredShots:
+    """sample_tours on state.amplitudes[feasible.flats], a gather freed once its moduli are taken."""
+    if state.layout != feasible.layout:
+        raise ValueError("state and feasible set layouts must agree")
+    return _draw_tours(np.abs(state.amplitudes[feasible.flats]), feasible, total_shots, seed)
+
+
+def _draw_tours(p: np.ndarray, feasible: FeasibleSet, total_shots: int, seed: int) -> ScoredShots:
+    """sample_tours on the moduli p of the tours' amplitudes, which it overwrites."""
     if total_shots < 1:
         raise ValueError(f"total_shots must be >= 1, got {total_shots}")
     rng = np.random.default_rng(seed)
-    p = np.abs(amplitudes)
     np.square(p, out=p)
     optima = np.argsort(feasible.flats[: feasible.degeneracy])
     p_opt = float(p[optima].sum())
@@ -277,10 +290,10 @@ def phqc_solve(
     The columns that take the closed form (closed_form) read their points'
     tour amplitudes from layers.tour_amplitudes, the rest from the states
     of one run_circuit call.  That call first runs the gate: the circuit
-    at the first point of the first closed-form column, norm-checked as
+    at the middle point of the middle closed-form column, norm-checked as
     every state is.  When the closed form's amplitudes there stray from
     the gate's by more than GATE_TOL of the largest, the solve raises
-    ValueError before any other closed-form point is sampled.
+    ValueError before any closed-form point is sampled.
     """
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
@@ -296,29 +309,34 @@ def phqc_solve(
     numbered = list(zip(starts, columns))  # each column with the index of its first point
     formed = [(i, col) for i, col in numbered if closed_form(col)]
     circuits = [(i, col) for i, col in numbered if not closed_form(col)]
-    scored: list[ScoredShots | None] = [None] * sum(len(col.betas) for col in columns)
-
-    def sample(i: int, amplitudes: np.ndarray) -> None:
-        scored[i] = sample_tours(amplitudes, feasible, shots_per_point, derive_seed(master_seed, i))
-
-    gate = [Column(formed[0][1].gamma, formed[0][1].betas[:1])] if formed else []
-    # the generator is spent, and its buffers freed, before the closed form
-    # allocates its own
+    gate: list[Column] = []
+    if formed:
+        # the gate is the middle point of the middle closed-form column, so
+        # on a square grid neither gamma 0, where the phase is flat and a
+        # marginal read at any index gives the same value, nor beta 0,
+        # where kappa is 0 and the pass adds nothing.  Its column goes first.
+        formed.insert(0, formed.pop(len(formed) // 2))
+        column = formed[0][1]
+        gate = [Column(column.gamma, (column.betas[len(column.betas) // 2],))]
     states = run_circuit(diag, gate + [col for _, col in circuits])
     if gate:
         expected = next(states).amplitudes[feasible.flats]
     points = (i + k for i, col in circuits for k in range(len(col.betas)))
-    for i, state in zip(points, states, strict=True):
-        sample(i, state.amplitudes[feasible.flats])
+    # a comprehension's names end with it, so no state outlives the spent
+    # generator: its buffers are freed before the closed form allocates its own
+    scored = {
+        i: sample_state(state, feasible, shots_per_point, derive_seed(master_seed, i))
+        for i, state in zip(points, states, strict=True)
+    }
     amplitudes = tour_amplitudes(diag, [col for _, col in formed], feasible.flats)
     # zip asks formed first, so without a closed-form column no pass starts
     for (i, _), amps in zip(formed, amplitudes):
         if i == formed[0][0]:
-            _check_gate(expected, amps[0], gate[0])
-        for k, row in enumerate(amps):
-            sample(i + k, row)
+            _check_gate(expected, amps[len(amps) // 2], gate[0])
+        for k, row in enumerate(amps, i):
+            scored[k] = sample_tours(row, feasible, shots_per_point, derive_seed(master_seed, k))
     angles = [(col.gamma, beta) for col in columns for beta in col.betas]
-    points = tuple(GridPointStat(g, b, s) for (g, b), s in zip(angles, scored, strict=True))
+    points = tuple(GridPointStat(g, b, scored[i]) for i, (g, b) in enumerate(angles))
     t_sweep = time.perf_counter()
     winner = min(
         (i for i, p in enumerate(points) if p.scored.best_flat is not None),

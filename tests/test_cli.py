@@ -525,6 +525,15 @@ class TestMemoryEstimate:
         peak, estimate = self.traced_solve(tmp_path, monkeypatch, matrix)
         assert peak <= estimate
 
+    def test_mixed_grid_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
+        # n = 8 (D = 823543): a column of 4 betas takes the closed form after
+        # a column of 1 beta runs its circuit, so run_circuit's buffers must
+        # be freed before the closed form allocates its own
+        matrix = random_symmetric_instance(8, 5)
+        grid = "list:" + ";".join(f"1.0,{b}" for b in (0.3, 0.9, 1.6, 2.4)) + ";0.5,0.7"
+        peak, estimate = self.traced_solve(tmp_path, monkeypatch, matrix, "--grid", grid)
+        assert peak <= estimate
+
     def test_phase_table_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
         # n = 8 (D = 823543), integer distances below 140: the phase gathers
         # from a table of 42586 energy levels, near its limit of D // 16.
@@ -577,8 +586,9 @@ class TestMemoryEstimate:
         (["histogram", "--angles", "0,0", "--lambda", "1e308"], "1e+308", None),
         (["histogram", "--angles", "1e308,0"], "1e+308", None),
         # tour costs of 4e307 and penalties up to 6 * 2.9e307 are finite;
-        # some of their sums are not
-        (["solve", "--lambda", "2.9e307"], "gamma 0.0 times the largest energy inf", 1e307),
+        # some of their sums are not.  The solve's first phase is its gate's,
+        # at gamma pi / 2
+        (["solve", "--lambda", "2.9e307"], "gamma 1.5707963267948966 times the largest energy inf", 1e307),
         (["histogram", "--angles", "0,0", "--lambda", "2.9e307"], "largest energy inf", 1e307),
     ],
     ids=["solve-lambda-inf", "solve-lambda-1e308", "solve-gamma-1e308",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ceqaoa.layers as layers
 import ceqaoa.phqc as phqc
 from ceqaoa.cli import main
 from ceqaoa.encoded import (
@@ -35,6 +36,7 @@ from ceqaoa.phqc import (
     peak_bytes,
     phqc_solve,
     required_shots,
+    sample_state,
     sample_tours,
     square_grid,
 )
@@ -246,6 +248,17 @@ class TestScoring:
         with pytest.raises(ValueError, match=r"\(6,\) amplitudes for the 2 tours"):
             sample_tours(amps, feasible, 2, seed=0)
 
+    def test_sample_state_is_sample_tours_on_the_gather(self):
+        diag = build_cost_diagonal(example_4())
+        feasible = brute_force_optimum(diag)
+        (state,) = run_circuit(diag, [Column(0.8, (0.3,))])
+        got = sample_state(state, feasible, 400, seed=9)
+        assert checked(got) == checked(sample(state, feasible, 400, 9))
+        assert got.p_opt == sample(state, feasible, 400, 9).p_opt
+        three = anchor(TspInstance("t3", 3, np.ones((3, 3)) - np.eye(3)), 0)
+        with pytest.raises(ValueError, match="layouts must agree"):
+            sample_state(state, brute_force_optimum(build_cost_diagonal(three)), 2, seed=0)
+
     def test_optimum_mass_sums_the_optima_in_flat_order(self):
         # 24 optimal tours whose costs lie within the tie tolerance but
         # fall as the flat index grows: the set's optimum prefix runs
@@ -355,12 +368,12 @@ class TestSolve:
 
     def test_one_circuit_per_solve_on_a_default_grid(self, monkeypatch):
         # the default grid takes the closed form; the one circuit is the
-        # gate's, at the grid's first point
+        # gate's, at the grid's middle point (pi / 2, pi / 2)
         calls, states = self.record_circuits(monkeypatch)
         enc = example_4()
         columns = square_grid(5)
         res = phqc_solve(enc, columns, shots_per_point=200, master_seed=4)
-        assert calls == [[Column(columns[0].gamma, columns[0].betas[:1])]]
+        assert calls == [[Column(math.pi / 2, (math.pi / 2,))]]
         assert len(states) == 1
         assert len(res.points) == point_count(columns)
         diag = build_cost_diagonal(enc)
@@ -370,14 +383,15 @@ class TestSolve:
 
     def test_mixed_grid_runs_the_gate_and_the_short_columns_in_one_call(self, monkeypatch):
         # columns of CLOSED_FORM_BETAS betas take the closed form, the
-        # others run after the gate in one run_circuit call; the points keep
+        # others run after the gate, at the middle beta of the second of the
+        # two closed-form columns, in one run_circuit call; the points keep
         # their grid order and their seeds
         calls, states = self.record_circuits(monkeypatch)
         enc = example_4()
         pairs = [(0.3, 0.1)] + [(1.1, b) for b in (0.2, 0.9, 1.4, 2.2)] + [(0.7, 0.5), (0.7, 2.0)]
         pairs += [(2.0, 0.4 * k) for k in range(5)]
         res = phqc_solve(enc, pair_columns(pairs), shots_per_point=300, master_seed=11)
-        assert calls == [[Column(1.1, (0.2,)), Column(0.3, (0.1,)), Column(0.7, (0.5, 2.0))]]
+        assert calls == [[Column(2.0, (pairs[-3][1],)), Column(0.3, (0.1,)), Column(0.7, (0.5, 2.0))]]
         assert len(states) == 4
         diag = build_cost_diagonal(enc)
         feasible = brute_force_optimum(diag)
@@ -414,11 +428,49 @@ class TestSolve:
         err = capsys.readouterr().err.strip()
         if code:
             assert len(err.splitlines()) == 1
-            assert err.startswith("the closed-form tour amplitudes at gamma 0.0, beta 0.0 differ")
+            gate = f"gamma {math.pi / 2!r}, beta {math.pi / 2!r}"
+            assert err.startswith(f"the closed-form tour amplitudes at {gate} differ")
             assert not sampled
             assert not out.exists() and not out.with_suffix(".costs.csv").exists()
         else:
             assert not err and len(sampled) == 25 and out.exists()
+
+    @pytest.mark.parametrize("mutation", ["conjugate-kappa", "shifted-labels"])
+    def test_gate_refuses_a_wrong_pass_that_is_right_at_the_first_point(
+        self, monkeypatch, tmp_path, capsys, mutation
+    ):
+        # two wrong closed forms that still give the uniform amplitudes at
+        # the default grid's first point (0, 0), where kappa is 0 and the
+        # phase is flat: kappa conjugated, and every tour read at the next
+        # tour's label.  The gate, at the middle point, refuses both.
+        original = phqc.tour_amplitudes
+        crossing = layers._crossing_phases
+
+        def conjugated(n, beta):
+            a, b = crossing(n, beta)
+            return b * (a / b).conjugate(), b
+
+        def mutated(diag, columns, flats):
+            if mutation == "shifted-labels":
+                yield from original(diag, columns, np.roll(flats, 1))
+                return
+            with monkeypatch.context() as patch:
+                patch.setattr(layers, "_crossing_phases", conjugated)
+                yield from original(diag, columns, flats)
+
+        monkeypatch.setattr(phqc, "tour_amplitudes", mutated)
+        instance = tmp_path / "ex4.json"
+        instance.write_text(json.dumps({"name": "ex4", "matrix": MATRIX_4.tolist()}))
+        out = tmp_path / "r.json"
+        assert main(["solve", str(instance), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "differ from the circuit's" in err
+        assert not out.exists() and not out.with_suffix(".costs.csv").exists()
+        # both are right at (0, 0), so a gate there would have passed them
+        diag = build_cost_diagonal(example_4())
+        flats = brute_force_optimum(diag).flats
+        first = [Column(0.0, (0.0,))]
+        assert np.allclose(next(mutated(diag, first, flats)), next(original(diag, first, flats)))
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("path", ["direct", "table"])
@@ -508,18 +560,22 @@ class TestMemoryPlan:
         # the default grid at n_cities = 9 takes the closed form: the phase,
         # the marginal chain of 16 (D - 1) / (n - 1) bytes, and per tour its
         # 9 sums and one gather, 8 indices and 9 suffixes, the amplitudes of
-        # 10 betas and the gate's, which outweigh run_circuit's buffers
+        # 10 betas, which outweigh run_circuit's buffers, and the gate's
+        # amplitudes
         lay, tours = BlockLayout(8, 8), math.factorial(8)
-        per_tour = 16 * 10 + 8 * 17 + 16 * 10 + 16
+        per_tour = 16 * 10 + 8 * 17 + 16 * 10
         closed = 16 * 8**8 + 16 * (8**8 - 1) // 7 + tours * per_tour
+        gate = 16 * tours
         rest = INTERPRETER_BYTES + 8 * 8**8 + tours * TOUR_BYTES
-        assert peak_bytes(lay, square_grid(10), 0, FLOAT, 1.0) == rest + 100 * POINT_BYTES + closed
+        assert peak_bytes(lay, square_grid(10), 0, FLOAT, 1.0) == rest + 100 * POINT_BYTES + closed + gate
         # columns of 3 betas run circuits, with a phase buffer
         circuits = 32 * 8**8 + mixer_bytes(lay)
         assert peak_bytes(lay, square_grid(3), 0, FLOAT, 1.0) == rest + 9 * POINT_BYTES + circuits
-        # a grid of both holds the larger set
+        # a grid of both holds the larger set, and the gate's amplitudes
+        # beside it
         mixed = square_grid(10) + square_grid(3)
-        assert peak_bytes(lay, mixed, 0, FLOAT, 1.0) == rest + 109 * POINT_BYTES + max(closed, circuits)
+        held = max(closed, circuits) + gate
+        assert peak_bytes(lay, mixed, 0, FLOAT, 1.0) == rest + 109 * POINT_BYTES + held
 
     @pytest.mark.parametrize("bound, levels", [(99.0, 100), (2**20 - 1.0, 2**20), (2**20, 2**20)])
     def test_level_table_holds_at_most_bound_plus_one_levels(self, bound, levels):
