@@ -8,7 +8,9 @@ result JSON is compared with its `metadata` field (wall time, timestamp)
 removed and re-serialized the way the CLI writes it.
 """
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +127,34 @@ def test_baselines_on_a_python_without_the_int_to_str_limit(capsys, monkeypatch)
     monkeypatch.delattr("sys.get_int_max_str_digits")
     assert main(["baselines", "--n", "8"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "baselines_n8.json").read_text()
+
+
+# sha256 of histogram CSVs too large to commit: n = 7 formats 46 chunks,
+# with drawn rows (3430 shots) before the never-drawn ones; n = 6 draws
+# nothing, so its optima are rows with count 0 and is_optimal 1
+HISTOGRAM_DIGESTS = [
+    (
+        "golden7.json",
+        ["--seed", "58"],
+        "8e6ca17ab27bbb29c8aa8910d11cf107121ffc0cd12dbbd5c06c60784752f2c2",
+    ),
+    (
+        "golden6.json",
+        ["--seed", "59", "--shots", "0"],
+        "4c9731551e5e96bea158da78c3884f723b366ea5498b0b47ea2819804a5d699e",
+    ),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "instance,extra,digest", HISTOGRAM_DIGESTS, ids=["n7", "n6_no_shots"]
+)
+def test_histogram_matches_golden_digest(instance, extra, digest, cpus, tmp_path, monkeypatch):
+    # the rows never drawn are split among as many writers as there are CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out = tmp_path / "hist.csv"
+    argv = ["histogram", str(GOLDEN / instance), "--angles", "0.9,1.7", *extra, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]
