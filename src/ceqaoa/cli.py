@@ -15,8 +15,11 @@ import itertools
 import json
 import os
 import resource
+import shutil
+import signal
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +57,17 @@ SCHEMA_VERSION = 1
 # mmap threshold (MMAP_THRESHOLD_BYTES), so chunks reuse heap memory
 # instead of mapping every buffer afresh
 HISTOGRAM_CHUNK = 1 << 10
-# per row of a chunk: its Python ints, floats and row strings and the joined
-# text, measured with tracemalloc at 297 bytes (n = 7), 341 (n = 8) and 353 (n = 9)
-HISTOGRAM_ROW_BYTES = 384
+# per row of a chunk: its slots in the chunk's piece buffer, its Python ints,
+# floats and probability strings and the joined text, measured with
+# tracemalloc at 315 bytes (n = 7), 326 (n = 8) and 335 (n = 9)
+HISTOGRAM_ROW_BYTES = 352
+# a forked histogram writer's own memory: its chunk of rows and the pages it
+# copies from its parent on first write (reference counts, heap pools),
+# measured as Private_Dirty in /proc/self/smaps_rollup at the end of its
+# rows: 1.8 MB (n = 6), 2.2 (n = 7), 2.6 (n = 8) and 3.3 (n = 9)
+HISTOGRAM_WRITER_BYTES = 4 << 20
+# a histogram row's is_optimal field and its line end, indexed by the flag
+ROW_ENDS = np.array([",0\n", ",1\n"], dtype=object)
 
 
 def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column], dict]:
@@ -172,19 +183,93 @@ def peak_rss_mb() -> float:
     return kb / 1024.0
 
 
-def write_text_atomic(path: Path, text) -> None:
+def check_output_path(flag: str, path: Path) -> None:
+    """Raise ValueError naming the flag when path is a directory or in a missing or read-only one.
+
+    Run before any work, so that a bad path does not end a finished run.
+    """
+    where = path.parent
+    if path.is_dir():
+        raise ValueError(f"{flag} {str(path)!r} is a directory")
+    if not where.is_dir():
+        raise ValueError(f"{flag} {str(path)!r}: no directory {str(where)!r}")
+    if not os.access(where, os.W_OK | os.X_OK):
+        raise ValueError(f"{flag} {str(path)!r}: directory {str(where)!r} is not writable")
+
+
+def _fork_writer(path: Path, chunks) -> tuple[int, int]:
+    """Fork a worker that writes the string chunks to path; return its pid and its error pipe.
+
+    The worker ends in os._exit and never returns into its caller, so no
+    atexit hook or caller's cleanup runs twice.  It exits 0 once the file is
+    closed; on any exception it writes the message to the pipe and exits 1.
+    """
+    error, report = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(error)
+        os.close(report)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
+            code = 0
+        except BaseException as exc:
+            with contextlib.suppress(BaseException):
+                os.write(report, clipped(str(exc), USAGE_ERROR_CHARS).encode())
+        finally:
+            os._exit(code)
+    os.close(report)
+    return pid, error
+
+
+def _reap_first(workers: list, path: Path) -> None:
+    """Wait for the first worker and drop it from the list; raise OSError when it failed."""
+    pid, error = workers[0]
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del workers[0]
+    try:
+        message = os.read(error, 1024).decode(errors="replace")
+    finally:
+        os.close(error)
+    if code != 0:
+        raise OSError(f"writing {path} failed: {message or f'exit code {code}'}")
+
+
+def write_text_atomic(path: Path, text, parts=()) -> None:
     """Write a string, or an iterable of string chunks, through a .tmp file and a rename.
 
-    When the write or the rename fails, the .tmp file is removed.
+    Each of parts, more iterables of string chunks, is written at the same
+    time by a forked worker into <path>.tmp.<k> (k = 2, 3, ...), then
+    appended after text, in order.  When anything fails, the workers are
+    killed and reaped and every .tmp file is removed.
     """
     tmp = path.with_name(path.name + ".tmp")
+    part_paths = [tmp.with_name(f"{tmp.name}.{k}") for k in range(2, len(parts) + 2)]
+    workers = []  # (pid, error pipe) of each worker not yet reaped, in part order
     try:
+        for part_path, part in zip(part_paths, parts):
+            workers.append(_fork_writer(part_path, part))
         with open(tmp, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
+            fh.flush()
+            for part_path in part_paths:
+                _reap_first(workers, part_path)
+                with open(part_path, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+                part_path.unlink()
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for pid, error in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(error)
+        for name in (tmp, *part_paths):
+            with contextlib.suppress(OSError):
+                name.unlink()
         raise
 
 
@@ -231,6 +316,8 @@ def cmd_solve(args) -> int:
     hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
     if out.resolve() == hist_path.resolve():
         raise ValueError(f"--out and --hist-out name the same file {str(out)!r}")
+    check_output_path("--out", out)
+    check_output_path("--hist-out", hist_path)
     inst, enc = _load_anchored(args)
     columns, grid_json = parse_grid_spec(args.grid, inst.n_cities, args.depth)
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
@@ -317,7 +404,70 @@ def _half_label_strings(n: int, k: int, city_of_symbol) -> tuple[list[str], list
     )
 
 
+@dataclass(frozen=True)
+class HistogramRows:
+    """The pieces histogram rows are joined from, and the buffer a chunk of rows is gathered in.
+
+    A flat index splits into a high half of m // 2 symbols and a low half of
+    the rest (low_radix = n ** (m - m // 2) values).  The row of label
+    (high, low) joins, in order: hi_label[high], lo_label[low],
+    hi_cities[high], lo_cities[low], its count and a comma, repr of its
+    probability, and ROW_ENDS[is_optimal].
+    """
+
+    low_radix: int
+    hi_label: np.ndarray  # "{high symbols}-"
+    lo_label: np.ndarray  # "{low symbols}"
+    hi_cities: np.ndarray  # ",{start}-{high cities}-"
+    lo_cities: np.ndarray  # "{low cities}-{start},"
+    probs: np.ndarray
+    is_optimal: np.ndarray  # int8, 1 at the optima
+    buf: np.ndarray  # (HISTOGRAM_CHUNK, 7) objects: one row's pieces a line
+
+
+def histogram_rows(enc, probs: np.ndarray, is_optimal: np.ndarray) -> HistogramRows:
+    n, m, start = enc.layout.n, enc.layout.m, enc.start_city
+    hi_syms, hi_cities = _half_label_strings(n, m // 2, enc.city_of_symbol)
+    lo_syms, lo_cities = _half_label_strings(n, m - m // 2, enc.city_of_symbol)
+
+    def pieces(strings) -> np.ndarray:
+        return np.array(list(strings), dtype=object)
+
+    return HistogramRows(
+        low_radix=n ** (m - m // 2),
+        hi_label=pieces(f"{s}-" for s in hi_syms),
+        lo_label=pieces(lo_syms),
+        hi_cities=pieces(f",{start}-{c}-" for c in hi_cities),
+        lo_cities=pieces(f"{c}-{start}," for c in lo_cities),
+        probs=probs,
+        is_optimal=is_optimal,
+        buf=np.empty((min(enc.layout.D, HISTOGRAM_CHUNK), 7), dtype=object),
+    )
+
+
+def format_rows(rows: HistogramRows, flats: np.ndarray, counts: np.ndarray | None) -> str:
+    """The rows of at most HISTOGRAM_CHUNK labels as text; counts None for labels never drawn."""
+    buf = rows.buf[: flats.size]
+    high, low = np.divmod(flats, rows.low_radix)
+    buf[:, 0] = rows.hi_label[high]
+    buf[:, 1] = rows.lo_label[low]
+    buf[:, 2] = rows.hi_cities[high]
+    buf[:, 3] = rows.lo_cities[low]
+    buf[:, 4] = "0," if counts is None else [f"{c}," for c in counts.tolist()]
+    buf[:, 5] = list(map(repr, rows.probs[flats].tolist()))
+    buf[:, 6] = ROW_ENDS[rows.is_optimal[flats]]
+    return "".join(buf.ravel().tolist())
+
+
+def writer_count(chunks: int) -> int:
+    """Processes writing a histogram's never-drawn rows: one a usable CPU, one a chunk at most."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, chunks)
+
+
 def cmd_histogram(args) -> int:
+    out = Path(args.out)
+    check_output_path("--out", out)
     inst, enc = _load_anchored(args)
     shown = clipped(repr(args.angles))
     try:
@@ -333,14 +483,18 @@ def cmd_histogram(args) -> int:
     except ValueError as exc:  # a non-finite angle
         raise ValueError(f"bad --angles value {shown} ({exc})") from None
     layout, lam = enc.layout, args.penalty_weight
-    # the probabilities' own float D-vector, then one chunk of rows.  The
-    # sampler's normalised copy and its cumulative sums (two float
-    # D-vectors) and the rows' two byte masks come after the diagonal and
-    # the amplitudes are freed, and fit in the bytes those held.
+    chunks = -(-layout.D // HISTOGRAM_CHUNK)
+    writers = writer_count(chunks)
+    # the probabilities' own float D-vector, one chunk of rows, and each
+    # forked writer's own memory.  The sampler's normalised copy and its
+    # cumulative sums (two float D-vectors), the rows' two byte masks and
+    # their piece tables come after the diagonal and the amplitudes are
+    # freed, and fit in the bytes those held.
     check_memory(
         peak_bytes(layout, columns, shots, energy_dtype(enc, lam), energy_bound(enc, lam))
         + 8 * layout.D
         + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
+        + (writers - 1) * HISTOGRAM_WRITER_BYTES
     )
     diag = build_cost_diagonal(enc, lam)
     feasible = brute_force_optimum(diag)
@@ -358,39 +512,28 @@ def cmd_histogram(args) -> int:
     drawn, counts = drawn[by_count], counts[by_count]
     is_optimal = np.zeros(layout.D, dtype=np.int8)
     is_optimal[feasible.flats[: feasible.degeneracy]] = 1
-    # A flat index splits into a high half of m // 2 symbols and a low half
-    # of the rest; each row joins precomputed '-'-joined strings of the two.
-    n, m, start = layout.n, layout.m, enc.start_city
-    low_digits = m - m // 2
-    hi_syms, hi_cities = _half_label_strings(n, m // 2, enc.city_of_symbol)
-    lo_syms, lo_cities = _half_label_strings(n, low_digits, enc.city_of_symbol)
+    rows = histogram_rows(enc, probs, is_optimal)
 
-    def rows(flats: np.ndarray, counts: np.ndarray) -> str:
-        high, low = np.divmod(flats, n**low_digits)
-        fields = zip(
-            high.tolist(),
-            low.tolist(),
-            counts.tolist(),
-            probs[flats].tolist(),
-            is_optimal[flats].tolist(),
-        )
-        return "".join(
-            f"{hi_syms[h]}-{lo_syms[w]},{start}-{hi_cities[h]}-{lo_cities[w]}-{start},"
-            f"{cnt},{p!r},{opt}\n"
-            for h, w, cnt, p, opt in fields
-        )
+    def never_drawn(first: int, last: int):
+        """The rows of the labels never drawn in chunks [first, last), in flat order."""
+        stop = min(last * HISTOGRAM_CHUNK, layout.D)
+        for lo in range(first * HISTOGRAM_CHUNK, stop, HISTOGRAM_CHUNK):
+            yield format_rows(rows, lo + np.flatnonzero(unsampled[lo : lo + HISTOGRAM_CHUNK]), None)
 
-    def chunks():
-        yield f"# uniform_probability,{1.0 / layout.D!r}\n"
-        yield "label,city_sequence,count,exact_probability,is_optimal\n"
-        for lo in range(0, drawn.size, HISTOGRAM_CHUNK):
-            yield rows(drawn[lo : lo + HISTOGRAM_CHUNK], counts[lo : lo + HISTOGRAM_CHUNK])
-        # then every label never drawn, in flat order
-        for lo in range(0, layout.D, HISTOGRAM_CHUNK):
-            flats = lo + np.flatnonzero(unsampled[lo : lo + HISTOGRAM_CHUNK])
-            yield rows(flats, np.zeros_like(flats))
-
-    write_text_atomic(Path(args.out), chunks())
+    head = itertools.chain(
+        [f"# uniform_probability,{1.0 / layout.D!r}\n",
+         "label,city_sequence,count,exact_probability,is_optimal\n"],
+        (
+            format_rows(rows, drawn[lo : lo + HISTOGRAM_CHUNK], counts[lo : lo + HISTOGRAM_CHUNK])
+            for lo in range(0, drawn.size, HISTOGRAM_CHUNK)
+        ),
+    )
+    # the never-drawn rows, most of them, split into one contiguous run of
+    # chunks a writer: this process writes the first after the head, and a
+    # forked worker each of the others
+    bounds = [chunks * k // writers for k in range(writers + 1)]
+    parts = [never_drawn(first, last) for first, last in zip(bounds, bounds[1:])]
+    write_text_atomic(out, itertools.chain(head, parts[0]), parts[1:])
     print(f"wrote {layout.D} rows to {args.out}")
     return EXIT_OK
 

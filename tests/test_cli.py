@@ -1,4 +1,3 @@
-import collections
 import itertools
 import json
 import math
@@ -463,18 +462,17 @@ class TestMemoryEstimate:
             assert meta["peak_rss_mb"] <= meta["peak_estimate_mb"], grid
 
     def test_histogram_traced_peak_stays_under_estimate(self, tmp_path, monkeypatch):
-        # every buffer the command allocates after its check, traced in
-        # process, so the interpreter's allowance cannot hide a gap; n = 8
-        # (D = 823543) has int32 energies, 28 bytes a label in the estimate.
-        # The rows are formatted a chunk at a time, each freed before the
-        # next, so the writer takes the first 64 chunks (the 5120 shots'
-        # rows and the first never drawn) and leaves the rest untraced.
+        # every buffer this process allocates after its check, traced, so
+        # the interpreter's allowance cannot hide a gap; n = 8 (D = 823543)
+        # has int32 energies, 28 bytes a label in the estimate.  With two
+        # CPUs this process formats the 5120 shots' rows and the first half
+        # of the never-drawn ones, a chunk at a time, then appends the
+        # worker's half; the worker's own memory is not traced here.
         instance = write_instance(tmp_path / "r8.json", 8)
         estimates = []
         check = cli.check_memory
         monkeypatch.setattr(cli, "check_memory", lambda e: (estimates.append(e), check(e))[1])
-        write = lambda path, text: collections.deque(itertools.islice(text, 64), maxlen=0)  # noqa: E731
-        monkeypatch.setattr(cli, "write_text_atomic", write)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         argv = ["histogram", str(instance), "--angles", "1.0,0.5", "--out", str(tmp_path / "h.csv")]
         tracemalloc.start()
         try:
@@ -544,26 +542,31 @@ class TestMemoryEstimate:
 
     @pytest.mark.parametrize("n_cities", [7, 8])
     def test_histogram_peak_rss_stays_under_estimate(self, tmp_path, n_cities):
-        # n = 7 formats its D = 46656 rows in 46 chunks, n = 8 in 805;
-        # the estimate is the one the command checked before allocating
+        # n = 7 formats its D = 46656 rows in 46 chunks, n = 8 in 805, split
+        # between this process and a worker a CPU past the first; the
+        # estimate is the one the command checked before allocating.  A
+        # forked worker's RSS counts the pages it shares with this process.
         instance = write_instance(tmp_path / f"r{n_cities}.json", n_cities)
         script = (
-            "import sys\n"
+            "import os, resource, sys\n"
             "import ceqaoa.cli as cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "estimates = []\n"
             "check = cli.check_memory\n"
             "cli.check_memory = lambda estimate: (estimates.append(estimate), check(estimate))\n"
             "code = cli.main(sys.argv[1:])\n"
-            "print(code, estimates[0] / 2**20, cli.peak_rss_mb())\n"
+            "workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+            "print(code, estimates[0] / 2**20, cli.peak_rss_mb(), workers)\n"
         )
         proc = run_python(
             "-c", script, "histogram", str(instance), "--angles", "1.0,0.5",
             "--out", str(tmp_path / "hist.csv"),
         )
         assert proc.returncode == 0, proc.stderr
-        code, estimate_mb, peak_mb = proc.stdout.splitlines()[-1].split()
+        code, estimate_mb, peak_mb, workers_mb = proc.stdout.splitlines()[-1].split()
         assert code == "0"
         assert float(peak_mb) <= float(estimate_mb)
+        assert 0 < float(workers_mb) <= float(estimate_mb)
 
     def test_peak_rss_does_not_depend_on_the_instance(self, tmp_path):
         # 16 grid points of 5120 shots: when D-sized buffers were freed onto
@@ -770,6 +773,93 @@ def test_out_and_hist_out_on_one_file_end_in_one_line(instance_file, tmp_path, c
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "--out" in err and "--hist-out" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ex4.json", "sub"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,given,reason",
+    [
+        (["solve", "--out", "{tmp}/nodir/r.json"], "--out", "{tmp}/nodir/r.json", "no directory"),
+        (["solve", "--hist-out", "{tmp}/nodir/c.csv"], "--hist-out", "{tmp}/nodir/c.csv", "no directory"),
+        (["histogram", "--angles", "0.5,0.5", "--out", "{tmp}/nodir/h.csv"], "--out",
+         "{tmp}/nodir/h.csv", "no directory"),
+        (["solve", "--out", "{tmp}/ro/r.json"], "--out", "{tmp}/ro/r.json", "not writable"),
+        (["histogram", "--angles", "0.5,0.5", "--out", "{tmp}/ro/h.csv"], "--out",
+         "{tmp}/ro/h.csv", "not writable"),
+    ],
+    ids=["solve-out", "solve-hist-out", "histogram-out", "solve-read-only", "histogram-read-only"],
+)
+def test_unwritable_output_path_ends_before_the_run(
+    instance_file, tmp_path, monkeypatch, capsys, argv, flag, given, reason
+):
+    def runs(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr(cli, "phqc_solve", runs)
+    monkeypatch.setattr(cli, "run_circuit", runs)
+    (tmp_path / "ro").mkdir()
+    # the suite may run as root, for whom every directory is writable
+    writable = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: Path(path).name != "ro" and writable(path, mode))
+    before = sorted(tmp_path.rglob("*"))
+    command, *rest = (arg.format(tmp=tmp_path) for arg in argv)
+    assert main([command, str(instance_file), *rest]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"{flag} {given.format(tmp=tmp_path)!r}") and reason in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestHistogramWriters:
+    """The never-drawn rows split among forked writers, and what a failed writer leaves."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, cpus, fail_at=None, fail_here=None):
+        """An n = 7 histogram (46 chunks) with the CPU set cut to `cpus`.
+
+        Formatting the chunk that starts at flat `fail_at` raises, in this
+        process when fail_here is True and in a worker when it is False.
+        """
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        here, format_rows = os.getpid(), cli.format_rows
+
+        def failing(rows, flats, counts):
+            if counts is None and flats.size and flats[0] == fail_at and (os.getpid() == here) == fail_here:
+                raise OSError(f"no rows from {fail_at}")
+            return format_rows(rows, flats, counts)
+
+        monkeypatch.setattr(cli, "format_rows", failing)
+        instance = write_instance(tmp_path / "r7.json", 7)
+        return main(["histogram", str(instance), "--angles", "1.0,0.5", "--out", str(tmp_path / "h.csv")])
+
+    @staticmethod
+    def assert_nothing_left(tmp_path):
+        assert [p.name for p in tmp_path.iterdir()] == ["r7.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("part", [2, 3])
+    def test_failed_worker_ends_in_one_line(self, tmp_path, monkeypatch, capsys, part):
+        # three writers over chunks [0, 15), [15, 30) and [30, 46): either
+        # worker fails at its first chunk, the first while the second may run
+        first_chunk = {2: 15, 3: 30}[part]
+        assert self.run(tmp_path, monkeypatch, 3, fail_at=first_chunk * 1024, fail_here=False) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"writing {tmp_path / f'h.csv.tmp.{part}'} failed: no rows from {first_chunk * 1024}"
+        self.assert_nothing_left(tmp_path)
+
+    def test_failure_in_this_process_kills_and_reaps_the_workers(self, tmp_path, monkeypatch, capsys):
+        assert self.run(tmp_path, monkeypatch, 3, fail_at=0, fail_here=True) == 1
+        assert capsys.readouterr().err.strip() == "no rows from 0"
+        self.assert_nothing_left(tmp_path)
+
+    def test_each_worker_is_charged_to_the_estimate(self, tmp_path, monkeypatch):
+        estimates = []
+        check = cli.check_memory
+        monkeypatch.setattr(cli, "check_memory", lambda e: (estimates.append(e), check(e))[1])
+        for cpus in (1, 3, 64):  # 64 CPUs still give one writer a chunk: 46
+            assert self.run(tmp_path, monkeypatch, cpus) == 0
+        one = estimates[0]
+        assert estimates[1:] == [one + 2 * cli.HISTOGRAM_WRITER_BYTES, one + 45 * cli.HISTOGRAM_WRITER_BYTES]
 
 
 class TestHistogram:
