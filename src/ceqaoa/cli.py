@@ -459,12 +459,6 @@ def format_rows(rows: HistogramRows, flats: np.ndarray, counts: np.ndarray | Non
     return "".join(buf.ravel().tolist())
 
 
-def writer_count(chunks: int) -> int:
-    """Processes writing a histogram's never-drawn rows: one a usable CPU, one a chunk at most."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, chunks)
-
-
 def cmd_histogram(args) -> int:
     out = Path(args.out)
     check_output_path("--out", out)
@@ -483,8 +477,11 @@ def cmd_histogram(args) -> int:
     except ValueError as exc:  # a non-finite angle
         raise ValueError(f"bad --angles value {shown} ({exc})") from None
     layout, lam = enc.layout, args.penalty_weight
+    # the rows are written by one process for each CPU this one may run on,
+    # and at most one a chunk (os.sched_getaffinity is Linux only)
     chunks = -(-layout.D // HISTOGRAM_CHUNK)
-    writers = writer_count(chunks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    writers = min(cpus, chunks)
     # the probabilities' own float D-vector, one chunk of rows, and each
     # forked writer's own memory.  The sampler's normalised copy and its
     # cumulative sums (two float D-vectors), the rows' two byte masks and
