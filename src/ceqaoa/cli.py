@@ -426,6 +426,7 @@ class HistogramRows:
 
 
 def histogram_rows(enc, probs: np.ndarray, is_optimal: np.ndarray) -> HistogramRows:
+    """The row pieces of an anchored encoding's labels, over their probabilities and optima."""
     n, m, start = enc.layout.n, enc.layout.m, enc.start_city
     hi_syms, hi_cities = _half_label_strings(n, m // 2, enc.city_of_symbol)
     lo_syms, lo_cities = _half_label_strings(n, m - m // 2, enc.city_of_symbol)
