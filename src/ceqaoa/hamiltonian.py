@@ -126,7 +126,12 @@ class CostDiagonal:
         and their range [lo, hi] holds T = hi - lo + 1 <= D // 16 integers
         (a table of at most one byte per label), the exponentials of the T
         levels are computed once and each chunk gathers its entries by
-        E - lo.  Otherwise each chunk takes the product and exponential on
+        E - lo, indices in range by construction, so the gather clips
+        rather than checks them: with out and the default mode="raise",
+        np.take fills a hidden copy of out and copies it back, and that
+        128 KiB copy, at the mmap threshold, is mapped afresh for every
+        chunk in some heap layouts (150k more page faults at n = 9).
+        Otherwise each chunk takes the product and exponential on
         (E, +0) in out itself; each table entry comes from the same
         operations on the same number, so the two are bitwise equal.
         """
@@ -147,7 +152,7 @@ class CostDiagonal:
                 stop = min(start + PHASE_CHUNK, dim)
                 k = level[: stop - start]
                 np.subtract(self.energy[start:stop], int(lo), out=k, dtype=np.intp)
-                np.take(table, k, out=out[start:stop])
+                np.take(table, k, out=out[start:stop], mode="clip")
             return out
         for start in range(0, dim, PHASE_CHUNK):
             v = out[start : start + PHASE_CHUNK]

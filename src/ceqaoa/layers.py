@@ -194,7 +194,9 @@ def tour_amplitudes(
     run_circuit's in the last places: near beta = pi the terms reach about
     3**m times the amplitudes they cancel to, so the rounding grows with m
     (at most 4e-14 of the largest amplitude on the default grids up to
-    m = 7).  The amplitudes are not norm-checked.
+    m = 7).  The amplitudes are not norm-checked.  The gathers clip their
+    indices, in range by construction, for the reason CostDiagonal.phase
+    gives: each would otherwise fill and copy back a hidden copy of its out.
 
     Yields a (len(betas), len(flats)) complex array per column.  Every
     column runs in the same buffers, tour_amplitude_bytes of them for the
@@ -230,7 +232,7 @@ def tour_amplitudes(
             np.subtract(index, suffix[j], out=at)
             np.floor_divide(at, n, out=at)
             np.add(at, suffix[j + 1], out=at)
-            np.take(child, at, out=gathered)
+            np.take(child, at, out=gathered, mode="clip")
             np.add(sums[k + 1], gathered, out=sums[k + 1])
             visit(child, at, k + 1, j + 1)
 
@@ -239,7 +241,7 @@ def tour_amplitudes(
         if column.depth != 1:
             raise ValueError(f"the closed form is for depth 1, got depth {column.depth}")
         diag.phase(column.gamma, phase)
-        np.take(phase, flats, out=sums[0])
+        np.take(phase, flats, out=sums[0], mode="clip")
         sums[1:] = 0
         visit(phase, flats, 0, 0)
         for row, beta in zip(amps, column.betas):
