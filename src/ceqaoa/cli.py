@@ -160,8 +160,11 @@ def pin_mmap_threshold() -> None:
     358.0-358.1 MB with it and 363.5-363.6 MB without (2 instances), while
     default-grid solves at n = 8 peak at 66.2-66.4 MB either way (3
     instances).  histogram's row buffers stay under the threshold
-    (HISTOGRAM_CHUNK), so it peaks at 55.3 MB with the pin and 56.1 MB
-    without at n = 8 (2 instances).
+    (HISTOGRAM_CHUNK), so at n = 8 (2 instances) it peaks at 54.9-55.6 MB
+    with the pin and 56.1 MB without.  Its forked writer, whose RSS counts
+    the pages it shares with the command, peaks at 31.2-31.7 MB with the
+    pin and 42.5-42.6 MB without: the freed buffers the heap keeps are
+    mapped in both processes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
