@@ -3,8 +3,9 @@
 Supported formats:
   * JSON: {"name": str, "n": int, "matrix": [[...], ...]}.
   * TSPLIB: EDGE_WEIGHT_TYPE EXPLICIT with EDGE_WEIGHT_FORMAT FULL_MATRIX,
-    or EUC_2D with a NODE_COORD_SECTION.  EUC_2D distances follow the
-    nearest-integer convention floor(d + 0.5) unless rounding is disabled.
+    or EUC_2D with a NODE_COORD_SECTION whose node ids run 1..DIMENSION in
+    order.  EUC_2D distances follow the nearest-integer convention
+    floor(d + 0.5) unless rounding is disabled.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ def _parse_tsplib(path: Path, euclidean_rounding: bool) -> TspInstance:
             parts = line.split()
             if len(parts) < 3:
                 raise InstanceParseError(f"coordinate line needs 3 fields: {line!r}", path, lineno)
+            if parts[0] != str(len(coords) + 1):  # the rows follow the listing order
+                bad = f"node id {clipped(parts[0])!r} is not {len(coords) + 1}"
+                raise InstanceParseError(f"{bad} (ids run 1..DIMENSION in order)", path, lineno)
             try:
                 coords.append((float(parts[1]), float(parts[2])))
             except ValueError as exc:

@@ -15,6 +15,7 @@ gives the amplitudes at chosen labels without a state (tour_amplitudes).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -81,6 +82,12 @@ def _crossing_phases(n: int, beta: float) -> tuple[complex, complex]:
     return complex(np.exp(-1j * bp * (n - 1))), complex(np.exp(1j * bp))
 
 
+def _mixer_factors(n: int, beta: float) -> tuple[complex, complex]:
+    """(kappa, b): the block mixer is b * (I + kappa * J), kappa = (a / b - 1) / n."""
+    a, b = _crossing_phases(n, beta)
+    return (a / b - 1) / n, b
+
+
 def mixer_block_matrix(n: int, beta: float) -> np.ndarray:
     """Closed-form one-block mixer a * J/n + b * (I - J/n); unitary by construction."""
     if n < 2:
@@ -136,8 +143,7 @@ def apply_mixer(state: EncodedState, beta: float, sums: np.ndarray | None = None
     """
     layout = state.layout
     n, m = layout.n, layout.m
-    a, b = _crossing_phases(n, beta)
-    kappa = (a / b - 1) / n
+    kappa, b = _mixer_factors(n, beta)
     closing = b**m
     lead, size = _mixer_plan(layout)
     if sums is None:
@@ -165,13 +171,18 @@ def _mix_lead_axis(arr: np.ndarray, kappa: complex, sums: np.ndarray) -> None:
 def _mix_axis(arr: np.ndarray, axis: int, kappa: complex, buf: np.ndarray) -> None:
     """arr += kappa * (sum of arr's slices along axis), summed slice by slice."""
     shape = arr.shape[:axis] + arr.shape[axis + 1 :]
-    sums = buf[: math.prod(shape)].reshape(shape)
-    before = (slice(None),) * axis
-    np.add(arr[before + (0,)], arr[before + (1,)], out=sums)
-    for i in range(2, arr.shape[axis]):
-        np.add(sums, arr[before + (i,)], out=sums)
+    sums = _sum_slices(arr, axis, buf[: math.prod(shape)].reshape(shape))
     np.multiply(sums, kappa, out=sums)
     np.add(arr, np.expand_dims(sums, axis), out=arr)
+
+
+def _sum_slices(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """out = the sum of arr's slices along axis, added one by one from the first."""
+    before = (slice(None),) * axis
+    np.add(arr[before + (0,)], arr[before + (1,)], out=out)
+    for i in range(2, arr.shape[axis]):
+        np.add(out, arr[before + (i,)], out=out)
+    return out
 
 
 def tour_amplitudes(
@@ -224,10 +235,7 @@ def tour_amplitudes(
         for j in range(first, m):
             slices = parent.reshape(n ** (j - k), n, n ** (m - 1 - j))
             child = marginals[k]
-            total = child.reshape(slices.shape[0], slices.shape[2])
-            np.add(slices[:, 0], slices[:, 1], out=total)
-            for i in range(2, n):
-                np.add(total, slices[:, i], out=total)
+            _sum_slices(slices, 1, child.reshape(slices.shape[0], slices.shape[2]))
             at = indices[k]
             np.subtract(index, suffix[j], out=at)
             np.floor_divide(at, n, out=at)
@@ -245,8 +253,7 @@ def tour_amplitudes(
         sums[1:] = 0
         visit(phase, flats, 0, 0)
         for row, beta in zip(amps, column.betas):
-            a, b = _crossing_phases(n, beta)
-            kappa = (a / b - 1) / n
+            kappa, b = _mixer_factors(n, beta)
             np.multiply(sums[m], kappa, out=row)
             for k in range(m - 1, 0, -1):
                 np.add(row, sums[k], out=row)
@@ -302,6 +309,92 @@ def run_circuit(diag: CostDiagonal, columns: Sequence[Column]) -> Iterator[Encod
             for _ in range(column.depth - 1):
                 state = apply_mixer(apply_phase(state, phase), beta, sums)
             yield state
+
+
+# Depth-1 columns of at least this many betas take the closed form: one
+# column of it costs about as much as 1 to 3 circuits at n_cities = 5..9
+# (BENCH_25.json), so from 4 betas on it never loses
+CLOSED_FORM_BETAS = 4
+# the closed form's largest error at the gate, relative to the circuit's largest tour amplitude
+GATE_TOL = 1e-12
+
+
+def closed_form(column: Column) -> bool:
+    """True when point_probabilities takes the column's amplitudes from tour_amplitudes."""
+    return column.depth == 1 and len(column.betas) >= CLOSED_FORM_BETAS
+
+
+def point_probabilities(
+    diag: CostDiagonal, columns: Sequence[Column], flats: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (grid index, p) for every point of the columns, p a fresh |psi|**2 at flats.
+
+    Points are numbered column by column in beta order.  Columns that take
+    the closed form (closed_form) read tour_amplitudes, the rest the states
+    of one run_circuit call, whose first circuit is the gate at the middle
+    point of the middle closed-form column.  The circuit points come first,
+    and no state outlives them; then the closed-form points, the gate's
+    column first.  ValueError ends the generator before them when the closed
+    form strays from the gate by more than GATE_TOL of its largest amplitude.
+    """
+    starts = itertools.accumulate((len(col.betas) for col in columns), initial=0)
+    numbered = list(zip(starts, columns))  # each column with the index of its first point
+    formed = [(i, col) for i, col in numbered if closed_form(col)]
+    circuits = [(i, col) for i, col in numbered if not closed_form(col)]
+    gate: list[Column] = []
+    if formed:
+        # the gate is the middle point of the middle closed-form column, so
+        # on a square grid neither gamma 0, where the phase is flat and a
+        # marginal read at any index gives the same value, nor beta 0,
+        # where kappa is 0 and the pass adds nothing.  Its column goes first.
+        formed.insert(0, formed.pop(len(formed) // 2))
+        column = formed[0][1]
+        gate = [Column(column.gamma, (column.betas[len(column.betas) // 2],))]
+    states = run_circuit(diag, gate + [col for _, col in circuits])
+    if gate:
+        expected = next(states).amplitudes[flats]
+    points = (i + k for i, col in circuits for k in range(len(col.betas)))
+    # a generator expression's names end with it, so no state outlives the spent
+    # run_circuit: its buffers are freed before the closed form allocates its own
+    yield from (
+        (i, _squared_moduli(state.amplitudes[flats]))
+        for i, state in zip(points, states, strict=True)
+    )
+    amplitudes = tour_amplitudes(diag, [col for _, col in formed], flats)
+    # zip asks formed first, so without a closed-form column no pass starts
+    for (i, _), amps in zip(formed, amplitudes):
+        if i == formed[0][0]:  # the gate's column
+            largest = float(np.abs(expected).max())
+            error = float(np.abs(amps[len(amps) // 2] - expected).max())
+            if not error <= GATE_TOL * largest:
+                raise ValueError(
+                    f"the closed-form tour amplitudes at gamma {gate[0].gamma!r}, beta "
+                    f"{gate[0].betas[0]!r} differ from the circuit's by {error:.3g}, over "
+                    f"{GATE_TOL:g} of its largest {largest:.3g}; the solve stops"
+                )
+        for k, row in enumerate(amps, i):
+            yield k, _squared_moduli(row)
+
+
+def _squared_moduli(amps: np.ndarray) -> np.ndarray:
+    p = np.abs(amps)
+    return np.square(p, out=p)
+
+
+def point_probability_bytes(layout: BlockLayout, columns: Sequence[Column], tours: int) -> int:
+    """Peak bytes of point_probabilities' buffers over the columns, at tours labels.
+
+    The larger of two sets, never alive at once: run_circuit's (the complex
+    amplitudes, the complex phase when a column not in closed form reuses
+    it, 16 bytes a label each, and mixer_bytes) and tour_amplitude_bytes.
+    With a closed form, the gate's tour amplitudes (16 a tour) beside them.
+    """
+    phase = 16 if any(col.reuses_phase for col in columns if not closed_form(col)) else 0
+    held = (16 + phase) * layout.D + mixer_bytes(layout)
+    betas = max((len(col.betas) for col in columns if closed_form(col)), default=0)
+    if betas:
+        held = max(held, tour_amplitude_bytes(layout, tours, betas)) + 16 * tours
+    return held
 
 
 @dataclass(frozen=True)

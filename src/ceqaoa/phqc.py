@@ -1,14 +1,13 @@
 """Grid-search hybrid solver: shot sampling, deterministic checking, shot calculus.
 
-Every grid point takes the exact amplitudes of its circuit at the tours,
-draws shots from the exact probabilities, keeps the feasible samples, and
-scores them with the tour objective.  A single appearance of the optimum
-suffices; the choice of the best sample never consults frequency.
+Every grid point takes the exact probabilities of the tours
+(layers.point_probabilities), draws shots from them, keeps the feasible
+samples, and scores them with the tour objective.  A single appearance of
+the optimum suffices; the choice of the best sample never consults frequency.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections.abc import Sequence
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoded import BlockLayout, EncodedState
+from .encoded import BlockLayout
 from .hamiltonian import (
     AnchoredTsp,
     FeasibleSet,
@@ -24,21 +23,7 @@ from .hamiltonian import (
     build_cost_diagonal,
     phase_table_bytes,
 )
-from .layers import Column, mixer_bytes, run_circuit, tour_amplitude_bytes, tour_amplitudes
-
-# Depth-1 columns of at least this many betas take the closed form
-# (layers.tour_amplitudes): one column of it costs about as much as 1 to 3
-# circuits at n_cities = 5..9 (BENCH_25.json), so from 4 betas on it never
-# loses.  The rest run layers.run_circuit.
-CLOSED_FORM_BETAS = 4
-# how far the closed form may stray from the gate's circuit, relative to the
-# circuit's largest tour amplitude
-GATE_TOL = 1e-12
-
-
-def closed_form(column: Column) -> bool:
-    """True when a solve takes the column's tour amplitudes from layers.tour_amplitudes."""
-    return column.depth == 1 and len(column.betas) >= CLOSED_FORM_BETAS
+from .layers import Column, point_probabilities, point_probability_bytes
 
 
 def pair_columns(pairs: Sequence[tuple[float, float]], depth: int = 1) -> list[Column]:
@@ -99,39 +84,24 @@ INTERPRETER_BYTES = 40 << 20
 def peak_bytes(
     layout: BlockLayout, columns: Sequence[Column], shots: int, energy: np.dtype, bound: float
 ) -> int:
-    """Estimated peak bytes of a process that runs the columns' circuits, each sampled shots times.
+    """Estimated peak bytes of a process that samples the columns' points, each shots times.
 
     energy is the diagonal's dtype (hamiltonian.energy_dtype) and bound its
     largest energy (hamiltonian.energy_bound).
     INTERPRETER_BYTES, the diagonal's energies (4 bytes a label for int32,
-    8 for float64) and the phase's level table
-    (hamiltonian.phase_table_bytes), then the larger of two sets of
-    buffers, which are never alive at once.  The buffers of
-    layers.run_circuit, which runs the columns that do not take the closed
-    form and the gate: the complex amplitudes (16 a label), the complex
-    phase when one of those columns reuses it (Column.reuses_phase, 16)
-    and the mixer's block-sized slice sums (layers.mixer_bytes).  The
-    buffers of layers.tour_amplitudes (layers.tour_amplitude_bytes).
-    When some column takes the closed form, the gate's tour amplitudes
-    (16 a tour) are held beside either set.
+    8 for float64), the phase's level table (hamiltonian.phase_table_bytes)
+    and the points' probability buffers (layers.point_probability_bytes).
     Then POINT_BYTES per grid point and LEVEL_BYTES per cost level it can
     hold, TOUR_BYTES per feasible label (the feasible set and one point's
     gather) and SHOT_BYTES per shot, one point's shots alive at a time.
     """
     points = sum(len(col.betas) for col in columns)
     tours = math.perm(layout.n, layout.m)
-    formed = [col for col in columns if closed_form(col)]
-    circuits = [col for col in columns if not closed_form(col)]
-    phase = 16 if any(col.reuses_phase for col in circuits) else 0
-    held = (16 + phase) * layout.D + mixer_bytes(layout)
-    if formed:
-        betas = max(len(col.betas) for col in formed)
-        held = max(held, tour_amplitude_bytes(layout, tours, betas)) + 16 * tours
     return (
         INTERPRETER_BYTES
         + np.dtype(energy).itemsize * layout.D
         + phase_table_bytes(layout, energy, bound)
-        + held
+        + point_probability_bytes(layout, columns, tours)
         + points * (POINT_BYTES + LEVEL_BYTES * min(shots, tours))
         + tours * TOUR_BYTES
         + shots * SHOT_BYTES
@@ -175,43 +145,25 @@ class ScoredShots:
         return tuple(zip(self.levels.tolist(), self.counts.tolist()))
 
 
-def sample_tours(
-    amplitudes: np.ndarray, feasible: FeasibleSet, total_shots: int, seed: int
-) -> ScoredShots:
-    """Draw total_shots shots from a state and check them, drawing only the feasible ones.
+def sample_tours(p: np.ndarray, feasible: FeasibleSet, total_shots: int, seed: int) -> ScoredShots:
+    """Draw total_shots shots from a point and check them, drawing only the feasible ones.
 
-    amplitudes are the state's at the tours, in feasible.flats order.
-    Their squared moduli p give the point's exact optimum mass (the first
-    feasible.degeneracy entries, summed in ascending flat order), its
-    feasible mass F = sum(p), the number of feasible shots
-    K ~ Binomial(total_shots, F), and those K shots, drawn over the tours
-    by rng.choice with p / F.  An infeasible
-    shot reaches the checker only as a count, so the outcome has the law
-    of drawing every shot over all D labels and keeping the feasible ones.
-    The tours come cheapest first, so the least drawn index is the best
-    sample: ties on cost go to the lowest flat index, and frequency never
-    decides.  The amplitudes are left as they are.
+    p holds the point's probabilities |psi|**2 at the tours, in feasible.flats
+    order (layers.point_probabilities), and is overwritten.  They give its
+    exact optimum mass (the first feasible.degeneracy entries, summed in
+    ascending flat order), its feasible mass F = sum(p), the number of
+    feasible shots K ~ Binomial(total_shots, F), and those K shots, drawn
+    over the tours by rng.choice with p / F.  An infeasible shot reaches the
+    checker only as a count, so the outcome has the law of drawing every
+    shot over all D labels and keeping the feasible ones.  The tours come
+    cheapest first, so the least drawn index is the best sample: ties on
+    cost go to the lowest flat index, and frequency never decides.
     """
-    if np.shape(amplitudes) != feasible.flats.shape:
-        raise ValueError(f"{np.shape(amplitudes)} amplitudes for the {feasible.flats.size} tours")
-    return _draw_tours(np.abs(amplitudes), feasible, total_shots, seed)
-
-
-def sample_state(
-    state: EncodedState, feasible: FeasibleSet, total_shots: int, seed: int
-) -> ScoredShots:
-    """sample_tours on state.amplitudes[feasible.flats], a gather freed once its moduli are taken."""
-    if state.layout != feasible.layout:
-        raise ValueError("state and feasible set layouts must agree")
-    return _draw_tours(np.abs(state.amplitudes[feasible.flats]), feasible, total_shots, seed)
-
-
-def _draw_tours(p: np.ndarray, feasible: FeasibleSet, total_shots: int, seed: int) -> ScoredShots:
-    """sample_tours on the moduli p of the tours' amplitudes, which it overwrites."""
+    if np.shape(p) != feasible.flats.shape:
+        raise ValueError(f"{np.shape(p)} probabilities for the {feasible.flats.size} tours")
     if total_shots < 1:
         raise ValueError(f"total_shots must be >= 1, got {total_shots}")
     rng = np.random.default_rng(seed)
-    np.square(p, out=p)
     optima = np.argsort(feasible.flats[: feasible.degeneracy])
     p_opt = float(p[optima].sum())
     mass = float(p.sum())
@@ -261,18 +213,6 @@ class PhqcResult:
     timings: dict[str, float]
 
 
-def _check_gate(circuit: np.ndarray, closed: np.ndarray, column: Column) -> None:
-    """Raise ValueError when the closed form strays from the circuit by more than GATE_TOL."""
-    largest = float(np.abs(circuit).max())
-    error = float(np.abs(closed - circuit).max())
-    if not error <= GATE_TOL * largest:
-        raise ValueError(
-            f"the closed-form tour amplitudes at gamma {column.gamma!r}, beta {column.betas[0]!r} "
-            f"differ from the circuit's by {error:.3g}, over {GATE_TOL:g} of its largest "
-            f"{largest:.3g}; the solve stops"
-        )
-
-
 def phqc_solve(
     enc: AnchoredTsp,
     columns: Sequence[Column],
@@ -285,15 +225,8 @@ def phqc_solve(
     The grid points are the columns' (gamma, beta) pairs, numbered column
     by column in beta order; each column builds its phase once.  Per-point
     seeds derive from (master_seed, grid_index), so any evaluation order
-    gives identical output.
-
-    The columns that take the closed form (closed_form) read their points'
-    tour amplitudes from layers.tour_amplitudes, the rest from the states
-    of one run_circuit call.  That call first runs the gate: the circuit
-    at the middle point of the middle closed-form column, norm-checked as
-    every state is.  When the closed form's amplitudes there stray from
-    the gate's by more than GATE_TOL of the largest, the solve raises
-    ValueError before any closed-form point is sampled.
+    gives identical output.  The points' tour probabilities come from
+    layers.point_probabilities, whose gate may raise ValueError.
     """
     if shots_per_point < 1:
         raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
@@ -305,36 +238,10 @@ def phqc_solve(
     t_diag = time.perf_counter()
     feasible = brute_force_optimum(diag)
     t_oracle = time.perf_counter()
-    starts = itertools.accumulate((len(col.betas) for col in columns), initial=0)
-    numbered = list(zip(starts, columns))  # each column with the index of its first point
-    formed = [(i, col) for i, col in numbered if closed_form(col)]
-    circuits = [(i, col) for i, col in numbered if not closed_form(col)]
-    gate: list[Column] = []
-    if formed:
-        # the gate is the middle point of the middle closed-form column, so
-        # on a square grid neither gamma 0, where the phase is flat and a
-        # marginal read at any index gives the same value, nor beta 0,
-        # where kappa is 0 and the pass adds nothing.  Its column goes first.
-        formed.insert(0, formed.pop(len(formed) // 2))
-        column = formed[0][1]
-        gate = [Column(column.gamma, (column.betas[len(column.betas) // 2],))]
-    states = run_circuit(diag, gate + [col for _, col in circuits])
-    if gate:
-        expected = next(states).amplitudes[feasible.flats]
-    points = (i + k for i, col in circuits for k in range(len(col.betas)))
-    # a comprehension's names end with it, so no state outlives the spent
-    # generator: its buffers are freed before the closed form allocates its own
     scored = {
-        i: sample_state(state, feasible, shots_per_point, derive_seed(master_seed, i))
-        for i, state in zip(points, states, strict=True)
+        i: sample_tours(p, feasible, shots_per_point, derive_seed(master_seed, i))
+        for i, p in point_probabilities(diag, columns, feasible.flats)
     }
-    amplitudes = tour_amplitudes(diag, [col for _, col in formed], feasible.flats)
-    # zip asks formed first, so without a closed-form column no pass starts
-    for (i, _), amps in zip(formed, amplitudes):
-        if i == formed[0][0]:
-            _check_gate(expected, amps[len(amps) // 2], gate[0])
-        for k, row in enumerate(amps, i):
-            scored[k] = sample_tours(row, feasible, shots_per_point, derive_seed(master_seed, k))
     angles = [(col.gamma, beta) for col in columns for beta in col.betas]
     points = tuple(GridPointStat(g, b, scored[i]) for i, (g, b) in enumerate(angles))
     t_sweep = time.perf_counter()

@@ -233,6 +233,24 @@ class TestSolve:
                 "DIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 0\n3 0 1\nEOF\n",
                 ":3: NODE_COORD_SECTION has 3 nodes, expected 4",
             ),
+            (
+                "shuffled.tsp",
+                "DIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+                "1 0 0\n3 1 0\n2 0 1\n4 1 1\nEOF\n",
+                ":5: node id '3' is not 2 (ids run 1..DIMENSION in order)",
+            ),
+            (
+                "repeated.tsp",
+                "DIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+                "1 0 0\n1 1 0\n1 0 1\n1 1 1\nEOF\n",
+                ":5: node id '1' is not 2 (ids run 1..DIMENSION in order)",
+            ),
+            (
+                "letters.tsp",
+                "DIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+                "A 0 0\nB 1 0\nC 0 1\nD 1 1\nEOF\n",
+                ":4: node id 'A' is not 1 (ids run 1..DIMENSION in order)",
+            ),
         ],
         ids=[
             "json-not-object",
@@ -244,6 +262,9 @@ class TestSolve:
             "tsplib-unrecognized-line",
             "tsplib-no-dimension",
             "tsplib-node-count",
+            "tsplib-shuffled-ids",
+            "tsplib-repeated-ids",
+            "tsplib-non-numeric-ids",
         ],
     )
     def test_instance_check_ends_in_its_one_line(self, tmp_path, capsys, name, body, message):
@@ -1030,9 +1051,10 @@ class TestBaselinesCommand:
 
 
 def test_benchmark_probe_stamps_the_first_circuit(instance_file, tmp_path):
-    # perfbench/probe.py times set-up by patching layers.run_circuit and
-    # phqc.run_circuit; in setup mode it writes the stamp and exits 0 at the
-    # first circuit, so a solve that stops calling them by those names fails here
+    # perfbench/probe.py times set-up by patching layers.run_circuit, which
+    # layers.point_probabilities calls through the module; in setup mode it
+    # writes the stamp and exits 0 at the first circuit, so a solve that
+    # stops calling it by that name fails here
     probe = SRC.parent / "perfbench" / "probe.py"
     stamp = tmp_path / "setup.stamp"
     proc = run_python(

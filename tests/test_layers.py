@@ -6,7 +6,13 @@ import pytest
 
 from ceqaoa import layers
 from ceqaoa.encoded import BlockLayout, EncodedState, uniform_initial_state
-from ceqaoa.hamiltonian import CostDiagonal, TspInstance, anchor, build_cost_diagonal
+from ceqaoa.hamiltonian import (
+    CostDiagonal,
+    TspInstance,
+    anchor,
+    brute_force_optimum,
+    build_cost_diagonal,
+)
 from ceqaoa.layers import (
     Column,
     apply_mixer,
@@ -237,6 +243,34 @@ class TestRunCircuit:
             [Column(0.8, (0.5,)), Column(0.9, (0.5, 0.6)), Column(1.0, (0.7,), 2)],
         ):
             assert abs(traced_peak(columns) - once - vector) < layout.D // 2
+
+
+class TestPointProbabilities:
+    def test_mixed_list_grid(self):
+        # columns of 1 and 2 betas run circuits, and those of 4 and 5 betas
+        # take the closed form, the middle one (the gate's) first
+        diag = small_diag(5, seed=3)
+        flats = brute_force_optimum(diag).flats
+        columns = [
+            Column(0.3, (0.1,)),
+            Column(1.1, (0.2, 0.9, 1.4, 2.2)),
+            Column(0.7, (0.5, 2.0)),
+            Column(2.0, (0.0, 0.4, 0.8, 1.2, 1.6)),
+        ]
+        got = list(layers.point_probabilities(diag, columns, flats))
+        assert [i for i, _ in got] == [0, 5, 6, 7, 8, 9, 10, 11, 1, 2, 3, 4]
+        expected = [
+            (layers.closed_form(col), np.abs(state.amplitudes[flats]) ** 2)
+            for col in columns
+            for state in run_circuit(diag, [col])
+        ]
+        for i, p in got:
+            closed, want = expected[i]
+            assert p.dtype == np.float64 and p.flags.owndata
+            if closed:
+                np.testing.assert_allclose(p, want, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(p, want)
 
 
 class TestSpectrum:

@@ -36,7 +36,6 @@ from ceqaoa.phqc import (
     peak_bytes,
     phqc_solve,
     required_shots,
-    sample_state,
     sample_tours,
     square_grid,
 )
@@ -137,8 +136,8 @@ def basis_mix(layout, label_probs):
 
 
 def sample(state, feasible, shots, seed):
-    """sample_tours on the state's amplitudes at the tours."""
-    return sample_tours(state.amplitudes[feasible.flats], feasible, shots, seed)
+    """sample_tours on the state's probabilities at the tours."""
+    return sample_tours(state.probabilities()[feasible.flats], feasible, shots, seed)
 
 
 def checked(scored):
@@ -176,12 +175,11 @@ class TestSampling:
     def test_same_seed_identical(self):
         enc = example_4()
         feasible = brute_force_optimum(build_cost_diagonal(enc))
-        amps = uniform_initial_state(enc.layout).amplitudes[feasible.flats]
-        before = amps.copy()
-        a = sample_tours(amps, feasible, 500, seed=7)
-        b = sample_tours(amps, feasible, 500, seed=7)
+        # sample_tours overwrites the probabilities, so each call takes its own
+        probs = uniform_initial_state(enc.layout).probabilities()[feasible.flats]
+        a = sample_tours(probs.copy(), feasible, 500, seed=7)
+        b = sample_tours(probs.copy(), feasible, 500, seed=7)
         assert (a.p_opt, checked(a)) == (b.p_opt, checked(b))
-        assert np.array_equal(amps, before)  # the amplitudes are left as they are
 
     def test_rejects_zero_shots(self):
         enc = example_4()
@@ -240,24 +238,13 @@ class TestScoring:
         assert scored.p_opt == 0.0
 
     def test_rejects_a_diagonal_of_another_layout(self):
-        # the 3! tours' amplitudes of a 4-city layout, against the 2! tours of a 3-city one
+        # the 3! tours' probabilities of a 4-city layout, against the 2! tours of a 3-city one
         three = anchor(TspInstance("t3", 3, np.ones((3, 3)) - np.eye(3)), 0)
         feasible = brute_force_optimum(build_cost_diagonal(three))
         four = brute_force_optimum(build_cost_diagonal(example_4()))
-        amps = uniform_initial_state(example_4().layout).amplitudes[four.flats]
-        with pytest.raises(ValueError, match=r"\(6,\) amplitudes for the 2 tours"):
-            sample_tours(amps, feasible, 2, seed=0)
-
-    def test_sample_state_is_sample_tours_on_the_gather(self):
-        diag = build_cost_diagonal(example_4())
-        feasible = brute_force_optimum(diag)
-        (state,) = run_circuit(diag, [Column(0.8, (0.3,))])
-        got = sample_state(state, feasible, 400, seed=9)
-        assert checked(got) == checked(sample(state, feasible, 400, 9))
-        assert got.p_opt == sample(state, feasible, 400, 9).p_opt
-        three = anchor(TspInstance("t3", 3, np.ones((3, 3)) - np.eye(3)), 0)
-        with pytest.raises(ValueError, match="layouts must agree"):
-            sample_state(state, brute_force_optimum(build_cost_diagonal(three)), 2, seed=0)
+        probs = uniform_initial_state(example_4().layout).probabilities()[four.flats]
+        with pytest.raises(ValueError, match=r"\(6,\) probabilities for the 2 tours"):
+            sample_tours(probs, feasible, 2, seed=0)
 
     def test_optimum_mass_sums_the_optima_in_flat_order(self):
         # 24 optimal tours whose costs lie within the tie tolerance but
@@ -353,9 +340,9 @@ class TestSolve:
 
     @staticmethod
     def record_circuits(monkeypatch):
-        """The columns of every phqc.run_circuit call, and every state the calls yield."""
+        """The columns of every layers.run_circuit call, and every state the calls yield."""
         calls, states = [], []
-        original = phqc.run_circuit
+        original = layers.run_circuit
 
         def recording(diag, columns):
             calls.append(list(columns))
@@ -363,7 +350,7 @@ class TestSolve:
                 states.append(state)
                 yield state
 
-        monkeypatch.setattr(phqc, "run_circuit", recording)
+        monkeypatch.setattr(layers, "run_circuit", recording)
         return calls, states
 
     def test_one_circuit_per_solve_on_a_default_grid(self, monkeypatch):
@@ -382,7 +369,7 @@ class TestSolve:
             assert p.scored.p_opt == pytest.approx(exact, rel=0, abs=1e-12)
 
     def test_mixed_grid_runs_the_gate_and_the_short_columns_in_one_call(self, monkeypatch):
-        # columns of CLOSED_FORM_BETAS betas take the closed form, the
+        # columns of layers.CLOSED_FORM_BETAS betas take the closed form, the
         # others run after the gate, at the middle beta of the second of the
         # two closed-form columns, in one run_circuit call; the points keep
         # their grid order and their seeds
@@ -409,13 +396,13 @@ class TestSolve:
         # every closed-form amplitude scaled by 1 + shift: a relative error
         # of 1e-9 ends the solve at the gate, before any point is sampled,
         # in one stderr line and exit 1 with no output file; 1e-13 passes
-        original = phqc.tour_amplitudes
+        original = layers.tour_amplitudes
 
         def shifted(*args):
             for amps in original(*args):
                 yield amps * (1 + shift)
 
-        monkeypatch.setattr(phqc, "tour_amplitudes", shifted)
+        monkeypatch.setattr(layers, "tour_amplitudes", shifted)
         calls, _ = self.record_circuits(monkeypatch)
         sampled = []
         sample_tours = phqc.sample_tours
@@ -443,7 +430,7 @@ class TestSolve:
         # the default grid's first point (0, 0), where kappa is 0 and the
         # phase is flat: kappa conjugated, and every tour read at the next
         # tour's label.  The gate, at the middle point, refuses both.
-        original = phqc.tour_amplitudes
+        original = layers.tour_amplitudes
         crossing = layers._crossing_phases
 
         def conjugated(n, beta):
@@ -458,7 +445,7 @@ class TestSolve:
                 patch.setattr(layers, "_crossing_phases", conjugated)
                 yield from original(diag, columns, flats)
 
-        monkeypatch.setattr(phqc, "tour_amplitudes", mutated)
+        monkeypatch.setattr(layers, "tour_amplitudes", mutated)
         instance = tmp_path / "ex4.json"
         instance.write_text(json.dumps({"name": "ex4", "matrix": MATRIX_4.tolist()}))
         out = tmp_path / "r.json"

@@ -109,7 +109,7 @@ def test_sample_tours_matches_scalar_checker(case):
     # them with the scalar loop; the optimum mass sums the enumerated optima
     enc, state, total_shots, seed = case
     feasible = brute_force_optimum(build_cost_diagonal(enc))
-    scored = sample_tours(state.amplitudes[feasible.flats], feasible, total_shots, seed)
+    scored = sample_tours(state.probabilities()[feasible.flats], feasible, total_shots, seed)
     pairs = reference_tour_sample(state.amplitudes, enumerated_tours(enc), total_shots, seed)
     objective, count = reference_cost_diagonal(enc)
     expected = scalar_score(count, objective, pairs)

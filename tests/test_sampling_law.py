@@ -24,7 +24,9 @@ from ceqaoa.phqc import pair_columns, phqc_solve
 
 from oracles import enumerated_tours, solved_cost, tour_probabilities
 
-PAIRS = [(0.6, 0.4), (1.2, 0.9), (2.0, 2.5)]
+# three one-beta columns, which run circuits, and one of four betas, which
+# takes the closed form
+PAIRS = [(0.6, 0.4), (1.2, 0.9), (2.0, 2.5)] + [(1.7, b) for b in (0.3, 1.1, 1.9, 2.6)]
 RUNS = 1000
 SIGMAS = 5.0
 
