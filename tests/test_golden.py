@@ -49,6 +49,13 @@ SOLVES = [
     # fractional too)
     ("solve_n5_lambda_7_5", "golden5.json", ["--lambda", "7.5", "--seed", "10"]),
     ("solve_n5_frac", "golden5_frac.json", ["--seed", "11"]),
+    # a start city other than 0 and an integral user weight: int32 energies
+    # from a weight that is not the default
+    (
+        "solve_n5_start2_lambda40",
+        "golden5.json",
+        ["--start-city", "2", "--lambda", "40", "--seed", "12"],
+    ),
 ]
 
 
@@ -108,6 +115,14 @@ def test_float_energy_histogram_matches_golden(name, instance, extra, tmp_path):
     argv = ["histogram", str(GOLDEN / instance), "--angles", "0.9,1.7", *extra]
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_start_city_and_integral_weight_histogram_matches_golden(tmp_path):
+    out = tmp_path / "hist.csv"
+    argv = ["histogram", str(GOLDEN / "golden5.json"), "--angles", "0.5,0.5"]
+    argv += ["--start-city", "2", "--lambda", "40", "--seed", "12", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "histogram_n5_start2_lambda40.csv").read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["encoder", "mixer", "one_design", "baselines"])
