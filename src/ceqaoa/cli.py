@@ -311,7 +311,7 @@ def _load_anchored(args):
     inst = parse_instance(args.instance, euclidean_rounding=not args.euclid_exact)
     if not 0 <= args.start_city < inst.n_cities:
         raise ValueError(f"--start-city must lie in [0, {inst.n_cities}), got {args.start_city}")
-    return inst, anchor(inst, args.start_city)
+    return inst, anchor(inst, args.start_city, args.penalty_weight)
 
 
 def cmd_solve(args) -> int:
@@ -326,13 +326,10 @@ def cmd_solve(args) -> int:
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 1:
         raise ValueError(f"--shots must be >= 1, got {shots}")
-    lam = args.penalty_weight
-    estimate = peak_bytes(
-        enc.layout, columns, shots, energy_dtype(enc, lam), energy_bound(enc, lam)
-    )
+    estimate = peak_bytes(enc.layout, columns, shots, energy_dtype(enc), energy_bound(enc))
     check_memory(estimate)
     t0 = time.perf_counter()
-    result = phqc_solve(enc, columns, shots, args.seed, lam)
+    result = phqc_solve(enc, columns, shots, args.seed)
     wall = time.perf_counter() - t0
     points = result.points
     best = None if result.winner is None else points[result.winner]
@@ -345,7 +342,7 @@ def cmd_solve(args) -> int:
         "depth": args.depth,
         "shots_per_point": shots,
         "normalization": "over_n",  # the unit-gap mixer, the only one
-        "penalty_weight": result.penalty_weight,
+        "penalty_weight": enc.penalty_weight,
         "seed": args.seed,
         "grid": grid_json,
         "best_tour": None if best is None else list(tour_cities(enc, best.scored.best_flat)),
@@ -480,7 +477,7 @@ def cmd_histogram(args) -> int:
         columns = pair_columns([(gamma, beta)], args.depth)
     except ValueError as exc:  # a non-finite angle
         raise ValueError(f"bad --angles value {shown} ({exc})") from None
-    layout, lam = enc.layout, args.penalty_weight
+    layout = enc.layout
     # the rows are written by one process for each CPU this one may run on,
     # and at most one a chunk (os.sched_getaffinity is Linux only)
     chunks = -(-layout.D // HISTOGRAM_CHUNK)
@@ -492,12 +489,12 @@ def cmd_histogram(args) -> int:
     # their piece tables come after the diagonal and the amplitudes are
     # freed, and fit in the bytes those held.
     check_memory(
-        peak_bytes(layout, columns, shots, energy_dtype(enc, lam), energy_bound(enc, lam))
+        peak_bytes(layout, columns, shots, energy_dtype(enc), energy_bound(enc))
         + 8 * layout.D
         + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
         + (writers - 1) * HISTOGRAM_WRITER_BYTES
     )
-    diag = build_cost_diagonal(enc, lam)
+    diag = build_cost_diagonal(enc)
     feasible = brute_force_optimum(diag)
     (state,) = run_circuit(diag, columns)
     probs = state.probabilities()
@@ -550,6 +547,8 @@ def cmd_baselines(args) -> int:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     if args.n * args.n > sys.float_info.max:  # the log10 arithmetic forms n * n as a float
         raise ValueError("--n must be at most about 1.34e154, so that n * n fits a float")
+    if args.out:
+        check_output_path("--out", Path(args.out))
     rep = classical_baselines(args.n)
     # a count past the exact-integer budget, or with more decimal digits than
     # Python converts, is written as its log10; Pythons before 3.10.7 have no

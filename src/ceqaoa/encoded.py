@@ -134,8 +134,13 @@ class EncodedState:
 
     def probabilities(self) -> np.ndarray:
         """|amplitude|**2 per label, in a float64 D-vector of its own."""
-        probs = np.abs(self.amplitudes)
-        return np.square(probs, out=probs)
+        return squared_moduli(self.amplitudes)
+
+
+def squared_moduli(amplitudes: np.ndarray) -> np.ndarray:
+    """|a|**2 of every entry a, in a float64 array of its own."""
+    probs = np.abs(amplitudes)
+    return np.square(probs, out=probs)
 
 
 def uniform_initial_state(layout: BlockLayout) -> EncodedState:

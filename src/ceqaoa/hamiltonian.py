@@ -60,23 +60,48 @@ class TspInstance:
 
 @dataclass(frozen=True, eq=False)
 class AnchoredTsp:
-    """TSP with a fixed start city; blocks index tour positions 1..n_cities-1."""
+    """TSP with a fixed start city; blocks index tour positions 1..n_cities-1.
+
+    penalty_weight weighs the symbol-multiplicity penalty (build_cost_diagonal),
+    held as a float: positive, with a finite largest penalty weight * (n - m + m*(m-1)).
+    """
 
     instance: TspInstance
     start_city: int
     layout: BlockLayout
     city_of_symbol: tuple[int, ...]
+    penalty_weight: float
+
+    def __post_init__(self) -> None:
+        weight = float(self.penalty_weight)
+        if not weight > 0:
+            raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
+        n, m = self.layout.n, self.layout.m
+        if not math.isfinite(weight * (n - m + m * (m - 1))):
+            raise ValueError(f"penalty weight {weight!r} makes the largest penalty non-finite")
+        object.__setattr__(self, "penalty_weight", weight)
 
 
-def anchor(instance: TspInstance, start: int = 0) -> AnchoredTsp:
-    """Fix the start city; symbols map to the remaining cities in ascending order."""
+def default_penalty_weight(instance: TspInstance) -> float:
+    """n_cities * max distance (at least 1), dominating any objective gap."""
+    return max(float(instance.n_cities) * instance.max_distance, 1.0)
+
+
+def anchor(
+    instance: TspInstance, start: int = 0, penalty_weight: float | None = None
+) -> AnchoredTsp:
+    """Fix the start city and the penalty weight (None: default_penalty_weight).
+
+    Symbols map to the remaining cities in ascending order.
+    """
     if instance.n_cities < 3:
         raise ValueError("need at least 3 cities for a nontrivial tour")
     if not 0 <= start < instance.n_cities:
         raise ValueError(f"start city {start} outside [0, {instance.n_cities})")
     rest = tuple(c for c in range(instance.n_cities) if c != start)
     n_red = instance.n_cities - 1
-    return AnchoredTsp(instance, start, BlockLayout(n_red, n_red), rest)
+    weight = default_penalty_weight(instance) if penalty_weight is None else penalty_weight
+    return AnchoredTsp(instance, start, BlockLayout(n_red, n_red), rest, weight)
 
 
 def tour_cities(enc: AnchoredTsp, flat: int) -> tuple[int, ...]:
@@ -89,18 +114,18 @@ def tour_cities(enc: AnchoredTsp, flat: int) -> tuple[int, ...]:
 class CostDiagonal:
     """The cost Hamiltonian's diagonal: one energy per encoded basis label.
 
-    energy[x] = objective[x] + penalty_weight * k[x], where k = sum_a
-    (c_a - 1)**2 over the symbol counts c_a of x is zero exactly when x is
-    feasible.  The objective extends the cyclic tour formula to infeasible
-    labels as well, because the phase layer acts on the whole encoded
-    space.  Only this D-vector is held: int32 (4 bytes per label) when it
-    is given so, as build_cost_diagonal gives integral energies below
-    2**31; any other vector is held as float64 (8 bytes per label).
+    For an anchored problem (build_cost_diagonal), energy[x] = objective[x]
+    + penalty_weight * k[x], where k = sum_a (c_a - 1)**2 over the symbol
+    counts c_a of x is zero exactly when x is feasible.  The objective
+    extends the cyclic tour formula to infeasible labels as well, because
+    the phase layer acts on the whole encoded space.  Only this D-vector
+    is held: int32 (4 bytes per label) when it is given so, as
+    build_cost_diagonal gives integral energies below 2**31; any other
+    vector is held as float64 (8 bytes per label).
     """
 
     layout: BlockLayout
     energy: np.ndarray
-    penalty_weight: float
     _energy_range: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -109,11 +134,7 @@ class CostDiagonal:
             energy = np.asarray(energy, dtype=np.float64)
         if energy.shape != (self.layout.D,):
             raise ValueError("the energy vector must have length layout.D")
-        weight = float(self.penalty_weight)
-        if not weight > 0:
-            raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
         object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "penalty_weight", weight)
         object.__setattr__(self, "_energy_range", (float(energy.min()), float(energy.max())))
 
     def phase(self, gamma: float, out: np.ndarray) -> np.ndarray:
@@ -174,37 +195,31 @@ def phase_table_bytes(layout: BlockLayout, energy: np.dtype, bound: float) -> in
     return 16 * min(layout.D // 16, int(bound) + 1) + 8 * min(PHASE_CHUNK, layout.D)
 
 
-def default_penalty_weight(instance: TspInstance) -> float:
-    """n_cities * max distance (at least 1), dominating any objective gap."""
-    return max(float(instance.n_cities) * instance.max_distance, 1.0)
-
-
-def energy_bound(enc: AnchoredTsp, penalty_weight: float | None = None) -> float:
-    """The largest energy build_cost_diagonal can give, penalty_weight None meaning the default.
+def energy_bound(enc: AnchoredTsp) -> float:
+    """The largest energy build_cost_diagonal can give.
 
     A label's objective sums n_cities distances, and its penalty count is at
     most n - m + m*(m-1) (every block on one symbol).  Energies are >= 0.
     """
     n, m = enc.layout.n, enc.layout.m
-    weight = default_penalty_weight(enc.instance) if penalty_weight is None else penalty_weight
-    return enc.instance.n_cities * enc.instance.max_distance + weight * (n - m + m * (m - 1))
+    penalty = enc.penalty_weight * (n - m + m * (m - 1))
+    return enc.instance.n_cities * enc.instance.max_distance + penalty
 
 
-def energy_dtype(enc: AnchoredTsp, penalty_weight: float | None = None) -> np.dtype:
+def energy_dtype(enc: AnchoredTsp) -> np.dtype:
     """The dtype build_cost_diagonal holds the energies in: int32 or float64.
 
-    int32 when every distance and the penalty weight (None: the default)
-    are integers and energy_bound is below 2**31; float64 otherwise.
+    int32 when every distance and the penalty weight are integers and
+    energy_bound is below 2**31; float64 otherwise.
     """
     dist = enc.instance.distances
-    weight = default_penalty_weight(enc.instance) if penalty_weight is None else penalty_weight
-    integral = float(weight).is_integer() and np.array_equal(dist, np.trunc(dist))
-    if integral and energy_bound(enc, weight) < 2**31:
+    integral = enc.penalty_weight.is_integer() and np.array_equal(dist, np.trunc(dist))
+    if integral and energy_bound(enc) < 2**31:
         return np.dtype(np.int32)
     return np.dtype(np.float64)
 
 
-def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -> CostDiagonal:
+def build_cost_diagonal(enc: AnchoredTsp) -> CostDiagonal:
     """Evaluate the energy, cyclic objective plus weighted penalty, on all labels.
 
     The objective is built over label prefixes: the costs of every k-block
@@ -226,13 +241,8 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
     energy takes the roundings of weight * k + objective, and one past the
     float range is inf, which CostDiagonal.phase refuses.
     """
-    lam = default_penalty_weight(enc.instance) if penalty_weight is None else float(penalty_weight)
-    if lam <= 0:
-        raise ValueError(f"penalty weight must be positive, got {lam}")
     n, m = enc.layout.n, enc.layout.m
-    if not math.isfinite(lam * (n - m + m * (m - 1))):
-        raise ValueError(f"penalty weight {lam!r} makes the largest penalty non-finite")
-    dtype = energy_dtype(enc, lam)
+    dtype = energy_dtype(enc)
     C = enc.instance.distances.astype(dtype)
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
     step = C[np.ix_(cities, cities)]
@@ -250,14 +260,14 @@ def build_cost_diagonal(enc: AnchoredTsp, penalty_weight: float | None = None) -
         count = (count.reshape(-1, 1) + twice_symbols).reshape(-1)
         twice_symbols = (twice_symbols.reshape(-1, 1, n) + twice_eye).reshape(-1, n)
     per_chunk = max(1, PHASE_CHUNK // n)
-    weight = dtype.type(lam)
+    weight = dtype.type(enc.penalty_weight)
     with np.errstate(over="ignore"):
         for p in range(0, count.size, per_chunk):
             k = count[p : p + per_chunk, None] + twice_symbols[p : p + per_chunk]
             # dtype is named: NumPy 1 would size k * weight by the weight's
             # value, so an int16-sized weight would wrap in int16
             rows[p : p + per_chunk] += np.multiply(k, weight, dtype=dtype)
-    return CostDiagonal(enc.layout, energy, lam)
+    return CostDiagonal(enc.layout, energy)
 
 
 @dataclass(frozen=True, eq=False)

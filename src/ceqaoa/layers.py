@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoded import BlockLayout, EncodedState
+from .encoded import BlockLayout, EncodedState, squared_moduli
 from .hamiltonian import CostDiagonal
 
 
@@ -357,7 +357,7 @@ def point_probabilities(
     # a generator expression's names end with it, so no state outlives the spent
     # run_circuit: its buffers are freed before the closed form allocates its own
     yield from (
-        (i, _squared_moduli(state.amplitudes[flats]))
+        (i, squared_moduli(state.amplitudes[flats]))
         for i, state in zip(points, states, strict=True)
     )
     amplitudes = tour_amplitudes(diag, [col for _, col in formed], flats)
@@ -373,12 +373,7 @@ def point_probabilities(
                     f"{GATE_TOL:g} of its largest {largest:.3g}; the solve stops"
                 )
         for k, row in enumerate(amps, i):
-            yield k, _squared_moduli(row)
-
-
-def _squared_moduli(amps: np.ndarray) -> np.ndarray:
-    p = np.abs(amps)
-    return np.square(p, out=p)
+            yield k, squared_moduli(row)
 
 
 def point_probability_bytes(layout: BlockLayout, columns: Sequence[Column], tours: int) -> int:

@@ -200,25 +200,19 @@ class PhqcResult:
     point drew a feasible shot.  Its scored.best_flat is the best feasible
     sample (hamiltonian.tour_cities gives its tour) and its scored.p_opt
     the simulator-exact mass on all degeneracy optima at its angles.
-    penalty_weight is the cost diagonal's.  timings holds the wall
-    seconds of the solve's stages: diagonal_s (cost diagonal), oracle_s
-    (the feasible set: the tours' enumeration and sort) and sweep_s (every
-    grid point).
+    timings holds the wall seconds of the solve's stages: diagonal_s (cost
+    diagonal), oracle_s (the feasible set: the tours' enumeration and sort)
+    and sweep_s (every grid point).
     """
 
     points: tuple[GridPointStat, ...]
     winner: int | None
     degeneracy: int
-    penalty_weight: float
     timings: dict[str, float]
 
 
 def phqc_solve(
-    enc: AnchoredTsp,
-    columns: Sequence[Column],
-    shots_per_point: int,
-    master_seed: int,
-    penalty_weight: float | None = None,
+    enc: AnchoredTsp, columns: Sequence[Column], shots_per_point: int, master_seed: int
 ) -> PhqcResult:
     """Grid-search solve: sample every grid point, return them with the winner.
 
@@ -234,7 +228,7 @@ def phqc_solve(
         raise ValueError("empty column list")
 
     t_start = time.perf_counter()
-    diag = build_cost_diagonal(enc, penalty_weight)
+    diag = build_cost_diagonal(enc)
     t_diag = time.perf_counter()
     feasible = brute_force_optimum(diag)
     t_oracle = time.perf_counter()
@@ -254,7 +248,6 @@ def phqc_solve(
         points,
         winner,
         feasible.degeneracy,
-        diag.penalty_weight,
         {
             "diagonal_s": t_diag - t_start,
             "oracle_s": t_oracle - t_diag,

@@ -33,12 +33,9 @@ def _check(suite: str, name: str, passed: bool, measured, target) -> CheckResult
 
 
 def random_diagonal(layout: BlockLayout, seed: int) -> CostDiagonal:
-    """Synthetic diagonal for design checks on layouts with m != n.
-
-    Energies are uniform on [0, 1); the penalty weight is nominal.
-    """
+    """Synthetic diagonal for design checks on layouts with m != n: energies uniform on [0, 1)."""
     rng = np.random.default_rng(seed)
-    return CostDiagonal(layout, rng.random(layout.D), 1.0)
+    return CostDiagonal(layout, rng.random(layout.D))
 
 
 def check_encoder() -> list[CheckResult]:

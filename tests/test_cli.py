@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ceqaoa.cli as cli
-from ceqaoa import layers, verify
+from ceqaoa import layers, phqc, verify
 from ceqaoa.cli import main, parse_grid_spec
 from ceqaoa.encoded import BlockLayout
 from ceqaoa.hamiltonian import TspInstance, anchor, energy_bound
@@ -635,6 +635,29 @@ def test_non_finite_energies_end_in_one_line(
     assert len(err.splitlines()) == 1 and value in err
 
 
+@pytest.mark.parametrize("command", [["solve"], ["histogram", "--angles", "0.5,0.5"]])
+def test_a_weight_whose_penalty_overflows_ends_before_the_diagonal(
+    tmp_path, monkeypatch, capsys, command
+):
+    # at n = 6 the largest penalty count is 5 * 4 = 20, and 20 * 1e307 is
+    # inf: anchor refuses the weight, before the memory check or the solve
+    def builds(enc):
+        raise AssertionError("the cost diagonal was built for a weight anchor refuses")
+
+    monkeypatch.setattr(cli, "build_cost_diagonal", builds)
+    monkeypatch.setattr(phqc, "build_cost_diagonal", builds)
+    monkeypatch.setattr(cli, "check_memory", builds)
+    path = tmp_path / "r6.json"
+    matrix = random_symmetric_instance(6, 3).tolist()
+    path.write_text(json.dumps({"name": "r6", "n": 6, "matrix": matrix}))
+    argv = [*command, str(path), "--lambda", "1e307", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err == "penalty weight 1e+307 makes the largest penalty non-finite"
+    assert [p.name for p in tmp_path.iterdir()] == ["r6.json"]
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
@@ -806,8 +829,14 @@ def test_out_and_hist_out_on_one_file_end_in_one_line(instance_file, tmp_path, c
         (["solve", "--out", "{tmp}/ro/r.json"], "--out", "{tmp}/ro/r.json", "not writable"),
         (["histogram", "--angles", "0.5,0.5", "--out", "{tmp}/ro/h.csv"], "--out",
          "{tmp}/ro/h.csv", "not writable"),
+        (["baselines", "--n", "3", "--out", "{tmp}/ro"], "--out", "{tmp}/ro", "is a directory"),
+        (["baselines", "--n", "3", "--out", "{tmp}/nodir/b.json"], "--out",
+         "{tmp}/nodir/b.json", "no directory"),
+        (["baselines", "--n", "3", "--out", "{tmp}/ro/b.json"], "--out", "{tmp}/ro/b.json",
+         "not writable"),
     ],
-    ids=["solve-out", "solve-hist-out", "histogram-out", "solve-read-only", "histogram-read-only"],
+    ids=["solve-out", "solve-hist-out", "histogram-out", "solve-read-only", "histogram-read-only",
+         "baselines-directory", "baselines-no-directory", "baselines-read-only"],
 )
 def test_unwritable_output_path_ends_before_the_run(
     instance_file, tmp_path, monkeypatch, capsys, argv, flag, given, reason
@@ -817,13 +846,16 @@ def test_unwritable_output_path_ends_before_the_run(
 
     monkeypatch.setattr(cli, "phqc_solve", runs)
     monkeypatch.setattr(cli, "run_circuit", runs)
+    monkeypatch.setattr(cli, "classical_baselines", runs)
     (tmp_path / "ro").mkdir()
     # the suite may run as root, for whom every directory is writable
     writable = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: Path(path).name != "ro" and writable(path, mode))
     before = sorted(tmp_path.rglob("*"))
     command, *rest = (arg.format(tmp=tmp_path) for arg in argv)
-    assert main([command, str(instance_file), *rest]) == 1
+    if command in ("solve", "histogram"):
+        rest.insert(0, str(instance_file))
+    assert main([command, *rest]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"{flag} {given.format(tmp=tmp_path)!r}") and reason in err

@@ -90,7 +90,7 @@ def test_table_golden_spans_few_energy_levels():
     diag = build_cost_diagonal(enc)
     objective, count = reference_cost_diagonal(enc)
     energy = diag.energy
-    assert np.array_equal(energy, objective + diag.penalty_weight * count.astype(np.float64))
+    assert np.array_equal(energy, objective + enc.penalty_weight * count.astype(np.float64))
     assert np.array_equal(energy, np.round(energy))
     assert energy.max() - energy.min() + 1 <= diag.layout.D // 16
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -12,6 +13,7 @@ from ceqaoa.hamiltonian import (
     brute_force_optimum,
     build_cost_diagonal,
     default_penalty_weight,
+    energy_bound,
     energy_dtype,
     tour_cities,
 )
@@ -88,6 +90,24 @@ class TestAnchor:
         with pytest.raises(ValueError):
             anchor(inst, 0)
 
+    def test_penalty_weight_is_held_as_a_float(self):
+        inst = TspInstance("ex4", 4, MATRIX_4)
+        assert anchor(inst).penalty_weight == default_penalty_weight(inst) == 4 * 35.0
+        weight = anchor(inst, 0, np.int64(7)).penalty_weight
+        assert weight == 7.0 and type(weight) is float
+
+    # n = m = 3: the largest penalty count is 6, and 6 * 1e308 is inf
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf"), 1e308])
+    def test_anchor_rejects_a_weight_not_positive_or_with_an_infinite_penalty(self, weight):
+        with pytest.raises(ValueError, match="penalty weight"):
+            anchor(TspInstance("ex4", 4, MATRIX_4), 0, weight)
+
+    def test_replace_checks_the_weight_too(self):
+        enc = example_4()
+        with pytest.raises(ValueError, match="penalty weight must be positive"):
+            dataclasses.replace(enc, penalty_weight=0.0)
+        assert dataclasses.replace(enc, penalty_weight=3).penalty_weight == 3.0
+
 
 class TestFeasibility:
     def test_examples(self):
@@ -138,11 +158,10 @@ class TestTourCost:
 
 class TestCostDiagonal:
     def test_penalty_worked_examples(self):
-        enc = example_4()
         # integer distances and an integral weight give int32 energies
         for lam, dtype in ((7.0, np.int32), (7.5, np.float64)):
-            diag = build_cost_diagonal(enc, lam)
-            assert diag.penalty_weight == lam
+            enc = anchor(TspInstance("ex4", 4, MATRIX_4), 0, lam)
+            diag = build_cost_diagonal(enc)
             assert diag.energy.dtype == dtype and diag.energy.shape == (enc.layout.D,)
             # symbols (0, 0, 0) visit cities (1, 1, 1): objective 10 + 0 + 0 + 10, count 6
             assert diag.energy[label_to_index(enc.layout, (0, 0, 0))] == 20.0 + 6 * lam
@@ -176,34 +195,38 @@ class TestCostDiagonal:
     def test_energy_dtype_at_the_int32_bound(self, distance, lam, dtype):
         # all-equal distances at n = 5 (n = m = 4): the labels on one symbol
         # reach 2 d + 12 * weight, over 95% of the bound, so an int32 that
-        # wrapped around would show as a negative energy
-        enc = anchor(TspInstance("b5", 5, distance * (np.ones((5, 5)) - np.eye(5))), 0)
-        diag = build_cost_diagonal(enc, lam)
-        assert diag.energy.dtype == energy_dtype(enc, lam) == dtype
+        # wrapped around would show as a negative energy.  energy_dtype,
+        # energy_bound and build_cost_diagonal all read the weight anchor holds.
+        matrix = distance * (np.ones((5, 5)) - np.eye(5))
+        enc = anchor(TspInstance("b5", 5, matrix), 0, lam)
+        diag = build_cost_diagonal(enc)
+        assert diag.energy.dtype == energy_dtype(enc) == dtype
+        assert energy_bound(enc) == 5 * distance + 12 * enc.penalty_weight
+        assert (energy_bound(enc) < 2**31) == (dtype == np.int32)
         objective, count = reference_cost_diagonal(enc)
-        energy = objective + diag.penalty_weight * count.astype(np.float64)
+        energy = objective + enc.penalty_weight * count.astype(np.float64)
         assert np.array_equal(diag.energy, energy)
-        assert diag.energy.max() == 2 * distance + 12 * diag.penalty_weight > 0.95 * 2**31
+        assert diag.energy.max() == 2 * distance + 12 * enc.penalty_weight > 0.95 * 2**31
 
     def test_penalties_past_int16_with_an_int16_weight(self):
         # the default weight 5000 fits int16 but k * 5000 does not for k >= 7
         # (k reaches 12 at n = 5), so the fold must multiply in int32
         enc = anchor(TspInstance("w5", 5, 1000.0 * (np.ones((5, 5)) - np.eye(5))), 0)
         diag = build_cost_diagonal(enc)
-        assert diag.energy.dtype == np.int32 and diag.penalty_weight == 5000.0
+        assert diag.energy.dtype == np.int32 and enc.penalty_weight == 5000.0
         objective, count = reference_cost_diagonal(enc)
-        assert np.array_equal(diag.energy, objective + diag.penalty_weight * count)
+        assert np.array_equal(diag.energy, objective + enc.penalty_weight * count)
         assert diag.energy.max() == 2000 + 12 * 5000
 
     @pytest.mark.parametrize("fraction, lam", [(0.25, None), (0.0, 7.5), (0.0, 0.5)])
     def test_a_fractional_distance_or_weight_gives_float64(self, fraction, lam):
         matrix = MATRIX_4.copy()
         matrix[2, 3] += fraction
-        enc = anchor(TspInstance("f4", 4, matrix), 0)
-        diag = build_cost_diagonal(enc, lam)
-        assert diag.energy.dtype == energy_dtype(enc, lam) == np.float64
+        enc = anchor(TspInstance("f4", 4, matrix), 0, lam)
+        diag = build_cost_diagonal(enc)
+        assert diag.energy.dtype == energy_dtype(enc) == np.float64
         objective, count = reference_cost_diagonal(enc)
-        assert np.array_equal(diag.energy, objective + diag.penalty_weight * count)
+        assert np.array_equal(diag.energy, objective + enc.penalty_weight * count)
 
     def test_objective_matches_tour_cost_bitwise(self):
         enc = example_4()
@@ -225,11 +248,6 @@ class TestCostDiagonal:
         inst = TspInstance("ex4", 4, MATRIX_4)
         assert default_penalty_weight(inst) == 4 * 35.0
 
-    def test_rejects_nonpositive_weight(self):
-        enc = example_4()
-        with pytest.raises(ValueError):
-            build_cost_diagonal(enc, 0.0)
-
     def test_penalty_dominates_objective(self):
         # with the default weight, every infeasible energy exceeds every tour cost
         enc = example_4()
@@ -241,16 +259,12 @@ class TestCostDiagonal:
         lay = BlockLayout(2, 2)
         for bad in (np.zeros(3), np.zeros(5), np.zeros((2, 2))):
             with pytest.raises(ValueError, match="length layout.D"):
-                CostDiagonal(lay, bad, 1.0)
-        for weight in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="penalty weight"):
-                CostDiagonal(lay, np.zeros(4), weight)
-        diag = CostDiagonal(lay, [0, 1, 2, 3], 2)
-        assert diag.energy.dtype == np.float64 and diag.penalty_weight == 2.0
+                CostDiagonal(lay, bad)
+        assert CostDiagonal(lay, [0, 1, 2, 3]).energy.dtype == np.float64
         # an int32 vector is held as it is; other integers become float64
         ints = np.arange(4, dtype=np.int32)
-        assert CostDiagonal(lay, ints, 2).energy is ints
-        assert CostDiagonal(lay, ints.astype(np.int16), 2).energy.dtype == np.float64
+        assert CostDiagonal(lay, ints).energy is ints
+        assert CostDiagonal(lay, ints.astype(np.int16)).energy.dtype == np.float64
 
     def test_phase_fills_out(self):
         diag = build_cost_diagonal(example_4())

@@ -83,7 +83,7 @@ class TestPhase:
         diag_vec = np.array([2.0, 0.0])
         from ceqaoa.hamiltonian import CostDiagonal
 
-        diag = CostDiagonal(lay, diag_vec, 1.0)
+        diag = CostDiagonal(lay, diag_vec)
         state = EncodedState(lay, np.array([1.0, 0.0], dtype=complex))
         out = apply_phase(state, phase(diag, np.pi / 2))
         assert abs(out.amplitudes[0] + 1.0) < 1e-15
@@ -223,7 +223,7 @@ class TestRunCircuit:
         # it has.  The rest is the slice sums (4 bytes a label here) and
         # numpy's casting buffers, 24.1 bytes a label in all.
         layout = BlockLayout(4, 8)
-        diag = CostDiagonal(layout, np.arange(layout.D, dtype=np.float64) % 50, 7.0)
+        diag = CostDiagonal(layout, np.arange(layout.D, dtype=np.float64) % 50)
         vector = 16 * layout.D
 
         def traced_peak(columns):

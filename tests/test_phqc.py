@@ -19,7 +19,6 @@ from ceqaoa.hamiltonian import (
     anchor,
     brute_force_optimum,
     build_cost_diagonal,
-    default_penalty_weight,
     energy_bound,
     energy_dtype,
 )
@@ -256,7 +255,7 @@ class TestScoring:
         # the integral energies come as int32; a float64 copy holds the ties
         energy = base.energy.astype(np.float64)
         energy[tours] = 10.0 + 1e-14 * np.arange(tours.size)[::-1]
-        diag = CostDiagonal(enc.layout, energy, base.penalty_weight)
+        diag = CostDiagonal(enc.layout, energy)
         feasible = brute_force_optimum(diag)
         assert feasible.degeneracy == 24
         assert feasible.flats.tolist() == tours[::-1].tolist()
@@ -282,7 +281,6 @@ class TestSolve:
         assert res.degeneracy == 2
         assert len(res.points) == 25
         assert 0 < sum(p.scored.feasible_shots for p in res.points) < 25 * 640
-        assert res.penalty_weight == default_penalty_weight(enc.instance)
 
     def test_best_is_min_over_grid_stats(self):
         res = phqc_solve(example_4(), square_grid(5), 640, 6)
@@ -473,7 +471,7 @@ class TestSolve:
             inst, lam = TspInstance("r5", 5, random_symmetric_instance(5, 3)), None
         else:
             inst, lam = TspInstance("i6", 6, np.rint(random_symmetric_instance(6, 3, 1, 5))), 6.0
-        enc = anchor(inst, 0)
+        enc = anchor(inst, 0, lam)
         shapes = []
         original = np.exp
 
@@ -490,7 +488,7 @@ class TestSolve:
             (pair_columns(pairs, depth), 4),
         ):
             shapes.clear()
-            phqc_solve(enc, columns, 50, 0, penalty_weight=lam)
+            phqc_solve(enc, columns, 50, 0)
             assert len(shapes) == phases
             assert all((shape == (enc.layout.D,)) == (path == "direct") for shape in shapes)
 

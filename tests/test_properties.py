@@ -136,7 +136,7 @@ def circuit_cases(draw):
     count = rng.choice(np.array([0, 0, 1, 3]), layout.D)
     energy = objective + 7.0 * count
     # int32 energies of few levels take the phase from the level table
-    diag = CostDiagonal(layout, energy.astype(draw(st.sampled_from([np.float64, np.int32]))), 7.0)
+    diag = CostDiagonal(layout, energy.astype(draw(st.sampled_from([np.float64, np.int32]))))
     gammas = (draw(angles), draw(angles))
     columns = [
         Column(
@@ -263,7 +263,7 @@ def phase_cases(draw):
     energy = objective + weight * count
     if kind in ("table", "wide"):
         energy = energy.astype(np.int32)
-    diag = CostDiagonal(layout, energy, weight)
+    diag = CostDiagonal(layout, energy)
     assert diag.energy.dtype == (np.int32 if kind in ("table", "wide") else np.float64)
     gathered = dim if kind == "table" else 0
     return diag, draw(st.sampled_from([0.0, -0.0]) | angles), kind, gathered
@@ -292,7 +292,7 @@ def test_mixer_matches_reference_across_the_elision_threshold(n, m):
     bit, alone and after a column that built its phase into the amplitudes."""
     layout = BlockLayout(n, m)
     rng = np.random.default_rng(n * 100 + m)
-    diag = CostDiagonal(layout, rng.integers(0, 50, layout.D).astype(float), 7.0)
+    diag = CostDiagonal(layout, rng.integers(0, 50, layout.D).astype(float))
     col = Column(0.7, (0.4, 2.1), 2)
     expected = [reference_circuit(diag, [(0.7, b)] * 2) for b in col.betas]
     for got in (
@@ -409,7 +409,7 @@ def closed_form_cases(draw):
     energy[:2] = 0, levels - 1
     if kind == "float":
         energy = energy + 0.25
-    diag = CostDiagonal(layout, energy.astype(np.float64 if kind == "float" else np.int32), 7.0)
+    diag = CostDiagonal(layout, energy.astype(np.float64 if kind == "float" else np.int32))
     table = diag.energy.dtype == np.int32 and energy.max() - energy.min() + 1 <= dim // 16
     assert table == (kind == "table")
     signed = st.sampled_from([0.0, -0.0]) | angles
@@ -451,7 +451,7 @@ def test_closed_form_matches_run_circuit_on_the_default_grid(n_cities):
 
 @st.composite
 def diagonal_cases(draw):
-    """An anchored instance (integer or not, symmetric or not) and a penalty weight.
+    """An anchored instance (integer or not, symmetric or not) with a penalty weight.
 
     Non-integer distances make float addition order visible: a label summed
     in another order than start edge, inner edges, return edge differs in
@@ -465,27 +465,24 @@ def diagonal_cases(draw):
     if draw(st.booleans()):
         dist = np.rint(dist)
     np.fill_diagonal(dist, 0.0)
-    enc = anchor(TspInstance("d", n_cities, dist), draw(st.integers(0, n_cities - 1)))
+    start = draw(st.integers(0, n_cities - 1))
     weight = draw(st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False))
-    return enc, weight
+    return anchor(TspInstance("d", n_cities, dist), start, weight)
 
 
 @settings(deadline=None)
-@given(case=diagonal_cases())
-def test_cost_diagonal_matches_symbol_column_reference(case):
-    enc, weight = case
-    diag = build_cost_diagonal(enc, weight)
+@given(enc=diagonal_cases())
+def test_cost_diagonal_matches_symbol_column_reference(enc):
+    diag = build_cost_diagonal(enc)
     objective, count = reference_cost_diagonal(enc)
-    assert np.array_equal(diag.energy, objective + weight * count.astype(np.float64))
-    assert diag.penalty_weight == weight
+    assert np.array_equal(diag.energy, objective + enc.penalty_weight * count.astype(np.float64))
 
 
 @settings(deadline=None)
-@given(case=diagonal_cases())
-def test_feasible_set_matches_the_penalty_count_scan(case):
+@given(enc=diagonal_cases())
+def test_feasible_set_matches_the_penalty_count_scan(enc):
     # the tours are the labels of reference count 0, sorted by (cost, flat)
-    enc, weight = case
-    feasible = brute_force_optimum(build_cost_diagonal(enc, weight))
+    feasible = brute_force_optimum(build_cost_diagonal(enc))
     objective, count = reference_cost_diagonal(enc)
     tours = np.flatnonzero(count == 0)
     order = np.lexsort((tours, objective[tours]))
@@ -504,23 +501,22 @@ def integral_cases(draw):
     if draw(st.booleans()):
         dist = np.triu(dist) + np.triu(dist, 1).T
     np.fill_diagonal(dist, 0.0)
-    enc = anchor(TspInstance("i", n_cities, dist), draw(st.integers(0, n_cities - 1)))
+    start = draw(st.integers(0, n_cities - 1))
     weight = draw(st.none() | st.integers(1, 10**4).map(float))
-    return enc, weight
+    return anchor(TspInstance("i", n_cities, dist), start, weight)
 
 
 @settings(deadline=None)
-@given(case=integral_cases(), gamma=angles)
-def test_integral_diagonal_is_int32_with_the_float_bits(case, gamma):
+@given(enc=integral_cases(), gamma=angles)
+def test_integral_diagonal_is_int32_with_the_float_bits(enc, gamma):
     """Integer distances and weight give int32 energies equal to the reference
     value for value, whose phase has the bits of the float64 energies'."""
-    enc, weight = case
-    diag = build_cost_diagonal(enc, weight)
+    diag = build_cost_diagonal(enc)
     assert diag.energy.dtype == np.int32
     objective, count = reference_cost_diagonal(enc)
-    energy = objective + diag.penalty_weight * count.astype(np.float64)
+    energy = objective + enc.penalty_weight * count.astype(np.float64)
     assert np.array_equal(diag.energy, energy)
-    expected = reference_phase(CostDiagonal(enc.layout, energy, diag.penalty_weight), gamma)
+    expected = reference_phase(CostDiagonal(enc.layout, energy), gamma)
     assert np.array_equal(reference_phase(diag, gamma).view(np.uint64), expected.view(np.uint64))
     out = np.empty(enc.layout.D, dtype=np.complex128)
     assert np.array_equal(diag.phase(gamma, out).view(np.uint64), expected.view(np.uint64))
