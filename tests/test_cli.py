@@ -641,12 +641,12 @@ def test_a_weight_whose_penalty_overflows_ends_before_the_diagonal(
 ):
     # at n = 6 the largest penalty count is 5 * 4 = 20, and 20 * 1e307 is
     # inf: anchor refuses the weight, before the memory check or the solve
-    def builds(enc):
-        raise AssertionError("the cost diagonal was built for a weight anchor refuses")
+    def runs(*args):
+        raise AssertionError("the run went on with a weight anchor refuses")
 
-    monkeypatch.setattr(cli, "build_cost_diagonal", builds)
-    monkeypatch.setattr(phqc, "build_cost_diagonal", builds)
-    monkeypatch.setattr(cli, "check_memory", builds)
+    monkeypatch.setattr(cli, "build_cost_diagonal", runs)
+    monkeypatch.setattr(phqc, "build_cost_diagonal", runs)
+    monkeypatch.setattr(cli, "check_memory", runs)
     path = tmp_path / "r6.json"
     matrix = random_symmetric_instance(6, 3).tolist()
     path.write_text(json.dumps({"name": "r6", "n": 6, "matrix": matrix}))
