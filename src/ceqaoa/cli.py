@@ -27,11 +27,10 @@ import numpy as np
 from .analysis import classical_baselines
 from .encoded import BlockLayout, DimensionCapError, indices_to_labels
 from .hamiltonian import (
+    EnergyOverflowError,
     anchor,
     brute_force_optimum,
     build_cost_diagonal,
-    energy_bound,
-    energy_dtype,
     tour_cities,
 )
 from .instances import clipped, parse_instance
@@ -132,12 +131,18 @@ def available_memory() -> int | None:
     return None if kb is None else kb * 1024
 
 
+def shown_int(value: int) -> str:
+    """An integer clipped for a one-line error; Decimal has no str(int) digit limit."""
+    from decimal import Decimal  # here, not at the top: it adds 0.2 MB to every peak RSS
+    return clipped(str(Decimal(value)))
+
+
 def check_memory(estimate: int) -> None:
     """Raise DimensionCapError when the estimated peak exceeds the available memory."""
     avail = available_memory()
     if avail is not None and estimate > avail:
         raise DimensionCapError(
-            f"estimated peak memory {estimate / 2**20:.0f} MB exceeds the "
+            f"estimated peak memory {shown_int((estimate + 2**19) >> 20)} MB exceeds the "
             f"{avail / 2**20:.0f} MB available (MemAvailable)"
         )
 
@@ -303,15 +308,21 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 def _load_anchored(args):
     """The instance and its anchoring; the flags are checked here, so each error names its flag."""
     if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {shown_int(args.seed)}")
     if args.depth < 1:
-        raise ValueError(f"--depth must be >= 1, got {args.depth}")
+        raise ValueError(f"--depth must be >= 1, got {shown_int(args.depth)}")
     if args.penalty_weight is not None and not args.penalty_weight > 0:
         raise ValueError(f"--lambda must be positive, got {args.penalty_weight}")
     inst = parse_instance(args.instance, euclidean_rounding=not args.euclid_exact)
     if not 0 <= args.start_city < inst.n_cities:
-        raise ValueError(f"--start-city must lie in [0, {inst.n_cities}), got {args.start_city}")
-    return inst, anchor(inst, args.start_city, args.penalty_weight)
+        start = shown_int(args.start_city)
+        raise ValueError(f"--start-city must lie in [0, {inst.n_cities}), got {start}")
+    try:
+        return inst, anchor(inst, args.start_city, args.penalty_weight)
+    except EnergyOverflowError as exc:
+        if args.penalty_weight is None:  # the default weight
+            raise
+        raise ValueError(f"bad --lambda value {args.penalty_weight!r} ({exc})") from None
 
 
 def cmd_solve(args) -> int:
@@ -325,8 +336,8 @@ def cmd_solve(args) -> int:
     columns, grid_json = parse_grid_spec(args.grid, inst.n_cities, args.depth)
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 1:
-        raise ValueError(f"--shots must be >= 1, got {shots}")
-    estimate = peak_bytes(enc.layout, columns, shots, energy_dtype(enc), energy_bound(enc))
+        raise ValueError(f"--shots must be >= 1, got {shown_int(shots)}")
+    estimate = peak_bytes(enc.layout, columns, shots, enc.energy_dtype, enc.energy_bound)
     check_memory(estimate)
     t0 = time.perf_counter()
     result = phqc_solve(enc, columns, shots, args.seed)
@@ -472,7 +483,7 @@ def cmd_histogram(args) -> int:
         raise ValueError(f"bad --angles value {shown} (want gamma,beta)") from None
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 0:
-        raise ValueError(f"--shots must be >= 0, got {shots}")
+        raise ValueError(f"--shots must be >= 0, got {shown_int(shots)}")
     try:
         columns = pair_columns([(gamma, beta)], args.depth)
     except ValueError as exc:  # a non-finite angle
@@ -489,7 +500,7 @@ def cmd_histogram(args) -> int:
     # their piece tables come after the diagonal and the amplitudes are
     # freed, and fit in the bytes those held.
     check_memory(
-        peak_bytes(layout, columns, shots, energy_dtype(enc), energy_bound(enc))
+        peak_bytes(layout, columns, shots, enc.energy_dtype, enc.energy_bound)
         + 8 * layout.D
         + min(layout.D, HISTOGRAM_CHUNK) * HISTOGRAM_ROW_BYTES
         + (writers - 1) * HISTOGRAM_WRITER_BYTES

@@ -58,12 +58,18 @@ class TspInstance:
         return float(self.distances.max())
 
 
+class EnergyOverflowError(ValueError):
+    """A penalty weight that puts an anchored problem's largest energy past the float range."""
+
+
 @dataclass(frozen=True, eq=False)
 class AnchoredTsp:
     """TSP with a fixed start city; blocks index tour positions 1..n_cities-1.
 
-    penalty_weight weighs the symbol-multiplicity penalty (build_cost_diagonal),
-    held as a float: positive, with a finite largest penalty weight * (n - m + m*(m-1)).
+    penalty_weight (a float) weighs the symbol-multiplicity penalty.  From it
+    come, once, energy_bound, the largest energy build_cost_diagonal can give
+    (n_cities distances plus weight * (n - m + m*(m-1)); must be finite), and
+    energy_dtype: int32 for integral distances and weight and a bound below 2**31, else float64.
     """
 
     instance: TspInstance
@@ -71,15 +77,24 @@ class AnchoredTsp:
     layout: BlockLayout
     city_of_symbol: tuple[int, ...]
     penalty_weight: float
+    energy_bound: float = field(init=False)
+    energy_dtype: np.dtype = field(init=False)
 
     def __post_init__(self) -> None:
         weight = float(self.penalty_weight)
         if not weight > 0:
             raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
-        n, m = self.layout.n, self.layout.m
-        if not math.isfinite(weight * (n - m + m * (m - 1))):
-            raise ValueError(f"penalty weight {weight!r} makes the largest penalty non-finite")
+        inst, n, m = self.instance, self.layout.n, self.layout.m
+        bound = inst.n_cities * inst.max_distance + weight * (n - m + m * (m - 1))
+        if not math.isfinite(bound):
+            raise EnergyOverflowError(
+                f"instance {inst.name!r}: penalty weight {weight!r} overflows the largest energy"
+            )
+        integral = weight.is_integer() and np.array_equal(inst.distances, np.trunc(inst.distances))
+        dtype = np.dtype(np.int32 if integral and bound < 2**31 else np.float64)
         object.__setattr__(self, "penalty_weight", weight)
+        object.__setattr__(self, "energy_bound", bound)
+        object.__setattr__(self, "energy_dtype", dtype)
 
 
 def default_penalty_weight(instance: TspInstance) -> float:
@@ -187,36 +202,12 @@ def phase_table_bytes(layout: BlockLayout, energy: np.dtype, bound: float) -> in
 
     int32 energies may take the level table and its chunk of level indices;
     float64 take none.  The table holds at most D // 16 complex values (one
-    byte a label), and, as energies lie in [0, bound] (energy_bound), at
-    most bound + 1.
+    byte a label), and, as energies lie in [0, bound] (AnchoredTsp.energy_bound),
+    at most bound + 1.
     """
     if np.dtype(energy) != np.int32:
         return 0
     return 16 * min(layout.D // 16, int(bound) + 1) + 8 * min(PHASE_CHUNK, layout.D)
-
-
-def energy_bound(enc: AnchoredTsp) -> float:
-    """The largest energy build_cost_diagonal can give.
-
-    A label's objective sums n_cities distances, and its penalty count is at
-    most n - m + m*(m-1) (every block on one symbol).  Energies are >= 0.
-    """
-    n, m = enc.layout.n, enc.layout.m
-    penalty = enc.penalty_weight * (n - m + m * (m - 1))
-    return enc.instance.n_cities * enc.instance.max_distance + penalty
-
-
-def energy_dtype(enc: AnchoredTsp) -> np.dtype:
-    """The dtype build_cost_diagonal holds the energies in: int32 or float64.
-
-    int32 when every distance and the penalty weight are integers and
-    energy_bound is below 2**31; float64 otherwise.
-    """
-    dist = enc.instance.distances
-    integral = enc.penalty_weight.is_integer() and np.array_equal(dist, np.trunc(dist))
-    if integral and energy_bound(enc) < 2**31:
-        return np.dtype(np.int32)
-    return np.dtype(np.float64)
 
 
 def build_cost_diagonal(enc: AnchoredTsp) -> CostDiagonal:
@@ -236,13 +227,12 @@ def build_cost_diagonal(enc: AnchoredTsp) -> CostDiagonal:
     appending symbol s to prefix p adds twice p's count of s, the pairs the
     new block makes.  The counts are exact small integers.  The last block's
     counts k are formed about PHASE_CHUNK labels at a time, and k * weight
-    is added to the objective in place.  Both steps run in energy_dtype:
+    is added to the objective in place.  Both steps run in enc.energy_dtype:
     int32 sums are exact, as no energy reaches 2**31; in float64 each
-    energy takes the roundings of weight * k + objective, and one past the
-    float range is inf, which CostDiagonal.phase refuses.
+    energy takes the roundings of weight * k + objective, finite below the bound.
     """
     n, m = enc.layout.n, enc.layout.m
-    dtype = energy_dtype(enc)
+    dtype = enc.energy_dtype
     C = enc.instance.distances.astype(dtype)
     cities = np.asarray(enc.city_of_symbol, dtype=np.int64)
     step = C[np.ix_(cities, cities)]
@@ -261,12 +251,11 @@ def build_cost_diagonal(enc: AnchoredTsp) -> CostDiagonal:
         twice_symbols = (twice_symbols.reshape(-1, 1, n) + twice_eye).reshape(-1, n)
     per_chunk = max(1, PHASE_CHUNK // n)
     weight = dtype.type(enc.penalty_weight)
-    with np.errstate(over="ignore"):
-        for p in range(0, count.size, per_chunk):
-            k = count[p : p + per_chunk, None] + twice_symbols[p : p + per_chunk]
-            # dtype is named: NumPy 1 would size k * weight by the weight's
-            # value, so an int16-sized weight would wrap in int16
-            rows[p : p + per_chunk] += np.multiply(k, weight, dtype=dtype)
+    for p in range(0, count.size, per_chunk):
+        k = count[p : p + per_chunk, None] + twice_symbols[p : p + per_chunk]
+        # dtype is named: NumPy 1 would size k * weight by the weight's
+        # value, so an int16-sized weight would wrap in int16
+        rows[p : p + per_chunk] += np.multiply(k, weight, dtype=dtype)
     return CostDiagonal(enc.layout, energy)
 
 
@@ -280,7 +269,6 @@ class FeasibleSet:
     tolerance of the best cost.
     """
 
-    layout: BlockLayout
     flats: np.ndarray
     costs: np.ndarray
     degeneracy: int
@@ -309,4 +297,4 @@ def brute_force_optimum(diag: CostDiagonal) -> FeasibleSet:
     flats, costs = feasible[order], costs[order]
     best = float(costs[0])
     degeneracy = int(np.searchsorted(costs, best + _tie_threshold(best), side="right"))
-    return FeasibleSet(diag.layout, flats, costs, degeneracy)
+    return FeasibleSet(flats, costs, degeneracy)

@@ -86,8 +86,8 @@ def peak_bytes(
 ) -> int:
     """Estimated peak bytes of a process that samples the columns' points, each shots times.
 
-    energy is the diagonal's dtype (hamiltonian.energy_dtype) and bound its
-    largest energy (hamiltonian.energy_bound).
+    energy is the diagonal's dtype and bound its largest energy (an anchored
+    problem's energy_dtype and energy_bound).
     INTERPRETER_BYTES, the diagonal's energies (4 bytes a label for int32,
     8 for float64), the phase's level table (hamiltonian.phase_table_bytes)
     and the points' probability buffers (layers.point_probability_bytes).

@@ -15,7 +15,7 @@ import ceqaoa.cli as cli
 from ceqaoa import layers, phqc, verify
 from ceqaoa.cli import main, parse_grid_spec
 from ceqaoa.encoded import BlockLayout
-from ceqaoa.hamiltonian import TspInstance, anchor, energy_bound
+from ceqaoa.hamiltonian import TspInstance, anchor
 from ceqaoa.layers import Column
 from ceqaoa.phqc import (
     INTERPRETER_BYTES,
@@ -462,7 +462,7 @@ class TestMemoryEstimate:
         # marginal chain and its tour buffers (layers.tour_amplitude_bytes
         # for 9 betas) and the gate's tour amplitudes.
         matrix = random_symmetric_instance(8, 3).round()
-        levels = int(energy_bound(anchor(TspInstance("r8", 8, matrix)))) + 1
+        levels = int(anchor(TspInstance("r8", 8, matrix)).energy_bound) + 1
         layout, tours = BlockLayout(7, 7), math.factorial(7)
         circuits = layers.mixer_bytes(layout)
         closed = layers.tour_amplitude_bytes(layout, tours, 9) + 16 * tours - 16 * 7**7
@@ -600,6 +600,17 @@ class TestMemoryEstimate:
         assert max(peaks) - min(peaks) < 2.0, peaks
 
 
+def refuse_the_d_sized_work(monkeypatch):
+    """Make the memory check and the cost diagonal fail the test when they run."""
+
+    def runs(*args):
+        raise AssertionError("the run went on with a weight anchor refuses")
+
+    monkeypatch.setattr(cli, "build_cost_diagonal", runs)
+    monkeypatch.setattr(phqc, "build_cost_diagonal", runs)
+    monkeypatch.setattr(cli, "check_memory", runs)
+
+
 @pytest.mark.parametrize(
     "argv,value,distance",
     [
@@ -610,19 +621,20 @@ class TestMemoryEstimate:
         (["histogram", "--angles", "0,0", "--lambda", "1e308"], "1e+308", None),
         (["histogram", "--angles", "1e308,0"], "1e+308", None),
         # tour costs of 4e307 and penalties up to 6 * 2.9e307 are finite;
-        # some of their sums are not.  The solve's first phase is its gate's,
-        # at gamma pi / 2
-        (["solve", "--lambda", "2.9e307"], "gamma 1.5707963267948966 times the largest energy inf", 1e307),
-        (["histogram", "--angles", "0,0", "--lambda", "2.9e307"], "largest energy inf", 1e307),
+        # some of their sums are not, so anchor refuses the weight
+        (["solve", "--lambda", "2.9e307"], "penalty weight 2.9e+307 overflows", 1e307),
+        (["histogram", "--angles", "0,0", "--lambda", "2.9e307"], "penalty weight 2.9e+307", 1e307),
     ],
     ids=["solve-lambda-inf", "solve-lambda-1e308", "solve-gamma-1e308",
          "histogram-lambda-inf", "histogram-lambda-1e308", "histogram-gamma-1e308",
          "solve-energy-sum-overflows", "histogram-energy-sum-overflows"],
 )
 def test_non_finite_energies_end_in_one_line(
-    instance_file, tmp_path, capsys, argv, value, distance
+    instance_file, tmp_path, monkeypatch, capsys, argv, value, distance
 ):
     command, *rest = argv
+    if "--lambda" in rest:  # anchor refuses each of these weights
+        refuse_the_d_sized_work(monkeypatch)
     if distance is not None:
         matrix = (distance * (1 - np.eye(4))).tolist()
         instance_file.write_text(json.dumps({"name": "far4", "n": 4, "matrix": matrix}))
@@ -641,12 +653,7 @@ def test_a_weight_whose_penalty_overflows_ends_before_the_diagonal(
 ):
     # at n = 6 the largest penalty count is 5 * 4 = 20, and 20 * 1e307 is
     # inf: anchor refuses the weight, before the memory check or the solve
-    def runs(*args):
-        raise AssertionError("the run went on with a weight anchor refuses")
-
-    monkeypatch.setattr(cli, "build_cost_diagonal", runs)
-    monkeypatch.setattr(phqc, "build_cost_diagonal", runs)
-    monkeypatch.setattr(cli, "check_memory", runs)
+    refuse_the_d_sized_work(monkeypatch)
     path = tmp_path / "r6.json"
     matrix = random_symmetric_instance(6, 3).tolist()
     path.write_text(json.dumps({"name": "r6", "n": 6, "matrix": matrix}))
@@ -654,7 +661,10 @@ def test_a_weight_whose_penalty_overflows_ends_before_the_diagonal(
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert err == "penalty weight 1e+307 makes the largest penalty non-finite"
+    assert err == (
+        "bad --lambda value 1e+307 (instance 'r6': penalty weight 1e+307 overflows the largest "
+        "energy)"
+    )
     assert [p.name for p in tmp_path.iterdir()] == ["r6.json"]
 
 
@@ -738,6 +748,39 @@ def test_long_bad_values_are_clipped_in_their_one_line(instance_file, tmp_path, 
     assert code == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and len(err) < 200
+    assert named in err and "..." in err
+    assert not out.exists()
+
+
+LONG = "9" * 4000  # int() reads up to 4300 digits
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["solve", "--start-city", LONG], "--start-city must lie in [0, 4), got 999"),
+        (["histogram", "--angles", "0,0", "--start-city", "-" + LONG], "got -999"),
+        (["solve", "--seed", "-" + LONG], "--seed must be >= 0, got -999"),
+        (["histogram", "--angles", "0,0", "--depth", "-" + LONG], "--depth must be >= 1"),
+        (["solve", "--shots", "-" + LONG], "--shots must be >= 1, got -999"),
+        (["histogram", "--angles", "0,0", "--shots", "-" + LONG], "--shots must be >= 0"),
+        # the estimates of these run to hundreds or thousands of digits
+        (["solve", "--shots", "9" * 200], "estimated peak memory "),
+        (["histogram", "--angles", "0,0", "--shots", LONG], "estimated peak memory "),
+        (["solve", "--grid", f"{'9' * 200}x{'9' * 200}"], "estimated peak memory "),
+        (["solve", "--grid", f"{'9' * 3000}x{'9' * 3000}"], "estimated peak memory "),
+    ],
+    ids=["solve-start-city", "histogram-start-city", "solve-seed", "histogram-depth",
+         "solve-shots", "histogram-shots", "solve-shots-estimate", "histogram-shots-estimate",
+         "solve-grid-estimate", "solve-grid-past-the-str-limit"],
+)
+def test_long_numbers_are_clipped_in_their_one_line(instance_file, tmp_path, capsys, argv, named):
+    command, *rest = argv
+    out = tmp_path / "out"
+    code = main([command, str(instance_file), *rest, "--out", str(out)])
+    assert code in (1, 3)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200 and "Traceback" not in err
     assert named in err and "..." in err
     assert not out.exists()
 

@@ -7,14 +7,14 @@ import pytest
 
 from ceqaoa.encoded import BlockLayout, index_to_label
 from ceqaoa.hamiltonian import (
+    AnchoredTsp,
     CostDiagonal,
+    EnergyOverflowError,
     TspInstance,
     anchor,
     brute_force_optimum,
     build_cost_diagonal,
     default_penalty_weight,
-    energy_bound,
-    energy_dtype,
     tour_cities,
 )
 
@@ -108,6 +108,45 @@ class TestAnchor:
             dataclasses.replace(enc, penalty_weight=0.0)
         assert dataclasses.replace(enc, penalty_weight=3).penalty_weight == 3.0
 
+    def test_replace_recomputes_the_bound_and_the_dtype(self):
+        enc = example_4()
+        assert enc.energy_dtype == np.int32 and enc.energy_bound == 4 * 35 + 6 * 140.0
+        moved = dataclasses.replace(enc, penalty_weight=7.5)
+        assert moved.energy_dtype == np.float64 and moved.energy_bound == 4 * 35 + 6 * 7.5
+        with pytest.raises(TypeError):  # neither is a constructor argument
+            AnchoredTsp(enc.instance, 0, enc.layout, enc.city_of_symbol, 7.0, energy_bound=1.0)
+
+    def test_an_energy_sum_past_the_float_range_is_refused_by_name(self):
+        # 4 cities at distance 1e307: a tour costs 4e307 and the largest
+        # penalty, 6 * 2.9e307, is finite, but their sum is not
+        inst = TspInstance("far4", 4, 1e307 * (np.ones((4, 4)) - np.eye(4)))
+        message = "instance 'far4': penalty weight 2.9e+307 overflows the largest energy"
+        with pytest.raises(EnergyOverflowError) as exc:
+            anchor(inst, 0, 2.9e307)
+        assert str(exc.value) == message
+
+    def test_the_largest_accepted_weight_builds_finite_energies(self):
+        # the labels on one symbol reach 2e307 + 6 w, under the bound
+        # 4e307 + 6 w; build_cost_diagonal has no errstate, so an overflow
+        # would warn, which the suite makes an error
+        inst = TspInstance("far4", 4, 1e307 * (np.ones((4, 4)) - np.eye(4)))
+
+        def accepted(weight):
+            try:
+                return anchor(inst, 0, weight)
+            except EnergyOverflowError:
+                return None
+
+        lo, hi = 1e307, 1e308  # accepted, refused
+        while np.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        enc = accepted(lo)
+        energy = build_cost_diagonal(enc).energy
+        assert enc.energy_dtype == np.float64 and math.isfinite(enc.energy_bound)
+        assert energy.max() == 2e307 + 6 * enc.penalty_weight
+        assert np.all(np.isfinite(energy)) and energy.max() <= enc.energy_bound
+
 
 class TestFeasibility:
     def test_examples(self):
@@ -195,14 +234,14 @@ class TestCostDiagonal:
     def test_energy_dtype_at_the_int32_bound(self, distance, lam, dtype):
         # all-equal distances at n = 5 (n = m = 4): the labels on one symbol
         # reach 2 d + 12 * weight, over 95% of the bound, so an int32 that
-        # wrapped around would show as a negative energy.  energy_dtype,
-        # energy_bound and build_cost_diagonal all read the weight anchor holds.
+        # wrapped around would show as a negative energy.  The problem's
+        # energy_dtype and energy_bound come from the weight anchor holds.
         matrix = distance * (np.ones((5, 5)) - np.eye(5))
         enc = anchor(TspInstance("b5", 5, matrix), 0, lam)
         diag = build_cost_diagonal(enc)
-        assert diag.energy.dtype == energy_dtype(enc) == dtype
-        assert energy_bound(enc) == 5 * distance + 12 * enc.penalty_weight
-        assert (energy_bound(enc) < 2**31) == (dtype == np.int32)
+        assert diag.energy.dtype == enc.energy_dtype == dtype
+        assert enc.energy_bound == 5 * distance + 12 * enc.penalty_weight
+        assert (enc.energy_bound < 2**31) == (dtype == np.int32)
         objective, count = reference_cost_diagonal(enc)
         energy = objective + enc.penalty_weight * count.astype(np.float64)
         assert np.array_equal(diag.energy, energy)
@@ -224,7 +263,7 @@ class TestCostDiagonal:
         matrix[2, 3] += fraction
         enc = anchor(TspInstance("f4", 4, matrix), 0, lam)
         diag = build_cost_diagonal(enc)
-        assert diag.energy.dtype == energy_dtype(enc) == np.float64
+        assert diag.energy.dtype == enc.energy_dtype == np.float64
         objective, count = reference_cost_diagonal(enc)
         assert np.array_equal(diag.energy, objective + enc.penalty_weight * count)
 
@@ -308,7 +347,7 @@ class TestBruteForce:
         assert res.degeneracy == 2  # a symmetric tour and its reversal
         expected = [label_to_index(enc.layout, lab) for lab in [(0, 2, 1), (1, 2, 0)]]
         assert optimal_flats(res) == expected
-        assert res.layout == enc.layout and res.flats.size == res.costs.size == 6
+        assert res.flats.size == res.costs.size == 6
 
     def test_all_equal_distances_fully_degenerate(self):
         for n_cities in (4, 5):

@@ -19,8 +19,6 @@ from ceqaoa.hamiltonian import (
     anchor,
     brute_force_optimum,
     build_cost_diagonal,
-    energy_bound,
-    energy_dtype,
 )
 from ceqaoa.layers import Column, mixer_bytes, run_circuit
 from ceqaoa.phqc import (
@@ -577,14 +575,14 @@ class TestMemoryPlan:
         matrix = MATRIX_4 if energy == INT else MATRIX_4 + 0.5 - 0.5 * np.eye(4)
         enc = anchor(TspInstance("m4", 4, matrix), 0)
         diag = build_cost_diagonal(enc)
-        assert energy_dtype(enc) == diag.energy.dtype == energy
+        assert enc.energy_dtype == diag.energy.dtype == energy
         # and no energy above the bound the table term counts
-        assert 0 <= diag.energy.min() and diag.energy.max() <= energy_bound(enc)
+        assert 0 <= diag.energy.min() and diag.energy.max() <= enc.energy_bound
         one = [Column(1.0, (0.5,))]
         rest = INTERPRETER_BYTES + POINT_BYTES + mixer_bytes(enc.layout) + 6 * TOUR_BYTES
         # int32 adds the level table, 27 // 16 complex values, and 27 level indices
         table = 16 + 8 * 27 if energy == INT else 0
-        estimate = peak_bytes(enc.layout, one, 0, energy_dtype(enc), energy_bound(enc))
+        estimate = peak_bytes(enc.layout, one, 0, enc.energy_dtype, enc.energy_bound)
         assert estimate == rest + held * 27 + table
 
     @pytest.mark.parametrize("depth", [1, 2])
