@@ -13,6 +13,7 @@ from .layers import mixer_block_matrix
 
 EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
 EXACT_INT_BITS = 1 << 16  # larger baseline integers are handled in log10 space
+LIE_TOL = 1e-8  # Gram-Schmidt residual below which a generator is in the span
 
 
 def twirl_average(state: EncodedState, target) -> float:
@@ -135,13 +136,13 @@ def block_design_moments(n: int, pulse_layers: int, trials: int, seed: int = 0) 
     )
 
 
-def lie_algebra_dimension(n: int, diagonal, tol: float = 1e-8) -> int:
+def lie_algebra_dimension(n: int, diagonal) -> int:
     """Real dimension of the Lie closure of the pair-hop and diagonal generators.
 
     Generators: i(E_ij + E_ji) for i < j, plus i * diag(d) made traceless;
     d must not be proportional to the all-ones vector.  Closure under
     commutators, with membership decided by twice-reorthogonalized
-    Gram-Schmidt residuals against tol.
+    Gram-Schmidt residuals against LIE_TOL.
     """
     if not 2 <= n <= 6:
         raise ValueError(f"block size {n} outside [2, 6]")
@@ -165,14 +166,14 @@ def lie_algebra_dimension(n: int, diagonal, tol: float = 1e-8) -> int:
     def try_add(mat: np.ndarray) -> bool:
         v = np.concatenate([mat.real.ravel(), mat.imag.ravel()])
         nrm = float(np.linalg.norm(v))
-        if nrm < tol:
+        if nrm < LIE_TOL:
             return False
         v /= nrm
         for _ in range(2):
             for b in basis_vecs:
                 v = v - (b @ v) * b
         res = float(np.linalg.norm(v))
-        if res < tol:
+        if res < LIE_TOL:
             return False
         basis_vecs.append(v / res)
         basis_mats.append(mat / nrm)

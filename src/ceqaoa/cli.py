@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classical_baselines
-from .encoded import BlockLayout, DimensionCapError, indices_to_labels
+from .encoded import BlockLayout, DimensionCapError, clipped, indices_to_labels
 from .hamiltonian import (
     EnergyOverflowError,
     anchor,
@@ -33,7 +33,7 @@ from .hamiltonian import (
     build_cost_diagonal,
     tour_cities,
 )
-from .instances import clipped, parse_instance
+from .instances import parse_instance
 from .layers import Column, run_circuit
 from .phqc import (
     POINT_BYTES,
@@ -79,31 +79,18 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
     available memory raises DimensionCapError before its angles are built.
     """
     shown = clipped(repr(spec))
-    bad = ValueError(f"bad --grid value {shown} (want n+1, NxN or list:g,b;...)")
+    want = "want n+1, NxN or list:g,b;..."
     text = spec.strip()
     if text.startswith("list:"):
-        pairs = []
-        for chunk in text[5:].split(";"):
-            if not chunk.strip():
-                continue
-            try:
-                gamma, beta = (float(v) for v in chunk.split(","))
-            except ValueError:
-                raise bad from None
-            pairs.append((gamma, beta))
-        if not pairs:
-            raise bad
-        try:
-            columns = pair_columns(pairs, depth)
-        except ValueError as exc:  # a non-finite angle
-            raise ValueError(f"bad --grid value {shown} ({exc})") from None
+        chunks = [chunk for chunk in text[5:].split(";") if chunk.strip()]
+        columns = angle_columns("--grid", spec, chunks, want, depth)
         return columns, {"pairs": [[col.gamma, beta] for col in columns for beta in col.betas]}
     if text == "n+1":
         text = f"{n_cities + 1}x{n_cities + 1}"
     try:
         rows, cols = (int(v) for v in text.lower().split("x"))
     except ValueError:
-        raise bad from None
+        raise ValueError(f"bad --grid value {shown} ({want})") from None
     if rows != cols:
         raise ValueError(f"only square grids are supported, got {shown}")
     if rows < 2:
@@ -111,6 +98,24 @@ def parse_grid_spec(spec: str, n_cities: int, depth: int) -> tuple[list[Column],
     check_memory(rows * rows * POINT_BYTES)
     columns = square_grid(rows, depth)
     return columns, {"gammas": [col.gamma for col in columns], "betas": list(columns[0].betas)}
+
+
+def angle_columns(flag: str, value: str, chunks: list[str], want: str, depth: int) -> list[Column]:
+    """The columns of the 'gamma,beta' pairs in chunks, the pieces of a flag's value.
+
+    ValueError names the flag and its value, and want when a pair is missing or not two floats.
+    """
+    bad = f"bad {flag} value {clipped(repr(value))}"
+    try:
+        pairs = [(float(gamma), float(beta)) for gamma, beta in (c.split(",") for c in chunks)]
+    except ValueError:
+        raise ValueError(f"{bad} ({want})") from None
+    if not pairs:
+        raise ValueError(f"{bad} ({want})")
+    try:
+        return pair_columns(pairs, depth)
+    except ValueError as exc:  # a non-finite angle
+        raise ValueError(f"{bad} ({exc})") from None
 
 
 def _proc_kb(path: str, key: str) -> int | None:
@@ -281,10 +286,6 @@ def write_text_atomic(path: Path, text, parts=()) -> None:
         raise
 
 
-def write_json_atomic(path: Path, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", help="instance file (.json or TSPLIB)")
     p.add_argument("--start-city", type=int, default=0, help="anchored start city (default 0)")
@@ -389,7 +390,7 @@ def cmd_solve(args) -> int:
     # a failed solve leaves no result behind
     write_text_atomic(hist_path, itertools.chain(["grid_index,gamma,beta,cost,count\n"], rows))
     try:
-        write_json_atomic(out, payload)
+        write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except BaseException:
         with contextlib.suppress(OSError):
             hist_path.unlink()
@@ -475,19 +476,10 @@ def cmd_histogram(args) -> int:
     out = Path(args.out)
     check_output_path("--out", out)
     inst, enc = _load_anchored(args)
-    shown = clipped(repr(args.angles))
-    try:
-        gamma_s, beta_s = args.angles.split(",")
-        gamma, beta = float(gamma_s), float(beta_s)
-    except ValueError:
-        raise ValueError(f"bad --angles value {shown} (want gamma,beta)") from None
+    columns = angle_columns("--angles", args.angles, [args.angles], "want gamma,beta", args.depth)
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 0:
         raise ValueError(f"--shots must be >= 0, got {shown_int(shots)}")
-    try:
-        columns = pair_columns([(gamma, beta)], args.depth)
-    except ValueError as exc:  # a non-finite angle
-        raise ValueError(f"bad --angles value {shown} ({exc})") from None
     layout = enc.layout
     # the rows are written by one process for each CPU this one may run on,
     # and at most one a chunk (os.sched_getaffinity is Linux only)
@@ -555,7 +547,7 @@ def cmd_verify(args) -> int:
 
 def cmd_baselines(args) -> int:
     if args.n < 2:
-        raise ValueError(f"--n must be >= 2, got {args.n}")
+        raise ValueError(f"--n must be >= 2, got {shown_int(args.n)}")
     if args.n * args.n > sys.float_info.max:  # the log10 arithmetic forms n * n as a float
         raise ValueError("--n must be at most about 1.34e154, so that n * n fits a float")
     if args.out:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,28 +41,43 @@ def max_dimension() -> int:
     return cap
 
 
+def clipped(text: str, limit: int = 40) -> str:
+    """text cut to limit characters (ending in "...") when longer, for one-line errors."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def encoded_dimension(n: int, m: int) -> int:
+    """D = n**m, or DimensionCapError once the product of its factors passes max_dimension().
+
+    A huge n or m thus costs a few multiplications, and the error never holds the power.
+    """
+    if n < 2:
+        return n**m
+    cap, dim = max_dimension(), 1
+    for _ in range(m):
+        dim *= n
+        if dim > cap:
+            raise DimensionCapError(
+                f"encoded dimension {clipped(str(n), 20)}**{clipped(str(m), 20)}, over the cap "
+                f"{cap} (override with CEQAOA_MAX_DIM)"
+            )
+    return dim
+
+
 @dataclass(frozen=True)
 class BlockLayout:
-    """Geometry of the encoded space: m blocks of n symbols each."""
+    """Geometry of the encoded space: m blocks of n symbols each, D = n**m labels."""
 
     n: int
     m: int
+    D: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need n >= 2 symbols per block, got n={self.n}")
         if self.m < 1:
             raise ValueError(f"need m >= 1 blocks, got m={self.m}")
-        cap = max_dimension()
-        if self.n**self.m > cap:
-            raise DimensionCapError(
-                f"encoded dimension {self.n}**{self.m} = {self.n ** self.m} "
-                f"exceeds the cap {cap} (override with CEQAOA_MAX_DIM)"
-            )
-
-    @property
-    def D(self) -> int:
-        return self.n**self.m
+        object.__setattr__(self, "D", encoded_dimension(self.n, self.m))
 
     def validate_label(self, label) -> Label:
         label = tuple(int(j) for j in label)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoded import DimensionCapError, max_dimension
+from .encoded import DimensionCapError, clipped, encoded_dimension
 from .hamiltonian import TspInstance
 
 
@@ -55,11 +55,6 @@ def _as_instance(path, name: str, matrix, line: int | None = None) -> TspInstanc
         raise InstanceParseError(str(exc), path, line) from exc
 
 
-def clipped(text: str, limit: int = 40) -> str:
-    """text cut to limit characters (ending in "...") when longer, for one-line errors."""
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
 def _parse_json(path: Path) -> TspInstance:
     try:
         data = json.loads(path.read_text())
@@ -97,23 +92,19 @@ def _read_dimension(path: Path, value: str) -> int:
 
     Runs when the header line is read, before the sections are parsed and
     before any d x d array is built.  The anchored layout has
-    (d-1)**(d-1) labels; the power is formed factor by factor and stops
-    once past the cap, so a huge DIMENSION costs a few multiplications.
+    (d-1)**(d-1) labels, counted by encoded_dimension, so a huge DIMENSION
+    costs a few multiplications.
     """
     try:
         cities = int(value)
     except ValueError:
-        raise InstanceParseError(f"bad DIMENSION value {value!r}", path) from None
+        raise InstanceParseError(f"bad DIMENSION value {clipped(repr(value))}", path) from None
     if cities < 1:
-        raise InstanceParseError(f"DIMENSION must be at least 1, got {cities}", path)
-    cap, size, labels = max_dimension(), cities - 1, 1
-    for _ in range(size):
-        labels *= size
-        if labels > cap:
-            raise DimensionCapError(
-                f"{path}: DIMENSION {cities} needs encoded dimension {size}**{size}, over the "
-                f"cap {cap} (override with CEQAOA_MAX_DIM)"
-            )
+        raise InstanceParseError(f"DIMENSION must be at least 1, got {clipped(str(cities))}", path)
+    try:
+        encoded_dimension(cities - 1, cities - 1)
+    except DimensionCapError as exc:
+        raise DimensionCapError(f"{path}: DIMENSION {clipped(str(cities))} needs {exc}") from None
     return cities
 
 

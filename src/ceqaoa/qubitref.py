@@ -154,14 +154,14 @@ def one_hot_block_prepare(n: int, variant: str = "xyrot") -> list[GateOp]:
     return ops
 
 
-def multi_block_prepare(n: int, m: int, variant: str = "xyrot") -> list[GateOp]:
-    """Block preparation repeated on qubit ranges [b*n, (b+1)*n)."""
+def multi_block_prepare(n: int, m: int) -> list[GateOp]:
+    """The XY-rotation block preparation repeated on qubit ranges [b*n, (b+1)*n)."""
     q = n * m
     if q > MAX_QUBITS:
         raise ValueError(f"{q} qubits exceed the {MAX_QUBITS}-qubit budget")
     ops: list[GateOp] = []
     for b in range(m):
-        for op in one_hot_block_prepare(n, variant):
+        for op in one_hot_block_prepare(n):
             ops.append(GateOp(op.kind, tuple(t + b * n for t in op.qubits), op.angle))
     return ops
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, qubitref
-from .encoded import BlockLayout, EncodedState, uniform_initial_state
+from .encoded import BlockLayout, EncodedState, clipped, uniform_initial_state
 from .hamiltonian import CostDiagonal
-from .instances import clipped
 from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum, run_circuit
 from .phqc import pair_columns
 
@@ -101,9 +100,9 @@ def check_mixer_spectrum() -> list[CheckResult]:
     return out
 
 
-def check_mixer_unitarity(seed: int = 7) -> list[CheckResult]:
+def check_mixer_unitarity() -> list[CheckResult]:
     """Closed-form block matrix is unitary for n <= 16 over 100 random angles."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst = 0.0
     for n in range(2, 17):
         for beta in rng.uniform(-2 * math.pi, 2 * math.pi, 100):
@@ -112,9 +111,9 @@ def check_mixer_unitarity(seed: int = 7) -> list[CheckResult]:
     return [_check("mixer", "block_unitarity", worst < 1e-12, f"{worst:.3e}", "< 1e-12")]
 
 
-def check_mixer_closed_form(seed: int = 11) -> list[CheckResult]:
+def check_mixer_closed_form() -> list[CheckResult]:
     """Closed form at n * beta vs the eigendecomposed exp(-i beta adjacency), n <= 8."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     worst = 0.0
     for n in range(2, 9):
         adj = np.ones((n, n)) - np.eye(n)
@@ -126,7 +125,7 @@ def check_mixer_closed_form(seed: int = 11) -> list[CheckResult]:
     return [_check("mixer", "closed_form_vs_expm", worst < 1e-10, f"{worst:.3e}", "< 1e-10")]
 
 
-def check_mixer_gates(seed: int = 13) -> list[CheckResult]:
+def check_mixer_gates() -> list[CheckResult]:
     """Trotterised gate sweeps approach the encoded mixer with first-order error, n = 3, m = 2.
 
     k sweeps of block_xy_mixer_gates at beta / k on the 6-qubit register,
@@ -137,7 +136,7 @@ def check_mixer_gates(seed: int = 13) -> list[CheckResult]:
     """
     n, m, beta = 3, 2, 0.7
     layout, q = BlockLayout(n, m), n * m
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     start = rng.normal(size=layout.D) + 1j * rng.normal(size=layout.D)
     start /= np.linalg.norm(start)
     register = np.zeros(1 << q, dtype=np.complex128)

@@ -172,6 +172,23 @@ class TestSolve:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "CEQAOA_MAX_DIM" in err
 
+    @pytest.mark.parametrize("n_cities", [100, 1500])
+    def test_instance_over_the_cap_ends_in_one_short_line(
+        self, tmp_path, monkeypatch, capsys, n_cities
+    ):
+        # the cap line names 99**99 (198 digits) and 1499**1499 (4,762 digits,
+        # more than Python turns into a str) without their values
+        monkeypatch.delenv("CEQAOA_MAX_DIM", raising=False)
+        path = tmp_path / "big.json"
+        ones = (np.ones((n_cities, n_cities), dtype=int) - np.eye(n_cities, dtype=int)).tolist()
+        path.write_text(json.dumps({"matrix": ones}))
+        out = tmp_path / "x.json"
+        assert main(["solve", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert f"{n_cities - 1}**{n_cities - 1}, over the cap" in err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
 
@@ -758,26 +775,26 @@ LONG = "9" * 4000  # int() reads up to 4300 digits
 @pytest.mark.parametrize(
     "argv,named",
     [
-        (["solve", "--start-city", LONG], "--start-city must lie in [0, 4), got 999"),
-        (["histogram", "--angles", "0,0", "--start-city", "-" + LONG], "got -999"),
-        (["solve", "--seed", "-" + LONG], "--seed must be >= 0, got -999"),
-        (["histogram", "--angles", "0,0", "--depth", "-" + LONG], "--depth must be >= 1"),
-        (["solve", "--shots", "-" + LONG], "--shots must be >= 1, got -999"),
-        (["histogram", "--angles", "0,0", "--shots", "-" + LONG], "--shots must be >= 0"),
+        (["solve", "{file}", "--start-city", LONG], "--start-city must lie in [0, 4), got 999"),
+        (["histogram", "{file}", "--angles", "0,0", "--start-city", "-" + LONG], "got -999"),
+        (["solve", "{file}", "--seed", "-" + LONG], "--seed must be >= 0, got -999"),
+        (["histogram", "{file}", "--angles", "0,0", "--depth", "-" + LONG], "--depth must be >= 1"),
+        (["solve", "{file}", "--shots", "-" + LONG], "--shots must be >= 1, got -999"),
+        (["histogram", "{file}", "--angles", "0,0", "--shots", "-" + LONG], "--shots must be >= 0"),
+        (["baselines", "--n", "-" + LONG], "--n must be >= 2, got -999"),
         # the estimates of these run to hundreds or thousands of digits
-        (["solve", "--shots", "9" * 200], "estimated peak memory "),
-        (["histogram", "--angles", "0,0", "--shots", LONG], "estimated peak memory "),
-        (["solve", "--grid", f"{'9' * 200}x{'9' * 200}"], "estimated peak memory "),
-        (["solve", "--grid", f"{'9' * 3000}x{'9' * 3000}"], "estimated peak memory "),
+        (["solve", "{file}", "--shots", "9" * 200], "estimated peak memory "),
+        (["histogram", "{file}", "--angles", "0,0", "--shots", LONG], "estimated peak memory "),
+        (["solve", "{file}", "--grid", f"{'9' * 200}x{'9' * 200}"], "estimated peak memory "),
+        (["solve", "{file}", "--grid", f"{'9' * 3000}x{'9' * 3000}"], "estimated peak memory "),
     ],
     ids=["solve-start-city", "histogram-start-city", "solve-seed", "histogram-depth",
-         "solve-shots", "histogram-shots", "solve-shots-estimate", "histogram-shots-estimate",
-         "solve-grid-estimate", "solve-grid-past-the-str-limit"],
+         "solve-shots", "histogram-shots", "baselines-n", "solve-shots-estimate",
+         "histogram-shots-estimate", "solve-grid-estimate", "solve-grid-past-the-str-limit"],
 )
 def test_long_numbers_are_clipped_in_their_one_line(instance_file, tmp_path, capsys, argv, named):
-    command, *rest = argv
     out = tmp_path / "out"
-    code = main([command, str(instance_file), *rest, "--out", str(out)])
+    code = main([arg.format(file=instance_file) for arg in argv] + ["--out", str(out)])
     assert code in (1, 3)
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and len(err) < 200 and "Traceback" not in err

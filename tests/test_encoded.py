@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from ceqaoa.encoded import (
+    DEFAULT_MAX_DIM,
     BlockLayout,
     DimensionCapError,
     EncodedState,
+    encoded_dimension,
     index_to_label,
     indices_to_labels,
     labels_to_indices,
     uniform_initial_state,
 )
+from ceqaoa.hamiltonian import TspInstance, anchor
 
 from oracles import label_to_index
 
@@ -33,6 +36,34 @@ class TestBlockLayout:
     def test_cap_env_override_allows_more(self, monkeypatch):
         monkeypatch.setenv("CEQAOA_MAX_DIM", str(12**12))
         BlockLayout(12, 12)
+
+    @pytest.mark.parametrize(
+        "n,m,dim", [(2, 25, 2**25), (3, 3, 27), (1, 10**100, 1), (0, 0, 1), (0, 5, 0)]
+    )
+    def test_encoded_dimension(self, monkeypatch, n, m, dim):
+        # n below 2 returns at once: a loop over m = 10**100 factors would never end
+        monkeypatch.delenv("CEQAOA_MAX_DIM", raising=False)
+        assert encoded_dimension(n, m) == dim
+
+    @pytest.mark.parametrize("n", [26, 1430], ids=["n26", "n1430-past-the-str-limit"])
+    def test_cap_error_is_one_short_line_without_the_power(self, monkeypatch, n):
+        # 1429**1429 has 4,511 digits, more than Python turns into a str
+        monkeypatch.delenv("CEQAOA_MAX_DIM", raising=False)
+        inst = TspInstance("ones", n, np.ones((n, n)) - np.eye(n))
+        with pytest.raises(DimensionCapError) as err:
+            anchor(inst)
+        assert str(err.value) == (
+            f"encoded dimension {n - 1}**{n - 1}, over the cap {DEFAULT_MAX_DIM} "
+            "(override with CEQAOA_MAX_DIM)"
+        )
+
+    def test_huge_factors_cost_a_multiplication_and_are_clipped(self, monkeypatch):
+        monkeypatch.setenv("CEQAOA_MAX_DIM", "100")
+        huge = 10**4000 + 1  # a loop over its factors, or the power itself, would never end
+        with pytest.raises(DimensionCapError) as err:
+            encoded_dimension(huge, huge)
+        message = str(err.value)
+        assert len(message) < 200 and message.startswith("encoded dimension 10000")
 
 
 class TestLabelIndexing:

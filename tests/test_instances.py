@@ -171,3 +171,18 @@ class TestTsplib:
                 parse_instance(path)
         else:
             assert parse_instance(path).n_cities == dimension
+
+    @pytest.mark.parametrize(
+        "value,error",
+        [("9" * 300, DimensionCapError), ("-" + "9" * 300, InstanceParseError),
+         ("x" * 300, InstanceParseError)],
+        ids=["over-the-cap", "negative", "not-an-integer"],
+    )
+    def test_long_dimension_is_clipped_in_its_one_line(self, tmp_path, monkeypatch, value, error):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CEQAOA_MAX_DIM", raising=False)
+        write(tmp_path, "long.tsp", f"DIMENSION: {value}\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n")
+        with pytest.raises(error) as err:
+            parse_instance("long.tsp")
+        message = str(err.value)
+        assert len(message) < 200 and "..." in message and message.startswith("long.tsp")
