@@ -14,6 +14,7 @@ from .layers import mixer_block_matrix
 EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
 EXACT_INT_BITS = 1 << 16  # larger baseline integers are handled in log10 space
 LIE_TOL = 1e-8  # Gram-Schmidt residual below which a generator is in the span
+QUADRATURE_POINTS = 4096  # betas of angle_averaged_transition's uniform rule
 
 
 def twirl_average(state: EncodedState, target) -> float:
@@ -66,22 +67,20 @@ def transition_closed_form(n: int) -> np.ndarray:
     return out
 
 
-def angle_averaged_transition(n: int, quadrature_points: int = 4096) -> np.ndarray:
+def angle_averaged_transition(n: int) -> np.ndarray:
     """Average |U(beta)_{ij}|^2 over beta in [0, 2pi) on a uniform grid.
 
     With the unit gap the integrand is a trigonometric polynomial of period
     2pi in beta and short degree, so the uniform rule is exact to roundoff
-    once quadrature_points exceeds its degree.
+    once QUADRATURE_POINTS exceeds its degree.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if quadrature_points < 64:
-        raise ValueError("need at least 64 quadrature points")
     acc = np.zeros((n, n))
-    for k in range(quadrature_points):
-        beta = 2.0 * math.pi * k / quadrature_points
+    for k in range(QUADRATURE_POINTS):
+        beta = 2.0 * math.pi * k / QUADRATURE_POINTS
         acc += np.abs(mixer_block_matrix(n, beta)) ** 2
-    return acc / quadrature_points
+    return acc / QUADRATURE_POINTS
 
 
 @dataclass(frozen=True)

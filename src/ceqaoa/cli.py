@@ -17,9 +17,10 @@ import os
 import resource
 import shutil
 import signal
+import stat
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -197,13 +198,23 @@ def peak_rss_mb() -> float:
 
 
 def check_output_path(flag: str, path: Path) -> None:
-    """Raise ValueError naming the flag when path is a directory or in a missing or read-only one.
+    """Raise ValueError naming the flag when path cannot take the output as a regular file.
 
-    Run before any work, so that a bad path does not end a finished run.
+    That is when path exists and is not a regular file (judged by os.lstat,
+    which does not follow a symbolic link), as the finished output is
+    renamed over path and would replace a FIFO, a device or a link there,
+    or when its directory is missing or read-only.  Run before any work,
+    so that a bad path does not end a finished run.
     """
     where = path.parent
-    if path.is_dir():
+    try:
+        mode = os.lstat(path).st_mode
+    except OSError:  # absent, or its directory is missing or unsearchable: checked below
+        mode = stat.S_IFREG
+    if stat.S_ISDIR(mode):
         raise ValueError(f"{flag} {str(path)!r} is a directory")
+    if not stat.S_ISREG(mode):
+        raise ValueError(f"{flag} {str(path)!r} is not a regular file")
     if not where.is_dir():
         raise ValueError(f"{flag} {str(path)!r}: no directory {str(where)!r}")
     if not os.access(where, os.W_OK | os.X_OK):
@@ -307,7 +318,7 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_anchored(args):
-    """The instance and its anchoring; the flags are checked here, so each error names its flag."""
+    """The anchored problem; the flags are checked here, so each error names its flag."""
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {shown_int(args.seed)}")
     if args.depth < 1:
@@ -319,7 +330,7 @@ def _load_anchored(args):
         start = shown_int(args.start_city)
         raise ValueError(f"--start-city must lie in [0, {inst.n_cities}), got {start}")
     try:
-        return inst, anchor(inst, args.start_city, args.penalty_weight)
+        return anchor(inst, args.start_city, args.penalty_weight)
     except EnergyOverflowError as exc:
         if args.penalty_weight is None:  # the default weight
             raise
@@ -333,7 +344,8 @@ def cmd_solve(args) -> int:
         raise ValueError(f"--out and --hist-out name the same file {str(out)!r}")
     check_output_path("--out", out)
     check_output_path("--hist-out", hist_path)
-    inst, enc = _load_anchored(args)
+    enc = _load_anchored(args)
+    inst = enc.instance
     columns, grid_json = parse_grid_spec(args.grid, inst.n_cities, args.depth)
     shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
     if shots < 1:
@@ -475,9 +487,9 @@ def format_rows(rows: HistogramRows, flats: np.ndarray, counts: np.ndarray | Non
 def cmd_histogram(args) -> int:
     out = Path(args.out)
     check_output_path("--out", out)
-    inst, enc = _load_anchored(args)
+    enc = _load_anchored(args)
     columns = angle_columns("--angles", args.angles, [args.angles], "want gamma,beta", args.depth)
-    shots = args.shots if args.shots is not None else default_shots(inst.n_cities)
+    shots = args.shots if args.shots is not None else default_shots(enc.instance.n_cities)
     if shots < 0:
         raise ValueError(f"--shots must be >= 0, got {shown_int(shots)}")
     layout = enc.layout
@@ -557,21 +569,9 @@ def cmd_baselines(args) -> int:
     # Python converts, is written as its log10; Pythons before 3.10.7 have no
     # such limit, nor the function
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if rep.feasible_count is None or (limit and rep.feasible_count >= 10**limit):
-        count_field = {"log10_feasible_count": rep.log10_feasible_count}
-    else:
-        count_field = {"feasible_count": rep.feasible_count}
-    payload = {
-        "n": rep.n,
-        "m": rep.m,
-        **count_field,
-        "model_a_trials": rep.model_a_trials,
-        "model_b_trials": rep.model_b_trials,
-        "separation_ratio": rep.separation_ratio,
-        "log10_model_a": rep.log10_model_a,
-        "log10_model_b": rep.log10_model_b,
-        "log10_separation": rep.log10_separation,
-    }
+    exact = rep.feasible_count is not None and not (limit and rep.feasible_count >= 10**limit)
+    payload = asdict(rep)
+    del payload["log10_feasible_count" if exact else "feasible_count"]
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         write_text_atomic(Path(args.out), text + "\n")

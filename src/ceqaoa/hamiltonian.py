@@ -25,22 +25,26 @@ PHASE_CHUNK = 8192  # labels per chunk of the phase fill
 
 @dataclass(frozen=True, eq=False)
 class TspInstance:
-    """A (possibly asymmetric) TSP instance given by its distance matrix."""
+    """A (possibly asymmetric) TSP instance given by its distance matrix.
+
+    n_cities is the matrix's side, read from it once.
+    """
 
     name: str
-    n_cities: int
     distances: np.ndarray
+    n_cities: int = field(init=False)
 
     def __post_init__(self) -> None:
         dist = np.asarray(self.distances, dtype=np.float64)
+        if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+            raise ValueError(
+                f"instance {self.name!r}: distance matrix is not square (shape {dist.shape})"
+            )
+        n = dist.shape[0]
         object.__setattr__(self, "distances", dist)
-        n = self.n_cities
+        object.__setattr__(self, "n_cities", n)
         if n < 2:
             raise ValueError(f"instance {self.name!r} needs at least 2 cities")
-        if dist.shape != (n, n):
-            raise ValueError(
-                f"instance {self.name!r}: distance matrix shape {dist.shape} != ({n}, {n})"
-            )
         if not np.all(np.isfinite(dist)):
             raise ValueError(f"instance {self.name!r}: non-finite distance entry")
         if np.any(dist < 0):
@@ -66,25 +70,37 @@ class EnergyOverflowError(ValueError):
 class AnchoredTsp:
     """TSP with a fixed start city; blocks index tour positions 1..n_cities-1.
 
-    penalty_weight (a float) weighs the symbol-multiplicity penalty.  From it
-    come, once, energy_bound, the largest energy build_cost_diagonal can give
-    (n_cities distances plus weight * (n - m + m*(m-1)); must be finite), and
-    energy_dtype: int32 for integral distances and weight and a bound below 2**31, else float64.
+    The instance, the start city and penalty_weight (a float, weighing the
+    symbol-multiplicity penalty) define the problem; the rest comes from
+    them, once.  layout has n_cities - 1 blocks of n_cities - 1 symbols,
+    and city_of_symbol maps the symbols to the other cities in ascending
+    order.  energy_bound is the largest energy build_cost_diagonal can give
+    (n_cities distances plus weight * (n - m + m*(m-1)); must be finite),
+    and energy_dtype is int32 for integral distances and weight and a bound
+    below 2**31, else float64.
     """
 
     instance: TspInstance
     start_city: int
-    layout: BlockLayout
-    city_of_symbol: tuple[int, ...]
     penalty_weight: float
+    layout: BlockLayout = field(init=False)
+    city_of_symbol: tuple[int, ...] = field(init=False)
     energy_bound: float = field(init=False)
     energy_dtype: np.dtype = field(init=False)
 
     def __post_init__(self) -> None:
+        inst, start = self.instance, self.start_city
+        if inst.n_cities < 3:
+            raise ValueError("need at least 3 cities for a nontrivial tour")
+        if not 0 <= start < inst.n_cities:
+            raise ValueError(f"start city {start} outside [0, {inst.n_cities})")
+        n = m = inst.n_cities - 1
+        object.__setattr__(self, "layout", BlockLayout(n, m))
+        rest = tuple(c for c in range(inst.n_cities) if c != start)
+        object.__setattr__(self, "city_of_symbol", rest)
         weight = float(self.penalty_weight)
         if not weight > 0:
             raise ValueError(f"penalty weight must be positive, got {self.penalty_weight}")
-        inst, n, m = self.instance, self.layout.n, self.layout.m
         bound = inst.n_cities * inst.max_distance + weight * (n - m + m * (m - 1))
         if not math.isfinite(bound):
             raise EnergyOverflowError(
@@ -105,18 +121,9 @@ def default_penalty_weight(instance: TspInstance) -> float:
 def anchor(
     instance: TspInstance, start: int = 0, penalty_weight: float | None = None
 ) -> AnchoredTsp:
-    """Fix the start city and the penalty weight (None: default_penalty_weight).
-
-    Symbols map to the remaining cities in ascending order.
-    """
-    if instance.n_cities < 3:
-        raise ValueError("need at least 3 cities for a nontrivial tour")
-    if not 0 <= start < instance.n_cities:
-        raise ValueError(f"start city {start} outside [0, {instance.n_cities})")
-    rest = tuple(c for c in range(instance.n_cities) if c != start)
-    n_red = instance.n_cities - 1
+    """The anchored problem at start and penalty_weight (None: default_penalty_weight)."""
     weight = default_penalty_weight(instance) if penalty_weight is None else penalty_weight
-    return AnchoredTsp(instance, start, BlockLayout(n_red, n_red), rest, weight)
+    return AnchoredTsp(instance, start, weight)
 
 
 def tour_cities(enc: AnchoredTsp, flat: int) -> tuple[int, ...]:

@@ -47,10 +47,8 @@ def _as_instance(path, name: str, matrix, line: int | None = None) -> TspInstanc
     except (TypeError, ValueError, OverflowError) as exc:
         # ragged rows, entries that are not numbers, or integers past float64
         raise InstanceParseError(f"matrix is not rows of numbers ({exc})", path, line) from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InstanceParseError(f"matrix is not square (shape {arr.shape})", path, line)
     try:
-        return TspInstance(name, arr.shape[0], arr)
+        return TspInstance(name, arr)
     except ValueError as exc:
         raise InstanceParseError(str(exc), path, line) from exc
 
@@ -68,6 +66,8 @@ def _parse_json(path: Path) -> TspInstance:
         matrix = data["matrix"]
     except KeyError:
         raise InstanceParseError('missing "matrix" key', path) from None
+    if isinstance(matrix, list):
+        _check_cap(path, f"a matrix of {len(matrix)} rows", len(matrix))
     name = str(data.get("name", path.stem))
     n = data.get("n")
     if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
@@ -87,13 +87,24 @@ def _parse_json(path: Path) -> TspInstance:
     return inst
 
 
-def _read_dimension(path: Path, value: str) -> int:
-    """The DIMENSION header's city count d, refused when its anchored layout is over the cap.
+def _check_cap(path: Path, what: str, cities: int) -> None:
+    """Raise DimensionCapError, after path and what, when cities' anchored layout is over the cap.
 
-    Runs when the header line is read, before the sections are parsed and
-    before any d x d array is built.  The anchored layout has
-    (d-1)**(d-1) labels, counted by encoded_dimension, so a huge DIMENSION
-    costs a few multiplications.
+    Each reader runs it as soon as it knows the city count d, before any
+    d x d array is built.  The anchored layout fixes one city and has
+    (d-1)**(d-1) labels, counted by encoded_dimension, so a huge d costs
+    a few multiplications.
+    """
+    try:
+        encoded_dimension(cities - 1, cities - 1)
+    except DimensionCapError as exc:
+        raise DimensionCapError(f"{path}: {what} needs {exc}") from None
+
+
+def _read_dimension(path: Path, value: str) -> int:
+    """The DIMENSION header's city count, refused when its anchored layout is over the cap.
+
+    Runs when the header line is read, before the sections are parsed.
     """
     try:
         cities = int(value)
@@ -101,10 +112,7 @@ def _read_dimension(path: Path, value: str) -> int:
         raise InstanceParseError(f"bad DIMENSION value {clipped(repr(value))}", path) from None
     if cities < 1:
         raise InstanceParseError(f"DIMENSION must be at least 1, got {clipped(str(cities))}", path)
-    try:
-        encoded_dimension(cities - 1, cities - 1)
-    except DimensionCapError as exc:
-        raise DimensionCapError(f"{path}: DIMENSION {clipped(str(cities))} needs {exc}") from None
+    _check_cap(path, f"DIMENSION {clipped(str(cities))}", cities)
     return cities
 
 

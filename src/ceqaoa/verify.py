@@ -163,10 +163,10 @@ def check_mixer_gates() -> list[CheckResult]:
 
 
 def check_ergodicity() -> list[CheckResult]:
-    """Quadrature-averaged transition matrix vs closed form, n = 2..8, K = 4096."""
+    """Quadrature-averaged transition matrix vs closed form, n = 2..8."""
     out = []
     for n in range(2, 9):
-        quad = analysis.angle_averaged_transition(n, 4096)
+        quad = analysis.angle_averaged_transition(n)
         err = float(np.max(np.abs(quad - analysis.transition_closed_form(n))))
         out.append(
             _check("ergodicity", f"closed_form_n{n}", err < 1e-8, f"{err:.3e}", "< 1e-8")

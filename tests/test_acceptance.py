@@ -96,7 +96,7 @@ def test_criterion_07_solver_oracle_equivalence():
     for n_cities in sizes:
         for i in range(20):
             matrix = random_symmetric_instance(n_cities, 100 * n_cities + i)
-            enc = anchor(TspInstance(f"r{n_cities}_{i}", n_cities, matrix), 0)
+            enc = anchor(TspInstance(f"r{n_cities}_{i}", matrix), 0)
             # Held-Karp shares no code with the cost diagonal the solve scores on
             best = held_karp_cycle(matrix, 0)
             runs += 1
@@ -123,7 +123,7 @@ def test_criterion_08_chernoff_shot_calculus():
     matrix = np.array(
         [[0, 10, 15, 20], [10, 0, 35, 25], [15, 35, 0, 30], [20, 25, 30, 0]], dtype=float
     )
-    enc = anchor(TspInstance("ex4", 4, matrix), 0)
+    enc = anchor(TspInstance("ex4", matrix), 0)
     column = Column(0.9, (1.2,))
     diag = build_cost_diagonal(enc)
     p_opt, _ = exact_success_probability(diag, column)

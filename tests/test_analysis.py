@@ -83,27 +83,23 @@ class TestErgodicity:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_quadrature_matches_closed_form(self, n):
-        quad = angle_averaged_transition(n, 4096)
+        quad = angle_averaged_transition(n)
         assert np.max(np.abs(quad - transition_closed_form(n))) < 1e-8
 
     def test_doubly_stochastic(self):
         for n in range(2, 9):
-            p = angle_averaged_transition(n, 4096)
+            p = angle_averaged_transition(n)
             assert np.max(np.abs(p.sum(axis=0) - 1)) < 1e-12
             assert np.max(np.abs(p.sum(axis=1) - 1)) < 1e-12
 
     def test_n2_all_half(self):
-        assert np.allclose(angle_averaged_transition(2, 512), 0.5, atol=1e-12)
+        assert np.allclose(angle_averaged_transition(2), 0.5, atol=1e-12)
 
     def test_uniform_is_stationary(self):
         for n in (3, 6):
-            p = angle_averaged_transition(n, 2048)
+            p = angle_averaged_transition(n)
             pi = np.full(n, 1 / n)
             assert np.max(np.abs(pi @ p - pi)) < 1e-12
-
-    def test_quadrature_guard(self):
-        with pytest.raises(ValueError):
-            angle_averaged_transition(3, 32)
 
 
 class TestDesignMoments:

@@ -12,7 +12,7 @@ from ceqaoa.phqc import phqc_solve
 
 
 def equal_4():
-    return anchor(TspInstance("eq4", 4, np.ones((4, 4)) - np.eye(4)), 0)
+    return anchor(TspInstance("eq4", np.ones((4, 4)) - np.eye(4)), 0)
 
 
 CHECKS = {

@@ -128,7 +128,7 @@ class TestSolve:
     def test_no_feasible_exit_code(self, instance_file, tmp_path):
         # single shot at the uniform point: find a master seed whose one draw
         # is infeasible, then check the documented exit code
-        enc = anchor(TspInstance("ex4", 4, np.asarray(MATRIX_4, float)), 0)
+        enc = anchor(TspInstance("ex4", np.asarray(MATRIX_4, float)), 0)
         columns = [Column(0.0, (0.0,))]
         seed = next(
             s
@@ -479,7 +479,7 @@ class TestMemoryEstimate:
         # marginal chain and its tour buffers (layers.tour_amplitude_bytes
         # for 9 betas) and the gate's tour amplitudes.
         matrix = random_symmetric_instance(8, 3).round()
-        levels = int(anchor(TspInstance("r8", 8, matrix)).energy_bound) + 1
+        levels = int(anchor(TspInstance("r8", matrix)).energy_bound) + 1
         layout, tours = BlockLayout(7, 7), math.factorial(7)
         circuits = layers.mixer_bytes(layout)
         closed = layers.tour_amplitude_bytes(layout, tours, 9) + 16 * tours - 16 * 7**7
@@ -894,9 +894,16 @@ def test_out_and_hist_out_on_one_file_end_in_one_line(instance_file, tmp_path, c
          "{tmp}/nodir/b.json", "no directory"),
         (["baselines", "--n", "3", "--out", "{tmp}/ro/b.json"], "--out", "{tmp}/ro/b.json",
          "not writable"),
+        (["baselines", "--n", "3", "--out", "{tmp}/fifo"], "--out", "{tmp}/fifo",
+         "is not a regular file"),
+        (["solve", "--hist-out", "{tmp}/fifo"], "--hist-out", "{tmp}/fifo", "is not a regular file"),
+        (["solve", "--out", "{tmp}/link"], "--out", "{tmp}/link", "is not a regular file"),
+        (["histogram", "--angles", "0.5,0.5", "--out", "{tmp}/link"], "--out", "{tmp}/link",
+         "is not a regular file"),
     ],
     ids=["solve-out", "solve-hist-out", "histogram-out", "solve-read-only", "histogram-read-only",
-         "baselines-directory", "baselines-no-directory", "baselines-read-only"],
+         "baselines-directory", "baselines-no-directory", "baselines-read-only", "baselines-fifo",
+         "solve-hist-out-fifo", "solve-symlink", "histogram-symlink"],
 )
 def test_unwritable_output_path_ends_before_the_run(
     instance_file, tmp_path, monkeypatch, capsys, argv, flag, given, reason
@@ -908,6 +915,11 @@ def test_unwritable_output_path_ends_before_the_run(
     monkeypatch.setattr(cli, "run_circuit", runs)
     monkeypatch.setattr(cli, "classical_baselines", runs)
     (tmp_path / "ro").mkdir()
+    # the output is renamed over its path, which would replace a FIFO or a
+    # symbolic link (here to a file) by a new file
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "target.json").write_text("{}\n")
+    (tmp_path / "link").symlink_to(tmp_path / "target.json")
     # the suite may run as root, for whom every directory is writable
     writable = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: Path(path).name != "ro" and writable(path, mode))
@@ -920,6 +932,7 @@ def test_unwritable_output_path_ends_before_the_run(
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"{flag} {given.format(tmp=tmp_path)!r}") and reason in err
     assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "fifo").is_fifo() and (tmp_path / "link").is_symlink()
 
 
 class TestHistogramWriters:

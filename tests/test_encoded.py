@@ -49,7 +49,7 @@ class TestBlockLayout:
     def test_cap_error_is_one_short_line_without_the_power(self, monkeypatch, n):
         # 1429**1429 has 4,511 digits, more than Python turns into a str
         monkeypatch.delenv("CEQAOA_MAX_DIM", raising=False)
-        inst = TspInstance("ones", n, np.ones((n, n)) - np.eye(n))
+        inst = TspInstance("ones", np.ones((n, n)) - np.eye(n))
         with pytest.raises(DimensionCapError) as err:
             anchor(inst)
         assert str(err.value) == (

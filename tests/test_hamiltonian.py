@@ -36,7 +36,7 @@ MATRIX_4 = np.array(
 
 
 def example_4():
-    return anchor(TspInstance("ex4", 4, MATRIX_4), 0)
+    return anchor(TspInstance("ex4", MATRIX_4), 0)
 
 
 class TestTspInstance:
@@ -44,28 +44,37 @@ class TestTspInstance:
         m = MATRIX_4.copy()
         m[0, 1] = -1
         with pytest.raises(ValueError):
-            TspInstance("bad", 4, m)
+            TspInstance("bad", m)
 
     def test_rejects_distances_that_overflow_a_tour(self):
         m = MATRIX_4.copy()
         m[0, 1] = 1e308
         with pytest.raises(ValueError, match="overflow a tour cost"):
-            TspInstance("big", 4, m)
+            TspInstance("big", m)
 
     def test_rejects_nonzero_diagonal(self):
         m = MATRIX_4.copy()
         m[2, 2] = 5
         with pytest.raises(ValueError):
-            TspInstance("bad", 4, m)
+            TspInstance("bad", m)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            TspInstance("bad", 4, MATRIX_4[:3])
+        for shape in [(3, 4), (4,), (2, 2, 2)]:
+            with pytest.raises(ValueError) as err:
+                TspInstance("bad", np.zeros(shape))
+            assert str(err.value) == f"instance 'bad': distance matrix is not square (shape {shape})"
+
+    def test_cities_are_read_from_the_matrix(self):
+        inst = TspInstance("ex4", MATRIX_4)
+        assert inst.n_cities == 4
+        assert dataclasses.replace(inst, distances=MATRIX_4[:3, :3]).n_cities == 3
+        with pytest.raises(TypeError):  # not a constructor argument
+            TspInstance("ex4", MATRIX_4, n_cities=4)
 
     def test_asymmetric_admitted(self):
         m = MATRIX_4.copy()
         m[0, 1] = 99
-        TspInstance("atsp", 4, m)
+        TspInstance("atsp", m)
 
 
 class TestAnchor:
@@ -75,23 +84,23 @@ class TestAnchor:
         assert enc.city_of_symbol == (1, 2, 3)
 
     def test_start_two_of_five(self):
-        inst = TspInstance("r5", 5, random_symmetric_instance(5, 0))
+        inst = TspInstance("r5", random_symmetric_instance(5, 0))
         enc = anchor(inst, 2)
         assert enc.city_of_symbol == (0, 1, 3, 4)
         assert enc.layout.n == enc.layout.m == 4
 
     def test_start_out_of_range(self):
-        inst = TspInstance("ex4", 4, MATRIX_4)
+        inst = TspInstance("ex4", MATRIX_4)
         with pytest.raises(ValueError):
             anchor(inst, 7)
 
     def test_too_few_cities(self):
-        inst = TspInstance("tiny", 2, np.zeros((2, 2)))
+        inst = TspInstance("tiny", np.zeros((2, 2)))
         with pytest.raises(ValueError):
             anchor(inst, 0)
 
     def test_penalty_weight_is_held_as_a_float(self):
-        inst = TspInstance("ex4", 4, MATRIX_4)
+        inst = TspInstance("ex4", MATRIX_4)
         assert anchor(inst).penalty_weight == default_penalty_weight(inst) == 4 * 35.0
         weight = anchor(inst, 0, np.int64(7)).penalty_weight
         assert weight == 7.0 and type(weight) is float
@@ -100,7 +109,7 @@ class TestAnchor:
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf"), 1e308])
     def test_anchor_rejects_a_weight_not_positive_or_with_an_infinite_penalty(self, weight):
         with pytest.raises(ValueError, match="penalty weight"):
-            anchor(TspInstance("ex4", 4, MATRIX_4), 0, weight)
+            anchor(TspInstance("ex4", MATRIX_4), 0, weight)
 
     def test_replace_checks_the_weight_too(self):
         enc = example_4()
@@ -114,12 +123,30 @@ class TestAnchor:
         moved = dataclasses.replace(enc, penalty_weight=7.5)
         assert moved.energy_dtype == np.float64 and moved.energy_bound == 4 * 35 + 6 * 7.5
         with pytest.raises(TypeError):  # neither is a constructor argument
-            AnchoredTsp(enc.instance, 0, enc.layout, enc.city_of_symbol, 7.0, energy_bound=1.0)
+            AnchoredTsp(enc.instance, 0, 7.0, energy_bound=1.0)
+
+    @pytest.mark.parametrize("field", ["layout", "city_of_symbol"])
+    def test_the_layout_and_the_symbol_map_are_not_constructor_arguments(self, field):
+        enc = example_4()
+        with pytest.raises(TypeError):
+            AnchoredTsp(enc.instance, 0, 7.0, **{field: getattr(enc, field)})
+
+    @pytest.mark.parametrize("start, symbols", [(0, (1, 2, 3)), (2, (0, 1, 3)), (3, (0, 1, 2))])
+    def test_replace_derives_the_symbol_map_of_the_new_start(self, start, symbols):
+        enc = dataclasses.replace(example_4(), start_city=start)
+        assert enc.start_city == start and enc.city_of_symbol == symbols
+        assert enc.layout == BlockLayout(3, 3)
+        assert sorted(tour_cities(enc, 5)[1:-1]) == list(symbols)
+
+    @pytest.mark.parametrize("start", [-1, 4, 7])
+    def test_replace_refuses_a_start_out_of_range(self, start):
+        with pytest.raises(ValueError, match=rf"start city {start} outside \[0, 4\)"):
+            dataclasses.replace(example_4(), start_city=start)
 
     def test_an_energy_sum_past_the_float_range_is_refused_by_name(self):
         # 4 cities at distance 1e307: a tour costs 4e307 and the largest
         # penalty, 6 * 2.9e307, is finite, but their sum is not
-        inst = TspInstance("far4", 4, 1e307 * (np.ones((4, 4)) - np.eye(4)))
+        inst = TspInstance("far4", 1e307 * (np.ones((4, 4)) - np.eye(4)))
         message = "instance 'far4': penalty weight 2.9e+307 overflows the largest energy"
         with pytest.raises(EnergyOverflowError) as exc:
             anchor(inst, 0, 2.9e307)
@@ -129,7 +156,7 @@ class TestAnchor:
         # the labels on one symbol reach 2e307 + 6 w, under the bound
         # 4e307 + 6 w; build_cost_diagonal has no errstate, so an overflow
         # would warn, which the suite makes an error
-        inst = TspInstance("far4", 4, 1e307 * (np.ones((4, 4)) - np.eye(4)))
+        inst = TspInstance("far4", 1e307 * (np.ones((4, 4)) - np.eye(4)))
 
         def accepted(weight):
             try:
@@ -156,7 +183,7 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("n_cities", [3, 4, 5, 6])
     def test_feasible_count_is_factorial(self, n_cities):
-        enc = anchor(TspInstance("r", n_cities, random_symmetric_instance(n_cities, 1)), 0)
+        enc = anchor(TspInstance("r", random_symmetric_instance(n_cities, 1)), 0)
         lay = enc.layout
         count = sum(is_feasible(enc, index_to_label(lay, i)) for i in range(lay.D))
         assert count == math.factorial(lay.n)
@@ -172,7 +199,7 @@ class TestTourCost:
 
     def test_all_equal_distances(self):
         m = np.ones((3, 3)) - np.eye(3)
-        enc = anchor(TspInstance("eq3", 3, m), 0)
+        enc = anchor(TspInstance("eq3", m), 0)
         for label in [(0, 1), (1, 0)]:
             assert tour_cost(enc, label) == 3.0
 
@@ -187,7 +214,7 @@ class TestTourCost:
 
     def test_reversal_invariance_symmetric(self):
         for seed in range(5):
-            enc = anchor(TspInstance("r", 6, random_symmetric_instance(6, seed)), 0)
+            enc = anchor(TspInstance("r", random_symmetric_instance(6, seed)), 0)
             rng = np.random.default_rng(seed)
             label = tuple(int(v) for v in rng.permutation(enc.layout.m))
             assert tour_cost(enc, label) == pytest.approx(
@@ -199,7 +226,7 @@ class TestCostDiagonal:
     def test_penalty_worked_examples(self):
         # integer distances and an integral weight give int32 energies
         for lam, dtype in ((7.0, np.int32), (7.5, np.float64)):
-            enc = anchor(TspInstance("ex4", 4, MATRIX_4), 0, lam)
+            enc = anchor(TspInstance("ex4", MATRIX_4), 0, lam)
             diag = build_cost_diagonal(enc)
             assert diag.energy.dtype == dtype and diag.energy.shape == (enc.layout.D,)
             # symbols (0, 0, 0) visit cities (1, 1, 1): objective 10 + 0 + 0 + 10, count 6
@@ -212,7 +239,7 @@ class TestCostDiagonal:
     @pytest.mark.parametrize("n_cities", [3, 4, 5, 6])
     def test_penalty_zero_iff_feasible(self, n_cities):
         # the energy above the reference objective is the penalty
-        enc = anchor(TspInstance("r", n_cities, random_symmetric_instance(n_cities, 2)), 0)
+        enc = anchor(TspInstance("r", random_symmetric_instance(n_cities, 2)), 0)
         diag = build_cost_diagonal(enc)
         objective, _ = reference_cost_diagonal(enc)
         lay = enc.layout
@@ -237,7 +264,7 @@ class TestCostDiagonal:
         # wrapped around would show as a negative energy.  The problem's
         # energy_dtype and energy_bound come from the weight anchor holds.
         matrix = distance * (np.ones((5, 5)) - np.eye(5))
-        enc = anchor(TspInstance("b5", 5, matrix), 0, lam)
+        enc = anchor(TspInstance("b5", matrix), 0, lam)
         diag = build_cost_diagonal(enc)
         assert diag.energy.dtype == enc.energy_dtype == dtype
         assert enc.energy_bound == 5 * distance + 12 * enc.penalty_weight
@@ -250,7 +277,7 @@ class TestCostDiagonal:
     def test_penalties_past_int16_with_an_int16_weight(self):
         # the default weight 5000 fits int16 but k * 5000 does not for k >= 7
         # (k reaches 12 at n = 5), so the fold must multiply in int32
-        enc = anchor(TspInstance("w5", 5, 1000.0 * (np.ones((5, 5)) - np.eye(5))), 0)
+        enc = anchor(TspInstance("w5", 1000.0 * (np.ones((5, 5)) - np.eye(5))), 0)
         diag = build_cost_diagonal(enc)
         assert diag.energy.dtype == np.int32 and enc.penalty_weight == 5000.0
         objective, count = reference_cost_diagonal(enc)
@@ -261,7 +288,7 @@ class TestCostDiagonal:
     def test_a_fractional_distance_or_weight_gives_float64(self, fraction, lam):
         matrix = MATRIX_4.copy()
         matrix[2, 3] += fraction
-        enc = anchor(TspInstance("f4", 4, matrix), 0, lam)
+        enc = anchor(TspInstance("f4", matrix), 0, lam)
         diag = build_cost_diagonal(enc)
         assert diag.energy.dtype == enc.energy_dtype == np.float64
         objective, count = reference_cost_diagonal(enc)
@@ -284,7 +311,7 @@ class TestCostDiagonal:
         assert diag.energy[label_to_index(enc.layout, (0, 0, 1))] == 60.0 + 2 * 140.0
 
     def test_default_weight(self):
-        inst = TspInstance("ex4", 4, MATRIX_4)
+        inst = TspInstance("ex4", MATRIX_4)
         assert default_penalty_weight(inst) == 4 * 35.0
 
     def test_penalty_dominates_objective(self):
@@ -352,17 +379,17 @@ class TestBruteForce:
     def test_all_equal_distances_fully_degenerate(self):
         for n_cities in (4, 5):
             m = np.ones((n_cities, n_cities)) - np.eye(n_cities)
-            res = optimum(anchor(TspInstance("eq", n_cities, m), 0))
+            res = optimum(anchor(TspInstance("eq", m), 0))
             assert res.degeneracy == math.factorial(n_cities - 1)
 
     @pytest.mark.parametrize("n_cities", [5, 6, 7, 8, 9])
     def test_matches_held_karp(self, n_cities):
         m = random_symmetric_instance(n_cities, 40 + n_cities)
-        res = optimum(anchor(TspInstance("hk", n_cities, m), 0))
+        res = optimum(anchor(TspInstance("hk", m), 0))
         assert res.costs[0] == pytest.approx(held_karp_cycle(m, 0), rel=1e-10)
 
     def test_optimal_labels_are_feasible_minima(self):
-        enc = anchor(TspInstance("r6", 6, random_symmetric_instance(6, 11)), 0)
+        enc = anchor(TspInstance("r6", random_symmetric_instance(6, 11)), 0)
         res = optimum(enc)
         for flat in optimal_flats(res):
             label = index_to_label(enc.layout, flat)
@@ -375,7 +402,7 @@ class TestBruteForce:
         # the scan reads the cost diagonal; the reference enumerates the
         # permutations and sums each tour with the scalar tour_cost
         for seed in range(3):
-            enc = anchor(TspInstance(kind, n_cities, oracle_instance(kind, n_cities, seed)), 0)
+            enc = anchor(TspInstance(kind, oracle_instance(kind, n_cities, seed)), 0)
             res = optimum(enc)
             best, flats = enumerated_optimum(enc)
             assert res.costs[0] == best

@@ -35,8 +35,9 @@ class TestJson:
 
     def test_non_square(self, tmp_path):
         path = write(tmp_path, "bad.json", json.dumps({"matrix": [[0, 1], [1, 0], [2, 2]]}))
-        with pytest.raises(InstanceParseError, match="square"):
+        with pytest.raises(InstanceParseError) as err:
             parse_instance(path)
+        assert str(err.value) == f"{path}: instance 'bad': distance matrix is not square (shape (3, 2))"
 
     def test_n_mismatch(self, tmp_path):
         path = write(tmp_path, "bad.json", json.dumps({"n": 5, "matrix": MATRIX_4}))
@@ -86,6 +87,21 @@ class TestJson:
         text = str(err.value)
         assert text.startswith(f"{path}: {message}")
         assert "\n" not in text
+
+    def test_rows_over_the_cap_are_refused_before_the_entries_are_read(self, tmp_path, monkeypatch):
+        # 5 rows: the anchored layout has 4**4 = 256 labels.  The entries are
+        # not numbers, which only the scan of the entries would find.
+        path = write(tmp_path, "big.json", json.dumps({"matrix": [["x"] * 5] * 5}))
+        monkeypatch.setenv("CEQAOA_MAX_DIM", "255")
+        with pytest.raises(DimensionCapError) as err:
+            parse_instance(path)
+        assert str(err.value) == (
+            f"{path}: a matrix of 5 rows needs encoded dimension 4**4, over the cap 255 "
+            "(override with CEQAOA_MAX_DIM)"
+        )
+        monkeypatch.setenv("CEQAOA_MAX_DIM", "256")
+        with pytest.raises(InstanceParseError, match="is not a JSON number"):
+            parse_instance(path)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = write(tmp_path, "bad.json", '{"matrix": [[0, 1],\n [1, }')

@@ -25,7 +25,7 @@ from ceqaoa.layers import (
 from oracles import dense_block_mixer, kron_mixer, random_symmetric_instance
 
 def small_diag(n_cities=4, seed=0, start=0):
-    inst = TspInstance("t", n_cities, random_symmetric_instance(n_cities, seed))
+    inst = TspInstance("t", random_symmetric_instance(n_cities, seed))
     return build_cost_diagonal(anchor(inst, start))
 
 

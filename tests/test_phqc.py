@@ -56,7 +56,7 @@ FLOAT, INT = np.dtype(np.float64), np.dtype(np.int32)
 
 
 def example_4():
-    return anchor(TspInstance("ex4", 4, MATRIX_4), 0)
+    return anchor(TspInstance("ex4", MATRIX_4), 0)
 
 
 def point_count(columns):
@@ -155,7 +155,7 @@ class TestSampling:
     def test_uniform_counts_within_five_sigma(self):
         # every tour of this instance has its own cost, so the cost
         # histogram counts the shots of each tour
-        enc = anchor(TspInstance("a5", 5, random_asymmetric_instance(5, 4)), 0)
+        enc = anchor(TspInstance("a5", random_asymmetric_instance(5, 4)), 0)
         feasible = brute_force_optimum(build_cost_diagonal(enc))
         tours, dim, shots = feasible.flats.size, enc.layout.D, 25600
         assert np.unique(feasible.costs).size == tours == 24
@@ -236,7 +236,7 @@ class TestScoring:
 
     def test_rejects_a_diagonal_of_another_layout(self):
         # the 3! tours' probabilities of a 4-city layout, against the 2! tours of a 3-city one
-        three = anchor(TspInstance("t3", 3, np.ones((3, 3)) - np.eye(3)), 0)
+        three = anchor(TspInstance("t3", np.ones((3, 3)) - np.eye(3)), 0)
         feasible = brute_force_optimum(build_cost_diagonal(three))
         four = brute_force_optimum(build_cost_diagonal(example_4()))
         probs = uniform_initial_state(example_4().layout).probabilities()[four.flats]
@@ -247,7 +247,7 @@ class TestScoring:
         # 24 optimal tours whose costs lie within the tie tolerance but
         # fall as the flat index grows: the set's optimum prefix runs
         # against flat order, and the mass is still summed in flat order
-        enc = anchor(TspInstance("eq5", 5, np.ones((5, 5)) - np.eye(5)), 0)
+        enc = anchor(TspInstance("eq5", np.ones((5, 5)) - np.eye(5)), 0)
         base = build_cost_diagonal(enc)
         tours = np.flatnonzero(reference_cost_diagonal(enc)[1] == 0)
         # the integral energies come as int32; a float64 copy holds the ties
@@ -466,9 +466,9 @@ class TestSolve:
         # integer ones whose energies span at most D // 16 levels
         # exponentiate only the levels.
         if path == "direct":
-            inst, lam = TspInstance("r5", 5, random_symmetric_instance(5, 3)), None
+            inst, lam = TspInstance("r5", random_symmetric_instance(5, 3)), None
         else:
-            inst, lam = TspInstance("i6", 6, np.rint(random_symmetric_instance(6, 3, 1, 5))), 6.0
+            inst, lam = TspInstance("i6", np.rint(random_symmetric_instance(6, 3, 1, 5))), 6.0
         enc = anchor(inst, 0, lam)
         shapes = []
         original = np.exp
@@ -494,7 +494,7 @@ class TestSolve:
     def test_oracle_equivalence_small(self, n_cities):
         # Held-Karp shares no code with the cost diagonal the solve scores on
         matrix = random_symmetric_instance(n_cities, 60 + n_cities)
-        enc = anchor(TspInstance("r", n_cities, matrix), 0)
+        enc = anchor(TspInstance("r", matrix), 0)
         res = phqc_solve(enc, square_grid(n_cities + 1), default_shots(n_cities), 77)
         assert solved_cost(res) == pytest.approx(held_karp_cycle(matrix, 0), rel=1e-12)
 
@@ -573,7 +573,7 @@ class TestMemoryPlan:
     def test_peak_bytes_counts_the_energy_dtype_of_the_instance(self, energy, held):
         # the diagonal the solve builds has the dtype the estimate counts
         matrix = MATRIX_4 if energy == INT else MATRIX_4 + 0.5 - 0.5 * np.eye(4)
-        enc = anchor(TspInstance("m4", 4, matrix), 0)
+        enc = anchor(TspInstance("m4", matrix), 0)
         diag = build_cost_diagonal(enc)
         assert enc.energy_dtype == diag.energy.dtype == energy
         # and no energy above the bound the table term counts
@@ -612,7 +612,7 @@ class TestExactSuccess:
         assert p == pytest.approx(2 / 27, abs=1e-13)
 
     def test_unique_optimum_asymmetric(self):
-        inst = TspInstance("a4", 4, random_asymmetric_instance(4, 1))
+        inst = TspInstance("a4", random_asymmetric_instance(4, 1))
         diag = build_cost_diagonal(anchor(inst, 0))
         p, k = exact_success_probability(diag, Column(0.0, (0.0,)))
         assert k == 1
@@ -620,7 +620,7 @@ class TestExactSuccess:
 
     def test_fully_degenerate_instance_mass_is_feasible_mass(self):
         m = np.ones((4, 4)) - np.eye(4)
-        enc = anchor(TspInstance("eq4", 4, m), 0)
+        enc = anchor(TspInstance("eq4", m), 0)
         diag = build_cost_diagonal(enc)
         for gamma, beta in [(0.0, 0.0), (0.9, 1.7), (2.2, 0.3)]:
             col = Column(gamma, (beta,))

@@ -83,7 +83,7 @@ def tour_sampling_cases(draw):
         matrix = np.rint(random_asymmetric_instance(n_cities, seed, 1.0, 3.0))
     else:
         matrix = random_symmetric_instance(n_cities, seed)
-    enc = anchor(TspInstance("p", n_cities, matrix))
+    enc = anchor(TspInstance("p", matrix))
     dim = enc.layout.D
     rng = np.random.default_rng(seed)
     kind = draw(st.sampled_from(["random", "zeros", "basis", "infeasible"]))
@@ -440,7 +440,7 @@ def test_closed_form_matches_run_circuit_on_the_default_grid(n_cities):
     """The default grid's tour amplitudes, from integer distances (int32
     energies, filled from the level table at n_cities >= 6)."""
     matrix = random_symmetric_instance(n_cities, 40 + n_cities, 1.0, 100.0).round()
-    diag = build_cost_diagonal(anchor(TspInstance("g", n_cities, matrix)))
+    diag = build_cost_diagonal(anchor(TspInstance("g", matrix)))
     flats = brute_force_optimum(diag).flats
     columns = square_grid(n_cities + 1)
     closed = itertools.chain.from_iterable(tour_amplitudes(diag, columns, flats))
@@ -467,7 +467,7 @@ def diagonal_cases(draw):
     np.fill_diagonal(dist, 0.0)
     start = draw(st.integers(0, n_cities - 1))
     weight = draw(st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False))
-    return anchor(TspInstance("d", n_cities, dist), start, weight)
+    return anchor(TspInstance("d", dist), start, weight)
 
 
 @settings(deadline=None)
@@ -503,7 +503,7 @@ def integral_cases(draw):
     np.fill_diagonal(dist, 0.0)
     start = draw(st.integers(0, n_cities - 1))
     weight = draw(st.none() | st.integers(1, 10**4).map(float))
-    return anchor(TspInstance("i", n_cities, dist), start, weight)
+    return anchor(TspInstance("i", dist), start, weight)
 
 
 @settings(deadline=None)

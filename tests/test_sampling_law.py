@@ -35,7 +35,7 @@ def euclidean_integer_instance(n_cities, seed):
     """Points drawn uniformly from [0, 100)^2, distances rounded to the nearest integer."""
     pts = np.random.default_rng(seed).uniform(0.0, 100.0, (n_cities, 2))
     dist = np.floor(np.linalg.norm(pts[:, None] - pts[None, :], axis=-1) + 0.5)
-    return TspInstance(f"e{n_cities}-s{seed}", n_cities, dist)
+    return TspInstance(f"e{n_cities}-s{seed}", dist)
 
 
 @pytest.fixture(scope="module")
