@@ -19,6 +19,7 @@ import shutil
 import signal
 import stat
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -221,79 +222,69 @@ def check_output_path(flag: str, path: Path) -> None:
         raise ValueError(f"{flag} {str(path)!r}: directory {str(where)!r} is not writable")
 
 
-def _fork_writer(path: Path, chunks) -> tuple[int, int]:
-    """Fork a worker that writes the string chunks to path; return its pid and its error pipe.
+def _fork_writer(part, chunks) -> int:
+    """Fork a worker that writes the string chunks to the open file part; return its pid.
 
     The worker ends in os._exit and never returns into its caller, so no
-    atexit hook or caller's cleanup runs twice.  It exits 0 once the file is
-    closed; on any exception it writes the message to the pipe and exits 1.
+    atexit hook or caller's cleanup runs twice.  It exits 0 once its rows
+    are written; on any exception it replaces them by the message, with
+    descriptor-level calls that no buffered row can follow, and exits 1.
     """
-    error, report = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(error)
-        os.close(report)
-        raise
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            with open(path, "w") as fh:
+            with open(part.fileno(), "w", closefd=False) as fh:
                 fh.writelines(chunks)
             code = 0
         except BaseException as exc:
             with contextlib.suppress(BaseException):
-                os.write(report, clipped(str(exc), USAGE_ERROR_CHARS).encode())
+                os.ftruncate(part.fileno(), 0)
+                os.pwrite(part.fileno(), clipped(str(exc), USAGE_ERROR_CHARS).encode(), 0)
         finally:
             os._exit(code)
-    os.close(report)
-    return pid, error
+    return pid
 
 
-def _reap_first(workers: list, path: Path) -> None:
-    """Wait for the first worker and drop it from the list; raise OSError when it failed."""
-    pid, error = workers[0]
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    del workers[0]
-    try:
-        message = os.read(error, 1024).decode(errors="replace")
-    finally:
-        os.close(error)
-    if code != 0:
-        raise OSError(f"writing {path} failed: {message or f'exit code {code}'}")
+def write_text_atomic(path: Path, chunks, parts=()) -> None:
+    """Write an iterable of string chunks through a temporary file and a rename.
 
-
-def write_text_atomic(path: Path, text, parts=()) -> None:
-    """Write a string, or an iterable of string chunks, through a .tmp file and a rename.
-
+    The temporary is created next to path with O_EXCL under a random name
+    of fixed length: it is never a file, FIFO or link already there, nor
+    another run's, and its length does not grow with path's name.
     Each of parts, more iterables of string chunks, is written at the same
-    time by a forked worker into <path>.tmp.<k> (k = 2, 3, ...), then
-    appended after text, in order.  When anything fails, the workers are
-    killed and reaped and every .tmp file is removed.
+    time by a forked worker into an unnamed file in path's directory, then
+    appended after chunks, in order.  When anything fails, the workers are
+    killed and reaped and the temporary is removed.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    part_paths = [tmp.with_name(f"{tmp.name}.{k}") for k in range(2, len(parts) + 2)]
-    workers = []  # (pid, error pipe) of each worker not yet reaped, in part order
+    tmp = path.with_name(f"ceqaoa-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    workers = []  # (pid, part file) of each worker not yet reaped, in part order
     try:
-        for part_path, part in zip(part_paths, parts):
-            workers.append(_fork_writer(part_path, part))
-        with open(tmp, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with open(fd, "w") as fh:
+            for part in parts:
+                spool = tempfile.TemporaryFile(dir=path.parent)
+                workers.append((_fork_writer(spool, part), spool))
+            fh.writelines(chunks)
             fh.flush()
-            for part_path in part_paths:
-                _reap_first(workers, part_path)
-                with open(part_path, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-                part_path.unlink()
+            for k in range(2, len(parts) + 2):
+                pid, spool = workers[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[0]
+                with spool:
+                    spool.seek(0)
+                    if code != 0:
+                        why = spool.read(1024).decode(errors="replace") if code == 1 else ""
+                        raise OSError(f"writing {path} failed in writer {k}: {why or f'exit code {code}'}")
+                    shutil.copyfileobj(spool, fh.buffer)
         os.replace(tmp, path)
     except BaseException:
-        for pid, error in workers:
+        for pid, spool in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(error)
-        for name in (tmp, *part_paths):
-            with contextlib.suppress(OSError):
-                name.unlink()
+            spool.close()
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise
 
 
@@ -402,7 +393,7 @@ def cmd_solve(args) -> int:
     # a failed solve leaves no result behind
     write_text_atomic(hist_path, itertools.chain(["grid_index,gamma,beta,cost,count\n"], rows))
     try:
-        write_text_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text_atomic(out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     except BaseException:
         with contextlib.suppress(OSError):
             hist_path.unlink()
@@ -574,7 +565,7 @@ def cmd_baselines(args) -> int:
     del payload["log10_feasible_count" if exact else "feasible_count"]
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        write_text_atomic(Path(args.out), text + "\n")
+        write_text_atomic(Path(args.out), [text + "\n"])
     print(text)
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +71,15 @@ class EnergyOverflowError(ValueError):
 class AnchoredTsp:
     """TSP with a fixed start city; blocks index tour positions 1..n_cities-1.
 
-    The instance, the start city and penalty_weight (a float, weighing the
-    symbol-multiplicity penalty) define the problem; the rest comes from
-    them, once.  layout has n_cities - 1 blocks of n_cities - 1 symbols,
-    and city_of_symbol maps the symbols to the other cities in ascending
-    order.  energy_bound is the largest energy build_cost_diagonal can give
-    (n_cities distances plus weight * (n - m + m*(m-1)); must be finite),
-    and energy_dtype is int32 for integral distances and weight and a bound
-    below 2**31, else float64.
+    The instance, the start city (an integer, held as an int) and
+    penalty_weight (a float, weighing the symbol-multiplicity penalty)
+    define the problem; the rest comes from them, once.  layout has
+    n_cities - 1 blocks of n_cities - 1 symbols, and city_of_symbol maps
+    the symbols to the other cities in ascending order.  energy_bound is
+    the largest energy build_cost_diagonal can give (n_cities distances
+    plus weight * (n - m + m*(m-1)); must be finite), and energy_dtype is
+    int32 for integral distances and weight and a bound below 2**31, else
+    float64.
     """
 
     instance: TspInstance
@@ -89,7 +91,7 @@ class AnchoredTsp:
     energy_dtype: np.dtype = field(init=False)
 
     def __post_init__(self) -> None:
-        inst, start = self.instance, self.start_city
+        inst, start = self.instance, operator.index(self.start_city)
         if inst.n_cities < 3:
             raise ValueError("need at least 3 cities for a nontrivial tour")
         if not 0 <= start < inst.n_cities:
@@ -108,6 +110,7 @@ class AnchoredTsp:
             )
         integral = weight.is_integer() and np.array_equal(inst.distances, np.trunc(inst.distances))
         dtype = np.dtype(np.int32 if integral and bound < 2**31 else np.float64)
+        object.__setattr__(self, "start_city", start)
         object.__setattr__(self, "penalty_weight", weight)
         object.__setattr__(self, "energy_bound", bound)
         object.__setattr__(self, "energy_dtype", dtype)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -116,6 +117,21 @@ class TestSolve:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "grid_index,gamma,beta,cost,count"
         assert len(lines) > 1
+
+    def test_a_failed_json_write_removes_the_csv(self, instance_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        write = cli.write_text_atomic
+
+        def refuse_the_json(path, chunks, parts=()):
+            if path == out:
+                assert out.with_suffix(".costs.csv").exists()
+                raise OSError(f"cannot write {path}")
+            write(path, chunks, parts)
+
+        monkeypatch.setattr(cli, "write_text_atomic", refuse_the_json)
+        assert main(["solve", str(instance_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == f"cannot write {out}"
+        assert [p.name for p in tmp_path.iterdir()] == ["ex4.json"]
 
     def test_deterministic_output(self, instance_file, tmp_path):
         outs = []
@@ -685,6 +701,18 @@ def test_a_weight_whose_penalty_overflows_ends_before_the_diagonal(
     assert [p.name for p in tmp_path.iterdir()] == ["r6.json"]
 
 
+def test_a_default_weight_that_overflows_ends_in_one_line(tmp_path, monkeypatch, capsys):
+    # 9 distances of 1e306 are a finite tour, but the default weight, 9e306,
+    # times the largest penalty count, 8 * 7, is not
+    refuse_the_d_sized_work(monkeypatch)
+    path = tmp_path / "huge9.json"
+    matrix = (1e306 * (1 - np.eye(9))).tolist()
+    path.write_text(json.dumps({"name": "huge9", "n": 9, "matrix": matrix}))
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "instance 'huge9': penalty weight 9e+306 overflows the largest energy"
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
@@ -935,6 +963,79 @@ def test_unwritable_output_path_ends_before_the_run(
     assert (tmp_path / "fifo").is_fifo() and (tmp_path / "link").is_symlink()
 
 
+def run_within(seconds, argv):
+    """main(argv), failing the test when it has not returned after seconds."""
+
+    def late(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv", [["histogram", "{dir}/r7.json", "--angles", "1.0,0.5"], ["baselines", "--n", "3"]],
+    ids=["histogram", "baselines"],
+)
+def test_files_beside_the_output_are_left_alone(tmp_path, monkeypatch, argv):
+    # a FIFO and a link at guessable temporary names beside the output:
+    # opening the FIFO would block, and writing through the link would fill
+    # its target
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    (tmp_path / "clean").mkdir()
+    write_instance(tmp_path / "r7.json", 7)
+    os.mkfifo(tmp_path / "out.tmp")
+    (tmp_path / "target.txt").write_text("kept\n")
+    (tmp_path / "out.tmp.2").symlink_to(tmp_path / "target.txt")
+    command = [arg.format(dir=tmp_path) for arg in argv]
+    assert run_within(30, [*command, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "clean", "out", "out.tmp", "out.tmp.2", "r7.json", "target.txt"]
+    assert (tmp_path / "out.tmp").is_fifo() and (tmp_path / "out.tmp.2").is_symlink()
+    assert (tmp_path / "target.txt").read_text() == "kept\n"
+    assert run_within(30, [*command, "--out", str(tmp_path / "clean" / "out")]) == 0
+    assert not (tmp_path / "out").is_symlink()
+    assert (tmp_path / "out").read_bytes() == (tmp_path / "clean" / "out").read_bytes()
+
+
+def test_a_write_during_another_to_the_same_path_ends_with_the_later_rename(tmp_path):
+    # the inner write starts and finishes while the outer one is half
+    # written; each has a forked writer
+    out = tmp_path / "h.csv"
+
+    def outer():
+        yield "outer 1\n"
+        cli.write_text_atomic(out, ["inner 1\n"], [["inner 2\n"]])
+        assert out.read_text() == "inner 1\ninner 2\n"
+        yield "outer 2\n"
+
+    cli.write_text_atomic(out, outer(), [["outer 3\n"]])
+    assert out.read_text() == "outer 1\nouter 2\nouter 3\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
+
+
+def test_an_output_name_of_the_longest_length_is_written(tmp_path, capsys):
+    out = tmp_path / ("b" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    assert main(["baselines", "--n", "3", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_output_mode_follows_the_umask(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        cli.write_text_atomic(tmp_path / "out", ["text\n"])
+        (tmp_path / "plain").write_text("text\n")
+    finally:
+        os.umask(umask)
+    assert os.stat(tmp_path / "out").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
 class TestHistogramWriters:
     """The never-drawn rows split among forked writers, and what a failed writer leaves."""
 
@@ -963,14 +1064,14 @@ class TestHistogramWriters:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("part", [2, 3])
-    def test_failed_worker_ends_in_one_line(self, tmp_path, monkeypatch, capsys, part):
+    @pytest.mark.parametrize("part,chunk", [(2, 15), (3, 30), (2, 16)], ids=["2", "3", "2-second-chunk"])
+    def test_failed_worker_ends_in_one_line(self, tmp_path, monkeypatch, capsys, part, chunk):
         # three writers over chunks [0, 15), [15, 30) and [30, 46): either
-        # worker fails at its first chunk, the first while the second may run
-        first_chunk = {2: 15, 3: 30}[part]
-        assert self.run(tmp_path, monkeypatch, 3, fail_at=first_chunk * 1024, fail_here=False) == 1
+        # worker fails at its first chunk, the first while the second may
+        # run, or writer 2 at its second, after its first chunk's rows
+        assert self.run(tmp_path, monkeypatch, 3, fail_at=chunk * 1024, fail_here=False) == 1
         err = capsys.readouterr().err.strip()
-        assert err == f"writing {tmp_path / f'h.csv.tmp.{part}'} failed: no rows from {first_chunk * 1024}"
+        assert err == f"writing {tmp_path / 'h.csv'} failed in writer {part}: no rows from {chunk * 1024}"
         self.assert_nothing_left(tmp_path)
 
     def test_failure_in_this_process_kills_and_reaps_the_workers(self, tmp_path, monkeypatch, capsys):

@@ -143,6 +143,18 @@ class TestAnchor:
         with pytest.raises(ValueError, match=rf"start city {start} outside \[0, 4\)"):
             dataclasses.replace(example_4(), start_city=start)
 
+    def test_replace_refuses_a_start_that_is_not_an_integer(self):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            dataclasses.replace(example_4(), start_city=1.5)
+
+    @pytest.mark.parametrize("start", [True, np.int64(1)], ids=["True", "int64"])
+    def test_replace_holds_an_integer_start_as_an_int(self, start):
+        # True would index the distance matrix as a boolean mask
+        enc = dataclasses.replace(example_4(), start_city=start)
+        assert type(enc.start_city) is int and enc.city_of_symbol == (0, 2, 3)
+        one = dataclasses.replace(example_4(), start_city=1)
+        assert np.array_equal(build_cost_diagonal(enc).energy, build_cost_diagonal(one).energy)
+
     def test_an_energy_sum_past_the_float_range_is_refused_by_name(self):
         # 4 cities at distance 1e307: a tour costs 4e307 and the largest
         # penalty, 6 * 2.9e307, is finite, but their sum is not

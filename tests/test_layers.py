@@ -246,6 +246,12 @@ class TestRunCircuit:
 
 
 class TestPointProbabilities:
+    def test_the_closed_form_refuses_a_deeper_column(self):
+        diag = small_diag()
+        amplitudes = layers.tour_amplitudes(diag, [Column(0.8, (0.5,), 2)], brute_force_optimum(diag).flats)
+        with pytest.raises(ValueError, match="the closed form is for depth 1, got depth 2"):
+            next(amplitudes)
+
     def test_mixed_list_grid(self):
         # columns of 1 and 2 betas run circuits, and those of 4 and 5 betas
         # take the closed form, the middle one (the gate's) first
