@@ -8,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .encoded import EncodedState, index_to_label, labels_to_indices
+from .encoded import BlockLayout, EncodedState, indices_to_labels, labels_to_indices
 from .layers import mixer_block_matrix
 
 EXHAUSTIVE_TWIRL_LIMIT = 1_000_000
@@ -17,15 +17,22 @@ LIE_TOL = 1e-8  # Gram-Schmidt residual below which a generator is in the span
 QUADRATURE_POINTS = 4096  # betas of angle_averaged_transition's uniform rule
 
 
+def _label(layout: BlockLayout, flat: int) -> list[int]:
+    """The symbols of a flat index, block 0 first; ValueError outside [0, D)."""
+    if not 0 <= flat < layout.D:
+        raise ValueError(f"index {flat} outside [0, {layout.D})")
+    return indices_to_labels(layout, [flat])[0].tolist()
+
+
 def twirl_average(state: EncodedState, target) -> float:
     """Average overlap on the permuted target over all blockwise symbol permutations.
 
     The averaged quantity is |<target| P^dag psi>|^2 = prob(psi) at
-    P(target), psi the state, summed exactly over all (n!)**m blockwise
-    permutations (refused above EXHAUSTIVE_TWIRL_LIMIT).
+    P(target), psi the state and target a flat index, summed exactly over
+    all (n!)**m blockwise permutations (refused above EXHAUSTIVE_TWIRL_LIMIT).
     """
     layout = state.layout
-    target = layout.validate_label(target)
+    target = _label(layout, target)
     count = math.factorial(layout.n) ** layout.m
     if count > EXHAUSTIVE_TWIRL_LIMIT:
         raise ValueError(f"exhaustive twirl over {count} permutations refused")
@@ -39,7 +46,7 @@ def twirl_average(state: EncodedState, target) -> float:
 
 
 def find_good_permutation(state: EncodedState, target) -> tuple[tuple[tuple[int, ...], ...], float]:
-    """Blockwise permutation lifting the target overlap to the state's histogram peak.
+    """Blockwise permutation lifting the overlap on a flat target to the state's histogram peak.
 
     The image P(target) ranges over every basis label as P ranges over all
     blockwise permutations, so the best permutation reads off the argmax of
@@ -48,10 +55,10 @@ def find_good_permutation(state: EncodedState, target) -> tuple[tuple[tuple[int,
     averaging identity guarantees is >= 1/D.
     """
     layout = state.layout
-    target = layout.validate_label(target)
+    target = _label(layout, target)
     probs = state.probabilities()
     flat = int(np.argmax(probs))
-    best = index_to_label(layout, flat)
+    best = _label(layout, flat)
     perms = []
     for jt, jb in zip(target, best):
         p = list(range(layout.n))

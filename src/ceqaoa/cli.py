@@ -328,6 +328,16 @@ def _load_anchored(args):
         raise ValueError(f"bad --lambda value {args.penalty_weight!r} ({exc})") from None
 
 
+def simd_targets() -> dict[str, dict[str, str]] | None:
+    """numpy's SIMD target per complex128 multiply and absolute loop; None on numpy 1.x."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="multiply|absolute", signature="complex128.*")
+    return {f: {sig: loop["current"] for sig, loop in sigs.items()} for f, sigs in info.items()}
+
+
 def cmd_solve(args) -> int:
     out = Path(args.out)
     hist_path = Path(args.hist_out) if args.hist_out else out.with_suffix(".costs.csv")
@@ -382,6 +392,7 @@ def cmd_solve(args) -> int:
             "timings": result.timings,
             "peak_rss_mb": peak_rss_mb(),
             "peak_estimate_mb": estimate / 2**20,
+            "simd_targets": simd_targets(),
         },
     }
     rows = (

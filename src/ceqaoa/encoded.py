@@ -3,9 +3,9 @@
 An (n, m) layout describes m blocks carrying n symbols each; the encoded
 space has dimension D = n**m.  A basis label is a tuple of m symbols, and
 labels map to flat indices in mixed radix with block 0 as the most
-significant digit.  index_to_label and the array forms indices_to_labels
-and labels_to_indices are the only conversions between the two.  A q-qubit
-register is the layout (n=2, m=q), with qubit 0 the most significant bit.
+significant digit.  The program works on flat indices; the array codec
+indices_to_labels / labels_to_indices is the only conversion between the
+two.  A q-qubit register is the layout (n=2, m=q), qubit 0 most significant.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-Label = tuple[int, ...]
 
 DEFAULT_MAX_DIM = 1 << 25
 NORM_TOL = 1e-10
@@ -79,40 +77,20 @@ class BlockLayout:
             raise ValueError(f"need m >= 1 blocks, got m={self.m}")
         object.__setattr__(self, "D", encoded_dimension(self.n, self.m))
 
-    def validate_label(self, label) -> Label:
-        label = tuple(int(j) for j in label)
-        if len(label) != self.m:
-            raise ValueError(f"label {label} has {len(label)} symbols, expected {self.m}")
-        for j in label:
-            if not 0 <= j < self.n:
-                raise ValueError(f"symbol {j} outside [0, {self.n}) in label {label}")
-        return label
-
-
-def index_to_label(layout: BlockLayout, index: int) -> Label:
-    """Label of a flat index; block 0 is the most significant digit."""
-    index = int(index)
-    if not 0 <= index < layout.D:
-        raise ValueError(f"index {index} outside [0, {layout.D})")
-    symbols = [0] * layout.m
-    for b in range(layout.m - 1, -1, -1):
-        index, symbols[b] = divmod(index, layout.n)
-    return tuple(symbols)
-
 
 def _radix(layout: BlockLayout) -> np.ndarray:
     return layout.n ** np.arange(layout.m - 1, -1, -1, dtype=np.int64)
 
 
 def indices_to_labels(layout: BlockLayout, flats) -> np.ndarray:
-    """(k, m) int64 array whose row i equals index_to_label(layout, flats[i])."""
+    """(k, m) int64 array of the symbols of each flat index, block 0 first; no range check."""
     return np.asarray(flats, dtype=np.int64)[:, None] // _radix(layout) % layout.n
 
 
 def labels_to_indices(layout: BlockLayout, labels) -> np.ndarray:
     """Inverse of indices_to_labels: the int64 flat index of every row of a (k, m) array.
 
-    Symbols are not validated; callers pass arrays they built themselves.
+    A single label gives a scalar.  Symbols are not validated; callers build them.
     """
     return np.asarray(labels, dtype=np.int64) @ _radix(layout)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoded import BlockLayout, index_to_label, labels_to_indices
+from .encoded import BlockLayout, indices_to_labels, labels_to_indices
 
 # Absorbs summation-order noise when counting exactly degenerate tours
 # (e.g. the reversal of a tour on a symmetric instance).
@@ -131,7 +131,9 @@ def anchor(
 
 def tour_cities(enc: AnchoredTsp, flat: int) -> tuple[int, ...]:
     """Full city cycle for a flat label index, starting and ending at the start city."""
-    mid = tuple(enc.city_of_symbol[j] for j in index_to_label(enc.layout, flat))
+    if not 0 <= flat < enc.layout.D:
+        raise ValueError(f"index {flat} outside [0, {enc.layout.D})")
+    mid = tuple(enc.city_of_symbol[j] for j in indices_to_labels(enc.layout, [flat])[0])
     return (enc.start_city,) + mid + (enc.start_city,)
 
 

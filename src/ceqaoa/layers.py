@@ -34,8 +34,8 @@ class Column:
     mixer at betas[k].  gamma and depth are checked here.  The betas are
     checked once where they enter the program (phqc.pair_columns; the
     rectangular grids make their own), so the columns of a grid, which
-    share one betas tuple, cost O(1) each; a non-finite beta would still
-    fail the norm gate.
+    share one betas tuple, cost O(1) each.  A non-finite beta fails the norm
+    check in a circuit, and phqc.sample_tours' mass check in a closed-form column.
     """
 
     gamma: float

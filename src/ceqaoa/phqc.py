@@ -157,7 +157,8 @@ def sample_tours(p: np.ndarray, feasible: FeasibleSet, total_shots: int, seed: i
     checker only as a count, so the outcome has the law of drawing every
     shot over all D labels and keeping the feasible ones.  The tours come
     cheapest first, so the least drawn index is the best sample: ties on
-    cost go to the lowest flat index, and frequency never decides.
+    cost go to the lowest flat index, and frequency never decides.  A
+    non-finite mass (a non-finite beta in a closed-form column) raises ValueError.
     """
     if np.shape(p) != feasible.flats.shape:
         raise ValueError(f"{np.shape(p)} probabilities for the {feasible.flats.size} tours")
@@ -167,6 +168,8 @@ def sample_tours(p: np.ndarray, feasible: FeasibleSet, total_shots: int, seed: i
     optima = np.argsort(feasible.flats[: feasible.degeneracy])
     p_opt = float(p[optima].sum())
     mass = float(p.sum())
+    if not math.isfinite(mass):
+        raise ValueError(f"the point's feasible mass is {mass!r}, not finite")
     hits = int(rng.binomial(total_shots, min(mass, 1.0)))
     if hits == 0:
         return ScoredShots(p_opt, None, None, 0, np.empty(0), np.empty(0, dtype=np.int64))

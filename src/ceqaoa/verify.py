@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, qubitref
-from .encoded import BlockLayout, EncodedState, clipped, uniform_initial_state
+from .encoded import BlockLayout, EncodedState, clipped, labels_to_indices, uniform_initial_state
 from .hamiltonian import CostDiagonal
 from .layers import Column, apply_mixer, mixer_block_matrix, mixer_spectrum, run_circuit
 from .phqc import pair_columns
@@ -195,7 +195,7 @@ def check_one_design() -> list[CheckResult]:
     out = []
     layout = BlockLayout(3, 2)
     diag = random_diagonal(layout, seed=101)
-    target = (1, 2)
+    target = labels_to_indices(layout, (1, 2))
     worst = 0.0
     for state in run_circuit(diag, _random_columns(10, seed=202)):
         worst = max(worst, abs(analysis.twirl_average(state, target) - 1.0 / layout.D))
@@ -206,7 +206,7 @@ def check_one_design() -> list[CheckResult]:
     layout = BlockLayout(4, 3)
     diag = random_diagonal(layout, seed=303)
     (state,) = run_circuit(diag, _random_columns(1, seed=404))
-    dev = abs(analysis.twirl_average(state, (0, 1, 2)) - 1.0 / layout.D)
+    dev = abs(analysis.twirl_average(state, labels_to_indices(layout, (0, 1, 2))) - 1.0 / layout.D)
     out.append(
         _check("one_design", "exhaustive_twirl_n4_m3", dev < 1e-12, f"{dev:.3e}", "< 1e-12")
     )
@@ -219,7 +219,7 @@ def check_existence_bound() -> list[CheckResult]:
     for m, seed in ((2, 606), (3, 707)):
         layout = BlockLayout(3, m)
         diag = random_diagonal(layout, seed=seed)
-        target = tuple(range(m))
+        target = labels_to_indices(layout, range(m))
         columns = _random_columns(10, seed=seed + 1) + [Column(0.0, (0.0,))]
         ok = True
         worst = math.inf

@@ -50,9 +50,17 @@ def held_karp_cycle(dist, start=0):
     return min(dp[(full, i)] + dist[others[i]][start] for i in range(k))
 
 
+def _symbols(layout, label):
+    """label as a tuple of ints; ValueError unless it holds m symbols in [0, n)."""
+    label = tuple(int(j) for j in label)
+    if len(label) != layout.m or not all(0 <= j < layout.n for j in label):
+        raise ValueError(f"label {label} is not {layout.m} symbols in [0, {layout.n})")
+    return label
+
+
 def label_to_index(layout, label):
     """Flat index of one label, block 0 the most significant digit: the scalar codec tests use."""
-    label = layout.validate_label(label)
+    label = _symbols(layout, label)
     idx = 0
     for j in label:
         idx = idx * layout.n + j
@@ -61,7 +69,7 @@ def label_to_index(layout, label):
 
 def is_feasible(enc, label):
     """True when all symbols are pairwise distinct (a permutation for m == n)."""
-    label = enc.layout.validate_label(label)
+    label = _symbols(enc.layout, label)
     return len(set(label)) == enc.layout.m
 
 
@@ -71,7 +79,7 @@ def tour_cost(enc, label):
     Sums left to right: start edge, inner edges, return edge, the order
     build_cost_diagonal keeps, so the two agree bitwise.
     """
-    label = enc.layout.validate_label(label)
+    label = _symbols(enc.layout, label)
     if not is_feasible(enc, label):
         raise ValueError(f"label {label} repeats a city; filter with is_feasible first")
     return _cycle_cost(enc, [enc.city_of_symbol[j] for j in label])

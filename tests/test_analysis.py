@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ceqaoa import analysis
 from ceqaoa.analysis import (
     angle_averaged_transition,
     block_design_moments,
@@ -14,7 +15,7 @@ from ceqaoa.analysis import (
 )
 from ceqaoa.encoded import BlockLayout, uniform_initial_state
 from ceqaoa.layers import Column, run_circuit
-from ceqaoa.verify import random_diagonal
+from ceqaoa.verify import check_existence_bound, check_one_design, random_diagonal
 
 from oracles import label_to_index
 
@@ -31,30 +32,31 @@ class TestTwirl:
     def test_exhaustive_equals_uniform_baseline(self):
         lay = BlockLayout(3, 2)
         for state in run_circuit(random_diagonal(lay, 1), columns_for(10, 2)):
-            assert abs(twirl_average(state, (1, 2)) - 1 / 9) < 1e-12
+            assert abs(twirl_average(state, label_to_index(lay, (1, 2))) - 1 / 9) < 1e-12
 
     def test_zero_angles_any_mode(self):
         lay = BlockLayout(3, 2)
         (state,) = run_circuit(random_diagonal(lay, 3), [Column(0.0, (0.0,))])
-        assert abs(twirl_average(state, (0, 1)) - 1 / 9) < 1e-12  # every term equals 1/D
+        # every term equals 1/D
+        assert abs(twirl_average(state, label_to_index(lay, (0, 1))) - 1 / 9) < 1e-12
 
     def test_exhaustive_size_guard(self):
         state = uniform_initial_state(BlockLayout(6, 6))  # (6!)^6 permutations
         with pytest.raises(ValueError):
-            twirl_average(state, (0,) * 6)
+            twirl_average(state, 0)
 
 
 class TestGoodPermutation:
     def test_zero_angles_hit_baseline_exactly(self):
         lay = BlockLayout(3, 2)
         (state,) = run_circuit(random_diagonal(lay, 12), [Column(0.0, (0.0,))])
-        perms, overlap = find_good_permutation(state, (1, 2))
+        perms, overlap = find_good_permutation(state, label_to_index(lay, (1, 2)))
         assert overlap == pytest.approx(1 / 9, abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_overlap_at_least_baseline(self, m):
         lay = BlockLayout(3, m)
-        target = tuple(range(m))
+        target = label_to_index(lay, range(m))
         slack = 1.0 - 1e-12  # one-ulp margin at exactly degenerate points
         for state in run_circuit(random_diagonal(lay, 13 + m), columns_for(10, 14 + m)):
             perms, overlap = find_good_permutation(state, target)
@@ -66,13 +68,46 @@ class TestGoodPermutation:
         lay = BlockLayout(3, 2)
         (state,) = run_circuit(random_diagonal(lay, 20), columns_for(1, 21))
         target = (2, 0)
-        perms, overlap = find_good_permutation(state, target)
+        perms, overlap = find_good_permutation(state, label_to_index(lay, target))
         assert [sorted(p) for p in perms] == [[0, 1, 2]] * lay.m
         # overlap = |<target| P^dag U s0>|^2 = |<P target| U s0>|^2, where
-        # P sends block b's symbol j to perms[b][j]
-        moved = tuple(p[j] for p, j in zip(perms, target))
+        # P sends block b's symbol j to perms[b][j], and P target is the peak
+        moved = label_to_index(lay, [p[j] for p, j in zip(perms, target)])
         probs = state.probabilities()
-        assert probs[label_to_index(lay, moved)] == pytest.approx(overlap, abs=1e-15)
+        assert moved == np.argmax(probs) != label_to_index(lay, target)
+        assert probs[moved] == pytest.approx(overlap, abs=1e-15)
+
+
+@pytest.mark.parametrize("flat", [-1, 9])
+@pytest.mark.parametrize("estimator", [twirl_average, find_good_permutation])
+def test_target_index_out_of_range_refused(estimator, flat):
+    state = uniform_initial_state(BlockLayout(3, 2))
+    with pytest.raises(ValueError, match=rf"^index {flat} outside \[0, 9\)$"):
+        estimator(state, flat)
+
+
+def test_verify_passes_the_indices_of_its_labels(monkeypatch):
+    seen = []
+
+    def recording(estimator):
+        def wrapper(state, target):
+            seen.append((estimator.__name__, state.layout, int(target)))
+            return estimator(state, target)
+
+        return wrapper
+
+    for estimator in (twirl_average, find_good_permutation):
+        monkeypatch.setattr(analysis, estimator.__name__, recording(estimator))
+    assert all(r.passed for r in check_one_design() + check_existence_bound())
+    expected = {
+        ("twirl_average", BlockLayout(3, 2), label_to_index(BlockLayout(3, 2), (1, 2))),
+        ("twirl_average", BlockLayout(4, 3), label_to_index(BlockLayout(4, 3), (0, 1, 2))),
+    }
+    for m in (2, 3):
+        lay = BlockLayout(3, m)
+        for name in ("twirl_average", "find_good_permutation"):
+            expected.add((name, lay, label_to_index(lay, range(m))))
+    assert set(seen) == expected
 
 
 class TestErgodicity:

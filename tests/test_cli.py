@@ -113,10 +113,19 @@ class TestSolve:
         assert sum(meta["timings"].values()) <= meta["wall_time_s"]
         assert meta["peak_rss_mb"] > 0.0
         assert meta["peak_estimate_mb"] > 0.0
+        assert meta["simd_targets"] == cli.simd_targets()
         csv_path = out.with_suffix(".costs.csv")
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "grid_index,gamma,beta,cost,count"
         assert len(lines) > 1
+
+    def test_simd_targets_name_the_complex_loops(self, monkeypatch):
+        if hasattr(np.lib, "introspect"):  # numpy 2.x
+            targets = cli.simd_targets()
+            assert set(targets) == {"absolute", "multiply"}
+            assert all(isinstance(t, str) and t for sigs in targets.values() for t in sigs.values())
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # as on numpy 1.x
+        assert cli.simd_targets() is None
 
     def test_a_failed_json_write_removes_the_csv(self, instance_file, tmp_path, monkeypatch, capsys):
         out = tmp_path / "r.json"
@@ -471,6 +480,19 @@ class TestMemoryEstimate:
         avail = cli.available_memory()
         assert avail is None or avail > 0
         assert cli.peak_rss_mb() > 0.0
+
+    @pytest.mark.parametrize(
+        "line", [None, "MemAvailable: many kB\n", "MemAvailable:\n"], ids=["absent", "word", "bare"]
+    )
+    def test_unreadable_proc_line_reads_none(self, tmp_path, line):
+        path = tmp_path / "meminfo"
+        if line is not None:
+            path.write_text("MemTotal: 8 kB\n" + line)
+        assert cli._proc_kb(str(path), "MemAvailable") is None
+
+    def test_unknown_available_memory_passes_any_estimate(self, monkeypatch):
+        monkeypatch.setattr(cli, "available_memory", lambda: None)
+        cli.check_memory(1 << 200)
 
     @staticmethod
     def solve_metadata(tmp_path, seed, *args):

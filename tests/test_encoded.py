@@ -7,7 +7,6 @@ from ceqaoa.encoded import (
     DimensionCapError,
     EncodedState,
     encoded_dimension,
-    index_to_label,
     indices_to_labels,
     labels_to_indices,
     uniform_initial_state,
@@ -75,14 +74,12 @@ class TestLabelIndexing:
 
     def test_inverse_examples(self):
         lay = BlockLayout(3, 3)
-        assert index_to_label(lay, 0) == (0, 0, 0)
-        assert index_to_label(lay, 15) == (1, 2, 0)
-        assert index_to_label(lay, 26) == (2, 2, 2)
+        labels = indices_to_labels(lay, [0, 15, 26])
+        assert labels.tolist() == [[0, 0, 0], [1, 2, 0], [2, 2, 2]]
 
     def test_round_trip_exhaustive(self):
         lay = BlockLayout(3, 4)
-        for idx in range(lay.D):
-            label = index_to_label(lay, idx)
+        for idx, label in enumerate(indices_to_labels(lay, np.arange(lay.D))):
             assert label_to_index(lay, label) == idx
 
     def test_out_of_range(self):
@@ -91,17 +88,12 @@ class TestLabelIndexing:
             label_to_index(lay, (0, 3))
         with pytest.raises(ValueError):
             label_to_index(lay, (0, 0, 0))
-        with pytest.raises(ValueError):
-            index_to_label(lay, 9)
-        with pytest.raises(ValueError):
-            index_to_label(lay, -1)
 
     def test_label_arrays_match_scalar_codec(self):
         lay = BlockLayout(4, 3)
         flats = np.arange(0, lay.D, 7)
         labels = indices_to_labels(lay, flats)
         for idx, row in zip(flats, labels):
-            assert tuple(int(v) for v in row) == index_to_label(lay, idx)
             assert label_to_index(lay, row) == idx
         back = labels_to_indices(lay, labels)
         assert back.dtype == np.int64 and np.array_equal(back, flats)

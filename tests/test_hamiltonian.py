@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ceqaoa.encoded import BlockLayout, index_to_label
+from ceqaoa.encoded import BlockLayout, indices_to_labels
 from ceqaoa.hamiltonian import (
     AnchoredTsp,
     CostDiagonal,
@@ -197,7 +197,7 @@ class TestFeasibility:
     def test_feasible_count_is_factorial(self, n_cities):
         enc = anchor(TspInstance("r", random_symmetric_instance(n_cities, 1)), 0)
         lay = enc.layout
-        count = sum(is_feasible(enc, index_to_label(lay, i)) for i in range(lay.D))
+        count = sum(is_feasible(enc, label) for label in indices_to_labels(lay, np.arange(lay.D)))
         assert count == math.factorial(lay.n)
 
 
@@ -223,6 +223,11 @@ class TestTourCost:
     def test_tour_cities_cycle(self):
         enc = example_4()
         assert tour_cities(enc, label_to_index(enc.layout, (0, 2, 1))) == (0, 1, 3, 2, 0)
+
+    @pytest.mark.parametrize("flat", [-1, 27])
+    def test_tour_cities_refuses_an_index_out_of_range(self, flat):
+        with pytest.raises(ValueError, match=rf"^index {flat} outside \[0, 27\)$"):
+            tour_cities(example_4(), flat)
 
     def test_reversal_invariance_symmetric(self):
         for seed in range(5):
@@ -255,8 +260,8 @@ class TestCostDiagonal:
         diag = build_cost_diagonal(enc)
         objective, _ = reference_cost_diagonal(enc)
         lay = enc.layout
-        for idx in range(lay.D):
-            feas = is_feasible(enc, index_to_label(lay, idx))
+        for idx, label in enumerate(indices_to_labels(lay, np.arange(lay.D))):
+            feas = is_feasible(enc, label)
             assert (diag.energy[idx] == objective[idx]) == feas
 
     @pytest.mark.parametrize(
@@ -310,8 +315,7 @@ class TestCostDiagonal:
         enc = example_4()
         diag = build_cost_diagonal(enc)
         lay = enc.layout
-        for idx in range(lay.D):
-            label = index_to_label(lay, idx)
+        for idx, label in enumerate(indices_to_labels(lay, np.arange(lay.D))):
             if is_feasible(enc, label):
                 assert diag.energy[idx] == tour_cost(enc, label)
 
@@ -403,8 +407,7 @@ class TestBruteForce:
     def test_optimal_labels_are_feasible_minima(self):
         enc = anchor(TspInstance("r6", random_symmetric_instance(6, 11)), 0)
         res = optimum(enc)
-        for flat in optimal_flats(res):
-            label = index_to_label(enc.layout, flat)
+        for label in indices_to_labels(enc.layout, optimal_flats(res)):
             assert is_feasible(enc, label)
             assert tour_cost(enc, label) == pytest.approx(res.costs[0], rel=1e-12)
 

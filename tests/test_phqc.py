@@ -10,7 +10,7 @@ from ceqaoa.cli import main
 from ceqaoa.encoded import (
     BlockLayout,
     EncodedState,
-    index_to_label,
+    indices_to_labels,
     uniform_initial_state,
 )
 from ceqaoa.hamiltonian import (
@@ -275,7 +275,7 @@ class TestSolve:
         res = phqc_solve(enc, square_grid(5), 640, 5)
         best = res.points[res.winner].scored
         assert best.best_cost == 80.0
-        assert best.best_cost == tour_cost(enc, index_to_label(enc.layout, best.best_flat))
+        assert best.best_cost == tour_cost(enc, indices_to_labels(enc.layout, [best.best_flat])[0])
         assert res.degeneracy == 2
         assert len(res.points) == 25
         assert 0 < sum(p.scored.feasible_shots for p in res.points) < 25 * 640
@@ -315,8 +315,8 @@ class TestSolve:
                 found_empty = True
             else:
                 assert hits == 1 and res.winner == 0
-                flat = point.scored.best_flat
-                assert point.scored.best_cost == tour_cost(enc, index_to_label(enc.layout, flat))
+                (label,) = indices_to_labels(enc.layout, [point.scored.best_flat])
+                assert point.scored.best_cost == tour_cost(enc, label)
                 found_feasible = True
             if found_feasible and found_empty:
                 break
@@ -454,6 +454,20 @@ class TestSolve:
         flats = brute_force_optimum(diag).flats
         first = [Column(0.0, (0.0,))]
         assert np.allclose(next(mutated(diag, first, flats)), next(original(diag, first, flats)))
+
+    @pytest.mark.parametrize(
+        "at, message",
+        [(0, r"^the point's feasible mass is nan, not finite$"), (2, r"^squared norm nan deviates")],
+        ids=["closed-form", "gate"],
+    )
+    def test_nan_beta_in_a_closed_form_column_is_refused(self, at, message):
+        # pair_columns refuses a NaN beta where the command line builds
+        # columns; one built directly reaches the closed form, whose
+        # amplitudes are not norm-checked, or at index 2 the gate's circuit
+        betas = [0.1, 0.2, 0.3, 0.4]
+        betas[at] = math.nan
+        with pytest.raises(ValueError, match=message):
+            phqc_solve(example_4(), [Column(1.0, tuple(betas))], 10, 0)
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("path", ["direct", "table"])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ceqaoa.encoded import (
     BlockLayout,
     EncodedState,
-    index_to_label,
     indices_to_labels,
     labels_to_indices,
 )
@@ -40,6 +39,7 @@ from oracles import (
     enumerated_optimum,
     enumerated_tours,
     former_mixer,
+    label_to_index,
     random_asymmetric_instance,
     random_symmetric_instance,
     reference_circuit,
@@ -65,7 +65,7 @@ def test_indices_to_labels_matches_scalar(layout, data):
     flats = data.draw(st.lists(st.integers(0, layout.D - 1), max_size=40))
     labels = indices_to_labels(layout, np.array(flats, dtype=np.int64))
     assert labels.shape == (len(flats), layout.m)
-    assert [tuple(row) for row in labels.tolist()] == [index_to_label(layout, f) for f in flats]
+    assert [label_to_index(layout, row) for row in labels] == flats
     assert labels_to_indices(layout, labels).tolist() == flats
 
 
